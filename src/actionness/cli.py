@@ -62,17 +62,24 @@ def _fail(message: str) -> None:
 def _parse_thresholds(text: str) -> list[float]:
     """Accept ``a,b,c`` lists or ``start:stop[:step]`` ranges (inclusive)."""
     text = text.strip()
-    if ":" in text:
-        parts = [float(p) for p in text.split(":")]
-        if len(parts) == 2:
-            start, stop, step = parts[0], parts[1], 0.1
-        elif len(parts) == 3:
-            start, stop, step = parts
-        else:
-            raise InvalidInputError(f"bad threshold range {text!r}")
-        count = int(round((stop - start) / step)) + 1
-        return [round(start + i * step, 10) for i in range(count)]
-    return [float(p) for p in text.split(",") if p.strip()]
+    is_range = ":" in text
+    pieces = text.split(":") if is_range else [p for p in text.split(",") if p.strip()]
+    try:
+        parts = [float(p) for p in pieces]
+    except ValueError:
+        raise InvalidInputError(f"thresholds must be numbers, got {text!r}") from None
+    if not is_range:
+        return parts
+    if len(parts) == 2:
+        start, stop, step = parts[0], parts[1], 0.1
+    elif len(parts) == 3:
+        start, stop, step = parts
+    else:
+        raise InvalidInputError(f"bad threshold range {text!r}")
+    if not np.isfinite([start, stop, step]).all() or step <= 0:
+        raise InvalidInputError(f"threshold range needs finite bounds and a step > 0, got {text!r}")
+    count = int(round((stop - start) / step)) + 1
+    return [round(start + i * step, 10) for i in range(count)]
 
 
 @click.group()

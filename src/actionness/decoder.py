@@ -8,7 +8,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError
-from .evaluation import tiou
 from .losses import video_level_scores
 from .signal import ProbabilitySignal
 
@@ -115,20 +114,43 @@ def _nms_order(proposal: Proposal) -> tuple:
 
 
 def nms(proposals: Sequence[Proposal], tiou_threshold: float) -> list[Proposal]:
-    """Greedy same-class suppression by descending score.
+    """Greedy same-class suppression by descending score, vectorized per class.
 
-    Ties break deterministically on (score desc, start asc, end asc, class asc).
+    Proposals are sorted once on (score desc, start asc, end asc, class asc).
+    Within each class, every survivor suppresses all later members whose tIoU
+    with it exceeds the threshold; the tIoU of a survivor against the rest of
+    its class is one numpy expression using the same integer counts and float
+    division as ``evaluation.tiou``. Survivors come back in the sorted order,
+    so results and tie order equal the one-at-a-time greedy pass
+    (``oracles.nms_direct``).
     """
-    kept: list[Proposal] = []
-    for candidate in sorted(proposals, key=_nms_order):
-        suppressed = any(
-            kept_p.class_id == candidate.class_id
-            and tiou(kept_p.interval, candidate.interval) > tiou_threshold
-            for kept_p in kept
-        )
-        if not suppressed:
-            kept.append(candidate)
-    return kept
+    ordered = sorted(proposals, key=_nms_order)
+    if not ordered:
+        return []
+    starts = np.array([p.start for p in ordered], dtype=np.int64)
+    ends = np.array([p.end for p in ordered], dtype=np.int64)
+    class_ids = np.array([p.class_id for p in ordered], dtype=np.int64)
+    keep = np.ones(len(ordered), dtype=bool)
+    for class_id in np.unique(class_ids):
+        members = np.flatnonzero(class_ids == class_id)
+        member_starts = starts[members]
+        member_ends = ends[members]
+        lengths = member_ends - member_starts + 1
+        suppressed = np.zeros(members.size, dtype=bool)
+        for i in range(members.size - 1):
+            if suppressed[i]:
+                continue
+            later = slice(i + 1, None)
+            inter = (
+                np.minimum(member_ends[i], member_ends[later])
+                - np.maximum(member_starts[i], member_starts[later])
+                + 1
+            )
+            np.maximum(inter, 0, out=inter)  # disjoint pairs have tIoU 0, as in evaluation.tiou
+            overlap = inter / (lengths[i] + lengths[later] - inter)
+            suppressed[later] |= overlap > tiou_threshold
+        keep[members[suppressed]] = False
+    return [p for p, kept in zip(ordered, keep.tolist()) if kept]
 
 
 def decode(signals: Sequence[ProbabilitySignal], config: DecoderConfig) -> list[Proposal]:
@@ -136,7 +158,8 @@ def decode(signals: Sequence[ProbabilitySignal], config: DecoderConfig) -> list[
 
     For every selected class, level and threshold, runs above the threshold
     become segments, segments map onto the finest level's grid, get scored by
-    outer-inner contrast there, and the pool is reduced with NMS.
+    outer-inner contrast there (once per distinct segment), and the pool,
+    repeats included, is reduced with NMS.
     """
     if not signals:
         raise InvalidInputError("decode requires at least one signal")
@@ -156,6 +179,8 @@ def decode(signals: Sequence[ProbabilitySignal], config: DecoderConfig) -> list[
     pool: list[Proposal] = []
     for class_id in classes:
         reference_column = reference.class_column(class_id)
+        # the same segment recurs across thresholds and levels: score it once
+        scores: dict[tuple[int, int], float] = {}
         for sig in signals:
             scale = config.downsample_ratio ** (sig.level - reference.level)
             column = sig.class_column(class_id)
@@ -163,6 +188,7 @@ def decode(signals: Sequence[ProbabilitySignal], config: DecoderConfig) -> list[
                 for seg_start, seg_end in threshold_merge(column, threshold):
                     start = min(seg_start * scale, ref_length - 1)
                     end = min(seg_end * scale, ref_length - 1)
-                    score = oic_score(reference_column, (start, end), config.oic_inflation)
-                    pool.append(Proposal(video_id, start, end, class_id, score))
+                    if (start, end) not in scores:
+                        scores[start, end] = oic_score(reference_column, (start, end), config.oic_inflation)
+                    pool.append(Proposal(video_id, start, end, class_id, scores[start, end]))
     return nms(pool, config.nms_tiou)

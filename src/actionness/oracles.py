@@ -51,15 +51,6 @@ def top_k_mean_direct(column: Sequence[float], k: int) -> float:
     return float(sum(ordered[:k]) / k)
 
 
-def grid_argmin(objective: Callable, lo: float, hi: float, points: int) -> float:
-    """Dense-grid argmin; the objective must accept numpy arrays."""
-    xs = np.linspace(lo, hi, points)
-    values = objective(xs)
-    if np.ndim(values) == 0:  # objective only supports scalars
-        values = np.array([float(objective(x)) for x in xs])
-    return float(xs[int(np.argmin(values))])
-
-
 def grid_argmin_scalar(objective: Callable[[float], float], lo: float, hi: float, points: int) -> float:
     xs = np.linspace(lo, hi, points)
     values = [objective(float(x)) for x in xs]

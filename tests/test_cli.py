@@ -212,6 +212,15 @@ class TestDecodeCommand:
         result = runner.invoke(main, ["decode", "--signals", "x", "--out", "y", "--bogus"])
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("thresholds", ["0.1:0.7:0", "abc"])
+    def test_bad_thresholds_fail_cleanly(self, runner, tmp_path, thresholds):
+        result = runner.invoke(
+            main, ["decode", "--signals", str(tmp_path), "--out", str(tmp_path / "p.json"), "--thresholds", thresholds]
+        )
+        assert result.exit_code == 1
+        assert "error: " in result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+
     def test_deterministic(self, runner, tmp_path):
         data = tmp_path / "data"
         assert invoke(runner, synth_args(data, noise="0.05")).exit_code == 0
@@ -316,6 +325,19 @@ class TestEvalCommand:
         assert "alpha: 1.000000" in result.output
         assert "mean_tiou: 1.000000" in result.output
         assert load_json(out_json)["pseudo_label_quality"]["alpha"] == 1.0
+
+    @pytest.mark.parametrize("thresholds", ["0.1:0.7:0", "abc"])
+    def test_bad_thresholds_fail_cleanly(self, runner, tmp_path, thresholds):
+        gt_path, proposals_path = self.make_perfect(tmp_path)
+        result = runner.invoke(
+            main,
+            ["eval", str(proposals_path), "--gt", str(gt_path), "--thresholds", thresholds,
+             "--out-json", str(tmp_path / "r.json"), "--out-csv", str(tmp_path / "r.csv")],
+        )
+        assert result.exit_code == 1
+        assert "error: " in result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert not (tmp_path / "r.json").exists()
 
     def test_empty_gt_fails(self, runner, tmp_path):
         _, proposals_path = self.make_perfect(tmp_path)

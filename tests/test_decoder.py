@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actionness.decoder import (
     DecoderConfig,
@@ -12,8 +14,10 @@ from actionness.decoder import (
 )
 from actionness.errors import InvalidInputError
 from actionness.evaluation import tiou
+from actionness.losses import video_level_scores
 from actionness.oracles import nms_direct, oic_direct
 from actionness.signal import ProbabilitySignal
+from actionness.synth import SyntheticConfig, generate_video
 
 
 def make_signal(columns, video_id="v0", level=1):
@@ -127,6 +131,30 @@ class TestNms:
                     assert tiou(a.interval, b.interval) <= 0.45
 
 
+proposal_strategy = st.builds(
+    lambda start, length, class_id, score: Proposal("v0", start, start + length, class_id, score),
+    start=st.integers(0, 40),
+    length=st.integers(0, 15),
+    class_id=st.integers(1, 3),
+    # a few coarse scores make ties common; the floats cover the rest
+    score=st.one_of(st.sampled_from([0.0, 0.25, 0.5, 1.0]), st.floats(-1.0, 1.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    base=st.lists(proposal_strategy, max_size=40),
+    repeats=st.integers(0, 10),
+    threshold=st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.sampled_from([0.25, 1 / 3, 0.5, 2 / 3, 0.75]),
+    ),
+)
+def test_nms_equals_direct_oracle_property(base, repeats, threshold):
+    pool = base + base[:repeats]  # exact duplicates, including score
+    assert nms(pool, threshold) == nms_direct(pool, threshold)
+
+
 class TestDecode:
     def plateau_signal(self, spans, length=256, classes=3, video_id="v0"):
         columns = np.full((length, classes), 0.05)
@@ -169,6 +197,30 @@ class TestDecode:
         assert proposals, "expected at least one proposal"
         best = max(proposals, key=lambda p: p.score)
         assert tiou(best.interval, (40, 79)) >= 0.9
+
+    def test_matches_uncached_reference(self):
+        config = SyntheticConfig(length=512, num_classes=4, instances_per_video=(3, 6), noise_std=0.05, seed=5)
+        fine = generate_video(config, np.random.default_rng(5), "v0").signal
+        coarse = ProbabilitySignal("v0", 2, fine.values.reshape(-1, 2, fine.values.shape[1]).mean(axis=1))
+        levels = [fine, coarse]
+        decoder_config = self.config()
+
+        video_scores = np.mean(
+            [video_level_scores(sig, max(1, round(decoder_config.top_k_fraction * sig.length))) for sig in levels],
+            axis=0,
+        )
+        pool = []
+        for class_id in select_classes(video_scores, decoder_config.class_score_threshold):
+            for sig in levels:
+                scale = decoder_config.downsample_ratio ** (sig.level - 1)
+                for threshold in decoder_config.thresholds:
+                    for seg_start, seg_end in threshold_merge(sig.class_column(class_id), threshold):
+                        start = min(seg_start * scale, fine.length - 1)
+                        end = min(seg_end * scale, fine.length - 1)
+                        score = oic_score(fine.class_column(class_id), (start, end), decoder_config.oic_inflation)
+                        pool.append(Proposal("v0", start, end, class_id, score))
+        assert len({(p.start, p.end, p.class_id) for p in pool}) < len(pool), "no repeated segment to reuse"
+        assert decode(levels, decoder_config) == nms_direct(pool, decoder_config.nms_tiou)
 
     def test_requires_signals(self):
         with pytest.raises(InvalidInputError):
