@@ -119,7 +119,7 @@ def main():
 )
 @click.option("--seed", default=42, show_default=True)
 def synth(out_dir, videos, length, num_classes, instances, durations, shape_weights, noise_std, background_level, point_mode, seed):
-    """Write a synthetic dataset: signals/, gt.json, annotations.json, manifest.json."""
+    """Write a synthetic dataset: signals/<video_id>.npz, gt.json, annotations.json, manifest.json."""
     try:
         config = SyntheticConfig(
             length=length,
@@ -145,7 +145,7 @@ def synth(out_dir, videos, length, num_classes, instances, durations, shape_weig
             video_id = f"video-{index:04d}"
             rng = np.random.default_rng([seed, index])
             video = generate_video(config, rng, video_id)
-            save_signals(signals_dir / f"{video_id}.json", [video.signal])
+            save_signals(signals_dir / f"{video_id}.npz", [video.signal])
             ground_truth.extend(video.gt)
             annotations.extend(sample_point(instance, point_mode, rng) for instance in video.gt)
             video_ids.append(video_id)

@@ -1,3 +1,4 @@
+import io
 import json
 from pathlib import Path
 
@@ -7,12 +8,15 @@ from click.testing import CliRunner
 
 from actionness.cli import main
 from actionness.decoder import Proposal
+from actionness.signal import PointAnnotation, ProbabilitySignal
 from actionness.storage import (
     load_ground_truth,
     load_json,
     load_proposals,
     load_pseudo_labels,
+    save_annotations,
     save_proposals,
+    save_signals,
 )
 
 
@@ -67,7 +71,7 @@ class TestSynthCommand:
         assert len(manifest["videos"]) == 6
         assert (out / "gt.json").exists()
         assert (out / "annotations.json").exists()
-        assert len(list((out / "signals").glob("*.json"))) == 6
+        assert len(list((out / "signals").glob("*.npz"))) == 6
 
     def test_same_seed_byte_identical(self, runner, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
@@ -375,9 +379,6 @@ class TestVerifyCommand:
 
 class TestAdmMultiLevel:
     def test_coarse_level_upsampled_to_reference_grid(self, runner, tmp_path):
-        from actionness.signal import PointAnnotation, ProbabilitySignal
-        from actionness.storage import save_annotations, save_signals
-
         sigdir = tmp_path / "signals"
         sigdir.mkdir()
         fine = np.full((128, 3), 0.05)
@@ -412,3 +413,132 @@ class TestAdmMultiLevel:
         # label lives on the level-1 grid and overlaps the true extent
         assert 0 <= label.start <= label.t_star <= label.end <= 127
         assert label.start < 80 and label.end > 40
+
+
+def fails_cleanly(result, fragment):
+    assert result.exit_code == 1
+    assert "error: " in result.output and fragment in result.output
+    assert isinstance(result.exception, SystemExit)  # not a traceback
+
+
+def small_signal(video_id="v0", level=1):
+    values = np.full((8, 3), 0.1)
+    values[2:5, 0] = 0.9
+    return ProbabilitySignal(video_id, level, values)
+
+
+class TestLevelGivenTwice:
+    @pytest.mark.parametrize("layout", ["one-json-file", "json-and-npz-files"])
+    @pytest.mark.parametrize("command", ["adm", "decode"])
+    def test_rejected(self, runner, tmp_path, layout, command):
+        sigdir = tmp_path / "signals"
+        sigdir.mkdir()
+        if layout == "one-json-file":
+            save_signals(sigdir / "v0.json", [small_signal(), small_signal(level=2), small_signal()])
+        else:
+            save_signals(sigdir / "v0.json", [small_signal()])
+            save_signals(sigdir / "v0.npz", [small_signal()])
+        out_file = tmp_path / "out.json"
+        args = [command, "--signals", str(sigdir), "--out", str(out_file)]
+        if command == "adm":
+            save_annotations(tmp_path / "ann.json", [PointAnnotation("v0", 3, 1)])
+            args += ["--annotations", str(tmp_path / "ann.json")]
+        fails_cleanly(runner.invoke(main, args), "level 1 more than once")
+        assert not out_file.exists()
+
+
+def _npz_bytes(**arrays) -> bytes:
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
+
+
+def _npy_bytes(array) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+_LEVEL = np.full((4, 2), 0.5)
+_VIDEO = np.array("v0")
+_SIGNAL_RECORD = {"video_id": "v0", "level": 1, "length": 4, "num_classes": 1, "values": _LEVEL.tolist()}
+
+
+class TestMalformedInput:
+    """Wrong-typed or broken input files end in ``error: …`` with exit 1."""
+
+    @pytest.mark.parametrize(
+        "name, content, fragment",
+        [
+            ("v0.json", b"[3]", "malformed signal record"),
+            ("v0.json", json.dumps([{**_SIGNAL_RECORD, "level": "one"}]).encode(), "malformed signal record"),
+            ("v0.json", json.dumps([{**_SIGNAL_RECORD, "values": [[0.5, 0.5], [0.5]]}]).encode(),
+             "malformed signal record"),
+            ("v0.json", b"\x93NUMPY\xff binary", "malformed JSON"),
+            ("v0.npz", b"", "malformed signal archive"),
+            ("v0.npz", b"PK\x03\x04 truncated", "malformed signal archive"),
+            ("v0.npz", b"plain text", "malformed signal archive"),
+            ("v0.npz", _npy_bytes(_LEVEL), "not an .npz archive"),
+            ("v0.npz", _npz_bytes(level_1=_LEVEL), "no video_id member"),
+            ("v0.npz", _npz_bytes(video_id=_VIDEO), "no level_<k> member"),
+            ("v0.npz", _npz_bytes(video_id=np.array(["v0"]), level_1=_LEVEL), "0-d string array"),
+            ("v0.npz", _npz_bytes(video_id=_VIDEO, level_one=_LEVEL), "malformed signal archive"),
+            ("v0.npz", _npz_bytes(video_id=_VIDEO, level_1=np.full(4, 0.5)), "values must have shape"),
+            ("v0.npz", _npz_bytes(video_id=_VIDEO, level_1=_LEVEL.astype(str)), "not numbers"),
+            ("v0.npz", _npz_bytes(video_id=_VIDEO, level_1=_LEVEL.astype(object)), "malformed signal archive"),
+        ],
+        ids=[
+            "json-not-a-record", "json-level-not-int", "json-ragged-values", "json-binary",
+            "npz-empty", "npz-bad-zip", "npz-not-a-zip", "npz-bare-npy", "npz-no-video-id", "npz-no-level",
+            "npz-video-id-not-0d", "npz-level-name-not-int", "npz-level-1d", "npz-level-strings",
+            "npz-level-objects",
+        ],
+    )
+    def test_bad_signal_file(self, runner, tmp_path, name, content, fragment):
+        path = tmp_path / name
+        path.write_bytes(content)
+        result = runner.invoke(main, ["decode", "--signals", str(path), "--out", str(tmp_path / "p.json")])
+        fails_cleanly(result, fragment)
+
+    @pytest.mark.parametrize(
+        "records",
+        [[{"video_id": "v0", "t": "x", "class_id": 1}], [{"video_id": "v0", "t": 1e999, "class_id": 1}], [3]],
+        ids=["t-not-a-number", "t-infinite", "record-not-an-object"],
+    )
+    def test_bad_annotations(self, runner, tmp_path, records):
+        save_signals(tmp_path / "v0.npz", [small_signal()])
+        annotations = tmp_path / "ann.json"
+        annotations.write_text(json.dumps(records))
+        result = runner.invoke(
+            main,
+            ["adm", "--signals", str(tmp_path / "v0.npz"), "--annotations", str(annotations),
+             "--out", str(tmp_path / "labels.json")],
+        )
+        fails_cleanly(result, "malformed annotation record")
+
+    _GT = [{"video_id": "v0", "start": 1, "end": 4, "class_id": 1}]
+    _LABEL = {"t": 2, "t_star": 2, "sigma": 1.0, "omega": 1.0, "delta": 1.0,
+              "start": 1, "end": 3, "class_id": 1, "degenerate": False}
+
+    @pytest.mark.parametrize(
+        "gt, predictions, fragment",
+        [
+            ([{**_GT[0], "start": "a"}], [], "malformed ground-truth record"),
+            (_GT, [{"video_id": "v0", "proposals": 5}], "malformed proposal record"),
+            (_GT, [{"video_id": "v0", "proposals": [{"start": 1, "end": 3, "class_id": 1, "score": [1]}]}],
+             "malformed proposal record"),
+            (_GT, [{"video_id": "v0", "labels": [{**_LABEL, "sigma": "x"}]}], "malformed pseudo-label record"),
+        ],
+        ids=["gt-start-not-int", "proposals-not-a-list", "score-not-a-number", "label-sigma-not-a-number"],
+    )
+    def test_bad_eval_input(self, runner, tmp_path, gt, predictions, fragment):
+        gt_path, predictions_path = tmp_path / "gt.json", tmp_path / "predictions.json"
+        gt_path.write_text(json.dumps(gt))
+        predictions_path.write_text(json.dumps(predictions))
+        result = runner.invoke(
+            main,
+            ["eval", str(predictions_path), "--gt", str(gt_path),
+             "--out-json", str(tmp_path / "r.json"), "--out-csv", str(tmp_path / "r.csv")],
+        )
+        fails_cleanly(result, fragment)
+        assert not (tmp_path / "r.json").exists()

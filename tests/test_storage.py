@@ -1,7 +1,12 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from actionness.adm import PseudoLabel
 from actionness.decoder import Proposal
@@ -23,6 +28,7 @@ from actionness.storage import (
     save_signals,
     signal_from_dict,
     signal_to_dict,
+    write_json_atomic,
 )
 
 
@@ -40,10 +46,74 @@ def test_signal_round_trip(tmp_path):
 
 def test_signal_directory_loading(tmp_path):
     rng = np.random.default_rng(62)
-    for name in ("b", "a"):
-        save_signals(tmp_path / f"{name}.json", [ProbabilitySignal(name, 1, rng.uniform(0, 1, (4, 3)))])
+    for name, suffix in (("c", ".json"), ("b", ".npz"), ("a", ".json")):
+        save_signals(tmp_path / f"{name}{suffix}", [ProbabilitySignal(name, 1, rng.uniform(0, 1, (4, 3)))])
+    (tmp_path / "notes.txt").write_text("not a signal")
     loaded = load_signals(tmp_path)
-    assert [s.video_id for s in loaded] == ["a", "b"]  # sorted by filename
+    assert [s.video_id for s in loaded] == ["a", "b", "c"]  # sorted by filename, both formats
+
+
+# Strings without NUL: numpy's fixed-width strings drop trailing NULs.
+video_ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=12)
+level_values = st.tuples(st.integers(1, 20), st.integers(2, 5)).flatmap(
+    lambda shape: hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1.0))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    video_id=video_ids,
+    levels=st.lists(st.tuples(st.integers(1, 6), level_values), min_size=1, max_size=4, unique_by=lambda lv: lv[0]),
+)
+def test_signals_round_trip_bit_equal_in_both_formats(video_id, levels):
+    signals = [ProbabilitySignal(video_id, level, values) for level, values in levels]
+    expected = sorted(signals, key=lambda s: s.level)
+    with tempfile.TemporaryDirectory() as tmp:
+        for suffix in (".json", ".npz"):
+            path = Path(tmp) / f"v{suffix}"
+            save_signals(path, signals)
+            loaded = sorted(load_signals(path), key=lambda s: s.level)
+            assert [(s.video_id, s.level) for s in loaded] == [(s.video_id, s.level) for s in expected]
+            for got, want in zip(loaded, expected):
+                assert got.values.dtype == np.float64
+                assert got.values.shape == want.values.shape
+                assert got.values.tobytes() == want.values.tobytes()
+        first = (Path(tmp) / "v.npz").read_bytes()
+        save_signals(Path(tmp) / "again.npz", list(reversed(signals)))
+        assert (Path(tmp) / "again.npz").read_bytes() == first
+
+
+def test_npz_layout(tmp_path):
+    values = np.random.default_rng(63).uniform(0, 1, (6, 3))
+    path = tmp_path / "v0.npz"
+    save_signals(path, [ProbabilitySignal("v0", 2, values[::2]), ProbabilitySignal("v0", 1, values)])
+    with np.load(path, allow_pickle=False) as archive:
+        assert archive.files == ["video_id", "level_1", "level_2"]
+        assert archive["video_id"].shape == () and str(archive["video_id"]) == "v0"
+        assert np.array_equal(archive["level_1"], values)
+        assert np.array_equal(archive["level_2"], values[::2])
+
+
+@pytest.mark.parametrize(
+    "signals",
+    [
+        [],
+        [ProbabilitySignal("a", 1, np.zeros((2, 2))), ProbabilitySignal("b", 1, np.zeros((2, 2)))],
+        [ProbabilitySignal("a", 1, np.zeros((2, 2))), ProbabilitySignal("a", 1, np.zeros((2, 2)))],
+    ],
+    ids=["no-video", "two-videos", "level-twice"],
+)
+def test_npz_holds_one_video_with_distinct_levels(tmp_path, signals):
+    with pytest.raises(InvalidInputError):
+        save_signals(tmp_path / "v.npz", signals)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_json_is_compact_sorted_and_newline_terminated(tmp_path):
+    path = tmp_path / "out.json"
+    payload = {"b": [1, 2.5], "a": {"y": None, "x": "s"}}
+    write_json_atomic(path, payload)
+    assert path.read_text() == '{"a": {"x": "s", "y": null}, "b": [1, 2.5]}\n'
 
 
 def test_signal_declared_dimensions_checked():
@@ -122,5 +192,5 @@ def test_report_json_and_csv(tmp_path):
 def test_writes_are_atomic_no_temp_left(tmp_path):
     path = tmp_path / "out.json"
     save_annotations(path, [PointAnnotation("v0", 1, 1)])
-    leftovers = [p for p in tmp_path.iterdir() if p.name != "out.json"]
-    assert leftovers == []
+    save_signals(tmp_path / "v0.npz", [ProbabilitySignal("v0", 1, np.zeros((2, 2)))])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "v0.npz"]
