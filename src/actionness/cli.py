@@ -32,10 +32,8 @@ from .signal import (
 from .storage import (
     group_signals_by_video,
     load_annotations,
+    load_eval_input,
     load_ground_truth,
-    load_json,
-    load_proposals,
-    load_pseudo_labels,
     load_signals,
     save_annotations,
     save_ground_truth,
@@ -305,17 +303,10 @@ def eval_cmd(input_path, gt_path, thresholds, out_json, out_csv):
         if not gt:
             raise InvalidInputError(f"ground-truth file {gt_path} is empty")
 
-        payload = load_json(input_path)
-        is_labels = (
-            bool(payload)
-            and isinstance(payload, list)
-            and isinstance(payload[0], dict)
-            and "labels" in payload[0]
-        )
+        kind, records = load_eval_input(input_path)
         extra = None
-        if is_labels:
-            labels = load_pseudo_labels(input_path)
-            quality = pseudo_label_quality(labels, gt, threshold_list)
+        if kind == "pseudo-label":
+            quality = pseudo_label_quality(records, gt, threshold_list)
             report = quality.eval
             extra = {
                 "pseudo_label_quality": {
@@ -326,8 +317,7 @@ def eval_cmd(input_path, gt_path, thresholds, out_json, out_csv):
             click.echo(f"alpha: {quality.alpha:.6f}")
             click.echo(f"mean_tiou: {quality.mean_tiou:.6f}")
         else:
-            proposals = load_proposals(input_path)
-            report = map_report(proposals, gt, threshold_list)
+            report = map_report(records, gt, threshold_list)
 
         save_report_json(out_json, report, extra)
         save_report_csv(out_csv, report)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -29,7 +30,7 @@ class Proposal:
             raise InvalidInputError(
                 f"proposal must satisfy 0 <= start <= end, got [{self.start}, {self.end}]"
             )
-        if not np.isfinite(self.score):
+        if not math.isfinite(self.score):
             raise InvalidInputError(f"proposal score must be finite, got {self.score}")
 
     @property

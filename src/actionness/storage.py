@@ -33,14 +33,26 @@ from .signal import PointAnnotation, ProbabilitySignal
 _MALFORMED = (TypeError, ValueError, OverflowError)
 
 
+def _umask() -> int:
+    # reading the umask means setting it; it is put back at once
+    mask = os.umask(0o077)
+    os.umask(mask)
+    return mask
+
+
 @contextmanager
 def _atomic_file(path: Path | str):
-    """Yield a binary handle on a temp file that replaces ``path`` once the block succeeds."""
+    """Yield a binary handle on a temp file that replaces ``path`` once the block succeeds.
+
+    ``mkstemp`` creates the file as 0600; it gets the mode a plain ``open``
+    would give it, ``0o666`` less the umask, before it moves into place.
+    """
     path = Path(path)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
             yield handle
+        os.chmod(tmp_name, 0o666 & ~_umask())
         os.replace(tmp_name, path)
     except BaseException:
         if os.path.exists(tmp_name):
@@ -71,7 +83,11 @@ def load_json(path: Path | str):
 
 def _load_records(path: Path | str, kind: str, build) -> list:
     """Parse a JSON array and build records from it; malformed records raise InvalidInputError."""
-    payload = load_json(path)
+    return _build_records(load_json(path), path, kind, build)
+
+
+def _build_records(payload, path: Path | str, kind: str, build) -> list:
+    """Build records from a parsed JSON array; malformed records raise InvalidInputError."""
     if not isinstance(payload, list):
         raise InvalidInputError(f"{kind} file {path} must hold a JSON array")
     try:
@@ -128,7 +144,10 @@ def _save_npz(path: Path | str, signals: Sequence[ProbabilitySignal]) -> None:
     levels = [s.level for s in ordered]
     if len(set(levels)) != len(levels):
         raise InvalidInputError(f"video {video_ids[0]!r} repeats a level: {levels}")
-    members = [("video_id", np.array(video_ids[0]))]
+    video_id = np.array(video_ids[0])
+    if str(video_id) != video_ids[0]:  # fixed-width numpy strings drop trailing NULs
+        raise InvalidInputError(f"video id {video_ids[0]!r} cannot be stored in an .npz file")
+    members = [("video_id", video_id)]
     members += [(f"{_LEVEL_PREFIX}{s.level}", s.values) for s in ordered]
     with _atomic_file(path) as handle, zipfile.ZipFile(handle, "w", zipfile.ZIP_STORED) as archive:
         for name, array in members:
@@ -356,6 +375,23 @@ def _proposals_from_records(payload: list) -> list[Proposal]:
 
 def load_proposals(path: Path | str) -> list[Proposal]:
     return _load_records(path, "proposal", _proposals_from_records)
+
+
+# --- eval input -----------------------------------------------------------
+
+def load_eval_input(path: Path | str) -> tuple[str, list[PseudoLabel] | list[Proposal]]:
+    """``("pseudo-label", labels)`` if the first record holds ``labels``, else ``("proposal", proposals)``.
+
+    The file is parsed once. The kind comes from the file, not from the
+    records, so a labels file with no labels still reads as pseudo-labels;
+    an empty array reads as no proposals.
+    """
+    payload = load_json(path)
+    if payload and isinstance(payload, list) and isinstance(payload[0], dict) and "labels" in payload[0]:
+        kind, build = "pseudo-label", _pseudo_labels_from_records
+    else:
+        kind, build = "proposal", _proposals_from_records
+    return kind, _build_records(payload, path, kind, build)
 
 
 # --- evaluation reports ----------------------------------------------------

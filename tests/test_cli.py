@@ -1,11 +1,14 @@
 import io
 import json
+import os
+import stat
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from actionness.adm import PseudoLabel
 from actionness.cli import main
 from actionness.decoder import Proposal
 from actionness.signal import PointAnnotation, ProbabilitySignal
@@ -16,6 +19,7 @@ from actionness.storage import (
     load_pseudo_labels,
     save_annotations,
     save_proposals,
+    save_pseudo_labels,
     save_signals,
 )
 
@@ -330,6 +334,66 @@ class TestEvalCommand:
         assert "mean_tiou: 1.000000" in result.output
         assert load_json(out_json)["pseudo_label_quality"]["alpha"] == 1.0
 
+    def test_labels_file_without_labels_still_reads_as_labels(self, runner, tmp_path):
+        gt_path, _ = self.make_perfect(tmp_path)
+        labels_path = tmp_path / "labels.json"
+        labels_path.write_text(json.dumps([{"video_id": "v0", "labels": []}]))
+        out_json = tmp_path / "report.json"
+        result = invoke(
+            runner,
+            ["eval", str(labels_path), "--gt", str(gt_path), "--out-json", str(out_json), "--out-csv", str(tmp_path / "r.csv")],
+        )
+        assert result.exit_code == 0
+        assert "alpha: 0.000000" in result.output
+        assert load_json(out_json)["pseudo_label_quality"] == {"alpha": 0.0, "mean_tiou": 0.0}
+
+    @pytest.mark.parametrize("input_name", ["proposals.json", "labels.json"])
+    def test_input_parsed_once(self, runner, tmp_path, monkeypatch, input_name):
+        gt_path, _ = self.make_perfect(tmp_path)
+        save_proposals(tmp_path / "proposals.json", [Proposal("v0", 5, 20, 1, 0.9)])
+        save_pseudo_labels(tmp_path / "labels.json", [PseudoLabel("v0", 10, 10, 3.0, 5.0, 8.0, 5, 20, 1)])
+        parsed = []
+        parse = json.load
+
+        def counting_parse(handle, **kwargs):
+            parsed.append(Path(handle.name).name)
+            return parse(handle, **kwargs)
+
+        monkeypatch.setattr(json, "load", counting_parse)
+        result = invoke(
+            runner,
+            ["eval", str(tmp_path / input_name), "--gt", str(gt_path),
+             "--out-json", str(tmp_path / "r.json"), "--out-csv", str(tmp_path / "r.csv")],
+        )
+        assert result.exit_code == 0
+        assert sorted(parsed) == sorted(["gt.json", input_name])
+
+    def test_outputs_follow_the_umask(self, runner, tmp_path):
+        data = tmp_path / "data"
+        previous = os.umask(0o022)
+        try:
+            assert invoke(runner, synth_args(data, videos=2)).exit_code == 0
+            labels = tmp_path / "labels.json"
+            result = invoke(
+                runner,
+                ["adm", "--signals", str(data / "signals"), "--annotations", str(data / "annotations.json"),
+                 "--out", str(labels)],
+            )
+            assert result.exit_code == 0
+            result = invoke(
+                runner,
+                ["eval", str(labels), "--gt", str(data / "gt.json"),
+                 "--out-json", str(tmp_path / "r.json"), "--out-csv", str(tmp_path / "r.csv")],
+            )
+            assert result.exit_code == 0
+        finally:
+            os.umask(previous)
+        outputs = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert {path.suffix for path in outputs} == {".json", ".csv", ".npz"}
+        assert {path.name: stat.S_IMODE(path.stat().st_mode) for path in outputs} == {
+            path.name: 0o644 for path in outputs
+        }
+
     @pytest.mark.parametrize("thresholds", ["0.1:0.7:0", "abc"])
     def test_bad_thresholds_fail_cleanly(self, runner, tmp_path, thresholds):
         gt_path, proposals_path = self.make_perfect(tmp_path)
@@ -527,9 +591,17 @@ class TestMalformedInput:
             (_GT, [{"video_id": "v0", "proposals": 5}], "malformed proposal record"),
             (_GT, [{"video_id": "v0", "proposals": [{"start": 1, "end": 3, "class_id": 1, "score": [1]}]}],
              "malformed proposal record"),
+            (_GT, [{"video_id": "v0", "proposals": [{"start": 1, "end": 3, "class_id": 1, "score": "x"}]}],
+             "malformed proposal record"),
+            (_GT, [{"video_id": "v0", "proposals": [{"start": 1, "end": 3, "class_id": 1, "score": float("nan")}]}],
+             "score must be finite"),
+            (_GT, [{"video_id": "v0", "proposals": [{"start": 1, "end": 3, "class_id": 1, "score": float("inf")}]}],
+             "score must be finite"),
             (_GT, [{"video_id": "v0", "labels": [{**_LABEL, "sigma": "x"}]}], "malformed pseudo-label record"),
+            (_GT, {"video_id": "v0"}, "must hold a JSON array"),
         ],
-        ids=["gt-start-not-int", "proposals-not-a-list", "score-not-a-number", "label-sigma-not-a-number"],
+        ids=["gt-start-not-int", "proposals-not-a-list", "score-not-a-number", "score-string", "score-nan",
+             "score-inf", "label-sigma-not-a-number", "input-not-an-array"],
     )
     def test_bad_eval_input(self, runner, tmp_path, gt, predictions, fragment):
         gt_path, predictions_path = tmp_path / "gt.json", tmp_path / "predictions.json"

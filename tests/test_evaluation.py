@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actionness.adm import PseudoLabel
 from actionness.decoder import Proposal
@@ -167,6 +169,115 @@ class TestPseudoLabelQuality:
     def test_empty_gt_rejected(self):
         with pytest.raises(InvalidInputError):
             pseudo_label_quality([], [], [0.5])
+
+
+# --- properties over random multi-video, multi-class pools -----------------
+
+VIDEOS = ("v0", "v1")
+CLASSES = (1, 2)
+
+
+@st.composite
+def intervals(draw):
+    start = draw(st.integers(0, 24))
+    return start, start + draw(st.integers(0, 10))
+
+
+@st.composite
+def ground_truth(draw):
+    """GT on a short timeline, so instances overlap, tie in tIoU against a proposal, or repeat."""
+    return [
+        GroundTruthInstance(draw(st.sampled_from(VIDEOS)), *draw(intervals()), draw(st.sampled_from(CLASSES)))
+        for _ in range(draw(st.integers(1, 10)))
+    ]
+
+
+@st.composite
+def pool(draw, instances):
+    """Proposals with tied scores, some copying a GT interval, others anywhere (often overlapping nothing)."""
+    proposals = []
+    for _ in range(draw(st.integers(0, 30))):
+        if draw(st.booleans()):
+            start, end = draw(intervals())
+            video_id, class_id = draw(st.sampled_from(VIDEOS)), draw(st.sampled_from(CLASSES))
+        else:
+            instance = draw(st.sampled_from(instances))
+            start, end = instance.start + draw(st.integers(-3, 3)), instance.end + draw(st.integers(-3, 3))
+            start, end = max(0, min(start, end)), max(0, start, end)
+            video_id, class_id = instance.video_id, instance.class_id
+        score = draw(st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.0, 1.0))
+        proposals.append(Proposal(video_id, start, end, class_id, score))
+    return proposals
+
+
+# exact tIoU values such as 1/2, 1/3 and 1 test the >= comparison at equality
+thresholds = st.lists(
+    st.sampled_from([0.1, 1 / 3, 0.5, 0.7, 1.0]) | st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=8
+)
+
+
+@st.composite
+def cases(draw):
+    instances = draw(ground_truth())
+    return instances, draw(pool(instances)), draw(thresholds)
+
+
+def by_class(items, class_id):
+    return [item for item in items if item.class_id == class_id]
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases())
+def test_average_precision_matches_direct_oracle(case):
+    instances, proposals, threshold_list = case
+    for class_id in sorted({g.class_id for g in instances}):
+        for threshold in threshold_list:
+            fast = average_precision(by_class(proposals, class_id), by_class(instances, class_id), threshold)
+            direct = average_precision_direct(
+                by_class(proposals, class_id), by_class(instances, class_id), threshold
+            )
+            assert abs(fast - direct) <= 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases())
+def test_map_report_equals_per_class_average_precision(case):
+    instances, proposals, threshold_list = case
+    report = map_report(proposals, instances, threshold_list)
+    classes = sorted({g.class_id for g in instances})
+    assert set(report.ap) == {(c, t) for c in classes for t in threshold_list}
+    for class_id in classes:
+        for threshold in threshold_list:
+            expected = average_precision(by_class(proposals, class_id), by_class(instances, class_id), threshold)
+            assert report.ap[(class_id, threshold)] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(intervals(), intervals())
+def test_tiou_bounded_and_symmetric(a, b):
+    assert 0.0 <= tiou(a, b) <= 1.0
+    assert tiou(a, b) == tiou(b, a)
+    assert tiou(a, a) == 1.0
+
+
+@settings(max_examples=100, deadline=None)
+@given(cases())
+def test_pseudo_label_best_match_equals_brute_force_scan(case):
+    instances, proposals, threshold_list = case
+    labels = [label(p.video_id, p.start, p.end, p.class_id) for p in proposals]
+    best_matches = [
+        max(
+            (
+                tiou((item.start, item.end), (instance.start, instance.end))
+                for item in labels
+                if (item.video_id, item.class_id) == (instance.video_id, instance.class_id)
+            ),
+            default=0.0,
+        )
+        for instance in instances
+    ]
+    quality = pseudo_label_quality(labels, instances, threshold_list)
+    assert quality.mean_tiou == float(np.mean(best_matches))
 
 
 def test_threshold_decoding_overproduces_versus_adm():

@@ -15,6 +15,7 @@ from actionness.evaluation import EvalReport, GroundTruthInstance
 from actionness.signal import PointAnnotation, ProbabilitySignal
 from actionness.storage import (
     load_annotations,
+    load_eval_input,
     load_ground_truth,
     load_proposals,
     load_pseudo_labels,
@@ -53,8 +54,10 @@ def test_signal_directory_loading(tmp_path):
     assert [s.video_id for s in loaded] == ["a", "b", "c"]  # sorted by filename, both formats
 
 
-# Strings without NUL: numpy's fixed-width strings drop trailing NULs.
-video_ids = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=12)
+# No trailing NUL: numpy's fixed-width strings drop it, so .npz refuses such ids (tested below).
+video_ids = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12).filter(
+    lambda text: not text.endswith("\x00")
+)
 level_values = st.tuples(st.integers(1, 20), st.integers(2, 5)).flatmap(
     lambda shape: hnp.arrays(np.float64, shape, elements=st.floats(0.0, 1.0))
 )
@@ -107,6 +110,16 @@ def test_npz_holds_one_video_with_distinct_levels(tmp_path, signals):
     with pytest.raises(InvalidInputError):
         save_signals(tmp_path / "v.npz", signals)
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("video_id", ["v\x00", "\x00", "v\x00\x00"])
+def test_npz_rejects_video_id_with_trailing_nul(tmp_path, video_id):
+    signal = ProbabilitySignal(video_id, 1, np.zeros((2, 2)))
+    with pytest.raises(InvalidInputError, match="cannot be stored in an .npz file"):
+        save_signals(tmp_path / "v.npz", [signal])
+    assert list(tmp_path.iterdir()) == []
+    save_signals(tmp_path / "v.json", [signal])  # JSON keeps the id
+    assert load_signals(tmp_path / "v.json")[0].video_id == video_id
 
 
 def test_json_is_compact_sorted_and_newline_terminated(tmp_path):
@@ -168,6 +181,19 @@ def test_proposal_round_trip_and_schema(tmp_path):
     assert payload[0]["video_id"] == "v0"
     assert set(payload[0]["proposals"][0]) == {"start", "end", "class_id", "score"}
     assert load_proposals(path) == proposals
+
+
+def test_eval_input_kind_comes_from_the_file(tmp_path):
+    label = PseudoLabel("v0", 10, 10, 3.0, 5.0, 8.0, 5, 20, 1)
+    proposal = Proposal("v0", 5, 20, 1, 0.5)
+    save_pseudo_labels(tmp_path / "labels.json", [label])
+    save_proposals(tmp_path / "proposals.json", [proposal])
+    write_json_atomic(tmp_path / "no_labels.json", [{"video_id": "v0", "labels": []}])
+    write_json_atomic(tmp_path / "empty.json", [])
+    assert load_eval_input(tmp_path / "labels.json") == ("pseudo-label", [label])
+    assert load_eval_input(tmp_path / "proposals.json") == ("proposal", [proposal])
+    assert load_eval_input(tmp_path / "no_labels.json") == ("pseudo-label", [])
+    assert load_eval_input(tmp_path / "empty.json") == ("proposal", [])
 
 
 def test_report_json_and_csv(tmp_path):
