@@ -14,6 +14,7 @@ from .adm import (
     fit_gaussian,
     fit_uniform,
     generate_pseudo_labels,
+    label_videos,
     preliminary_boundaries,
     sample_supervision,
 )

@@ -4,20 +4,29 @@ For each annotated point the pipeline finds preliminary boundaries from the
 predicted background points, locates the class-probability peak near the
 annotation, fits a peak-height-matched Gaussian and a centred rectangle to the
 class column inside the boundaries, and combines the two fitted half-extents
-into one labelled interval.
+into one labelled interval. ``label_videos`` runs the whole pipeline over a
+dataset, from each video's pyramid levels to its labels.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .optim import Bounds1D, minimize_bounded
-from .signal import BackgroundPoints, PointAnnotation, ProbabilitySignal
+from .signal import (
+    BackgroundPoints,
+    PointAnnotation,
+    ProbabilitySignal,
+    augment_points,
+    select_background_points,
+    smooth_signal,
+    upsample_signal,
+)
 
 SIGMA_LOWER_BOUND = 1e-6
 
@@ -48,7 +57,9 @@ class ADMConfig:
     duration; ``gamma1``/``gamma2`` weight the fitted Gaussian std and uniform
     half-width in the final interval half-extent. The defaults blend the two
     fitted half-extents equally; summing them (1.0/1.0) measurably over-extends
-    intervals on flat-profile actions.
+    intervals on flat-profile actions. ``r_a`` widens each annotated point
+    before background points are picked; ``downsample_ratio`` is the pyramid's
+    theta.
     """
 
     delta: float = 0.25
@@ -58,6 +69,8 @@ class ADMConfig:
     smoothing_sigma: float = 2.0
     background_threshold: float = 0.5
     clip_to_boundary: bool = False
+    r_a: int = 2
+    downsample_ratio: int = 2
 
     def __post_init__(self):
         if not 0.0 < self.delta <= 0.5:
@@ -78,7 +91,12 @@ class ADMConfig:
 
 @dataclass
 class PseudoLabel:
-    """A fitted action interval for one annotated point."""
+    """A fitted action interval for one annotated point.
+
+    ``gaussian_error`` and ``uniform_error`` are the sums of squared error of
+    the two fits. Only labels fitted in this process know them; files do not
+    store them, so a loaded label holds NaN, and equality ignores them.
+    """
 
     video_id: str
     t: int
@@ -90,6 +108,16 @@ class PseudoLabel:
     end: int
     class_id: int
     degenerate: bool = False
+    gaussian_error: float = field(default=math.nan, compare=False, repr=False)
+    uniform_error: float = field(default=math.nan, compare=False, repr=False)
+
+
+class Fit(NamedTuple):
+    """A fitted half-extent, whether the boundary was too tight to search, and its squared error."""
+
+    value: float
+    degenerate: bool
+    error: float
 
 
 def preliminary_boundaries(
@@ -172,33 +200,34 @@ def fit_gaussian(
     sigma_lower: float = SIGMA_LOWER_BOUND,
     x_tolerance: float = 1e-5,
     max_iterations: int = 500,
-) -> tuple[float, bool]:
+) -> Fit:
     """Least-squares Gaussian std on ``[sigma_lower, u_b]``.
 
-    Returns ``(sigma, degenerate)``; a boundary too tight to search pins sigma
-    to the lower bound and sets the flag.
+    Returns ``Fit(sigma, degenerate, error)``, the error being the minimizer's
+    objective value at sigma; a boundary too tight to search pins sigma to the
+    lower bound and sets the flag.
     """
     upper = sigma_upper_bound(boundary, t_star)
-    if upper <= sigma_lower:
-        return sigma_lower, True
     error = gaussian_fit_error(column, boundary, t_star)
+    if upper <= sigma_lower:
+        return Fit(sigma_lower, True, error(sigma_lower))
     result = minimize_bounded(error, Bounds1D(sigma_lower, upper), x_tolerance, max_iterations)
-    return result.x, False
+    return Fit(result.x, False, result.f)
 
 
-def fit_uniform(
-    column: np.ndarray, boundary: PreliminaryBoundary, t_star: int
-) -> tuple[float, bool]:
+def fit_uniform(column: np.ndarray, boundary: PreliminaryBoundary, t_star: int) -> Fit:
     """Least-squares rectangle half-width on ``[0, u_b]``.
 
     The objective is piecewise constant in omega (it only changes when the
     rectangle grows past another snippet), so the exact argmin is found by
     scoring each integer distance breakpoint; ties resolve to the smallest
-    half-width. Returns ``(omega, degenerate)``.
+    half-width. Returns ``Fit(omega, degenerate, error)``, the error evaluated
+    directly at omega (the running totals round differently).
     """
     upper = sigma_upper_bound(boundary, t_star)
+    error = uniform_fit_error(column, boundary, t_star)
     if upper <= 0.0:
-        return 0.0, True
+        return Fit(0.0, True, error(0.0))
     column = np.asarray(column, dtype=np.float64)
     segment = column[boundary.b_start : boundary.b_end + 1]
     distances = np.abs(np.arange(boundary.b_start, boundary.b_end + 1) - t_star)
@@ -213,8 +242,8 @@ def fit_uniform(
     cumulative = np.cumsum(gains)
     last_covered = np.searchsorted(sorted_distances, breakpoints, side="right") - 1
     totals = cumulative[last_covered]
-    omega = float(breakpoints[int(np.argmin(totals))])
-    return min(omega, upper), False
+    omega = min(float(breakpoints[int(np.argmin(totals))]), upper)
+    return Fit(omega, False, error(omega))
 
 
 def generate_pseudo_labels(
@@ -240,9 +269,9 @@ def generate_pseudo_labels(
         boundary = preliminary_boundaries(point, background, length)
         column = signal.class_column(point.class_id)
         t_star, found = find_peak(column, boundary, point.t, config.delta)
-        sigma, sigma_degenerate = fit_gaussian(column, boundary, t_star, config.sigma_lower)
-        omega, omega_degenerate = fit_uniform(column, boundary, t_star)
-        half_extent = config.gamma1 * sigma + config.gamma2 * omega
+        gaussian = fit_gaussian(column, boundary, t_star, config.sigma_lower)
+        uniform = fit_uniform(column, boundary, t_star)
+        half_extent = config.gamma1 * gaussian.value + config.gamma2 * uniform.value
         start = int(round(t_star - half_extent))
         end = int(round(t_star + half_extent))
         if config.clip_to_boundary:
@@ -255,16 +284,60 @@ def generate_pseudo_labels(
                 video_id=point.video_id,
                 t=point.t,
                 t_star=t_star,
-                sigma=sigma,
-                omega=omega,
+                sigma=gaussian.value,
+                omega=uniform.value,
                 delta=half_extent,
                 start=start,
                 end=end,
                 class_id=point.class_id,
-                degenerate=sigma_degenerate or omega_degenerate or not found,
+                degenerate=gaussian.degenerate or uniform.degenerate or not found,
+                gaussian_error=gaussian.error,
+                uniform_error=uniform.error,
             )
         )
     return labels
+
+
+def label_videos(
+    grouped_levels: Mapping[str, Sequence[ProbabilitySignal]],
+    points: Sequence[PointAnnotation],
+    config: ADMConfig,
+) -> tuple[list[PseudoLabel], list[tuple[float, float]]]:
+    """Fit one pseudo-label per annotated point, video by video in sorted id order.
+
+    ``grouped_levels`` maps each video id to its pyramid levels, finest first;
+    the finest must be level 1, because annotations index level-1 snippets.
+    Background points come from the finest level once every point is widened
+    by ``config.r_a``; the fits run on the coarsest level, smoothed and then
+    upsampled to the finest length. Returns the labels and, per label,
+    ``(gaussian_error, uniform_error)``.
+    """
+    by_video: dict[str, list[PointAnnotation]] = {}
+    for point in points:
+        by_video.setdefault(point.video_id, []).append(point)
+    missing = sorted(set(by_video) - set(grouped_levels))
+    if missing:
+        raise InvalidInputError(f"annotations reference videos without signals: {missing}")
+
+    labels: list[PseudoLabel] = []
+    for video_id in sorted(by_video):
+        levels = grouped_levels[video_id]
+        finest, coarsest = levels[0], levels[-1]
+        if finest.level != 1:
+            raise InvalidInputError(
+                f"video {video_id!r} has no level 1 (its finest level is {finest.level}); "
+                "annotations index level-1 snippets"
+            )
+        video_points = by_video[video_id]
+        augmented = augment_points(
+            video_points, config.r_a, finest.level, config.downsample_ratio, finest.length
+        )
+        background = select_background_points(finest, augmented, config.background_threshold)
+        smoothed = smooth_signal(coarsest, config.smoothing_sigma)
+        if smoothed.length < finest.length:
+            smoothed = upsample_signal(smoothed, finest.length)
+        labels.extend(generate_pseudo_labels(smoothed, video_points, background, config))
+    return labels, [(label.gaussian_error, label.uniform_error) for label in labels]
 
 
 def sample_supervision(

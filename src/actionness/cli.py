@@ -17,18 +17,11 @@ from pathlib import Path
 import click
 import numpy as np
 
-from .adm import ADMConfig, gaussian_fit_error, generate_pseudo_labels, preliminary_boundaries, uniform_fit_error
+from .adm import ADMConfig, label_videos
 from .decoder import DecoderConfig, decode
 from .errors import InvalidInputError, NumericError, PackingError
 from .evaluation import map_report, pseudo_label_quality
-from .signal import (
-    PointAnnotation,
-    augment_points,
-    fuse_probabilities,
-    select_background_points,
-    smooth_signal,
-    upsample_signal,
-)
+from .signal import ProbabilitySignal, fuse_probabilities
 from .storage import (
     group_signals_by_video,
     load_annotations,
@@ -78,6 +71,14 @@ def _parse_thresholds(text: str) -> list[float]:
         raise InvalidInputError(f"threshold range needs finite bounds and a step > 0, got {text!r}")
     count = int(round((stop - start) / step)) + 1
     return [round(start + i * step, 10) for i in range(count)]
+
+
+def _load_videos(signals_path: Path, fuse: bool) -> dict[str, list[ProbabilitySignal]]:
+    """Each video's levels, finest first; with ``fuse`` every level is fused class-agnostically."""
+    grouped = group_signals_by_video(load_signals(signals_path))
+    if fuse:
+        grouped = {video_id: [fuse_probabilities(s) for s in levels] for video_id, levels in grouped.items()}
+    return grouped
 
 
 @click.group()
@@ -197,49 +198,12 @@ def adm(signals_path, annotations_path, out_path, delta, gamma1, gamma2, sigma_l
             smoothing_sigma=smoothing_sigma,
             background_threshold=background_threshold,
             clip_to_boundary=clip_to_boundary,
+            r_a=r_a,
+            downsample_ratio=theta,
         )
-        grouped = group_signals_by_video(load_signals(signals_path))
+        grouped = _load_videos(signals_path, fuse)
         points = load_annotations(annotations_path)
-
-        by_video: dict[str, list] = {}
-        for point in points:
-            by_video.setdefault(point.video_id, []).append(point)
-        missing = sorted(set(by_video) - set(grouped))
-        if missing:
-            raise InvalidInputError(f"annotations reference videos without signals: {missing}")
-
-        labels = []
-        residuals = []
-        for video_id in sorted(by_video):
-            levels = grouped[video_id]
-            if fuse:
-                levels = [fuse_probabilities(s) for s in levels]
-            finest = levels[0]
-            coarsest = levels[-1]
-            video_points = by_video[video_id]
-
-            augmented = augment_points(video_points, r_a, finest.level, theta, finest.length)
-            background = select_background_points(finest, augmented, config.background_threshold)
-
-            smoothed = smooth_signal(coarsest, config.smoothing_sigma)
-            fitted_signal = (
-                upsample_signal(smoothed, finest.length)
-                if smoothed.length < finest.length
-                else smoothed
-            )
-
-            video_labels = generate_pseudo_labels(fitted_signal, video_points, background, config)
-            labels.extend(video_labels)
-            for label in video_labels:
-                point = PointAnnotation(label.video_id, label.t, label.class_id)
-                boundary = preliminary_boundaries(point, background, fitted_signal.length)
-                column = fitted_signal.class_column(label.class_id)
-                residuals.append(
-                    (
-                        gaussian_fit_error(column, boundary, label.t_star)(label.sigma),
-                        uniform_fit_error(column, boundary, label.t_star)(label.omega),
-                    )
-                )
+        labels, residuals = label_videos(grouped, points, config)
         save_pseudo_labels(out_path, labels)
     except _FAILURES as exc:
         _fail(str(exc))
@@ -276,13 +240,10 @@ def decode_cmd(signals_path, out_path, thresholds, oic_inflation, nms_tiou, clas
             top_k_fraction=top_k_fraction,
             downsample_ratio=theta,
         )
-        grouped = group_signals_by_video(load_signals(signals_path))
+        grouped = _load_videos(signals_path, fuse)
         proposals = []
         for video_id in sorted(grouped):
-            levels = grouped[video_id]
-            if fuse:
-                levels = [fuse_probabilities(s) for s in levels]
-            proposals.extend(decode(levels, config))
+            proposals.extend(decode(grouped[video_id], config))
         save_proposals(out_path, proposals)
     except _FAILURES as exc:
         _fail(str(exc))

@@ -177,12 +177,16 @@ def map_report(
     Proposals and GT are grouped by class in one pass, and each class's APs
     at every threshold come from one call that builds each video's tIoU
     matrix once; each AP equals ``average_precision`` on that class alone.
+    A repeated threshold raises InvalidInputError: ``map_at`` keeps one entry
+    per distinct threshold, so the report would disagree with itself.
     """
     if not gt:
         raise InvalidInputError("map_report requires ground truth")
     if not thresholds:
         raise InvalidInputError("map_report requires at least one tIoU threshold")
     thresholds = [float(t) for t in thresholds]
+    if len(set(thresholds)) != len(thresholds):
+        raise InvalidInputError(f"tIoU thresholds must not repeat, got {thresholds}")
     by_class_gt: dict[int, list[GroundTruthInstance]] = {}
     for instance in gt:
         by_class_gt.setdefault(instance.class_id, []).append(instance)

@@ -51,10 +51,32 @@ def top_k_mean_direct(column: Sequence[float], k: int) -> float:
     return float(sum(ordered[:k]) / k)
 
 
-def grid_argmin_scalar(objective: Callable[[float], float], lo: float, hi: float, points: int) -> float:
-    xs = np.linspace(lo, hi, points)
-    values = [objective(float(x)) for x in xs]
-    return float(xs[int(np.argmin(np.asarray(values)))])
+def fit_objective_grid(profile: str, column, boundary, t_star: int, params) -> np.ndarray:
+    """Sum of squared errors of a peak-height-matched profile at every value of ``params``.
+
+    Over the snippets of ``boundary`` (inclusive), at offset ``x`` from
+    ``t_star``, the ``"gaussian"`` model is ``column[t_star] * exp(-x**2 / (2 p**2))``
+    and the ``"uniform"`` model is ``column[t_star]`` where ``|x| <= p``, else 0.
+    Derived apart from ``adm``'s objectives, which tests compare against it;
+    vectorized over ``params`` in chunks that bound memory.
+    """
+    if profile not in ("gaussian", "uniform"):
+        raise ValueError(f"unknown profile {profile!r}")
+    column = np.asarray(column, dtype=np.float64)
+    segment = column[boundary.b_start : boundary.b_end + 1]
+    offsets = np.arange(boundary.b_start, boundary.b_end + 1, dtype=np.float64) - t_star
+    height = column[t_star]
+    params = np.asarray(params, dtype=np.float64)
+    values = np.empty(params.size)
+    chunk = 2048
+    for i in range(0, params.size, chunk):
+        block = params[i : i + chunk, None]
+        if profile == "gaussian":
+            model = height * np.exp(-0.5 * (offsets[None, :] / block) ** 2)
+        else:
+            model = np.where(np.abs(offsets)[None, :] <= block, height, 0.0)
+        values[i : i + chunk] = ((model - segment[None, :]) ** 2).sum(axis=1)
+    return values
 
 
 def nearest_background_scan(t: int, indices: Sequence[int], length: int) -> tuple[int, int]:

@@ -2,11 +2,12 @@
 
 Probability signals are stored per video, in one of two formats picked by the
 file suffix: ``.npz`` (binary, what ``synth`` writes) or ``.json`` (the
-interchange format). Everything else is JSON, plus a CSV eval report. All
-writers serialize deterministically (sorted keys, fixed layout, fixed archive
-timestamps) and replace the target file atomically, so identical inputs yield
-byte-identical outputs. Every loader turns malformed input into
-``InvalidInputError``.
+interchange format). Everything else is JSON, plus a CSV eval report;
+annotations, ground truth, pseudo-labels and proposals share one record codec
+driven by the ``_LAYOUTS`` table. All writers serialize deterministically
+(sorted keys, fixed layout, fixed archive timestamps) and replace the target
+file atomically, so identical inputs yield byte-identical outputs. Every
+loader turns malformed input into ``InvalidInputError``.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import tempfile
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -79,25 +80,6 @@ def load_json(path: Path | str):
             return json.load(handle)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"malformed JSON in {path}: {exc}") from exc
-
-
-def _load_records(path: Path | str, kind: str, build) -> list:
-    """Parse a JSON array and build records from it; malformed records raise InvalidInputError."""
-    return _build_records(load_json(path), path, kind, build)
-
-
-def _build_records(payload, path: Path | str, kind: str, build) -> list:
-    """Build records from a parsed JSON array; malformed records raise InvalidInputError."""
-    if not isinstance(payload, list):
-        raise InvalidInputError(f"{kind} file {path} must hold a JSON array")
-    try:
-        return build(payload)
-    except KeyError as exc:
-        raise InvalidInputError(f"{kind} record missing field {exc}") from exc
-    except InvalidInputError:
-        raise
-    except _MALFORMED as exc:
-        raise InvalidInputError(f"malformed {kind} record in {path}: {exc}") from exc
 
 
 # --- probability signals -------------------------------------------------
@@ -226,158 +208,95 @@ def group_signals_by_video(
     return grouped
 
 
-# --- annotations and ground truth ----------------------------------------
+# --- records: annotations, ground truth, pseudo-labels, proposals ----------
+
+# kind -> (record type, per-video list key, {stored field: converter that reads it}).
+# Every field is named as the record's attribute and ``video_id`` is implied. A
+# kind without a list key is a flat array; the others list each video's records,
+# videos in sorted id order.
+_LAYOUTS: dict[str, tuple[Callable, str | None, dict[str, Callable]]] = {
+    "annotation": (PointAnnotation, None, {"t": int, "class_id": int}),
+    "ground-truth": (GroundTruthInstance, None, {"start": int, "end": int, "class_id": int}),
+    "pseudo-label": (PseudoLabel, "labels", {
+        "t": int, "t_star": int, "sigma": float, "omega": float, "delta": float,
+        "start": int, "end": int, "class_id": int, "degenerate": bool,
+    }),
+    "proposal": (Proposal, "proposals", {"start": int, "end": int, "class_id": int, "score": float}),
+}
+
+
+def _to_payload(kind: str, records: Sequence) -> list[dict]:
+    _, group, fields = _LAYOUTS[kind]
+    rows = [(r.video_id, {name: getattr(r, name) for name in fields}) for r in records]
+    if group is None:
+        return [{"video_id": video_id, **row} for video_id, row in rows]
+    by_video: dict[str, list[dict]] = {}
+    for video_id, row in rows:
+        by_video.setdefault(video_id, []).append(row)
+    return [{"video_id": video_id, group: by_video[video_id]} for video_id in sorted(by_video)]
+
+
+def _build_records(payload, path: Path | str, kind: str) -> list:
+    """Build records from a parsed JSON array; malformed records raise InvalidInputError."""
+    if not isinstance(payload, list):
+        raise InvalidInputError(f"{kind} file {path} must hold a JSON array")
+    make, group, fields = _LAYOUTS[kind]
+
+    def build(video_id, item):
+        return make(video_id=str(video_id), **{name: read(item[name]) for name, read in fields.items()})
+
+    try:
+        if group is None:
+            return [build(item["video_id"], item) for item in payload]
+        records = []
+        for entry in payload:
+            video_id = entry["video_id"]
+            records.extend(build(video_id, item) for item in entry[group])
+        return records
+    except KeyError as exc:
+        raise InvalidInputError(f"{kind} record missing field {exc}") from exc
+    except InvalidInputError:
+        raise
+    except _MALFORMED as exc:
+        raise InvalidInputError(f"malformed {kind} record in {path}: {exc}") from exc
+
+
+def _load_records(path: Path | str, kind: str) -> list:
+    return _build_records(load_json(path), path, kind)
+
 
 def save_annotations(path: Path | str, points: Sequence[PointAnnotation]) -> None:
-    write_json_atomic(
-        path,
-        [{"video_id": p.video_id, "t": p.t, "class_id": p.class_id} for p in points],
-    )
+    write_json_atomic(path, _to_payload("annotation", points))
 
 
 def load_annotations(path: Path | str) -> list[PointAnnotation]:
-    return _load_records(
-        path,
-        "annotation",
-        lambda payload: [
-            PointAnnotation(str(r["video_id"]), int(r["t"]), int(r["class_id"])) for r in payload
-        ],
-    )
+    return _load_records(path, "annotation")
 
 
 def save_ground_truth(path: Path | str, instances: Sequence[GroundTruthInstance]) -> None:
-    write_json_atomic(
-        path,
-        [
-            {"video_id": g.video_id, "start": g.start, "end": g.end, "class_id": g.class_id}
-            for g in instances
-        ],
-    )
+    write_json_atomic(path, _to_payload("ground-truth", instances))
 
 
 def load_ground_truth(path: Path | str) -> list[GroundTruthInstance]:
-    return _load_records(
-        path,
-        "ground-truth",
-        lambda payload: [
-            GroundTruthInstance(
-                str(r["video_id"]), int(r["start"]), int(r["end"]), int(r["class_id"])
-            )
-            for r in payload
-        ],
-    )
-
-
-# --- pseudo-labels --------------------------------------------------------
-
-def pseudo_labels_to_records(labels: Sequence[PseudoLabel]) -> list[dict]:
-    """Group labels per video in the on-disk layout."""
-    by_video: dict[str, list[PseudoLabel]] = {}
-    for label in labels:
-        by_video.setdefault(label.video_id, []).append(label)
-    records = []
-    for video_id in sorted(by_video):
-        records.append(
-            {
-                "video_id": video_id,
-                "labels": [
-                    {
-                        "t": label.t,
-                        "t_star": label.t_star,
-                        "sigma": label.sigma,
-                        "omega": label.omega,
-                        "delta": label.delta,
-                        "start": label.start,
-                        "end": label.end,
-                        "class_id": label.class_id,
-                        "degenerate": label.degenerate,
-                    }
-                    for label in by_video[video_id]
-                ],
-            }
-        )
-    return records
+    return _load_records(path, "ground-truth")
 
 
 def save_pseudo_labels(path: Path | str, labels: Sequence[PseudoLabel]) -> None:
-    write_json_atomic(path, pseudo_labels_to_records(labels))
-
-
-def _pseudo_labels_from_records(payload: list) -> list[PseudoLabel]:
-    labels = []
-    for record in payload:
-        video_id = str(record["video_id"])
-        labels.extend(
-            PseudoLabel(
-                video_id=video_id,
-                t=int(item["t"]),
-                t_star=int(item["t_star"]),
-                sigma=float(item["sigma"]),
-                omega=float(item["omega"]),
-                delta=float(item["delta"]),
-                start=int(item["start"]),
-                end=int(item["end"]),
-                class_id=int(item["class_id"]),
-                degenerate=bool(item["degenerate"]),
-            )
-            for item in record["labels"]
-        )
-    return labels
+    """Labels grouped per video; the fit errors are not stored."""
+    write_json_atomic(path, _to_payload("pseudo-label", labels))
 
 
 def load_pseudo_labels(path: Path | str) -> list[PseudoLabel]:
-    return _load_records(path, "pseudo-label", _pseudo_labels_from_records)
-
-
-# --- proposals ------------------------------------------------------------
-
-def proposals_to_records(proposals: Sequence[Proposal]) -> list[dict]:
-    by_video: dict[str, list[Proposal]] = {}
-    for proposal in proposals:
-        by_video.setdefault(proposal.video_id, []).append(proposal)
-    return [
-        {
-            "video_id": video_id,
-            "proposals": [
-                {
-                    "start": p.start,
-                    "end": p.end,
-                    "class_id": p.class_id,
-                    "score": p.score,
-                }
-                for p in by_video[video_id]
-            ],
-        }
-        for video_id in sorted(by_video)
-    ]
+    return _load_records(path, "pseudo-label")
 
 
 def save_proposals(path: Path | str, proposals: Sequence[Proposal]) -> None:
-    write_json_atomic(path, proposals_to_records(proposals))
-
-
-def _proposals_from_records(payload: list) -> list[Proposal]:
-    proposals = []
-    for record in payload:
-        video_id = str(record["video_id"])
-        proposals.extend(
-            Proposal(
-                video_id,
-                int(item["start"]),
-                int(item["end"]),
-                int(item["class_id"]),
-                float(item["score"]),
-            )
-            for item in record["proposals"]
-        )
-    return proposals
+    write_json_atomic(path, _to_payload("proposal", proposals))
 
 
 def load_proposals(path: Path | str) -> list[Proposal]:
-    return _load_records(path, "proposal", _proposals_from_records)
+    return _load_records(path, "proposal")
 
-
-# --- eval input -----------------------------------------------------------
 
 def load_eval_input(path: Path | str) -> tuple[str, list[PseudoLabel] | list[Proposal]]:
     """``("pseudo-label", labels)`` if the first record holds ``labels``, else ``("proposal", proposals)``.
@@ -388,10 +307,10 @@ def load_eval_input(path: Path | str) -> tuple[str, list[PseudoLabel] | list[Pro
     """
     payload = load_json(path)
     if payload and isinstance(payload, list) and isinstance(payload[0], dict) and "labels" in payload[0]:
-        kind, build = "pseudo-label", _pseudo_labels_from_records
+        kind = "pseudo-label"
     else:
-        kind, build = "proposal", _proposals_from_records
-    return kind, _build_records(payload, path, kind, build)
+        kind = "proposal"
+    return kind, _build_records(payload, path, kind)
 
 
 # --- evaluation reports ----------------------------------------------------

@@ -16,6 +16,7 @@ from .optim import Bounds1D, minimize_bounded
 from .oracles import (
     average_precision_direct,
     finite_difference_gradient,
+    fit_objective_grid,
     max_relative_error,
     nms_direct,
 )
@@ -144,27 +145,6 @@ def run_gradient_suite(
 
 # --- fitting suite -----------------------------------------------------------
 
-def _gaussian_objective_grid(segment, offsets, height, sigmas):
-    # Independent (re-derived) objective evaluation, chunked to bound memory.
-    values = np.empty(sigmas.size)
-    chunk = 2048
-    for i in range(0, sigmas.size, chunk):
-        block = sigmas[i : i + chunk, None]
-        model = height * np.exp(-0.5 * (offsets[None, :] / block) ** 2)
-        values[i : i + chunk] = ((model - segment[None, :]) ** 2).sum(axis=1)
-    return values
-
-
-def _uniform_objective_grid(segment, distances, height, omegas):
-    values = np.empty(omegas.size)
-    chunk = 2048
-    for i in range(0, omegas.size, chunk):
-        block = omegas[i : i + chunk, None]
-        model = np.where(distances[None, :] <= block, height, 0.0)
-        values[i : i + chunk] = ((model - segment[None, :]) ** 2).sum(axis=1)
-    return values
-
-
 def run_fitting_suite(
     samples: int = 1000,
     grid_checks: int = 25,
@@ -183,7 +163,7 @@ def run_fitting_suite(
         boundary = PreliminaryBoundary(int(rng.integers(0, 40)), int(rng.integers(472, length)))
         height = float(rng.uniform(0.5, 1.0))
         column = height * np.exp(-0.5 * ((positions - t_star) / sigma_true) ** 2)
-        sigma, _ = fit_gaussian(column, boundary, t_star)
+        sigma = fit_gaussian(column, boundary, t_star).value
         worst_sigma_rel = max(worst_sigma_rel, abs(sigma - sigma_true) / sigma_true)
     gaussian_check = {
         "name": "gaussian_recovery",
@@ -198,7 +178,7 @@ def run_fitting_suite(
         boundary = PreliminaryBoundary(int(rng.integers(0, 40)), int(rng.integers(472, length)))
         height = float(rng.uniform(0.5, 1.0))
         column = np.where(np.abs(positions - t_star) <= half_width, height, 0.0)
-        omega, _ = fit_uniform(column, boundary, t_star)
+        omega = fit_uniform(column, boundary, t_star).value
         worst_omega_abs = max(worst_omega_abs, abs(omega - half_width))
     uniform_check = {
         "name": "uniform_recovery",
@@ -216,25 +196,21 @@ def run_fitting_suite(
         clean = height * np.exp(-0.5 * ((positions - t_star) / sigma_true) ** 2)
         column = np.clip(clean + rng.normal(0.0, 0.05, length), 0.0, 1.0)
 
-        segment = column[boundary.b_start : boundary.b_end + 1]
-        offsets = positions[boundary.b_start : boundary.b_end + 1] - t_star
-        distances = np.abs(offsets)
-        peak = column[t_star]
         upper = adm.sigma_upper_bound(boundary, t_star)
 
-        sigma, _ = fit_gaussian(column, boundary, t_star)
+        sigma = fit_gaussian(column, boundary, t_star).value
         sigma_grid = np.linspace(adm.SIGMA_LOWER_BOUND, upper, grid_points)
-        sigma_values = _gaussian_objective_grid(segment, offsets, peak, sigma_grid)
+        sigma_values = fit_objective_grid("gaussian", column, boundary, t_star, sigma_grid)
         best = float(sigma_values.min())
-        fitted = float(_gaussian_objective_grid(segment, offsets, peak, np.array([sigma]))[0])
+        fitted = float(fit_objective_grid("gaussian", column, boundary, t_star, [sigma])[0])
         step = (upper - adm.SIGMA_LOWER_BOUND) / (grid_points - 1)
         if fitted <= best + 1e-9 * (1.0 + best) or abs(sigma - float(sigma_grid[sigma_values.argmin()])) <= 1e-5 + step:
             sigma_grid_ok += 1
 
-        omega, _ = fit_uniform(column, boundary, t_star)
+        omega = fit_uniform(column, boundary, t_star).value
         omega_grid = np.linspace(0.0, upper, grid_points)
-        omega_values = _uniform_objective_grid(segment, distances, peak, omega_grid)
-        fitted = float(_uniform_objective_grid(segment, distances, peak, np.array([omega]))[0])
+        omega_values = fit_objective_grid("uniform", column, boundary, t_star, omega_grid)
+        fitted = float(fit_objective_grid("uniform", column, boundary, t_star, [omega])[0])
         if fitted <= float(omega_values.min()) + 1e-9 * (1.0 + float(omega_values.min())):
             omega_grid_ok += 1
 

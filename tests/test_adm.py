@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from actionness.adm import (
     ADMConfig,
@@ -10,13 +13,23 @@ from actionness.adm import (
     fit_uniform,
     gaussian_fit_error,
     generate_pseudo_labels,
+    label_videos,
     preliminary_boundaries,
     sample_supervision,
     uniform_fit_error,
 )
 from actionness.errors import InvalidInputError
-from actionness.oracles import grid_argmin_scalar, nearest_background_scan
-from actionness.signal import BackgroundPoints, PointAnnotation, ProbabilitySignal
+from actionness.oracles import fit_objective_grid, nearest_background_scan
+from actionness.signal import (
+    BackgroundPoints,
+    PointAnnotation,
+    ProbabilitySignal,
+    augment_points,
+    select_background_points,
+    smooth_signal,
+    upsample_signal,
+)
+from actionness.synth import SyntheticConfig, generate_video, sample_point
 
 
 def background(*indices):
@@ -100,14 +113,14 @@ class TestFitGaussian:
     def test_recovers_constructed_sigma(self):
         for sigma_true in (5.0, 12.5, 24.0):
             column = gaussian_column(512, 250, sigma_true)
-            sigma, degenerate = fit_gaussian(column, PreliminaryBoundary(10, 500), 250)
+            sigma, degenerate, _ = fit_gaussian(column, PreliminaryBoundary(10, 500), 250)
             assert not degenerate
             assert abs(sigma - sigma_true) / sigma_true < 0.01
 
     def test_single_spike_driven_to_lower_bound(self):
         column = np.zeros(256)
         column[100] = 0.8
-        sigma, degenerate = fit_gaussian(column, PreliminaryBoundary(5, 250), 100)
+        sigma, degenerate, _ = fit_gaussian(column, PreliminaryBoundary(5, 250), 100)
         assert not degenerate
         assert sigma == SIGMA_LOWER_BOUND
 
@@ -116,24 +129,24 @@ class TestFitGaussian:
         column[40:161] = 0.85
         boundary = PreliminaryBoundary(10, 190)
         t_star = 100
-        sigma, _ = fit_gaussian(column, boundary, t_star)
-        error = gaussian_fit_error(column, boundary, t_star)
+        sigma, _, _ = fit_gaussian(column, boundary, t_star)
         upper = float(max(t_star - boundary.b_start, boundary.b_end - t_star))
-        reference = grid_argmin_scalar(error, SIGMA_LOWER_BOUND, upper, 20001)
+        grid = np.linspace(SIGMA_LOWER_BOUND, upper, 20001)
+        reference = grid[np.argmin(fit_objective_grid("gaussian", column, boundary, t_star, grid))]
         step = upper / 20000
         assert abs(sigma - reference) <= 1e-5 + step
 
     def test_degenerate_boundary_flagged(self):
         column = np.zeros(50)
-        sigma, degenerate = fit_gaussian(column, PreliminaryBoundary(10, 10), 10)
+        sigma, degenerate, _ = fit_gaussian(column, PreliminaryBoundary(10, 10), 10)
         assert degenerate and sigma == SIGMA_LOWER_BOUND
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(23)
         column = np.clip(gaussian_column(300, 150, 18.0) + rng.normal(0, 0.03, 300), 0, 1)
         boundary = PreliminaryBoundary(20, 280)
-        sigma_full, _ = fit_gaussian(column, boundary, 150)
-        sigma_scaled, _ = fit_gaussian(0.5 * column, boundary, 150)
+        sigma_full, _, _ = fit_gaussian(column, boundary, 150)
+        sigma_scaled, _, _ = fit_gaussian(0.5 * column, boundary, 150)
         assert sigma_scaled == pytest.approx(sigma_full, abs=1e-4)
 
 
@@ -141,36 +154,61 @@ class TestFitUniform:
     def test_recovers_rectangle_half_width(self):
         ts = np.arange(400)
         column = np.where(np.abs(ts - 200) <= 8, 0.9, 0.0)
-        omega, degenerate = fit_uniform(column, PreliminaryBoundary(5, 395), 200)
+        omega, degenerate, _ = fit_uniform(column, PreliminaryBoundary(5, 395), 200)
         assert not degenerate
         assert abs(omega - 8) <= 1.0
 
     def test_single_spike_goes_to_zero(self):
         column = np.zeros(256)
         column[100] = 0.8
-        omega, _ = fit_uniform(column, PreliminaryBoundary(5, 250), 100)
+        omega, _, _ = fit_uniform(column, PreliminaryBoundary(5, 250), 100)
         assert omega == 0.0
 
     def test_gaussian_column_matches_grid(self):
         column = gaussian_column(300, 150, 12.0)
         boundary = PreliminaryBoundary(20, 280)
-        omega, _ = fit_uniform(column, boundary, 150)
-        error = uniform_fit_error(column, boundary, 150)
+        omega, _, _ = fit_uniform(column, boundary, 150)
         upper = float(max(150 - boundary.b_start, boundary.b_end - 150))
-        reference = grid_argmin_scalar(error, 1e-9, upper, 20001)
+        grid = np.linspace(1e-9, upper, 20001)
+        fitted = fit_objective_grid("uniform", column, boundary, 150, [omega])[0]
         assert 0.0 <= omega <= upper
-        assert error(omega) <= error(reference) + 1e-12
+        assert fitted <= fit_objective_grid("uniform", column, boundary, 150, grid).min() + 1e-12
 
     def test_scale_invariance(self):
         column = gaussian_column(300, 150, 12.0)
         boundary = PreliminaryBoundary(20, 280)
-        omega_full, _ = fit_uniform(column, boundary, 150)
-        omega_scaled, _ = fit_uniform(0.3 * column, boundary, 150)
+        omega_full, _, _ = fit_uniform(column, boundary, 150)
+        omega_scaled, _, _ = fit_uniform(0.3 * column, boundary, 150)
         assert omega_scaled == omega_full
 
     def test_degenerate_boundary_flagged(self):
-        omega, degenerate = fit_uniform(np.zeros(50), PreliminaryBoundary(10, 10), 10)
+        omega, degenerate, _ = fit_uniform(np.zeros(50), PreliminaryBoundary(10, 10), 10)
         assert degenerate and omega == 0.0
+
+
+@st.composite
+def uniform_fit_cases(draw):
+    """A random column with a boundary inside it and a peak inside the boundary."""
+    column = draw(hnp.arrays(np.float64, st.integers(1, 60), elements=st.floats(0.0, 1.0)))
+    b_start = draw(st.integers(0, column.size - 1))
+    b_end = draw(st.integers(b_start, column.size - 1))
+    return column, PreliminaryBoundary(b_start, b_end), draw(st.integers(b_start, b_end))
+
+
+@settings(max_examples=200, deadline=None)
+@given(uniform_fit_cases())
+def test_fit_uniform_matches_grid_oracle(case):
+    column, boundary, t_star = case
+    omega, degenerate, error = fit_uniform(column, boundary, t_star)
+    upper = max(t_star - boundary.b_start, boundary.b_end - t_star)
+    assert degenerate == (upper == 0)
+    assert omega == int(omega) and 0 <= omega <= upper
+    # the objective only changes at integer half-widths, so an integer grid holds its minimum
+    grid = fit_objective_grid("uniform", column, boundary, t_star, np.arange(upper + 1))
+    fitted = fit_objective_grid("uniform", column, boundary, t_star, [omega])[0]
+    assert fitted <= grid.min() + 1e-9 * (1.0 + grid.min())
+    assert error == uniform_fit_error(column, boundary, t_star)(omega)
+    assert error == pytest.approx(fitted, rel=1e-12, abs=1e-12)
 
 
 def build_signal(columns, video_id="v0"):
@@ -247,6 +285,70 @@ class TestGeneratePseudoLabels:
             )
 
 
+def synth_dataset(videos=6, seed=11):
+    """Seeded synth videos, every other one with a mean-pooled level 2, plus a one-snippet video."""
+    config = SyntheticConfig(
+        length=256, num_classes=3, instances_per_video=(1, 4), duration_range=(8, 48), noise_std=0.05, seed=seed
+    )
+    grouped, points = {}, []
+    for index in range(videos):
+        rng = np.random.default_rng([seed, index])
+        video = generate_video(config, rng, f"v{index}")
+        levels = [video.signal]
+        if index % 2:
+            values = video.signal.values
+            levels.append(ProbabilitySignal(video.signal.video_id, 2, 0.5 * (values[0::2] + values[1::2])))
+        grouped[video.signal.video_id] = levels
+        points.extend(sample_point(instance, "gaussian", rng) for instance in video.gt)
+    # a one-snippet video: the boundary is the peak itself, too tight to fit
+    grouped["tiny"] = [ProbabilitySignal("tiny", 1, np.array([[0.7, 0.1, 0.1, 0.3]]))]
+    points.append(PointAnnotation("tiny", 0, 2))
+    return grouped, points
+
+
+class TestLabelVideos:
+    def test_residuals_equal_the_fit_objectives(self):
+        grouped, points = synth_dataset()
+        config = ADMConfig()
+        labels, residuals = label_videos(grouped, points, config)
+        assert len(labels) == len(residuals) == len(points)
+        tiny = [label for label in labels if label.video_id == "tiny"]
+        assert len(tiny) == 1 and tiny[0].degenerate and tiny[0].sigma == SIGMA_LOWER_BOUND
+
+        # the pipeline spelled out: it gives the same labels, and the fit objectives at
+        # each label's sigma and omega give exactly its residuals
+        expected = []
+        for video_id in sorted(grouped):
+            finest, coarsest = grouped[video_id][0], grouped[video_id][-1]
+            video_points = [p for p in points if p.video_id == video_id]
+            augmented = augment_points(video_points, 2, 1, 2, finest.length)
+            background = select_background_points(finest, augmented, config.background_threshold)
+            fitted = smooth_signal(coarsest, config.smoothing_sigma)
+            if fitted.length < finest.length:
+                fitted = upsample_signal(fitted, finest.length)
+            for label in generate_pseudo_labels(fitted, video_points, background, config):
+                point = PointAnnotation(label.video_id, label.t, label.class_id)
+                boundary = preliminary_boundaries(point, background, fitted.length)
+                column = fitted.class_column(label.class_id)
+                gaussian = gaussian_fit_error(column, boundary, label.t_star)(label.sigma)
+                uniform = uniform_fit_error(column, boundary, label.t_star)(label.omega)
+                expected.append((label, (gaussian, uniform)))
+        assert labels == [label for label, _ in expected]
+        assert residuals == [residual for _, residual in expected]
+        assert residuals == [(label.gaussian_error, label.uniform_error) for label in labels]
+
+    @pytest.mark.parametrize("levels", [(2,), (2, 3)])
+    def test_finest_level_must_be_one(self, levels):
+        values = np.full((8, 2), 0.5)
+        grouped = {"v0": [ProbabilitySignal("v0", level, values) for level in levels]}
+        with pytest.raises(InvalidInputError, match="'v0' has no level 1"):
+            label_videos(grouped, [PointAnnotation("v0", 3, 1)], ADMConfig())
+
+    def test_video_without_signals_named(self):
+        with pytest.raises(InvalidInputError, match="ghost"):
+            label_videos({}, [PointAnnotation("ghost", 3, 1)], ADMConfig())
+
+
 class TestSampleSupervision:
     def make_label(self, start, end, t, class_id=1):
         from actionness.adm import PseudoLabel
@@ -286,8 +388,8 @@ def test_fitted_parameters_stay_inside_bounds():
         boundary = PreliminaryBoundary(b_start, b_end)
         t_star = int(rng.integers(b_start, b_end + 1))
         upper = max(t_star - b_start, b_end - t_star)
-        sigma, _ = fit_gaussian(column, boundary, t_star)
-        omega, _ = fit_uniform(column, boundary, t_star)
+        sigma, _, _ = fit_gaussian(column, boundary, t_star)
+        omega, _, _ = fit_uniform(column, boundary, t_star)
         assert SIGMA_LOWER_BOUND <= sigma <= upper or upper < SIGMA_LOWER_BOUND
         assert 0.0 <= omega <= upper
 

@@ -159,6 +159,34 @@ class TestAdmCommand:
         assert result.exit_code == 1
         assert "ghost-video" in result.output
 
+    def test_stdout_pinned(self, runner, tmp_path):
+        data = self.make_dataset(runner, tmp_path, noise="0.05")
+        result = invoke(
+            runner,
+            ["adm", "--signals", str(data / "signals"), "--annotations", str(data / "annotations.json"),
+             "--out", str(tmp_path / "labels.json")],
+        )
+        assert result.exit_code == 0
+        # per-label sums of squared error, averaged over labels
+        assert result.output == (
+            "alpha: 1.000000\n"
+            "mean_gaussian_fit_mse: 0.231226\n"
+            "mean_uniform_fit_mse: 0.547598\n"
+        )
+
+    @pytest.mark.parametrize("levels", [(2,), (2, 3)], ids=["level-2-only", "levels-2-and-3"])
+    def test_finest_level_other_than_one_rejected(self, runner, tmp_path, levels):
+        save_signals(tmp_path / "v0.json", [small_signal(level=level) for level in levels])
+        save_annotations(tmp_path / "ann.json", [PointAnnotation("v0", 3, 1)])
+        out_file = tmp_path / "labels.json"
+        result = runner.invoke(
+            main,
+            ["adm", "--signals", str(tmp_path / "v0.json"), "--annotations", str(tmp_path / "ann.json"),
+             "--out", str(out_file)],
+        )
+        fails_cleanly(result, "video 'v0' has no level 1")
+        assert not out_file.exists()
+
     def test_deterministic_output(self, runner, tmp_path):
         data = self.make_dataset(runner, tmp_path, noise="0.05")
         outputs = []
@@ -394,7 +422,7 @@ class TestEvalCommand:
             path.name: 0o644 for path in outputs
         }
 
-    @pytest.mark.parametrize("thresholds", ["0.1:0.7:0", "abc"])
+    @pytest.mark.parametrize("thresholds", ["0.1:0.7:0", "abc", "0.5,0.5,0.7"])
     def test_bad_thresholds_fail_cleanly(self, runner, tmp_path, thresholds):
         gt_path, proposals_path = self.make_perfect(tmp_path)
         result = runner.invoke(

@@ -138,6 +138,14 @@ class TestMapReport:
         with pytest.raises(InvalidInputError):
             map_report([], [gt("v0", 0, 1)], [])
 
+    def test_repeated_threshold_rejected(self):
+        instances = [gt("v0", 0, 10)]
+        proposals = [prop("v0", 0, 10, 0.9)]
+        with pytest.raises(InvalidInputError, match="must not repeat"):
+            map_report(proposals, instances, [0.5, 0.5, 0.7])
+        with pytest.raises(InvalidInputError, match="must not repeat"):
+            pseudo_label_quality([label("v0", 0, 10)], instances, [0.5, 0.7, 0.5])
+
 
 def label(video_id, start, end, class_id=1, t=None):
     if t is None:
@@ -210,9 +218,13 @@ def pool(draw, instances):
     return proposals
 
 
-# exact tIoU values such as 1/2, 1/3 and 1 test the >= comparison at equality
+# exact tIoU values such as 1/2, 1/3 and 1 test the >= comparison at equality; a
+# report takes each threshold once
 thresholds = st.lists(
-    st.sampled_from([0.1, 1 / 3, 0.5, 0.7, 1.0]) | st.floats(0.0, 1.0, exclude_min=True), min_size=1, max_size=8
+    st.sampled_from([0.1, 1 / 3, 0.5, 0.7, 1.0]) | st.floats(0.0, 1.0, exclude_min=True),
+    min_size=1,
+    max_size=8,
+    unique=True,
 )
 
 

@@ -183,6 +183,50 @@ def test_proposal_round_trip_and_schema(tmp_path):
     assert load_proposals(path) == proposals
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+ids = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+indices = st.integers(0, 10**6)
+class_ids = st.integers(1, 100)
+
+
+@st.composite
+def spans(draw):
+    start = draw(indices)
+    return start, start + draw(st.integers(0, 1000))
+
+
+annotations = st.builds(PointAnnotation, ids, indices, class_ids)
+instances = spans().flatmap(lambda span: st.builds(GroundTruthInstance, ids, st.just(span[0]), st.just(span[1]), class_ids))
+pseudo_labels = st.builds(
+    PseudoLabel, ids, indices, indices, finite, finite, finite, indices, indices, class_ids, st.booleans(),
+    gaussian_error=finite, uniform_error=finite,
+)
+proposals = spans().flatmap(lambda span: st.builds(Proposal, ids, st.just(span[0]), st.just(span[1]), class_ids, finite))
+CODECS = {
+    "annotations": (save_annotations, load_annotations, annotations, False),
+    "ground-truth": (save_ground_truth, load_ground_truth, instances, False),
+    "pseudo-labels": (save_pseudo_labels, load_pseudo_labels, pseudo_labels, True),
+    "proposals": (save_proposals, load_proposals, proposals, True),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CODECS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_records_round_trip_and_rewrite_to_identical_bytes(kind, data):
+    save, load, records, grouped = CODECS[kind]
+    items = data.draw(st.lists(records, max_size=8))
+    # grouped layouts list videos in sorted id order, each video's records in their given order
+    expected = sorted(items, key=lambda item: item.video_id) if grouped else items
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.json", Path(tmp) / "second.json"
+        save(first, items)
+        loaded = load(first)
+        assert loaded == expected
+        save(second, loaded)
+        assert second.read_bytes() == first.read_bytes()
+
+
 def test_eval_input_kind_comes_from_the_file(tmp_path):
     label = PseudoLabel("v0", 10, 10, 3.0, 5.0, 8.0, 5, 20, 1)
     proposal = Proposal("v0", 5, 20, 1, 0.5)
