@@ -58,8 +58,7 @@ class ADMConfig:
     half-width in the final interval half-extent. The defaults blend the two
     fitted half-extents equally; summing them (1.0/1.0) measurably over-extends
     intervals on flat-profile actions. ``r_a`` widens each annotated point
-    before background points are picked; ``downsample_ratio`` is the pyramid's
-    theta.
+    before background points are picked.
     """
 
     delta: float = 0.25
@@ -70,7 +69,6 @@ class ADMConfig:
     background_threshold: float = 0.5
     clip_to_boundary: bool = False
     r_a: int = 2
-    downsample_ratio: int = 2
 
     def __post_init__(self):
         if not 0.0 < self.delta <= 0.5:
@@ -302,15 +300,14 @@ def label_videos(
     grouped_levels: Mapping[str, Sequence[ProbabilitySignal]],
     points: Sequence[PointAnnotation],
     config: ADMConfig,
-) -> tuple[list[PseudoLabel], list[tuple[float, float]]]:
+) -> list[PseudoLabel]:
     """Fit one pseudo-label per annotated point, video by video in sorted id order.
 
     ``grouped_levels`` maps each video id to its pyramid levels, finest first;
     the finest must be level 1, because annotations index level-1 snippets.
     Background points come from the finest level once every point is widened
     by ``config.r_a``; the fits run on the coarsest level, smoothed and then
-    upsampled to the finest length. Returns the labels and, per label,
-    ``(gaussian_error, uniform_error)``.
+    upsampled to the finest length. Each label carries its two fit errors.
     """
     by_video: dict[str, list[PointAnnotation]] = {}
     for point in points:
@@ -329,15 +326,13 @@ def label_videos(
                 "annotations index level-1 snippets"
             )
         video_points = by_video[video_id]
-        augmented = augment_points(
-            video_points, config.r_a, finest.level, config.downsample_ratio, finest.length
-        )
+        augmented = augment_points(video_points, config.r_a, 1, 1, finest.length)
         background = select_background_points(finest, augmented, config.background_threshold)
         smoothed = smooth_signal(coarsest, config.smoothing_sigma)
         if smoothed.length < finest.length:
             smoothed = upsample_signal(smoothed, finest.length)
         labels.extend(generate_pseudo_labels(smoothed, video_points, background, config))
-    return labels, [(label.gaussian_error, label.uniform_error) for label in labels]
+    return labels
 
 
 def sample_supervision(

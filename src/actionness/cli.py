@@ -184,10 +184,9 @@ def synth(out_dir, videos, length, num_classes, instances, durations, shape_weig
 @click.option("--smoothing-sigma", default=2.0, show_default=True)
 @click.option("--background-threshold", default=0.5, show_default=True)
 @click.option("--r-a", default=2, show_default=True, help="Annotation augmentation radius.")
-@click.option("--theta", default=2, show_default=True, help="Pyramid downsampling ratio.")
 @click.option("--fuse/--no-fuse", default=False, show_default=True, help="Apply class-agnostic fusion first.")
 @click.option("--clip-to-boundary", is_flag=True, help="Clip intervals to the preliminary boundary.")
-def adm(signals_path, annotations_path, out_path, delta, gamma1, gamma2, sigma_lower, smoothing_sigma, background_threshold, r_a, theta, fuse, clip_to_boundary):
+def adm(signals_path, annotations_path, out_path, delta, gamma1, gamma2, sigma_lower, smoothing_sigma, background_threshold, r_a, fuse, clip_to_boundary):
     """Fit one pseudo-label per annotated point and report fit quality."""
     try:
         config = ADMConfig(
@@ -199,19 +198,18 @@ def adm(signals_path, annotations_path, out_path, delta, gamma1, gamma2, sigma_l
             background_threshold=background_threshold,
             clip_to_boundary=clip_to_boundary,
             r_a=r_a,
-            downsample_ratio=theta,
         )
         grouped = _load_videos(signals_path, fuse)
         points = load_annotations(annotations_path)
-        labels, residuals = label_videos(grouped, points, config)
+        labels = label_videos(grouped, points, config)
         save_pseudo_labels(out_path, labels)
     except _FAILURES as exc:
         _fail(str(exc))
 
     if points:
         alpha = len(labels) / len(points)
-        gaussian_residual = float(np.mean([r[0] for r in residuals]))
-        uniform_residual = float(np.mean([r[1] for r in residuals]))
+        gaussian_residual = float(np.mean([label.gaussian_error for label in labels]))
+        uniform_residual = float(np.mean([label.uniform_error for label in labels]))
         click.echo(f"alpha: {alpha:.6f}")
         click.echo(f"mean_gaussian_fit_mse: {gaussian_residual:.6f}")
         click.echo(f"mean_uniform_fit_mse: {uniform_residual:.6f}")

@@ -51,17 +51,13 @@ def top_k_mean_direct(column: Sequence[float], k: int) -> float:
     return float(sum(ordered[:k]) / k)
 
 
-def fit_objective_grid(profile: str, column, boundary, t_star: int, params) -> np.ndarray:
-    """Sum of squared errors of a peak-height-matched profile at every value of ``params``.
+def _profile_errors(column, boundary, t_star: int, params, model) -> np.ndarray:
+    """Sum of squared errors over the snippets of ``boundary`` (inclusive) of
+    ``model(height, offsets, p)`` at every value ``p`` of ``params``.
 
-    Over the snippets of ``boundary`` (inclusive), at offset ``x`` from
-    ``t_star``, the ``"gaussian"`` model is ``column[t_star] * exp(-x**2 / (2 p**2))``
-    and the ``"uniform"`` model is ``column[t_star]`` where ``|x| <= p``, else 0.
-    Derived apart from ``adm``'s objectives, which tests compare against it;
-    vectorized over ``params`` in chunks that bound memory.
+    ``offsets`` are the snippet positions minus ``t_star`` and ``height`` is
+    ``column[t_star]``; ``params`` go in chunks that bound memory.
     """
-    if profile not in ("gaussian", "uniform"):
-        raise ValueError(f"unknown profile {profile!r}")
     column = np.asarray(column, dtype=np.float64)
     segment = column[boundary.b_start : boundary.b_end + 1]
     offsets = np.arange(boundary.b_start, boundary.b_end + 1, dtype=np.float64) - t_star
@@ -71,12 +67,25 @@ def fit_objective_grid(profile: str, column, boundary, t_star: int, params) -> n
     chunk = 2048
     for i in range(0, params.size, chunk):
         block = params[i : i + chunk, None]
-        if profile == "gaussian":
-            model = height * np.exp(-0.5 * (offsets[None, :] / block) ** 2)
-        else:
-            model = np.where(np.abs(offsets)[None, :] <= block, height, 0.0)
-        values[i : i + chunk] = ((model - segment[None, :]) ** 2).sum(axis=1)
+        values[i : i + chunk] = ((model(height, offsets[None, :], block) - segment[None, :]) ** 2).sum(axis=1)
     return values
+
+
+def gaussian_objective_grid(column, boundary, t_star: int, sigmas) -> np.ndarray:
+    """Squared error of ``column[t_star] * exp(-x**2 / (2 sigma**2))`` at every sigma.
+
+    Derived apart from ``adm``'s objectives, which tests compare against it.
+    """
+    return _profile_errors(
+        column, boundary, t_star, sigmas, lambda height, x, sigma: height * np.exp(-0.5 * (x / sigma) ** 2)
+    )
+
+
+def uniform_objective_grid(column, boundary, t_star: int, omegas) -> np.ndarray:
+    """Squared error of a rectangle of height ``column[t_star]`` over ``|x| <= omega`` at every omega."""
+    return _profile_errors(
+        column, boundary, t_star, omegas, lambda height, x, omega: np.where(np.abs(x) <= omega, height, 0.0)
+    )
 
 
 def nearest_background_scan(t: int, indices: Sequence[int], length: int) -> tuple[int, int]:

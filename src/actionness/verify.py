@@ -16,9 +16,10 @@ from .optim import Bounds1D, minimize_bounded
 from .oracles import (
     average_precision_direct,
     finite_difference_gradient,
-    fit_objective_grid,
+    gaussian_objective_grid,
     max_relative_error,
     nms_direct,
+    uniform_objective_grid,
 )
 
 GRADIENT_TOLERANCE = 1e-4
@@ -200,17 +201,17 @@ def run_fitting_suite(
 
         sigma = fit_gaussian(column, boundary, t_star).value
         sigma_grid = np.linspace(adm.SIGMA_LOWER_BOUND, upper, grid_points)
-        sigma_values = fit_objective_grid("gaussian", column, boundary, t_star, sigma_grid)
+        sigma_values = gaussian_objective_grid(column, boundary, t_star, sigma_grid)
         best = float(sigma_values.min())
-        fitted = float(fit_objective_grid("gaussian", column, boundary, t_star, [sigma])[0])
+        fitted = float(gaussian_objective_grid(column, boundary, t_star, [sigma])[0])
         step = (upper - adm.SIGMA_LOWER_BOUND) / (grid_points - 1)
         if fitted <= best + 1e-9 * (1.0 + best) or abs(sigma - float(sigma_grid[sigma_values.argmin()])) <= 1e-5 + step:
             sigma_grid_ok += 1
 
         omega = fit_uniform(column, boundary, t_star).value
         omega_grid = np.linspace(0.0, upper, grid_points)
-        omega_values = fit_objective_grid("uniform", column, boundary, t_star, omega_grid)
-        fitted = float(fit_objective_grid("uniform", column, boundary, t_star, [omega])[0])
+        omega_values = uniform_objective_grid(column, boundary, t_star, omega_grid)
+        fitted = float(uniform_objective_grid(column, boundary, t_star, [omega])[0])
         if fitted <= float(omega_values.min()) + 1e-9 * (1.0 + float(omega_values.min())):
             omega_grid_ok += 1
 

@@ -19,7 +19,7 @@ from actionness.adm import (
     uniform_fit_error,
 )
 from actionness.errors import InvalidInputError
-from actionness.oracles import fit_objective_grid, nearest_background_scan
+from actionness.oracles import gaussian_objective_grid, nearest_background_scan, uniform_objective_grid
 from actionness.signal import (
     BackgroundPoints,
     PointAnnotation,
@@ -132,7 +132,7 @@ class TestFitGaussian:
         sigma, _, _ = fit_gaussian(column, boundary, t_star)
         upper = float(max(t_star - boundary.b_start, boundary.b_end - t_star))
         grid = np.linspace(SIGMA_LOWER_BOUND, upper, 20001)
-        reference = grid[np.argmin(fit_objective_grid("gaussian", column, boundary, t_star, grid))]
+        reference = grid[np.argmin(gaussian_objective_grid(column, boundary, t_star, grid))]
         step = upper / 20000
         assert abs(sigma - reference) <= 1e-5 + step
 
@@ -170,9 +170,9 @@ class TestFitUniform:
         omega, _, _ = fit_uniform(column, boundary, 150)
         upper = float(max(150 - boundary.b_start, boundary.b_end - 150))
         grid = np.linspace(1e-9, upper, 20001)
-        fitted = fit_objective_grid("uniform", column, boundary, 150, [omega])[0]
+        fitted = uniform_objective_grid(column, boundary, 150, [omega])[0]
         assert 0.0 <= omega <= upper
-        assert fitted <= fit_objective_grid("uniform", column, boundary, 150, grid).min() + 1e-12
+        assert fitted <= uniform_objective_grid(column, boundary, 150, grid).min() + 1e-12
 
     def test_scale_invariance(self):
         column = gaussian_column(300, 150, 12.0)
@@ -204,8 +204,8 @@ def test_fit_uniform_matches_grid_oracle(case):
     assert degenerate == (upper == 0)
     assert omega == int(omega) and 0 <= omega <= upper
     # the objective only changes at integer half-widths, so an integer grid holds its minimum
-    grid = fit_objective_grid("uniform", column, boundary, t_star, np.arange(upper + 1))
-    fitted = fit_objective_grid("uniform", column, boundary, t_star, [omega])[0]
+    grid = uniform_objective_grid(column, boundary, t_star, np.arange(upper + 1))
+    fitted = uniform_objective_grid(column, boundary, t_star, [omega])[0]
     assert fitted <= grid.min() + 1e-9 * (1.0 + grid.min())
     assert error == uniform_fit_error(column, boundary, t_star)(omega)
     assert error == pytest.approx(fitted, rel=1e-12, abs=1e-12)
@@ -307,16 +307,16 @@ def synth_dataset(videos=6, seed=11):
 
 
 class TestLabelVideos:
-    def test_residuals_equal_the_fit_objectives(self):
+    def test_fit_errors_equal_the_fit_objectives(self):
         grouped, points = synth_dataset()
         config = ADMConfig()
-        labels, residuals = label_videos(grouped, points, config)
-        assert len(labels) == len(residuals) == len(points)
+        labels = label_videos(grouped, points, config)
+        assert len(labels) == len(points)
         tiny = [label for label in labels if label.video_id == "tiny"]
         assert len(tiny) == 1 and tiny[0].degenerate and tiny[0].sigma == SIGMA_LOWER_BOUND
 
         # the pipeline spelled out: it gives the same labels, and the fit objectives at
-        # each label's sigma and omega give exactly its residuals
+        # each label's sigma and omega give exactly its fit errors
         expected = []
         for video_id in sorted(grouped):
             finest, coarsest = grouped[video_id][0], grouped[video_id][-1]
@@ -334,8 +334,9 @@ class TestLabelVideos:
                 uniform = uniform_fit_error(column, boundary, label.t_star)(label.omega)
                 expected.append((label, (gaussian, uniform)))
         assert labels == [label for label, _ in expected]
-        assert residuals == [residual for _, residual in expected]
-        assert residuals == [(label.gaussian_error, label.uniform_error) for label in labels]
+        assert [(label.gaussian_error, label.uniform_error) for label in labels] == [
+            errors for _, errors in expected
+        ]
 
     @pytest.mark.parametrize("levels", [(2,), (2, 3)])
     def test_finest_level_must_be_one(self, levels):
