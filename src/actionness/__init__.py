@@ -18,7 +18,7 @@ from .adm import (
     preliminary_boundaries,
     sample_supervision,
 )
-from .decoder import DecoderConfig, Proposal, decode, nms, oic_score, select_classes, threshold_merge
+from .decoder import DecoderConfig, Proposal, decode, decode_videos, nms, oic_score, select_classes, threshold_merge
 from .errors import InvalidInputError, NumericError, PackingError
 from .evaluation import (
     EvalReport,
@@ -45,16 +45,17 @@ from .losses import (
 )
 from .optim import Bounds1D, MinimizeResult, minimize_bounded
 from .signal import (
-    AugmentedLabelSet,
     BackgroundPoints,
     PointAnnotation,
     ProbabilitySignal,
     augment_points,
     fuse_probabilities,
+    pyramid_scales,
     select_background_points,
     smooth_signal,
     upsample_signal,
 )
 from .synth import SyntheticConfig, SyntheticVideo, derive_background_points, generate_video, sample_point
+from .verify import run_suite
 
 __version__ = "0.1.0"

@@ -23,6 +23,7 @@ from .signal import (
     PointAnnotation,
     ProbabilitySignal,
     augment_points,
+    pyramid_scales,
     select_background_points,
     smooth_signal,
     upsample_signal,
@@ -303,11 +304,11 @@ def label_videos(
 ) -> list[PseudoLabel]:
     """Fit one pseudo-label per annotated point, video by video in sorted id order.
 
-    ``grouped_levels`` maps each video id to its pyramid levels, finest first;
-    the finest must be level 1, because annotations index level-1 snippets.
-    Background points come from the finest level once every point is widened
-    by ``config.r_a``; the fits run on the coarsest level, smoothed and then
-    upsampled to the finest length. Each label carries its two fit errors.
+    ``grouped_levels`` maps each video id to its pyramid levels, finest first,
+    each annotated video's checked by ``pyramid_scales``. Background points
+    come from level 1 once every point is widened by ``config.r_a``; the fits
+    run on the coarsest level, smoothed and then upsampled to the level-1
+    length. Each label carries its two fit errors.
     """
     by_video: dict[str, list[PointAnnotation]] = {}
     for point in points:
@@ -319,15 +320,11 @@ def label_videos(
     labels: list[PseudoLabel] = []
     for video_id in sorted(by_video):
         levels = grouped_levels[video_id]
+        pyramid_scales(levels)
         finest, coarsest = levels[0], levels[-1]
-        if finest.level != 1:
-            raise InvalidInputError(
-                f"video {video_id!r} has no level 1 (its finest level is {finest.level}); "
-                "annotations index level-1 snippets"
-            )
         video_points = by_video[video_id]
-        augmented = augment_points(video_points, config.r_a, 1, 1, finest.length)
-        background = select_background_points(finest, augmented, config.background_threshold)
+        intervals = augment_points(video_points, config.r_a, finest.length)
+        background = select_background_points(finest, intervals, config.background_threshold)
         smoothed = smooth_signal(coarsest, config.smoothing_sigma)
         if smoothed.length < finest.length:
             smoothed = upsample_signal(smoothed, finest.length)
@@ -336,18 +333,17 @@ def label_videos(
 
 
 def sample_supervision(
-    labels: Sequence[PseudoLabel], r_s: int, level: int, theta: int
+    labels: Sequence[PseudoLabel], r_s: int, scale: int
 ) -> list[tuple[int, int]]:
     """Supervised ``(snippet, class_id)`` pairs for snippet-level training.
 
-    Keeps snippets within ``r_s`` of each annotated point (mapped to the level
-    grid) that also fall inside the label's interval; duplicates collapse.
+    Keeps snippets within ``r_s`` of each annotated point (``t // scale`` on a
+    level of ratio ``scale``) inside the label's interval; duplicates collapse.
     """
     if r_s < 0:
         raise InvalidInputError(f"r_s must be >= 0, got {r_s}")
-    if level < 1 or theta < 1:
-        raise InvalidInputError(f"level and theta must be >= 1, got {level}, {theta}")
-    scale = theta ** (level - 1)
+    if scale < 1:
+        raise InvalidInputError(f"scale must be >= 1, got {scale}")
     picked = set()
     for label in labels:
         centre = label.t // scale

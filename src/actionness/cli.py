@@ -18,7 +18,7 @@ import click
 import numpy as np
 
 from .adm import ADMConfig, label_videos
-from .decoder import DecoderConfig, decode
+from .decoder import DecoderConfig, decode_videos
 from .errors import InvalidInputError, NumericError, PackingError
 from .evaluation import map_report, pseudo_label_quality
 from .signal import ProbabilitySignal, fuse_probabilities
@@ -38,7 +38,7 @@ from .storage import (
     write_json_atomic,
 )
 from .synth import SyntheticConfig, generate_video, sample_point
-from .verify import SUITES
+from .verify import SUITES, run_suite
 
 log = logging.getLogger("actionness")
 
@@ -225,9 +225,8 @@ def adm(signals_path, annotations_path, out_path, delta, gamma1, gamma2, sigma_l
 @click.option("--nms-tiou", default=0.45, show_default=True)
 @click.option("--class-threshold", default=0.5, show_default=True)
 @click.option("--top-k-fraction", default=0.125, show_default=True)
-@click.option("--theta", default=2, show_default=True)
 @click.option("--fuse/--no-fuse", default=False, show_default=True)
-def decode_cmd(signals_path, out_path, thresholds, oic_inflation, nms_tiou, class_threshold, top_k_fraction, theta, fuse):
+def decode_cmd(signals_path, out_path, thresholds, oic_inflation, nms_tiou, class_threshold, top_k_fraction, fuse):
     """Decode probability signals into scored, NMS-filtered proposals."""
     try:
         config = DecoderConfig(
@@ -236,12 +235,8 @@ def decode_cmd(signals_path, out_path, thresholds, oic_inflation, nms_tiou, clas
             nms_tiou=nms_tiou,
             class_score_threshold=class_threshold,
             top_k_fraction=top_k_fraction,
-            downsample_ratio=theta,
         )
-        grouped = _load_videos(signals_path, fuse)
-        proposals = []
-        for video_id in sorted(grouped):
-            proposals.extend(decode(grouped[video_id], config))
+        proposals = decode_videos(_load_videos(signals_path, fuse), config)
         save_proposals(out_path, proposals)
     except _FAILURES as exc:
         _fail(str(exc))
@@ -296,24 +291,8 @@ def eval_cmd(input_path, gt_path, thresholds, out_json, out_csv):
 @click.option("--seed", default=None, type=int)
 def verify_cmd(suite, out_path, samples, seed):
     """Run a verification suite; exit 0 only if every check passes."""
-    kwargs = {}
-    if seed is not None:
-        kwargs["seed"] = seed
-    if samples is not None:
-        if suite == "gradients":
-            kwargs["instances"] = samples
-        elif suite == "fitting":
-            kwargs["samples"] = samples
-            kwargs["grid_checks"] = max(1, samples // 40)
-        else:
-            kwargs.update(
-                optimizer_cases=max(1, samples // 10),
-                ap_cases=samples,
-                nms_cases=max(1, samples // 2),
-                idempotence_cases=samples,
-            )
     started = time.perf_counter()
-    report = SUITES[suite](**kwargs)
+    report = run_suite(suite, samples, seed)
     elapsed = time.perf_counter() - started
     if out_path is not None:
         # timing stays off the report file so identical runs stay byte-identical

@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError
 from .losses import video_level_scores
-from .signal import ProbabilitySignal
+from .signal import ProbabilitySignal, pyramid_scales
 
 DEFAULT_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 
@@ -45,7 +45,6 @@ class DecoderConfig:
     nms_tiou: float = 0.45
     class_score_threshold: float = 0.5
     top_k_fraction: float = 0.125
-    downsample_ratio: int = 2
 
     def __post_init__(self):
         self.thresholds = tuple(float(t) for t in self.thresholds)
@@ -61,8 +60,6 @@ class DecoderConfig:
             raise InvalidInputError(f"nms_tiou must be in (0, 1), got {self.nms_tiou}")
         if not 0.0 < self.top_k_fraction <= 1.0:
             raise InvalidInputError(f"top_k_fraction must be in (0, 1], got {self.top_k_fraction}")
-        if self.downsample_ratio < 1:
-            raise InvalidInputError(f"downsample_ratio must be >= 1, got {self.downsample_ratio}")
 
 
 def select_classes(video_scores, threshold: float) -> list[int]:
@@ -158,17 +155,18 @@ def decode(signals: Sequence[ProbabilitySignal], config: DecoderConfig) -> list[
     """Decode one video's pyramid of fused signals into scored proposals.
 
     For every selected class, level and threshold, runs above the threshold
-    become segments, segments map onto the finest level's grid, get scored by
-    outer-inner contrast there (once per distinct segment), and the pool,
-    repeats included, is reduced with NMS.
+    become segments, segments map onto level 1 by the ratio ``pyramid_scales``
+    reads from the level lengths, get scored by outer-inner contrast there
+    (once per distinct segment), and the pool, repeats included, is reduced
+    with NMS.
     """
     if not signals:
         raise InvalidInputError("decode requires at least one signal")
     video_id = signals[0].video_id
     if any(s.video_id != video_id for s in signals):
         raise InvalidInputError("all signals must belong to the same video")
-    reference = min(signals, key=lambda s: s.level)
-    ref_length = reference.length
+    scales = pyramid_scales(signals)
+    ref_length = signals[0].length
 
     per_level = []
     for sig in signals:
@@ -179,11 +177,10 @@ def decode(signals: Sequence[ProbabilitySignal], config: DecoderConfig) -> list[
 
     pool: list[Proposal] = []
     for class_id in classes:
-        reference_column = reference.class_column(class_id)
+        reference_column = signals[0].class_column(class_id)
         # the same segment recurs across thresholds and levels: score it once
         scores: dict[tuple[int, int], float] = {}
-        for sig in signals:
-            scale = config.downsample_ratio ** (sig.level - reference.level)
+        for sig, scale in zip(signals, scales):
             column = sig.class_column(class_id)
             for threshold in config.thresholds:
                 for seg_start, seg_end in threshold_merge(column, threshold):
@@ -193,3 +190,11 @@ def decode(signals: Sequence[ProbabilitySignal], config: DecoderConfig) -> list[
                         scores[start, end] = oic_score(reference_column, (start, end), config.oic_inflation)
                     pool.append(Proposal(video_id, start, end, class_id, scores[start, end]))
     return nms(pool, config.nms_tiou)
+
+
+def decode_videos(grouped_levels: Mapping[str, Sequence[ProbabilitySignal]], config: DecoderConfig) -> list[Proposal]:
+    """Decode each video's levels, finest first, in sorted video id order."""
+    proposals: list[Proposal] = []
+    for video_id in sorted(grouped_levels):
+        proposals.extend(decode(grouped_levels[video_id], config))
+    return proposals

@@ -3,6 +3,7 @@
 A probability signal is a (T, C+1) grid of per-snippet probabilities at one
 pyramid level: C class columns followed by one background column. Class ids
 are 1-based throughout, so class ``c`` lives in column ``c - 1``.
+``pyramid_scales`` reads each coarser level's ratio to level 1 from the lengths.
 """
 
 from __future__ import annotations
@@ -70,20 +71,6 @@ class PointAnnotation:
             raise InvalidInputError(f"annotated snippet index must be >= 0, got {self.t}")
         if self.class_id < 1:
             raise InvalidInputError(f"class_id must be >= 1, got {self.class_id}")
-
-
-@dataclass
-class AugmentedLabelSet:
-    """Labelled intervals obtained by widening each annotated point by a radius.
-
-    ``entries`` holds ``((lo, hi), class_id)`` pairs expressed at ``level``'s
-    own resolution, both endpoints inclusive.
-    """
-
-    entries: list[tuple[tuple[int, int], int]]
-    level: int
-    radius: int
-    downsample_ratio: int
 
 
 @dataclass
@@ -158,50 +145,60 @@ def upsample_signal(signal: ProbabilitySignal, target_length: int) -> Probabilit
     return ProbabilitySignal(signal.video_id, signal.level, out)
 
 
+def pyramid_scales(levels: Sequence[ProbabilitySignal]) -> list[int]:
+    """Each level's snippet ratio to level 1, read from one video's level lengths.
+
+    ``levels`` is the video's pyramid, finest first, and must start at level 1.
+    A level of ``n`` snippets over ``L`` level-1 snippets has the ratio
+    ``s = round(L / n)`` and must hold ``L // s`` or ``ceil(L / s)`` snippets;
+    the ratios must strictly increase. Anything else raises
+    ``InvalidInputError`` naming the video.
+    """
+    video_id, length = levels[0].video_id, levels[0].length
+    if levels[0].level != 1:
+        raise InvalidInputError(
+            f"video {video_id!r} has no level 1 (its finest level is {levels[0].level}); "
+            "annotations, ground truth and proposals index level-1 snippets"
+        )
+    scales = [1]
+    for signal in levels[1:]:
+        scale = round(length / signal.length)
+        if scale <= scales[-1] or signal.length not in (length // scale, -(-length // scale)):
+            raise InvalidInputError(
+                f"video {video_id!r}: level {signal.level} has {signal.length} snippets, which is "
+                f"level 1's {length} pooled by no integer ratio above {scales[-1]}"
+            )
+        scales.append(scale)
+    return scales
+
+
 def augment_points(
     points: Sequence[PointAnnotation],
     r_a: int,
-    level: int,
-    theta: int,
     length: int,
-) -> AugmentedLabelSet:
-    """Widen each annotated point into a labelled interval at a pyramid level.
+) -> list[tuple[int, int]]:
+    """Widen each annotated point into an inclusive ``(lo, hi)`` level-1 interval.
 
-    Points are mapped to the level grid by floor division with ``theta**(level-1)``
-    and expanded by ``r_a`` on both sides, clipped to ``[0, length - 1]``.
+    Each point is expanded by ``r_a`` on both sides, clipped to ``[0, length - 1]``.
     """
     if r_a < 0:
         raise InvalidInputError(f"r_a must be >= 0, got {r_a}")
-    if level < 1 or theta < 1:
-        raise InvalidInputError(f"level and theta must be >= 1, got {level}, {theta}")
-    if length < 1:
-        raise InvalidInputError(f"length must be >= 1, got {length}")
-    scale = theta ** (level - 1)
-    entries = []
+    intervals = []
     for point in points:
-        centre = point.t // scale
-        if centre >= length:
-            raise InvalidInputError(
-                f"annotation t={point.t} maps to {centre}, beyond level length {length}"
-            )
-        lo = max(0, centre - r_a)
-        hi = min(length - 1, centre + r_a)
-        entries.append(((lo, hi), point.class_id))
-    return AugmentedLabelSet(entries, level, r_a, theta)
+        if point.t >= length:
+            raise InvalidInputError(f"annotation t={point.t} beyond level-1 length {length}")
+        intervals.append((max(0, point.t - r_a), min(length - 1, point.t + r_a)))
+    return intervals
 
 
 def select_background_points(
     signal: ProbabilitySignal,
-    augmented: AugmentedLabelSet,
+    intervals: Sequence[tuple[int, int]],
     threshold: float,
 ) -> BackgroundPoints:
     """Snippets whose background probability clears ``threshold``, excluding
-    every augmented annotation interval."""
-    if signal.level != augmented.level:
-        raise InvalidInputError(
-            f"signal level {signal.level} != augmented level {augmented.level}"
-        )
+    every inclusive ``(lo, hi)`` interval."""
     mask = signal.background > threshold
-    for (lo, hi), _ in augmented.entries:
+    for lo, hi in intervals:
         mask[lo : hi + 1] = False
     return BackgroundPoints(np.flatnonzero(mask))

@@ -1,7 +1,8 @@
 """Verification suites: gradient checks, fit recovery, and oracle agreement.
 
 Each suite returns a JSON-ready report ``{"suite", "checks": [...], "pass"}``
-with one entry per property. The CLI ``verify`` subcommand wraps these.
+with one entry per property. The CLI ``verify`` subcommand runs them through
+``run_suite``.
 """
 
 from __future__ import annotations
@@ -355,3 +356,23 @@ SUITES = {
     "fitting": run_fitting_suite,
     "oracles": run_oracle_suite,
 }
+
+
+def run_suite(name: str, samples: int | None = None, seed: int | None = None) -> dict:
+    """Run one suite of ``SUITES``; ``samples`` sets the per-check case counts, ``seed`` the seed.
+
+    Without them the suite runs at its built-in sizes and seed.
+    """
+    kwargs = {} if seed is None else {"seed": seed}
+    if samples is not None and name == "gradients":
+        kwargs.update(instances=samples)
+    elif samples is not None and name == "fitting":
+        kwargs.update(samples=samples, grid_checks=max(1, samples // 40))
+    elif samples is not None:
+        kwargs.update(
+            optimizer_cases=max(1, samples // 10),
+            ap_cases=samples,
+            nms_cases=max(1, samples // 2),
+            idempotence_cases=samples,
+        )
+    return SUITES[name](**kwargs)

@@ -321,8 +321,8 @@ class TestLabelVideos:
         for video_id in sorted(grouped):
             finest, coarsest = grouped[video_id][0], grouped[video_id][-1]
             video_points = [p for p in points if p.video_id == video_id]
-            augmented = augment_points(video_points, 2, 1, 2, finest.length)
-            background = select_background_points(finest, augmented, config.background_threshold)
+            intervals = augment_points(video_points, 2, finest.length)
+            background = select_background_points(finest, intervals, config.background_threshold)
             fitted = smooth_signal(coarsest, config.smoothing_sigma)
             if fitted.length < finest.length:
                 fitted = upsample_signal(fitted, finest.length)
@@ -358,15 +358,15 @@ class TestSampleSupervision:
 
     def test_radius_within_wide_interval(self):
         label = self.make_label(5, 20, 10)
-        assert sample_supervision([label], 2, 1, 2) == [(8, 1), (9, 1), (10, 1), (11, 1), (12, 1)]
+        assert sample_supervision([label], 2, 1) == [(8, 1), (9, 1), (10, 1), (11, 1), (12, 1)]
 
     def test_clipped_to_interval(self):
         label = self.make_label(9, 11, 10)
-        assert sample_supervision([label], 2, 1, 2) == [(9, 1), (10, 1), (11, 1)]
+        assert sample_supervision([label], 2, 1) == [(9, 1), (10, 1), (11, 1)]
 
     def test_level_mapping(self):
         label = self.make_label(0, 40, 10)
-        assert sample_supervision([label], 2, 2, 2) == [(3, 1), (4, 1), (5, 1), (6, 1), (7, 1)]
+        assert sample_supervision([label], 2, 2) == [(3, 1), (4, 1), (5, 1), (6, 1), (7, 1)]
 
 
 class TestADMConfig:

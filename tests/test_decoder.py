@@ -212,7 +212,7 @@ class TestDecode:
         pool = []
         for class_id in select_classes(video_scores, decoder_config.class_score_threshold):
             for sig in levels:
-                scale = decoder_config.downsample_ratio ** (sig.level - 1)
+                scale = 2 ** (sig.level - 1)
                 for threshold in decoder_config.thresholds:
                     for seg_start, seg_end in threshold_merge(sig.class_column(class_id), threshold):
                         start = min(seg_start * scale, fine.length - 1)

@@ -4,7 +4,6 @@ import pytest
 from actionness.errors import InvalidInputError
 from actionness.oracles import interpolate_column_direct, smooth_column_direct
 from actionness.signal import (
-    AugmentedLabelSet,
     BackgroundPoints,
     PointAnnotation,
     ProbabilitySignal,
@@ -147,44 +146,37 @@ class TestUpsampleSignal:
 
 class TestAugmentPoints:
     def test_zero_radius_degenerate_interval(self):
-        out = augment_points([PointAnnotation("v0", 5, 1)], 0, 1, 2, 100)
-        assert out.entries == [((5, 5), 1)]
+        assert augment_points([PointAnnotation("v0", 5, 1)], 0, 100) == [(5, 5)]
 
     def test_level_one_radius_two(self):
-        out = augment_points([PointAnnotation("v0", 10, 2)], 2, 1, 2, 100)
-        assert out.entries == [((8, 12), 2)]
-
-    def test_level_two_divides_by_theta(self):
-        out = augment_points([PointAnnotation("v0", 10, 1)], 2, 2, 2, 50)
-        assert out.entries == [((3, 7), 1)]
+        assert augment_points([PointAnnotation("v0", 10, 2)], 2, 100) == [(8, 12)]
 
     def test_one_interval_per_point_with_clipping(self):
         points = [PointAnnotation("v0", t, 1) for t in (0, 3, 99)]
-        out = augment_points(points, 4, 1, 2, 100)
-        assert len(out.entries) == len(points)
-        assert out.entries[0] == ((0, 4), 1)
-        assert out.entries[2] == ((95, 99), 1)
+        out = augment_points(points, 4, 100)
+        assert len(out) == len(points)
+        assert out[0] == (0, 4)
+        assert out[2] == (95, 99)
 
     def test_rejects_point_beyond_level(self):
         with pytest.raises(InvalidInputError):
-            augment_points([PointAnnotation("v0", 120, 1)], 2, 1, 2, 100)
+            augment_points([PointAnnotation("v0", 120, 1)], 2, 100)
 
 
 class TestSelectBackgroundPoints:
     def test_all_background_no_annotations(self):
         sig = make_signal(np.column_stack([np.zeros(5), np.ones(5)]))
-        out = select_background_points(sig, AugmentedLabelSet([], 1, 2, 2), 0.5)
+        out = select_background_points(sig, [], 0.5)
         assert out.indices.tolist() == [0, 1, 2, 3, 4]
 
     def test_augmented_interval_excluded(self):
         sig = make_signal(np.column_stack([np.zeros(6), np.full(6, 0.99)]))
-        augmented = AugmentedLabelSet([((2, 3), 1)], 1, 1, 2)
-        out = select_background_points(sig, augmented, 0.5)
+        out = select_background_points(sig, [(2, 3)], 0.5)
         assert out.indices.tolist() == [0, 1, 4, 5]
 
     def test_threshold_is_strict(self):
         sig = make_signal(np.array([[0.0, 0.6], [0.0, 0.8]]))
-        out = select_background_points(sig, AugmentedLabelSet([], 1, 0, 2), 0.7)
+        out = select_background_points(sig, [], 0.7)
         assert out.indices.tolist() == [1]
 
     def test_disjoint_from_every_interval(self):
@@ -193,17 +185,12 @@ class TestSelectBackgroundPoints:
             values = np.column_stack([rng.uniform(0, 1, 60), rng.uniform(0, 1, 60)])
             sig = make_signal(values)
             points = [PointAnnotation("v0", int(t), 1) for t in rng.integers(0, 60, 4)]
-            augmented = augment_points(points, 3, 1, 2, 60)
+            intervals = augment_points(points, 3, 60)
             covered = set()
-            for (lo, hi), _ in augmented.entries:
+            for lo, hi in intervals:
                 covered.update(range(lo, hi + 1))
-            selected = select_background_points(sig, augmented, 0.5)
+            selected = select_background_points(sig, intervals, 0.5)
             assert covered.isdisjoint(selected.indices.tolist())
-
-    def test_level_mismatch_rejected(self):
-        sig = make_signal([[0.0, 1.0]], level=2)
-        with pytest.raises(InvalidInputError):
-            select_background_points(sig, AugmentedLabelSet([], 1, 0, 2), 0.5)
 
 
 class TestBackgroundPoints:
