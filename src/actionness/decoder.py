@@ -155,10 +155,11 @@ def decode(signals: Sequence[ProbabilitySignal], config: DecoderConfig) -> list[
     """Decode one video's pyramid of fused signals into scored proposals.
 
     For every selected class, level and threshold, runs above the threshold
-    become segments, segments map onto level 1 by the ratio ``pyramid_scales``
-    reads from the level lengths, get scored by outer-inner contrast there
-    (once per distinct segment), and the pool, repeats included, is reduced
-    with NMS.
+    become segments, segments map onto the level-1 snippets pooled into them
+    (a run ``[s, e]`` at the ratio ``pyramid_scales`` reads from the lengths
+    covers ``[s*scale, min((e+1)*scale, L) - 1]``), get scored by outer-inner
+    contrast there (once per distinct segment), and the pool, repeats
+    included, is reduced with NMS.
     """
     if not signals:
         raise InvalidInputError("decode requires at least one signal")
@@ -184,8 +185,9 @@ def decode(signals: Sequence[ProbabilitySignal], config: DecoderConfig) -> list[
             column = sig.class_column(class_id)
             for threshold in config.thresholds:
                 for seg_start, seg_end in threshold_merge(column, threshold):
-                    start = min(seg_start * scale, ref_length - 1)
-                    end = min(seg_end * scale, ref_length - 1)
+                    # coarse snippet j pools level-1 snippets j*scale .. (j+1)*scale - 1
+                    start = seg_start * scale
+                    end = min((seg_end + 1) * scale, ref_length) - 1
                     if (start, end) not in scores:
                         scores[start, end] = oic_score(reference_column, (start, end), config.oic_inflation)
                     pool.append(Proposal(video_id, start, end, class_id, scores[start, end]))

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from actionness import decoder
 from actionness.decoder import (
     DecoderConfig,
     Proposal,
@@ -16,7 +17,7 @@ from actionness.errors import InvalidInputError
 from actionness.evaluation import tiou
 from actionness.losses import video_level_scores
 from actionness.oracles import nms_direct, oic_direct
-from actionness.signal import ProbabilitySignal
+from actionness.signal import ProbabilitySignal, pyramid_scales
 from actionness.synth import SyntheticConfig, generate_video
 
 
@@ -215,16 +216,64 @@ class TestDecode:
                 scale = 2 ** (sig.level - 1)
                 for threshold in decoder_config.thresholds:
                     for seg_start, seg_end in threshold_merge(sig.class_column(class_id), threshold):
-                        start = min(seg_start * scale, fine.length - 1)
-                        end = min(seg_end * scale, fine.length - 1)
+                        start = seg_start * scale
+                        end = min((seg_end + 1) * scale, fine.length) - 1
                         score = oic_score(fine.class_column(class_id), (start, end), decoder_config.oic_inflation)
                         pool.append(Proposal("v0", start, end, class_id, score))
         assert len({(p.start, p.end, p.class_id) for p in pool}) < len(pool), "no repeated segment to reuse"
         assert decode(levels, decoder_config) == nms_direct(pool, decoder_config.nms_tiou)
 
+    @pytest.mark.parametrize(
+        "fine_length, coarse_length, run, expected",
+        [(128, 64, (20, 39), (40, 79)), (127, 64, (60, 63), (120, 126)), (9, 4, (3, 3), (6, 7))],
+        ids=["even", "ceil-pooled-last-run", "floor-pooled-last-run"],
+    )
+    def test_level_two_run_ends_at_its_last_pooled_snippet(self, fine_length, coarse_length, run, expected):
+        fine = make_signal(np.full((fine_length, 1), 0.05))  # below every threshold: no level-1 run
+        coarse_columns = np.full((coarse_length, 1), 0.05)
+        coarse_columns[run[0] : run[1] + 1, 0] = 0.8
+        coarse = make_signal(coarse_columns, level=2)
+        assert [p.interval for p in decode([fine, coarse], self.config())] == [expected]
+
     def test_requires_signals(self):
         with pytest.raises(InvalidInputError):
             decode([], DecoderConfig())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    scales=st.lists(st.integers(2, 5), min_size=1, max_size=3, unique=True).map(sorted),
+    ceil_pooled=st.lists(st.booleans(), min_size=3, max_size=3),
+    extra_length=st.integers(0, 150),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_coarse_runs_cover_the_snippets_pooled_into_them(scales, ceil_pooled, extra_length, seed):
+    # a ratio reads back from a level's length only over a long enough level 1:
+    # more than 2*s*s + s snippets suffice for ratio s (level 1 of 5 pooled by 3
+    # into 2 snippets reads as ratio 2)
+    length = 2 * scales[-1] ** 2 + scales[-1] + 1 + extra_length
+    fine = np.random.default_rng(seed).uniform(0.0, 1.0, (length, 2))
+    levels = [ProbabilitySignal("v0", 1, fine)]
+    groups = [[[t] for t in range(length)]]  # each level's snippets, as the level-1 snippets pooled into them
+    for level, (scale, ceil) in enumerate(zip(scales, ceil_pooled), start=2):
+        count = -(-length // scale) if ceil else length // scale
+        pooled = [list(range(j * scale, min((j + 1) * scale, length))) for j in range(count)]
+        levels.append(ProbabilitySignal("v0", level, np.array([fine[snippets].mean(axis=0) for snippets in pooled])))
+        groups.append(pooled)
+    assert pyramid_scales(levels) == [1, *scales]
+
+    config = DecoderConfig()
+    pools = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decoder, "nms", lambda pool, threshold: pools.append(pool) or pool)
+        decode(levels, config)
+    expected = [
+        (pooled[start][0], pooled[end][-1])
+        for signal, pooled in zip(levels, groups)
+        for threshold in config.thresholds
+        for start, end in threshold_merge(signal.class_column(1), threshold)
+    ]
+    assert [p.interval for p in pools[0]] == expected
 
 
 class TestDecoderConfig:
