@@ -43,6 +43,7 @@ from .verify import SUITES, run_suite
 log = logging.getLogger("actionness")
 
 _FAILURES = (InvalidInputError, NumericError, PackingError, OSError)
+_MAX_THRESHOLDS = 1000
 
 
 def _fail(message: str) -> None:
@@ -69,7 +70,10 @@ def _parse_thresholds(text: str) -> list[float]:
         raise InvalidInputError(f"bad threshold range {text!r}")
     if not np.isfinite([start, stop, step]).all() or step <= 0:
         raise InvalidInputError(f"threshold range needs finite bounds and a step > 0, got {text!r}")
-    count = int(round((stop - start) / step)) + 1
+    # count before building: a tiny step would otherwise allocate without bound
+    count = int(round(min((stop - start) / step, _MAX_THRESHOLDS))) + 1
+    if count > _MAX_THRESHOLDS:
+        raise InvalidInputError(f"threshold range {text!r} holds more than {_MAX_THRESHOLDS} thresholds")
     return [round(start + i * step, 10) for i in range(count)]
 
 
@@ -287,16 +291,19 @@ def eval_cmd(input_path, gt_path, thresholds, out_json, out_csv):
 @main.command(name="verify")
 @click.argument("suite", type=click.Choice(sorted(SUITES)))
 @click.option("--out", "out_path", type=click.Path(path_type=Path), default=None)
-@click.option("--samples", default=None, type=int, help="Override the per-check sample count.")
+@click.option("--samples", default=None, type=int, help="Override the per-check sample count (at least 1).")
 @click.option("--seed", default=None, type=int)
 def verify_cmd(suite, out_path, samples, seed):
     """Run a verification suite; exit 0 only if every check passes."""
-    started = time.perf_counter()
-    report = run_suite(suite, samples, seed)
-    elapsed = time.perf_counter() - started
-    if out_path is not None:
-        # timing stays off the report file so identical runs stay byte-identical
-        write_json_atomic(out_path, report)
+    try:
+        started = time.perf_counter()
+        report = run_suite(suite, samples, seed)
+        elapsed = time.perf_counter() - started
+        if out_path is not None:
+            # timing stays off the report file so identical runs stay byte-identical
+            write_json_atomic(out_path, report)
+    except _FAILURES as exc:
+        _fail(str(exc))
     click.echo(json.dumps(report, indent=2, sort_keys=True))
     click.echo(f"elapsed: {elapsed:.3f}s", err=True)
     if not report["pass"]:

@@ -12,6 +12,7 @@ import numpy as np
 from . import adm, losses
 from .adm import PreliminaryBoundary, fit_gaussian, fit_uniform
 from .decoder import Proposal, nms
+from .errors import InvalidInputError
 from .evaluation import GroundTruthInstance, average_precision
 from .optim import Bounds1D, minimize_bounded
 from .oracles import (
@@ -25,6 +26,12 @@ from .oracles import (
 
 GRADIENT_TOLERANCE = 1e-4
 FD_STEP = 1e-5
+
+
+def _require_counts(suite: str, **counts: int) -> None:
+    for name, count in counts.items():
+        if count < 1:
+            raise InvalidInputError(f"{suite} suite: {name} must be >= 1, got {count}")
 
 
 # --- gradient suite ---------------------------------------------------------
@@ -128,6 +135,7 @@ def run_gradient_suite(
     seed: int = 20240,
 ) -> dict:
     """Check every analytic gradient against central finite differences."""
+    _require_counts("gradients", instances=instances)
     cases = (
         ("mil", _mil_case),
         ("action_focal", _focal_case),
@@ -154,6 +162,7 @@ def run_fitting_suite(
     seed: int = 7341,
 ) -> dict:
     """Recovery of constructed profiles plus dense-grid agreement on noisy ones."""
+    _require_counts("fitting", samples=samples, grid_checks=grid_checks)
     rng = np.random.default_rng(seed)
     length = 512
     positions = np.arange(length, dtype=np.float64)
@@ -274,6 +283,13 @@ def run_oracle_suite(
     seed: int = 5150,
 ) -> dict:
     """Compare the minimizer, AP, and NMS against brute-force references."""
+    _require_counts(
+        "oracles",
+        optimizer_cases=optimizer_cases,
+        ap_cases=ap_cases,
+        nms_cases=nms_cases,
+        idempotence_cases=idempotence_cases,
+    )
     rng = np.random.default_rng(seed)
 
     optimizer_ok = 0

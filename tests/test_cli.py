@@ -248,7 +248,7 @@ class TestDecodeCommand:
         result = runner.invoke(main, ["decode", "--signals", "x", "--out", "y", "--bogus"])
         assert result.exit_code == 2
 
-    @pytest.mark.parametrize("thresholds", ["0.1:0.7:0", "abc"])
+    @pytest.mark.parametrize("thresholds", ["0.1:0.7:0", "abc", "0.1:0.7:1e-12"])
     def test_bad_thresholds_fail_cleanly(self, runner, tmp_path, thresholds):
         result = runner.invoke(
             main, ["decode", "--signals", str(tmp_path), "--out", str(tmp_path / "p.json"), "--thresholds", thresholds]
@@ -422,7 +422,7 @@ class TestEvalCommand:
             path.name: 0o644 for path in outputs
         }
 
-    @pytest.mark.parametrize("thresholds", ["0.1:0.7:0", "abc", "0.5,0.5,0.7"])
+    @pytest.mark.parametrize("thresholds", ["0.1:0.7:0", "abc", "0.5,0.5,0.7", "0.1:0.7:1e-12"])
     def test_bad_thresholds_fail_cleanly(self, runner, tmp_path, thresholds):
         gt_path, proposals_path = self.make_perfect(tmp_path)
         result = runner.invoke(
@@ -467,6 +467,14 @@ class TestVerifyCommand:
     def test_unknown_suite_is_usage_error(self, runner):
         result = runner.invoke(main, ["verify", "nonsense"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    @pytest.mark.parametrize("suite", ["gradients", "fitting", "oracles"])
+    def test_samples_below_one_fail_cleanly(self, runner, tmp_path, suite, samples):
+        out_file = tmp_path / "report.json"
+        result = runner.invoke(main, ["verify", suite, "--samples", samples, "--out", str(out_file)])
+        fails_cleanly(result, f"must be >= 1, got {samples}")
+        assert not out_file.exists()
 
 
 class TestAdmMultiLevel:
@@ -517,6 +525,38 @@ def small_signal(video_id="v0", level=1):
     values = np.full((8, 3), 0.1)
     values[2:5, 0] = 0.9
     return ProbabilitySignal(video_id, level, values)
+
+
+def level_signal(level, length, video_id="v0"):
+    values = np.full((length, 3), 0.1)
+    values[: length // 2, 0] = 0.9
+    return ProbabilitySignal(video_id, level, values)
+
+
+class TestInconsistentPyramid:
+    @pytest.mark.parametrize(
+        "command, lengths, fragment",
+        [
+            ("adm", {1: 64, 2: 128}, "level 2 has 128 snippets"),
+            ("adm", {1: 64, 2: 40}, "level 2 has 40 snippets"),
+            ("decode", {1: 64, 2: 128}, "level 2 has 128 snippets"),
+            ("decode", {1: 64, 2: 40}, "level 2 has 40 snippets"),
+            ("decode", {2: 32, 3: 16}, "has no level 1"),
+        ],
+        ids=["adm-longer-level", "adm-length-off-ratio", "decode-longer-level", "decode-length-off-ratio",
+             "decode-no-level-1"],
+    )
+    def test_rejected(self, runner, tmp_path, command, lengths, fragment):
+        save_signals(tmp_path / "v0.json", [level_signal(level, length) for level, length in lengths.items()])
+        out_file = tmp_path / "out.json"
+        args = [command, "--signals", str(tmp_path / "v0.json"), "--out", str(out_file)]
+        if command == "adm":
+            save_annotations(tmp_path / "ann.json", [PointAnnotation("v0", 3, 1)])
+            args += ["--annotations", str(tmp_path / "ann.json")]
+        result = runner.invoke(main, args)
+        fails_cleanly(result, fragment)
+        assert "video 'v0'" in result.output
+        assert not out_file.exists()
 
 
 class TestLevelGivenTwice:

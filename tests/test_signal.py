@@ -9,6 +9,7 @@ from actionness.signal import (
     ProbabilitySignal,
     augment_points,
     fuse_probabilities,
+    pyramid_scales,
     select_background_points,
     smooth_signal,
     upsample_signal,
@@ -142,6 +143,28 @@ class TestUpsampleSignal:
         sig = make_signal([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
         with pytest.raises(InvalidInputError):
             upsample_signal(sig, 2)
+
+
+def pyramid(*lengths, first_level=1):
+    return [make_signal(np.full((length, 2), 0.5), level=level) for level, length in enumerate(lengths, first_level)]
+
+
+class TestPyramidScales:
+    @pytest.mark.parametrize(
+        "lengths, scales",
+        [((64,), [1]), ((64, 32, 16), [1, 2, 4]), ((65, 33, 13), [1, 2, 5]), ((65, 32, 22), [1, 2, 3])],
+    )
+    def test_ratios_read_from_lengths(self, lengths, scales):
+        assert pyramid_scales(pyramid(*lengths)) == scales
+
+    @pytest.mark.parametrize(
+        "lengths, first_level",
+        [((64, 128), 1), ((64, 40), 1), ((64, 32, 30), 1), ((64, 32, 64), 1), ((32, 16), 2)],
+        ids=["longer", "off-ratio", "ratio-repeated", "ratio-falls", "no-level-1"],
+    )
+    def test_inconsistent_pyramid_names_the_video(self, lengths, first_level):
+        with pytest.raises(InvalidInputError, match="video 'v0'"):
+            pyramid_scales(pyramid(*lengths, first_level=first_level))
 
 
 class TestAugmentPoints:
