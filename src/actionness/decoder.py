@@ -152,12 +152,12 @@ def nms(proposals: Sequence[Proposal], tiou_threshold: float) -> list[Proposal]:
 
 
 def decode(signals: Sequence[ProbabilitySignal], config: DecoderConfig) -> list[Proposal]:
-    """Decode one video's pyramid of fused signals into scored proposals.
+    """Decode one video's pyramid of fused signals, finest first, into scored proposals.
 
     For every selected class, level and threshold, runs above the threshold
     become segments, segments map onto the level-1 snippets pooled into them
-    (a run ``[s, e]`` at the ratio ``pyramid_scales`` reads from the lengths
-    covers ``[s*scale, min((e+1)*scale, L) - 1]``), get scored by outer-inner
+    (a run ``[a, b]`` at the ratio ``s`` that ``pyramid_scales`` reads from the
+    lengths covers ``[a*s, min((b+1)*s, L) - 1]``), get scored by outer-inner
     contrast there (once per distinct segment), and the pool, repeats
     included, is reduced with NMS.
     """

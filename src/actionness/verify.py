@@ -380,15 +380,16 @@ def run_suite(name: str, samples: int | None = None, seed: int | None = None) ->
     Without them the suite runs at its built-in sizes and seed.
     """
     kwargs = {} if seed is None else {"seed": seed}
-    if samples is not None and name == "gradients":
-        kwargs.update(instances=samples)
-    elif samples is not None and name == "fitting":
-        kwargs.update(samples=samples, grid_checks=max(1, samples // 40))
-    elif samples is not None:
-        kwargs.update(
-            optimizer_cases=max(1, samples // 10),
-            ap_cases=samples,
-            nms_cases=max(1, samples // 2),
-            idempotence_cases=samples,
-        )
+    if samples is not None:
+        if name == "gradients":
+            kwargs.update(instances=samples)
+        elif name == "fitting":
+            kwargs.update(samples=samples, grid_checks=max(1, samples // 40))
+        else:
+            kwargs.update(
+                optimizer_cases=max(1, samples // 10),
+                ap_cases=samples,
+                nms_cases=max(1, samples // 2),
+                idempotence_cases=samples,
+            )
     return SUITES[name](**kwargs)

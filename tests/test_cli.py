@@ -521,15 +521,9 @@ def fails_cleanly(result, fragment):
     assert isinstance(result.exception, SystemExit)  # not a traceback
 
 
-def small_signal(video_id="v0", level=1):
-    values = np.full((8, 3), 0.1)
-    values[2:5, 0] = 0.9
-    return ProbabilitySignal(video_id, level, values)
-
-
-def level_signal(level, length, video_id="v0"):
+def small_signal(video_id="v0", level=1, length=8):
     values = np.full((length, 3), 0.1)
-    values[: length // 2, 0] = 0.9
+    values[2:5, 0] = 0.9
     return ProbabilitySignal(video_id, level, values)
 
 
@@ -547,7 +541,7 @@ class TestInconsistentPyramid:
              "decode-no-level-1"],
     )
     def test_rejected(self, runner, tmp_path, command, lengths, fragment):
-        save_signals(tmp_path / "v0.json", [level_signal(level, length) for level, length in lengths.items()])
+        save_signals(tmp_path / "v0.json", [small_signal(level=level, length=length) for level, length in lengths.items()])
         out_file = tmp_path / "out.json"
         args = [command, "--signals", str(tmp_path / "v0.json"), "--out", str(out_file)]
         if command == "adm":
