@@ -304,7 +304,7 @@ def label_videos(
 ) -> list[PseudoLabel]:
     """Fit one pseudo-label per annotated point, video by video in sorted id order.
 
-    ``grouped_levels`` maps each video id to its pyramid levels, finest first,
+    ``grouped_levels`` maps each video id to its pyramid levels, in any order,
     each annotated video's checked by ``pyramid_scales``. Background points
     come from level 1 once every point is widened by ``config.r_a``; the fits
     run on the coarsest level, smoothed and then upsampled to the level-1
@@ -319,7 +319,7 @@ def label_videos(
 
     labels: list[PseudoLabel] = []
     for video_id in sorted(by_video):
-        levels = grouped_levels[video_id]
+        levels = sorted(grouped_levels[video_id], key=lambda s: s.level)
         pyramid_scales(levels)
         finest, coarsest = levels[0], levels[-1]
         video_points = by_video[video_id]

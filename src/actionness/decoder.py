@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -152,12 +153,14 @@ def nms(proposals: Sequence[Proposal], tiou_threshold: float) -> list[Proposal]:
 
 
 def decode(signals: Sequence[ProbabilitySignal], config: DecoderConfig) -> list[Proposal]:
-    """Decode one video's pyramid of fused signals, finest first, into scored proposals.
+    """Decode one video's pyramid of fused signals, in any level order, into scored proposals.
 
     For every selected class, level and threshold, runs above the threshold
     become segments, segments map onto the level-1 snippets pooled into them
     (a run ``[a, b]`` at the ratio ``s`` that ``pyramid_scales`` reads from the
-    lengths covers ``[a*s, min((b+1)*s, L) - 1]``), get scored by outer-inner
+    lengths covers ``[a*s, min((b+1)*s, E) - 1]``, where ``E``, the level-1
+    snippets the level covers, is the least ``n*s`` over it and the levels
+    below it, ``n`` each one's length), get scored by outer-inner
     contrast there (once per distinct segment), and the pool, repeats
     included, is reduced with NMS.
     """
@@ -166,8 +169,11 @@ def decode(signals: Sequence[ProbabilitySignal], config: DecoderConfig) -> list[
     video_id = signals[0].video_id
     if any(s.video_id != video_id for s in signals):
         raise InvalidInputError("all signals must belong to the same video")
+    signals = sorted(signals, key=lambda s: s.level)
     scales = pyramid_scales(signals)
-    ref_length = signals[0].length
+    # the level-1 snippets each level covers: level 1's, less any that a
+    # floor-pooled level at or below it dropped from the end
+    extents = list(itertools.accumulate((sig.length * scale for sig, scale in zip(signals, scales)), min))
 
     per_level = []
     for sig in signals:
@@ -181,13 +187,13 @@ def decode(signals: Sequence[ProbabilitySignal], config: DecoderConfig) -> list[
         reference_column = signals[0].class_column(class_id)
         # the same segment recurs across thresholds and levels: score it once
         scores: dict[tuple[int, int], float] = {}
-        for sig, scale in zip(signals, scales):
+        for sig, scale, extent in zip(signals, scales, extents):
             column = sig.class_column(class_id)
             for threshold in config.thresholds:
                 for seg_start, seg_end in threshold_merge(column, threshold):
                     # coarse snippet j pools level-1 snippets j*scale .. (j+1)*scale - 1
                     start = seg_start * scale
-                    end = min((seg_end + 1) * scale, ref_length) - 1
+                    end = min((seg_end + 1) * scale, extent) - 1
                     if (start, end) not in scores:
                         scores[start, end] = oic_score(reference_column, (start, end), config.oic_inflation)
                     pool.append(Proposal(video_id, start, end, class_id, scores[start, end]))
@@ -195,7 +201,7 @@ def decode(signals: Sequence[ProbabilitySignal], config: DecoderConfig) -> list[
 
 
 def decode_videos(grouped_levels: Mapping[str, Sequence[ProbabilitySignal]], config: DecoderConfig) -> list[Proposal]:
-    """Decode each video's levels, finest first, in sorted video id order."""
+    """Decode each video's levels in sorted video id order."""
     proposals: list[Proposal] = []
     for video_id in sorted(grouped_levels):
         proposals.extend(decode(grouped_levels[video_id], config))

@@ -3,7 +3,8 @@
 A probability signal is a (T, C+1) grid of per-snippet probabilities at one
 pyramid level: C class columns followed by one background column. Class ids
 are 1-based throughout, so class ``c`` lives in column ``c - 1``.
-``pyramid_scales`` reads each coarser level's ratio to level 1 from the lengths.
+``pyramid_scales`` reads each coarser level's ratio to level 1 from the lengths,
+as the product of integer pooling steps from level to level.
 """
 
 from __future__ import annotations
@@ -148,27 +149,34 @@ def upsample_signal(signal: ProbabilitySignal, target_length: int) -> Probabilit
 def pyramid_scales(levels: Sequence[ProbabilitySignal]) -> list[int]:
     """Each level's snippet ratio to level 1, read from one video's level lengths.
 
-    ``levels`` is the video's pyramid, finest first, and must start at level 1.
-    A level of ``n`` snippets over ``L`` level-1 snippets has the ratio
-    ``s = round(L / n)`` and must hold ``L // s`` or ``ceil(L / s)`` snippets;
-    the ratios must strictly increase. Anything else raises
-    ``InvalidInputError`` naming the video.
+    ``levels`` is the video's pyramid, finest first, starting at level 1. Each
+    level pools the level below it, of ``m`` snippets, by an integer step
+    ``r >= 2`` into ``m // r`` or ``ceil(m / r)`` snippets, so its ratio to
+    level 1 is the product of the steps up to it. Where more than one step fits
+    a length, which takes a level shorter than twice its step (4 snippets pool
+    into 2 by 2 or by 3), the smallest is read, so a pyramid that halves is
+    always read exactly. Anything else raises ``InvalidInputError`` naming
+    the video.
     """
-    video_id, length = levels[0].video_id, levels[0].length
-    if levels[0].level != 1:
+    video_id = levels[0].video_id
+    numbers = [signal.level for signal in levels]
+    if 1 not in numbers:
         raise InvalidInputError(
-            f"video {video_id!r} has no level 1 (its finest level is {levels[0].level}); "
+            f"video {video_id!r} has no level 1 (its levels are {numbers}); "
             "annotations, ground truth and proposals index level-1 snippets"
         )
+    if numbers != sorted(set(numbers)):
+        raise InvalidInputError(f"video {video_id!r}: levels {numbers} must be given finest first, each once")
     scales = [1]
-    for signal in levels[1:]:
-        scale = round(length / signal.length)
-        if scale <= scales[-1] or signal.length not in (length // scale, -(-length // scale)):
+    for below, signal in zip(levels, levels[1:]):
+        # the smallest step that pools ``below`` into at most ``signal.length`` snippets
+        step = max(2, below.length // (signal.length + 1) + 1)
+        if signal.length > -(-below.length // step):
             raise InvalidInputError(
-                f"video {video_id!r}: level {signal.level} has {signal.length} snippets, which is "
-                f"level 1's {length} pooled by no integer ratio above {scales[-1]}"
+                f"video {video_id!r}: level {signal.level} has {signal.length} snippets, which no "
+                f"integer step of 2 or more pools level {below.level}'s {below.length} snippets into"
             )
-        scales.append(scale)
+        scales.append(scales[-1] * step)
     return scales
 
 

@@ -338,6 +338,11 @@ class TestLabelVideos:
             errors for _, errors in expected
         ]
 
+    def test_levels_in_any_order(self):
+        grouped, points = synth_dataset()
+        reordered = {video_id: levels[::-1] for video_id, levels in grouped.items()}
+        assert label_videos(reordered, points, ADMConfig()) == label_videos(grouped, points, ADMConfig())
+
     @pytest.mark.parametrize("levels", [(2,), (2, 3)])
     def test_finest_level_must_be_one(self, levels):
         values = np.full((8, 2), 0.5)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from actionness import decoder
@@ -235,6 +235,29 @@ class TestDecode:
         coarse = make_signal(coarse_columns, level=2)
         assert [p.interval for p in decode([fine, coarse], self.config())] == [expected]
 
+    @pytest.mark.parametrize(
+        "lengths, run, expected",
+        [
+            ((111, 55, 27, 13), (12, 12), (96, 103)),
+            ((97, 49, 25, 13), (12, 12), (96, 96)),
+            ((111, 55, 28), (27, 27), (108, 109)),
+            ((5, 3, 2), (1, 1), (4, 4)),
+        ],
+        ids=["floor-pooled", "ceil-pooled", "ceil-pooled-over-floor-pooled", "short-ceil-pooled"],
+    )
+    def test_coarsest_run_ends_at_its_last_pooled_snippet(self, lengths, run, expected):
+        levels = [make_signal(np.full((length, 1), 0.05), level=level) for level, length in enumerate(lengths, 1)]
+        coarsest = levels[-1].values.copy()
+        coarsest[run[0] : run[1] + 1, 0] = 0.8
+        levels[-1] = ProbabilitySignal("v0", len(lengths), coarsest)
+        assert [p.interval for p in decode(levels, self.config())] == [expected]
+
+    def test_levels_in_any_order(self):
+        video = generate_video(SyntheticConfig(length=256, num_classes=2), np.random.default_rng(4), "v0")
+        values = video.signal.values
+        levels = [video.signal, ProbabilitySignal("v0", 2, 0.5 * (values[0::2] + values[1::2]))]
+        assert decode(levels[::-1], self.config()) == decode(levels, self.config())
+
     def test_requires_signals(self):
         with pytest.raises(InvalidInputError):
             decode([], DecoderConfig())
@@ -242,25 +265,26 @@ class TestDecode:
 
 @settings(max_examples=60, deadline=None)
 @given(
-    scales=st.lists(st.integers(2, 5), min_size=1, max_size=3, unique=True).map(sorted),
+    steps=st.lists(st.integers(2, 5), min_size=1, max_size=3),
     ceil_pooled=st.lists(st.booleans(), min_size=3, max_size=3),
-    extra_length=st.integers(0, 150),
+    length=st.integers(1, 300),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_coarse_runs_cover_the_snippets_pooled_into_them(scales, ceil_pooled, extra_length, seed):
-    # a ratio reads back from a level's length only over a long enough level 1:
-    # more than 2*s*s + s snippets suffice for ratio s (level 1 of 5 pooled by 3
-    # into 2 snippets reads as ratio 2)
-    length = 2 * scales[-1] ** 2 + scales[-1] + 1 + extra_length
+def test_coarse_runs_cover_the_snippets_pooled_into_them(steps, ceil_pooled, length, seed):
     fine = np.random.default_rng(seed).uniform(0.0, 1.0, (length, 2))
     levels = [ProbabilitySignal("v0", 1, fine)]
     groups = [[[t] for t in range(length)]]  # each level's snippets, as the level-1 snippets pooled into them
-    for level, (scale, ceil) in enumerate(zip(scales, ceil_pooled), start=2):
-        count = -(-length // scale) if ceil else length // scale
-        pooled = [list(range(j * scale, min((j + 1) * scale, length))) for j in range(count)]
+    for level, (step, ceil) in enumerate(zip(steps, ceil_pooled), start=2):
+        below = groups[-1]
+        count = -(-len(below) // step) if ceil else len(below) // step
+        assume(count >= 1)
+        # a length fits several steps only on a short level; the smallest is read
+        fitting = [r for r in range(2, len(below) + 2) if count in (len(below) // r, -(-len(below) // r))]
+        assume(fitting[0] == step)
+        pooled = [sum(below[j * step : (j + 1) * step], []) for j in range(count)]
         levels.append(ProbabilitySignal("v0", level, np.array([fine[snippets].mean(axis=0) for snippets in pooled])))
         groups.append(pooled)
-    assert pyramid_scales(levels) == [1, *scales]
+    assert pyramid_scales(levels) == list(np.cumprod([1, *steps]))
 
     config = DecoderConfig()
     pools = []

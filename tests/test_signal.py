@@ -152,19 +152,35 @@ def pyramid(*lengths, first_level=1):
 class TestPyramidScales:
     @pytest.mark.parametrize(
         "lengths, scales",
-        [((64,), [1]), ((64, 32, 16), [1, 2, 4]), ((65, 33, 13), [1, 2, 5]), ((65, 32, 22), [1, 2, 3])],
+        [
+            ((64,), [1]),
+            ((64, 32, 16), [1, 2, 4]),
+            ((111, 55, 27, 13), [1, 2, 4, 8]),  # floor-pooled by 2; 13 is also ceil(111 / 9)
+            ((97, 49, 25, 13), [1, 2, 4, 8]),  # ceil-pooled by 2; 13 is also 97 // 7
+            ((5, 3, 2), [1, 2, 4]),
+            ((65, 32, 10), [1, 2, 6]),
+            ((66, 22, 11), [1, 3, 6]),
+            ((4, 2), [1, 2]),  # steps 2 and 3 both fit: the smaller is read
+            ((1, 1), [1, 2]),
+        ],
     )
     def test_ratios_read_from_lengths(self, lengths, scales):
         assert pyramid_scales(pyramid(*lengths)) == scales
 
     @pytest.mark.parametrize(
         "lengths, first_level",
-        [((64, 128), 1), ((64, 40), 1), ((64, 32, 30), 1), ((64, 32, 64), 1), ((32, 16), 2)],
-        ids=["longer", "off-ratio", "ratio-repeated", "ratio-falls", "no-level-1"],
+        [((64, 128), 1), ((64, 40), 1), ((64, 32, 30), 1), ((64, 32, 64), 1), ((65, 33, 13), 1), ((32, 16), 2)],
+        ids=["longer", "off-ratio", "ratio-repeated", "ratio-falls", "not-pooled-from-the-level-below", "no-level-1"],
     )
     def test_inconsistent_pyramid_names_the_video(self, lengths, first_level):
         with pytest.raises(InvalidInputError, match="video 'v0'"):
             pyramid_scales(pyramid(*lengths, first_level=first_level))
+
+    @pytest.mark.parametrize("numbers", [(2, 1), (1, 1)], ids=["coarsest-first", "level-repeated"])
+    def test_levels_out_of_order_name_the_video(self, numbers):
+        levels = [make_signal(np.full((8 // number, 2), 0.5), level=number) for number in numbers]
+        with pytest.raises(InvalidInputError, match="video 'v0': levels .* must be given finest first, each once"):
+            pyramid_scales(levels)
 
 
 class TestAugmentPoints:
