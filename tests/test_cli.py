@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -676,3 +677,49 @@ class TestMalformedInput:
         )
         fails_cleanly(result, fragment)
         assert not (tmp_path / "r.json").exists()
+
+
+# SHA-256 of every JSON/CSV output and of each command's stdout of a tiny
+# synth → adm → eval → decode → eval run. ``.npz`` bytes are left out: their
+# array headers come from numpy's writer.
+PINNED_DIGESTS = {
+    "data/annotations.json": "98dc409b717702569913fab92354292278c3a1f510223f75682fec15a54d5b9b",
+    "data/gt.json": "04e1b233c59c3886b1d53b991465e5f150679a99fd201b1f4a9bb1121650fabc",
+    "data/manifest.json": "88b7c58dfbdb4bc37952c52ef5c1f901fa160529fe818bb9c1924b38ebec53d1",
+    "labels.json": "c14832f5a840f59f30417595c3bc3ef759571e391bfded6a25fb408f756afe20",
+    "labels_eval.csv": "01c7bc2dce139fd00a9f2c4f2328d1860c18ec8c845502486cb01c139b025150",
+    "labels_eval.json": "906298b4fdbd1f05c276cfb64f13794ec233297b740f138b925dbccb4c887741",
+    "proposals.json": "a5fc8b72a6048fcb3aaafd4511f052cfa5c668a14529e9d9f5e3c019ef9cda8c",
+    "proposals_eval.csv": "b6792bdb9477d2b2f79f0af2bdd9259099b224c47f79f735fd6548d5bf0584a8",
+    "proposals_eval.json": "4d8f146c0a519c1becddb45897d2142dd880a1e600f44b38a7106afb2598396c",
+    "stdout:adm": "3b4681d96c62a1904f3808c4fdeeeaacad3927472807056575b5f0b4c4214b6c",
+    "stdout:decode": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "stdout:eval-labels": "8fbc90c7b980f0d2bd1dde928024587e85f4e8b65172bf94aad43adbdcb33059",
+    "stdout:eval-proposals": "dc8b11e0887db0b4041f0fdc88a2909da5bc38a3235d9c97cb556f677109f104",
+    "stdout:synth": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+}
+
+
+def test_pipeline_outputs_byte_pinned(runner, tmp_path):
+    data = tmp_path / "data"
+    commands = {
+        "synth": synth_args(data, videos=4, noise="0.05"),
+        "adm": ["adm", "--signals", str(data / "signals"), "--annotations", str(data / "annotations.json"),
+                "--out", str(tmp_path / "labels.json")],
+        "eval-labels": ["eval", str(tmp_path / "labels.json"), "--gt", str(data / "gt.json"),
+                        "--out-json", str(tmp_path / "labels_eval.json"), "--out-csv", str(tmp_path / "labels_eval.csv")],
+        "decode": ["decode", "--signals", str(data / "signals"), "--out", str(tmp_path / "proposals.json"),
+                   "--top-k-fraction", "0.0625", "--class-threshold", "0.3"],
+        "eval-proposals": ["eval", str(tmp_path / "proposals.json"), "--gt", str(data / "gt.json"),
+                           "--out-json", str(tmp_path / "proposals_eval.json"),
+                           "--out-csv", str(tmp_path / "proposals_eval.csv")],
+    }
+    digests = {}
+    for name, args in commands.items():
+        result = invoke(runner, args)
+        assert result.exit_code == 0, result.output
+        digests[f"stdout:{name}"] = hashlib.sha256(result.output.encode()).hexdigest()
+    for path in sorted(tmp_path.rglob("*")):
+        if path.suffix in (".json", ".csv"):
+            digests[str(path.relative_to(tmp_path))] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digests == PINNED_DIGESTS
