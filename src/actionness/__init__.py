@@ -23,8 +23,8 @@ from .errors import InvalidInputError, NumericError, PackingError
 from .evaluation import (
     EvalReport,
     GroundTruthInstance,
-    PseudoLabelQuality,
     average_precision,
+    evaluate,
     map_report,
     pseudo_label_quality,
     tiou,
@@ -55,7 +55,7 @@ from .signal import (
     smooth_signal,
     upsample_signal,
 )
-from .synth import SyntheticConfig, SyntheticVideo, derive_background_points, generate_video, sample_point
+from .synth import SyntheticConfig, SyntheticVideo, derive_background_points, generate_dataset, generate_video, sample_point
 from .verify import run_suite
 
 __version__ = "0.1.0"

@@ -20,7 +20,7 @@ import numpy as np
 from .adm import ADMConfig, label_videos
 from .decoder import DecoderConfig, decode_videos
 from .errors import InvalidInputError, NumericError, PackingError
-from .evaluation import map_report, pseudo_label_quality
+from .evaluation import evaluate
 from .signal import ProbabilitySignal, fuse_probabilities
 from .storage import (
     group_signals_by_video,
@@ -37,7 +37,7 @@ from .storage import (
     save_signals,
     write_json_atomic,
 )
-from .synth import SyntheticConfig, generate_video, sample_point
+from .synth import SyntheticConfig, generate_dataset
 from .verify import SUITES, run_suite
 
 log = logging.getLogger("actionness")
@@ -138,40 +138,17 @@ def synth(out_dir, videos, length, num_classes, instances, durations, shape_weig
             background_level=background_level,
             seed=seed,
         )
+        manifest, dataset = generate_dataset(config, videos, point_mode)
         signals_dir = out_dir / "signals"
         signals_dir.mkdir(parents=True, exist_ok=True)
-
-        ground_truth = []
-        annotations = []
-        video_ids = []
-        for index in range(videos):
-            video_id = f"video-{index:04d}"
-            rng = np.random.default_rng([seed, index])
-            video = generate_video(config, rng, video_id)
-            save_signals(signals_dir / f"{video_id}.npz", [video.signal])
+        ground_truth, annotations = [], []
+        for video, points in dataset:
+            save_signals(signals_dir / f"{video.signal.video_id}.npz", [video.signal])
             ground_truth.extend(video.gt)
-            annotations.extend(sample_point(instance, point_mode, rng) for instance in video.gt)
-            video_ids.append(video_id)
+            annotations.extend(points)
         save_ground_truth(out_dir / "gt.json", ground_truth)
         save_annotations(out_dir / "annotations.json", annotations)
-        write_json_atomic(
-            out_dir / "manifest.json",
-            {
-                "videos": video_ids,
-                "video_seeds": [[seed, index] for index in range(videos)],
-                "point_mode": point_mode,
-                "config": {
-                    "length": config.length,
-                    "num_classes": config.num_classes,
-                    "instances_per_video": list(config.instances_per_video),
-                    "duration_range": list(config.duration_range),
-                    "shape_mix": config.shape_mix,
-                    "noise_std": config.noise_std,
-                    "background_level": config.background_level,
-                    "seed": config.seed,
-                },
-            },
-        )
+        write_json_atomic(out_dir / "manifest.json", manifest)
     except _FAILURES as exc:
         _fail(str(exc))
     log.info("wrote %d videos to %s", videos, out_dir)
@@ -258,30 +235,16 @@ def eval_cmd(input_path, gt_path, thresholds, out_json, out_csv):
     try:
         threshold_list = _parse_thresholds(thresholds)
         gt = load_ground_truth(gt_path)
-        if not gt:
-            raise InvalidInputError(f"ground-truth file {gt_path} is empty")
-
         kind, records = load_eval_input(input_path)
-        extra = None
-        if kind == "pseudo-label":
-            quality = pseudo_label_quality(records, gt, threshold_list)
-            report = quality.eval
-            extra = {
-                "pseudo_label_quality": {
-                    "alpha": quality.alpha,
-                    "mean_tiou": quality.mean_tiou,
-                }
-            }
-            click.echo(f"alpha: {quality.alpha:.6f}")
-            click.echo(f"mean_tiou: {quality.mean_tiou:.6f}")
-        else:
-            report = map_report(records, gt, threshold_list)
-
-        save_report_json(out_json, report, extra)
+        report = evaluate(kind, records, gt, threshold_list)
+        save_report_json(out_json, report)
         save_report_csv(out_csv, report)
     except _FAILURES as exc:
         _fail(str(exc))
 
+    if report.alpha is not None:
+        click.echo(f"alpha: {report.alpha:.6f}")
+        click.echo(f"mean_tiou: {report.mean_tiou:.6f}")
     click.echo("tIoU    mAP")
     for threshold in report.thresholds:
         click.echo(f"{threshold:<7g} {report.map_at[threshold] * 100.0:6.2f}%")

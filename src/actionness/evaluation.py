@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -36,21 +36,15 @@ class GroundTruthInstance:
 
 @dataclass
 class EvalReport:
-    """AP per (class, threshold), mAP per threshold, and the range average."""
+    """AP per (class, threshold), mAP per threshold, and the range average; a report
+    on pseudo-labels also holds their count ratio and mean best-match tIoU."""
 
     thresholds: list[float]
     ap: dict[tuple[int, float], float]
     map_at: dict[float, float]
     average_map: float
-
-
-@dataclass
-class PseudoLabelQuality:
-    """Pseudo-label statistics: count ratio, best-match tIoU, detection quality."""
-
-    alpha: float
-    mean_tiou: float
-    eval: EvalReport
+    alpha: float | None = None
+    mean_tiou: float | None = None
 
 
 def tiou(a: tuple[int, int], b: tuple[int, int]) -> float:
@@ -214,8 +208,8 @@ def pseudo_label_quality(
     pseudo_labels: Sequence["PseudoLabel"],
     gt: Sequence[GroundTruthInstance],
     thresholds: Sequence[float],
-) -> PseudoLabelQuality:
-    """Count ratio, mean best-match tIoU, and unit-score detection quality.
+) -> EvalReport:
+    """Unit-score detection quality, with the count ratio and mean best-match tIoU.
 
     A GT instance's best match is the largest tIoU of any label of its video
     and class (0 when there is none): the column max of that (video, class)
@@ -244,4 +238,18 @@ def pseudo_label_quality(
         for label in pseudo_labels
     ]
     report = map_report(as_proposals, gt, thresholds)
-    return PseudoLabelQuality(alpha, float(np.mean(best_matches)), report)
+    return replace(report, alpha=alpha, mean_tiou=float(np.mean(best_matches)))
+
+
+def evaluate(
+    kind: str,
+    records: Sequence["PseudoLabel"] | Sequence["Proposal"],
+    gt: Sequence[GroundTruthInstance],
+    thresholds: Sequence[float],
+) -> EvalReport:
+    """Score what ``storage.load_eval_input`` returns: pseudo-labels with
+    ``pseudo_label_quality``, proposals with ``map_report``."""
+    if kind not in ("pseudo-label", "proposal"):
+        raise InvalidInputError(f"unknown eval input kind {kind!r}")
+    score = pseudo_label_quality if kind == "pseudo-label" else map_report
+    return score(records, gt, thresholds)

@@ -321,7 +321,7 @@ def _threshold_key(threshold: float) -> str:
 
 def report_to_dict(report: EvalReport) -> dict:
     classes = sorted({class_id for class_id, _ in report.ap})
-    return {
+    payload = {
         "thresholds": report.thresholds,
         "ap": {
             str(class_id): {
@@ -332,13 +332,13 @@ def report_to_dict(report: EvalReport) -> dict:
         "map_at": {_threshold_key(t): report.map_at[t] for t in report.thresholds},
         "average_map": report.average_map,
     }
+    if report.alpha is not None:
+        payload["pseudo_label_quality"] = {"alpha": report.alpha, "mean_tiou": report.mean_tiou}
+    return payload
 
 
-def save_report_json(path: Path | str, report: EvalReport, extra: dict | None = None) -> None:
-    payload = report_to_dict(report)
-    if extra:
-        payload.update(extra)
-    write_json_atomic(path, payload)
+def save_report_json(path: Path | str, report: EvalReport) -> None:
+    write_json_atomic(path, report_to_dict(report))
 
 
 def save_report_csv(path: Path | str, report: EvalReport) -> None:

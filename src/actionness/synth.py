@@ -8,7 +8,8 @@ numpy Generator so repeated runs are bit-identical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -169,6 +170,30 @@ def sample_point(
     else:
         raise InvalidInputError(f"unknown sampling mode {mode!r}")
     return PointAnnotation(instance.video_id, t, instance.class_id)
+
+
+def generate_dataset(
+    config: SyntheticConfig, videos: int, point_mode: str
+) -> tuple[dict, Iterator[tuple[SyntheticVideo, list[PointAnnotation]]]]:
+    """The dataset's manifest, and a stream of its videos, each with one sampled point per instance.
+
+    Video ``index`` is ``video-<index:04d>``; ``default_rng([config.seed, index])``
+    draws it, then its points.
+    """
+    manifest = {
+        "videos": [f"video-{index:04d}" for index in range(videos)],
+        "video_seeds": [[config.seed, index] for index in range(videos)],
+        "point_mode": point_mode,
+        "config": asdict(config),
+    }
+
+    def stream():
+        for index, video_id in enumerate(manifest["videos"]):
+            rng = np.random.default_rng([config.seed, index])
+            video = generate_video(config, rng, video_id)
+            yield video, [sample_point(instance, point_mode, rng) for instance in video.gt]
+
+    return manifest, stream()
 
 
 def derive_background_points(video: SyntheticVideo, threshold: float) -> BackgroundPoints:

@@ -29,7 +29,7 @@ from actionness.signal import (
     smooth_signal,
     upsample_signal,
 )
-from actionness.synth import SyntheticConfig, generate_video, sample_point
+from actionness.synth import SyntheticConfig, generate_dataset
 
 
 def background(*indices):
@@ -291,15 +291,13 @@ def synth_dataset(videos=6, seed=11):
         length=256, num_classes=3, instances_per_video=(1, 4), duration_range=(8, 48), noise_std=0.05, seed=seed
     )
     grouped, points = {}, []
-    for index in range(videos):
-        rng = np.random.default_rng([seed, index])
-        video = generate_video(config, rng, f"v{index}")
+    for index, (video, video_points) in enumerate(generate_dataset(config, videos, "gaussian")[1]):
         levels = [video.signal]
         if index % 2:
             values = video.signal.values
             levels.append(ProbabilitySignal(video.signal.video_id, 2, 0.5 * (values[0::2] + values[1::2])))
         grouped[video.signal.video_id] = levels
-        points.extend(sample_point(instance, "gaussian", rng) for instance in video.gt)
+        points.extend(video_points)
     # a one-snippet video: the boundary is the peak itself, too tight to fit
     grouped["tiny"] = [ProbabilitySignal("tiny", 1, np.array([[0.7, 0.1, 0.1, 0.3]]))]
     points.append(PointAnnotation("tiny", 0, 2))

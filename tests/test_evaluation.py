@@ -9,6 +9,7 @@ from actionness.errors import InvalidInputError
 from actionness.evaluation import (
     GroundTruthInstance,
     average_precision,
+    evaluate,
     map_report,
     pseudo_label_quality,
     tiou,
@@ -160,7 +161,7 @@ class TestPseudoLabelQuality:
         quality = pseudo_label_quality(labels, instances, THUMOS_RANGE)
         assert quality.alpha == 1.0
         assert quality.mean_tiou == 1.0
-        assert quality.eval.average_map == 1.0
+        assert quality.average_map == 1.0
 
     def test_alpha_counts_ratio(self):
         instances = [gt("v0", 5, 20)]
@@ -177,6 +178,31 @@ class TestPseudoLabelQuality:
     def test_empty_gt_rejected(self):
         with pytest.raises(InvalidInputError):
             pseudo_label_quality([], [], [0.5])
+
+
+class TestEvaluate:
+    def test_labels_carry_their_quality(self):
+        instances = [gt("v0", 5, 20, 1), gt("v1", 10, 40, 2)]
+        labels = [label("v0", 5, 20, 1), label("v1", 12, 40, 2)]
+        report = evaluate("pseudo-label", labels, instances, THUMOS_RANGE)
+        assert report == pseudo_label_quality(labels, instances, THUMOS_RANGE)
+        assert report.alpha == 1.0 and report.mean_tiou == pytest.approx((1.0 + 29 / 31) / 2)
+
+    def test_proposals_carry_no_label_quality(self):
+        instances = [gt("v0", 5, 20, 1)]
+        proposals = [prop("v0", 5, 20, 0.9)]
+        report = evaluate("proposal", proposals, instances, THUMOS_RANGE)
+        assert report == map_report(proposals, instances, THUMOS_RANGE)
+        assert report.alpha is None and report.mean_tiou is None
+
+    @pytest.mark.parametrize("kind", ["pseudo-label", "proposal"])
+    def test_empty_gt_rejected(self, kind):
+        with pytest.raises(InvalidInputError, match="requires ground truth"):
+            evaluate(kind, [], [], [0.5])
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(InvalidInputError, match="unknown eval input kind"):
+            evaluate("annotation", [], [gt("v0", 5, 20)], [0.5])
 
 
 # --- properties over random multi-video, multi-class pools -----------------

@@ -258,6 +258,14 @@ def test_report_json_and_csv(tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "tiou,class_1,class_2,mAP"
     assert len(lines) == 3
+    assert "pseudo_label_quality" not in payload
+
+
+def test_report_json_of_labels_holds_their_quality(tmp_path):
+    report = EvalReport([0.5], {(1, 0.5): 1.0}, {0.5: 1.0}, 1.0, alpha=1.5, mean_tiou=0.75)
+    save_report_json(tmp_path / "report.json", report)
+    payload = json.loads((tmp_path / "report.json").read_text())
+    assert payload["pseudo_label_quality"] == {"alpha": 1.5, "mean_tiou": 0.75}
 
 
 def test_writes_are_atomic_no_temp_left(tmp_path):

@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from actionness import synth
 from actionness.decoder import threshold_merge
 from actionness.errors import InvalidInputError, PackingError
 from actionness.evaluation import GroundTruthInstance
 from actionness.synth import (
     SyntheticConfig,
     derive_background_points,
+    generate_dataset,
     generate_video,
     sample_point,
 )
@@ -129,6 +133,35 @@ class TestSamplePoint:
     def test_unknown_mode_rejected(self):
         with pytest.raises(InvalidInputError):
             sample_point(GroundTruthInstance("v0", 0, 5, 1), "triangular", np.random.default_rng(0))
+
+
+class TestGenerateDataset:
+    def test_each_video_from_its_own_seeded_generator(self):
+        config = make_config(noise_std=0.05)
+        manifest, dataset = generate_dataset(config, 3, "uniform")
+        for index, (video, points) in enumerate(dataset):
+            rng = np.random.default_rng([config.seed, index])
+            expected = generate_video(config, rng, f"video-{index:04d}")
+            assert np.array_equal(video.signal.values, expected.signal.values)
+            assert video.gt == expected.gt
+            assert points == [sample_point(instance, "uniform", rng) for instance in expected.gt]
+        assert index == 2
+        assert manifest["videos"] == ["video-0000", "video-0001", "video-0002"]
+        assert manifest["video_seeds"] == [[7, 0], [7, 1], [7, 2]]
+
+    def test_manifest_records_the_whole_config(self):
+        config = make_config()
+        manifest, _ = generate_dataset(config, 2, "gaussian")
+        assert manifest["point_mode"] == "gaussian"
+        assert manifest["config"] == dataclasses.asdict(config)
+
+    def test_videos_stream_one_at_a_time(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(synth, "generate_video", lambda *args: made.append(args[2]) or generate_video(*args))
+        _, dataset = generate_dataset(make_config(), 1000, "gaussian")
+        assert made == []
+        next(dataset)
+        assert made == ["video-0000"]
 
 
 class TestDeriveBackgroundPoints:
