@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import sys
 import time
@@ -44,6 +45,7 @@ log = logging.getLogger("actionness")
 
 _FAILURES = (InvalidInputError, NumericError, PackingError, OSError)
 _MAX_THRESHOLDS = 1000
+_RANGE_TOLERANCE = 1e-9  # in steps
 
 
 def _fail(message: str) -> None:
@@ -70,8 +72,10 @@ def _parse_thresholds(text: str) -> list[float]:
         raise InvalidInputError(f"bad threshold range {text!r}")
     if not np.isfinite([start, stop, step]).all() or step <= 0:
         raise InvalidInputError(f"threshold range needs finite bounds and a step > 0, got {text!r}")
-    # count before building: a tiny step would otherwise allocate without bound
-    count = int(round(min((stop - start) / step, _MAX_THRESHOLDS))) + 1
+    # count before building: a tiny step would otherwise allocate without bound. The
+    # floor keeps the last threshold at or below stop; the tolerance keeps stop itself
+    # when the step divides the span but the division rounds just below a whole number.
+    count = math.floor(min((stop - start) / step, _MAX_THRESHOLDS) + _RANGE_TOLERANCE) + 1
     if count > _MAX_THRESHOLDS:
         raise InvalidInputError(f"threshold range {text!r} holds more than {_MAX_THRESHOLDS} thresholds")
     return [round(start + i * step, 10) for i in range(count)]

@@ -258,6 +258,14 @@ class TestDecodeCommand:
         assert "error: " in result.output
         assert isinstance(result.exception, SystemExit)  # not a traceback
 
+    def test_threshold_range_stops_at_stop(self, runner, tmp_path):
+        # 0.1:0.9:0.5 is 0.1 and 0.6; a rounded count would add 1.1, which decode rejects
+        empty = tmp_path / "signals"
+        empty.mkdir()
+        result = invoke(runner, ["decode", "--signals", str(empty), "--out", str(tmp_path / "p.json"),
+                                 "--thresholds", "0.1:0.9:0.5"])
+        assert result.exit_code == 0, result.output
+
     def test_deterministic(self, runner, tmp_path):
         data = tmp_path / "data"
         assert invoke(runner, synth_args(data, noise="0.05")).exit_code == 0
@@ -321,6 +329,25 @@ class TestEvalCommand:
         lines = out_csv.read_text().strip().splitlines()
         assert len(lines) == 8  # header + 7 thresholds
         assert lines[0].startswith("tiou,")
+
+    @pytest.mark.parametrize(
+        "thresholds, expected",
+        [
+            ("0.1:0.7", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]),
+            ("0.1:0.7:0.35", [0.1, 0.45]),
+            ("0.1:1.0:0.35", [0.1, 0.45, 0.8]),
+            ("0.1:1.0:0.3", [0.1, 0.4, 0.7, 1.0]),
+        ],
+    )
+    def test_threshold_range_stops_at_stop(self, runner, tmp_path, thresholds, expected):
+        gt_path, proposals_path = self.make_perfect(tmp_path)
+        result = invoke(
+            runner,
+            ["eval", str(proposals_path), "--gt", str(gt_path), "--thresholds", thresholds,
+             "--out-json", str(tmp_path / "r.json"), "--out-csv", str(tmp_path / "r.csv")],
+        )
+        assert result.exit_code == 0, result.output
+        assert load_json(tmp_path / "r.json")["thresholds"] == expected
 
     def test_swapped_classes_score_zero(self, runner, tmp_path):
         gt_path, _ = self.make_perfect(tmp_path)
