@@ -16,7 +16,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, require_finite
 from .optim import Bounds1D, minimize_bounded
 from .signal import (
     BackgroundPoints,
@@ -72,6 +72,14 @@ class ADMConfig:
     r_a: int = 2
 
     def __post_init__(self):
+        require_finite(
+            delta=self.delta,
+            gamma1=self.gamma1,
+            gamma2=self.gamma2,
+            sigma_lower=self.sigma_lower,
+            smoothing_sigma=self.smoothing_sigma,
+            background_threshold=self.background_threshold,
+        )
         if not 0.0 < self.delta <= 0.5:
             raise InvalidInputError(f"delta must be in (0, 0.5], got {self.delta}")
         if self.gamma1 < 0 or self.gamma2 < 0:

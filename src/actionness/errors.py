@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finiteness check configs share."""
+
+import math
 
 
 class InvalidInputError(ValueError):
@@ -11,3 +13,10 @@ class NumericError(RuntimeError):
 
 class PackingError(RuntimeError):
     """Synthetic instance placement could not be completed."""
+
+
+def require_finite(**values: float) -> None:
+    """Raise InvalidInputError naming the first value that is NaN or infinite."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InvalidInputError(f"{name} must be finite, got {value}")

@@ -13,7 +13,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import InvalidInputError, PackingError
+from .errors import InvalidInputError, PackingError, require_finite
 from .evaluation import GroundTruthInstance
 from .signal import BackgroundPoints, PointAnnotation, ProbabilitySignal
 
@@ -57,6 +57,11 @@ class SyntheticConfig:
         unknown = set(self.shape_mix) - set(SHAPE_NAMES)
         if unknown:
             raise InvalidInputError(f"unknown shapes {sorted(unknown)}")
+        require_finite(
+            noise_std=self.noise_std,
+            background_level=self.background_level,
+            **{f"shape_mix[{name!r}]": weight for name, weight in self.shape_mix.items()},
+        )
         if not self.shape_mix or any(w < 0 for w in self.shape_mix.values()):
             raise InvalidInputError("shape_mix weights must be nonnegative and nonempty")
         if sum(self.shape_mix.values()) <= 0:
@@ -180,6 +185,10 @@ def generate_dataset(
     Video ``index`` is ``video-<index:04d>``; ``default_rng([config.seed, index])``
     draws it, then its points.
     """
+    if videos < 1:
+        raise InvalidInputError(f"videos must be >= 1, got {videos}")
+    if config.seed < 0:
+        raise InvalidInputError(f"seed must be >= 0, got {config.seed}")
     manifest = {
         "videos": [f"video-{index:04d}" for index in range(videos)],
         "video_seeds": [[config.seed, index] for index in range(videos)],

@@ -28,7 +28,10 @@ GRADIENT_TOLERANCE = 1e-4
 FD_STEP = 1e-5
 
 
-def _require_counts(suite: str, **counts: int) -> None:
+def _require_counts(suite: str, seed: int, **counts: int) -> None:
+    """Reject a negative seed, which numpy cannot seed from, and counts below 1."""
+    if seed < 0:
+        raise InvalidInputError(f"{suite} suite: seed must be >= 0, got {seed}")
     for name, count in counts.items():
         if count < 1:
             raise InvalidInputError(f"{suite} suite: {name} must be >= 1, got {count}")
@@ -135,7 +138,7 @@ def run_gradient_suite(
     seed: int = 20240,
 ) -> dict:
     """Check every analytic gradient against central finite differences."""
-    _require_counts("gradients", instances=instances)
+    _require_counts("gradients", seed, instances=instances)
     cases = (
         ("mil", _mil_case),
         ("action_focal", _focal_case),
@@ -162,7 +165,7 @@ def run_fitting_suite(
     seed: int = 7341,
 ) -> dict:
     """Recovery of constructed profiles plus dense-grid agreement on noisy ones."""
-    _require_counts("fitting", samples=samples, grid_checks=grid_checks)
+    _require_counts("fitting", seed, samples=samples, grid_checks=grid_checks)
     rng = np.random.default_rng(seed)
     length = 512
     positions = np.arange(length, dtype=np.float64)
@@ -285,6 +288,7 @@ def run_oracle_suite(
     """Compare the minimizer, AP, and NMS against brute-force references."""
     _require_counts(
         "oracles",
+        seed,
         optimizer_cases=optimizer_cases,
         ap_cases=ap_cases,
         nms_cases=nms_cases,

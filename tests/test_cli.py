@@ -750,3 +750,57 @@ def test_pipeline_outputs_byte_pinned(runner, tmp_path):
         if path.suffix in (".json", ".csv"):
             digests[str(path.relative_to(tmp_path))] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == PINNED_DIGESTS
+
+
+def _command_args(tmp_path, command):
+    """Valid arguments for ``command`` on a one-video input, so only the flag under test is wrong."""
+    save_signals(tmp_path / "v0.npz", [small_signal(length=32)])
+    save_annotations(tmp_path / "ann.json", [PointAnnotation("v0", 3, 1)])
+    if command == "adm":
+        return ["adm", "--signals", str(tmp_path / "v0.npz"), "--annotations", str(tmp_path / "ann.json"),
+                "--out", str(tmp_path / "out.json")]
+    if command == "decode":
+        return ["decode", "--signals", str(tmp_path / "v0.npz"), "--out", str(tmp_path / "out.json")]
+    return synth_args(tmp_path / "out", videos=2)
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("adm", "--gamma1", "nan"),
+        ("adm", "--gamma2", "inf"),
+        ("adm", "--smoothing-sigma", "nan"),
+        ("adm", "--smoothing-sigma", "inf"),
+        ("decode", "--oic-inflation", "nan"),
+        ("decode", "--oic-inflation", "inf"),
+        ("decode", "--class-threshold", "nan"),
+        ("synth", "--shape-weights", "nan"),
+        ("synth", "--noise-std", "nan"),
+    ],
+)
+def test_non_finite_config_values_fail_cleanly(runner, tmp_path, command, flag, value):
+    extra = [flag, value, "1", "1"] if flag == "--shape-weights" else [flag, value]
+    result = runner.invoke(main, _command_args(tmp_path, command) + extra)
+    fails_cleanly(result, f"must be finite, got {value}")
+    assert not (tmp_path / "out.json").exists() and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "args, fragment",
+    [
+        (["synth", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["synth", "--videos", "-3"], "videos must be >= 1, got -3"),
+        (["synth", "--videos", "0"], "videos must be >= 1, got 0"),
+        (["verify", "gradients", "--seed", "-1"], "gradients suite: seed must be >= 0, got -1"),
+        (["verify", "fitting", "--seed", "-1"], "fitting suite: seed must be >= 0, got -1"),
+        (["verify", "oracles", "--seed", "-2"], "oracles suite: seed must be >= 0, got -2"),
+    ],
+)
+def test_negative_seeds_and_video_counts_fail_cleanly(runner, tmp_path, args, fragment):
+    out = tmp_path / "out"
+    if args[0] == "synth":
+        args = synth_args(out) + args[1:]
+    else:
+        args = args + ["--samples", "2", "--out", str(out)]
+    fails_cleanly(runner.invoke(main, args), fragment)
+    assert not out.exists()
