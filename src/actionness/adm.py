@@ -72,13 +72,12 @@ class ADMConfig:
     r_a: int = 2
 
     def __post_init__(self):
+        # the range checks below reject NaN and inf in the other fields
         require_finite(
-            delta=self.delta,
             gamma1=self.gamma1,
             gamma2=self.gamma2,
             sigma_lower=self.sigma_lower,
             smoothing_sigma=self.smoothing_sigma,
-            background_threshold=self.background_threshold,
         )
         if not 0.0 < self.delta <= 0.5:
             raise InvalidInputError(f"delta must be in (0, 0.5], got {self.delta}")

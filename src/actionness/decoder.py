@@ -55,12 +55,8 @@ class DecoderConfig:
             raise InvalidInputError(f"thresholds must lie in (0, 1), got {self.thresholds}")
         if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
             raise InvalidInputError("thresholds must be strictly ascending")
-        require_finite(
-            oic_inflation=self.oic_inflation,
-            nms_tiou=self.nms_tiou,
-            class_score_threshold=self.class_score_threshold,
-            top_k_fraction=self.top_k_fraction,
-        )
+        # the range checks reject NaN and inf in the other fields
+        require_finite(oic_inflation=self.oic_inflation, class_score_threshold=self.class_score_threshold)
         if self.oic_inflation <= 0:
             raise InvalidInputError(f"oic_inflation must be > 0, got {self.oic_inflation}")
         if not 0.0 < self.nms_tiou < 1.0:

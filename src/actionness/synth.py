@@ -57,11 +57,9 @@ class SyntheticConfig:
         unknown = set(self.shape_mix) - set(SHAPE_NAMES)
         if unknown:
             raise InvalidInputError(f"unknown shapes {sorted(unknown)}")
-        require_finite(
-            noise_std=self.noise_std,
-            background_level=self.background_level,
-            **{f"shape_mix[{name!r}]": weight for name, weight in self.shape_mix.items()},
-        )
+        # the range check below rejects NaN and inf in background_level
+        weights = {f"shape_mix[{name!r}]": weight for name, weight in self.shape_mix.items()}
+        require_finite(noise_std=self.noise_std, **weights)
         if not self.shape_mix or any(w < 0 for w in self.shape_mix.values()):
             raise InvalidInputError("shape_mix weights must be nonnegative and nonempty")
         if sum(self.shape_mix.values()) <= 0:

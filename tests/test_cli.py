@@ -333,7 +333,6 @@ class TestEvalCommand:
     @pytest.mark.parametrize(
         "thresholds, expected",
         [
-            ("0.1:0.7", [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]),
             ("0.1:0.7:0.35", [0.1, 0.45]),
             ("0.1:1.0:0.35", [0.1, 0.45, 0.8]),
             ("0.1:1.0:0.3", [0.1, 0.4, 0.7, 1.0]),
