@@ -744,7 +744,7 @@ def test_pipeline_outputs_byte_pinned(runner, tmp_path):
     for name, args in commands.items():
         result = invoke(runner, args)
         assert result.exit_code == 0, result.output
-        digests[f"stdout:{name}"] = hashlib.sha256(result.output.encode()).hexdigest()
+        digests[f"stdout:{name}"] = hashlib.sha256(result.stdout.encode()).hexdigest()
     for path in sorted(tmp_path.rglob("*")):
         if path.suffix in (".json", ".csv"):
             digests[str(path.relative_to(tmp_path))] = hashlib.sha256(path.read_bytes()).hexdigest()
