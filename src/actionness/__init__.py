@@ -16,7 +16,6 @@ from .adm import (
     generate_pseudo_labels,
     label_videos,
     preliminary_boundaries,
-    sample_supervision,
 )
 from .decoder import DecoderConfig, Proposal, decode, decode_videos, nms, oic_score, select_classes, threshold_merge
 from .errors import InvalidInputError, NumericError, PackingError
@@ -32,7 +31,6 @@ from .evaluation import (
 from .losses import (
     GaussianKernelSet,
     LossValue,
-    LossWeights,
     action_focal_loss,
     background_loss,
     gaussian_alignment_loss,
@@ -40,7 +38,6 @@ from .losses import (
     mil_loss,
     mix_kernels,
     sigma_loss,
-    total_loss,
     video_level_scores,
 )
 from .optim import Bounds1D, MinimizeResult, minimize_bounded
@@ -55,7 +52,7 @@ from .signal import (
     smooth_signal,
     upsample_signal,
 )
-from .synth import SyntheticConfig, SyntheticVideo, derive_background_points, generate_dataset, generate_video, sample_point
+from .synth import SyntheticConfig, SyntheticVideo, generate_dataset, generate_video, sample_point
 from .verify import run_suite
 
 __version__ = "0.1.0"

@@ -58,14 +58,17 @@ class ADMConfig:
     duration; ``gamma1``/``gamma2`` weight the fitted Gaussian std and uniform
     half-width in the final interval half-extent. The defaults blend the two
     fitted half-extents equally; summing them (1.0/1.0) measurably over-extends
-    intervals on flat-profile actions. ``r_a`` widens each annotated point
-    before background points are picked.
+    intervals on flat-profile actions. ``smoothing_sigma`` is the std of the
+    Gaussian smoothing applied before the fits; ``background_threshold`` is the
+    background probability a snippet must exceed to count as background;
+    ``clip_to_boundary`` clips each interval to its preliminary boundary.
+    ``r_a`` widens each annotated point before background points are picked.
+    The Gaussian std is searched from the fixed ``SIGMA_LOWER_BOUND`` up.
     """
 
     delta: float = 0.25
     gamma1: float = 0.5
     gamma2: float = 0.5
-    sigma_lower: float = SIGMA_LOWER_BOUND
     smoothing_sigma: float = 2.0
     background_threshold: float = 0.5
     clip_to_boundary: bool = False
@@ -73,20 +76,13 @@ class ADMConfig:
 
     def __post_init__(self):
         # the range checks below reject NaN and inf in the other fields
-        require_finite(
-            gamma1=self.gamma1,
-            gamma2=self.gamma2,
-            sigma_lower=self.sigma_lower,
-            smoothing_sigma=self.smoothing_sigma,
-        )
+        require_finite(gamma1=self.gamma1, gamma2=self.gamma2, smoothing_sigma=self.smoothing_sigma)
         if not 0.0 < self.delta <= 0.5:
             raise InvalidInputError(f"delta must be in (0, 0.5], got {self.delta}")
         if self.gamma1 < 0 or self.gamma2 < 0:
             raise InvalidInputError("gamma1 and gamma2 must be >= 0")
         if self.gamma1 + self.gamma2 <= 0:
             raise InvalidInputError("gamma1 + gamma2 must be > 0")
-        if self.sigma_lower <= 0:
-            raise InvalidInputError(f"sigma_lower must be > 0, got {self.sigma_lower}")
         if self.smoothing_sigma <= 0:
             raise InvalidInputError(f"smoothing_sigma must be > 0, got {self.smoothing_sigma}")
         if not 0.0 < self.background_threshold < 1.0:
@@ -199,15 +195,8 @@ def sigma_upper_bound(boundary: PreliminaryBoundary, t_star: int) -> float:
     return float(max(t_star - boundary.b_start, boundary.b_end - t_star))
 
 
-def fit_gaussian(
-    column: np.ndarray,
-    boundary: PreliminaryBoundary,
-    t_star: int,
-    sigma_lower: float = SIGMA_LOWER_BOUND,
-    x_tolerance: float = 1e-5,
-    max_iterations: int = 500,
-) -> Fit:
-    """Least-squares Gaussian std on ``[sigma_lower, u_b]``.
+def fit_gaussian(column: np.ndarray, boundary: PreliminaryBoundary, t_star: int) -> Fit:
+    """Least-squares Gaussian std on ``[SIGMA_LOWER_BOUND, u_b]``.
 
     Returns ``Fit(sigma, degenerate, error)``, the error being the minimizer's
     objective value at sigma; a boundary too tight to search pins sigma to the
@@ -215,9 +204,9 @@ def fit_gaussian(
     """
     upper = sigma_upper_bound(boundary, t_star)
     error = gaussian_fit_error(column, boundary, t_star)
-    if upper <= sigma_lower:
-        return Fit(sigma_lower, True, error(sigma_lower))
-    result = minimize_bounded(error, Bounds1D(sigma_lower, upper), x_tolerance, max_iterations)
+    if upper <= SIGMA_LOWER_BOUND:
+        return Fit(SIGMA_LOWER_BOUND, True, error(SIGMA_LOWER_BOUND))
+    result = minimize_bounded(error, Bounds1D(SIGMA_LOWER_BOUND, upper))
     return Fit(result.x, False, result.f)
 
 
@@ -275,7 +264,7 @@ def generate_pseudo_labels(
         boundary = preliminary_boundaries(point, background, length)
         column = signal.class_column(point.class_id)
         t_star, found = find_peak(column, boundary, point.t, config.delta)
-        gaussian = fit_gaussian(column, boundary, t_star, config.sigma_lower)
+        gaussian = fit_gaussian(column, boundary, t_star)
         uniform = fit_uniform(column, boundary, t_star)
         half_extent = config.gamma1 * gaussian.value + config.gamma2 * uniform.value
         start = int(round(t_star - half_extent))
@@ -338,24 +327,3 @@ def label_videos(
         labels.extend(generate_pseudo_labels(smoothed, video_points, background, config))
     return labels
 
-
-def sample_supervision(
-    labels: Sequence[PseudoLabel], r_s: int, scale: int
-) -> list[tuple[int, int]]:
-    """Supervised ``(snippet, class_id)`` pairs for snippet-level training.
-
-    Keeps snippets within ``r_s`` of each annotated point (``t // scale`` on a
-    level of ratio ``scale``) inside the label's interval; duplicates collapse.
-    """
-    if r_s < 0:
-        raise InvalidInputError(f"r_s must be >= 0, got {r_s}")
-    if scale < 1:
-        raise InvalidInputError(f"scale must be >= 1, got {scale}")
-    picked = set()
-    for label in labels:
-        centre = label.t // scale
-        lo = max(label.start // scale, centre - r_s)
-        hi = min(label.end // scale, centre + r_s)
-        for index in range(lo, hi + 1):
-            picked.add((index, label.class_id))
-    return sorted(picked)

@@ -126,7 +126,12 @@ def main():
 )
 @click.option("--seed", default=42, show_default=True)
 def synth(out_dir, videos, length, num_classes, instances, durations, shape_weights, noise_std, background_level, point_mode, seed):
-    """Write a synthetic dataset: signals/<video_id>.npz, gt.json, annotations.json, manifest.json."""
+    """Write a synthetic dataset: signals/<video_id>.npz, gt.json, annotations.json, manifest.json.
+
+    Refuses an ``--out`` whose signals directory already holds signal files, and
+    removes the signal files it wrote when it fails part-way.
+    """
+    written: list[Path] = []
     try:
         config = SyntheticConfig(
             length=length,
@@ -144,16 +149,23 @@ def synth(out_dir, videos, length, num_classes, instances, durations, shape_weig
         )
         manifest, dataset = generate_dataset(config, videos, point_mode)
         signals_dir = out_dir / "signals"
+        # decode and adm read every signal file of the directory, so old ones would join this dataset
+        stale = sorted(signals_dir.glob("*.npz")) + sorted(signals_dir.glob("*.json"))
+        if stale:
+            raise InvalidInputError(f"{signals_dir} already holds signal files such as {stale[0].name}; use an empty --out")
         signals_dir.mkdir(parents=True, exist_ok=True)
         ground_truth, annotations = [], []
         for video, points in dataset:
-            save_signals(signals_dir / f"{video.signal.video_id}.npz", [video.signal])
+            written.append(signals_dir / f"{video.signal.video_id}.npz")
+            save_signals(written[-1], [video.signal])
             ground_truth.extend(video.gt)
             annotations.extend(points)
         save_ground_truth(out_dir / "gt.json", ground_truth)
         save_annotations(out_dir / "annotations.json", annotations)
         write_json_atomic(out_dir / "manifest.json", manifest)
     except _FAILURES as exc:
+        for path in written:
+            path.unlink(missing_ok=True)
         _fail(str(exc))
     log.info("wrote %d videos to %s", videos, out_dir)
 
@@ -165,20 +177,18 @@ def synth(out_dir, videos, length, num_classes, instances, durations, shape_weig
 @click.option("--delta", default=0.25, show_default=True)
 @click.option("--gamma1", default=0.5, show_default=True)
 @click.option("--gamma2", default=0.5, show_default=True)
-@click.option("--sigma-lower", default=1e-6, show_default=True)
 @click.option("--smoothing-sigma", default=2.0, show_default=True)
 @click.option("--background-threshold", default=0.5, show_default=True)
 @click.option("--r-a", default=2, show_default=True, help="Annotation augmentation radius.")
 @click.option("--fuse/--no-fuse", default=False, show_default=True, help="Apply class-agnostic fusion first.")
 @click.option("--clip-to-boundary", is_flag=True, help="Clip intervals to the preliminary boundary.")
-def adm(signals_path, annotations_path, out_path, delta, gamma1, gamma2, sigma_lower, smoothing_sigma, background_threshold, r_a, fuse, clip_to_boundary):
+def adm(signals_path, annotations_path, out_path, delta, gamma1, gamma2, smoothing_sigma, background_threshold, r_a, fuse, clip_to_boundary):
     """Fit one pseudo-label per annotated point and report fit quality."""
     try:
         config = ADMConfig(
             delta=delta,
             gamma1=gamma1,
             gamma2=gamma2,
-            sigma_lower=sigma_lower,
             smoothing_sigma=smoothing_sigma,
             background_threshold=background_threshold,
             clip_to_boundary=clip_to_boundary,

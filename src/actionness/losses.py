@@ -9,7 +9,7 @@ clamped away from 0 and 1 before any logarithm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
@@ -18,24 +18,6 @@ from .signal import ProbabilitySignal
 
 PROB_EPS = 1e-7
 FOCAL_GAMMA = 2.0
-
-BASE_COMPONENTS = ("mil", "act", "bg")
-MAIN_COMPONENTS = ("mil", "act", "bg", "gaussian", "sigma")
-
-
-@dataclass
-class LossWeights:
-    lambda_mil: float = 1.0
-    lambda_act: float = 1.0
-    lambda_bg: float = 1.0
-    lambda_g: float = 1.0
-    lambda_sigma: float = 1.0
-
-    def __post_init__(self):
-        for name in ("lambda_mil", "lambda_act", "lambda_bg", "lambda_g", "lambda_sigma"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value < 0:
-                raise InvalidInputError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass
@@ -231,31 +213,3 @@ def sigma_loss(pseudo_sigmas, predicted_sigmas) -> LossValue:
     n = pseudo.size
     return LossValue(float((diff**2).sum()) / n, 2.0 * diff / n)
 
-
-def total_loss(components: Mapping[str, Any], weights: LossWeights, mode: str = "base") -> float:
-    """Weighted sum of the per-term losses for the requested training mode.
-
-    Base mode needs mil/act/bg; main mode additionally needs gaussian/sigma.
-    Component values may be floats or LossValue instances.
-    """
-    if mode == "base":
-        required = BASE_COMPONENTS
-    elif mode == "main":
-        required = MAIN_COMPONENTS
-    else:
-        raise InvalidInputError(f"unknown mode {mode!r}, expected 'base' or 'main'")
-    missing = [name for name in required if name not in components]
-    if missing:
-        raise InvalidInputError(f"missing loss components: {missing}")
-    coefficients = {
-        "mil": weights.lambda_mil,
-        "act": weights.lambda_act,
-        "bg": weights.lambda_bg,
-        "gaussian": weights.lambda_g,
-        "sigma": weights.lambda_sigma,
-    }
-
-    def scalar(value) -> float:
-        return float(value.value if isinstance(value, LossValue) else value)
-
-    return float(sum(coefficients[name] * scalar(components[name]) for name in required))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidInputError, PackingError, require_finite
 from .evaluation import GroundTruthInstance
-from .signal import BackgroundPoints, PointAnnotation, ProbabilitySignal
+from .signal import PointAnnotation, ProbabilitySignal
 
 SHAPE_NAMES = ("plateau", "gaussian", "plateau_with_gaussian_shoulders")
 
@@ -78,7 +78,6 @@ class SyntheticVideo:
 
     signal: ProbabilitySignal
     gt: list[GroundTruthInstance]
-    true_background: BackgroundPoints
 
 
 def _place_instances(config: SyntheticConfig, rng: np.random.Generator, count: int):
@@ -144,15 +143,7 @@ def generate_video(
         noise = rng.normal(0.0, config.noise_std, size=(config.length, config.num_classes))
         values[:, :-1] = np.clip(values[:, :-1] + noise, 0.0, 1.0)
     values[:, -1] = 1.0 - values[:, :-1].max(axis=1)
-
-    outside = np.ones(config.length, dtype=bool)
-    for instance in gt:
-        outside[instance.start : instance.end + 1] = False
-    return SyntheticVideo(
-        signal=ProbabilitySignal(video_id, 1, values),
-        gt=gt,
-        true_background=BackgroundPoints(np.flatnonzero(outside)),
-    )
+    return SyntheticVideo(signal=ProbabilitySignal(video_id, 1, values), gt=gt)
 
 
 def sample_point(
@@ -202,11 +193,3 @@ def generate_dataset(
 
     return manifest, stream()
 
-
-def derive_background_points(video: SyntheticVideo, threshold: float) -> BackgroundPoints:
-    """Snippets whose background probability clears the threshold, outside all
-    ground-truth instances."""
-    mask = video.signal.background > threshold
-    for instance in video.gt:
-        mask[instance.start : instance.end + 1] = False
-    return BackgroundPoints(np.flatnonzero(mask))

@@ -26,6 +26,8 @@ from .oracles import (
 
 GRADIENT_TOLERANCE = 1e-4
 FD_STEP = 1e-5
+FITTING_GRID_POINTS = 10001  # sigma and omega values scanned per fitting grid check
+ORACLE_GRID_POINTS = 100000  # x values scanned per minimizer oracle case
 
 
 def _require_counts(suite: str, seed: int, **counts: int) -> None:
@@ -39,22 +41,43 @@ def _require_counts(suite: str, seed: int, **counts: int) -> None:
 
 # --- gradient suite ---------------------------------------------------------
 
-def _mil_case(rng, step):
-    levels = int(rng.integers(1, 5))
-    classes = int(rng.integers(1, 9))
-    scores = rng.uniform(0.05, 0.95, (levels, classes))
-    label = rng.integers(0, 2, classes).astype(np.float64)
-    analytic = losses.mil_loss(scores, label).gradient
-    numeric = finite_difference_gradient(lambda: losses.mil_loss(scores, label).value, scores, step)
-    return max_relative_error(analytic, numeric)
+def _worst_gradient_error(loss, arrays) -> float:
+    """Largest relative error of ``loss()``'s analytic gradient against central
+    finite differences, over every entry of every array in ``arrays``.
+
+    ``loss`` takes no arguments, reads ``arrays`` afresh on each call and
+    returns a ``LossValue`` whose gradient is one array per entry of
+    ``arrays``, or a single array when ``arrays`` holds one.
+    """
+    gradient = loss().gradient
+    analytic = gradient if isinstance(gradient, list) else [gradient]
+    worst = 0.0
+    for level_gradient, array in zip(analytic, arrays):
+        numeric = finite_difference_gradient(lambda: loss().value, array, FD_STEP)
+        worst = max(worst, max_relative_error(level_gradient, numeric))
+    return worst
 
 
-def _focal_case(rng, step):
+def _level_arrays(rng):
+    """One to two random signal arrays of 6-12 snippets, sharing one to three classes."""
     levels = int(rng.integers(1, 3))
     classes = int(rng.integers(1, 4))
     arrays = [
         rng.uniform(0.05, 0.95, (int(rng.integers(6, 13)), classes + 1)) for _ in range(levels)
     ]
+    return arrays, classes
+
+
+def _mil_case(rng):
+    levels = int(rng.integers(1, 5))
+    classes = int(rng.integers(1, 9))
+    scores = rng.uniform(0.05, 0.95, (levels, classes))
+    label = rng.integers(0, 2, classes).astype(np.float64)
+    return _worst_gradient_error(lambda: losses.mil_loss(scores, label), [scores])
+
+
+def _focal_case(rng):
+    arrays, classes = _level_arrays(rng)
     supervised = []
     total = 0
     for array in arrays:
@@ -65,24 +88,13 @@ def _focal_case(rng, step):
             pairs.append((int(rng.integers(0, array.shape[0])), label))
             total += 1
         supervised.append(pairs)
-
-    def value():
-        return losses.action_focal_loss(arrays, supervised, losses.FOCAL_GAMMA, total).value
-
-    analytic = losses.action_focal_loss(arrays, supervised, losses.FOCAL_GAMMA, total).gradient
-    worst = 0.0
-    for level, array in enumerate(arrays):
-        numeric = finite_difference_gradient(value, array, step)
-        worst = max(worst, max_relative_error(analytic[level], numeric))
-    return worst
+    return _worst_gradient_error(
+        lambda: losses.action_focal_loss(arrays, supervised, losses.FOCAL_GAMMA, total), arrays
+    )
 
 
-def _background_case(rng, step):
-    levels = int(rng.integers(1, 3))
-    classes = int(rng.integers(1, 4))
-    arrays = [
-        rng.uniform(0.05, 0.95, (int(rng.integers(6, 13)), classes + 1)) for _ in range(levels)
-    ]
+def _background_case(rng):
+    arrays, _ = _level_arrays(rng)
     points = []
     total = 0
     for array in arrays:
@@ -90,19 +102,12 @@ def _background_case(rng, step):
         chosen = sorted(rng.choice(array.shape[0], size=count, replace=False).tolist())
         points.append(chosen)
         total += count
-
-    def value():
-        return losses.background_loss(arrays, points, losses.FOCAL_GAMMA, total).value
-
-    analytic = losses.background_loss(arrays, points, losses.FOCAL_GAMMA, total).gradient
-    worst = 0.0
-    for level, array in enumerate(arrays):
-        numeric = finite_difference_gradient(value, array, step)
-        worst = max(worst, max_relative_error(analytic[level], numeric))
-    return worst
+    return _worst_gradient_error(
+        lambda: losses.background_loss(arrays, points, losses.FOCAL_GAMMA, total), arrays
+    )
 
 
-def _alignment_case(rng, step):
+def _alignment_case(rng):
     length = int(rng.integers(12, 25))
     classes = int(rng.integers(2, 5))
     values = rng.uniform(0.05, 0.95, (length, classes + 1))
@@ -112,31 +117,17 @@ def _alignment_case(rng, step):
             (int(rng.integers(0, length)), float(rng.uniform(1.0, 5.0)), int(rng.integers(1, classes + 1)))
         )
     kernels = losses.GaussianKernelSet.from_instances(instances, length)
-
-    analytic = losses.gaussian_alignment_loss(values, kernels).gradient
-    numeric = finite_difference_gradient(
-        lambda: losses.gaussian_alignment_loss(values, kernels).value, values, step
-    )
-    return max_relative_error(analytic, numeric)
+    return _worst_gradient_error(lambda: losses.gaussian_alignment_loss(values, kernels), [values])
 
 
-def _sigma_case(rng, step):
+def _sigma_case(rng):
     count = int(rng.integers(1, 9))
     pseudo = rng.uniform(0.0, 10.0, count)
     predicted = rng.uniform(0.0, 10.0, count)
-    analytic = losses.sigma_loss(pseudo, predicted).gradient
-    numeric = finite_difference_gradient(
-        lambda: losses.sigma_loss(pseudo, predicted).value, predicted, step
-    )
-    return max_relative_error(analytic, numeric)
+    return _worst_gradient_error(lambda: losses.sigma_loss(pseudo, predicted), [predicted])
 
 
-def run_gradient_suite(
-    instances: int = 100,
-    step: float = FD_STEP,
-    tolerance: float = GRADIENT_TOLERANCE,
-    seed: int = 20240,
-) -> dict:
+def run_gradient_suite(instances: int = 100, seed: int = 20240) -> dict:
     """Check every analytic gradient against central finite differences."""
     _require_counts("gradients", seed, instances=instances)
     cases = (
@@ -151,19 +142,14 @@ def run_gradient_suite(
         rng = np.random.default_rng([seed, index])
         worst = 0.0
         for _ in range(instances):
-            worst = max(worst, case(rng, step))
-        checks.append({"loss_name": name, "max_rel_err": worst, "pass": bool(worst < tolerance)})
+            worst = max(worst, case(rng))
+        checks.append({"loss_name": name, "max_rel_err": worst, "pass": bool(worst < GRADIENT_TOLERANCE)})
     return {"suite": "gradients", "checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
 # --- fitting suite -----------------------------------------------------------
 
-def run_fitting_suite(
-    samples: int = 1000,
-    grid_checks: int = 25,
-    grid_points: int = 10001,
-    seed: int = 7341,
-) -> dict:
+def run_fitting_suite(samples: int = 1000, grid_checks: int = 25, seed: int = 7341) -> dict:
     """Recovery of constructed profiles plus dense-grid agreement on noisy ones."""
     _require_counts("fitting", seed, samples=samples, grid_checks=grid_checks)
     rng = np.random.default_rng(seed)
@@ -213,16 +199,16 @@ def run_fitting_suite(
         upper = adm.sigma_upper_bound(boundary, t_star)
 
         sigma = fit_gaussian(column, boundary, t_star).value
-        sigma_grid = np.linspace(adm.SIGMA_LOWER_BOUND, upper, grid_points)
+        sigma_grid = np.linspace(adm.SIGMA_LOWER_BOUND, upper, FITTING_GRID_POINTS)
         sigma_values = gaussian_objective_grid(column, boundary, t_star, sigma_grid)
         best = float(sigma_values.min())
         fitted = float(gaussian_objective_grid(column, boundary, t_star, [sigma])[0])
-        step = (upper - adm.SIGMA_LOWER_BOUND) / (grid_points - 1)
+        step = (upper - adm.SIGMA_LOWER_BOUND) / (FITTING_GRID_POINTS - 1)
         if fitted <= best + 1e-9 * (1.0 + best) or abs(sigma - float(sigma_grid[sigma_values.argmin()])) <= 1e-5 + step:
             sigma_grid_ok += 1
 
         omega = fit_uniform(column, boundary, t_star).value
-        omega_grid = np.linspace(0.0, upper, grid_points)
+        omega_grid = np.linspace(0.0, upper, FITTING_GRID_POINTS)
         omega_values = uniform_objective_grid(column, boundary, t_star, omega_grid)
         fitted = float(uniform_objective_grid(column, boundary, t_star, [omega])[0])
         if fitted <= float(omega_values.min()) + 1e-9 * (1.0 + float(omega_values.min())):
@@ -279,7 +265,6 @@ def _random_proposals(rng, max_count, classes, horizon=100):
 
 def run_oracle_suite(
     optimizer_cases: int = 100,
-    grid_points: int = 100000,
     ap_cases: int = 500,
     nms_cases: int = 200,
     idempotence_cases: int = 1000,
@@ -301,9 +286,9 @@ def run_oracle_suite(
     for _ in range(optimizer_cases):
         objective, lo, hi = _random_unimodal(rng)
         result = minimize_bounded(objective, Bounds1D(lo, hi), x_tolerance=x_tolerance)
-        xs = np.linspace(lo, hi, grid_points)
+        xs = np.linspace(lo, hi, ORACLE_GRID_POINTS)
         reference = float(xs[int(np.argmin(objective(xs)))])
-        step = (hi - lo) / (grid_points - 1)
+        step = (hi - lo) / (ORACLE_GRID_POINTS - 1)
         if abs(result.x - reference) <= x_tolerance + step:
             optimizer_ok += 1
     optimizer_check = {

@@ -15,7 +15,6 @@ from actionness.adm import (
     generate_pseudo_labels,
     label_videos,
     preliminary_boundaries,
-    sample_supervision,
     uniform_fit_error,
 )
 from actionness.errors import InvalidInputError
@@ -351,25 +350,6 @@ class TestLabelVideos:
     def test_video_without_signals_named(self):
         with pytest.raises(InvalidInputError, match="ghost"):
             label_videos({}, [PointAnnotation("ghost", 3, 1)], ADMConfig())
-
-
-class TestSampleSupervision:
-    def make_label(self, start, end, t, class_id=1):
-        from actionness.adm import PseudoLabel
-
-        return PseudoLabel("v0", t, t, 1.0, 1.0, 2.0, start, end, class_id)
-
-    def test_radius_within_wide_interval(self):
-        label = self.make_label(5, 20, 10)
-        assert sample_supervision([label], 2, 1) == [(8, 1), (9, 1), (10, 1), (11, 1), (12, 1)]
-
-    def test_clipped_to_interval(self):
-        label = self.make_label(9, 11, 10)
-        assert sample_supervision([label], 2, 1) == [(9, 1), (10, 1), (11, 1)]
-
-    def test_level_mapping(self):
-        label = self.make_label(0, 40, 10)
-        assert sample_supervision([label], 2, 2) == [(3, 1), (4, 1), (5, 1), (6, 1), (7, 1)]
 
 
 class TestADMConfig:

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from actionness import synth
 from actionness.adm import PseudoLabel
 from actionness.cli import main
 from actionness.decoder import Proposal
+from actionness.errors import PackingError
 from actionness.signal import PointAnnotation, ProbabilitySignal
 from actionness.storage import (
     load_ground_truth,
@@ -90,6 +92,30 @@ class TestSynthCommand:
         result = runner.invoke(main, synth_args(blocker / "data"))
         assert result.exit_code == 1
         assert "error" in result.output
+
+    def test_signals_left_by_an_earlier_run_rejected(self, runner, tmp_path):
+        out = tmp_path / "data"
+        assert invoke(runner, synth_args(out, videos=4)).exit_code == 0
+        before = read_tree(out)
+        result = runner.invoke(main, synth_args(out, videos=2))
+        fails_cleanly(result, "already holds signal files")
+        assert read_tree(out) == before
+
+    def test_failure_part_way_removes_written_signals(self, runner, tmp_path, monkeypatch):
+        made = []
+
+        def generate_video(*args):
+            made.append(args[2])
+            if len(made) == 3:
+                raise PackingError("cannot place instances")
+            return real_generate_video(*args)
+
+        real_generate_video = synth.generate_video
+        monkeypatch.setattr(synth, "generate_video", generate_video)
+        out = tmp_path / "data"
+        fails_cleanly(runner.invoke(main, synth_args(out, videos=4)), "cannot place instances")
+        assert made == ["video-0000", "video-0001", "video-0002"]
+        assert read_tree(out) == {}
 
 
 class TestAdmCommand:
@@ -187,6 +213,15 @@ class TestAdmCommand:
         )
         fails_cleanly(result, "video 'v0' has no level 1")
         assert not out_file.exists()
+
+    def test_sigma_lower_is_not_an_option(self, runner, tmp_path):
+        out = self.make_dataset(runner, tmp_path)
+        result = runner.invoke(main, ["adm", "--signals", str(out / "signals"), "--annotations",
+                                      str(out / "annotations.json"), "--out", str(tmp_path / "labels.json"),
+                                      "--sigma-lower", "1e9"])
+        assert result.exit_code == 2
+        assert "No such option '--sigma-lower'" in result.output
+        assert not (tmp_path / "labels.json").exists()
 
     def test_deterministic_output(self, runner, tmp_path):
         data = self.make_dataset(runner, tmp_path, noise="0.05")
@@ -749,6 +784,24 @@ def test_pipeline_outputs_byte_pinned(runner, tmp_path):
         if path.suffix in (".json", ".csv"):
             digests[str(path.relative_to(tmp_path))] = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digests == PINNED_DIGESTS
+
+
+# SHA-256 of the ``--out`` report of each ``verify`` suite at ``--samples 5``.
+PINNED_VERIFY_DIGESTS = {
+    "fitting": "bef37705176d36691343fc5e30afde988bf5b0d6a7b34fae44132fe6e72b0158",
+    "gradients": "eff8835d360a97bf66db2f42e8937047086824914d6a7e454611b6a3b06c704f",
+    "oracles": "51771c0bba0bd86a8f5d599c93f74ae2115d1cfa5c2dab52f7d926d5e12a3ea6",
+}
+
+
+def test_verify_reports_byte_pinned(runner, tmp_path):
+    digests = {}
+    for suite in PINNED_VERIFY_DIGESTS:
+        out_file = tmp_path / f"{suite}.json"
+        result = invoke(runner, ["verify", suite, "--samples", "5", "--out", str(out_file)])
+        assert result.exit_code == 0, result.output
+        digests[suite] = hashlib.sha256(out_file.read_bytes()).hexdigest()
+    assert digests == PINNED_VERIFY_DIGESTS
 
 
 def _command_args(tmp_path, command):

@@ -7,7 +7,6 @@ from actionness.errors import InvalidInputError
 from actionness.losses import (
     FOCAL_GAMMA,
     GaussianKernelSet,
-    LossWeights,
     action_focal_loss,
     background_loss,
     gaussian_alignment_loss,
@@ -15,7 +14,6 @@ from actionness.losses import (
     mil_loss,
     mix_kernels,
     sigma_loss,
-    total_loss,
     video_level_scores,
 )
 from actionness.oracles import finite_difference_gradient, max_relative_error, top_k_mean_direct
@@ -235,33 +233,6 @@ class TestSigmaLoss:
     def test_length_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             sigma_loss([1.0], [1.0, 2.0])
-
-
-class TestTotalLoss:
-    def test_zero_weights(self):
-        weights = LossWeights(0, 0, 0, 0, 0)
-        components = {"mil": 1.0, "act": 2.0, "bg": 3.0}
-        assert total_loss(components, weights, mode="base") == 0.0
-
-    def test_unit_weights_base(self):
-        components = {"mil": 1.0, "act": 2.0, "bg": 3.0}
-        assert total_loss(components, LossWeights(), mode="base") == 6.0
-
-    def test_linearity_in_weights(self):
-        components = {"mil": 0.5, "act": 1.5, "bg": 2.0, "gaussian": 0.25, "sigma": 0.75}
-        single = total_loss(components, LossWeights(), mode="main")
-        double = total_loss(components, LossWeights(2, 2, 2, 2, 2), mode="main")
-        assert double == pytest.approx(2 * single)
-
-    def test_missing_component_rejected(self):
-        with pytest.raises(InvalidInputError):
-            total_loss({"mil": 1.0, "act": 2.0}, LossWeights(), mode="base")
-        with pytest.raises(InvalidInputError):
-            total_loss({"mil": 1, "act": 1, "bg": 1}, LossWeights(), mode="main")
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(InvalidInputError):
-            total_loss({"mil": 1, "act": 1, "bg": 1}, LossWeights(), mode="other")
 
 
 def test_losses_nonnegative_on_random_inputs():

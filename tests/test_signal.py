@@ -14,6 +14,7 @@ from actionness.signal import (
     smooth_signal,
     upsample_signal,
 )
+from actionness.synth import SyntheticConfig, generate_video
 
 
 def make_signal(values, video_id="v0", level=1):
@@ -230,6 +231,18 @@ class TestSelectBackgroundPoints:
                 covered.update(range(lo, hi + 1))
             selected = select_background_points(sig, intervals, 0.5)
             assert covered.isdisjoint(selected.indices.tolist())
+
+    def test_matches_brute_force_scan(self):
+        config = SyntheticConfig(length=256, num_classes=4, instances_per_video=(1, 3), duration_range=(10, 40),
+                                 noise_std=0.1, seed=7)
+        video = generate_video(config, np.random.default_rng(17), "v0")
+        threshold = 0.6
+        inside = set()
+        for g in video.gt:
+            inside.update(range(g.start, g.end + 1))
+        expected = [t for t in range(config.length) if video.signal.values[t, -1] > threshold and t not in inside]
+        intervals = [(g.start, g.end) for g in video.gt]
+        assert select_background_points(video.signal, intervals, threshold).indices.tolist() == expected
 
 
 class TestBackgroundPoints:

@@ -9,7 +9,6 @@ from actionness.errors import InvalidInputError, PackingError
 from actionness.evaluation import GroundTruthInstance
 from actionness.synth import (
     SyntheticConfig,
-    derive_background_points,
     generate_dataset,
     generate_video,
     sample_point,
@@ -36,7 +35,6 @@ class TestGenerateVideo:
         second = generate_video(config, np.random.default_rng(123), "v0")
         assert np.array_equal(first.signal.values, second.signal.values)
         assert first.gt == second.gt
-        assert np.array_equal(first.true_background.indices, second.true_background.indices)
 
     def test_instances_pairwise_disjoint_with_gap(self):
         config = make_config(instances_per_video=(3, 5), duration_range=(10, 30), length=512)
@@ -54,7 +52,9 @@ class TestGenerateVideo:
             assert np.all(column == column[0])
             assert column[0] >= 0.5
         # outside instances the class columns sit exactly at the floor
-        outside = video.true_background.indices
+        outside = np.ones(config.length, dtype=bool)
+        for instance in video.gt:
+            outside[instance.start : instance.end + 1] = False
         assert np.all(video.signal.values[outside, :-1] == config.background_level)
         assert np.allclose(
             video.signal.background, 1.0 - video.signal.values[:, :-1].max(axis=1)
@@ -163,33 +163,3 @@ class TestGenerateDataset:
         next(dataset)
         assert made == ["video-0000"]
 
-
-class TestDeriveBackgroundPoints:
-    def test_noiseless_gives_exact_gaps(self):
-        config = make_config()
-        video = generate_video(config, np.random.default_rng(13), "v0")
-        derived = derive_background_points(video, 0.5)
-        assert np.array_equal(derived.indices, video.true_background.indices)
-
-    def test_threshold_one_is_empty(self):
-        video = generate_video(make_config(), np.random.default_rng(13), "v0")
-        assert derive_background_points(video, 1.0).indices.size == 0
-
-    def test_matches_brute_force_scan(self):
-        config = make_config(noise_std=0.1)
-        video = generate_video(config, np.random.default_rng(17), "v0")
-        threshold = 0.6
-        expected = []
-        inside = set()
-        for g in video.gt:
-            inside.update(range(g.start, g.end + 1))
-        for t in range(config.length):
-            if video.signal.values[t, -1] > threshold and t not in inside:
-                expected.append(t)
-        assert derive_background_points(video, threshold).indices.tolist() == expected
-
-    def test_disjoint_from_gt(self):
-        video = generate_video(make_config(noise_std=0.2), np.random.default_rng(19), "v0")
-        derived = set(derive_background_points(video, 0.5).indices.tolist())
-        for g in video.gt:
-            assert derived.isdisjoint(range(g.start, g.end + 1))
