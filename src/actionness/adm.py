@@ -326,4 +326,3 @@ def label_videos(
             smoothed = upsample_signal(smoothed, finest.length)
         labels.extend(generate_pseudo_labels(smoothed, video_points, background, config))
     return labels
-

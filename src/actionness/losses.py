@@ -212,4 +212,3 @@ def sigma_loss(pseudo_sigmas, predicted_sigmas) -> LossValue:
     diff = predicted - pseudo
     n = pseudo.size
     return LossValue(float((diff**2).sum()) / n, 2.0 * diff / n)
-

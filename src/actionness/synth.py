@@ -192,4 +192,3 @@ def generate_dataset(
             yield video, [sample_point(instance, point_mode, rng) for instance in video.gt]
 
     return manifest, stream()
-

@@ -220,7 +220,7 @@ class TestAdmCommand:
                                       str(out / "annotations.json"), "--out", str(tmp_path / "labels.json"),
                                       "--sigma-lower", "1e9"])
         assert result.exit_code == 2
-        assert "No such option '--sigma-lower'" in result.output
+        assert "No such option" in result.output and "--sigma-lower" in result.output
         assert not (tmp_path / "labels.json").exists()
 
     def test_deterministic_output(self, runner, tmp_path):
