@@ -14,6 +14,7 @@ from .losses import video_level_scores
 from .signal import ProbabilitySignal, pyramid_scales
 
 DEFAULT_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+NMS_PAIR_CHUNK = 1 << 16  # most candidate pairs one NMS step expands at once
 
 
 @dataclass
@@ -93,7 +94,10 @@ def oic_score(column, segment: tuple[int, int], inflation: float) -> float:
     """Outer-inner contrast: inner mean minus the mean over flanking windows.
 
     Each flank is ``round(inflation * segment_length)`` snippets wide, clipped
-    to the video; an empty outer region contributes 0.
+    to the video; an empty outer region contributes 0. The sums are
+    ``np.add.reduce``, which ``ndarray.sum`` and ``ndarray.mean`` call, so the
+    score equals ``inner.mean() - (left.sum() + right.sum()) / outer_size``
+    bit for bit.
     """
     column = np.asarray(column, dtype=np.float64)
     start, end = segment
@@ -106,8 +110,8 @@ def oic_score(column, segment: tuple[int, int], inflation: float) -> float:
     left = column[max(0, start - width) : start]
     right = column[end + 1 : min(column.size, end + 1 + width)]
     outer_size = left.size + right.size
-    outer_mean = (left.sum() + right.sum()) / outer_size if outer_size else 0.0
-    return float(inner.mean() - outer_mean)
+    outer_mean = (np.add.reduce(left) + np.add.reduce(right)) / outer_size if outer_size else 0.0
+    return float(np.add.reduce(inner) / inner.size - outer_mean)
 
 
 def _nms_order(proposal: Proposal) -> tuple:
@@ -115,42 +119,71 @@ def _nms_order(proposal: Proposal) -> tuple:
 
 
 def nms(proposals: Sequence[Proposal], tiou_threshold: float) -> list[Proposal]:
-    """Greedy same-class suppression by descending score, vectorized per class.
+    """Greedy same-class suppression by descending score, over the overlapping pairs only.
 
-    Proposals are sorted once on (score desc, start asc, end asc, class asc).
-    Within each class, every survivor suppresses all later members whose tIoU
-    with it exceeds the threshold; the tIoU of a survivor against the rest of
-    its class is one numpy expression using the same integer counts and float
-    division as ``evaluation.tiou``. Survivors come back in the sorted order,
-    so results and tie order equal the one-at-a-time greedy pass
-    (``oracles.nms_direct``).
+    Proposals are sorted once on (score desc, start asc, end asc, class asc);
+    a proposal's rank is its position in that order. Only same-class
+    proposals that share a snippet can have a tIoU above a threshold >= 0:
+    each class's members are ordered by start, and ``searchsorted`` on each
+    member's end finds the later-starting members that start at or before
+    it. Those pairs, expanded at most ``NMS_PAIR_CHUNK`` at a time, get their
+    tIoU from the same integer counts and float division as
+    ``evaluation.tiou``, and each pair above the threshold becomes an edge
+    from its lower to its higher rank. Then the greedy pass: a source that
+    no edge reaches is kept, so its targets go at once, and the remaining
+    sources are visited by rank, each suppressing its targets if it is still
+    kept. The work follows the overlapping pairs, not the squared pool size.
+    Survivors come back in the sorted order, so results and tie order equal
+    the one-at-a-time greedy pass (``oracles.nms_direct``).
     """
+    if tiou_threshold < 0:
+        raise InvalidInputError(f"tiou_threshold must be >= 0, got {tiou_threshold}")
     ordered = sorted(proposals, key=_nms_order)
     if not ordered:
         return []
     starts = np.array([p.start for p in ordered], dtype=np.int64)
     ends = np.array([p.end for p in ordered], dtype=np.int64)
     class_ids = np.array([p.class_id for p in ordered], dtype=np.int64)
+    # members of each class by start, one class after another; offsetting each
+    # class's coordinates past the last end lets one searchsorted serve them all
+    by_start = np.lexsort((starts, class_ids))
+    offsets = np.unique(class_ids, return_inverse=True)[1] * (ends.max() + 1)
+    member_starts, member_ends = starts[by_start], ends[by_start]
+    lengths = member_ends - member_starts + 1
+    # member i overlaps members i + 1 .. last[i] - 1, which start at or before its end
+    last = np.searchsorted((offsets + starts)[by_start], (offsets + ends)[by_start], side="right")
+    counts = last - np.arange(1, len(ordered) + 1)
+    pair_ends = np.cumsum(counts)
+    pair_starts = pair_ends - counts
+    sources, targets = [], []
+    for low in range(0, int(pair_ends[-1]), NMS_PAIR_CHUNK):
+        high = low + NMS_PAIR_CHUNK
+        in_chunk = np.maximum(np.minimum(pair_ends, high) - np.maximum(pair_starts, low), 0)
+        a = np.repeat(np.arange(len(ordered)), in_chunk)
+        b = a + 1 + np.arange(low, low + a.size) - pair_starts[a]
+        # b starts no earlier than a and no later than a's end, so they share a snippet
+        inter = np.minimum(member_ends[a], member_ends[b]) - member_starts[b] + 1
+        above = inter / (lengths[a] + lengths[b] - inter) > tiou_threshold
+        rank_a, rank_b = by_start[a[above]], by_start[b[above]]
+        sources.append(np.minimum(rank_a, rank_b))
+        targets.append(np.maximum(rank_a, rank_b))
     keep = np.ones(len(ordered), dtype=bool)
-    for class_id in np.unique(class_ids):
-        members = np.flatnonzero(class_ids == class_id)
-        member_starts = starts[members]
-        member_ends = ends[members]
-        lengths = member_ends - member_starts + 1
-        suppressed = np.zeros(members.size, dtype=bool)
-        for i in range(members.size - 1):
-            if suppressed[i]:
-                continue
-            later = slice(i + 1, None)
-            inter = (
-                np.minimum(member_ends[i], member_ends[later])
-                - np.maximum(member_starts[i], member_starts[later])
-                + 1
-            )
-            np.maximum(inter, 0, out=inter)  # disjoint pairs have tIoU 0, as in evaluation.tiou
-            overlap = inter / (lengths[i] + lengths[later] - inter)
-            suppressed[later] |= overlap > tiou_threshold
-        keep[members[suppressed]] = False
+    if sources:
+        sources, targets = np.concatenate(sources), np.concatenate(targets)
+        # a source that no edge reaches is kept, so its targets go at once
+        reached = np.zeros(len(ordered), dtype=bool)
+        reached[targets] = True
+        keep[targets[~reached[sources]]] = False
+        undecided = reached[sources] & keep[sources]
+        sources, targets = sources[undecided], targets[undecided]
+        by_source = np.argsort(sources)
+        sources, targets = sources[by_source], targets[by_source]
+        # each source's edges form one run; every edge into it comes from a lower rank, visited before it
+        firsts = np.flatnonzero(np.diff(sources, prepend=-1))
+        bounds = [*firsts.tolist(), sources.size]
+        for source, low, high in zip(sources[firsts].tolist(), bounds, bounds[1:]):
+            if keep[source]:
+                keep[targets[low:high]] = False
     return [p for p, kept in zip(ordered, keep.tolist()) if kept]
 
 
@@ -163,8 +196,9 @@ def decode(signals: Sequence[ProbabilitySignal], config: DecoderConfig) -> list[
     lengths covers ``[a*s, min((b+1)*s, E) - 1]``, where ``E``, the level-1
     snippets the level covers, is the least ``n*s`` over it and the levels
     below it, ``n`` each one's length), get scored by outer-inner
-    contrast there (once per distinct segment), and the pool, repeats
-    included, is reduced with NMS.
+    contrast there (once per distinct segment, with ``oic_score``), and the
+    pool, repeats included, is reduced with the module's ``nms``, whose work
+    follows the pool's overlapping same-class pairs.
     """
     if not signals:
         raise InvalidInputError("decode requires at least one signal")

@@ -20,6 +20,7 @@ from actionness.storage import (
     load_json,
     load_proposals,
     load_pseudo_labels,
+    load_signals,
     save_annotations,
     save_proposals,
     save_pseudo_labels,
@@ -802,6 +803,38 @@ def test_verify_reports_byte_pinned(runner, tmp_path):
         assert result.exit_code == 0, result.output
         digests[suite] = hashlib.sha256(out_file.read_bytes()).hexdigest()
     assert digests == PINNED_VERIFY_DIGESTS
+
+
+# SHA-256 of ``decode``'s output and stdout on a 3-level pyramid: level 2
+# mean-pools pairs of level 1 (256 → 128 snippets), level 3 triples of level 2
+# (128 → 42, so it covers 252 level-1 snippets), and the class threshold
+# selects several classes per video.
+PINNED_PYRAMID_DECODE_DIGESTS = {
+    "proposals.json": "6e91c889426c5839870dd1dc2ef60e626fa9119a792e12d35e238df0f4dcafad",
+    "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+}
+
+
+def test_pyramid_decode_byte_pinned(runner, tmp_path):
+    data, pyramid = tmp_path / "data", tmp_path / "pyramid"
+    assert invoke(runner, synth_args(data, videos=3, noise="0.05")).exit_code == 0
+    pyramid.mkdir()
+    for signal in load_signals(data / "signals"):
+        levels = [signal]
+        for level, step in ((2, 2), (3, 3)):
+            values = levels[-1].values
+            pooled = values[: values.shape[0] // step * step].reshape(-1, step, values.shape[1]).mean(axis=1)
+            levels.append(ProbabilitySignal(signal.video_id, level, pooled))
+        save_signals(pyramid / f"{signal.video_id}.npz", levels)
+    out_file = tmp_path / "proposals.json"
+    result = invoke(runner, ["decode", "--signals", str(pyramid), "--out", str(out_file), "--class-threshold", "0.1"])
+    assert result.exit_code == 0, result.output
+    assert len({(p.video_id, p.class_id) for p in load_proposals(out_file)}) > 3
+    digests = {
+        "proposals.json": hashlib.sha256(out_file.read_bytes()).hexdigest(),
+        "stdout": hashlib.sha256(result.stdout.encode()).hexdigest(),
+    }
+    assert digests == PINNED_PYRAMID_DECODE_DIGESTS
 
 
 def _command_args(tmp_path, command):

@@ -79,6 +79,30 @@ class TestOicScore:
             oic_score(np.zeros(5), (3, 7), 0.25)
 
 
+@st.composite
+def oic_cases(draw):
+    """A column, a segment in it and an inflation; segments often sit at a video end or span 1-2 snippets."""
+    length = draw(st.integers(1, 400))
+    column = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0, 1, length)
+    size = min(draw(st.one_of(st.integers(1, 2), st.integers(1, length))), length)
+    start = draw(st.one_of(st.just(0), st.just(length - size), st.integers(0, length - size)))
+    inflation = draw(st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.5]), st.floats(0.01, 4.0)))
+    return column, (start, start + size - 1), inflation
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=oic_cases())
+def test_oic_score_bit_equal_to_mean_and_sum_property(case):
+    column, (start, end), inflation = case
+    inner = column[start : end + 1]
+    width = int(round(inflation * (end - start + 1)))
+    left = column[max(0, start - width) : start]
+    right = column[end + 1 : min(column.size, end + 1 + width)]
+    outer_size = left.size + right.size
+    expected = float(inner.mean() - ((left.sum() + right.sum()) / outer_size if outer_size else 0.0))
+    assert oic_score(column, (start, end), inflation) == expected
+
+
 class TestNms:
     def test_duplicate_keeps_higher_score(self):
         a = Proposal("v0", 0, 10, 1, 0.9)
@@ -115,6 +139,14 @@ class TestNms:
             proposals = self.random_proposals(rng, 50)
             threshold = float(rng.uniform(0.2, 0.7))
             assert nms(proposals, threshold) == nms_direct(proposals, threshold)
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunk_boundaries_lose_no_pair(self, monkeypatch, chunk):
+        monkeypatch.setattr(decoder, "NMS_PAIR_CHUNK", chunk)
+        rng = np.random.default_rng(46)
+        for _ in range(20):
+            proposals = self.random_proposals(rng, 60)
+            assert nms(proposals, 0.3) == nms_direct(proposals, 0.3)
 
     def test_idempotent(self):
         rng = np.random.default_rng(43)
@@ -154,6 +186,61 @@ proposal_strategy = st.builds(
 def test_nms_equals_direct_oracle_property(base, repeats, threshold):
     pool = base + base[:repeats]  # exact duplicates, including score
     assert nms(pool, threshold) == nms_direct(pool, threshold)
+
+
+@st.composite
+def overlapping_pools(draw):
+    """Up to 300 proposals of one or two classes, each placed relative to one of a few anchors:
+    identical to it, nested in it, sharing only its last snippet, just after it, or shifted.
+
+    Hypothesis draws the anchors, the size and a seed; the seed's generator
+    places the proposals, which keeps hundreds of them cheap to draw.
+    """
+    anchors = draw(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 40)), min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = []
+    for _ in range(draw(st.integers(1, 300))):
+        start, size = anchors[rng.integers(len(anchors))]
+        end = start + size
+        placement = rng.choice(["identical", "nested", "touching", "adjacent", "shifted"])
+        if placement == "nested":
+            start += int(rng.integers(0, size + 1))
+            end -= int(rng.integers(0, end - start + 1))
+        elif placement == "touching":
+            start, end = end, end + int(rng.integers(0, 21))
+        elif placement == "adjacent":
+            start, end = end + 1, end + 1 + int(rng.integers(0, 21))
+        elif placement == "shifted":
+            shift = int(rng.integers(0, 21))
+            start, end = start + shift, end + shift
+        # tied scores are common, so the sort's tie-breaks decide suppression too
+        score = float(rng.choice([0.0, 0.5, 1.0])) if rng.uniform() < 0.5 else float(rng.uniform(-1, 1))
+        pool.append(Proposal("v0", start, end, int(rng.integers(1, 3)), score))
+    return pool
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pool=overlapping_pools(),
+    # 1/3, 1/2 and 2/3 are exact tIoUs of small pairs; suppression needs a strictly larger one
+    threshold=st.one_of(st.sampled_from([1 / 3, 0.5, 2 / 3]), st.floats(0.0, 1.0, exclude_max=True)),
+)
+def test_nms_equals_direct_oracle_on_overlapping_pools_property(pool, threshold):
+    assert nms(pool, threshold) == nms_direct(pool, threshold)
+
+
+def test_nms_expands_nested_pairs_in_several_chunks():
+    rng = np.random.default_rng(45)
+    count = 600
+    # every interval contains every shorter one, so every pair of them is a candidate
+    pool = [Proposal("v0", count - r, count + r, 1, float(rng.uniform())) for r in range(count)]
+    assert count * (count - 1) // 2 > 2 * decoder.NMS_PAIR_CHUNK
+    assert nms(pool, 0.45) == nms_direct(pool, 0.45)
+
+
+def test_nms_rejects_a_negative_threshold():
+    with pytest.raises(InvalidInputError, match="tiou_threshold"):
+        nms([Proposal("v0", 0, 1, 1, 0.5)], -0.1)
 
 
 class TestDecode:
