@@ -805,17 +805,10 @@ def test_verify_reports_byte_pinned(runner, tmp_path):
     assert digests == PINNED_VERIFY_DIGESTS
 
 
-# SHA-256 of ``decode``'s output and stdout on a 3-level pyramid: level 2
-# mean-pools pairs of level 1 (256 → 128 snippets), level 3 triples of level 2
-# (128 → 42, so it covers 252 level-1 snippets), and the class threshold
-# selects several classes per video.
-PINNED_PYRAMID_DECODE_DIGESTS = {
-    "proposals.json": "6e91c889426c5839870dd1dc2ef60e626fa9119a792e12d35e238df0f4dcafad",
-    "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-}
-
-
-def test_pyramid_decode_byte_pinned(runner, tmp_path):
+def _pyramid_dataset(runner, tmp_path):
+    """Synth data for 3 videos, plus a 3-level pyramid of their signals: level 2
+    mean-pools pairs of level 1 (256 → 128 snippets), level 3 triples of level 2
+    (128 → 42, so it covers 252 level-1 snippets)."""
     data, pyramid = tmp_path / "data", tmp_path / "pyramid"
     assert invoke(runner, synth_args(data, videos=3, noise="0.05")).exit_code == 0
     pyramid.mkdir()
@@ -826,6 +819,19 @@ def test_pyramid_decode_byte_pinned(runner, tmp_path):
             pooled = values[: values.shape[0] // step * step].reshape(-1, step, values.shape[1]).mean(axis=1)
             levels.append(ProbabilitySignal(signal.video_id, level, pooled))
         save_signals(pyramid / f"{signal.video_id}.npz", levels)
+    return data, pyramid
+
+
+# SHA-256 of ``decode``'s output and stdout on the 3-level pyramid of
+# ``_pyramid_dataset``, where the class threshold selects several classes per video.
+PINNED_PYRAMID_DECODE_DIGESTS = {
+    "proposals.json": "6e91c889426c5839870dd1dc2ef60e626fa9119a792e12d35e238df0f4dcafad",
+    "stdout": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+}
+
+
+def test_pyramid_decode_byte_pinned(runner, tmp_path):
+    _, pyramid = _pyramid_dataset(runner, tmp_path)
     out_file = tmp_path / "proposals.json"
     result = invoke(runner, ["decode", "--signals", str(pyramid), "--out", str(out_file), "--class-threshold", "0.1"])
     assert result.exit_code == 0, result.output
@@ -835,6 +841,29 @@ def test_pyramid_decode_byte_pinned(runner, tmp_path):
         "stdout": hashlib.sha256(result.stdout.encode()).hexdigest(),
     }
     assert digests == PINNED_PYRAMID_DECODE_DIGESTS
+
+
+# SHA-256 of ``adm``'s labels and stdout on the 3-level pyramid of
+# ``_pyramid_dataset``: the fits run on level 3, smoothed and upsampled to 256 snippets.
+PINNED_PYRAMID_ADM_DIGESTS = {
+    "labels.json": "4ab3fcafc1aab3de368c049ed6be669cd2b85e86697ef62837d295464fd588cf",
+    "stdout": "e237adc7fa6d047d4fd715a7300e830e7d581f1e2d433fa28dd9b75ff3864f89",
+}
+
+
+def test_pyramid_adm_byte_pinned(runner, tmp_path):
+    data, pyramid = _pyramid_dataset(runner, tmp_path)
+    out_file = tmp_path / "labels.json"
+    result = invoke(
+        runner, ["adm", "--signals", str(pyramid), "--annotations", str(data / "annotations.json"), "--out", str(out_file)]
+    )
+    assert result.exit_code == 0, result.output
+    assert len(load_pseudo_labels(out_file)) > 3
+    digests = {
+        "labels.json": hashlib.sha256(out_file.read_bytes()).hexdigest(),
+        "stdout": hashlib.sha256(result.stdout.encode()).hexdigest(),
+    }
+    assert digests == PINNED_PYRAMID_ADM_DIGESTS
 
 
 def _command_args(tmp_path, command):
