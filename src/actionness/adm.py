@@ -17,7 +17,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InvalidInputError, require_finite
-from .optim import Bounds1D, minimize_bounded
+from .optim import minimize_lanes
 from .signal import (
     BackgroundPoints,
     PointAnnotation,
@@ -30,6 +30,7 @@ from .signal import (
 )
 
 SIGMA_LOWER_BOUND = 1e-6
+GAUSSIAN_CHUNK = 1 << 18  # snippets per batched Gaussian objective pass, bounding its memory
 
 
 @dataclass
@@ -162,18 +163,68 @@ def gaussian_fit_error(column: np.ndarray, boundary: PreliminaryBoundary, t_star
 
     The scale factor that matches the Gaussian's peak to the signal value at
     ``t_star`` cancels the usual 1/(sigma*sqrt(2*pi)) normalization, leaving a
-    bump of height ``column[t_star]``.
+    bump of height ``column[t_star]``. This is the one-label form of
+    ``GaussianErrors``.
     """
-    column = np.asarray(column, dtype=np.float64)
-    segment = column[boundary.b_start : boundary.b_end + 1]
-    offsets = np.arange(boundary.b_start, boundary.b_end + 1, dtype=np.float64) - t_star
-    height = column[t_star]
+    errors = GaussianErrors([(column, boundary, t_star)])
+    lane = np.zeros(1, dtype=np.int64)
 
     def error(sigma: float) -> float:
-        model = height * np.exp(-0.5 * (offsets / sigma) ** 2)
-        return float(np.sum((model - segment) ** 2))
+        return float(errors(np.array([sigma], dtype=np.float64), lane)[0])
 
     return error
+
+
+class GaussianErrors:
+    """The objectives of ``gaussian_fit_error`` for many ``(column, boundary,
+    t_star)`` fits, evaluated together: ``errors(sigmas, lanes)[k]`` is fit
+    ``lanes[k]``'s squared error at ``sigmas[k]``.
+
+    Every fit's segment and offsets are held in one concatenated array, so
+    the elementwise model is one numpy pass per chunk of at most
+    ``GAUSSIAN_CHUNK`` elements. Each fit's sum is ``np.add.reduce`` over its
+    own slice, which rounds exactly as ``np.sum`` over that fit alone.
+    """
+
+    def __init__(self, fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, int]]):
+        segments, heights, shifts = [], [], []
+        for column, boundary, t_star in fits:
+            column = np.asarray(column, dtype=np.float64)
+            segments.append(column[boundary.b_start : boundary.b_end + 1])
+            heights.append(column[t_star])
+            shifts.append(boundary.b_start - t_star)
+        self.lengths = np.array([segment.size for segment in segments], dtype=np.int64)
+        self.starts = np.cumsum(self.lengths) - self.lengths
+        self.segment = np.concatenate(segments) if segments else np.empty(0)
+        self.heights = np.array(heights, dtype=np.float64)
+        # offset of each snippet from its fit's peak: position - t_star
+        self.offsets = (
+            np.arange(self.segment.size) - np.repeat(self.starts - np.array(shifts, dtype=np.int64), self.lengths)
+        ).astype(np.float64)
+
+    def __call__(self, sigmas: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        values = np.empty(lanes.size)
+        lengths = self.lengths[lanes]
+        ends = np.cumsum(lengths)
+        first = 0
+        while first < lanes.size:
+            # whole lanes up to GAUSSIAN_CHUNK elements, at least one lane
+            limit = ends[first] - lengths[first] + GAUSSIAN_CHUNK
+            last = max(first + 1, int(np.searchsorted(ends, limit, side="right")))
+            chunk = slice(first, last)
+            chunk_lengths = lengths[chunk]
+            chunk_ends = np.cumsum(chunk_lengths)
+            chunk_starts = chunk_ends - chunk_lengths
+            index = np.arange(int(chunk_ends[-1])) + np.repeat(self.starts[lanes[chunk]] - chunk_starts, chunk_lengths)
+            model = np.repeat(self.heights[lanes[chunk]], chunk_lengths) * np.exp(
+                -0.5 * (self.offsets[index] / np.repeat(sigmas[chunk], chunk_lengths)) ** 2
+            )
+            squares = (model - self.segment[index]) ** 2
+            values[chunk] = [
+                np.add.reduce(squares[start:end]) for start, end in zip(chunk_starts.tolist(), chunk_ends.tolist())
+            ]
+            first = last
+        return values
 
 
 def uniform_fit_error(column: np.ndarray, boundary: PreliminaryBoundary, t_star: int):
@@ -196,18 +247,35 @@ def sigma_upper_bound(boundary: PreliminaryBoundary, t_star: int) -> float:
 
 
 def fit_gaussian(column: np.ndarray, boundary: PreliminaryBoundary, t_star: int) -> Fit:
-    """Least-squares Gaussian std on ``[SIGMA_LOWER_BOUND, u_b]``.
+    """Least-squares Gaussian std on ``[SIGMA_LOWER_BOUND, u_b]``: the one-label call of ``fit_gaussians``."""
+    return fit_gaussians([(column, boundary, t_star)])[0]
 
-    Returns ``Fit(sigma, degenerate, error)``, the error being the minimizer's
-    objective value at sigma; a boundary too tight to search pins sigma to the
-    lower bound and sets the flag.
+
+def fit_gaussians(fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, int]]) -> list[Fit]:
+    """Least-squares Gaussian std of every ``(column, boundary, t_star)`` fit,
+    each on ``[SIGMA_LOWER_BOUND, u_b]``, in one lockstep ``minimize_lanes`` search.
+
+    Returns one ``Fit(sigma, degenerate, error)`` per fit, the error being the
+    minimizer's objective value at sigma; a boundary too tight to search pins
+    sigma to the lower bound and sets the flag. Each fit equals a search of its
+    objective alone.
     """
-    upper = sigma_upper_bound(boundary, t_star)
-    error = gaussian_fit_error(column, boundary, t_star)
-    if upper <= SIGMA_LOWER_BOUND:
-        return Fit(SIGMA_LOWER_BOUND, True, error(SIGMA_LOWER_BOUND))
-    result = minimize_bounded(error, Bounds1D(SIGMA_LOWER_BOUND, upper))
-    return Fit(result.x, False, result.f)
+    errors = GaussianErrors(fits)
+    uppers = np.array([sigma_upper_bound(boundary, t_star) for _, boundary, t_star in fits], dtype=np.float64)
+    searched = np.flatnonzero(uppers > SIGMA_LOWER_BOUND)
+    tight = np.flatnonzero(uppers <= SIGMA_LOWER_BOUND)
+    result = minimize_lanes(
+        lambda sigmas, lanes: errors(sigmas, searched[lanes]),
+        np.full(searched.size, SIGMA_LOWER_BOUND),
+        uppers[searched],
+    )
+    tight_errors = errors(np.full(tight.size, SIGMA_LOWER_BOUND), tight)
+    fitted: list[Fit] = [None] * len(fits)  # type: ignore[list-item]
+    for lane, sigma, error in zip(searched.tolist(), result.x.tolist(), result.f.tolist()):
+        fitted[lane] = Fit(sigma, False, error)
+    for lane, error in zip(tight.tolist(), tight_errors.tolist()):
+        fitted[lane] = Fit(SIGMA_LOWER_BOUND, True, error)
+    return fitted
 
 
 def fit_uniform(column: np.ndarray, boundary: PreliminaryBoundary, t_star: int) -> Fit:
@@ -242,30 +310,34 @@ def fit_uniform(column: np.ndarray, boundary: PreliminaryBoundary, t_star: int) 
 
 
 def generate_pseudo_labels(
-    signal: ProbabilitySignal,
-    points: Sequence[PointAnnotation],
-    background: BackgroundPoints,
+    videos: Sequence[tuple[ProbabilitySignal, Sequence[PointAnnotation], BackgroundPoints]],
     config: ADMConfig,
 ) -> list[PseudoLabel]:
     """One pseudo-label per annotated point, never dropping any.
 
-    ``signal`` is expected to be the smoothed, full-resolution probability
-    signal. Each label's half-extent is ``gamma1*sigma + gamma2*omega`` and its
-    interval is rounded then clipped to the video (optionally also to the
-    preliminary boundary).
+    ``videos`` holds each video's ``(signal, points, background)``; ``signal``
+    is expected to be the smoothed, full-resolution probability signal. The
+    Gaussian fits of all points run in one ``fit_gaussians`` call. Each label's
+    half-extent is ``gamma1*sigma + gamma2*omega`` and its interval is rounded
+    then clipped to the video (optionally also to the preliminary boundary).
+    Labels come in the order of ``videos`` and their points.
     """
+    peaks = []
+    for signal, points, background in videos:
+        for point in points:
+            if point.video_id != signal.video_id:
+                raise InvalidInputError(
+                    f"annotation for video {point.video_id!r} applied to signal {signal.video_id!r}"
+                )
+            boundary = preliminary_boundaries(point, background, signal.length)
+            column = signal.class_column(point.class_id)
+            t_star, found = find_peak(column, boundary, point.t, config.delta)
+            uniform = fit_uniform(column, boundary, t_star)
+            peaks.append((point, signal.length, column, boundary, t_star, found, uniform))
+    gaussians = fit_gaussians([(column, boundary, t_star) for _, _, column, boundary, t_star, _, _ in peaks])
+
     labels = []
-    length = signal.length
-    for point in points:
-        if point.video_id != signal.video_id:
-            raise InvalidInputError(
-                f"annotation for video {point.video_id!r} applied to signal {signal.video_id!r}"
-            )
-        boundary = preliminary_boundaries(point, background, length)
-        column = signal.class_column(point.class_id)
-        t_star, found = find_peak(column, boundary, point.t, config.delta)
-        gaussian = fit_gaussian(column, boundary, t_star)
-        uniform = fit_uniform(column, boundary, t_star)
+    for (point, length, _, boundary, t_star, found, uniform), gaussian in zip(peaks, gaussians):
         half_extent = config.gamma1 * gaussian.value + config.gamma2 * uniform.value
         start = int(round(t_star - half_extent))
         end = int(round(t_star + half_extent))
@@ -304,7 +376,8 @@ def label_videos(
     each annotated video's checked by ``pyramid_scales``. Background points
     come from level 1 once every point is widened by ``config.r_a``; the fits
     run on the coarsest level, smoothed and then upsampled to the level-1
-    length. Each label carries its two fit errors.
+    length, all videos' in one ``generate_pseudo_labels`` call. Each label
+    carries its two fit errors.
     """
     by_video: dict[str, list[PointAnnotation]] = {}
     for point in points:
@@ -313,7 +386,7 @@ def label_videos(
     if missing:
         raise InvalidInputError(f"annotations reference videos without signals: {missing}")
 
-    labels: list[PseudoLabel] = []
+    videos = []
     for video_id in sorted(by_video):
         levels = sorted(grouped_levels[video_id], key=lambda s: s.level)
         pyramid_scales(levels)
@@ -324,5 +397,5 @@ def label_videos(
         smoothed = smooth_signal(coarsest, config.smoothing_sigma)
         if smoothed.length < finest.length:
             smoothed = upsample_signal(smoothed, finest.length)
-        labels.extend(generate_pseudo_labels(smoothed, video_points, background, config))
-    return labels
+        videos.append((smoothed, video_points, background))
+    return generate_pseudo_labels(videos, config)

@@ -3,6 +3,11 @@
 The search combines successive parabolic interpolation with golden-section
 steps on a closed interval. Both interval endpoints are evaluated at the end,
 so the returned point never loses to either bound.
+
+``minimize_lanes`` runs many such searches in lockstep: every lane follows
+the same update rules as a search of its own, and each round makes one
+batched objective call over the lanes still searching. ``minimize_bounded``
+is its one-lane call.
 """
 
 from __future__ import annotations
@@ -10,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .errors import InvalidInputError, NumericError
 
@@ -42,6 +49,16 @@ class MinimizeResult:
     converged: bool
 
 
+@dataclass
+class LaneResults:
+    """Per-lane ``MinimizeResult`` fields of a ``minimize_lanes`` run, as arrays."""
+
+    x: np.ndarray
+    f: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+
+
 def minimize_bounded(
     objective: Callable[[float], float],
     bounds: Bounds1D,
@@ -55,85 +72,158 @@ def minimize_bounded(
     before the bracket collapsed. Raises ``NumericError`` if the objective
     produces a non-finite value.
     """
+
+    def one_lane(points: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        return np.array([float(objective(float(point))) for point in points])
+
+    result = minimize_lanes(
+        one_lane, np.array([bounds.lo]), np.array([bounds.hi]), x_tolerance, max_iterations
+    )
+    return MinimizeResult(
+        x=float(result.x[0]),
+        f=float(result.f[0]),
+        iterations=int(result.iterations[0]),
+        converged=bool(result.converged[0]),
+    )
+
+
+def minimize_lanes(
+    objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    lo: np.ndarray,
+    hi: np.ndarray,
+    x_tolerance: float = DEFAULT_X_TOLERANCE,
+    max_iterations: int = DEFAULT_MAX_ITERATIONS,
+) -> LaneResults:
+    """Minimize one scalar function per lane, lane ``i`` on ``[lo[i], hi[i]]``.
+
+    ``objective(points, lanes)`` returns the value of lane ``lanes[k]``'s
+    function at ``points[k]`` for every ``k``. Each lane's result equals a
+    ``minimize_bounded`` run of its function alone, bit for bit, and uses as
+    many evaluations. Raises ``NumericError`` if any value is non-finite.
+    """
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    if lo.ndim != 1 or lo.shape != hi.shape:
+        raise InvalidInputError(f"lo and hi must be equal-length 1-D, got {lo.shape} and {hi.shape}")
     if x_tolerance <= 0:
         raise InvalidInputError(f"x_tolerance must be > 0, got {x_tolerance}")
     if max_iterations < 1:
         raise InvalidInputError(f"max_iterations must be >= 1, got {max_iterations}")
+    invalid = ~(np.isfinite(lo) & np.isfinite(hi) & (lo < hi))
+    if invalid.any():
+        lane = int(np.argmax(invalid))
+        raise InvalidInputError(
+            f"lane {lane}: bounds must be finite with lo < hi, got [{lo[lane]}, {hi[lane]}]"
+        )
 
-    def evaluate(point: float) -> float:
-        value = float(objective(point))
-        if not math.isfinite(value):
-            raise NumericError(f"objective returned non-finite value {value!r} at x={point!r}")
-        return value
+    def evaluate(points: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        values = np.asarray(objective(points, lanes), dtype=np.float64)
+        bad = ~np.isfinite(values)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise NumericError(
+                f"objective returned non-finite value {float(values[k])!r} at x={float(points[k])!r}"
+            )
+        return values
 
-    a, b = bounds.lo, bounds.hi
-    x = w = v = a + _GOLDEN * (b - a)
-    fx = fw = fv = evaluate(x)
-    d = e = 0.0  # last and second-to-last step sizes
-    iterations = 0
-    converged = False
+    x, fx, iterations, converged = _brent(evaluate, lo, hi, x_tolerance, max_iterations)
 
-    for iterations in range(1, max_iterations + 1):
+    # Endpoint check: the result never loses to a bound, and ties prefer the
+    # lower bound (matching a dense grid scan's first-minimum convention).
+    lanes = np.arange(lo.size)
+    f_lo = evaluate(lo, lanes)
+    at_lo = f_lo <= fx
+    x, fx = np.where(at_lo, lo, x), np.where(at_lo, f_lo, fx)
+    f_hi = evaluate(hi, lanes)
+    at_hi = f_hi < fx
+    x, fx = np.where(at_hi, hi, x), np.where(at_hi, f_hi, fx)
+    return LaneResults(np.minimum(np.maximum(x, lo), hi), fx, iterations, converged)
+
+
+def _brent(evaluate, lo, hi, x_tolerance, max_iterations):
+    """Brent's search of every lane up to convergence or ``max_iterations``.
+
+    Returns each lane's best point and value, its iteration count and whether
+    its bracket collapsed. Lanes leave the batch as they converge; the state
+    arrays hold the lanes still searching, ``ids`` their lane numbers.
+    """
+    count = lo.size
+    best_x, best_f = np.empty(count), np.empty(count)
+    iterations = np.full(count, max_iterations, dtype=np.int64)
+    converged = np.zeros(count, dtype=bool)
+    if count == 0:
+        return best_x, best_f, iterations, converged
+
+    ids = np.arange(count)
+    a, b = lo.copy(), hi.copy()
+    x = a + _GOLDEN * (b - a)
+    fx = evaluate(x, ids)
+    w, v, fw, fv = x, x, fx, fx
+    d = e = np.zeros(count)  # last and second-to-last step sizes
+
+    for iteration in range(1, max_iterations + 1):
         mid = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * abs(x) + x_tolerance / 3.0
+        tol1 = _SQRT_EPS * np.abs(x) + x_tolerance / 3.0
         tol2 = 2.0 * tol1
-        if abs(x - mid) <= tol2 - 0.5 * (b - a):
-            converged = True
-            break
+        done = np.abs(x - mid) <= tol2 - 0.5 * (b - a)
+        if done.any():
+            finished = ids[done]
+            best_x[finished], best_f[finished] = x[done], fx[done]
+            iterations[finished] = iteration
+            converged[finished] = True
+            keep = ~done
+            if not keep.any():
+                return best_x, best_f, iterations, converged
+            ids, a, b, x, w, v, fx, fw, fv, d, e, mid, tol1, tol2 = (
+                state[keep] for state in (ids, a, b, x, w, v, fx, fw, fv, d, e, mid, tol1, tol2)
+            )
 
-        use_golden = True
-        if abs(e) > tol1:
-            # Fit a parabola through (x, fx), (w, fw), (v, fv).
+        # Python float arithmetic raises no floating-point warnings; the
+        # rejected lanes' parabolic steps may divide by zero.
+        with np.errstate(all="ignore"):
+            # Fit a parabola through (x, fx), (w, fw), (v, fv) where the step
+            # before last was large enough.
+            parabolic = np.abs(e) > tol1
             r = (x - w) * (fx - fv)
             q = (x - v) * (fx - fw)
             p = (x - v) * q - (x - w) * r
             q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            r, e = e, d
+            p = np.where(q > 0.0, -p, p)
+            q = np.abs(q)
             # Accept only if the step is small and stays inside the bracket.
-            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
-                d = p / q
-                u = x + d
-                if (u - a) < tol2 or (b - u) < tol2:
-                    d = tol1 if x < mid else -tol1
-                use_golden = False
-        if use_golden:
-            e = (b - x) if x < mid else (a - x)
-            d = _GOLDEN * e
+            accept = (
+                parabolic
+                & (np.abs(p) < np.abs(0.5 * q * e))
+                & (q * (a - x) < p)
+                & (p < q * (b - x))
+            )
+            e = np.where(parabolic, d, e)
+            step = p / q
+            u = x + step
+            near_end = ((u - a) < tol2) | ((b - u) < tol2)
+            step = np.where(near_end, np.where(x < mid, tol1, -tol1), step)
+            golden = np.where(x < mid, b - x, a - x)
+            e = np.where(accept, e, golden)
+            d = np.where(accept, step, _GOLDEN * golden)
+            # Never probe closer than tol1 to the current best point.
+            u = x + np.where(np.abs(d) >= tol1, d, np.copysign(tol1, d))
+        fu = evaluate(u, ids)
 
-        # Never probe closer than tol1 to the current best point.
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = evaluate(u)
+        better = fu <= fx
+        left = u < x
+        a, b = (
+            np.where(better, np.where(left, a, x), np.where(left, u, a)),
+            np.where(better, np.where(left, x, b), np.where(left, b, u)),
+        )
+        shift_w = ~better & ((fu <= fw) | (w == x))
+        shift_v = ~better & ~shift_w & ((fu <= fv) | (v == x) | (v == w))
+        v, fv = np.where(better | shift_w, w, np.where(shift_v, u, v)), np.where(
+            better | shift_w, fw, np.where(shift_v, fu, fv)
+        )
+        w, fw = np.where(better, x, np.where(shift_w, u, w)), np.where(
+            better, fx, np.where(shift_w, fu, fw)
+        )
+        x, fx = np.where(better, u, x), np.where(better, fu, fx)
 
-        if fu <= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, fv = w, fw
-            w, fw = x, fx
-            x, fx = u, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu <= fw or w == x:
-                v, fv = w, fw
-                w, fw = u, fu
-            elif fu <= fv or v == x or v == w:
-                v, fv = u, fu
-
-    # Endpoint check: the result never loses to a bound, and ties prefer the
-    # lower bound (matching a dense grid scan's first-minimum convention).
-    f_lo = evaluate(bounds.lo)
-    if f_lo <= fx:
-        x, fx = bounds.lo, f_lo
-    f_hi = evaluate(bounds.hi)
-    if f_hi < fx:
-        x, fx = bounds.hi, f_hi
-
-    x = min(max(x, bounds.lo), bounds.hi)
-    return MinimizeResult(x=x, f=fx, iterations=iterations, converged=converged)
+    best_x[ids], best_f[ids] = x, fx
+    return best_x, best_f, iterations, converged

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import adm, losses
-from .adm import PreliminaryBoundary, fit_gaussian, fit_uniform
+from .adm import PreliminaryBoundary, fit_gaussian, fit_gaussians, fit_uniform
 from .decoder import Proposal, nms
 from .errors import InvalidInputError
 from .evaluation import GroundTruthInstance, average_precision
@@ -156,15 +156,18 @@ def run_fitting_suite(samples: int = 1000, grid_checks: int = 25, seed: int = 73
     length = 512
     positions = np.arange(length, dtype=np.float64)
 
-    worst_sigma_rel = 0.0
+    sigmas_true, fits = [], []
     for _ in range(samples):
         sigma_true = float(rng.uniform(3.0, 40.0))
         t_star = int(rng.integers(200, 313))
         boundary = PreliminaryBoundary(int(rng.integers(0, 40)), int(rng.integers(472, length)))
         height = float(rng.uniform(0.5, 1.0))
         column = height * np.exp(-0.5 * ((positions - t_star) / sigma_true) ** 2)
-        sigma = fit_gaussian(column, boundary, t_star).value
-        worst_sigma_rel = max(worst_sigma_rel, abs(sigma - sigma_true) / sigma_true)
+        sigmas_true.append(sigma_true)
+        fits.append((column, boundary, t_star))
+    worst_sigma_rel = 0.0
+    for sigma_true, fit in zip(sigmas_true, fit_gaussians(fits)):
+        worst_sigma_rel = max(worst_sigma_rel, abs(fit.value - sigma_true) / sigma_true)
     gaussian_check = {
         "name": "gaussian_recovery",
         "max_rel_err": worst_sigma_rel,

@@ -226,22 +226,22 @@ class TestGeneratePseudoLabels:
 
     def test_one_label_per_point(self):
         points = [PointAnnotation("v0", t, 1) for t in (100, 148, 200)]
-        labels = generate_pseudo_labels(self.signal, points, self.background, ADMConfig())
+        labels = generate_pseudo_labels([(self.signal, points, self.background)], ADMConfig())
         assert len(labels) == len(points)
 
     def test_gamma_edge_cases(self):
         only_sigma = generate_pseudo_labels(
-            self.signal, self.points, self.background, ADMConfig(gamma1=1.0, gamma2=0.0)
+            [(self.signal, self.points, self.background)], ADMConfig(gamma1=1.0, gamma2=0.0)
         )[0]
         assert only_sigma.delta == pytest.approx(only_sigma.sigma)
         only_omega = generate_pseudo_labels(
-            self.signal, self.points, self.background, ADMConfig(gamma1=0.0, gamma2=1.0)
+            [(self.signal, self.points, self.background)], ADMConfig(gamma1=0.0, gamma2=1.0)
         )[0]
         assert only_omega.delta == pytest.approx(only_omega.omega)
 
     def test_delta_is_exact_combination(self):
         config = ADMConfig(gamma1=0.7, gamma2=0.3)
-        label = generate_pseudo_labels(self.signal, self.points, self.background, config)[0]
+        label = generate_pseudo_labels([(self.signal, self.points, self.background)], config)[0]
         assert label.delta == pytest.approx(0.7 * label.sigma + 0.3 * label.omega)
 
     def test_interval_contains_peak_and_stays_in_video(self):
@@ -257,14 +257,14 @@ class TestGeneratePseudoLabels:
             signal = build_signal(column[:, None])
             t = int(rng.integers(10, 190))
             labels = generate_pseudo_labels(
-                signal, [PointAnnotation("v0", t, 1)], background(), ADMConfig()
+                [(signal, [PointAnnotation("v0", t, 1)], background())], ADMConfig()
             )
             label = labels[0]
             assert 0 <= label.start <= label.t_star <= label.end <= length - 1
 
     def test_degenerate_boundary_produces_flagged_point_label(self):
         labels = generate_pseudo_labels(
-            self.signal, [PointAnnotation("v0", 60, 1)], background(60), ADMConfig()
+            [(self.signal, [PointAnnotation("v0", 60, 1)], background(60))], ADMConfig()
         )
         label = labels[0]
         assert label.degenerate
@@ -272,15 +272,15 @@ class TestGeneratePseudoLabels:
 
     def test_scaling_column_preserves_fits(self):
         scaled = build_signal(0.5 * self.signal.values[:, :1])
-        full = generate_pseudo_labels(self.signal, self.points, self.background, ADMConfig())[0]
-        half = generate_pseudo_labels(scaled, self.points, self.background, ADMConfig())[0]
+        full = generate_pseudo_labels([(self.signal, self.points, self.background)], ADMConfig())[0]
+        half = generate_pseudo_labels([(scaled, self.points, self.background)], ADMConfig())[0]
         assert half.sigma == pytest.approx(full.sigma, abs=1e-4)
         assert half.omega == full.omega
 
     def test_video_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             generate_pseudo_labels(
-                self.signal, [PointAnnotation("other", 10, 1)], self.background, ADMConfig()
+                [(self.signal, [PointAnnotation("other", 10, 1)], self.background)], ADMConfig()
             )
 
 
@@ -323,7 +323,7 @@ class TestLabelVideos:
             fitted = smooth_signal(coarsest, config.smoothing_sigma)
             if fitted.length < finest.length:
                 fitted = upsample_signal(fitted, finest.length)
-            for label in generate_pseudo_labels(fitted, video_points, background, config):
+            for label in generate_pseudo_labels([(fitted, video_points, background)], config):
                 point = PointAnnotation(label.video_id, label.t, label.class_id)
                 boundary = preliminary_boundaries(point, background, fitted.length)
                 column = fitted.class_column(label.class_id)
@@ -384,9 +384,9 @@ def test_clip_to_boundary_option():
     signal = build_signal(column[:, None])
     points = [PointAnnotation("v0", 150, 1)]
     bg = background(130, 170)
-    free = generate_pseudo_labels(signal, points, bg, ADMConfig(gamma1=2.0, gamma2=2.0))[0]
+    free = generate_pseudo_labels([(signal, points, bg)], ADMConfig(gamma1=2.0, gamma2=2.0))[0]
     clipped = generate_pseudo_labels(
-        signal, points, bg, ADMConfig(gamma1=2.0, gamma2=2.0, clip_to_boundary=True)
+        [(signal, points, bg)], ADMConfig(gamma1=2.0, gamma2=2.0, clip_to_boundary=True)
     )[0]
     assert free.start < 130 or free.end > 170  # wide gammas overshoot the boundary
     assert 130 <= clipped.start <= clipped.end <= 170
