@@ -2,7 +2,9 @@
 
 The search combines successive parabolic interpolation with golden-section
 steps on a closed interval. Both interval endpoints are evaluated at the end,
-so the returned point never loses to either bound.
+so the returned point never loses to either bound. When every value a search
+evaluated ties, a scan of the interval looks for a dip the search stepped
+over, and a second search runs around the lowest scanned point.
 
 ``minimize_lanes`` runs many such searches in lockstep: every lane follows
 the same update rules as a search of its own, and each round makes one
@@ -25,6 +27,7 @@ _SQRT_EPS = math.sqrt(2.220446049250313e-16)
 
 DEFAULT_X_TOLERANCE = 1e-5
 DEFAULT_MAX_ITERATIONS = 500
+FLAT_SCAN_STEPS = 64  # steps of the interval scan made when every probe of a lane tied
 
 
 @dataclass(frozen=True)
@@ -126,11 +129,38 @@ def minimize_lanes(
             )
         return values
 
-    x, fx, iterations, converged = _brent(evaluate, lo, hi, x_tolerance, max_iterations)
+    lanes = np.arange(lo.size)
+    x, fx, iterations, converged, flat = _brent(evaluate, lanes, lo, hi, x_tolerance, max_iterations)
+    if flat.any():
+        # Every probe tied, so the search may have stepped over a dip narrower
+        # than its steps (a bump whose tails are flat to the last bit). Scan
+        # the interval, ends included; where the scan finds a lower value,
+        # search again in the two scan steps around its lowest point.
+        tied = lanes[flat]
+        span = hi[tied] - lo[tied]
+        steps = np.arange(FLAT_SCAN_STEPS + 1) / FLAT_SCAN_STEPS
+        grid = lo[tied, None] + span[:, None] * steps[None, :]
+        grid[:, -1] = hi[tied]
+        scan = evaluate(grid.ravel(), np.repeat(tied, steps.size)).reshape(grid.shape)
+        lowest = np.argmin(scan, axis=1)
+        rows = np.arange(tied.size)
+        found = scan[rows, lowest] < fx[tied]
+        tied, rows, lowest = tied[found], rows[found], lowest[found]
+        if tied.size:
+            grid_x, grid_f = grid[rows, lowest], scan[rows, lowest]
+            sub_lo = grid[rows, np.maximum(lowest - 1, 0)]
+            sub_hi = grid[rows, np.minimum(lowest + 1, FLAT_SCAN_STEPS)]
+            x2, f2, iterations2, converged2, _ = _brent(
+                evaluate, tied, sub_lo, sub_hi, x_tolerance, max_iterations
+            )
+            keep_grid = f2 > grid_f
+            x[tied] = np.where(keep_grid, grid_x, x2)
+            fx[tied] = np.where(keep_grid, grid_f, f2)
+            iterations[tied] += iterations2
+            converged[tied] = converged2
 
     # Endpoint check: the result never loses to a bound, and ties prefer the
     # lower bound (matching a dense grid scan's first-minimum convention).
-    lanes = np.arange(lo.size)
     f_lo = evaluate(lo, lanes)
     at_lo = f_lo <= fx
     x, fx = np.where(at_lo, lo, x), np.where(at_lo, f_lo, fx)
@@ -140,24 +170,27 @@ def minimize_lanes(
     return LaneResults(np.minimum(np.maximum(x, lo), hi), fx, iterations, converged)
 
 
-def _brent(evaluate, lo, hi, x_tolerance, max_iterations):
+def _brent(evaluate, lanes, lo, hi, x_tolerance, max_iterations):
     """Brent's search of every lane up to convergence or ``max_iterations``.
 
-    Returns each lane's best point and value, its iteration count and whether
-    its bracket collapsed. Lanes leave the batch as they converge; the state
-    arrays hold the lanes still searching, ``ids`` their lane numbers.
+    Returns each lane's best point and value, its iteration count, whether
+    its bracket collapsed, and whether all its probes tied. Lanes leave the
+    batch as they converge; the state arrays hold the lanes still searching,
+    ``ids`` their positions in ``lanes``.
     """
     count = lo.size
     best_x, best_f = np.empty(count), np.empty(count)
     iterations = np.full(count, max_iterations, dtype=np.int64)
     converged = np.zeros(count, dtype=bool)
     if count == 0:
-        return best_x, best_f, iterations, converged
+        return best_x, best_f, iterations, converged, converged.copy()
 
     ids = np.arange(count)
     a, b = lo.copy(), hi.copy()
     x = a + _GOLDEN * (b - a)
-    fx = evaluate(x, ids)
+    fx = evaluate(x, lanes)
+    flat = np.ones(count, dtype=bool)
+    first = fx
     w, v, fw, fv = x, x, fx, fx
     d = e = np.zeros(count)  # last and second-to-last step sizes
 
@@ -173,7 +206,7 @@ def _brent(evaluate, lo, hi, x_tolerance, max_iterations):
             converged[finished] = True
             keep = ~done
             if not keep.any():
-                return best_x, best_f, iterations, converged
+                return best_x, best_f, iterations, converged, flat
             ids, a, b, x, w, v, fx, fw, fv, d, e, mid, tol1, tol2 = (
                 state[keep] for state in (ids, a, b, x, w, v, fx, fw, fv, d, e, mid, tol1, tol2)
             )
@@ -207,7 +240,8 @@ def _brent(evaluate, lo, hi, x_tolerance, max_iterations):
             d = np.where(accept, step, _GOLDEN * golden)
             # Never probe closer than tol1 to the current best point.
             u = x + np.where(np.abs(d) >= tol1, d, np.copysign(tol1, d))
-        fu = evaluate(u, ids)
+        fu = evaluate(u, lanes[ids])
+        flat[ids] &= fu == first[ids]
 
         better = fu <= fx
         left = u < x
@@ -226,4 +260,4 @@ def _brent(evaluate, lo, hi, x_tolerance, max_iterations):
         x, fx = np.where(better, u, x), np.where(better, fu, fx)
 
     best_x[ids], best_f[ids] = x, fx
-    return best_x, best_f, iterations, converged
+    return best_x, best_f, iterations, converged, flat

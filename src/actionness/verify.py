@@ -232,6 +232,7 @@ def run_fitting_suite(samples: int = 1000, grid_checks: int = 25, seed: int = 73
 # --- oracle suite ------------------------------------------------------------
 
 def _random_unimodal(rng):
+    """A random objective of one of four unimodal kinds, its interval ``lo, hi`` and its minimizer."""
     lo = float(rng.uniform(-10.0, 0.0))
     hi = lo + float(rng.uniform(1.0, 20.0))
     minimum = float(rng.uniform(lo, hi))
@@ -239,14 +240,14 @@ def _random_unimodal(rng):
     offset = float(rng.uniform(-1.0, 1.0))
     kind = int(rng.integers(0, 4))
     if kind == 0:
-        return lambda x: scale * (x - minimum) ** 2 + offset, lo, hi
+        return lambda x: scale * (x - minimum) ** 2 + offset, lo, hi, minimum
     if kind == 1:
-        return lambda x: scale * np.abs(x - minimum) + offset, lo, hi
+        return lambda x: scale * np.abs(x - minimum) + offset, lo, hi, minimum
     if kind == 2:
         width = float(rng.uniform(0.5, 3.0))
-        return lambda x: -scale * np.exp(-0.5 * ((x - minimum) / width) ** 2) + offset, lo, hi
+        return lambda x: -scale * np.exp(-0.5 * ((x - minimum) / width) ** 2) + offset, lo, hi, minimum
     slope = float(rng.uniform(0.1, 2.0))
-    return lambda x: scale * (x - minimum) ** 2 + slope * np.abs(x - minimum) + offset, lo, hi
+    return lambda x: scale * (x - minimum) ** 2 + slope * np.abs(x - minimum) + offset, lo, hi, minimum
 
 
 def _random_proposals(rng, max_count, classes, horizon=100):
@@ -287,7 +288,7 @@ def run_oracle_suite(
     optimizer_ok = 0
     x_tolerance = 1e-5
     for _ in range(optimizer_cases):
-        objective, lo, hi = _random_unimodal(rng)
+        objective, lo, hi, _ = _random_unimodal(rng)
         result = minimize_bounded(objective, Bounds1D(lo, hi), x_tolerance=x_tolerance)
         xs = np.linspace(lo, hi, ORACLE_GRID_POINTS)
         reference = float(xs[int(np.argmin(objective(xs)))])

@@ -142,7 +142,7 @@ def test_criterion_5_optimizer_versus_dense_grid():
     rng = np.random.default_rng(5150)
     grid_points = 100000
     for _ in range(100):
-        objective, lo, hi = _random_unimodal(rng)
+        objective, lo, hi, _ = _random_unimodal(rng)
         result = minimize_bounded(objective, Bounds1D(lo, hi), x_tolerance=1e-5)
         xs = np.linspace(lo, hi, grid_points)
         reference = float(xs[int(np.argmin(objective(xs)))])
