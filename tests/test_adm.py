@@ -4,12 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from actionness import adm
 from actionness.adm import (
     ADMConfig,
     PreliminaryBoundary,
     SIGMA_LOWER_BOUND,
     find_peak,
     fit_gaussian,
+    fit_gaussians,
     fit_uniform,
     gaussian_fit_error,
     generate_pseudo_labels,
@@ -208,6 +210,42 @@ def test_fit_uniform_matches_grid_oracle(case):
     assert fitted <= grid.min() + 1e-9 * (1.0 + grid.min())
     assert error == uniform_fit_error(column, boundary, t_star)(omega)
     assert error == pytest.approx(fitted, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def gaussian_fit_batches(draw):
+    """Fits on random columns, some of them on a boundary too tight to search."""
+    fits = []
+    for _ in range(draw(st.integers(1, 8))):
+        column = draw(hnp.arrays(np.float64, st.integers(1, 60), elements=st.floats(0.0, 1.0)))
+        if draw(st.booleans()):
+            t_star = draw(st.integers(0, column.size - 1))
+            fits.append((column, PreliminaryBoundary(t_star, t_star), t_star))
+        else:
+            fits.append(draw(uniform_fit_cases()))
+    return fits
+
+
+@settings(max_examples=100, deadline=None)
+@given(gaussian_fit_batches())
+def test_batched_gaussian_fits_equal_one_label_fits(fits):
+    batch = fit_gaussians(fits)
+    assert batch == [fit_gaussian(column, boundary, t_star) for column, boundary, t_star in fits]
+    for (column, boundary, t_star), fit in zip(fits, batch):
+        assert fit.degenerate == (boundary.b_start == boundary.b_end)
+        assert fit.error == gaussian_fit_error(column, boundary, t_star)(fit.value)
+
+
+def test_gaussian_objective_chunks_lose_no_snippet(monkeypatch):
+    # chunks of 7 snippets split the batch mid-way and hold segments longer than a chunk alone
+    rng = np.random.default_rng(5)
+    fits = []
+    for length in (3, 12, 1, 40, 7, 25):
+        column = rng.uniform(0.0, 1.0, length)
+        fits.append((column, PreliminaryBoundary(0, length - 1), int(rng.integers(0, length))))
+    whole = fit_gaussians(fits)
+    monkeypatch.setattr(adm, "GAUSSIAN_CHUNK", 7)
+    assert fit_gaussians(fits) == whole
 
 
 def build_signal(columns, video_id="v0"):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actionness.errors import InvalidInputError, NumericError
-from actionness.optim import Bounds1D, minimize_bounded, minimize_lanes
+from actionness.optim import DEFAULT_MAX_ITERATIONS, Bounds1D, minimize_bounded, minimize_lanes
 from actionness.verify import ORACLE_GRID_POINTS, _random_unimodal, run_oracle_suite
 
 
@@ -144,6 +146,60 @@ def test_oracle_minimizer_cases_of_seeds_1_to_300_all_pass():
 def test_flat_objective_returns_the_lower_bound():
     result = minimize_bounded(lambda x: 3.0, Bounds1D(-1.0, 4.0))
     assert (result.x, result.f) == (-1.0, 3.0)
+
+
+@st.composite
+def mixed_lanes(draw):
+    """Lanes of ``_random_unimodal``'s kinds (from drawn seeds) and flat-tailed
+    narrow bumps, plus an iteration budget that some lanes exhaust."""
+    lanes = []
+    for _ in range(draw(st.integers(1, 10))):
+        if draw(st.booleans()):
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            lanes.append(_random_unimodal(rng))
+        else:
+            lo = draw(st.floats(-10.0, 0.0))
+            hi = lo + draw(st.floats(5.0, 30.0))
+            center = draw(st.floats(lo, hi))
+            lanes.append(_narrow_bump(center, draw(st.floats(0.05, 0.5)), lo, hi))
+    return lanes, draw(st.sampled_from([3, 8, 15, 25, DEFAULT_MAX_ITERATIONS]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_lanes())
+def test_each_lane_equals_its_one_lane_run(case):
+    lanes, max_iterations = case
+    objectives, lo, hi, _ = zip(*lanes)
+    batch = minimize_lanes(_lane_objective(objectives), np.array(lo), np.array(hi), max_iterations=max_iterations)
+    for lane, (objective, lane_lo, lane_hi, _) in enumerate(lanes):
+        alone = minimize_bounded(objective, Bounds1D(lane_lo, lane_hi), max_iterations=max_iterations)
+        assert (batch.x[lane], batch.f[lane], batch.iterations[lane], batch.converged[lane]) == (
+            alone.x, alone.f, alone.iterations, alone.converged
+        )
+
+
+def test_mixed_batch_holds_lanes_finishing_in_different_rounds():
+    # Lanes converge in different rounds, two exhaust the budget, and one is a
+    # flat-tailed bump that takes the scan; each equals its one-lane run.
+    lanes = [
+        (lambda x: (x - 2.0) ** 2, 0.0, 5.0, 2.0),
+        (lambda x: abs(x - 1.0), 0.0, 3.0, 1.0),
+        (lambda x: np.sin(x) + 0.1 * x**2, -4.0, 4.0, None),
+        (lambda x: -x, 0.0, 5.0, 5.0),
+        _narrow_bump(13.3, 0.08, -2.0, 25.0),
+    ]
+    objectives, lo, hi, _ = zip(*lanes)
+    for max_iterations in (12, DEFAULT_MAX_ITERATIONS):
+        batch = minimize_lanes(_lane_objective(objectives), np.array(lo), np.array(hi), max_iterations=max_iterations)
+        alone = [
+            minimize_bounded(objective, Bounds1D(a, b), max_iterations=max_iterations)
+            for objective, a, b, _ in lanes
+        ]
+        assert [(r.x, r.f, r.iterations, r.converged) for r in alone] == list(
+            zip(batch.x, batch.f, batch.iterations, batch.converged)
+        )
+        assert len(set(batch.iterations.tolist())) >= 3
+        assert batch.converged.all() == (max_iterations == DEFAULT_MAX_ITERATIONS)
 
 
 def test_lanes_validate_their_bounds():
