@@ -67,12 +67,46 @@ def mil_loss(scores, video_label) -> LossValue:
     return LossValue(value, gradient)
 
 
+def _float_power(values: np.ndarray, exponent: float) -> np.ndarray:
+    """``value ** exponent`` in Python floats, element by element.
+
+    numpy's array power rounds some results differently from the C ``pow``
+    behind Python's float power, which the background term has always used.
+    """
+    return np.array([value**exponent for value in values.tolist()], dtype=np.float64)
+
+
+def _sequential_sum(terms: np.ndarray) -> float:
+    """Sum of ``terms`` added one by one, left to right, as a loop would."""
+    return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+
+
+def _gather(arrays: list[np.ndarray], snippets: list[np.ndarray]) -> np.ndarray:
+    """Every level's rows at its snippets, stacked in level order."""
+    if len({array.shape[1] for array in arrays}) > 1:
+        raise InvalidInputError("all levels must have the same number of columns")
+    return np.concatenate([array[level_snippets] for array, level_snippets in zip(arrays, snippets)])
+
+
+def _scatter(gradients: list[np.ndarray], snippets: list[np.ndarray], rows: np.ndarray, columns=slice(None)) -> None:
+    """Add ``rows`` (stacked like ``_gather``'s) into each level's gradient
+    ``columns``, in row order."""
+    start = 0
+    for gradient, level_snippets in zip(gradients, snippets):
+        end = start + level_snippets.size
+        np.add.at(gradient[:, columns], level_snippets, rows[start:end])
+        start = end
+
+
 def action_focal_loss(signals, supervised, gamma: float, n_positive: int) -> LossValue:
     """Snippet-level focal loss over supervised (snippet, label-vector) pairs.
 
     ``supervised`` lists, per level, pairs ``(t, y)`` where ``y`` is a binary
     class vector. Gradients are accumulated into arrays shaped like each
     level's signal; the background column never receives gradient here.
+    All pairs of all levels go through one elementwise pass; each pair's row
+    is summed over classes and the rows are added in pair order, as a loop
+    over the pairs would.
     """
     arrays = [_signal_values(s) for s in signals]
     if len(supervised) != len(arrays):
@@ -80,28 +114,30 @@ def action_focal_loss(signals, supervised, gamma: float, n_positive: int) -> Los
     if n_positive < 1:
         raise InvalidInputError(f"n_positive must be >= 1, got {n_positive}")
     gradients = [np.zeros_like(a) for a in arrays]
-    total = 0.0
-    count = 0
-    for level, pairs in enumerate(supervised):
-        values = arrays[level]
-        for t, y in pairs:
-            y = np.asarray(y, dtype=np.float64)
-            p = _clamp(values[t, :-1])
-            pos = y * np.log(p) * (1.0 - p) ** gamma
-            neg = (1.0 - y) * np.log1p(-p) * p**gamma
-            total += float((pos + neg).sum())
-            d_pos = y * ((1.0 - p) ** gamma / p - gamma * (1.0 - p) ** (gamma - 1.0) * np.log(p))
-            d_neg = (1.0 - y) * (gamma * p ** (gamma - 1.0) * np.log1p(-p) - p**gamma / (1.0 - p))
-            gradients[level][t, :-1] += -(d_pos + d_neg) / n_positive
-            count += 1
-    if count == 0:
+    pairs = [pair for level_pairs in supervised for pair in level_pairs]
+    if not pairs:
         return LossValue(0.0, gradients, degenerate=True)
-    return LossValue(-total / n_positive, gradients)
+    snippets = [np.array([t for t, _ in level_pairs], dtype=np.int64) for level_pairs in supervised]
+    y = np.array([y for _, y in pairs], dtype=np.float64)
+    p = _clamp(_gather(arrays, snippets)[:, :-1])
+    q = 1.0 - p
+    log_p, log_q = np.log(p), np.log1p(-p)
+    p_gamma, q_gamma = p**gamma, q**gamma
+    rows = (y * log_p * q_gamma + (1.0 - y) * log_q * p_gamma).sum(axis=1)
+    d_pos = y * (q_gamma / p - gamma * q ** (gamma - 1.0) * log_p)
+    d_neg = (1.0 - y) * (gamma * p ** (gamma - 1.0) * log_q - p_gamma / q)
+    _scatter(gradients, snippets, -(d_pos + d_neg) / n_positive, columns=slice(None, -1))
+    return LossValue(-_sequential_sum(rows) / n_positive, gradients)
 
 
 def background_loss(signals, background_points, gamma: float, m_bg: int) -> LossValue:
     """Push class probabilities down and background probability up at
-    background snippets, focal-weighted."""
+    background snippets, focal-weighted.
+
+    All points of all levels go through one elementwise pass; each point adds
+    its class row's sum and then its background term, points in order, as a
+    loop over the points would.
+    """
     arrays = [_signal_values(s) for s in signals]
     if len(background_points) != len(arrays):
         raise InvalidInputError("one background set required per level")
@@ -110,21 +146,18 @@ def background_loss(signals, background_points, gamma: float, m_bg: int) -> Loss
     gradients = [np.zeros_like(a) for a in arrays]
     if m_bg == 0:
         return LossValue(0.0, gradients, degenerate=True)
-    total = 0.0
-    for level, points in enumerate(background_points):
-        values = arrays[level]
-        for t in points:
-            p = _clamp(values[t, :-1])
-            p_bg = float(_clamp(values[t, -1]))
-            total += float((p**gamma * np.log1p(-p)).sum())
-            total += (1.0 - p_bg) ** gamma * np.log(p_bg)
-            d_class = gamma * p ** (gamma - 1.0) * np.log1p(-p) - p**gamma / (1.0 - p)
-            d_bg = (1.0 - p_bg) ** gamma / p_bg - gamma * (1.0 - p_bg) ** (gamma - 1.0) * np.log(
-                p_bg
-            )
-            gradients[level][t, :-1] += -d_class / m_bg
-            gradients[level][t, -1] += -d_bg / m_bg
-    return LossValue(-total / m_bg, gradients)
+    snippets = [np.asarray(points, dtype=np.int64).reshape(-1) for points in background_points]
+    values = _gather(arrays, snippets)
+    p, p_bg = _clamp(values[:, :-1]), _clamp(values[:, -1])
+    log_q, log_bg = np.log1p(-p), np.log(p_bg)
+    p_gamma = p**gamma
+    q_bg = 1.0 - p_bg
+    q_bg_gamma = _float_power(q_bg, gamma)
+    terms = np.column_stack([(p_gamma * log_q).sum(axis=1), q_bg_gamma * log_bg]).ravel()
+    d_class = gamma * p ** (gamma - 1.0) * log_q - p_gamma / (1.0 - p)
+    d_bg = q_bg_gamma / p_bg - gamma * _float_power(q_bg, gamma - 1.0) * log_bg
+    _scatter(gradients, snippets, np.column_stack([-d_class / m_bg, -d_bg / m_bg]))
+    return LossValue(-_sequential_sum(terms) / m_bg, gradients)
 
 
 def gaussian_kernel(t_i: int, sigma_tilde: float, length: int) -> np.ndarray:

@@ -246,3 +246,63 @@ def test_losses_nonnegative_on_random_inputs():
         assert background_loss(arrays, [[int(rng.integers(0, 6))]], FOCAL_GAMMA, 1).value >= 0.0
         kernels = GaussianKernelSet.from_instances([(2, 1.0, 1)], 6)
         assert gaussian_alignment_loss(arrays[0], kernels).value >= 0.0
+
+
+def _focal_loop(arrays, supervised, gamma, n_positive):
+    """``action_focal_loss`` as a loop over the pairs: the reference its one pass must equal."""
+    gradients = [np.zeros_like(a) for a in arrays]
+    total = 0.0
+    for level, pairs in enumerate(supervised):
+        for t, y in pairs:
+            y = np.asarray(y, dtype=np.float64)
+            p = np.clip(arrays[level][t, :-1], 1e-7, 1.0 - 1e-7)
+            total += float((y * np.log(p) * (1.0 - p) ** gamma + (1.0 - y) * np.log1p(-p) * p**gamma).sum())
+            d_pos = y * ((1.0 - p) ** gamma / p - gamma * (1.0 - p) ** (gamma - 1.0) * np.log(p))
+            d_neg = (1.0 - y) * (gamma * p ** (gamma - 1.0) * np.log1p(-p) - p**gamma / (1.0 - p))
+            gradients[level][t, :-1] += -(d_pos + d_neg) / n_positive
+    return -total / n_positive, gradients
+
+
+def _background_loop(arrays, points, gamma, m_bg):
+    """``background_loss`` as a loop over the points: the reference its one pass must equal."""
+    gradients = [np.zeros_like(a) for a in arrays]
+    total = 0.0
+    for level, level_points in enumerate(points):
+        for t in level_points:
+            p = np.clip(arrays[level][t, :-1], 1e-7, 1.0 - 1e-7)
+            p_bg = float(np.clip(arrays[level][t, -1], 1e-7, 1.0 - 1e-7))
+            total += float((p**gamma * np.log1p(-p)).sum())
+            total += (1.0 - p_bg) ** gamma * np.log(p_bg)
+            d_class = gamma * p ** (gamma - 1.0) * np.log1p(-p) - p**gamma / (1.0 - p)
+            d_bg = (1.0 - p_bg) ** gamma / p_bg - gamma * (1.0 - p_bg) ** (gamma - 1.0) * np.log(p_bg)
+            gradients[level][t, :-1] += -d_class / m_bg
+            gradients[level][t, -1] += -d_bg / m_bg
+    return -total / m_bg, gradients
+
+
+@pytest.mark.parametrize("gamma", [FOCAL_GAMMA, 0.5, 3.0])
+def test_focal_and_background_losses_equal_their_loops_bit_for_bit(gamma):
+    # several levels, some without pairs or points, repeated snippets, and
+    # probabilities at and beyond the clamp
+    rng = np.random.default_rng(int(gamma * 10))
+    for _ in range(200):
+        classes = int(rng.integers(1, 12))
+        arrays = [rng.uniform(0.0, 1.0, (int(rng.integers(1, 20)), classes + 1)) for _ in range(int(rng.integers(1, 4)))]
+        arrays[0][0, :] = 1.0
+        supervised, points = [], []
+        for array in arrays:
+            count = int(rng.integers(0, 6))
+            snippets = rng.integers(0, array.shape[0], count).tolist()
+            supervised.append([(t, rng.integers(0, 2, classes).astype(float)) for t in snippets])
+            points.append(rng.integers(0, array.shape[0], int(rng.integers(0, 6))).tolist())
+        n_positive = max(1, sum(len(pairs) for pairs in supervised))
+        focal = action_focal_loss(arrays, supervised, gamma, n_positive)
+        if any(supervised):
+            value, gradients = _focal_loop(arrays, supervised, gamma, n_positive)
+            assert focal.value == value
+            assert all(np.array_equal(a, b) for a, b in zip(focal.gradient, gradients))
+        m_bg = max(1, sum(len(level_points) for level_points in points))
+        background = background_loss(arrays, points, gamma, m_bg)
+        value, gradients = _background_loop(arrays, points, gamma, m_bg)
+        assert background.value == value
+        assert all(np.array_equal(a, b) for a, b in zip(background.gradient, gradients))
