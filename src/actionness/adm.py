@@ -229,11 +229,18 @@ class GaussianErrors:
 
 def uniform_fit_error(column: np.ndarray, boundary: PreliminaryBoundary, t_star: int):
     """MSE objective in omega for a peak-height-matched centred rectangle."""
+    return _uniform_error(*_uniform_profile(column, boundary, t_star))
+
+
+def _uniform_profile(column, boundary: PreliminaryBoundary, t_star: int):
+    """The boundary's segment of ``column``, each snippet's distance from ``t_star``, and the peak height."""
     column = np.asarray(column, dtype=np.float64)
     segment = column[boundary.b_start : boundary.b_end + 1]
     distances = np.abs(np.arange(boundary.b_start, boundary.b_end + 1) - t_star)
-    height = column[t_star]
+    return segment, distances, column[t_star]
 
+
+def _uniform_error(segment: np.ndarray, distances: np.ndarray, height: float):
     def error(omega: float) -> float:
         model = np.where(distances <= omega, height, 0.0)
         return float(np.sum((model - segment) ** 2))
@@ -288,13 +295,10 @@ def fit_uniform(column: np.ndarray, boundary: PreliminaryBoundary, t_star: int) 
     directly at omega (the running totals round differently).
     """
     upper = sigma_upper_bound(boundary, t_star)
-    error = uniform_fit_error(column, boundary, t_star)
+    segment, distances, height = _uniform_profile(column, boundary, t_star)
+    error = _uniform_error(segment, distances, height)
     if upper <= 0.0:
         return Fit(0.0, True, error(0.0))
-    column = np.asarray(column, dtype=np.float64)
-    segment = column[boundary.b_start : boundary.b_end + 1]
-    distances = np.abs(np.arange(boundary.b_start, boundary.b_end + 1) - t_star)
-    height = column[t_star]
 
     # Covering a snippet at distance d changes the squared error by
     # height^2 - 2*height*column[t]; rank snippets by distance and accumulate.

@@ -118,8 +118,8 @@ def action_focal_loss(signals, supervised, gamma: float, n_positive: int) -> Los
     if not pairs:
         return LossValue(0.0, gradients, degenerate=True)
     snippets = [np.array([t for t, _ in level_pairs], dtype=np.int64) for level_pairs in supervised]
-    y = np.array([y for _, y in pairs], dtype=np.float64)
     p = _clamp(_gather(arrays, snippets)[:, :-1])
+    y = np.array([y for _, y in pairs], dtype=np.float64)
     q = 1.0 - p
     log_p, log_q = np.log(p), np.log1p(-p)
     p_gamma, q_gamma = p**gamma, q**gamma

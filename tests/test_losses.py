@@ -306,3 +306,11 @@ def test_focal_and_background_losses_equal_their_loops_bit_for_bit(gamma):
         value, gradients = _background_loop(arrays, points, gamma, m_bg)
         assert background.value == value
         assert all(np.array_equal(a, b) for a, b in zip(background.gradient, gradients))
+
+
+def test_levels_with_different_column_counts_rejected():
+    arrays = [np.full((4, 3), 0.5), np.full((4, 4), 0.5)]
+    with pytest.raises(InvalidInputError, match="same number of columns"):
+        action_focal_loss(arrays, [[(0, [1.0, 0.0])], [(1, [1.0, 0.0, 0.0])]], FOCAL_GAMMA, 2)
+    with pytest.raises(InvalidInputError, match="same number of columns"):
+        background_loss(arrays, [[0], [1]], FOCAL_GAMMA, 2)
