@@ -164,9 +164,9 @@ def gaussian_fit_error(column: np.ndarray, boundary: PreliminaryBoundary, t_star
     The scale factor that matches the Gaussian's peak to the signal value at
     ``t_star`` cancels the usual 1/(sigma*sqrt(2*pi)) normalization, leaving a
     bump of height ``column[t_star]``. This is the one-label form of
-    ``GaussianErrors``.
+    ``gaussian_fit_errors``.
     """
-    errors = GaussianErrors([(column, boundary, t_star)])
+    errors = gaussian_fit_errors([(column, boundary, t_star)])
     lane = np.zeros(1, dtype=np.int64)
 
     def error(sigma: float) -> float:
@@ -175,56 +175,52 @@ def gaussian_fit_error(column: np.ndarray, boundary: PreliminaryBoundary, t_star
     return error
 
 
-class GaussianErrors:
+def gaussian_fit_errors(fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, int]]):
     """The objectives of ``gaussian_fit_error`` for many ``(column, boundary,
     t_star)`` fits, evaluated together: ``errors(sigmas, lanes)[k]`` is fit
     ``lanes[k]``'s squared error at ``sigmas[k]``.
 
     Every fit's segment and offsets are held in one concatenated array, so
     the elementwise model is one numpy pass per chunk of at most
-    ``GAUSSIAN_CHUNK`` elements. Each fit's sum is ``np.add.reduce`` over its
+    ``GAUSSIAN_CHUNK`` snippets. Each fit's sum is ``np.add.reduce`` over its
     own slice, which rounds exactly as ``np.sum`` over that fit alone.
     """
+    segments, heights, shifts = [], [], []
+    for column, boundary, t_star in fits:
+        column = np.asarray(column, dtype=np.float64)
+        segments.append(column[boundary.b_start : boundary.b_end + 1])
+        heights.append(column[t_star])
+        shifts.append(boundary.b_start - t_star)
+    sizes = np.array([segment.size for segment in segments], dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    segment = np.concatenate(segments) if segments else np.empty(0)
+    peak_heights = np.array(heights, dtype=np.float64)
+    # each snippet's position minus its fit's t_star
+    offsets = (np.arange(segment.size) - np.repeat(starts - np.array(shifts, dtype=np.int64), sizes)).astype(np.float64)
 
-    def __init__(self, fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, int]]):
-        segments, heights, shifts = [], [], []
-        for column, boundary, t_star in fits:
-            column = np.asarray(column, dtype=np.float64)
-            segments.append(column[boundary.b_start : boundary.b_end + 1])
-            heights.append(column[t_star])
-            shifts.append(boundary.b_start - t_star)
-        self.lengths = np.array([segment.size for segment in segments], dtype=np.int64)
-        self.starts = np.cumsum(self.lengths) - self.lengths
-        self.segment = np.concatenate(segments) if segments else np.empty(0)
-        self.heights = np.array(heights, dtype=np.float64)
-        # offset of each snippet from its fit's peak: position - t_star
-        self.offsets = (
-            np.arange(self.segment.size) - np.repeat(self.starts - np.array(shifts, dtype=np.int64), self.lengths)
-        ).astype(np.float64)
-
-    def __call__(self, sigmas: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+    def errors(sigmas: np.ndarray, lanes: np.ndarray) -> np.ndarray:
         values = np.empty(lanes.size)
-        lengths = self.lengths[lanes]
+        lengths = sizes[lanes]
         ends = np.cumsum(lengths)
         first = 0
         while first < lanes.size:
-            # whole lanes up to GAUSSIAN_CHUNK elements, at least one lane
-            limit = ends[first] - lengths[first] + GAUSSIAN_CHUNK
-            last = max(first + 1, int(np.searchsorted(ends, limit, side="right")))
-            chunk = slice(first, last)
-            chunk_lengths = lengths[chunk]
+            # whole lanes up to GAUSSIAN_CHUNK snippets, at least one lane
+            last = max(first + 1, int(np.searchsorted(ends, ends[first] - lengths[first] + GAUSSIAN_CHUNK, "right")))
+            chunk, chunk_lanes, chunk_lengths = slice(first, last), lanes[first:last], lengths[first:last]
             chunk_ends = np.cumsum(chunk_lengths)
             chunk_starts = chunk_ends - chunk_lengths
-            index = np.arange(int(chunk_ends[-1])) + np.repeat(self.starts[lanes[chunk]] - chunk_starts, chunk_lengths)
-            model = np.repeat(self.heights[lanes[chunk]], chunk_lengths) * np.exp(
-                -0.5 * (self.offsets[index] / np.repeat(sigmas[chunk], chunk_lengths)) ** 2
+            index = np.arange(int(chunk_ends[-1])) + np.repeat(starts[chunk_lanes] - chunk_starts, chunk_lengths)
+            model = np.repeat(peak_heights[chunk_lanes], chunk_lengths) * np.exp(
+                -0.5 * (offsets[index] / np.repeat(sigmas[chunk], chunk_lengths)) ** 2
             )
-            squares = (model - self.segment[index]) ** 2
+            squares = (model - segment[index]) ** 2
             values[chunk] = [
                 np.add.reduce(squares[start:end]) for start, end in zip(chunk_starts.tolist(), chunk_ends.tolist())
             ]
             first = last
         return values
+
+    return errors
 
 
 def uniform_fit_error(column: np.ndarray, boundary: PreliminaryBoundary, t_star: int):
@@ -267,22 +263,20 @@ def fit_gaussians(fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, int]]) -
     sigma to the lower bound and sets the flag. Each fit equals a search of its
     objective alone.
     """
-    errors = GaussianErrors(fits)
+    errors = gaussian_fit_errors(fits)
     uppers = np.array([sigma_upper_bound(boundary, t_star) for _, boundary, t_star in fits], dtype=np.float64)
-    searched = np.flatnonzero(uppers > SIGMA_LOWER_BOUND)
-    tight = np.flatnonzero(uppers <= SIGMA_LOWER_BOUND)
+    tight = uppers <= SIGMA_LOWER_BOUND
+    searched = np.flatnonzero(~tight)
     result = minimize_lanes(
         lambda sigmas, lanes: errors(sigmas, searched[lanes]),
         np.full(searched.size, SIGMA_LOWER_BOUND),
         uppers[searched],
     )
-    tight_errors = errors(np.full(tight.size, SIGMA_LOWER_BOUND), tight)
-    fitted: list[Fit] = [None] * len(fits)  # type: ignore[list-item]
-    for lane, sigma, error in zip(searched.tolist(), result.x.tolist(), result.f.tolist()):
-        fitted[lane] = Fit(sigma, False, error)
-    for lane, error in zip(tight.tolist(), tight_errors.tolist()):
-        fitted[lane] = Fit(SIGMA_LOWER_BOUND, True, error)
-    return fitted
+    sigmas, fit_errors = np.full(len(fits), SIGMA_LOWER_BOUND), np.empty(len(fits))
+    sigmas[searched], fit_errors[searched] = result.x, result.f
+    pinned = np.flatnonzero(tight)
+    fit_errors[pinned] = errors(sigmas[pinned], pinned)
+    return [Fit(*fit) for fit in zip(sigmas.tolist(), tight.tolist(), fit_errors.tolist())]
 
 
 def fit_uniform(column: np.ndarray, boundary: PreliminaryBoundary, t_star: int) -> Fit:

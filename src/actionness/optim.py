@@ -243,21 +243,21 @@ def _brent(evaluate, lanes, lo, hi, x_tolerance, max_iterations):
         fu = evaluate(u, lanes[ids])
         flat[ids] &= fu == first[ids]
 
+        # A better u becomes x and moves the bracket end behind it; a worse u
+        # becomes the bracket end on its side and may replace w or v.
         better = fu <= fx
         left = u < x
-        a, b = (
-            np.where(better, np.where(left, a, x), np.where(left, u, a)),
-            np.where(better, np.where(left, x, b), np.where(left, b, u)),
-        )
-        shift_w = ~better & ((fu <= fw) | (w == x))
-        shift_v = ~better & ~shift_w & ((fu <= fv) | (v == x) | (v == w))
-        v, fv = np.where(better | shift_w, w, np.where(shift_v, u, v)), np.where(
-            better | shift_w, fw, np.where(shift_v, fu, fv)
-        )
-        w, fw = np.where(better, x, np.where(shift_w, u, w)), np.where(
-            better, fx, np.where(shift_w, fu, fw)
-        )
-        x, fx = np.where(better, u, x), np.where(better, fu, fx)
+        a = np.where(better, np.where(left, a, x), np.where(left, u, a))
+        b = np.where(better, np.where(left, x, b), np.where(left, b, u))
+        u_to_w = ~better & ((fu <= fw) | (w == x))
+        u_to_v = ~better & ~u_to_w & ((fu <= fv) | (v == x) | (v == w))
+        w_to_v = better | u_to_w
+        v = np.where(w_to_v, w, np.where(u_to_v, u, v))
+        fv = np.where(w_to_v, fw, np.where(u_to_v, fu, fv))
+        w = np.where(better, x, np.where(u_to_w, u, w))
+        fw = np.where(better, fx, np.where(u_to_w, fu, fw))
+        x = np.where(better, u, x)
+        fx = np.where(better, fu, fx)
 
     best_x[ids], best_f[ids] = x, fx
     return best_x, best_f, iterations, converged, flat
