@@ -30,7 +30,8 @@ from .signal import (
 )
 
 SIGMA_LOWER_BOUND = 1e-6
-GAUSSIAN_CHUNK = 1 << 18  # snippets per batched Gaussian objective pass, bounding its memory
+# most float64 elements (512 KiB) a temporary of a fit objective holds, here and in ``oracles._profile_errors``
+SCRATCH_ELEMENTS = 1 << 16
 
 
 @dataclass
@@ -180,10 +181,14 @@ def gaussian_fit_errors(fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, in
     t_star)`` fits, evaluated together: ``errors(sigmas, lanes)[k]`` is fit
     ``lanes[k]``'s squared error at ``sigmas[k]``.
 
-    Every fit's segment and offsets are held in one concatenated array, so
-    the elementwise model is one numpy pass per chunk of at most
-    ``GAUSSIAN_CHUNK`` snippets. Each fit's sum is ``np.add.reduce`` over its
-    own slice, which rounds exactly as ``np.sum`` over that fit alone.
+    Every fit's segment and offsets are held in one concatenated array. The
+    elementwise model runs over one block of whole fits at a time, of at most
+    ``SCRATCH_ELEMENTS`` (2**16) snippets unless a single fit is longer, so an
+    evaluation's temporaries no longer grow with the number or length of the
+    fits: 2**16 float64 elements each, or one fit's segment where that is
+    longer. Each fit's sum is ``np.add.reduce`` over its own slice, which
+    rounds exactly as ``np.sum`` over that fit alone, so the block size never
+    changes a value.
     """
     segments, heights, shifts = [], [], []
     for column, boundary, t_star in fits:
@@ -204,8 +209,8 @@ def gaussian_fit_errors(fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, in
         ends = np.cumsum(lengths)
         first = 0
         while first < lanes.size:
-            # whole lanes up to GAUSSIAN_CHUNK snippets, at least one lane
-            last = max(first + 1, int(np.searchsorted(ends, ends[first] - lengths[first] + GAUSSIAN_CHUNK, "right")))
+            # whole lanes up to SCRATCH_ELEMENTS snippets, at least one lane
+            last = max(first + 1, int(np.searchsorted(ends, ends[first] - lengths[first] + SCRATCH_ELEMENTS, "right")))
             chunk, chunk_lanes, chunk_lengths = slice(first, last), lanes[first:last], lengths[first:last]
             chunk_ends = np.cumsum(chunk_lengths)
             chunk_starts = chunk_ends - chunk_lengths
@@ -286,8 +291,11 @@ def fit_uniform(column: np.ndarray, boundary: PreliminaryBoundary, t_star: int) 
     rectangle grows past another snippet), so the exact argmin is found by
     scoring each integer distance breakpoint; ties resolve to the smallest
     half-width. Returns ``Fit(omega, degenerate, error)``, the error evaluated
-    directly at omega (the running totals round differently).
+    directly at omega (the running totals round differently). ``t_star`` must
+    lie inside the boundary.
     """
+    if not boundary.b_start <= t_star <= boundary.b_end:
+        raise InvalidInputError(f"t_star={t_star} outside the boundary [{boundary.b_start}, {boundary.b_end}]")
     upper = sigma_upper_bound(boundary, t_star)
     segment, distances, height = _uniform_profile(column, boundary, t_star)
     error = _uniform_error(segment, distances, height)
@@ -295,15 +303,18 @@ def fit_uniform(column: np.ndarray, boundary: PreliminaryBoundary, t_star: int) 
         return Fit(0.0, True, error(0.0))
 
     # Covering a snippet at distance d changes the squared error by
-    # height^2 - 2*height*column[t]; rank snippets by distance and accumulate.
-    order = np.argsort(distances, kind="stable")
-    sorted_distances = distances[order]
-    gains = height * height - 2.0 * height * segment[order]
-    breakpoints = np.unique(sorted_distances)
-    cumulative = np.cumsum(gains)
-    last_covered = np.searchsorted(sorted_distances, breakpoints, side="right") - 1
-    totals = cumulative[last_covered]
-    omega = min(float(breakpoints[int(np.argmin(totals))]), upper)
+    # height^2 - 2*height*column[t]; accumulate in order of distance, the
+    # earlier snippet first on a tie: t_star, then t_star - d and t_star + d
+    # while both sides last, then the rest of the longer side.
+    left, right = t_star - boundary.b_start, boundary.b_end - t_star
+    both, longest = min(left, right), max(left, right)
+    near = np.arange(1, both + 1)
+    far = np.arange(both + 1, longest + 1)
+    offsets = np.concatenate(([0], np.stack((-near, near), axis=1).ravel(), -far if left > right else far))
+    cumulative = np.cumsum(height * height - 2.0 * height * segment[left + offsets])
+    # the last snippet a rectangle of half-width d covers, for d = 0 .. upper
+    widths = np.arange(longest + 1)
+    omega = float(np.argmin(cumulative[widths + np.minimum(widths, both)]))
     return Fit(omega, False, error(omega))
 
 

@@ -12,6 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .adm import SCRATCH_ELEMENTS
 from .evaluation import tiou
 
 
@@ -56,7 +57,11 @@ def _profile_errors(column, boundary, t_star: int, params, model) -> np.ndarray:
     ``model(height, offsets, p)`` at every value ``p`` of ``params``.
 
     ``offsets`` are the snippet positions minus ``t_star`` and ``height`` is
-    ``column[t_star]``; ``params`` go in chunks that bound memory.
+    ``column[t_star]``. ``params`` go in blocks of ``SCRATCH_ELEMENTS // n``
+    values for an ``n``-snippet segment (at least one), so each temporary holds
+    at most ``SCRATCH_ELEMENTS`` (2**16) float64 elements and no longer grows
+    with the segment length, unless the segment alone is longer. Each value is
+    the sum of its own row, so the block size never changes a value.
     """
     column = np.asarray(column, dtype=np.float64)
     segment = column[boundary.b_start : boundary.b_end + 1]
@@ -64,10 +69,10 @@ def _profile_errors(column, boundary, t_star: int, params, model) -> np.ndarray:
     height = column[t_star]
     params = np.asarray(params, dtype=np.float64)
     values = np.empty(params.size)
-    chunk = 2048
-    for i in range(0, params.size, chunk):
-        block = params[i : i + chunk, None]
-        values[i : i + chunk] = ((model(height, offsets[None, :], block) - segment[None, :]) ** 2).sum(axis=1)
+    rows = max(1, SCRATCH_ELEMENTS // segment.size)
+    for i in range(0, params.size, rows):
+        block = params[i : i + rows, None]
+        values[i : i + rows] = ((model(height, offsets[None, :], block) - segment[None, :]) ** 2).sum(axis=1)
     return values
 
 

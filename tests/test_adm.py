@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from actionness import adm
+from actionness import adm, oracles
 from actionness.adm import (
     ADMConfig,
     PreliminaryBoundary,
@@ -186,6 +188,11 @@ class TestFitUniform:
         omega, degenerate, _ = fit_uniform(np.zeros(50), PreliminaryBoundary(10, 10), 10)
         assert degenerate and omega == 0.0
 
+    @pytest.mark.parametrize("t_star", [4, 21])
+    def test_peak_outside_the_boundary_is_rejected(self, t_star):
+        with pytest.raises(InvalidInputError, match="outside the boundary"):
+            fit_uniform(np.zeros(50), PreliminaryBoundary(5, 20), t_star)
+
 
 @st.composite
 def uniform_fit_cases(draw):
@@ -210,6 +217,56 @@ def test_fit_uniform_matches_grid_oracle(case):
     assert fitted <= grid.min() + 1e-9 * (1.0 + grid.min())
     assert error == uniform_fit_error(column, boundary, t_star)(omega)
     assert error == pytest.approx(fitted, rel=1e-12, abs=1e-12)
+
+
+def fit_uniform_by_sorting(column, boundary, t_star):
+    """``fit_uniform`` with a stable argsort of the distances, ``np.unique``
+    breakpoints and ``searchsorted`` covered counts: the reference for its
+    sort-free construction."""
+    upper = float(max(t_star - boundary.b_start, boundary.b_end - t_star))
+    column = np.asarray(column, dtype=np.float64)
+    segment = column[boundary.b_start : boundary.b_end + 1]
+    distances = np.abs(np.arange(boundary.b_start, boundary.b_end + 1) - t_star)
+    height = column[t_star]
+
+    def error(omega):
+        return float(np.sum((np.where(distances <= omega, height, 0.0) - segment) ** 2))
+
+    if upper <= 0.0:
+        return 0.0, True, error(0.0)
+    order = np.argsort(distances, kind="stable")
+    sorted_distances = distances[order]
+    gains = height * height - 2.0 * height * segment[order]
+    breakpoints = np.unique(sorted_distances)
+    cumulative = np.cumsum(gains)
+    last_covered = np.searchsorted(sorted_distances, breakpoints, side="right") - 1
+    totals = cumulative[last_covered]
+    omega = min(float(breakpoints[int(np.argmin(totals))]), upper)
+    return omega, False, error(omega)
+
+
+@st.composite
+def uniform_reference_cases(draw):
+    """Like ``uniform_fit_cases``, with the peak often at a boundary end (a
+    one-sided segment) and values often drawn from a few levels, so that
+    snippets at equal distances and running totals tie."""
+    values = st.sampled_from([0.0, 0.25, 0.5, 1.0]) if draw(st.booleans()) else st.floats(0.0, 1.0)
+    column = draw(hnp.arrays(np.float64, st.integers(1, 60), elements=values))
+    b_start = draw(st.integers(0, column.size - 1))
+    b_end = draw(st.integers(b_start, column.size - 1))
+    t_star = draw(st.sampled_from([b_start, b_end]) | st.integers(b_start, b_end))
+    return column, PreliminaryBoundary(b_start, b_end), t_star
+
+
+@settings(max_examples=300, deadline=None)
+@given(uniform_reference_cases())
+@example((np.array([0.2, 0.7, 0.4]), PreliminaryBoundary(1, 1), 1))  # one snippet
+@example((np.array([0.9, 0.9, 0.1, 0.9]), PreliminaryBoundary(0, 3), 0))  # peak at the start
+@example((np.array([0.9, 0.1, 0.9, 0.9]), PreliminaryBoundary(0, 3), 3))  # peak at the end
+@example((np.array([0.5, 0.5, 0.5, 0.5, 0.5]), PreliminaryBoundary(0, 4), 2))  # every distance tied on both sides
+def test_fit_uniform_equals_the_sorting_reference(case):
+    column, boundary, t_star = case
+    assert tuple(fit_uniform(column, boundary, t_star)) == fit_uniform_by_sorting(column, boundary, t_star)
 
 
 @st.composite
@@ -244,8 +301,62 @@ def test_gaussian_objective_chunks_lose_no_snippet(monkeypatch):
         column = rng.uniform(0.0, 1.0, length)
         fits.append((column, PreliminaryBoundary(0, length - 1), int(rng.integers(0, length))))
     whole = fit_gaussians(fits)
-    monkeypatch.setattr(adm, "GAUSSIAN_CHUNK", 7)
+    monkeypatch.setattr(adm, "SCRATCH_ELEMENTS", 7)
     assert fit_gaussians(fits) == whole
+
+
+def test_objective_grids_do_not_depend_on_the_budget(monkeypatch):
+    # a 451-snippet segment: budgets of one row, part of a row, exactly one row, the default and the whole grid
+    rng = np.random.default_rng(17)
+    column = rng.uniform(0.0, 1.0, 512)
+    boundary = PreliminaryBoundary(30, 480)
+    sigmas = np.linspace(SIGMA_LOWER_BOUND, 250.0, 1001)
+    omegas = np.linspace(0.0, 250.0, 1001)
+    grids = []
+    for budget in (1, 7, 451, adm.SCRATCH_ELEMENTS, 1001 * 451):
+        monkeypatch.setattr(oracles, "SCRATCH_ELEMENTS", budget)
+        grids.append(
+            (
+                gaussian_objective_grid(column, boundary, 250, sigmas).tobytes(),
+                uniform_objective_grid(column, boundary, 250, omegas).tobytes(),
+            )
+        )
+    assert all(grid == grids[0] for grid in grids)
+
+
+def traced_peak(call) -> int:
+    """Bytes that ``call()`` holds at its peak, as ``tracemalloc`` sees numpy's allocations."""
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+BUDGET_BYTES = 8 * adm.SCRATCH_ELEMENTS
+
+
+def test_objective_grid_scratch_is_bounded_by_the_budget():
+    rng = np.random.default_rng(19)
+    column = rng.uniform(0.0, 1.0, 512)
+    boundary = PreliminaryBoundary(30, 480)
+    sigmas = np.linspace(SIGMA_LOWER_BOUND, 250.0, 10001)
+    assert traced_peak(lambda: gaussian_objective_grid(column, boundary, 250, sigmas)) <= 4 * BUDGET_BYTES
+
+
+def test_batched_fit_scratch_is_bounded_by_the_budget():
+    # ~280k snippets, four times the budget: beyond the segments and offsets the
+    # batch holds for its search, each objective evaluation goes block by block
+    rng = np.random.default_rng(23)
+    fits = []
+    for _ in range(600):
+        boundary = PreliminaryBoundary(int(rng.integers(0, 40)), int(rng.integers(472, 512)))
+        fits.append((rng.uniform(0.0, 1.0, 512), boundary, int(rng.integers(200, 313))))
+    snippets = sum(boundary.b_end - boundary.b_start + 1 for _, boundary, _ in fits)
+    assert traced_peak(lambda: fit_gaussians(fits)) <= 2 * 8 * snippets + 8 * BUDGET_BYTES
 
 
 def build_signal(columns, video_id="v0"):

@@ -3,12 +3,15 @@ import io
 import json
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import actionness
 from actionness import synth
 from actionness.adm import PseudoLabel
 from actionness.cli import main
@@ -918,3 +921,60 @@ def test_negative_seeds_and_video_counts_fail_cleanly(runner, tmp_path, args, fr
         args = args + ["--samples", "2", "--out", str(out)]
     fails_cleanly(runner.invoke(main, args), fragment)
     assert not out.exists()
+
+
+def _child_env() -> dict:
+    """The environment for a fresh interpreter that imports this checkout's ``actionness``."""
+    source = str(Path(actionness.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
+
+
+# Runs one command in this interpreter, then says whether numpy's lazily imported ``numpy.ma`` got loaded.
+_REPORT_NUMPY_MA = (
+    "import sys\n"
+    "from actionness.cli import main\n"
+    "main(sys.argv[1:], standalone_mode=False)\n"
+    "sys.stderr.write('numpy.ma: ' + str('numpy.ma' in sys.modules))\n"
+)
+
+
+@pytest.mark.parametrize("command", ["adm", "verify"])
+def test_fitting_leaves_numpy_ma_unimported(runner, tmp_path, command):
+    if command == "adm":
+        data = tmp_path / "data"
+        assert invoke(runner, synth_args(data, videos=2)).exit_code == 0
+        args = ["adm", "--signals", str(data / "signals"), "--annotations", str(data / "annotations.json"),
+                "--out", str(tmp_path / "labels.json")]
+    else:
+        args = ["verify", "fitting", "--samples", "2", "--out", str(tmp_path / "fitting.json")]
+    child = subprocess.run(
+        [sys.executable, "-c", _REPORT_NUMPY_MA, *args], env=_child_env(), capture_output=True, text=True, check=True
+    )
+    assert child.stderr.endswith("numpy.ma: False")
+
+
+# A child's ru_maxrss starts from its parent's RSS high-water mark (Linux carries
+# it over fork and exec), so both commands run from one small launcher process,
+# not from this test process, whose peak is far higher.
+_MAXRSS_LAUNCHER = """
+import os, subprocess, sys
+for argv in (["--help"], sys.argv[1:]):
+    child = subprocess.Popen([sys.executable, "-m", "actionness.cli", *argv], stdout=subprocess.DEVNULL)
+    _, status, usage = os.wait4(child.pid, 0)
+    if os.waitstatus_to_exitcode(status) != 0:
+        sys.exit(f"{argv} failed")
+    print(usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux reports it")
+def test_verify_fitting_peak_memory_stays_near_a_bare_start(tmp_path):
+    # the fitting suite's dense grids go in blocks of adm.SCRATCH_ELEMENTS float64
+    # elements, which keeps them to a few MiB whatever the grid and segment sizes
+    launcher = subprocess.run(
+        [sys.executable, "-c", _MAXRSS_LAUNCHER, "verify", "fitting", "--samples", "10",
+         "--out", str(tmp_path / "fitting.json")],
+        env=_child_env(), capture_output=True, text=True, check=True,
+    )
+    bare, fitting = (int(line) for line in launcher.stdout.split())
+    assert fitting - bare <= 16 * 1024
