@@ -11,7 +11,7 @@ from .adm import (
     PreliminaryBoundary,
     PseudoLabel,
     find_peak,
-    fit_gaussian,
+    fit_gaussians,
     fit_uniform,
     generate_pseudo_labels,
     label_videos,
@@ -40,7 +40,7 @@ from .losses import (
     sigma_loss,
     video_level_scores,
 )
-from .optim import Bounds1D, MinimizeResult, minimize_bounded
+from .optim import LaneResults, minimize_lanes
 from .signal import (
     BackgroundPoints,
     PointAnnotation,

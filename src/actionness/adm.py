@@ -91,6 +91,8 @@ class ADMConfig:
             raise InvalidInputError(
                 f"background_threshold must be in (0, 1), got {self.background_threshold}"
             )
+        if self.r_a < 0:
+            raise InvalidInputError(f"r_a must be >= 0, got {self.r_a}")
 
 
 @dataclass
@@ -159,27 +161,14 @@ def find_peak(
     return lo + int(np.argmax(window)), True
 
 
-def gaussian_fit_error(column: np.ndarray, boundary: PreliminaryBoundary, t_star: int):
-    """MSE objective in sigma for a peak-height-matched Gaussian profile.
+def gaussian_fit_errors(fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, int]]):
+    """Squared-error objectives in sigma of a peak-height-matched Gaussian for
+    many ``(column, boundary, t_star)`` fits, evaluated together:
+    ``errors(sigmas, lanes)[k]`` is fit ``lanes[k]``'s error at ``sigmas[k]``.
 
     The scale factor that matches the Gaussian's peak to the signal value at
     ``t_star`` cancels the usual 1/(sigma*sqrt(2*pi)) normalization, leaving a
-    bump of height ``column[t_star]``. This is the one-label form of
-    ``gaussian_fit_errors``.
-    """
-    errors = gaussian_fit_errors([(column, boundary, t_star)])
-    lane = np.zeros(1, dtype=np.int64)
-
-    def error(sigma: float) -> float:
-        return float(errors(np.array([sigma], dtype=np.float64), lane)[0])
-
-    return error
-
-
-def gaussian_fit_errors(fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, int]]):
-    """The objectives of ``gaussian_fit_error`` for many ``(column, boundary,
-    t_star)`` fits, evaluated together: ``errors(sigmas, lanes)[k]`` is fit
-    ``lanes[k]``'s squared error at ``sigmas[k]``.
+    bump of height ``column[t_star]`` over the boundary's segment.
 
     Every fit's segment and offsets are held in one concatenated array. The
     elementwise model runs over one block of whole fits at a time, of at most
@@ -252,11 +241,6 @@ def _uniform_error(segment: np.ndarray, distances: np.ndarray, height: float):
 def sigma_upper_bound(boundary: PreliminaryBoundary, t_star: int) -> float:
     """Largest distance from the peak to either boundary end."""
     return float(max(t_star - boundary.b_start, boundary.b_end - t_star))
-
-
-def fit_gaussian(column: np.ndarray, boundary: PreliminaryBoundary, t_star: int) -> Fit:
-    """Least-squares Gaussian std on ``[SIGMA_LOWER_BOUND, u_b]``: the one-label call of ``fit_gaussians``."""
-    return fit_gaussians([(column, boundary, t_star)])[0]
 
 
 def fit_gaussians(fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, int]]) -> list[Fit]:

@@ -6,10 +6,10 @@ so the returned point never loses to either bound. When every value a search
 evaluated ties, a scan of the interval looks for a dip the search stepped
 over, and a second search runs around the lowest scanned point.
 
-``minimize_lanes`` runs many such searches in lockstep: every lane follows
-the same update rules as a search of its own, and each round makes one
-batched objective call over the lanes still searching. ``minimize_bounded``
-is its one-lane call.
+``minimize_lanes`` runs many such searches in lockstep, one lane per
+interval: every lane follows the same update rules as a search of its own,
+and each round makes one batched objective call over the lanes still
+searching. A single search is a one-lane call.
 """
 
 from __future__ import annotations
@@ -30,64 +30,19 @@ DEFAULT_MAX_ITERATIONS = 500
 FLAT_SCAN_STEPS = 64  # steps of the interval scan made when every probe of a lane tied
 
 
-@dataclass(frozen=True)
-class Bounds1D:
-    """A finite search interval ``[lo, hi]`` with ``lo < hi``."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise InvalidInputError(f"bounds must be finite, got [{self.lo}, {self.hi}]")
-        if self.lo >= self.hi:
-            raise InvalidInputError(f"bounds must satisfy lo < hi, got [{self.lo}, {self.hi}]")
-
-
-@dataclass
-class MinimizeResult:
-    x: float
-    f: float
-    iterations: int
-    converged: bool
-
-
 @dataclass
 class LaneResults:
-    """Per-lane ``MinimizeResult`` fields of a ``minimize_lanes`` run, as arrays."""
+    """Each lane's result of a ``minimize_lanes`` run, one array entry per lane.
+
+    ``x`` is the minimizer and ``f`` its value; ``iterations`` counts the
+    search rounds, and ``converged`` is False where the iteration budget ran
+    out before the bracket collapsed.
+    """
 
     x: np.ndarray
     f: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
-
-
-def minimize_bounded(
-    objective: Callable[[float], float],
-    bounds: Bounds1D,
-    x_tolerance: float = DEFAULT_X_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
-) -> MinimizeResult:
-    """Minimize a scalar function on a closed interval.
-
-    For a unimodal objective the returned ``x`` lies within ``x_tolerance`` of
-    the minimizer. ``converged`` is False when the iteration budget ran out
-    before the bracket collapsed. Raises ``NumericError`` if the objective
-    produces a non-finite value.
-    """
-
-    def one_lane(points: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        return np.array([float(objective(float(point))) for point in points])
-
-    result = minimize_lanes(
-        one_lane, np.array([bounds.lo]), np.array([bounds.hi]), x_tolerance, max_iterations
-    )
-    return MinimizeResult(
-        x=float(result.x[0]),
-        f=float(result.f[0]),
-        iterations=int(result.iterations[0]),
-        converged=bool(result.converged[0]),
-    )
 
 
 def minimize_lanes(
@@ -100,9 +55,12 @@ def minimize_lanes(
     """Minimize one scalar function per lane, lane ``i`` on ``[lo[i], hi[i]]``.
 
     ``objective(points, lanes)`` returns the value of lane ``lanes[k]``'s
-    function at ``points[k]`` for every ``k``. Each lane's result equals a
-    ``minimize_bounded`` run of its function alone, bit for bit, and uses as
-    many evaluations. Raises ``NumericError`` if any value is non-finite.
+    function at ``points[k]`` for every ``k``. For a unimodal function a
+    lane's ``x`` lies within ``x_tolerance`` of its minimizer. Each lane's
+    result equals a one-lane run of its function alone, bit for bit, and uses
+    as many evaluations. Raises ``InvalidInputError`` naming the first lane
+    whose bounds are not finite with ``lo < hi``, and ``NumericError`` if any
+    value is non-finite.
     """
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)

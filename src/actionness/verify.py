@@ -2,7 +2,8 @@
 
 Each suite returns a JSON-ready report ``{"suite", "checks": [...], "pass"}``
 with one entry per property. The CLI ``verify`` subcommand runs them through
-``run_suite``.
+``run_suite``. The fitting and oracle suites draw their cases first and run
+each set of searches as one batch, whose lanes equal searches of their own.
 """
 
 from __future__ import annotations
@@ -10,11 +11,11 @@ from __future__ import annotations
 import numpy as np
 
 from . import adm, losses
-from .adm import PreliminaryBoundary, fit_gaussian, fit_gaussians, fit_uniform
+from .adm import PreliminaryBoundary, fit_gaussians, fit_uniform
 from .decoder import Proposal, nms
 from .errors import InvalidInputError
 from .evaluation import GroundTruthInstance, average_precision
-from .optim import Bounds1D, minimize_bounded
+from .optim import minimize_lanes
 from .oracles import (
     average_precision_direct,
     finite_difference_gradient,
@@ -150,7 +151,7 @@ def run_gradient_suite(instances: int = 100, seed: int = 20240) -> dict:
 # --- fitting suite -----------------------------------------------------------
 
 def run_fitting_suite(samples: int = 1000, grid_checks: int = 25, seed: int = 7341) -> dict:
-    """Recovery of constructed profiles plus dense-grid agreement on noisy ones."""
+    """Recovery of constructed profiles plus dense-grid agreement on noisy ones, each set's Gaussians in one batch."""
     _require_counts("fitting", seed, samples=samples, grid_checks=grid_checks)
     rng = np.random.default_rng(seed)
     length = 512
@@ -189,19 +190,19 @@ def run_fitting_suite(samples: int = 1000, grid_checks: int = 25, seed: int = 73
         "pass": bool(worst_omega_abs <= 1.0),
     }
 
-    sigma_grid_ok = 0
-    omega_grid_ok = 0
+    noisy = []
     for _ in range(grid_checks):
         sigma_true = float(rng.uniform(5.0, 30.0))
         t_star = int(rng.integers(200, 313))
         boundary = PreliminaryBoundary(int(rng.integers(20, 60)), int(rng.integers(452, 492)))
         height = float(rng.uniform(0.6, 0.95))
         clean = height * np.exp(-0.5 * ((positions - t_star) / sigma_true) ** 2)
-        column = np.clip(clean + rng.normal(0.0, 0.05, length), 0.0, 1.0)
-
+        noisy.append((np.clip(clean + rng.normal(0.0, 0.05, length), 0.0, 1.0), boundary, t_star))
+    sigma_grid_ok = 0
+    omega_grid_ok = 0
+    for (column, boundary, t_star), gaussian in zip(noisy, fit_gaussians(noisy)):
         upper = adm.sigma_upper_bound(boundary, t_star)
-
-        sigma = fit_gaussian(column, boundary, t_star).value
+        sigma = gaussian.value
         sigma_grid = np.linspace(adm.SIGMA_LOWER_BOUND, upper, FITTING_GRID_POINTS)
         sigma_values = gaussian_objective_grid(column, boundary, t_star, sigma_grid)
         best = float(sigma_values.min())
@@ -274,7 +275,7 @@ def run_oracle_suite(
     idempotence_cases: int = 1000,
     seed: int = 5150,
 ) -> dict:
-    """Compare the minimizer, AP, and NMS against brute-force references."""
+    """Compare the minimizer (every case a lane of one batch), AP, and NMS against brute-force references."""
     _require_counts(
         "oracles",
         seed,
@@ -285,15 +286,20 @@ def run_oracle_suite(
     )
     rng = np.random.default_rng(seed)
 
-    optimizer_ok = 0
     x_tolerance = 1e-5
-    for _ in range(optimizer_cases):
-        objective, lo, hi, _ = _random_unimodal(rng)
-        result = minimize_bounded(objective, Bounds1D(lo, hi), x_tolerance=x_tolerance)
+    objectives, lows, highs, _ = zip(*(_random_unimodal(rng) for _ in range(optimizer_cases)))
+    result = minimize_lanes(
+        lambda points, lanes: np.array([float(objectives[lane](point)) for point, lane in zip(points.tolist(), lanes)]),
+        np.array(lows),
+        np.array(highs),
+        x_tolerance=x_tolerance,
+    )
+    optimizer_ok = 0
+    for objective, lo, hi, x in zip(objectives, lows, highs, result.x.tolist()):
         xs = np.linspace(lo, hi, ORACLE_GRID_POINTS)
         reference = float(xs[int(np.argmin(objective(xs)))])
         step = (hi - lo) / (ORACLE_GRID_POINTS - 1)
-        if abs(result.x - reference) <= x_tolerance + step:
+        if abs(x - reference) <= x_tolerance + step:
             optimizer_ok += 1
     optimizer_check = {
         "name": "bounded_minimizer_vs_grid",

@@ -13,7 +13,7 @@ from click.testing import CliRunner
 from actionness.cli import main
 from actionness.decoder import DecoderConfig, Proposal, decode, nms
 from actionness.evaluation import GroundTruthInstance, average_precision, map_report, tiou
-from actionness.optim import Bounds1D, minimize_bounded
+from actionness.optim import minimize_lanes
 from actionness.oracles import average_precision_direct
 from actionness.storage import load_annotations, load_ground_truth, load_pseudo_labels
 from actionness.synth import SyntheticConfig, generate_video
@@ -141,14 +141,19 @@ def test_criterion_4_gradient_suite():
 def test_criterion_5_optimizer_versus_dense_grid():
     rng = np.random.default_rng(5150)
     grid_points = 100000
-    for _ in range(100):
-        objective, lo, hi, _ = _random_unimodal(rng)
-        result = minimize_bounded(objective, Bounds1D(lo, hi), x_tolerance=1e-5)
+    objectives, lows, highs, _ = zip(*(_random_unimodal(rng) for _ in range(100)))
+    result = minimize_lanes(
+        lambda points, lanes: np.array([float(objectives[lane](point)) for point, lane in zip(points.tolist(), lanes)]),
+        np.array(lows),
+        np.array(highs),
+        x_tolerance=1e-5,
+    )
+    for objective, lo, hi, x in zip(objectives, lows, highs, result.x):
         xs = np.linspace(lo, hi, grid_points)
         reference = float(xs[int(np.argmin(objective(xs)))])
         step = (hi - lo) / (grid_points - 1)
-        assert abs(result.x - reference) <= 1e-5 + step
-    report(5, "100 random unimodal objectives within x_tolerance + grid step of 1e5-point scan")
+        assert abs(x - reference) <= 1e-5 + step
+    report(5, "100 random unimodal objectives, one lockstep batch, within x_tolerance + grid step of 1e5-point scan")
 
 
 def test_criterion_6_average_precision_oracle():

@@ -12,10 +12,9 @@ from actionness.adm import (
     PreliminaryBoundary,
     SIGMA_LOWER_BOUND,
     find_peak,
-    fit_gaussian,
     fit_gaussians,
     fit_uniform,
-    gaussian_fit_error,
+    gaussian_fit_errors,
     generate_pseudo_labels,
     label_videos,
     preliminary_boundaries,
@@ -42,6 +41,11 @@ def background(*indices):
 def gaussian_column(length, t_star, sigma, height=0.9):
     ts = np.arange(length, dtype=np.float64)
     return height * np.exp(-0.5 * ((ts - t_star) / sigma) ** 2)
+
+
+def gaussian_error_at(column, boundary, t_star, sigma):
+    """One fit's squared error at ``sigma``, read from a one-fit ``gaussian_fit_errors`` objective."""
+    return gaussian_fit_errors([(column, boundary, t_star)])(np.array([sigma]), np.zeros(1, dtype=np.int64))[0]
 
 
 class TestPreliminaryBoundaries:
@@ -116,14 +120,14 @@ class TestFitGaussian:
     def test_recovers_constructed_sigma(self):
         for sigma_true in (5.0, 12.5, 24.0):
             column = gaussian_column(512, 250, sigma_true)
-            sigma, degenerate, _ = fit_gaussian(column, PreliminaryBoundary(10, 500), 250)
+            sigma, degenerate, _ = fit_gaussians([(column, PreliminaryBoundary(10, 500), 250)])[0]
             assert not degenerate
             assert abs(sigma - sigma_true) / sigma_true < 0.01
 
     def test_single_spike_driven_to_lower_bound(self):
         column = np.zeros(256)
         column[100] = 0.8
-        sigma, degenerate, _ = fit_gaussian(column, PreliminaryBoundary(5, 250), 100)
+        sigma, degenerate, _ = fit_gaussians([(column, PreliminaryBoundary(5, 250), 100)])[0]
         assert not degenerate
         assert sigma == SIGMA_LOWER_BOUND
 
@@ -132,7 +136,7 @@ class TestFitGaussian:
         column[40:161] = 0.85
         boundary = PreliminaryBoundary(10, 190)
         t_star = 100
-        sigma, _, _ = fit_gaussian(column, boundary, t_star)
+        sigma, _, _ = fit_gaussians([(column, boundary, t_star)])[0]
         upper = float(max(t_star - boundary.b_start, boundary.b_end - t_star))
         grid = np.linspace(SIGMA_LOWER_BOUND, upper, 20001)
         reference = grid[np.argmin(gaussian_objective_grid(column, boundary, t_star, grid))]
@@ -141,15 +145,15 @@ class TestFitGaussian:
 
     def test_degenerate_boundary_flagged(self):
         column = np.zeros(50)
-        sigma, degenerate, _ = fit_gaussian(column, PreliminaryBoundary(10, 10), 10)
+        sigma, degenerate, _ = fit_gaussians([(column, PreliminaryBoundary(10, 10), 10)])[0]
         assert degenerate and sigma == SIGMA_LOWER_BOUND
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(23)
         column = np.clip(gaussian_column(300, 150, 18.0) + rng.normal(0, 0.03, 300), 0, 1)
         boundary = PreliminaryBoundary(20, 280)
-        sigma_full, _, _ = fit_gaussian(column, boundary, 150)
-        sigma_scaled, _, _ = fit_gaussian(0.5 * column, boundary, 150)
+        sigma_full, _, _ = fit_gaussians([(column, boundary, 150)])[0]
+        sigma_scaled, _, _ = fit_gaussians([(0.5 * column, boundary, 150)])[0]
         assert sigma_scaled == pytest.approx(sigma_full, abs=1e-4)
 
 
@@ -287,10 +291,10 @@ def gaussian_fit_batches(draw):
 @given(gaussian_fit_batches())
 def test_batched_gaussian_fits_equal_one_label_fits(fits):
     batch = fit_gaussians(fits)
-    assert batch == [fit_gaussian(column, boundary, t_star) for column, boundary, t_star in fits]
+    assert batch == [fit_gaussians([fit])[0] for fit in fits]
     for (column, boundary, t_star), fit in zip(fits, batch):
         assert fit.degenerate == (boundary.b_start == boundary.b_end)
-        assert fit.error == gaussian_fit_error(column, boundary, t_star)(fit.value)
+        assert fit.error == gaussian_error_at(column, boundary, t_star, fit.value)
 
 
 def test_gaussian_objective_chunks_lose_no_snippet(monkeypatch):
@@ -476,7 +480,7 @@ class TestLabelVideos:
                 point = PointAnnotation(label.video_id, label.t, label.class_id)
                 boundary = preliminary_boundaries(point, background, fitted.length)
                 column = fitted.class_column(label.class_id)
-                gaussian = gaussian_fit_error(column, boundary, label.t_star)(label.sigma)
+                gaussian = gaussian_error_at(column, boundary, label.t_star, label.sigma)
                 uniform = uniform_fit_error(column, boundary, label.t_star)(label.omega)
                 expected.append((label, (gaussian, uniform)))
         assert labels == [label for label, _ in expected]
@@ -510,6 +514,11 @@ class TestADMConfig:
         with pytest.raises(InvalidInputError):
             ADMConfig(gamma1=0.0, gamma2=0.0)
 
+    def test_rejects_negative_r_a(self):
+        with pytest.raises(InvalidInputError, match="r_a must be >= 0"):
+            ADMConfig(r_a=-1)
+        assert ADMConfig(r_a=0).r_a == 0
+
 
 def test_fitted_parameters_stay_inside_bounds():
     rng = np.random.default_rng(25)
@@ -521,7 +530,7 @@ def test_fitted_parameters_stay_inside_bounds():
         boundary = PreliminaryBoundary(b_start, b_end)
         t_star = int(rng.integers(b_start, b_end + 1))
         upper = max(t_star - b_start, b_end - t_star)
-        sigma, _, _ = fit_gaussian(column, boundary, t_star)
+        sigma, _, _ = fit_gaussians([(column, boundary, t_star)])[0]
         omega, _, _ = fit_uniform(column, boundary, t_star)
         assert SIGMA_LOWER_BOUND <= sigma <= upper or upper < SIGMA_LOWER_BOUND
         assert 0.0 <= omega <= upper

@@ -708,6 +708,23 @@ class TestMalformedInput:
         )
         fails_cleanly(result, "malformed annotation record")
 
+    @pytest.mark.parametrize(
+        "records", [[], [{"video_id": "v0", "t": 3, "class_id": 1}]], ids=["no-annotations", "one-annotation"]
+    )
+    def test_negative_r_a(self, runner, tmp_path, records):
+        # rejected with the other settings, before any annotation is read
+        save_signals(tmp_path / "v0.npz", [small_signal()])
+        annotations = tmp_path / "ann.json"
+        annotations.write_text(json.dumps(records))
+        out_file = tmp_path / "labels.json"
+        result = runner.invoke(
+            main,
+            ["adm", "--signals", str(tmp_path / "v0.npz"), "--annotations", str(annotations),
+             "--out", str(out_file), "--r-a", "-1"],
+        )
+        fails_cleanly(result, "r_a must be >= 0, got -1")
+        assert not out_file.exists()
+
     _GT = [{"video_id": "v0", "start": 1, "end": 4, "class_id": 1}]
     _LABEL = {"t": 2, "t_star": 2, "sigma": 1.0, "omega": 1.0, "delta": 1.0,
               "start": 1, "end": 3, "class_id": 1, "degenerate": False}
@@ -790,21 +807,25 @@ def test_pipeline_outputs_byte_pinned(runner, tmp_path):
     assert digests == PINNED_DIGESTS
 
 
-# SHA-256 of the ``--out`` report of each ``verify`` suite at ``--samples 5``.
+# SHA-256 of the ``--out`` report of each ``verify`` suite, keyed by suite and
+# ``--samples``. At 5 samples a suite's search batch holds one lane; at 80 the
+# fitting suite's grid check fits 2 columns and the oracle suite runs 8 minimizer lanes.
 PINNED_VERIFY_DIGESTS = {
-    "fitting": "bef37705176d36691343fc5e30afde988bf5b0d6a7b34fae44132fe6e72b0158",
-    "gradients": "eff8835d360a97bf66db2f42e8937047086824914d6a7e454611b6a3b06c704f",
-    "oracles": "51771c0bba0bd86a8f5d599c93f74ae2115d1cfa5c2dab52f7d926d5e12a3ea6",
+    ("fitting", 5): "bef37705176d36691343fc5e30afde988bf5b0d6a7b34fae44132fe6e72b0158",
+    ("gradients", 5): "eff8835d360a97bf66db2f42e8937047086824914d6a7e454611b6a3b06c704f",
+    ("oracles", 5): "51771c0bba0bd86a8f5d599c93f74ae2115d1cfa5c2dab52f7d926d5e12a3ea6",
+    ("fitting", 80): "42511533ed3066c1c1ad2181ea5f42b636a9ef703cc7513c3be35706b52f6263",
+    ("oracles", 80): "626f77f83c9e9f38c7652362c272b869010022aeccc7e680e844bc1c3a77e748",
 }
 
 
 def test_verify_reports_byte_pinned(runner, tmp_path):
     digests = {}
-    for suite in PINNED_VERIFY_DIGESTS:
-        out_file = tmp_path / f"{suite}.json"
-        result = invoke(runner, ["verify", suite, "--samples", "5", "--out", str(out_file)])
+    for suite, samples in PINNED_VERIFY_DIGESTS:
+        out_file = tmp_path / f"{suite}-{samples}.json"
+        result = invoke(runner, ["verify", suite, "--samples", str(samples), "--out", str(out_file)])
         assert result.exit_code == 0, result.output
-        digests[suite] = hashlib.sha256(out_file.read_bytes()).hexdigest()
+        digests[suite, samples] = hashlib.sha256(out_file.read_bytes()).hexdigest()
     assert digests == PINNED_VERIFY_DIGESTS
 
 

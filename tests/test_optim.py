@@ -4,19 +4,32 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from actionness.errors import InvalidInputError, NumericError
-from actionness.optim import DEFAULT_MAX_ITERATIONS, Bounds1D, minimize_bounded, minimize_lanes
+from actionness.optim import DEFAULT_MAX_ITERATIONS, minimize_lanes
 from actionness.verify import ORACLE_GRID_POINTS, _random_unimodal, run_oracle_suite
 
 
+def _lane_objective(objectives):
+    """The ``minimize_lanes`` objective of one scalar function per lane."""
+    return lambda points, lanes: np.array(
+        [float(objectives[lane](float(point))) for point, lane in zip(points, lanes)]
+    )
+
+
+def _one_lane(objective, lo, hi, **options):
+    """``(x, f, iterations, converged)`` of a one-lane ``minimize_lanes`` run of ``objective`` on ``[lo, hi]``."""
+    result = minimize_lanes(_lane_objective([objective]), np.array([lo]), np.array([hi]), **options)
+    return result.x[0], result.f[0], result.iterations[0], result.converged[0]
+
+
 def test_quadratic_minimum():
-    result = minimize_bounded(lambda x: (x - 2.0) ** 2, Bounds1D(0.0, 5.0), x_tolerance=1e-5)
-    assert abs(result.x - 2.0) <= 1e-5
-    assert result.converged
+    x, _, _, converged = _one_lane(lambda x: (x - 2.0) ** 2, 0.0, 5.0, x_tolerance=1e-5)
+    assert abs(x - 2.0) <= 1e-5
+    assert converged
 
 
 def test_nonsmooth_absolute_value():
-    result = minimize_bounded(lambda x: abs(x - 1.0), Bounds1D(0.0, 3.0))
-    assert abs(result.x - 1.0) <= 1e-5
+    x, _, _, _ = _one_lane(lambda x: abs(x - 1.0), 0.0, 3.0)
+    assert abs(x - 1.0) <= 1e-5
 
 
 def test_random_cubics_match_dense_grid():
@@ -33,69 +46,62 @@ def test_random_cubics_match_dense_grid():
 
         lo = local_max + 0.05 * (local_min - local_max)
         hi = local_min + rng.uniform(0.5, 3.0)
-        result = minimize_bounded(objective, Bounds1D(lo, hi), x_tolerance=1e-5)
+        x, _, _, _ = _one_lane(objective, lo, hi, x_tolerance=1e-5)
         xs = np.linspace(lo, hi, 100000)
         reference = xs[int(np.argmin(objective(xs)))]
         step = (hi - lo) / (100000 - 1)
-        assert abs(result.x - reference) <= 1e-5 + step
+        assert abs(x - reference) <= 1e-5 + step
 
 
 def test_deterministic_bit_for_bit():
     def objective(x):
         return np.sin(x) + 0.1 * x**2
 
-    first = minimize_bounded(objective, Bounds1D(-4.0, 4.0))
-    second = minimize_bounded(objective, Bounds1D(-4.0, 4.0))
+    first = _one_lane(objective, -4.0, 4.0)
+    second = _one_lane(objective, -4.0, 4.0)
     assert first == second
 
 
 def test_result_within_bounds_and_beats_endpoints():
     cases = [
-        (lambda x: -x, Bounds1D(0.0, 5.0)),
-        (lambda x: x, Bounds1D(-2.0, 7.0)),
-        (lambda x: (x - 10.0) ** 2, Bounds1D(0.0, 3.0)),
-        (lambda x: np.cos(x), Bounds1D(0.0, 6.0)),
+        (lambda x: -x, 0.0, 5.0),
+        (lambda x: x, -2.0, 7.0),
+        (lambda x: (x - 10.0) ** 2, 0.0, 3.0),
+        (lambda x: np.cos(x), 0.0, 6.0),
     ]
-    for objective, bounds in cases:
-        result = minimize_bounded(objective, bounds)
-        assert bounds.lo <= result.x <= bounds.hi
-        assert result.f <= objective(bounds.lo) + 1e-12
-        assert result.f <= objective(bounds.hi) + 1e-12
+    for objective, lo, hi in cases:
+        x, f, _, _ = _one_lane(objective, lo, hi)
+        assert lo <= x <= hi
+        assert f <= objective(lo) + 1e-12
+        assert f <= objective(hi) + 1e-12
 
 
 def test_monotone_decreasing_returns_upper_bound():
-    result = minimize_bounded(lambda x: -x, Bounds1D(0.0, 5.0))
-    assert result.x == 5.0
+    x, _, _, _ = _one_lane(lambda x: -x, 0.0, 5.0)
+    assert x == 5.0
 
 
 def test_iteration_budget_respected():
-    result = minimize_bounded(lambda x: (x - 2.0) ** 2, Bounds1D(0.0, 5.0), max_iterations=3)
-    assert result.iterations <= 3
-    assert not result.converged
+    _, _, iterations, converged = _one_lane(lambda x: (x - 2.0) ** 2, 0.0, 5.0, max_iterations=3)
+    assert iterations <= 3
+    assert not converged
 
 
 def test_non_finite_objective_raises():
     with pytest.raises(NumericError):
-        minimize_bounded(lambda x: float("nan"), Bounds1D(0.0, 1.0))
+        _one_lane(lambda x: float("nan"), 0.0, 1.0)
 
 
 def test_invalid_bounds_rejected():
-    with pytest.raises(InvalidInputError):
-        Bounds1D(2.0, 2.0)
-    with pytest.raises(InvalidInputError):
-        Bounds1D(float("inf"), 3.0)
+    with pytest.raises(InvalidInputError, match="lane 0"):
+        _one_lane(lambda x: x, 2.0, 2.0)
+    with pytest.raises(InvalidInputError, match="lane 0"):
+        _one_lane(lambda x: x, float("inf"), 3.0)
 
 
 def test_invalid_tolerance_rejected():
     with pytest.raises(InvalidInputError):
-        minimize_bounded(lambda x: x * x, Bounds1D(0.0, 1.0), x_tolerance=0.0)
-
-
-def _lane_objective(objectives):
-    """The ``minimize_lanes`` objective of one scalar function per lane."""
-    return lambda points, lanes: np.array(
-        [float(objectives[lane](float(point))) for point, lane in zip(points, lanes)]
-    )
+        _one_lane(lambda x: x * x, 0.0, 1.0, x_tolerance=0.0)
 
 
 def _narrow_bump(center, width, lo, hi):
@@ -107,9 +113,9 @@ def test_flat_tailed_bump_near_the_lower_bound_is_found():
     # Every Brent probe of this objective lands on the flat tail, and only the
     # lower bound touches the bump; before the flat-tail scan it returned 0.0.
     objective, lo, hi, center = _narrow_bump(0.4, 0.1, 0.0, 20.0)
-    result = minimize_bounded(objective, Bounds1D(lo, hi))
-    assert abs(result.x - center) <= 1e-5
-    assert result.converged
+    x, _, _, converged = _one_lane(objective, lo, hi)
+    assert abs(x - center) <= 1e-5
+    assert converged
 
 
 def test_oracle_seed_101_minimizer_case():
@@ -118,11 +124,11 @@ def test_oracle_seed_101_minimizer_case():
     rng = np.random.default_rng(101)
     cases = [_random_unimodal(rng) for _ in range(47)]
     objective, lo, hi, _ = cases[46]
-    result = minimize_bounded(objective, Bounds1D(lo, hi), x_tolerance=1e-5)
+    x, _, _, _ = _one_lane(objective, lo, hi, x_tolerance=1e-5)
     xs = np.linspace(lo, hi, ORACLE_GRID_POINTS)
     reference = float(xs[int(np.argmin(objective(xs)))])
     step = (hi - lo) / (ORACLE_GRID_POINTS - 1)
-    assert abs(result.x - reference) <= 1e-5 + step
+    assert abs(x - reference) <= 1e-5 + step
     suite = run_oracle_suite(optimizer_cases=100, ap_cases=1, nms_cases=1, idempotence_cases=1, seed=101)
     assert suite["checks"][0] == {"name": "bounded_minimizer_vs_grid", "ok": 100, "total": 100, "pass": True}
 
@@ -144,8 +150,8 @@ def test_oracle_minimizer_cases_of_seeds_1_to_300_all_pass():
 
 
 def test_flat_objective_returns_the_lower_bound():
-    result = minimize_bounded(lambda x: 3.0, Bounds1D(-1.0, 4.0))
-    assert (result.x, result.f) == (-1.0, 3.0)
+    x, f, _, _ = _one_lane(lambda x: 3.0, -1.0, 4.0)
+    assert (x, f) == (-1.0, 3.0)
 
 
 @st.composite
@@ -172,10 +178,8 @@ def test_each_lane_equals_its_one_lane_run(case):
     objectives, lo, hi, _ = zip(*lanes)
     batch = minimize_lanes(_lane_objective(objectives), np.array(lo), np.array(hi), max_iterations=max_iterations)
     for lane, (objective, lane_lo, lane_hi, _) in enumerate(lanes):
-        alone = minimize_bounded(objective, Bounds1D(lane_lo, lane_hi), max_iterations=max_iterations)
-        assert (batch.x[lane], batch.f[lane], batch.iterations[lane], batch.converged[lane]) == (
-            alone.x, alone.f, alone.iterations, alone.converged
-        )
+        alone = _one_lane(objective, lane_lo, lane_hi, max_iterations=max_iterations)
+        assert (batch.x[lane], batch.f[lane], batch.iterations[lane], batch.converged[lane]) == alone
 
 
 def test_mixed_batch_holds_lanes_finishing_in_different_rounds():
@@ -191,13 +195,8 @@ def test_mixed_batch_holds_lanes_finishing_in_different_rounds():
     objectives, lo, hi, _ = zip(*lanes)
     for max_iterations in (12, DEFAULT_MAX_ITERATIONS):
         batch = minimize_lanes(_lane_objective(objectives), np.array(lo), np.array(hi), max_iterations=max_iterations)
-        alone = [
-            minimize_bounded(objective, Bounds1D(a, b), max_iterations=max_iterations)
-            for objective, a, b, _ in lanes
-        ]
-        assert [(r.x, r.f, r.iterations, r.converged) for r in alone] == list(
-            zip(batch.x, batch.f, batch.iterations, batch.converged)
-        )
+        alone = [_one_lane(objective, a, b, max_iterations=max_iterations) for objective, a, b, _ in lanes]
+        assert alone == list(zip(batch.x, batch.f, batch.iterations, batch.converged))
         assert len(set(batch.iterations.tolist())) >= 3
         assert batch.converged.all() == (max_iterations == DEFAULT_MAX_ITERATIONS)
 
