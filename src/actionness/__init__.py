@@ -4,55 +4,88 @@ The package turns per-snippet action-probability signals and single-point
 annotations into pseudo-label intervals by fitting composite Gaussian/uniform
 profiles, decodes and evaluates interval proposals, and provides the training
 losses as verified numeric primitives.
+
+Every export below loads its module on first use (PEP 562), so importing the
+package, or one of its modules, does not import the rest.
 """
 
-from .adm import (
-    ADMConfig,
-    PreliminaryBoundary,
-    PseudoLabel,
-    find_peak,
-    fit_gaussians,
-    fit_uniform,
-    generate_pseudo_labels,
-    label_videos,
-    preliminary_boundaries,
-)
-from .decoder import DecoderConfig, Proposal, decode, decode_videos, nms, oic_score, select_classes, threshold_merge
-from .errors import InvalidInputError, NumericError, PackingError
-from .evaluation import (
-    EvalReport,
-    GroundTruthInstance,
-    average_precision,
-    evaluate,
-    map_report,
-    pseudo_label_quality,
-    tiou,
-)
-from .losses import (
-    GaussianKernelSet,
-    LossValue,
-    action_focal_loss,
-    background_loss,
-    gaussian_alignment_loss,
-    gaussian_kernel,
-    mil_loss,
-    mix_kernels,
-    sigma_loss,
-    video_level_scores,
-)
-from .optim import LaneResults, minimize_lanes
-from .signal import (
-    BackgroundPoints,
-    PointAnnotation,
-    ProbabilitySignal,
-    augment_points,
-    fuse_probabilities,
-    pyramid_scales,
-    select_background_points,
-    smooth_signal,
-    upsample_signal,
-)
-from .synth import SyntheticConfig, SyntheticVideo, generate_dataset, generate_video, sample_point
-from .verify import run_suite
+import importlib
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "adm": (
+        "ADMConfig",
+        "PreliminaryBoundary",
+        "PseudoLabel",
+        "find_peak",
+        "fit_gaussians",
+        "fit_uniform",
+        "generate_pseudo_labels",
+        "label_videos",
+        "preliminary_boundaries",
+    ),
+    "decoder": (
+        "DecoderConfig",
+        "Proposal",
+        "decode",
+        "decode_videos",
+        "nms",
+        "oic_score",
+        "select_classes",
+        "threshold_merge",
+    ),
+    "errors": ("InvalidInputError", "NumericError", "PackingError"),
+    "evaluation": (
+        "EvalReport",
+        "GroundTruthInstance",
+        "average_precision",
+        "evaluate",
+        "map_report",
+        "pseudo_label_quality",
+        "tiou",
+    ),
+    "losses": (
+        "GaussianKernelSet",
+        "LossValue",
+        "action_focal_loss",
+        "background_loss",
+        "gaussian_alignment_loss",
+        "gaussian_kernel",
+        "mil_loss",
+        "mix_kernels",
+        "sigma_loss",
+        "video_level_scores",
+    ),
+    "optim": ("LaneResults", "minimize_lanes"),
+    "signal": (
+        "BackgroundPoints",
+        "PointAnnotation",
+        "ProbabilitySignal",
+        "augment_points",
+        "fuse_probabilities",
+        "pyramid_scales",
+        "select_background_points",
+        "smooth_signal",
+        "upsample_signal",
+    ),
+    "synth": ("SyntheticConfig", "SyntheticVideo", "generate_dataset", "generate_video", "sample_point"),
+    "verify": ("run_suite",),
+}
+# each exported name -> the module that defines it
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+_MODULES = frozenset(_EXPORTS) | {"cli", "oracles", "storage"}  # every module of the package
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f".{_MODULE_OF[name]}", __name__), name)
+    if name in _MODULES:  # ``actionness.adm`` without an ``import actionness.adm`` first
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_MODULE_OF))

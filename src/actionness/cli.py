@@ -2,7 +2,8 @@
 
 All commands are deterministic given identical inputs and seeds. Data goes to
 files or stdout; diagnostics go to stderr. Set ``ADM_LOG_LEVEL`` to control
-log verbosity.
+log verbosity. Each command imports the library modules it runs in its own
+body, so ``--help`` and every command start without the modules of the others.
 """
 
 from __future__ import annotations
@@ -14,38 +15,22 @@ import os
 import sys
 import time
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
-import numpy as np
 
-from .adm import ADMConfig, label_videos
-from .decoder import DecoderConfig, decode_videos
 from .errors import InvalidInputError, NumericError, PackingError
-from .evaluation import evaluate
-from .signal import ProbabilitySignal, fuse_probabilities
-from .storage import (
-    group_signals_by_video,
-    load_annotations,
-    load_eval_input,
-    load_ground_truth,
-    load_signals,
-    save_annotations,
-    save_ground_truth,
-    save_proposals,
-    save_pseudo_labels,
-    save_report_csv,
-    save_report_json,
-    save_signals,
-    write_json_atomic,
-)
-from .synth import SyntheticConfig, generate_dataset
-from .verify import SUITES, run_suite
+
+if TYPE_CHECKING:
+    from .signal import ProbabilitySignal
 
 log = logging.getLogger("actionness")
 
 _FAILURES = (InvalidInputError, NumericError, PackingError, OSError)
 _MAX_THRESHOLDS = 1000
 _RANGE_TOLERANCE = 1e-9  # in steps
+# the names of verify.SUITES, kept here so that --help need not import the suites
+_VERIFY_SUITES = ("fitting", "gradients", "oracles")
 
 
 def _fail(message: str) -> None:
@@ -70,7 +55,7 @@ def _parse_thresholds(text: str) -> list[float]:
         start, stop, step = parts
     else:
         raise InvalidInputError(f"bad threshold range {text!r}")
-    if not np.isfinite([start, stop, step]).all() or step <= 0:
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0:
         raise InvalidInputError(f"threshold range needs finite bounds and a step > 0, got {text!r}")
     # count before building: a tiny step would otherwise allocate without bound. The
     # floor keeps the last threshold at or below stop; the tolerance keeps stop itself
@@ -83,6 +68,9 @@ def _parse_thresholds(text: str) -> list[float]:
 
 def _load_videos(signals_path: Path, fuse: bool) -> dict[str, list[ProbabilitySignal]]:
     """Each video's levels, finest first; with ``fuse`` every level is fused class-agnostically."""
+    from .signal import fuse_probabilities
+    from .storage import group_signals_by_video, load_signals
+
     grouped = group_signals_by_video(load_signals(signals_path))
     if fuse:
         grouped = {video_id: [fuse_probabilities(s) for s in levels] for video_id, levels in grouped.items()}
@@ -131,6 +119,9 @@ def synth(out_dir, videos, length, num_classes, instances, durations, shape_weig
     Refuses an ``--out`` whose signals directory already holds signal files, and
     removes the signal files it wrote when it fails part-way.
     """
+    from .storage import save_annotations, save_ground_truth, save_signals, write_json_atomic
+    from .synth import SyntheticConfig, generate_dataset
+
     written: list[Path] = []
     try:
         config = SyntheticConfig(
@@ -184,6 +175,11 @@ def synth(out_dir, videos, length, num_classes, instances, durations, shape_weig
 @click.option("--clip-to-boundary", is_flag=True, help="Clip intervals to the preliminary boundary.")
 def adm(signals_path, annotations_path, out_path, delta, gamma1, gamma2, smoothing_sigma, background_threshold, r_a, fuse, clip_to_boundary):
     """Fit one pseudo-label per annotated point and report fit quality."""
+    import numpy as np
+
+    from .adm import ADMConfig, label_videos
+    from .storage import load_annotations, save_pseudo_labels
+
     try:
         config = ADMConfig(
             delta=delta,
@@ -223,6 +219,9 @@ def adm(signals_path, annotations_path, out_path, delta, gamma1, gamma2, smoothi
 @click.option("--fuse/--no-fuse", default=False, show_default=True)
 def decode_cmd(signals_path, out_path, thresholds, oic_inflation, nms_tiou, class_threshold, top_k_fraction, fuse):
     """Decode probability signals into scored, NMS-filtered proposals."""
+    from .decoder import DecoderConfig, decode_videos
+    from .storage import save_proposals
+
     try:
         config = DecoderConfig(
             thresholds=tuple(_parse_thresholds(thresholds)),
@@ -246,6 +245,9 @@ def decode_cmd(signals_path, out_path, thresholds, oic_inflation, nms_tiou, clas
 @click.option("--out-csv", type=click.Path(path_type=Path), default=Path("eval_report.csv"), show_default=True)
 def eval_cmd(input_path, gt_path, thresholds, out_json, out_csv):
     """Evaluate proposals or pseudo-labels (auto-detected) against ground truth."""
+    from .evaluation import evaluate
+    from .storage import load_eval_input, load_ground_truth, save_report_csv, save_report_json
+
     try:
         threshold_list = _parse_thresholds(thresholds)
         gt = load_ground_truth(gt_path)
@@ -266,12 +268,15 @@ def eval_cmd(input_path, gt_path, thresholds, out_json, out_csv):
 
 
 @main.command(name="verify")
-@click.argument("suite", type=click.Choice(sorted(SUITES)))
+@click.argument("suite", type=click.Choice(_VERIFY_SUITES))
 @click.option("--out", "out_path", type=click.Path(path_type=Path), default=None)
 @click.option("--samples", default=None, type=int, help="Override the per-check sample count (at least 1).")
 @click.option("--seed", default=None, type=int)
 def verify_cmd(suite, out_path, samples, seed):
     """Run a verification suite; exit 0 only if every check passes."""
+    from .storage import write_json_atomic
+    from .verify import run_suite
+
     try:
         started = time.perf_counter()
         report = run_suite(suite, samples, seed)

@@ -53,15 +53,17 @@ def top_k_mean_direct(column: Sequence[float], k: int) -> float:
 
 
 def _profile_errors(column, boundary, t_star: int, params, model) -> np.ndarray:
-    """Sum of squared errors over the snippets of ``boundary`` (inclusive) of
-    ``model(height, offsets, p)`` at every value ``p`` of ``params``.
+    """Sum of squared errors over the snippets of ``boundary`` (inclusive) of the
+    profile ``model`` draws at every value ``p`` of ``params``.
 
-    ``offsets`` are the snippet positions minus ``t_star`` and ``height`` is
-    ``column[t_star]``. ``params`` go in blocks of ``SCRATCH_ELEMENTS // n``
-    values for an ``n``-snippet segment (at least one), so each temporary holds
-    at most ``SCRATCH_ELEMENTS`` (2**16) float64 elements and no longer grows
-    with the segment length, unless the segment alone is longer. Each value is
-    the sum of its own row, so the block size never changes a value.
+    ``model(height, offsets, p, out)`` writes the profile of each value of a
+    column ``p`` into the rows of ``out``; ``offsets`` are the snippet positions
+    minus ``t_star`` and ``height`` is ``column[t_star]``. ``params`` go in
+    blocks of ``SCRATCH_ELEMENTS // n`` values for an ``n``-snippet segment (at
+    least one), and every block is evaluated in place in one scratch array
+    allocated per call, which holds at most ``SCRATCH_ELEMENTS`` (2**16) float64
+    elements unless the segment alone is longer. Each value is the sum of its
+    own row, so the block size never changes a value.
     """
     column = np.asarray(column, dtype=np.float64)
     segment = column[boundary.b_start : boundary.b_end + 1]
@@ -70,10 +72,34 @@ def _profile_errors(column, boundary, t_star: int, params, model) -> np.ndarray:
     params = np.asarray(params, dtype=np.float64)
     values = np.empty(params.size)
     rows = max(1, SCRATCH_ELEMENTS // segment.size)
+    scratch = np.empty((min(rows, params.size), segment.size))
     for i in range(0, params.size, rows):
         block = params[i : i + rows, None]
-        values[i : i + rows] = ((model(height, offsets[None, :], block) - segment[None, :]) ** 2).sum(axis=1)
+        out = scratch[: block.shape[0]]
+        model(height, offsets, block, out)
+        np.subtract(out, segment, out=out)
+        np.square(out, out=out)
+        out.sum(axis=1, out=values[i : i + rows])
     return values
+
+
+def _gaussian_profile(height, x, sigma, out) -> None:
+    """``height * exp(-0.5 * (x / sigma) ** 2)``, written into ``out`` in that order."""
+    np.divide(x, sigma, out=out)
+    np.square(out, out=out)
+    np.multiply(-0.5, out, out=out)
+    np.exp(out, out=out)
+    np.multiply(height, out, out=out)
+
+
+def _rectangle_profile(height, x, omega, out) -> None:
+    """``where(|x| <= omega, height, 0)`` for a finite ``height``, written into ``out``.
+
+    Outside the rectangle it writes ``height * 0.0``, which may be ``-0.0``; its
+    squared error against any snippet equals that of ``0.0``.
+    """
+    np.less_equal(np.abs(x), omega, out=out)
+    np.multiply(height, out, out=out)
 
 
 def gaussian_objective_grid(column, boundary, t_star: int, sigmas) -> np.ndarray:
@@ -81,16 +107,12 @@ def gaussian_objective_grid(column, boundary, t_star: int, sigmas) -> np.ndarray
 
     Derived apart from ``adm``'s objectives, which tests compare against it.
     """
-    return _profile_errors(
-        column, boundary, t_star, sigmas, lambda height, x, sigma: height * np.exp(-0.5 * (x / sigma) ** 2)
-    )
+    return _profile_errors(column, boundary, t_star, sigmas, _gaussian_profile)
 
 
 def uniform_objective_grid(column, boundary, t_star: int, omegas) -> np.ndarray:
     """Squared error of a rectangle of height ``column[t_star]`` over ``|x| <= omega`` at every omega."""
-    return _profile_errors(
-        column, boundary, t_star, omegas, lambda height, x, omega: np.where(np.abs(x) <= omega, height, 0.0)
-    )
+    return _profile_errors(column, boundary, t_star, omegas, _rectangle_profile)
 
 
 def nearest_background_scan(t: int, indices: Sequence[int], length: int) -> tuple[int, int]:

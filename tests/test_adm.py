@@ -328,6 +328,52 @@ def test_objective_grids_do_not_depend_on_the_budget(monkeypatch):
     assert all(grid == grids[0] for grid in grids)
 
 
+def broadcast_errors(column, boundary, t_star, params, model):
+    """The objective grid as one broadcast expression over the whole grid."""
+    segment = column[boundary.b_start : boundary.b_end + 1]
+    x = np.arange(boundary.b_start, boundary.b_end + 1, dtype=np.float64)[None, :] - t_star
+    p = np.asarray(params, dtype=np.float64)[:, None]
+    return ((model(column[t_star], x, p) - segment[None, :]) ** 2).sum(axis=1)
+
+
+def gaussian_model(height, x, sigma):
+    return height * np.exp(-0.5 * (x / sigma) ** 2)
+
+
+def rectangle_model(height, x, omega):
+    return np.where(np.abs(x) <= omega, height, 0.0)
+
+
+def grid_cases():
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        length = int(rng.integers(1, 600))
+        start, end = sorted(int(i) for i in rng.integers(0, length, 2))
+        # columns dip below zero, so a rectangle's outside is sometimes height * 0.0 = -0.0
+        column = rng.uniform(-0.3, 1.0, length)
+        count = int(rng.choice([1, 3, 200, 1500]))
+        omegas = rng.uniform(-1.0, float(length), count)
+        omegas[: count // 2] = np.floor(omegas[: count // 2])  # half on the integer breakpoints
+        yield column, PreliminaryBoundary(start, end), int(rng.integers(start, end + 1)), omegas
+    # a one-value grid, and a segment longer than the budget, one row per block
+    column = rng.uniform(0.0, 1.0, adm.SCRATCH_ELEMENTS + 901)
+    yield column, PreliminaryBoundary(0, column.size - 1), 40_000, np.array([30_000.0])
+    yield column, PreliminaryBoundary(5, column.size - 3), 33_000, np.array([0.0, 2.5, 4096.0, 40_000.0])
+
+
+def test_objective_grids_equal_the_broadcast_expression():
+    for column, boundary, t_star, omegas in grid_cases():
+        sigmas = np.abs(omegas) + SIGMA_LOWER_BOUND
+        assert (
+            gaussian_objective_grid(column, boundary, t_star, sigmas).tobytes()
+            == broadcast_errors(column, boundary, t_star, sigmas, gaussian_model).tobytes()
+        )
+        assert (
+            uniform_objective_grid(column, boundary, t_star, omegas).tobytes()
+            == broadcast_errors(column, boundary, t_star, omegas, rectangle_model).tobytes()
+        )
+
+
 def traced_peak(call) -> int:
     """Bytes that ``call()`` holds at its peak, as ``tracemalloc`` sees numpy's allocations."""
     tracemalloc.start()

@@ -950,40 +950,77 @@ def _child_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
 
 
-# Runs one command in this interpreter, then says whether numpy's lazily imported ``numpy.ma`` got loaded.
-_REPORT_NUMPY_MA = (
-    "import sys\n"
-    "from actionness.cli import main\n"
-    "main(sys.argv[1:], standalone_mode=False)\n"
-    "sys.stderr.write('numpy.ma: ' + str('numpy.ma' in sys.modules))\n"
+# Runs ``python -m actionness.cli`` with the given arguments, then writes the names
+# of every module the interpreter loaded as the last line of stderr.
+_REPORT_MODULES = (
+    "import atexit, runpy, sys\n"
+    "atexit.register(lambda: sys.stderr.write('\\nmodules: ' + ' '.join(sorted(sys.modules))))\n"
+    "runpy.run_module('actionness.cli', run_name='__main__', alter_sys=True)\n"
 )
+
+
+def _loaded_modules(args) -> set[str]:
+    """The modules a fresh ``python -m actionness.cli *args`` loads."""
+    child = subprocess.run(
+        [sys.executable, "-c", _REPORT_MODULES, *args], env=_child_env(), capture_output=True, text=True, check=True
+    )
+    return set(child.stderr.rsplit("modules: ", 1)[1].split())
+
+
+def _library_args(runner, tmp_path, command) -> list[str]:
+    """Arguments of one ``command`` run on a small synthetic dataset written under ``tmp_path``."""
+    if command == "verify":
+        return ["verify", "fitting", "--samples", "2", "--out", str(tmp_path / "fitting.json")]
+    data = tmp_path / "data"
+    assert invoke(runner, synth_args(data, videos=2)).exit_code == 0
+    adm_args = ["adm", "--signals", str(data / "signals"), "--annotations", str(data / "annotations.json"),
+                "--out", str(tmp_path / "labels.json")]
+    if command == "adm":
+        return adm_args
+    if command == "decode":
+        return ["decode", "--signals", str(data / "signals"), "--out", str(tmp_path / "proposals.json")]
+    assert invoke(runner, adm_args).exit_code == 0
+    return ["eval", str(tmp_path / "labels.json"), "--gt", str(data / "gt.json"),
+            "--out-json", str(tmp_path / "eval.json"), "--out-csv", str(tmp_path / "eval.csv")]
 
 
 @pytest.mark.parametrize("command", ["adm", "verify"])
 def test_fitting_leaves_numpy_ma_unimported(runner, tmp_path, command):
-    if command == "adm":
-        data = tmp_path / "data"
-        assert invoke(runner, synth_args(data, videos=2)).exit_code == 0
-        args = ["adm", "--signals", str(data / "signals"), "--annotations", str(data / "annotations.json"),
-                "--out", str(tmp_path / "labels.json")]
-    else:
-        args = ["verify", "fitting", "--samples", "2", "--out", str(tmp_path / "fitting.json")]
-    child = subprocess.run(
-        [sys.executable, "-c", _REPORT_NUMPY_MA, *args], env=_child_env(), capture_output=True, text=True, check=True
-    )
-    assert child.stderr.endswith("numpy.ma: False")
+    assert "numpy.ma" not in _loaded_modules(_library_args(runner, tmp_path, command))
+
+
+def test_help_loads_neither_numpy_nor_the_library():
+    loaded = _loaded_modules(["--help"])
+    assert "click" in loaded and "numpy" not in loaded
+    assert {name for name in loaded if name.startswith("actionness")} <= {
+        "actionness", "actionness.cli", "actionness.errors"
+    }
+
+
+@pytest.mark.parametrize("command", ["adm", "decode", "eval"])
+def test_pipeline_commands_leave_verify_oracles_and_synth_unimported(runner, tmp_path, command):
+    loaded = _loaded_modules(_library_args(runner, tmp_path, command))
+    assert "actionness.storage" in loaded
+    assert not loaded & {"actionness.verify", "actionness.oracles", "actionness.synth"}
+
+
+def test_verify_suite_choices_are_the_suites():
+    from actionness import cli, verify
+
+    assert cli._VERIFY_SUITES == tuple(sorted(verify.SUITES))
 
 
 # A child's ru_maxrss starts from its parent's RSS high-water mark (Linux carries
-# it over fork and exec), so both commands run from one small launcher process,
-# not from this test process, whose peak is far higher.
+# it over fork and exec), so both children run from one small launcher process,
+# not from this test process, whose peak is far higher. The bare start imports
+# what ``verify`` imports (numpy and the library), which ``--help`` does not.
 _MAXRSS_LAUNCHER = """
 import os, subprocess, sys
-for argv in (["--help"], sys.argv[1:]):
-    child = subprocess.Popen([sys.executable, "-m", "actionness.cli", *argv], stdout=subprocess.DEVNULL)
+for args in (["-c", "import actionness.verify"], ["-m", "actionness.cli", *sys.argv[1:]]):
+    child = subprocess.Popen([sys.executable, *args], stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(child.pid, 0)
     if os.waitstatus_to_exitcode(status) != 0:
-        sys.exit(f"{argv} failed")
+        sys.exit(f"{args} failed")
     print(usage.ru_maxrss)
 """
 
