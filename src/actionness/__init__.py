@@ -5,8 +5,8 @@ annotations into pseudo-label intervals by fitting composite Gaussian/uniform
 profiles, decodes and evaluates interval proposals, and provides the training
 losses as verified numeric primitives.
 
-Every export below loads its module on first use (PEP 562), so importing the
-package, or one of its modules, does not import the rest.
+Importing the package imports none of its modules: each export below loads
+its module on first use (PEP 562).
 """
 
 import importlib
