@@ -8,6 +8,8 @@ body, so ``--help`` and every command start without the modules of the others.
 
 from __future__ import annotations
 
+import atexit
+import gc
 import json
 import logging
 import math
@@ -25,6 +27,11 @@ if TYPE_CHECKING:
     from .signal import ProbabilitySignal
 
 log = logging.getLogger("actionness")
+
+# The interpreter's final collections would walk every object that numpy, click
+# and the library made, to free memory the ending process returns anyway; a heap
+# frozen at exit is skipped. In-process callers collect as usual until their exit.
+atexit.register(gc.freeze)
 
 _FAILURES = (InvalidInputError, NumericError, PackingError, OSError)
 _MAX_THRESHOLDS = 1000

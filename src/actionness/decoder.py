@@ -114,36 +114,38 @@ def oic_score(column, segment: tuple[int, int], inflation: float) -> float:
     return float(np.add.reduce(inner) / inner.size - outer_mean)
 
 
-def _nms_order(proposal: Proposal) -> tuple:
-    return (-proposal.score, proposal.start, proposal.end, proposal.class_id)
-
-
 def nms(proposals: Sequence[Proposal], tiou_threshold: float) -> list[Proposal]:
     """Greedy same-class suppression by descending score, over the overlapping pairs only.
 
-    Proposals are sorted once on (score desc, start asc, end asc, class asc);
-    a proposal's rank is its position in that order. Only same-class
-    proposals that share a snippet can have a tIoU above a threshold >= 0:
-    each class's members are ordered by start, and ``searchsorted`` on each
-    member's end finds the later-starting members that start at or before
-    it. Those pairs, expanded at most ``NMS_PAIR_CHUNK`` at a time, get their
-    tIoU from the same integer counts and float division as
-    ``evaluation.tiou``, and each pair above the threshold becomes an edge
-    from its lower to its higher rank. Then the greedy pass: a source that
-    no edge reaches is kept, so its targets go at once, and the remaining
-    sources are visited by rank, each suppressing its targets if it is still
-    kept. The work follows the overlapping pairs, not the squared pool size.
-    Survivors come back in the sorted order, so results and tie order equal
-    the one-at-a-time greedy pass (``oracles.nms_direct``).
+    Proposals are sorted once on (score desc, start asc, end asc, class asc)
+    by one ``np.lexsort`` over their fields, which is stable, so equal keys
+    keep their order in ``proposals``; a proposal's rank is its position in
+    that order. Only same-class proposals that share a snippet can have a
+    tIoU above a threshold >= 0: each class's members are ordered by start,
+    and ``searchsorted`` on each member's end finds the later-starting
+    members that start at or before it. Those pairs, expanded at most
+    ``NMS_PAIR_CHUNK`` at a time, get their tIoU from the same integer
+    counts and float division as ``evaluation.tiou``, and each pair above
+    the threshold becomes an edge from its lower to its higher rank. Then
+    the greedy pass: a source that no edge reaches is kept, so its targets
+    go at once, and the remaining sources are visited by rank, each
+    suppressing its targets if it is still kept. The work follows the
+    overlapping pairs, not the squared pool size. Survivors come back in the
+    sorted order, so results and tie order equal the one-at-a-time greedy
+    pass (``oracles.nms_direct``).
     """
     if tiou_threshold < 0:
         raise InvalidInputError(f"tiou_threshold must be >= 0, got {tiou_threshold}")
-    ordered = sorted(proposals, key=_nms_order)
-    if not ordered:
+    if not proposals:
         return []
-    starts = np.array([p.start for p in ordered], dtype=np.int64)
-    ends = np.array([p.end for p in ordered], dtype=np.int64)
-    class_ids = np.array([p.class_id for p in ordered], dtype=np.int64)
+    starts = np.array([p.start for p in proposals], dtype=np.int64)
+    ends = np.array([p.end for p in proposals], dtype=np.int64)
+    class_ids = np.array([p.class_id for p in proposals], dtype=np.int64)
+    scores = np.array([p.score for p in proposals], dtype=np.float64)
+    # stable, like sorted() on the same keys: equal keys keep the pool's order
+    order = np.lexsort((class_ids, ends, starts, -scores))
+    ordered = [proposals[i] for i in order.tolist()]
+    starts, ends, class_ids = starts[order], ends[order], class_ids[order]
     # members of each class by start, one class after another; offsetting each
     # class's coordinates past the last end lets one searchsorted serve them all
     by_start = np.lexsort((starts, class_ids))
@@ -196,9 +198,17 @@ def decode(signals: Sequence[ProbabilitySignal], config: DecoderConfig) -> list[
     lengths covers ``[a*s, min((b+1)*s, E) - 1]``, where ``E``, the level-1
     snippets the level covers, is the least ``n*s`` over it and the levels
     below it, ``n`` each one's length), get scored by outer-inner
-    contrast there (once per distinct segment, with ``oic_score``), and the
-    pool, repeats included, is reduced with the module's ``nms``, whose work
-    follows the pool's overlapping same-class pairs.
+    contrast there (with ``oic_score``), and the pool is reduced with the
+    module's ``nms``, whose work follows the pool's overlapping same-class
+    pairs.
+
+    Each distinct segment of a class is scored and enters the pool once, in
+    the order it is first found. A repeat would carry the same interval,
+    class and score as its twin, and the stable sort would rank it right
+    after the twin. Their tIoU of 1 is above any ``nms_tiou`` the config
+    allows, so the repeat would be suppressed by the twin if the twin were
+    kept, and by what suppressed the twin otherwise: the survivors and their
+    order are those of the pool with its repeats.
     """
     if not signals:
         raise InvalidInputError("decode requires at least one signal")
@@ -221,8 +231,8 @@ def decode(signals: Sequence[ProbabilitySignal], config: DecoderConfig) -> list[
     pool: list[Proposal] = []
     for class_id in classes:
         reference_column = signals[0].class_column(class_id)
-        # the same segment recurs across thresholds and levels: score it once
-        scores: dict[tuple[int, int], float] = {}
+        # the same segment recurs across thresholds and levels: score and pool it once
+        seen: set[tuple[int, int]] = set()
         for sig, scale, extent in zip(signals, scales, extents):
             column = sig.class_column(class_id)
             for threshold in config.thresholds:
@@ -230,9 +240,10 @@ def decode(signals: Sequence[ProbabilitySignal], config: DecoderConfig) -> list[
                     # coarse snippet j pools level-1 snippets j*scale .. (j+1)*scale - 1
                     start = seg_start * scale
                     end = min((seg_end + 1) * scale, extent) - 1
-                    if (start, end) not in scores:
-                        scores[start, end] = oic_score(reference_column, (start, end), config.oic_inflation)
-                    pool.append(Proposal(video_id, start, end, class_id, scores[start, end]))
+                    if (start, end) not in seen:
+                        seen.add((start, end))
+                        score = oic_score(reference_column, (start, end), config.oic_inflation)
+                        pool.append(Proposal(video_id, start, end, class_id, score))
     return nms(pool, config.nms_tiou)
 
 

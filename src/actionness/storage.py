@@ -7,12 +7,16 @@ annotations, ground truth, pseudo-labels and proposals share one record codec
 driven by the ``_LAYOUTS`` table. All writers serialize deterministically
 (sorted keys, fixed layout, fixed archive timestamps) and replace the target
 file atomically, so identical inputs yield byte-identical outputs. Every
-loader turns malformed input into ``InvalidInputError``.
+loader turns malformed input into ``InvalidInputError``. JSON files are read
+as UTF-8 whatever the locale, and the cyclic garbage collector is paused,
+then restored to the state it was found in, while JSON is parsed, built into
+records, or built and serialized.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import io
 import json
 import os
@@ -61,25 +65,68 @@ def _atomic_file(path: Path | str):
         raise
 
 
+@contextmanager
+def _collector_paused():
+    """Disable the cyclic garbage collector for the block, then restore the state it found.
+
+    A JSON tree holds no reference cycles, yet building or parsing one
+    allocates enough containers to set off collections that scan the whole
+    tree and free nothing.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def write_json_atomic(path: Path | str, payload) -> None:
     """Serialize deterministically, then move the finished file into place.
 
     No ``indent``, so the C encoder runs; keys are sorted and the file ends
     in a newline.
     """
-    text = json.dumps(payload, sort_keys=True)
+    with _collector_paused():
+        text = json.dumps(payload, sort_keys=True)
     with _atomic_file(path) as handle:
         handle.write(text.encode())
         handle.write(b"\n")
 
 
 def load_json(path: Path | str):
+    """Parse a UTF-8 JSON file, whatever the locale; nesting too deep to parse is malformed input."""
     path = Path(path)
     try:
-        with path.open() as handle:
+        with path.open(encoding="utf-8") as handle, _collector_paused():
             return json.load(handle)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"malformed JSON in {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise InvalidInputError(f"malformed JSON in {path}: nested too deeply to parse") from exc
+
+
+# --- JSON field readers ------------------------------------------------------
+# One type check per field: int() and float() would truncate 5.9 to 5, parse
+# "2" and read true as 1, so each reader takes one JSON type and names the field.
+
+def _integer(name: str, value) -> int:
+    if type(value) is not int:  # bool subclasses int, yet true is no JSON integer
+        raise TypeError(f"{name} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _number(name: str, value) -> float:
+    if type(value) not in (int, float):
+        raise TypeError(f"{name} must be a JSON number, got {value!r}")
+    return float(value)
+
+
+def _boolean(name: str, value) -> bool:
+    if type(value) is not bool:
+        raise TypeError(f"{name} must be a JSON boolean, got {value!r}")
+    return value
 
 
 # --- probability signals -------------------------------------------------
@@ -101,9 +148,9 @@ def signal_to_dict(signal: ProbabilitySignal) -> dict:
 def signal_from_dict(payload: dict) -> ProbabilitySignal:
     try:
         video_id = str(payload["video_id"])
-        level = int(payload["level"])
+        level = _integer("level", payload["level"])
         values = np.asarray(payload["values"], dtype=np.float64)
-        declared = (int(payload["length"]), int(payload["num_classes"]))
+        declared = (_integer("length", payload["length"]), _integer("num_classes", payload["num_classes"]))
     except KeyError as exc:
         raise InvalidInputError(f"signal record missing field {exc}") from exc
     except _MALFORMED as exc:
@@ -175,7 +222,8 @@ def save_signals(path: Path | str, signals: Sequence[ProbabilitySignal]) -> None
     if Path(path).suffix == ".npz":
         _save_npz(path, signals)
     else:
-        write_json_atomic(path, [signal_to_dict(s) for s in signals])
+        with _collector_paused():
+            write_json_atomic(path, [signal_to_dict(s) for s in signals])
 
 
 def load_signals(path: Path | str) -> list[ProbabilitySignal]:
@@ -210,18 +258,18 @@ def group_signals_by_video(
 
 # --- records: annotations, ground truth, pseudo-labels, proposals ----------
 
-# kind -> (record type, per-video list key, {stored field: converter that reads it}).
+# kind -> (record type, per-video list key, {stored field: reader of its JSON value}).
 # Every field is named as the record's attribute and ``video_id`` is implied. A
 # kind without a list key is a flat array; the others list each video's records,
 # videos in sorted id order.
 _LAYOUTS: dict[str, tuple[Callable, str | None, dict[str, Callable]]] = {
-    "annotation": (PointAnnotation, None, {"t": int, "class_id": int}),
-    "ground-truth": (GroundTruthInstance, None, {"start": int, "end": int, "class_id": int}),
+    "annotation": (PointAnnotation, None, {"t": _integer, "class_id": _integer}),
+    "ground-truth": (GroundTruthInstance, None, {"start": _integer, "end": _integer, "class_id": _integer}),
     "pseudo-label": (PseudoLabel, "labels", {
-        "t": int, "t_star": int, "sigma": float, "omega": float, "delta": float,
-        "start": int, "end": int, "class_id": int, "degenerate": bool,
+        "t": _integer, "t_star": _integer, "sigma": _number, "omega": _number, "delta": _number,
+        "start": _integer, "end": _integer, "class_id": _integer, "degenerate": _boolean,
     }),
-    "proposal": (Proposal, "proposals", {"start": int, "end": int, "class_id": int, "score": float}),
+    "proposal": (Proposal, "proposals", {"start": _integer, "end": _integer, "class_id": _integer, "score": _number}),
 }
 
 
@@ -243,16 +291,17 @@ def _build_records(payload, path: Path | str, kind: str) -> list:
     make, group, fields = _LAYOUTS[kind]
 
     def build(video_id, item):
-        return make(video_id=str(video_id), **{name: read(item[name]) for name, read in fields.items()})
+        return make(video_id=str(video_id), **{name: read(name, item[name]) for name, read in fields.items()})
 
     try:
-        if group is None:
-            return [build(item["video_id"], item) for item in payload]
-        records = []
-        for entry in payload:
-            video_id = entry["video_id"]
-            records.extend(build(video_id, item) for item in entry[group])
-        return records
+        with _collector_paused():
+            if group is None:
+                return [build(item["video_id"], item) for item in payload]
+            records = []
+            for entry in payload:
+                video_id = entry["video_id"]
+                records.extend(build(video_id, item) for item in entry[group])
+            return records
     except KeyError as exc:
         raise InvalidInputError(f"{kind} record missing field {exc}") from exc
     except InvalidInputError:
@@ -261,12 +310,17 @@ def _build_records(payload, path: Path | str, kind: str) -> list:
         raise InvalidInputError(f"malformed {kind} record in {path}: {exc}") from exc
 
 
+def _save_records(path: Path | str, kind: str, records: Sequence) -> None:
+    with _collector_paused():
+        write_json_atomic(path, _to_payload(kind, records))
+
+
 def _load_records(path: Path | str, kind: str) -> list:
     return _build_records(load_json(path), path, kind)
 
 
 def save_annotations(path: Path | str, points: Sequence[PointAnnotation]) -> None:
-    write_json_atomic(path, _to_payload("annotation", points))
+    _save_records(path, "annotation", points)
 
 
 def load_annotations(path: Path | str) -> list[PointAnnotation]:
@@ -274,7 +328,7 @@ def load_annotations(path: Path | str) -> list[PointAnnotation]:
 
 
 def save_ground_truth(path: Path | str, instances: Sequence[GroundTruthInstance]) -> None:
-    write_json_atomic(path, _to_payload("ground-truth", instances))
+    _save_records(path, "ground-truth", instances)
 
 
 def load_ground_truth(path: Path | str) -> list[GroundTruthInstance]:
@@ -283,7 +337,7 @@ def load_ground_truth(path: Path | str) -> list[GroundTruthInstance]:
 
 def save_pseudo_labels(path: Path | str, labels: Sequence[PseudoLabel]) -> None:
     """Labels grouped per video; the fit errors are not stored."""
-    write_json_atomic(path, _to_payload("pseudo-label", labels))
+    _save_records(path, "pseudo-label", labels)
 
 
 def load_pseudo_labels(path: Path | str) -> list[PseudoLabel]:
@@ -291,7 +345,7 @@ def load_pseudo_labels(path: Path | str) -> list[PseudoLabel]:
 
 
 def save_proposals(path: Path | str, proposals: Sequence[Proposal]) -> None:
-    write_json_atomic(path, _to_payload("proposal", proposals))
+    _save_records(path, "proposal", proposals)
 
 
 def load_proposals(path: Path | str) -> list[Proposal]:

@@ -726,6 +726,22 @@ class TestMalformedInput:
         assert not out_file.exists()
 
     _GT = [{"video_id": "v0", "start": 1, "end": 4, "class_id": 1}]
+
+    @pytest.mark.parametrize("command", ["adm", "eval"])
+    def test_deeply_nested_json(self, runner, tmp_path, command):
+        # deeper than the parser can recurse
+        nested = tmp_path / "nested.json"
+        nested.write_bytes(b"[" * 200_000 + b"]" * 200_000)
+        if command == "adm":
+            save_annotations(tmp_path / "ann.json", [PointAnnotation("v0", 3, 1)])
+            args = ["adm", "--signals", str(nested), "--annotations", str(tmp_path / "ann.json"),
+                    "--out", str(tmp_path / "labels.json")]
+        else:
+            (tmp_path / "gt.json").write_text(json.dumps(self._GT))
+            args = ["eval", str(nested), "--gt", str(tmp_path / "gt.json"),
+                    "--out-json", str(tmp_path / "r.json"), "--out-csv", str(tmp_path / "r.csv")]
+        fails_cleanly(runner.invoke(main, args), f"malformed JSON in {nested}: nested too deeply to parse")
+
     _LABEL = {"t": 2, "t_star": 2, "sigma": 1.0, "omega": 1.0, "delta": 1.0,
               "start": 1, "end": 3, "class_id": 1, "degenerate": False}
 
@@ -950,21 +966,30 @@ def _child_env() -> dict:
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
 
 
-# Runs ``python -m actionness.cli`` with the given arguments, then writes the names
-# of every module the interpreter loaded as the last line of stderr.
+# Runs ``python -m actionness.cli`` with the given arguments, then writes the size
+# of the frozen heap and the names of every module the interpreter loaded as the
+# last two lines of stderr. ``atexit`` runs the last-registered hook first, so
+# this one runs after any the CLI registers.
 _REPORT_MODULES = (
-    "import atexit, runpy, sys\n"
-    "atexit.register(lambda: sys.stderr.write('\\nmodules: ' + ' '.join(sorted(sys.modules))))\n"
+    "import atexit, gc, runpy, sys\n"
+    "atexit.register(lambda: sys.stderr.write(\n"
+    "    f'\\nfrozen: {gc.get_freeze_count()}\\nmodules: ' + ' '.join(sorted(sys.modules))))\n"
     "runpy.run_module('actionness.cli', run_name='__main__', alter_sys=True)\n"
 )
 
 
-def _loaded_modules(args) -> set[str]:
-    """The modules a fresh ``python -m actionness.cli *args`` loads."""
+def _exit_report(args) -> tuple[int, set[str]]:
+    """How many objects a fresh ``python -m actionness.cli *args`` holds frozen at exit, and the modules it loads."""
     child = subprocess.run(
         [sys.executable, "-c", _REPORT_MODULES, *args], env=_child_env(), capture_output=True, text=True, check=True
     )
-    return set(child.stderr.rsplit("modules: ", 1)[1].split())
+    frozen, modules = child.stderr.rsplit("\nfrozen: ", 1)[1].split("\nmodules: ")
+    return int(frozen), set(modules.split())
+
+
+def _loaded_modules(args) -> set[str]:
+    """The modules a fresh ``python -m actionness.cli *args`` loads."""
+    return _exit_report(args)[1]
 
 
 def _library_args(runner, tmp_path, command) -> list[str]:
@@ -982,6 +1007,30 @@ def _library_args(runner, tmp_path, command) -> list[str]:
     assert invoke(runner, adm_args).exit_code == 0
     return ["eval", str(tmp_path / "labels.json"), "--gt", str(data / "gt.json"),
             "--out-json", str(tmp_path / "eval.json"), "--out-csv", str(tmp_path / "eval.csv")]
+
+
+@pytest.mark.parametrize("command", ["--help", "adm", "eval"])
+def test_heap_is_frozen_at_exit(runner, tmp_path, command):
+    args = ["--help"] if command == "--help" else _library_args(runner, tmp_path, command)
+    frozen, _ = _exit_report(args)
+    assert frozen > 0
+
+
+def test_json_is_read_as_utf8_whatever_the_locale(tmp_path):
+    # UTF-8 files with a non-ASCII video id, read by a child whose locale encoding is ASCII
+    gt = [{"video_id": "vidéo", "start": 1, "end": 4, "class_id": 1}]
+    proposals = [{"video_id": "vidéo", "proposals": [{"start": 1, "end": 4, "class_id": 1, "score": 0.9}]}]
+    for name, payload in (("gt.json", gt), ("proposals.json", proposals)):
+        (tmp_path / name).write_bytes(json.dumps(payload, ensure_ascii=False).encode("utf-8"))
+    env = {**_child_env(), "LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    child = subprocess.run(
+        [sys.executable, "-m", "actionness.cli", "eval", str(tmp_path / "proposals.json"),
+         "--gt", str(tmp_path / "gt.json"), "--thresholds", "0.5",
+         "--out-json", str(tmp_path / "r.json"), "--out-csv", str(tmp_path / "r.csv")],
+        env=env, capture_output=True, text=True,
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.splitlines()[-1] == "average 100.00%"
 
 
 @pytest.mark.parametrize("command", ["adm", "verify"])

@@ -243,6 +243,27 @@ def test_nms_rejects_a_negative_threshold():
         nms([Proposal("v0", 0, 1, 1, 0.5)], -0.1)
 
 
+def pool_with_repeats(levels, config):
+    """Every (class, level, threshold) run of a pyramid, finest level first, scored one by one: repeats included."""
+    scales = pyramid_scales(levels)
+    video_scores = np.mean(
+        [video_level_scores(sig, max(1, min(sig.length, round(config.top_k_fraction * sig.length)))) for sig in levels],
+        axis=0,
+    )
+    pool = []
+    for class_id in select_classes(video_scores, config.class_score_threshold):
+        for index, (sig, scale) in enumerate(zip(levels, scales)):
+            # the level-1 snippets this level and every finer one cover
+            extent = min(below.length * below_scale for below, below_scale in zip(levels[: index + 1], scales))
+            for threshold in config.thresholds:
+                for seg_start, seg_end in threshold_merge(sig.class_column(class_id), threshold):
+                    start = seg_start * scale
+                    end = min((seg_end + 1) * scale, extent) - 1
+                    score = oic_score(levels[0].class_column(class_id), (start, end), config.oic_inflation)
+                    pool.append(Proposal(sig.video_id, start, end, class_id, score))
+    return pool
+
+
 class TestDecode:
     def plateau_signal(self, spans, length=256, classes=3, video_id="v0"):
         columns = np.full((length, classes), 0.05)
@@ -292,21 +313,7 @@ class TestDecode:
         coarse = ProbabilitySignal("v0", 2, fine.values.reshape(-1, 2, fine.values.shape[1]).mean(axis=1))
         levels = [fine, coarse]
         decoder_config = self.config()
-
-        video_scores = np.mean(
-            [video_level_scores(sig, max(1, round(decoder_config.top_k_fraction * sig.length))) for sig in levels],
-            axis=0,
-        )
-        pool = []
-        for class_id in select_classes(video_scores, decoder_config.class_score_threshold):
-            for sig in levels:
-                scale = 2 ** (sig.level - 1)
-                for threshold in decoder_config.thresholds:
-                    for seg_start, seg_end in threshold_merge(sig.class_column(class_id), threshold):
-                        start = seg_start * scale
-                        end = min((seg_end + 1) * scale, fine.length) - 1
-                        score = oic_score(fine.class_column(class_id), (start, end), decoder_config.oic_inflation)
-                        pool.append(Proposal("v0", start, end, class_id, score))
+        pool = pool_with_repeats(levels, decoder_config)
         assert len({(p.start, p.end, p.class_id) for p in pool}) < len(pool), "no repeated segment to reuse"
         assert decode(levels, decoder_config) == nms_direct(pool, decoder_config.nms_tiou)
 
@@ -384,7 +391,38 @@ def test_coarse_runs_cover_the_snippets_pooled_into_them(steps, ceil_pooled, len
         for threshold in config.thresholds
         for start, end in threshold_merge(signal.class_column(1), threshold)
     ]
-    assert [p.interval for p in pools[0]] == expected
+    # each distinct segment enters the pool once, where it is first found
+    assert [p.interval for p in pools[0]] == list(dict.fromkeys(expected))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    length=st.integers(1, 120),
+    classes=st.integers(1, 3),
+    ceil_pooled=st.lists(st.booleans(), max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+    thresholds=st.lists(st.floats(0.01, 0.99), min_size=1, max_size=9, unique=True).map(sorted),
+    inflation=st.floats(0.05, 2.0),
+    nms_tiou=st.one_of(st.sampled_from([1 / 3, 0.5, 2 / 3]), st.floats(0.01, 0.99)),
+    class_score_threshold=st.sampled_from([0.0, 0.5]),
+)
+def test_decode_equals_the_oracle_over_the_pool_with_repeats_property(
+    length, classes, ceil_pooled, seed, thresholds, inflation, nms_tiou, class_score_threshold
+):
+    # quarter-step probabilities, pooled by 2: plateaus make one run recur across
+    # thresholds and levels, and many distinct segments tie in score
+    rng = np.random.default_rng(seed)
+    levels = [ProbabilitySignal("v0", 1, rng.integers(0, 5, (length, classes + 1)) / 4)]
+    for level, ceil in enumerate(ceil_pooled, start=2):
+        below = levels[-1].values
+        count = -(-len(below) // 2) if ceil else len(below) // 2
+        assume(count >= 1)
+        pooled = [below[2 * j : 2 * j + 2].mean(axis=0) for j in range(count)]
+        levels.append(ProbabilitySignal("v0", level, np.array(pooled)))
+    config = DecoderConfig(
+        thresholds=thresholds, oic_inflation=inflation, nms_tiou=nms_tiou, class_score_threshold=class_score_threshold
+    )
+    assert decode(levels, config) == nms_direct(pool_with_repeats(levels, config), nms_tiou)
 
 
 class TestDecoderConfig:

@@ -1,3 +1,4 @@
+import gc
 import json
 import tempfile
 from pathlib import Path
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from actionness import storage
 from actionness.adm import PseudoLabel
 from actionness.decoder import Proposal
 from actionness.errors import InvalidInputError
@@ -17,6 +19,7 @@ from actionness.storage import (
     load_annotations,
     load_eval_input,
     load_ground_truth,
+    load_json,
     load_proposals,
     load_pseudo_labels,
     load_signals,
@@ -141,6 +144,152 @@ def test_malformed_json_raises(tmp_path):
     path.write_text("{broken")
     with pytest.raises(InvalidInputError):
         load_signals(path)
+
+
+@pytest.fixture(params=[True, False], ids=["collector-enabled", "collector-disabled-by-caller"])
+def collector(request):
+    """Whether the collector is enabled when the test body runs; it is enabled again afterwards."""
+    if not request.param:
+        gc.disable()
+    yield request.param
+    gc.enable()
+
+
+def test_json_reads_and_writes_leave_the_collector_as_found(tmp_path, collector):
+    signal = ProbabilitySignal("v0", 1, np.zeros((2, 2)))
+    steps = [
+        lambda: save_signals(tmp_path / "v0.json", [signal]),
+        lambda: load_signals(tmp_path / "v0.json"),
+        lambda: save_proposals(tmp_path / "p.json", [Proposal("v0", 1, 2, 1, 0.5)]),
+        lambda: load_eval_input(tmp_path / "p.json"),
+        lambda: write_json_atomic(tmp_path / "r.json", {"a": [1]}),
+        lambda: load_json(tmp_path / "r.json"),
+    ]
+    for step in steps:
+        step()
+        assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize(
+    "content, fragment",
+    [(b"{broken", "Expecting property name"), (b"\xff\xfe\x00", "can't decode byte 0xff"),
+     (b"[" * 200_000 + b"]" * 200_000, "nested too deeply to parse")],
+    ids=["broken", "not-utf8", "nested-too-deeply"],
+)
+def test_malformed_json_leaves_the_collector_as_found(tmp_path, collector, content, fragment):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    for load in (load_json, load_signals, load_eval_input):
+        with pytest.raises(InvalidInputError, match=f"malformed JSON in .*: .*{fragment}"):
+            load(path)
+        assert gc.isenabled() is collector
+
+
+@pytest.mark.parametrize("records", [[{"video_id": "v0", "proposals": 5}], [{"video_id": "v0"}]],
+                         ids=["malformed", "missing-field"])
+def test_malformed_records_leave_the_collector_as_found(tmp_path, collector, records):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(records))
+    with pytest.raises(InvalidInputError):
+        load_eval_input(path)
+    assert gc.isenabled() is collector
+
+
+def test_failed_json_write_leaves_the_collector_as_found(tmp_path, collector):
+    with pytest.raises(TypeError):
+        write_json_atomic(tmp_path / "r.json", {"a": object()})
+    assert gc.isenabled() is collector
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_collector_is_paused_while_json_is_built_and_parsed(tmp_path, monkeypatch):
+    states: dict[str, list[bool]] = {}
+
+    def recording(name, func):
+        def wrapper(*args, **kwargs):
+            states.setdefault(name, []).append(gc.isenabled())
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(json, "load", recording("load", json.load))
+    monkeypatch.setattr(json, "dumps", recording("dumps", json.dumps))
+    monkeypatch.setattr(storage, "_to_payload", recording("_to_payload", storage._to_payload))
+    monkeypatch.setattr(storage, "signal_to_dict", recording("signal_to_dict", storage.signal_to_dict))
+    make, group, fields = storage._LAYOUTS["annotation"]
+    monkeypatch.setitem(storage._LAYOUTS, "annotation", (recording("build", make), group, fields))
+    save_signals(tmp_path / "v0.json", [ProbabilitySignal("v0", 1, np.zeros((2, 2)))])
+    load_signals(tmp_path / "v0.json")
+    save_annotations(tmp_path / "a.json", [PointAnnotation("v0", 1, 1)])
+    load_annotations(tmp_path / "a.json")
+    assert states == {"signal_to_dict": [False], "dumps": [False, False], "load": [False, False],
+                      "_to_payload": [False], "build": [False]}
+    assert gc.isenabled()
+
+
+# Each record kind's fields, one value of a wrong JSON type at a time: int() and
+# float() would have truncated, parsed or counted each of these.
+_ANNOTATION = {"video_id": "v0", "t": 3, "class_id": 1}
+_GROUND_TRUTH = {"video_id": "v0", "start": 2, "end": 20, "class_id": 1}
+_LABEL = {"t": 5, "t_star": 5, "sigma": 1.5, "omega": 2.0, "delta": 1.0,
+          "start": 2, "end": 20, "class_id": 1, "degenerate": False}
+_PROPOSAL = {"start": 2, "end": 20, "class_id": 1, "score": 0.5}
+
+
+def _rejects(load, path, payload, field, kind):
+    path.write_text(json.dumps(payload))
+    with pytest.raises(InvalidInputError, match=f"malformed {kind} record in .*: {field} must be a JSON"):
+        load(path)
+
+
+@pytest.mark.parametrize(
+    "field, value", [("t", 3.0), ("t", "3"), ("t", True), ("class_id", 1.5), ("class_id", False)]
+)
+def test_annotation_fields_keep_their_json_types(tmp_path, field, value):
+    _rejects(load_annotations, tmp_path / "a.json", [{**_ANNOTATION, field: value}], field, "annotation")
+
+
+@pytest.mark.parametrize(
+    "field, value", [("start", "2"), ("end", 20.7), ("class_id", True), ("end", None)]
+)
+def test_ground_truth_fields_keep_their_json_types(tmp_path, field, value):
+    _rejects(load_ground_truth, tmp_path / "gt.json", [{**_GROUND_TRUTH, field: value}], field, "ground-truth")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("t_star", 5.9), ("end", 20.7), ("start", "2"), ("class_id", True), ("degenerate", "false"),
+     ("degenerate", 0), ("sigma", "1.5"), ("omega", True), ("delta", None)],
+)
+def test_pseudo_label_fields_keep_their_json_types(tmp_path, field, value):
+    payload = [{"video_id": "v0", "labels": [{**_LABEL, field: value}]}]
+    _rejects(load_pseudo_labels, tmp_path / "labels.json", payload, field, "pseudo-label")
+
+
+@pytest.mark.parametrize(
+    "field, value", [("start", 2.0), ("end", "20"), ("class_id", False), ("score", "0.5"), ("score", True)]
+)
+def test_proposal_fields_keep_their_json_types(tmp_path, field, value):
+    payload = [{"video_id": "v0", "proposals": [{**_PROPOSAL, field: value}]}]
+    _rejects(load_proposals, tmp_path / "p.json", payload, field, "proposal")
+
+
+@pytest.mark.parametrize(
+    "field, value", [("level", 1.7), ("level", True), ("length", 4.2), ("num_classes", "1"), ("num_classes", 1.0)]
+)
+def test_signal_fields_keep_their_json_types(field, value):
+    payload = {**signal_to_dict(ProbabilitySignal("v0", 1, np.zeros((4, 2)))), field: value}
+    with pytest.raises(InvalidInputError, match=f"malformed signal record: {field} must be a JSON integer"):
+        signal_from_dict(payload)
+
+
+def test_number_fields_read_json_integers_as_floats(tmp_path):
+    path = tmp_path / "labels.json"
+    path.write_text(json.dumps([{"video_id": "v0", "labels": [{**_LABEL, "sigma": 2, "omega": 3, "delta": 1}]}]))
+    (label,) = load_pseudo_labels(path)
+    assert (label.sigma, label.omega, label.delta) == (2.0, 3.0, 1.0)
+    assert all(type(value) is float for value in (label.sigma, label.omega, label.delta))
+    path.write_text(json.dumps([{"video_id": "v0", "proposals": [{**_PROPOSAL, "score": 1}]}]))
+    assert type(load_proposals(path)[0].score) is float
 
 
 def test_annotation_round_trip(tmp_path):
