@@ -17,7 +17,6 @@ _EXPORTS = {
     "adm": (
         "ADMConfig",
         "PreliminaryBoundary",
-        "PseudoLabel",
         "find_peak",
         "fit_gaussians",
         "fit_uniform",
@@ -27,7 +26,6 @@ _EXPORTS = {
     ),
     "decoder": (
         "DecoderConfig",
-        "Proposal",
         "decode",
         "decode_videos",
         "nms",
@@ -38,7 +36,6 @@ _EXPORTS = {
     "errors": ("InvalidInputError", "NumericError", "PackingError"),
     "evaluation": (
         "EvalReport",
-        "GroundTruthInstance",
         "average_precision",
         "evaluate",
         "map_report",
@@ -58,9 +55,9 @@ _EXPORTS = {
         "video_level_scores",
     ),
     "optim": ("LaneResults", "minimize_lanes"),
+    "records": ("GroundTruthInstance", "PointAnnotation", "Proposal", "PseudoLabel"),
     "signal": (
         "BackgroundPoints",
-        "PointAnnotation",
         "ProbabilitySignal",
         "augment_points",
         "fuse_probabilities",

@@ -11,16 +11,16 @@ dataset, from each video's pyramid levels to its labels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError, require_finite
 from .optim import minimize_lanes
+from .records import PointAnnotation, PseudoLabel
 from .signal import (
     BackgroundPoints,
-    PointAnnotation,
     ProbabilitySignal,
     augment_points,
     pyramid_scales,
@@ -93,29 +93,6 @@ class ADMConfig:
             )
         if self.r_a < 0:
             raise InvalidInputError(f"r_a must be >= 0, got {self.r_a}")
-
-
-@dataclass
-class PseudoLabel:
-    """A fitted action interval for one annotated point.
-
-    ``gaussian_error`` and ``uniform_error`` are the sums of squared error of
-    the two fits. Only labels fitted in this process know them; files do not
-    store them, so a loaded label holds NaN, and equality ignores them.
-    """
-
-    video_id: str
-    t: int
-    t_star: int
-    sigma: float
-    omega: float
-    delta: float
-    start: int
-    end: int
-    class_id: int
-    degenerate: bool = False
-    gaussian_error: float = field(default=math.nan, compare=False, repr=False)
-    uniform_error: float = field(default=math.nan, compare=False, repr=False)
 
 
 class Fit(NamedTuple):

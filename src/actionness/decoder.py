@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -11,33 +10,11 @@ import numpy as np
 
 from .errors import InvalidInputError, require_finite
 from .losses import video_level_scores
+from .records import Proposal
 from .signal import ProbabilitySignal, pyramid_scales
 
 DEFAULT_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 NMS_PAIR_CHUNK = 1 << 16  # most candidate pairs one NMS step expands at once
-
-
-@dataclass
-class Proposal:
-    """A scored candidate interval (inclusive endpoints)."""
-
-    video_id: str
-    start: int
-    end: int
-    class_id: int
-    score: float
-
-    def __post_init__(self):
-        if self.start < 0 or self.start > self.end:
-            raise InvalidInputError(
-                f"proposal must satisfy 0 <= start <= end, got [{self.start}, {self.end}]"
-            )
-        if not math.isfinite(self.score):
-            raise InvalidInputError(f"proposal score must be finite, got {self.score}")
-
-    @property
-    def interval(self) -> tuple[int, int]:
-        return self.start, self.end
 
 
 @dataclass

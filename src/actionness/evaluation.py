@@ -1,37 +1,21 @@
-"""Interval overlap, average precision, mAP reports, and pseudo-label quality."""
+"""Interval overlap, average precision, mAP reports, and pseudo-label quality.
+
+Pure Python, so ``actionness eval`` loads no numpy. Every sum adds its terms
+in the order ``np.add.reduce`` adds a float64 vector, so each score is the
+float that the array formulation of these metrics gives.
+"""
 
 from __future__ import annotations
 
+import bisect
+import functools
+import itertools
+import operator
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .errors import InvalidInputError
-
-if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
-    from .adm import PseudoLabel
-    from .decoder import Proposal
-
-
-@dataclass(frozen=True)
-class GroundTruthInstance:
-    """One annotated action interval (inclusive endpoints)."""
-
-    video_id: str
-    start: int
-    end: int
-    class_id: int
-
-    def __post_init__(self):
-        if self.start > self.end:
-            raise InvalidInputError(
-                f"instance must satisfy start <= end, got [{self.start}, {self.end}]"
-            )
-
-    @property
-    def interval(self) -> tuple[int, int]:
-        return self.start, self.end
+from .records import GroundTruthInstance, Proposal, PseudoLabel
 
 
 @dataclass
@@ -56,19 +40,64 @@ def tiou(a: tuple[int, int], b: tuple[int, int]) -> float:
     return inter / union
 
 
-def _tiou_matrix(rows: Sequence, columns: Sequence) -> np.ndarray:
-    """tIoU of every row interval against every column interval.
+def _pairwise_sum(values: Sequence[float], start: int, count: int) -> float:
+    """numpy's pairwise sum of ``values[start:start + count]``: a plain loop below
+    8 terms, 8 interleaved accumulators up to 128, else the two halves split at a
+    multiple of 8."""
+    if count < 8:
+        total = 0.0
+        for i in range(start, start + count):
+            total += values[i]
+        return total
+    if count <= 128:
+        stop = start + count - count % 8
+        # accumulator j adds every 8th term from values[start + j], left to right
+        r = [functools.reduce(operator.add, values[j:stop:8]) for j in range(start, start + 8)]
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for i in range(stop, start + count):
+            total += values[i]
+        return total
+    half = count // 2
+    half -= half % 8
+    return _pairwise_sum(values, start, half) + _pairwise_sum(values, start + half, count - half)
 
-    Counts are int64 snippet counts and each pair takes one float division,
-    as in ``tiou``, so every entry equals ``tiou`` of that pair.
+
+def _sum(values: Sequence[float]) -> float:
+    """The sum ``np.add.reduce`` gives a float64 vector of ``values``, bit for bit:
+    its identity 0.0 plus numpy's pairwise sum, so no float's rounding moves."""
+    return 0.0 + _pairwise_sum(values, 0, len(values))
+
+
+def _envelope_ap(hit_ranks: Sequence[int], total: int) -> float:
+    """All-point AP of one ranking from its true positives' 0-based ranks, ascending.
+
+    The precision envelope at a hit is the largest ``hits / rank`` (1-based) of
+    that hit and every later hit; each hit adds its recall step times that
+    envelope, and a recall that ends below 1 adds a last step of precision 0.
+    These are the nonzero-width steps of the padded recall and envelope
+    arrays, in their order.
     """
-    starts = np.array([r.start for r in rows], dtype=np.int64)[:, None]
-    ends = np.array([r.end for r in rows], dtype=np.int64)[:, None]
-    column_starts = np.array([c.start for c in columns], dtype=np.int64)
-    column_ends = np.array([c.end for c in columns], dtype=np.int64)
-    inter = np.minimum(ends, column_ends) - np.maximum(starts, column_starts) + 1
-    np.maximum(inter, 0, out=inter)  # disjoint pairs have tIoU 0
-    return inter / ((ends - starts + 1) + (column_ends - column_starts + 1) - inter)
+    envelopes = [hits / (rank + 1) for hits, rank in enumerate(hit_ranks, 1)]
+    best = 0.0
+    for i in range(len(envelopes) - 1, -1, -1):
+        best = envelopes[i] = max(best, envelopes[i])
+    terms = [(hits / total - (hits - 1) / total) * envelope for hits, envelope in enumerate(envelopes, 1)]
+    if len(hit_ranks) < total:
+        terms.append((1.0 - len(hit_ranks) / total) * 0.0)
+    return _sum(terms)
+
+
+def _by_start(intervals: Sequence[tuple[int, int]]) -> tuple[list[int], list[int], list[int]]:
+    """The intervals' indices in start order, their starts, and the running max of their ends.
+
+    The intervals that share a snippet with ``(start, end)`` all lie in
+    ``order[bisect_left(reach, start):bisect_right(starts, end)]``: those
+    before it end before ``start``, and those after it begin after ``end``.
+    """
+    order = sorted(range(len(intervals)), key=lambda i: intervals[i][0])
+    starts = [intervals[i][0] for i in order]
+    reach = list(itertools.accumulate((intervals[i][1] for i in order), max))
+    return order, starts, reach
 
 
 def _score_order(proposal) -> tuple:
@@ -76,17 +105,20 @@ def _score_order(proposal) -> tuple:
 
 
 def _class_average_precisions(
-    proposals: Sequence["Proposal"],
+    proposals: Sequence[Proposal],
     gt: Sequence[GroundTruthInstance],
     thresholds: Sequence[float],
 ) -> list[float]:
-    """All-point AP of one class at each threshold, from one tIoU matrix per video.
+    """All-point AP of one class at each threshold, from each proposal's tIoUs with its video's GT.
 
-    Proposals are sorted once by descending score. Each video's proposal x GT
-    tIoU matrix is built once; at every threshold the greedy matching walks its
-    rows in score order, and every row takes the still-unmatched GT with the
-    largest tIoU (> 0, the first on ties). The row is a true positive when that
-    tIoU reaches the threshold; it never falls back to the next-best GT.
+    Proposals are sorted once by descending score. Each proposal's tIoUs with
+    the GT of its video that it may overlap (found by bisection on their
+    starts and running max end) are computed once, with ``tiou``, and those GT
+    ordered from best to worst (the first on ties). At every threshold the greedy
+    matching walks the proposals in score order, and each takes the
+    still-unmatched GT with the largest tIoU (> 0). It is a true positive when
+    that tIoU reaches the threshold; it never falls back to the next-best GT.
+    The AP comes from the true positives' ranks alone, summed in numpy's order.
     """
     if not gt:
         raise InvalidInputError("average_precision requires at least one ground-truth instance")
@@ -96,57 +128,50 @@ def _class_average_precisions(
     if not proposals:
         return [0.0] * len(thresholds)
 
-    gt_by_video: dict[str, list[GroundTruthInstance]] = {}
+    gt_by_video: dict[str, list[tuple[int, int]]] = {}
     for instance in gt:
-        gt_by_video.setdefault(instance.video_id, []).append(instance)
+        gt_by_video.setdefault(instance.video_id, []).append((instance.start, instance.end))
     ordered = sorted(proposals, key=_score_order)
     ranks_by_video: dict[str, list[int]] = {}
     for rank, proposal in enumerate(ordered):
         if proposal.video_id in gt_by_video:
             ranks_by_video.setdefault(proposal.video_id, []).append(rank)
 
-    tp = np.zeros((len(thresholds), len(ordered)))
+    hit_ranks: list[list[int]] = [[] for _ in thresholds]
     for video_id, ranks in ranks_by_video.items():
-        overlap = _tiou_matrix([ordered[rank] for rank in ranks], gt_by_video[video_id])
-        # each row's GT columns from best to worst; the stable sort puts the first index first on ties
-        preference = np.argsort(-overlap, axis=1, kind="stable")
-        ranked = np.take_along_axis(overlap, preference, axis=1)
-        columns, values = preference.tolist(), ranked.tolist()
-        # rows that overlap no GT match nothing at any threshold
-        rows = np.flatnonzero(ranked[:, 0] > 0).tolist()
-        for k, threshold in enumerate(thresholds):
-            unmatched = [True] * overlap.shape[1]
-            left = overlap.shape[1]
-            for row in rows:
-                if values[row][0] < threshold:
+        intervals = gt_by_video[video_id]
+        order, starts, reach = _by_start(intervals)
+        # (rank, (tIoU, GT index) from best to worst, the first index first on ties) of each
+        # proposal that overlaps some GT; the GT it does not overlap can match it at no threshold
+        rows = []
+        for rank in ranks:
+            start, end = ordered[rank].start, ordered[rank].end
+            lo, hi = bisect.bisect_left(reach, start), bisect.bisect_right(starts, end)
+            if lo < hi:
+                overlap = [(tiou((start, end), intervals[i]), i) for i in order[lo:hi]]
+                overlap.sort(key=lambda pair: (-pair[0], pair[1]))
+                if overlap[0][0] > 0:
+                    rows.append((rank, overlap))
+        for hits, threshold in zip(hit_ranks, thresholds):
+            unmatched = [True] * len(intervals)
+            left = len(intervals)
+            for rank, overlap in rows:
+                if overlap[0][0] < threshold:
                     continue
-                for column, value in zip(columns[row], values[row]):
+                for value, column in overlap:
                     if unmatched[column]:
                         if value >= threshold:
                             unmatched[column] = False
                             left -= 1
-                            tp[k, ranks[row]] = 1.0
+                            hits.append(rank)
                         break
                 if not left:
                     break
-
-    cum_tp = np.cumsum(tp, axis=1)
-    size = (len(thresholds), len(ordered) + 2)
-    mrec = np.zeros(size)
-    mrec[:, 1:-1] = cum_tp / len(gt)
-    mrec[:, -1] = 1.0
-    mpre = np.zeros(size)
-    mpre[:, 1:-1] = cum_tp / np.arange(1, len(ordered) + 1)
-    # the precision envelope: at each rank, the max precision at that and every later rank
-    mpre = np.maximum.accumulate(mpre[:, ::-1], axis=1)[:, ::-1]
-    steps = mrec[:, 1:] != mrec[:, :-1]
-    areas = (mrec[:, 1:] - mrec[:, :-1]) * mpre[:, 1:]
-    # summed row by row over the recall steps only, so each sum adds the same terms in the same order
-    return [float(np.sum(area[step])) for area, step in zip(areas, steps)]
+    return [_envelope_ap(sorted(hits), len(gt)) for hits in hit_ranks]
 
 
 def average_precision(
-    proposals: Sequence["Proposal"],
+    proposals: Sequence[Proposal],
     gt: Sequence[GroundTruthInstance],
     tiou_threshold: float,
 ) -> float:
@@ -162,15 +187,16 @@ def average_precision(
 
 
 def map_report(
-    proposals: Sequence["Proposal"],
+    proposals: Sequence[Proposal],
     gt: Sequence[GroundTruthInstance],
     thresholds: Sequence[float],
 ) -> EvalReport:
     """AP per class and threshold; mAP averages only classes that have GT.
 
     Proposals and GT are grouped by class in one pass, and each class's APs
-    at every threshold come from one call that builds each video's tIoU
-    matrix once; each AP equals ``average_precision`` on that class alone.
+    at every threshold come from one call that computes each proposal's tIoUs
+    once; each AP equals ``average_precision`` on that class alone. Each mAP
+    is the mean that ``np.mean`` gives, summed in numpy's order.
     A repeated threshold raises InvalidInputError: ``map_at`` keeps one entry
     per distinct threshold, so the report would disagree with itself.
     """
@@ -185,7 +211,7 @@ def map_report(
     for instance in gt:
         by_class_gt.setdefault(instance.class_id, []).append(instance)
     classes = sorted(by_class_gt)
-    by_class_proposals: dict[int, list["Proposal"]] = {c: [] for c in classes}
+    by_class_proposals: dict[int, list[Proposal]] = {c: [] for c in classes}
     for proposal in proposals:
         if proposal.class_id in by_class_proposals:
             by_class_proposals[proposal.class_id].append(proposal)
@@ -199,51 +225,53 @@ def map_report(
     for k, threshold in enumerate(thresholds):
         for class_id in classes:
             ap[(class_id, threshold)] = per_class[class_id][k]
-        map_at[threshold] = float(np.mean([per_class[c][k] for c in classes]))
-    average_map = float(np.mean(list(map_at.values())))
+        map_at[threshold] = _sum([per_class[c][k] for c in classes]) / len(classes)
+    average_map = _sum(list(map_at.values())) / len(map_at)
     return EvalReport(thresholds, ap, map_at, average_map)
 
 
 def pseudo_label_quality(
-    pseudo_labels: Sequence["PseudoLabel"],
+    pseudo_labels: Sequence[PseudoLabel],
     gt: Sequence[GroundTruthInstance],
     thresholds: Sequence[float],
 ) -> EvalReport:
     """Unit-score detection quality, with the count ratio and mean best-match tIoU.
 
     A GT instance's best match is the largest tIoU of any label of its video
-    and class (0 when there is none): the column max of that (video, class)
-    label x GT tIoU matrix. Detection quality is ``map_report`` with every
+    and class (0 when there is none); only the labels that ``_by_start`` finds
+    may overlap it are scored. Detection quality is ``map_report`` with every
     label scored 1.
     """
-    from .decoder import Proposal
-
     if not gt:
         raise InvalidInputError("pseudo_label_quality requires ground truth")
     alpha = len(pseudo_labels) / len(gt)
     columns: dict[tuple[str, int], list[int]] = {}
     for index, instance in enumerate(gt):
         columns.setdefault((instance.video_id, instance.class_id), []).append(index)
-    rows: dict[tuple[str, int], list["PseudoLabel"]] = {}
+    rows: dict[tuple[str, int], list[PseudoLabel]] = {}
     for label in pseudo_labels:
         key = (label.video_id, label.class_id)
         if key in columns:
             rows.setdefault(key, []).append(label)
-    best_matches = np.zeros(len(gt))
+    best_matches = [0.0] * len(gt)
     for key, labels in rows.items():
-        indices = columns[key]
-        best_matches[indices] = _tiou_matrix(labels, [gt[i] for i in indices]).max(axis=0)
+        intervals = [(label.start, label.end) for label in labels]
+        order, starts, reach = _by_start(intervals)
+        for index in columns[key]:
+            instance = gt[index]
+            near = order[bisect.bisect_left(reach, instance.start):bisect.bisect_right(starts, instance.end)]
+            best_matches[index] = max((tiou(intervals[i], instance.interval) for i in near), default=0.0)
     as_proposals = [
         Proposal(label.video_id, label.start, label.end, label.class_id, 1.0)
         for label in pseudo_labels
     ]
     report = map_report(as_proposals, gt, thresholds)
-    return replace(report, alpha=alpha, mean_tiou=float(np.mean(best_matches)))
+    return replace(report, alpha=alpha, mean_tiou=_sum(best_matches) / len(gt))
 
 
 def evaluate(
     kind: str,
-    records: Sequence["PseudoLabel"] | Sequence["Proposal"],
+    records: Sequence[PseudoLabel] | Sequence[Proposal],
     gt: Sequence[GroundTruthInstance],
     thresholds: Sequence[float],
 ) -> EvalReport:

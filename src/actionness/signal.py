@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInputError
+from .records import PointAnnotation
 
 
 @dataclass
@@ -57,21 +58,6 @@ class ProbabilitySignal:
                 f"class_id {class_id} outside [1, {self.num_classes}] for video {self.video_id!r}"
             )
         return self.values[:, class_id - 1]
-
-
-@dataclass(frozen=True)
-class PointAnnotation:
-    """One annotated snippet (level-1 resolution) with its 1-based class id."""
-
-    video_id: str
-    t: int
-    class_id: int
-
-    def __post_init__(self):
-        if self.t < 0:
-            raise InvalidInputError(f"annotated snippet index must be >= 0, got {self.t}")
-        if self.class_id < 1:
-            raise InvalidInputError(f"class_id must be >= 1, got {self.class_id}")
 
 
 @dataclass

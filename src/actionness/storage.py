@@ -10,7 +10,9 @@ file atomically, so identical inputs yield byte-identical outputs. Every
 loader turns malformed input into ``InvalidInputError``. JSON files are read
 as UTF-8 whatever the locale, and the cyclic garbage collector is paused,
 then restored to the state it was found in, while JSON is parsed, built into
-records, or built and serialized.
+records, or built and serialized. numpy, and the ``signal`` module that holds
+``ProbabilitySignal``, load only when a signal codec runs (``signal_from_dict``,
+``_save_npz``, ``_load_npz``), so reading records and reports needs neither.
 """
 
 from __future__ import annotations
@@ -24,15 +26,14 @@ import tempfile
 import zipfile
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
-import numpy as np
-
-from .adm import PseudoLabel
-from .decoder import Proposal
 from .errors import InvalidInputError
-from .evaluation import EvalReport, GroundTruthInstance
-from .signal import PointAnnotation, ProbabilitySignal
+from .evaluation import EvalReport
+from .records import GroundTruthInstance, PointAnnotation, Proposal, PseudoLabel
+
+if TYPE_CHECKING:
+    from .signal import ProbabilitySignal
 
 # Errors that wrong-typed or wrong-shaped input raises while records are built.
 _MALFORMED = (TypeError, ValueError, OverflowError)
@@ -129,6 +130,12 @@ def _boolean(name: str, value) -> bool:
     return value
 
 
+def _string(name: str, value) -> str:
+    if type(value) is not str:
+        raise TypeError(f"{name} must be a JSON string, got {value!r}")
+    return value
+
+
 # --- probability signals -------------------------------------------------
 
 _ZIP_DATE = (1980, 1, 1, 0, 0, 0)  # the earliest zip timestamp; fixed so writes are byte-identical
@@ -146,8 +153,12 @@ def signal_to_dict(signal: ProbabilitySignal) -> dict:
 
 
 def signal_from_dict(payload: dict) -> ProbabilitySignal:
+    import numpy as np
+
+    from .signal import ProbabilitySignal
+
     try:
-        video_id = str(payload["video_id"])
+        video_id = _string("video_id", payload["video_id"])
         level = _integer("level", payload["level"])
         values = np.asarray(payload["values"], dtype=np.float64)
         declared = (_integer("length", payload["length"]), _integer("num_classes", payload["num_classes"]))
@@ -166,6 +177,8 @@ def signal_from_dict(payload: dict) -> ProbabilitySignal:
 
 def _save_npz(path: Path | str, signals: Sequence[ProbabilitySignal]) -> None:
     """One video's levels as ``video_id.npy`` then ``level_<k>.npy`` by level, uncompressed."""
+    import numpy as np
+
     video_ids = sorted({s.video_id for s in signals})
     if len(video_ids) != 1:
         raise InvalidInputError(f"an .npz signal file holds exactly one video, got {video_ids}")
@@ -187,6 +200,10 @@ def _save_npz(path: Path | str, signals: Sequence[ProbabilitySignal]) -> None:
 
 
 def _load_npz(path: Path) -> list[ProbabilitySignal]:
+    import numpy as np
+
+    from .signal import ProbabilitySignal
+
     try:
         # the handle is ours, so it closes even when numpy fails to open the archive on it
         with path.open("rb") as handle:
@@ -291,15 +308,15 @@ def _build_records(payload, path: Path | str, kind: str) -> list:
     make, group, fields = _LAYOUTS[kind]
 
     def build(video_id, item):
-        return make(video_id=str(video_id), **{name: read(name, item[name]) for name, read in fields.items()})
+        return make(video_id=video_id, **{name: read(name, item[name]) for name, read in fields.items()})
 
     try:
         with _collector_paused():
             if group is None:
-                return [build(item["video_id"], item) for item in payload]
+                return [build(_string("video_id", item["video_id"]), item) for item in payload]
             records = []
             for entry in payload:
-                video_id = entry["video_id"]
+                video_id = _string("video_id", entry["video_id"])
                 records.extend(build(video_id, item) for item in entry[group])
             return records
     except KeyError as exc:

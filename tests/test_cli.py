@@ -1053,6 +1053,24 @@ def test_pipeline_commands_leave_verify_oracles_and_synth_unimported(runner, tmp
     assert not loaded & {"actionness.verify", "actionness.oracles", "actionness.synth"}
 
 
+def _eval_args(runner, tmp_path, records) -> list[str]:
+    """Arguments of one ``eval`` of the labels or the proposals of a small synthetic dataset."""
+    args = _library_args(runner, tmp_path, "eval")
+    if records == "proposals":
+        data = tmp_path / "data"
+        decode_args = ["decode", "--signals", str(data / "signals"), "--out", str(tmp_path / "proposals.json")]
+        assert invoke(runner, decode_args).exit_code == 0
+        args[1] = str(tmp_path / "proposals.json")
+    return args
+
+
+@pytest.mark.parametrize("records", ["labels", "proposals"])
+def test_eval_loads_no_numpy(runner, tmp_path, records):
+    loaded = _loaded_modules(_eval_args(runner, tmp_path, records))
+    assert {"actionness.evaluation", "actionness.records", "actionness.storage"} <= loaded
+    assert "numpy" not in loaded
+
+
 def test_verify_suite_choices_are_the_suites():
     from actionness import cli, verify
 
@@ -1085,3 +1103,16 @@ def test_verify_fitting_peak_memory_stays_near_a_bare_start(tmp_path):
     )
     bare, fitting = (int(line) for line in launcher.stdout.split())
     assert fitting - bare <= 16 * 1024
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux reports it")
+def test_eval_peak_memory_stays_near_help(runner, tmp_path):
+    # eval loads neither numpy nor the numeric modules, so it peaks near a start that loads click alone
+    peaks = []
+    for args in (["--help"], _eval_args(runner, tmp_path, "proposals")):
+        launcher = subprocess.run(
+            [sys.executable, "-c", _MAXRSS_LAUNCHER, *args], env=_child_env(), capture_output=True, text=True, check=True
+        )
+        peaks.append(int(launcher.stdout.split()[1]))
+    help_peak, eval_peak = peaks
+    assert eval_peak - help_peak <= 4 * 1024

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +8,10 @@ from hypothesis import strategies as st
 
 from actionness.adm import PseudoLabel
 from actionness.decoder import Proposal
+from actionness import evaluation
 from actionness.errors import InvalidInputError
 from actionness.evaluation import (
+    EvalReport,
     GroundTruthInstance,
     average_precision,
     evaluate,
@@ -316,6 +321,150 @@ def test_pseudo_label_best_match_equals_brute_force_scan(case):
     ]
     quality = pseudo_label_quality(labels, instances, threshold_list)
     assert quality.mean_tiou == float(np.mean(best_matches))
+
+
+# --- pure-Python arithmetic against numpy's ----------------------------------
+# The reference below is the array formulation this module had: one tIoU matrix
+# per video, and the AP summed by numpy over the padded recall and envelope arrays.
+
+
+def _reference_tiou_matrix(rows, columns):
+    starts = np.array([r.start for r in rows], dtype=np.int64)[:, None]
+    ends = np.array([r.end for r in rows], dtype=np.int64)[:, None]
+    column_starts = np.array([c.start for c in columns], dtype=np.int64)
+    column_ends = np.array([c.end for c in columns], dtype=np.int64)
+    inter = np.minimum(ends, column_ends) - np.maximum(starts, column_starts) + 1
+    np.maximum(inter, 0, out=inter)
+    return inter / ((ends - starts + 1) + (column_ends - column_starts + 1) - inter)
+
+
+def reference_class_average_precisions(proposals, gt, thresholds):
+    if not proposals:
+        return [0.0] * len(thresholds)
+    gt_by_video = {}
+    for instance in gt:
+        gt_by_video.setdefault(instance.video_id, []).append(instance)
+    ordered = sorted(proposals, key=lambda p: (-p.score, p.video_id, p.start, p.end))
+    ranks_by_video = {}
+    for rank, proposal in enumerate(ordered):
+        if proposal.video_id in gt_by_video:
+            ranks_by_video.setdefault(proposal.video_id, []).append(rank)
+    tp = np.zeros((len(thresholds), len(ordered)))
+    for video_id, ranks in ranks_by_video.items():
+        overlap = _reference_tiou_matrix([ordered[rank] for rank in ranks], gt_by_video[video_id])
+        preference = np.argsort(-overlap, axis=1, kind="stable")
+        ranked = np.take_along_axis(overlap, preference, axis=1)
+        columns, values = preference.tolist(), ranked.tolist()
+        rows = np.flatnonzero(ranked[:, 0] > 0).tolist()
+        for k, threshold in enumerate(thresholds):
+            unmatched = [True] * overlap.shape[1]
+            for row in rows:
+                for column, value in zip(columns[row], values[row]):
+                    if unmatched[column]:
+                        if value >= threshold:
+                            unmatched[column] = False
+                            tp[k, ranks[row]] = 1.0
+                        break
+    cum_tp = np.cumsum(tp, axis=1)
+    size = (len(thresholds), len(ordered) + 2)
+    mrec = np.zeros(size)
+    mrec[:, 1:-1] = cum_tp / len(gt)
+    mrec[:, -1] = 1.0
+    mpre = np.zeros(size)
+    mpre[:, 1:-1] = cum_tp / np.arange(1, len(ordered) + 1)
+    mpre = np.maximum.accumulate(mpre[:, ::-1], axis=1)[:, ::-1]
+    steps = mrec[:, 1:] != mrec[:, :-1]
+    areas = (mrec[:, 1:] - mrec[:, :-1]) * mpre[:, 1:]
+    return [float(np.sum(area[step])) for area, step in zip(areas, steps)]
+
+
+def reference_map_report(proposals, instances, threshold_list):
+    classes = sorted({g.class_id for g in instances})
+    per_class = {
+        c: reference_class_average_precisions(by_class(proposals, c), by_class(instances, c), threshold_list)
+        for c in classes
+    }
+    ap = {(c, t): per_class[c][k] for c in classes for k, t in enumerate(threshold_list)}
+    map_at = {t: float(np.mean([per_class[c][k] for c in classes])) for k, t in enumerate(threshold_list)}
+    return EvalReport(list(threshold_list), ap, map_at, float(np.mean(list(map_at.values()))))
+
+
+def reference_mean_tiou(labels, instances):
+    best_matches = np.zeros(len(instances))
+    for index, instance in enumerate(instances):
+        same = [item for item in labels if (item.video_id, item.class_id) == (instance.video_id, instance.class_id)]
+        if same:
+            best_matches[index] = _reference_tiou_matrix(same, [instance]).max()
+    return float(np.mean(best_matches))
+
+
+def same_float(a, b):
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+@st.composite
+def float_vectors(draw):
+    """Vectors of 0-1000 floats over many magnitudes, so the summation order shows in the
+    rounding, with signed zeros and subnormals among them."""
+    size = draw(st.integers(0, 1000))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = draw(st.integers(0, 300))
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-span, span + 1, size)
+    specials = draw(st.lists(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]), max_size=20))
+    for special in specials:
+        if size:
+            values[rng.integers(size)] = special
+    return values.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(float_vectors())
+def test_sum_equals_numpy_add_reduce(values):
+    assert same_float(evaluation._sum(values), float(np.add.reduce(np.array(values, dtype=np.float64))))
+
+
+@pytest.mark.parametrize("size", [0, 1, 7, 8, 9, 127, 128, 129, 136, 255, 256, 1000, 5000])
+def test_sum_equals_numpy_add_reduce_at_the_cut_offs(size):
+    values = (np.random.default_rng(size).standard_normal(size) * 10.0 ** (np.arange(size) % 17)).tolist()
+    assert same_float(evaluation._sum(values), float(np.add.reduce(np.array(values))))
+    assert same_float(evaluation._sum([-0.0] * size), float(np.add.reduce(np.full(size, -0.0))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases())
+def test_reports_equal_the_numpy_reference(case):
+    instances, proposals, threshold_list = case
+    assert map_report(proposals, instances, threshold_list) == reference_map_report(proposals, instances, threshold_list)
+    labels = [label(p.video_id, p.start, p.end, p.class_id) for p in proposals]
+    quality = pseudo_label_quality(labels, instances, threshold_list)
+    unit_scored = [Proposal(item.video_id, item.start, item.end, item.class_id, 1.0) for item in labels]
+    assert quality == replace(
+        reference_map_report(unit_scored, instances, threshold_list),
+        alpha=len(labels) / len(instances),
+        mean_tiou=reference_mean_tiou(labels, instances),
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_reports_equal_the_numpy_reference_past_128_hits(seed):
+    # hundreds of true positives per class, so each AP sum takes numpy's recursive split
+    rng = np.random.default_rng(seed)
+    instances = []
+    for index in range(400):
+        start = int(rng.integers(0, 2000))
+        instances.append(gt(f"v{index % 5}", start, start + int(rng.integers(0, 40)), int(rng.integers(1, 3))))
+    proposals = []
+    for instance in instances * 2:
+        shift = rng.integers(-4, 5, 2)
+        start = max(0, instance.start + int(shift[0]))
+        end = max(start, instance.end + int(shift[1]))
+        score = float(rng.choice([0.25, 0.5, rng.uniform()]))
+        proposals.append(prop(instance.video_id, start, end, score, instance.class_id))
+    report = map_report(proposals, instances, THUMOS_RANGE)
+    assert report == reference_map_report(proposals, instances, THUMOS_RANGE)
+    assert min(report.ap.values()) > 0.2
+    labels = [label(p.video_id, p.start, p.end, p.class_id) for p in proposals]
+    assert pseudo_label_quality(labels, instances, THUMOS_RANGE).mean_tiou == reference_mean_tiou(labels, instances)
 
 
 def test_threshold_decoding_overproduces_versus_adm():

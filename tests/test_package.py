@@ -52,6 +52,15 @@ def test_dir_and_star_import_list_every_export():
     assert actionness.__version__ == "0.1.0"
 
 
+def test_records_are_defined_once_and_keep_their_old_names():
+    from actionness import adm, decoder, evaluation, records, signal
+
+    for module, name in ((signal, "PointAnnotation"), (evaluation, "GroundTruthInstance"),
+                         (adm, "PseudoLabel"), (decoder, "Proposal")):
+        assert getattr(module, name) is getattr(records, name) is getattr(actionness, name)
+        assert getattr(records, name).__module__ == "actionness.records"
+
+
 def test_unknown_attribute_raises_attribute_error():
     with pytest.raises(AttributeError, match="no attribute 'label_video'"):
         actionness.label_video
@@ -76,6 +85,6 @@ def test_exports_and_modules_load_on_first_use():
     )
     bare, signal, modules = child.stdout.splitlines()
     assert bare == "['actionness']"
-    assert signal == "['actionness', 'actionness.errors', 'actionness.signal', 'numpy']"
+    assert signal == "['actionness', 'actionness.errors', 'actionness.records', 'actionness.signal', 'numpy']"
     assert modules == "True True"
 

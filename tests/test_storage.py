@@ -235,6 +235,13 @@ _LABEL = {"t": 5, "t_star": 5, "sigma": 1.5, "omega": 2.0, "delta": 1.0,
 _PROPOSAL = {"start": 2, "end": 20, "class_id": 1, "score": 0.5}
 
 
+def _grouped(group, record, field, value):
+    """One video's entry holding ``record``, with ``field`` set to ``value`` where the file keeps it."""
+    if field == "video_id":
+        return [{"video_id": value, group: [record]}]
+    return [{"video_id": "v0", group: [{**record, field: value}]}]
+
+
 def _rejects(load, path, payload, field, kind):
     path.write_text(json.dumps(payload))
     with pytest.raises(InvalidInputError, match=f"malformed {kind} record in .*: {field} must be a JSON"):
@@ -242,14 +249,18 @@ def _rejects(load, path, payload, field, kind):
 
 
 @pytest.mark.parametrize(
-    "field, value", [("t", 3.0), ("t", "3"), ("t", True), ("class_id", 1.5), ("class_id", False)]
+    "field, value",
+    [("t", 3.0), ("t", "3"), ("t", True), ("class_id", 1.5), ("class_id", False),
+     ("video_id", 5), ("video_id", [1]), ("video_id", None)],
 )
 def test_annotation_fields_keep_their_json_types(tmp_path, field, value):
     _rejects(load_annotations, tmp_path / "a.json", [{**_ANNOTATION, field: value}], field, "annotation")
 
 
 @pytest.mark.parametrize(
-    "field, value", [("start", "2"), ("end", 20.7), ("class_id", True), ("end", None)]
+    "field, value",
+    [("start", "2"), ("end", 20.7), ("class_id", True), ("end", None),
+     ("video_id", 5), ("video_id", [1]), ("video_id", None)],
 )
 def test_ground_truth_fields_keep_their_json_types(tmp_path, field, value):
     _rejects(load_ground_truth, tmp_path / "gt.json", [{**_GROUND_TRUTH, field: value}], field, "ground-truth")
@@ -258,27 +269,33 @@ def test_ground_truth_fields_keep_their_json_types(tmp_path, field, value):
 @pytest.mark.parametrize(
     "field, value",
     [("t_star", 5.9), ("end", 20.7), ("start", "2"), ("class_id", True), ("degenerate", "false"),
-     ("degenerate", 0), ("sigma", "1.5"), ("omega", True), ("delta", None)],
+     ("degenerate", 0), ("sigma", "1.5"), ("omega", True), ("delta", None),
+     ("video_id", 5), ("video_id", [1]), ("video_id", None)],
 )
 def test_pseudo_label_fields_keep_their_json_types(tmp_path, field, value):
-    payload = [{"video_id": "v0", "labels": [{**_LABEL, field: value}]}]
+    payload = _grouped("labels", _LABEL, field, value)
     _rejects(load_pseudo_labels, tmp_path / "labels.json", payload, field, "pseudo-label")
 
 
 @pytest.mark.parametrize(
-    "field, value", [("start", 2.0), ("end", "20"), ("class_id", False), ("score", "0.5"), ("score", True)]
+    "field, value",
+    [("start", 2.0), ("end", "20"), ("class_id", False), ("score", "0.5"), ("score", True),
+     ("video_id", 5), ("video_id", [1]), ("video_id", None)],
 )
 def test_proposal_fields_keep_their_json_types(tmp_path, field, value):
-    payload = [{"video_id": "v0", "proposals": [{**_PROPOSAL, field: value}]}]
+    payload = _grouped("proposals", _PROPOSAL, field, value)
     _rejects(load_proposals, tmp_path / "p.json", payload, field, "proposal")
 
 
 @pytest.mark.parametrize(
-    "field, value", [("level", 1.7), ("level", True), ("length", 4.2), ("num_classes", "1"), ("num_classes", 1.0)]
+    "field, value",
+    [("level", 1.7), ("level", True), ("length", 4.2), ("num_classes", "1"), ("num_classes", 1.0),
+     ("video_id", 5), ("video_id", [1]), ("video_id", None)],
 )
 def test_signal_fields_keep_their_json_types(field, value):
     payload = {**signal_to_dict(ProbabilitySignal("v0", 1, np.zeros((4, 2)))), field: value}
-    with pytest.raises(InvalidInputError, match=f"malformed signal record: {field} must be a JSON integer"):
+    kind = "string" if field == "video_id" else "integer"
+    with pytest.raises(InvalidInputError, match=f"malformed signal record: {field} must be a JSON {kind}"):
         signal_from_dict(payload)
 
 
