@@ -195,7 +195,7 @@ def gaussian_fit_errors(fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, in
 
 
 def uniform_fit_error(column: np.ndarray, boundary: PreliminaryBoundary, t_star: int):
-    """MSE objective in omega for a peak-height-matched centred rectangle."""
+    """Sum-of-squared-errors objective in omega for a peak-height-matched centred rectangle."""
     return _uniform_error(*_uniform_profile(column, boundary, t_star))
 
 

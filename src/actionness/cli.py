@@ -4,6 +4,8 @@ All commands are deterministic given identical inputs and seeds. Data goes to
 files or stdout; diagnostics go to stderr. Set ``ADM_LOG_LEVEL`` to control
 log verbosity. Each command imports the library modules it runs in its own
 body, so ``--help`` and every command start without the modules of the others.
+``main`` runs every command with the cyclic garbage collector disabled, and
+turns each library failure into ``error: <message>`` on stderr and exit 1.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ log = logging.getLogger("actionness")
 
 # The interpreter's final collections would walk every object that numpy, click
 # and the library made, to free memory the ending process returns anyway; a heap
-# frozen at exit is skipped. In-process callers collect as usual until their exit.
+# frozen at exit is skipped. ``main`` enables the collector again as a command ends.
 atexit.register(gc.freeze)
 
 _FAILURES = (InvalidInputError, NumericError, PackingError, OSError)
@@ -38,11 +40,6 @@ _MAX_THRESHOLDS = 1000
 _RANGE_TOLERANCE = 1e-9  # in steps
 # the names of verify.SUITES, kept here so that --help need not import the suites
 _VERIFY_SUITES = ("fitting", "gradients", "oracles")
-
-
-def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    raise SystemExit(1)
 
 
 def _parse_thresholds(text: str) -> list[float]:
@@ -84,7 +81,27 @@ def _load_videos(signals_path: Path, fuse: bool) -> dict[str, list[ProbabilitySi
     return grouped
 
 
-@click.group()
+class _Main(click.Group):
+    """Runs each command with the cyclic collector disabled, as its records and JSON trees
+    hold no reference cycles for a collection to free, then restores the state it found;
+    ``_FAILURES`` end in ``error: <message>`` and exit 1."""
+
+    def invoke(self, ctx):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # stdout's reader has gone: click's main ends the process quietly
+        except _FAILURES as exc:
+            click.echo(f"error: {exc}", err=True)
+            raise SystemExit(1) from None
+        finally:
+            if enabled:
+                gc.enable()
+
+
+@click.group(cls=_Main)
 def main():
     """Actionness-distribution toolkit for point-supervised localization."""
     level = os.environ.get("ADM_LOG_LEVEL", "WARNING").upper()
@@ -161,10 +178,10 @@ def synth(out_dir, videos, length, num_classes, instances, durations, shape_weig
         save_ground_truth(out_dir / "gt.json", ground_truth)
         save_annotations(out_dir / "annotations.json", annotations)
         write_json_atomic(out_dir / "manifest.json", manifest)
-    except _FAILURES as exc:
+    except _FAILURES:
         for path in written:
             path.unlink(missing_ok=True)
-        _fail(str(exc))
+        raise
     log.info("wrote %d videos to %s", videos, out_dir)
 
 
@@ -187,22 +204,19 @@ def adm(signals_path, annotations_path, out_path, delta, gamma1, gamma2, smoothi
     from .adm import ADMConfig, label_videos
     from .storage import load_annotations, save_pseudo_labels
 
-    try:
-        config = ADMConfig(
-            delta=delta,
-            gamma1=gamma1,
-            gamma2=gamma2,
-            smoothing_sigma=smoothing_sigma,
-            background_threshold=background_threshold,
-            clip_to_boundary=clip_to_boundary,
-            r_a=r_a,
-        )
-        grouped = _load_videos(signals_path, fuse)
-        points = load_annotations(annotations_path)
-        labels = label_videos(grouped, points, config)
-        save_pseudo_labels(out_path, labels)
-    except _FAILURES as exc:
-        _fail(str(exc))
+    config = ADMConfig(
+        delta=delta,
+        gamma1=gamma1,
+        gamma2=gamma2,
+        smoothing_sigma=smoothing_sigma,
+        background_threshold=background_threshold,
+        clip_to_boundary=clip_to_boundary,
+        r_a=r_a,
+    )
+    grouped = _load_videos(signals_path, fuse)
+    points = load_annotations(annotations_path)
+    labels = label_videos(grouped, points, config)
+    save_pseudo_labels(out_path, labels)
 
     if points:
         alpha = len(labels) / len(points)
@@ -229,18 +243,15 @@ def decode_cmd(signals_path, out_path, thresholds, oic_inflation, nms_tiou, clas
     from .decoder import DecoderConfig, decode_videos
     from .storage import save_proposals
 
-    try:
-        config = DecoderConfig(
-            thresholds=tuple(_parse_thresholds(thresholds)),
-            oic_inflation=oic_inflation,
-            nms_tiou=nms_tiou,
-            class_score_threshold=class_threshold,
-            top_k_fraction=top_k_fraction,
-        )
-        proposals = decode_videos(_load_videos(signals_path, fuse), config)
-        save_proposals(out_path, proposals)
-    except _FAILURES as exc:
-        _fail(str(exc))
+    config = DecoderConfig(
+        thresholds=tuple(_parse_thresholds(thresholds)),
+        oic_inflation=oic_inflation,
+        nms_tiou=nms_tiou,
+        class_score_threshold=class_threshold,
+        top_k_fraction=top_k_fraction,
+    )
+    proposals = decode_videos(_load_videos(signals_path, fuse), config)
+    save_proposals(out_path, proposals)
     log.info("decoded %d proposals", len(proposals))
 
 
@@ -255,15 +266,12 @@ def eval_cmd(input_path, gt_path, thresholds, out_json, out_csv):
     from .evaluation import evaluate
     from .storage import load_eval_input, load_ground_truth, save_report_csv, save_report_json
 
-    try:
-        threshold_list = _parse_thresholds(thresholds)
-        gt = load_ground_truth(gt_path)
-        kind, records = load_eval_input(input_path)
-        report = evaluate(kind, records, gt, threshold_list)
-        save_report_json(out_json, report)
-        save_report_csv(out_csv, report)
-    except _FAILURES as exc:
-        _fail(str(exc))
+    threshold_list = _parse_thresholds(thresholds)
+    gt = load_ground_truth(gt_path)
+    kind, records = load_eval_input(input_path)
+    report = evaluate(kind, records, gt, threshold_list)
+    save_report_json(out_json, report)
+    save_report_csv(out_csv, report)
 
     if report.alpha is not None:
         click.echo(f"alpha: {report.alpha:.6f}")
@@ -284,15 +292,12 @@ def verify_cmd(suite, out_path, samples, seed):
     from .storage import write_json_atomic
     from .verify import run_suite
 
-    try:
-        started = time.perf_counter()
-        report = run_suite(suite, samples, seed)
-        elapsed = time.perf_counter() - started
-        if out_path is not None:
-            # timing stays off the report file so identical runs stay byte-identical
-            write_json_atomic(out_path, report)
-    except _FAILURES as exc:
-        _fail(str(exc))
+    started = time.perf_counter()
+    report = run_suite(suite, samples, seed)
+    elapsed = time.perf_counter() - started
+    if out_path is not None:
+        # timing stays off the report file so identical runs stay byte-identical
+        write_json_atomic(out_path, report)
     click.echo(json.dumps(report, indent=2, sort_keys=True))
     click.echo(f"elapsed: {elapsed:.3f}s", err=True)
     if not report["pass"]:

@@ -8,31 +8,30 @@ driven by the ``_LAYOUTS`` table. All writers serialize deterministically
 (sorted keys, fixed layout, fixed archive timestamps) and replace the target
 file atomically, so identical inputs yield byte-identical outputs. Every
 loader turns malformed input into ``InvalidInputError``. JSON files are read
-as UTF-8 whatever the locale, and the cyclic garbage collector is paused,
-then restored to the state it was found in, while JSON is parsed, built into
-records, or built and serialized. numpy, and the ``signal`` module that holds
+as UTF-8 whatever the locale. numpy, and the ``signal`` module that holds
 ``ProbabilitySignal``, load only when a signal codec runs (``signal_from_dict``,
-``_save_npz``, ``_load_npz``), so reading records and reports needs neither.
+``_save_npz``, ``_load_npz``), so reading records and reports needs neither;
+``evaluation`` is imported for type annotations only.
 """
 
 from __future__ import annotations
 
 import csv
-import gc
 import io
 import json
 import os
 import tempfile
 import zipfile
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from .errors import InvalidInputError
-from .evaluation import EvalReport
 from .records import GroundTruthInstance, PointAnnotation, Proposal, PseudoLabel
 
 if TYPE_CHECKING:
+    from .evaluation import EvalReport
     from .signal import ProbabilitySignal
 
 # Errors that wrong-typed or wrong-shaped input raises while records are built.
@@ -66,46 +65,31 @@ def _atomic_file(path: Path | str):
         raise
 
 
-@contextmanager
-def _collector_paused():
-    """Disable the cyclic garbage collector for the block, then restore the state it found.
-
-    A JSON tree holds no reference cycles, yet building or parsing one
-    allocates enough containers to set off collections that scan the whole
-    tree and free nothing.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
 def write_json_atomic(path: Path | str, payload) -> None:
     """Serialize deterministically, then move the finished file into place.
 
     No ``indent``, so the C encoder runs; keys are sorted and the file ends
     in a newline.
     """
-    with _collector_paused():
-        text = json.dumps(payload, sort_keys=True)
+    text = json.dumps(payload, sort_keys=True)
     with _atomic_file(path) as handle:
         handle.write(text.encode())
         handle.write(b"\n")
 
 
-def load_json(path: Path | str):
-    """Parse a UTF-8 JSON file, whatever the locale; nesting too deep to parse is malformed input."""
+def load_json(path: Path | str, *, keep_text: bool = False):
+    """Parse a UTF-8 JSON file, whatever the locale, into ``payload``, or ``(payload, text)``
+    with ``keep_text``; nesting too deep to parse is malformed input."""
     path = Path(path)
     try:
-        with path.open(encoding="utf-8") as handle, _collector_paused():
-            return json.load(handle)
+        with path.open(encoding="utf-8") as handle:
+            text = handle.read()
+        payload = json.loads(text)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InvalidInputError(f"malformed JSON in {path}: {exc}") from exc
     except RecursionError as exc:
         raise InvalidInputError(f"malformed JSON in {path}: nested too deeply to parse") from exc
+    return (payload, text) if keep_text else payload
 
 
 # --- JSON field readers ------------------------------------------------------
@@ -152,7 +136,9 @@ def signal_to_dict(signal: ProbabilitySignal) -> dict:
     }
 
 
-def signal_from_dict(payload: dict) -> ProbabilitySignal:
+def signal_from_dict(payload: dict, check_booleans: bool = True) -> ProbabilitySignal:
+    """A signal from its JSON record; ``check_booleans=False`` skips the per-value check
+    that float64 conversion needs to tell true and false from 1.0 and 0.0."""
     import numpy as np
 
     from .signal import ProbabilitySignal
@@ -161,6 +147,11 @@ def signal_from_dict(payload: dict) -> ProbabilitySignal:
         video_id = _string("video_id", payload["video_id"])
         level = _integer("level", payload["level"])
         values = np.asarray(payload["values"], dtype=np.float64)
+        numbers = [payload["values"]]
+        for _ in range(values.ndim):
+            numbers = chain.from_iterable(numbers)
+        if check_booleans and bool in set(map(type, numbers)):
+            raise TypeError("values must be JSON numbers, not true or false")
         declared = (_integer("length", payload["length"]), _integer("num_classes", payload["num_classes"]))
     except KeyError as exc:
         raise InvalidInputError(f"signal record missing field {exc}") from exc
@@ -239,8 +230,7 @@ def save_signals(path: Path | str, signals: Sequence[ProbabilitySignal]) -> None
     if Path(path).suffix == ".npz":
         _save_npz(path, signals)
     else:
-        with _collector_paused():
-            write_json_atomic(path, [signal_to_dict(s) for s in signals])
+        write_json_atomic(path, [signal_to_dict(s) for s in signals])
 
 
 def load_signals(path: Path | str) -> list[ProbabilitySignal]:
@@ -253,9 +243,11 @@ def load_signals(path: Path | str) -> list[ProbabilitySignal]:
         return signals
     if path.suffix == ".npz":
         return _load_npz(path)
-    payload = load_json(path)
+    payload, text = load_json(path, keep_text=True)
     records = payload if isinstance(payload, list) else [payload]
-    return [signal_from_dict(record) for record in records]
+    # no key of a signal record and no JSON number holds an r or an f; true and false do
+    check_booleans = "r" in text or "f" in text
+    return [signal_from_dict(record, check_booleans) for record in records]
 
 
 def group_signals_by_video(
@@ -311,14 +303,13 @@ def _build_records(payload, path: Path | str, kind: str) -> list:
         return make(video_id=video_id, **{name: read(name, item[name]) for name, read in fields.items()})
 
     try:
-        with _collector_paused():
-            if group is None:
-                return [build(_string("video_id", item["video_id"]), item) for item in payload]
-            records = []
-            for entry in payload:
-                video_id = _string("video_id", entry["video_id"])
-                records.extend(build(video_id, item) for item in entry[group])
-            return records
+        if group is None:
+            return [build(_string("video_id", item["video_id"]), item) for item in payload]
+        records = []
+        for entry in payload:
+            video_id = _string("video_id", entry["video_id"])
+            records.extend(build(video_id, item) for item in entry[group])
+        return records
     except KeyError as exc:
         raise InvalidInputError(f"{kind} record missing field {exc}") from exc
     except InvalidInputError:
@@ -328,8 +319,7 @@ def _build_records(payload, path: Path | str, kind: str) -> list:
 
 
 def _save_records(path: Path | str, kind: str, records: Sequence) -> None:
-    with _collector_paused():
-        write_json_atomic(path, _to_payload(kind, records))
+    write_json_atomic(path, _to_payload(kind, records))
 
 
 def _load_records(path: Path | str, kind: str) -> list:

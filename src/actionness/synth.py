@@ -14,8 +14,8 @@ from typing import Iterator
 import numpy as np
 
 from .errors import InvalidInputError, PackingError, require_finite
-from .evaluation import GroundTruthInstance
-from .signal import PointAnnotation, ProbabilitySignal
+from .records import GroundTruthInstance, PointAnnotation
+from .signal import ProbabilitySignal
 
 SHAPE_NAMES = ("plateau", "gaussian", "plateau_with_gaussian_shoulders")
 

@@ -3,6 +3,15 @@ import gc
 import pytest
 
 
+@pytest.fixture(params=[True, False], ids=["collector-enabled", "collector-disabled-by-caller"])
+def collector(request):
+    """Whether the collector is enabled when the test body runs; it is enabled again afterwards."""
+    if not request.param:
+        gc.disable()
+    yield request.param
+    gc.enable()
+
+
 @pytest.fixture(autouse=True)
 def collector_left_as_found():
     """Every test ends with the garbage collector enabled and the frozen heap unchanged."""

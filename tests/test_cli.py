@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import io
 import json
@@ -12,13 +13,15 @@ import pytest
 from click.testing import CliRunner
 
 import actionness
-from actionness import synth
-from actionness.adm import PseudoLabel
+from actionness import storage, synth
+from actionness.adm import ADMConfig, PseudoLabel, label_videos
 from actionness.cli import main
-from actionness.decoder import Proposal
-from actionness.errors import PackingError
-from actionness.signal import PointAnnotation, ProbabilitySignal
+from actionness.decoder import DecoderConfig, Proposal, decode_videos
+from actionness.errors import InvalidInputError, PackingError
+from actionness.signal import PointAnnotation, ProbabilitySignal, fuse_probabilities
 from actionness.storage import (
+    group_signals_by_video,
+    load_annotations,
     load_ground_truth,
     load_json,
     load_proposals,
@@ -446,14 +449,15 @@ class TestEvalCommand:
         gt_path, _ = self.make_perfect(tmp_path)
         save_proposals(tmp_path / "proposals.json", [Proposal("v0", 5, 20, 1, 0.9)])
         save_pseudo_labels(tmp_path / "labels.json", [PseudoLabel("v0", 10, 10, 3.0, 5.0, 8.0, 5, 20, 1)])
+        names = {path.read_text(): path.name for path in tmp_path.glob("*.json")}
         parsed = []
-        parse = json.load
+        parse = json.loads
 
-        def counting_parse(handle, **kwargs):
-            parsed.append(Path(handle.name).name)
-            return parse(handle, **kwargs)
+        def counting_parse(text, **kwargs):
+            parsed.append(names[text])
+            return parse(text, **kwargs)
 
-        monkeypatch.setattr(json, "load", counting_parse)
+        monkeypatch.setattr(json, "loads", counting_parse)
         result = invoke(
             runner,
             ["eval", str(tmp_path / input_name), "--gt", str(gt_path),
@@ -996,6 +1000,8 @@ def _library_args(runner, tmp_path, command) -> list[str]:
     """Arguments of one ``command`` run on a small synthetic dataset written under ``tmp_path``."""
     if command == "verify":
         return ["verify", "fitting", "--samples", "2", "--out", str(tmp_path / "fitting.json")]
+    if command == "synth":
+        return synth_args(tmp_path / "synth", videos=2)
     data = tmp_path / "data"
     assert invoke(runner, synth_args(data, videos=2)).exit_code == 0
     adm_args = ["adm", "--signals", str(data / "signals"), "--annotations", str(data / "annotations.json"),
@@ -1004,6 +1010,7 @@ def _library_args(runner, tmp_path, command) -> list[str]:
         return adm_args
     if command == "decode":
         return ["decode", "--signals", str(data / "signals"), "--out", str(tmp_path / "proposals.json")]
+    assert command == "eval", f"no arguments for {command}"
     assert invoke(runner, adm_args).exit_code == 0
     return ["eval", str(tmp_path / "labels.json"), "--gt", str(data / "gt.json"),
             "--out-json", str(tmp_path / "eval.json"), "--out-csv", str(tmp_path / "eval.csv")]
@@ -1051,6 +1058,90 @@ def test_pipeline_commands_leave_verify_oracles_and_synth_unimported(runner, tmp
     loaded = _loaded_modules(_library_args(runner, tmp_path, command))
     assert "actionness.storage" in loaded
     assert not loaded & {"actionness.verify", "actionness.oracles", "actionness.synth"}
+
+
+@pytest.mark.parametrize("command", ["adm", "decode", "synth"])
+def test_commands_that_score_nothing_leave_evaluation_unimported(runner, tmp_path, command):
+    loaded = _loaded_modules(_library_args(runner, tmp_path, command))
+    assert "actionness.records" in loaded and "actionness.evaluation" not in loaded
+
+
+@pytest.mark.parametrize("command", sorted(main.commands))
+def test_failures_end_in_an_error_line_and_restore_the_collector(runner, tmp_path, monkeypatch, command, collector):
+    # every command writes JSON, so a failing write reaches each one's error path
+    args = _library_args(runner, tmp_path, command)
+    collects = []
+
+    def failing_write(path, payload):
+        collects.append(gc.isenabled())
+        raise InvalidInputError(f"cannot write {Path(path).name}")
+
+    monkeypatch.setattr(storage, "write_json_atomic", failing_write)
+    result = runner.invoke(main, args)
+    assert gc.isenabled() is collector
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("error: cannot write ") and result.stderr.count("\n") == 1
+    assert "Traceback" not in result.output
+    assert collects == [False]
+
+
+def test_closed_stdout_ends_quietly():
+    # the report's reader is gone before verify writes it: click's main ends such a
+    # command with exit 1 and no error line
+    child = subprocess.Popen([sys.executable, "-m", "actionness.cli", "verify", "gradients", "--samples", "2"],
+                             env=_child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    child.stdout.close()
+    assert child.wait() == 1
+    assert child.stderr.read() == b""
+    child.stderr.close()
+
+
+def test_collector_is_paused_while_json_is_built_and_parsed(runner, tmp_path, monkeypatch):
+    save_signals(tmp_path / "v0.json", [small_signal(length=32)])
+    (tmp_path / "gt.json").write_text(json.dumps([{"video_id": "v0", "start": 2, "end": 4, "class_id": 0}]))
+    states: dict[str, list[bool]] = {}
+
+    def recording(name, func):
+        def wrapper(*args, **kwargs):
+            states.setdefault(name, []).append(gc.isenabled())
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(json, "loads", recording("loads", json.loads))
+    monkeypatch.setattr(json, "dumps", recording("dumps", json.dumps))
+    for args in (
+        ["decode", "--signals", str(tmp_path / "v0.json"), "--out", str(tmp_path / "p.json")],
+        ["eval", str(tmp_path / "p.json"), "--gt", str(tmp_path / "gt.json"),
+         "--out-json", str(tmp_path / "r.json"), "--out-csv", str(tmp_path / "r.csv")],
+    ):
+        assert invoke(runner, args).exit_code == 0
+        assert gc.isenabled()
+    # decode parses its signals and writes proposals; eval parses the GT and the proposals and writes a report
+    assert states == {"loads": [False, False, False], "dumps": [False, False]}
+
+
+def test_fused_adm_and_decode_equal_the_library_on_fused_levels(runner, tmp_path):
+    data = tmp_path / "data"
+    assert invoke(runner, synth_args(data, videos=3, noise="0.05")).exit_code == 0
+    signals = data / "signals"
+    fused = {video_id: [fuse_probabilities(s) for s in levels]
+             for video_id, levels in group_signals_by_video(load_signals(signals)).items()}
+    adm_config = ADMConfig(clip_to_boundary=True)
+    save_pseudo_labels(tmp_path / "expected_labels.json",
+                       label_videos(fused, load_annotations(data / "annotations.json"), adm_config))
+    save_proposals(tmp_path / "expected_proposals.json", decode_videos(fused, DecoderConfig()))
+    for args, name in (
+        (["adm", "--signals", str(signals), "--annotations", str(data / "annotations.json"), "--fuse",
+          "--clip-to-boundary"], "labels"),
+        (["decode", "--signals", str(signals), "--fuse"], "proposals"),
+    ):
+        out = tmp_path / f"{name}.json"
+        assert invoke(runner, [*args, "--out", str(out)]).exit_code == 0
+        assert out.read_bytes() == (tmp_path / f"expected_{name}.json").read_bytes()
+    # fusion moved the output, so the flags were not dropped on the way to the library
+    unfused = tmp_path / "unfused.json"
+    assert invoke(runner, ["decode", "--signals", str(signals), "--out", str(unfused)]).exit_code == 0
+    assert unfused.read_bytes() != (tmp_path / "proposals.json").read_bytes()
 
 
 def _eval_args(runner, tmp_path, records) -> list[str]:

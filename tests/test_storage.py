@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from actionness import storage
 from actionness.adm import PseudoLabel
 from actionness.decoder import Proposal
 from actionness.errors import InvalidInputError
@@ -146,15 +145,6 @@ def test_malformed_json_raises(tmp_path):
         load_signals(path)
 
 
-@pytest.fixture(params=[True, False], ids=["collector-enabled", "collector-disabled-by-caller"])
-def collector(request):
-    """Whether the collector is enabled when the test body runs; it is enabled again afterwards."""
-    if not request.param:
-        gc.disable()
-    yield request.param
-    gc.enable()
-
-
 def test_json_reads_and_writes_leave_the_collector_as_found(tmp_path, collector):
     signal = ProbabilitySignal("v0", 1, np.zeros((2, 2)))
     steps = [
@@ -200,30 +190,6 @@ def test_failed_json_write_leaves_the_collector_as_found(tmp_path, collector):
         write_json_atomic(tmp_path / "r.json", {"a": object()})
     assert gc.isenabled() is collector
     assert list(tmp_path.iterdir()) == []
-
-
-def test_collector_is_paused_while_json_is_built_and_parsed(tmp_path, monkeypatch):
-    states: dict[str, list[bool]] = {}
-
-    def recording(name, func):
-        def wrapper(*args, **kwargs):
-            states.setdefault(name, []).append(gc.isenabled())
-            return func(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(json, "load", recording("load", json.load))
-    monkeypatch.setattr(json, "dumps", recording("dumps", json.dumps))
-    monkeypatch.setattr(storage, "_to_payload", recording("_to_payload", storage._to_payload))
-    monkeypatch.setattr(storage, "signal_to_dict", recording("signal_to_dict", storage.signal_to_dict))
-    make, group, fields = storage._LAYOUTS["annotation"]
-    monkeypatch.setitem(storage._LAYOUTS, "annotation", (recording("build", make), group, fields))
-    save_signals(tmp_path / "v0.json", [ProbabilitySignal("v0", 1, np.zeros((2, 2)))])
-    load_signals(tmp_path / "v0.json")
-    save_annotations(tmp_path / "a.json", [PointAnnotation("v0", 1, 1)])
-    load_annotations(tmp_path / "a.json")
-    assert states == {"signal_to_dict": [False], "dumps": [False, False], "load": [False, False],
-                      "_to_payload": [False], "build": [False]}
-    assert gc.isenabled()
 
 
 # Each record kind's fields, one value of a wrong JSON type at a time: int() and
@@ -297,6 +263,30 @@ def test_signal_fields_keep_their_json_types(field, value):
     kind = "string" if field == "video_id" else "integer"
     with pytest.raises(InvalidInputError, match=f"malformed signal record: {field} must be a JSON {kind}"):
         signal_from_dict(payload)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[[True, False], [False, True]], [[0.5, True], [0.5, 0.5]], [[0.5, 0.5], [0.5, False]], [True, 0.5]],
+    ids=["boolean-rows", "true-among-numbers", "false-among-numbers", "one-dimensional"],
+)
+def test_signal_values_keep_their_json_types(tmp_path, values):
+    # the file-level cases hold an r or an f only in their booleans
+    payload = {"video_id": "v0", "level": 1, "length": 2, "num_classes": 1, "values": values}
+    path = tmp_path / "v0.json"
+    path.write_text(json.dumps([payload]))
+    for load in (lambda: load_signals(path), lambda: signal_from_dict(payload)):
+        with pytest.raises(InvalidInputError, match="malformed signal record: values must be JSON numbers"):
+            load()
+
+
+def test_signal_files_with_r_or_f_but_no_boolean_load(tmp_path):
+    # an id holding the letters, and JSON integers among the values, are no booleans
+    path = tmp_path / "v0.json"
+    path.write_text(json.dumps([{"video_id": "frame-run", "level": 1, "length": 2, "num_classes": 1,
+                                 "values": [[1, 0.0], [0, 1.0]]}]))
+    (signal,) = load_signals(path)
+    assert signal.video_id == "frame-run" and signal.values.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
 def test_number_fields_read_json_integers_as_floats(tmp_path):
