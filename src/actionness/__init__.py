@@ -30,8 +30,10 @@ _EXPORTS = {
         "decode_videos",
         "nms",
         "oic_score",
+        "oic_scores",
         "select_classes",
         "threshold_merge",
+        "threshold_runs",
     ),
     "errors": ("InvalidInputError", "NumericError", "PackingError"),
     "evaluation": (

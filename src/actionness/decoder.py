@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError, require_finite
 from .losses import video_level_scores
@@ -15,6 +16,7 @@ from .signal import ProbabilitySignal, pyramid_scales
 
 DEFAULT_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 NMS_PAIR_CHUNK = 1 << 16  # most candidate pairs one NMS step expands at once
+OIC_GATHER_BUDGET = 1 << 16  # most snippets one grouped OIC sum gathers at once
 
 
 @dataclass
@@ -55,40 +57,99 @@ def select_classes(video_scores, threshold: float) -> list[int]:
     return [int(c) + 1 for c in selected]
 
 
+def threshold_runs(column, thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """Starts and ends of the maximal runs of consecutive snippets strictly above
+    each threshold: threshold by threshold in the given order, each one's runs by start.
+
+    One ``(thresholds, length + 2)`` mask holds every comparison, each row
+    padded by a False at both ends, so no run joins the next row's and every
+    run has one rise and one fall in the mask's flat ``diff``.
+    """
+    column = np.asarray(column, dtype=np.float64)
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    width = column.size + 2
+    mask = np.zeros((thresholds.size, width), dtype=bool)
+    np.greater(column, thresholds[:, None], out=mask[:, 1:-1])
+    flat = mask.ravel()
+    # a change between flat[i] and flat[i + 1]: a rise before a run's first snippet, a fall at its last
+    changes = np.flatnonzero(flat[1:] != flat[:-1]) % width
+    return changes[0::2], changes[1::2] - 1
+
+
 def threshold_merge(column, threshold: float) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive snippets strictly above the threshold."""
-    mask = np.asarray(column, dtype=np.float64) > threshold
-    if not mask.any():
-        return []
-    padded = np.concatenate(([False], mask, [False]))
-    changes = np.flatnonzero(padded[1:] != padded[:-1])
-    starts = changes[::2]
-    ends = changes[1::2] - 1
+    """Maximal runs of consecutive snippets strictly above the threshold: ``threshold_runs`` of one threshold."""
+    starts, ends = threshold_runs(column, [threshold])
     return list(zip(starts.tolist(), ends.tolist()))
 
 
-def oic_score(column, segment: tuple[int, int], inflation: float) -> float:
-    """Outer-inner contrast: inner mean minus the mean over flanking windows.
+def _grouped_sums(buffer: np.ndarray, lows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(buffer[low : low + size])`` for every ``(low, size)``, bit for bit.
 
-    Each flank is ``round(inflation * segment_length)`` snippets wide, clipped
-    to the video; an empty outer region contributes 0. The sums are
-    ``np.add.reduce``, which ``ndarray.sum`` and ``ndarray.mean`` call, so the
-    score equals ``inner.mean() - (left.sum() + right.sum()) / outer_size``
+    Slices of one size are gathered as rows of a strided view of ``buffer``, at
+    most ``OIC_GATHER_BUDGET`` elements at a time, and summed by one row
+    reduction, which rounds as the 1-D reduction of each row does. Prefix sums
+    and ``np.add.reduceat`` round differently.
+    """
+    sums = np.zeros(lows.size)
+    order = np.argsort(sizes)
+    sizes = sizes[order]
+    # each size's slices form one run of ``order``; empty slices sum to 0 and form none
+    firsts = np.flatnonzero(sizes != np.concatenate(([0], sizes[:-1])))
+    bounds = [*firsts.tolist(), sizes.size]
+    for size, first, last in zip(sizes[firsts].tolist(), bounds, bounds[1:]):
+        rows = sliding_window_view(buffer, size)
+        step = max(1, OIC_GATHER_BUDGET // size)
+        for low in range(first, last, step):
+            block = order[low : min(low + step, last)]
+            sums[block] = np.add.reduce(rows[lows[block]], axis=1)
+    return sums
+
+
+def oic_scores(columns: Sequence, column_ids, starts, ends, inflation: float) -> np.ndarray:
+    """Outer-inner contrast of many segments: segment ``i`` is ``[starts[i], ends[i]]`` of ``columns[column_ids[i]]``.
+
+    A score is the inner mean minus the mean over the flanking windows. Each
+    flank is ``round(inflation * segment_length)`` snippets wide, clipped to
+    the segment's own column; an empty outer region contributes 0. The columns
+    are copied into one buffer, and the inner, left and right sums of every
+    segment are summed together, grouped by slice size (``_grouped_sums``), so
+    each score equals ``inner.mean() - (left.sum() + right.sum()) / outer_size``
     bit for bit.
     """
-    column = np.asarray(column, dtype=np.float64)
-    start, end = segment
-    if not 0 <= start <= end < column.size:
-        raise InvalidInputError(f"segment [{start}, {end}] outside video of length {column.size}")
+    columns = [np.asarray(column, dtype=np.float64) for column in columns]
+    column_ids = np.asarray(column_ids, dtype=np.int64)
+    starts = np.asarray(starts, dtype=np.int64)
+    ends = np.asarray(ends, dtype=np.int64)
     if inflation <= 0:
         raise InvalidInputError(f"inflation must be > 0, got {inflation}")
-    inner = column[start : end + 1]
-    width = int(round(inflation * (end - start + 1)))
-    left = column[max(0, start - width) : start]
-    right = column[end + 1 : min(column.size, end + 1 + width)]
-    outer_size = left.size + right.size
-    outer_mean = (np.add.reduce(left) + np.add.reduce(right)) / outer_size if outer_size else 0.0
-    return float(np.add.reduce(inner) / inner.size - outer_mean)
+    if np.any((column_ids < 0) | (column_ids >= len(columns))):
+        raise InvalidInputError(f"column ids must lie in [0, {len(columns)}), got {column_ids.min()}..{column_ids.max()}")
+    column_lengths = np.array([column.size for column in columns], dtype=np.int64)
+    lengths = column_lengths[column_ids]
+    outside = np.flatnonzero((starts < 0) | (starts > ends) | (ends >= lengths))
+    if outside.size:
+        i = outside[0]
+        raise InvalidInputError(f"segment [{starts[i]}, {ends[i]}] outside video of length {lengths[i]}")
+    inner = ends - starts + 1
+    width = np.rint(inflation * inner).astype(np.int64)  # half to even, as round()
+    left = np.minimum(width, starts)  # the flanks, clipped to the segment's column
+    right = np.minimum(width, lengths - 1 - ends)
+    # the columns one after another, and where each segment starts among them
+    buffer = np.concatenate([np.zeros(0), *columns])
+    starts = starts + (np.cumsum(column_lengths) - column_lengths)[column_ids]
+    sums = _grouped_sums(
+        buffer, np.concatenate([starts, starts - left, starts + inner]), np.concatenate([inner, left, right])
+    )
+    inner_sums, left_sums, right_sums = np.split(sums, 3)
+    outer = left + right
+    outer_means = np.divide(left_sums + right_sums, outer, out=np.zeros(outer.size), where=outer > 0)
+    return inner_sums / inner - outer_means
+
+
+def oic_score(column, segment: tuple[int, int], inflation: float) -> float:
+    """Outer-inner contrast of one segment: ``oic_scores`` of one column and one segment."""
+    start, end = segment
+    return float(oic_scores([column], [0], [start], [end], inflation)[0])
 
 
 def nms(proposals: Sequence[Proposal], tiou_threshold: float) -> list[Proposal]:
@@ -167,26 +228,61 @@ def nms(proposals: Sequence[Proposal], tiou_threshold: float) -> list[Proposal]:
 
 
 def decode(signals: Sequence[ProbabilitySignal], config: DecoderConfig) -> list[Proposal]:
-    """Decode one video's pyramid of fused signals, in any level order, into scored proposals.
+    """Decode one video's pyramid of fused signals, in any level order: ``decode_videos`` of that video."""
+    if not signals:
+        raise InvalidInputError("decode requires at least one signal")
+    return decode_videos({signals[0].video_id: signals}, config)
 
-    For every selected class, level and threshold, runs above the threshold
-    become segments, segments map onto the level-1 snippets pooled into them
-    (a run ``[a, b]`` at the ratio ``s`` that ``pyramid_scales`` reads from the
-    lengths covers ``[a*s, min((b+1)*s, E) - 1]``, where ``E``, the level-1
-    snippets the level covers, is the least ``n*s`` over it and the levels
-    below it, ``n`` each one's length), get scored by outer-inner
-    contrast there (with ``oic_score``), and the pool is reduced with the
-    module's ``nms``, whose work follows the pool's overlapping same-class
-    pairs.
+
+def decode_videos(grouped_levels: Mapping[str, Sequence[ProbabilitySignal]], config: DecoderConfig) -> list[Proposal]:
+    """Decode each video's pyramid of fused signals, levels in any order, into scored
+    proposals, video after video in sorted video id order.
+
+    For every selected class of a video, ``threshold_runs`` finds each level's
+    runs above every threshold at once. Runs map onto the level-1 snippets
+    pooled into them (a run ``[a, b]`` at the ratio ``s`` that
+    ``pyramid_scales`` reads from the lengths covers
+    ``[a*s, min((b+1)*s, E) - 1]``, where ``E``, the level-1 snippets the level
+    covers, is the least ``n*s`` over it and the levels below it, ``n`` each
+    one's length). Then ``oic_scores`` scores every segment of every video by
+    outer-inner contrast on its level-1 column, in one pass, and each video's
+    pool is reduced with the module's ``nms``, whose work follows the pool's
+    overlapping same-class pairs.
 
     Each distinct segment of a class is scored and enters the pool once, in
-    the order it is first found. A repeat would carry the same interval,
-    class and score as its twin, and the stable sort would rank it right
-    after the twin. Their tIoU of 1 is above any ``nms_tiou`` the config
-    allows, so the repeat would be suppressed by the twin if the twin were
-    kept, and by what suppressed the twin otherwise: the survivors and their
-    order are those of the pool with its repeats.
+    the order it is first found, level by level from the finest and
+    threshold by threshold. A repeat would carry the same interval, class and
+    score as its twin, and the stable sort would rank it right after the twin.
+    Their tIoU of 1 is above any ``nms_tiou`` the config allows, so the repeat
+    would be suppressed by the twin if the twin were kept, and by what
+    suppressed the twin otherwise: the survivors and their order are those of
+    the pool with its repeats.
     """
+    videos = [_distinct_segments(grouped_levels[video_id], config) for video_id in sorted(grouped_levels)]
+    classes = [segments for _, per_class in videos for segments in per_class]
+    if not classes:
+        return []
+    _, columns, starts, ends = zip(*classes)
+    column_ids = np.repeat(np.arange(len(columns)), [segments.size for segments in starts])
+    scores = oic_scores(columns, column_ids, np.concatenate(starts), np.concatenate(ends), config.oic_inflation)
+    proposals: list[Proposal] = []
+    low = 0
+    for video_id, per_class in videos:
+        pool = []
+        for class_id, _, class_starts, class_ends in per_class:
+            high = low + class_starts.size
+            pool += [
+                Proposal(video_id, start, end, class_id, score)
+                for start, end, score in zip(class_starts.tolist(), class_ends.tolist(), scores[low:high].tolist())
+            ]
+            low = high
+        proposals.extend(nms(pool, config.nms_tiou))
+    return proposals
+
+
+def _distinct_segments(signals: Sequence[ProbabilitySignal], config: DecoderConfig):
+    """One video's id and, for each class it selects, ``(class id, level-1 column, starts, ends)``
+    of the class's distinct level-1 segments, in the order they are first found."""
     if not signals:
         raise InvalidInputError("decode requires at least one signal")
     video_id = signals[0].video_id
@@ -197,36 +293,20 @@ def decode(signals: Sequence[ProbabilitySignal], config: DecoderConfig) -> list[
     # the level-1 snippets each level covers: level 1's, less any that a
     # floor-pooled level at or below it dropped from the end
     extents = list(itertools.accumulate((sig.length * scale for sig, scale in zip(signals, scales)), min))
-
     per_level = []
     for sig in signals:
         k = max(1, min(sig.length, int(round(config.top_k_fraction * sig.length))))
         per_level.append(video_level_scores(sig, k))
-    video_scores = np.mean(per_level, axis=0)
-    classes = select_classes(video_scores, config.class_score_threshold)
-
-    pool: list[Proposal] = []
-    for class_id in classes:
-        reference_column = signals[0].class_column(class_id)
-        # the same segment recurs across thresholds and levels: score and pool it once
-        seen: set[tuple[int, int]] = set()
+    per_class = []
+    for class_id in select_classes(np.mean(per_level, axis=0), config.class_score_threshold):
+        starts, ends = [], []
         for sig, scale, extent in zip(signals, scales, extents):
-            column = sig.class_column(class_id)
-            for threshold in config.thresholds:
-                for seg_start, seg_end in threshold_merge(column, threshold):
-                    # coarse snippet j pools level-1 snippets j*scale .. (j+1)*scale - 1
-                    start = seg_start * scale
-                    end = min((seg_end + 1) * scale, extent) - 1
-                    if (start, end) not in seen:
-                        seen.add((start, end))
-                        score = oic_score(reference_column, (start, end), config.oic_inflation)
-                        pool.append(Proposal(video_id, start, end, class_id, score))
-    return nms(pool, config.nms_tiou)
-
-
-def decode_videos(grouped_levels: Mapping[str, Sequence[ProbabilitySignal]], config: DecoderConfig) -> list[Proposal]:
-    """Decode each video's levels in sorted video id order."""
-    proposals: list[Proposal] = []
-    for video_id in sorted(grouped_levels):
-        proposals.extend(decode(grouped_levels[video_id], config))
-    return proposals
+            run_starts, run_ends = threshold_runs(sig.class_column(class_id), config.thresholds)
+            # coarse snippet j pools level-1 snippets j*scale .. (j+1)*scale - 1
+            starts.append(run_starts * scale)
+            ends.append(np.minimum((run_ends + 1) * scale, extent) - 1)
+        starts, ends = np.concatenate(starts), np.concatenate(ends)
+        # the same segment recurs across thresholds and levels: keep it where it is first found
+        first = np.sort(np.unique(starts * signals[0].length + ends, return_index=True)[1])
+        per_class.append((class_id, signals[0].class_column(class_id), starts[first], ends[first]))
+    return video_id, per_class

@@ -23,7 +23,7 @@ import os
 import tempfile
 import zipfile
 from contextlib import contextmanager
-from itertools import chain
+from operator import getitem
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -136,9 +136,30 @@ def signal_to_dict(signal: ProbabilitySignal) -> dict:
     }
 
 
+# What the array kinds numpy infers for signal values other than integers and floats hold.
+_NOT_NUMBERS = {
+    "b": "true or false",
+    "U": "strings",
+    "O": "null, objects or integers beyond int64",
+    "u": "integers beyond int64",
+}
+
+
+def _booleans_among(nested, values) -> bool:
+    """Whether a JSON true or false sits among the numbers of ``nested``, which ``values``
+    holds as floats: true and false convert to exactly 1.0 and 0.0, so only those are looked up."""
+    import numpy as np
+
+    index = np.argwhere((values == 0.0) | (values == 1.0))
+    items = [nested] * len(index)
+    for axis in index.T.tolist():
+        items = map(getitem, items, axis)
+    return bool in set(map(type, items))
+
+
 def signal_from_dict(payload: dict, check_booleans: bool = True) -> ProbabilitySignal:
-    """A signal from its JSON record; ``check_booleans=False`` skips the per-value check
-    that float64 conversion needs to tell true and false from 1.0 and 0.0."""
+    """A signal from its JSON record; ``check_booleans=False`` skips the check that tells
+    true and false from the 1.0 and 0.0 that numpy makes of them among numbers."""
     import numpy as np
 
     from .signal import ProbabilitySignal
@@ -146,11 +167,12 @@ def signal_from_dict(payload: dict, check_booleans: bool = True) -> ProbabilityS
     try:
         video_id = _string("video_id", payload["video_id"])
         level = _integer("level", payload["level"])
-        values = np.asarray(payload["values"], dtype=np.float64)
-        numbers = [payload["values"]]
-        for _ in range(values.ndim):
-            numbers = chain.from_iterable(numbers)
-        if check_booleans and bool in set(map(type, numbers)):
+        # asked for floats, numpy would parse strings: it infers the type, and only integers and floats pass
+        values = np.asarray(payload["values"])
+        if values.dtype.kind not in "if":
+            raise TypeError(f"values must be JSON numbers, not {_NOT_NUMBERS.get(values.dtype.kind, values.dtype)}")
+        values = values.astype(np.float64, copy=False)
+        if check_booleans and _booleans_among(payload["values"], values):
             raise TypeError("values must be JSON numbers, not true or false")
         declared = (_integer("length", payload["length"]), _integer("num_classes", payload["num_classes"]))
     except KeyError as exc:

@@ -1066,6 +1066,11 @@ def test_commands_that_score_nothing_leave_evaluation_unimported(runner, tmp_pat
     assert "actionness.records" in loaded and "actionness.evaluation" not in loaded
 
 
+def test_decode_leaves_adm_and_optim_unimported(runner, tmp_path):
+    loaded = _loaded_modules(_library_args(runner, tmp_path, "decode"))
+    assert "actionness.decoder" in loaded and not loaded & {"actionness.adm", "actionness.optim"}
+
+
 @pytest.mark.parametrize("command", sorted(main.commands))
 def test_failures_end_in_an_error_line_and_restore_the_collector(runner, tmp_path, monkeypatch, command, collector):
     # every command writes JSON, so a failing write reaches each one's error path

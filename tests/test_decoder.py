@@ -8,10 +8,13 @@ from actionness.decoder import (
     DecoderConfig,
     Proposal,
     decode,
+    decode_videos,
     nms,
     oic_score,
+    oic_scores,
     select_classes,
     threshold_merge,
+    threshold_runs,
 )
 from actionness.errors import InvalidInputError
 from actionness.evaluation import tiou
@@ -25,6 +28,28 @@ def make_signal(columns, video_id="v0", level=1):
     columns = np.asarray(columns, dtype=np.float64)
     bg = 1.0 - columns.max(axis=1, keepdims=True)
     return ProbabilitySignal(video_id, level, np.hstack([columns, bg]))
+
+
+def scalar_runs(column, threshold):
+    """Maximal runs strictly above the threshold, walked snippet by snippet."""
+    runs, start = [], None
+    for t, value in enumerate(list(column) + [-np.inf]):
+        if value > threshold and start is None:
+            start = t
+        elif not value > threshold and start is not None:
+            runs.append((start, t - 1))
+            start = None
+    return runs
+
+
+def scalar_oic(column, start, end, inflation):
+    """One segment's outer-inner contrast from ``ndarray.mean`` and ``ndarray.sum`` of its slices."""
+    inner = column[start : end + 1]
+    width = int(round(inflation * (end - start + 1)))
+    left = column[max(0, start - width) : start]
+    right = column[end + 1 : min(column.size, end + 1 + width)]
+    outer_size = left.size + right.size
+    return float(inner.mean() - ((left.sum() + right.sum()) / outer_size if outer_size else 0.0))
 
 
 class TestSelectClasses:
@@ -94,13 +119,86 @@ def oic_cases(draw):
 @given(case=oic_cases())
 def test_oic_score_bit_equal_to_mean_and_sum_property(case):
     column, (start, end), inflation = case
-    inner = column[start : end + 1]
-    width = int(round(inflation * (end - start + 1)))
-    left = column[max(0, start - width) : start]
-    right = column[end + 1 : min(column.size, end + 1 + width)]
-    outer_size = left.size + right.size
-    expected = float(inner.mean() - ((left.sum() + right.sum()) / outer_size if outer_size else 0.0))
-    assert oic_score(column, (start, end), inflation) == expected
+    assert oic_score(column, (start, end), inflation) == scalar_oic(column, start, end, inflation)
+
+
+@st.composite
+def oic_batches(draw):
+    """Class columns of several videos of different lengths, each a strided column of its
+    video's grid as ``class_column`` gives it, and segments in them: 1-7, 8-128 and over 128
+    snippets long (numpy's summation regimes) or of the lengths 2, 6 and 10, whose flanks at
+    inflation 0.25 round half to even. Segments often touch a video end, so their flanks are clipped.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = draw(st.lists(st.integers(1, 700), min_size=2, max_size=5))
+    columns = [rng.uniform(0, 1, (length, 3))[:, 1] for length in lengths]
+    sizes = st.one_of(st.integers(1, 7), st.integers(8, 128), st.integers(129, 700), st.sampled_from([2, 6, 10]))
+    segments = []
+    for _ in range(draw(st.integers(1, 30))):
+        column_id = draw(st.integers(0, len(columns) - 1))
+        length = lengths[column_id]
+        size = min(draw(sizes), length)
+        start = draw(st.one_of(st.just(0), st.just(length - size), st.integers(0, length - size)))
+        segments.append((column_id, start, start + size - 1))
+    inflation = draw(st.one_of(st.sampled_from([0.25, 0.5, 1.0, 2.5]), st.floats(0.01, 4.0)))
+    return columns, segments, inflation
+
+
+@settings(max_examples=200, deadline=None)
+@given(batch=oic_batches())
+def test_oic_scores_bit_equal_to_mean_and_sum_property(batch):
+    columns, segments, inflation = batch
+    column_ids, starts, ends = zip(*segments)
+    scores = oic_scores(columns, column_ids, starts, ends, inflation)
+    assert scores.tolist() == [scalar_oic(columns[c], start, end, inflation) for c, start, end in segments]
+
+
+@pytest.mark.parametrize("size, width", [(2, 0), (6, 2), (10, 2)])
+def test_flank_widths_round_half_to_even(size, width):
+    # at inflation 0.25 these lengths give flanks of 0.5, 1.5 and 2.5 snippets
+    column = np.random.default_rng(size).uniform(0, 1, 40)
+    start, end = 15, 15 + size - 1
+    outer = np.concatenate([column[start - width : start], column[end + 1 : end + 1 + width]])
+    expected = column[start : end + 1].mean() - (outer.sum() / outer.size if outer.size else 0.0)
+    assert oic_scores([column], [0], [start], [end], 0.25).tolist() == [expected]
+
+
+@pytest.mark.parametrize("budget", [1, 5, 64])
+def test_tiny_gather_budgets_split_each_size_into_several_blocks(monkeypatch, budget):
+    rng = np.random.default_rng(47)
+    columns = [rng.uniform(0, 1, (length, 2))[:, 0] for length in (300, 77, 512)]
+    segments = []
+    for size in (1, 3, 20, 60):
+        for c, column in enumerate(columns):
+            segments += [(c, start, start + size - 1) for start in rng.integers(0, column.size - size + 1, 30).tolist()]
+    column_ids, starts, ends = zip(*segments)
+    expected = [scalar_oic(columns[c], start, end, 0.5) for c, start, end in segments]
+    assert 3 * 30 > budget  # each size's 90 inner slices take more than one block
+    monkeypatch.setattr(decoder, "OIC_GATHER_BUDGET", budget)
+    assert oic_scores(columns, column_ids, starts, ends, 0.5).tolist() == expected
+
+
+def test_oic_scores_reject_segments_outside_their_column_and_unknown_columns():
+    columns = [np.zeros(5), np.zeros(9)]
+    with pytest.raises(InvalidInputError, match=r"segment \[3, 7\] outside video of length 5"):
+        oic_scores(columns, [1, 0], [3, 3], [7, 7], 0.25)
+    with pytest.raises(InvalidInputError, match="inflation"):
+        oic_scores(columns, [0], [0], [1], 0.0)
+    for column_id in (-1, 2):
+        with pytest.raises(InvalidInputError, match="column ids"):
+            oic_scores(columns, [column_id], [0], [1], 0.25)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), max_size=60),
+    thresholds=st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.6, 0.75, 0.9, 0.99]), max_size=5),
+)
+def test_threshold_runs_equal_the_runs_of_each_threshold_property(values, thresholds):
+    starts, ends = threshold_runs(values, thresholds)
+    assert list(zip(starts.tolist(), ends.tolist())) == [
+        run for threshold in thresholds for run in scalar_runs(values, threshold)
+    ]
 
 
 class TestNms:
@@ -244,7 +342,8 @@ def test_nms_rejects_a_negative_threshold():
 
 
 def pool_with_repeats(levels, config):
-    """Every (class, level, threshold) run of a pyramid, finest level first, scored one by one: repeats included."""
+    """Every (class, level, threshold) run of a pyramid, finest level first, found and scored
+    one by one with the scalar helpers: repeats included."""
     scales = pyramid_scales(levels)
     video_scores = np.mean(
         [video_level_scores(sig, max(1, min(sig.length, round(config.top_k_fraction * sig.length)))) for sig in levels],
@@ -256,10 +355,10 @@ def pool_with_repeats(levels, config):
             # the level-1 snippets this level and every finer one cover
             extent = min(below.length * below_scale for below, below_scale in zip(levels[: index + 1], scales))
             for threshold in config.thresholds:
-                for seg_start, seg_end in threshold_merge(sig.class_column(class_id), threshold):
+                for seg_start, seg_end in scalar_runs(sig.class_column(class_id), threshold):
                     start = seg_start * scale
                     end = min((seg_end + 1) * scale, extent) - 1
-                    score = oic_score(levels[0].class_column(class_id), (start, end), config.oic_inflation)
+                    score = scalar_oic(levels[0].class_column(class_id), start, end, config.oic_inflation)
                     pool.append(Proposal(sig.video_id, start, end, class_id, score))
     return pool
 
@@ -433,3 +532,75 @@ class TestDecoderConfig:
             DecoderConfig(thresholds=(0.5, 0.4))
         with pytest.raises(InvalidInputError):
             DecoderConfig(thresholds=(0.0, 0.5))
+
+
+def quarter_step_pyramid(video_id, length, classes, ceil_pooled, rng):
+    """Quarter-step probabilities pooled by 2: plateaus make one run recur across thresholds
+    and levels, and many distinct segments tie in score."""
+    levels = [ProbabilitySignal(video_id, 1, rng.integers(0, 5, (length, classes + 1)) / 4)]
+    for level, ceil in enumerate(ceil_pooled, start=2):
+        below = levels[-1].values
+        count = -(-len(below) // 2) if ceil else len(below) // 2
+        if count < 1:
+            break
+        pooled = [below[2 * j : 2 * j + 2].mean(axis=0) for j in range(count)]
+        levels.append(ProbabilitySignal(video_id, level, np.array(pooled)))
+    return levels
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    lengths=st.lists(st.integers(1, 150), min_size=1, max_size=4),
+    classes=st.integers(1, 3),
+    ceil_pooled=st.lists(st.booleans(), max_size=2),
+    seed=st.integers(0, 2**32 - 1),
+    inflation=st.floats(0.05, 2.0),
+    class_score_threshold=st.sampled_from([0.0, 0.5]),
+)
+def test_decode_videos_equals_the_oracle_video_by_video_property(
+    lengths, classes, ceil_pooled, seed, inflation, class_score_threshold
+):
+    # every video is scored in one pass, so a flank or a run that crossed into the next video's column would show
+    rng = np.random.default_rng(seed)
+    grouped = {
+        f"v{index}": quarter_step_pyramid(f"v{index}", length, classes, ceil_pooled, rng)
+        for index, length in enumerate(lengths)
+    }
+    config = DecoderConfig(oic_inflation=inflation, class_score_threshold=class_score_threshold)
+    expected = [
+        proposal
+        for video_id in sorted(grouped)
+        for proposal in nms_direct(pool_with_repeats(grouped[video_id], config), config.nms_tiou)
+    ]
+    assert decode_videos(grouped, config) == expected
+
+
+def test_decode_videos_hands_each_video_pool_to_the_module_nms(monkeypatch):
+    # the benchmark's tracer wraps decoder.nms and reads each call's (pool, threshold) arguments
+    calls = []
+
+    def recording_nms(*args, **kwargs):
+        calls.append((args, kwargs))
+        return nms(*args, **kwargs)
+
+    monkeypatch.setattr(decoder, "nms", recording_nms)
+    rng = np.random.default_rng(48)
+    grouped = {video_id: quarter_step_pyramid(video_id, 64, 2, [True], rng) for video_id in ("b", "a", "c")}
+    config = DecoderConfig()
+    proposals = decode_videos(grouped, config)
+    assert [kwargs for _, kwargs in calls] == [{}, {}, {}]
+    assert [threshold for (_, threshold), _ in calls] == [config.nms_tiou] * 3
+    pools = [pool for (pool, _), _ in calls]
+    assert [{p.video_id for p in pool} for pool in pools] == [{"a"}, {"b"}, {"c"}]
+    assert all(type(p) is Proposal for pool in pools for p in pool)
+    assert proposals == [p for pool in pools for p in nms(pool, config.nms_tiou)]
+
+
+def test_decode_videos_rejects_an_empty_or_mixed_video():
+    signal = make_signal(np.full((8, 1), 0.8))
+    with pytest.raises(InvalidInputError, match="at least one signal"):
+        decode_videos({"v0": [signal], "v1": []}, DecoderConfig())
+    other = make_signal(np.full((4, 1), 0.8), video_id="v1", level=2)
+    with pytest.raises(InvalidInputError, match="same video"):
+        decode_videos({"v0": [signal, other]}, DecoderConfig())
+

@@ -15,8 +15,8 @@ EXPORTS = {
         "generate_pseudo_labels", "label_videos", "preliminary_boundaries",
     ],
     "decoder": [
-        "DecoderConfig", "Proposal", "decode", "decode_videos", "nms", "oic_score", "select_classes",
-        "threshold_merge",
+        "DecoderConfig", "Proposal", "decode", "decode_videos", "nms", "oic_score", "oic_scores", "select_classes",
+        "threshold_merge", "threshold_runs",
     ],
     "errors": ["InvalidInputError", "NumericError", "PackingError"],
     "evaluation": [

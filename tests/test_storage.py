@@ -280,6 +280,39 @@ def test_signal_values_keep_their_json_types(tmp_path, values):
             load()
 
 
+@pytest.mark.parametrize(
+    "values, kind",
+    [
+        ([["0.5", "0.5"], [" 0.25 ", "0.75"]], "strings"),
+        ([[0.5, 0.5], [0.5, "1"]], "strings"),
+        ([[0.5, None], [0.5, 0.5]], "null"),
+        ([[0.5, {}], [0.5, 0.5]], "objects"),
+        ([[0, 2**64], [1, 0]], "integers beyond int64"),
+        ([[2**63, 2**63], [2**63, 2**63]], "integers beyond int64"),
+        ([[True, False], [False, True]], "true or false"),
+    ],
+    ids=["strings", "string-among-numbers", "null", "object", "beyond-uint64", "unsigned", "boolean-rows"],
+)
+def test_signal_values_that_are_no_json_numbers_are_rejected(tmp_path, values, kind):
+    payload = {"video_id": "v0", "level": 1, "length": 2, "num_classes": 1, "values": values}
+    path = tmp_path / "v0.json"
+    path.write_text(json.dumps([payload]))
+    for load in (lambda: load_signals(path), lambda: signal_from_dict(payload)):
+        with pytest.raises(InvalidInputError, match=f"malformed signal record: values must be JSON numbers, not .*{kind}"):
+            load()
+
+
+@pytest.mark.parametrize("hidden", [True, False], ids=["true", "false"])
+def test_a_boolean_among_exact_numbers_in_a_file_with_r_in_its_id_is_rejected(tmp_path, hidden):
+    # the exact 0.0 and 1.0 around it are the values the check looks at; the id makes the file hold an r
+    values = [[1.0, 0.0], [0, 1], [0.5, 0.25], [0.0, 1.0]]
+    values[2][1] = hidden
+    path = tmp_path / "v0.json"
+    path.write_text(json.dumps([{"video_id": "run-7", "level": 1, "length": 4, "num_classes": 1, "values": values}]))
+    with pytest.raises(InvalidInputError, match="malformed signal record: values must be JSON numbers, not true or false"):
+        load_signals(path)
+
+
 def test_signal_files_with_r_or_f_but_no_boolean_load(tmp_path):
     # an id holding the letters, and JSON integers among the values, are no booleans
     path = tmp_path / "v0.json"
