@@ -20,9 +20,11 @@ _EXPORTS = {
         "find_peak",
         "fit_gaussians",
         "fit_uniform",
+        "fit_uniforms",
         "generate_pseudo_labels",
         "label_videos",
         "preliminary_boundaries",
+        "video_boundaries",
     ),
     "decoder": (
         "DecoderConfig",

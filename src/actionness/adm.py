@@ -10,6 +10,7 @@ dataset, from each video's pyramid levels to its labels.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
@@ -30,7 +31,8 @@ from .signal import (
 )
 
 SIGMA_LOWER_BOUND = 1e-6
-# most float64 elements (512 KiB) a temporary of a fit objective holds, here and in ``oracles._profile_errors``
+# most float64 elements (512 KiB) the temporaries of one block of fit work hold: the live arrays of a
+# block of ``_profile_errors`` or ``fit_uniforms``, and the scratch array of ``oracles._profile_errors``
 SCRATCH_ELEMENTS = 1 << 16
 
 
@@ -103,21 +105,31 @@ class Fit(NamedTuple):
     error: float
 
 
+def video_boundaries(
+    points: Sequence[PointAnnotation], background: BackgroundPoints, length: int
+) -> list[PreliminaryBoundary]:
+    """Nearest background snippets on both sides of each of one video's annotated points.
+
+    Falls back to the video edges when no background point exists on a side.
+    Two ``np.searchsorted`` calls on the sorted background indices find every
+    point's last index at or before it and first index at or after it.
+    """
+    ts = np.array([point.t for point in points], dtype=np.int64)
+    outside = np.flatnonzero((ts < 0) | (ts >= length))
+    if outside.size:
+        raise InvalidInputError(f"annotation t={points[outside[0]].t} outside [0, {length})")
+    # the background indices between the two edge fallbacks: position i + 1 holds index i
+    padded = np.concatenate(([0], background.indices, [length - 1]))
+    b_starts = padded[np.searchsorted(background.indices, ts, "right")]
+    b_ends = padded[np.searchsorted(background.indices, ts, "left") + 1]
+    return [PreliminaryBoundary(*bounds) for bounds in zip(b_starts.tolist(), b_ends.tolist())]
+
+
 def preliminary_boundaries(
     point: PointAnnotation, background: BackgroundPoints, length: int
 ) -> PreliminaryBoundary:
-    """Nearest background snippets on both sides of the annotated point.
-
-    Falls back to the video edges when no background point exists on a side.
-    """
-    if not 0 <= point.t < length:
-        raise InvalidInputError(f"annotation t={point.t} outside [0, {length})")
-    idx = background.indices
-    before = idx[idx <= point.t]
-    after = idx[idx >= point.t]
-    b_start = int(before[-1]) if before.size else 0
-    b_end = int(after[0]) if after.size else length - 1
-    return PreliminaryBoundary(b_start, b_end)
+    """Nearest background snippets on both sides of the annotated point: ``video_boundaries`` of one point."""
+    return video_boundaries([point], background, length)[0]
 
 
 def find_peak(
@@ -138,6 +150,98 @@ def find_peak(
     return lo + int(np.argmax(window)), True
 
 
+class _Segments(NamedTuple):
+    """Every fit's boundary segment, one after another, and what the fits need of each."""
+
+    values: np.ndarray  # the segments' snippets
+    starts: np.ndarray  # where each fit's segment starts in ``values``
+    sizes: np.ndarray  # each segment's snippet count
+    heights: np.ndarray  # each fit's ``column[t_star]``
+    lefts: np.ndarray  # each fit's ``t_star - b_start``
+
+    @classmethod
+    def of(cls, fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, int]]) -> "_Segments":
+        segments, heights, lefts = [], [], []
+        for column, boundary, t_star in fits:
+            column = np.asarray(column, dtype=np.float64)
+            segments.append(column[boundary.b_start : boundary.b_end + 1])
+            heights.append(column[t_star])
+            lefts.append(t_star - boundary.b_start)
+        sizes = np.array([segment.size for segment in segments], dtype=np.int64)
+        values = np.concatenate(segments) if segments else np.empty(0)
+        starts = np.cumsum(sizes) - sizes
+        return cls(values, starts, sizes, np.array(heights, dtype=np.float64), np.array(lefts, dtype=np.int64))
+
+    @property
+    def uppers(self) -> np.ndarray:
+        """Each fit's largest distance from the peak to either boundary end."""
+        return np.maximum(self.lefts, self.sizes - 1 - self.lefts)
+
+
+def _gaussian_profile(x: np.ndarray, sigmas: np.ndarray, heights: np.ndarray) -> np.ndarray:
+    """``heights * exp(-0.5 * (x / sigmas) ** 2)``, written into ``x``."""
+    x /= sigmas
+    np.square(x, out=x)
+    x *= -0.5
+    np.exp(x, out=x)
+    x *= heights
+    return x
+
+
+def _rectangle_profile(x: np.ndarray, omegas: np.ndarray, heights: np.ndarray) -> np.ndarray:
+    """``where(|x| <= omegas, heights, 0.0)``."""
+    return np.where(np.abs(x) <= omegas, heights, 0.0)
+
+
+def _profile_errors(segments: _Segments, profile):
+    """``errors(params, lanes)[k]``: the squared error of fit ``lanes[k]``'s
+    ``profile`` at ``params[k]``, summed over its segment.
+
+    The lanes go in order of segment size (a stable sort), so lanes of one
+    size lie side by side. The elementwise model runs over one block of whole
+    lanes at a time, of at most ``SCRATCH_ELEMENTS // 8`` snippets unless a
+    single segment is longer; a block holds at most six arrays of its length
+    at once. Each run of equal sizes in a block is one ``(k, n)`` view of the
+    block's squares, summed by one row reduction, which rounds as
+    ``np.add.reduce`` of each row alone does, so neither the order nor the
+    block size changes a value.
+    """
+
+    def errors(params: np.ndarray, lanes: np.ndarray) -> np.ndarray:
+        order = np.argsort(segments.sizes[lanes], kind="stable")
+        lanes, params = lanes[order], params[order]
+        lengths = segments.sizes[lanes]
+        ends = np.cumsum(lengths)
+        # each lane's t_star among the sorted lanes' snippets, and the shift from there to ``segments``
+        centres = ends - lengths + segments.lefts[lanes]
+        shifts = segments.starts[lanes] - (ends - lengths)
+        bounds = [0, *ends.tolist()]  # lane i's snippets are bounds[i] .. bounds[i + 1] - 1
+        runs = np.flatnonzero(np.diff(lengths, prepend=0)).tolist()  # lanes that start a run of one size
+        sums = np.empty(lanes.size)
+        first = 0
+        while first < lanes.size:
+            # whole lanes up to the block budget, at least one lane
+            last = max(first + 1, bisect.bisect_right(bounds, bounds[first] + SCRATCH_ELEMENTS // 8) - 1)
+            block = slice(first, last)
+            counts = lengths[block]
+            index = np.arange(bounds[first], bounds[last]) + np.repeat(shifts[block], counts)
+            x = np.arange(bounds[first], bounds[last], dtype=np.float64)
+            x -= np.repeat(centres[block], counts)  # each snippet's offset from its t_star, exact below 2**53
+            x = profile(x, np.repeat(params[block], counts), np.repeat(segments.heights[lanes[block]], counts))
+            x -= segments.values[index]
+            np.square(x, out=x)
+            cuts = [first, *runs[bisect.bisect_right(runs, first) : bisect.bisect_left(runs, last)], last]
+            for low, high in zip(cuts, cuts[1:]):
+                rows = x[bounds[low] - bounds[first] : bounds[high] - bounds[first]].reshape(high - low, -1)
+                np.add.reduce(rows, axis=1, out=sums[low:high])
+            first = last
+        values = np.empty(lanes.size)
+        values[order] = sums
+        return values
+
+    return errors
+
+
 def gaussian_fit_errors(fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, int]]):
     """Squared-error objectives in sigma of a peak-height-matched Gaussian for
     many ``(column, boundary, t_star)`` fits, evaluated together:
@@ -147,72 +251,19 @@ def gaussian_fit_errors(fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, in
     ``t_star`` cancels the usual 1/(sigma*sqrt(2*pi)) normalization, leaving a
     bump of height ``column[t_star]`` over the boundary's segment.
 
-    Every fit's segment and offsets are held in one concatenated array. The
-    elementwise model runs over one block of whole fits at a time, of at most
-    ``SCRATCH_ELEMENTS`` (2**16) snippets unless a single fit is longer, so an
-    evaluation's temporaries no longer grow with the number or length of the
-    fits: 2**16 float64 elements each, or one fit's segment where that is
-    longer. Each fit's sum is ``np.add.reduce`` over its own slice, which
-    rounds exactly as ``np.sum`` over that fit alone, so the block size never
-    changes a value.
+    Every fit's segment is held in one concatenated array. An evaluation
+    orders its lanes by segment size, builds the squares block by block and
+    sums each run of equal sizes by one row reduction (``_profile_errors``),
+    so its temporaries do not grow with the number or length of the fits, and
+    each fit's error equals ``np.sum`` over that fit alone, bit for bit.
     """
-    segments, heights, shifts = [], [], []
-    for column, boundary, t_star in fits:
-        column = np.asarray(column, dtype=np.float64)
-        segments.append(column[boundary.b_start : boundary.b_end + 1])
-        heights.append(column[t_star])
-        shifts.append(boundary.b_start - t_star)
-    sizes = np.array([segment.size for segment in segments], dtype=np.int64)
-    starts = np.cumsum(sizes) - sizes
-    segment = np.concatenate(segments) if segments else np.empty(0)
-    peak_heights = np.array(heights, dtype=np.float64)
-    # each snippet's position minus its fit's t_star
-    offsets = (np.arange(segment.size) - np.repeat(starts - np.array(shifts, dtype=np.int64), sizes)).astype(np.float64)
-
-    def errors(sigmas: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        values = np.empty(lanes.size)
-        lengths = sizes[lanes]
-        ends = np.cumsum(lengths)
-        first = 0
-        while first < lanes.size:
-            # whole lanes up to SCRATCH_ELEMENTS snippets, at least one lane
-            last = max(first + 1, int(np.searchsorted(ends, ends[first] - lengths[first] + SCRATCH_ELEMENTS, "right")))
-            chunk, chunk_lanes, chunk_lengths = slice(first, last), lanes[first:last], lengths[first:last]
-            chunk_ends = np.cumsum(chunk_lengths)
-            chunk_starts = chunk_ends - chunk_lengths
-            index = np.arange(int(chunk_ends[-1])) + np.repeat(starts[chunk_lanes] - chunk_starts, chunk_lengths)
-            model = np.repeat(peak_heights[chunk_lanes], chunk_lengths) * np.exp(
-                -0.5 * (offsets[index] / np.repeat(sigmas[chunk], chunk_lengths)) ** 2
-            )
-            squares = (model - segment[index]) ** 2
-            values[chunk] = [
-                np.add.reduce(squares[start:end]) for start, end in zip(chunk_starts.tolist(), chunk_ends.tolist())
-            ]
-            first = last
-        return values
-
-    return errors
+    return _profile_errors(_Segments.of(fits), _gaussian_profile)
 
 
-def uniform_fit_error(column: np.ndarray, boundary: PreliminaryBoundary, t_star: int):
-    """Sum-of-squared-errors objective in omega for a peak-height-matched centred rectangle."""
-    return _uniform_error(*_uniform_profile(column, boundary, t_star))
-
-
-def _uniform_profile(column, boundary: PreliminaryBoundary, t_star: int):
-    """The boundary's segment of ``column``, each snippet's distance from ``t_star``, and the peak height."""
-    column = np.asarray(column, dtype=np.float64)
-    segment = column[boundary.b_start : boundary.b_end + 1]
-    distances = np.abs(np.arange(boundary.b_start, boundary.b_end + 1) - t_star)
-    return segment, distances, column[t_star]
-
-
-def _uniform_error(segment: np.ndarray, distances: np.ndarray, height: float):
-    def error(omega: float) -> float:
-        model = np.where(distances <= omega, height, 0.0)
-        return float(np.sum((model - segment) ** 2))
-
-    return error
+def uniform_fit_errors(fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, int]]):
+    """Sum-of-squared-errors objectives in omega of a peak-height-matched centred
+    rectangle, for many fits evaluated together as in ``gaussian_fit_errors``."""
+    return _profile_errors(_Segments.of(fits), _rectangle_profile)
 
 
 def sigma_upper_bound(boundary: PreliminaryBoundary, t_star: int) -> float:
@@ -229,8 +280,13 @@ def fit_gaussians(fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, int]]) -
     sigma to the lower bound and sets the flag. Each fit equals a search of its
     objective alone.
     """
-    errors = gaussian_fit_errors(fits)
-    uppers = np.array([sigma_upper_bound(boundary, t_star) for _, boundary, t_star in fits], dtype=np.float64)
+    return _fit_gaussians(_Segments.of(fits))
+
+
+def _fit_gaussians(segments: _Segments) -> list[Fit]:
+    """``fit_gaussians`` of the fits whose segments ``segments`` holds."""
+    errors = _profile_errors(segments, _gaussian_profile)
+    uppers = segments.uppers.astype(np.float64)
     tight = uppers <= SIGMA_LOWER_BOUND
     searched = np.flatnonzero(~tight)
     result = minimize_lanes(
@@ -238,45 +294,82 @@ def fit_gaussians(fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, int]]) -
         np.full(searched.size, SIGMA_LOWER_BOUND),
         uppers[searched],
     )
-    sigmas, fit_errors = np.full(len(fits), SIGMA_LOWER_BOUND), np.empty(len(fits))
+    sigmas, fit_errors = np.full(uppers.size, SIGMA_LOWER_BOUND), np.empty(uppers.size)
     sigmas[searched], fit_errors[searched] = result.x, result.f
     pinned = np.flatnonzero(tight)
     fit_errors[pinned] = errors(sigmas[pinned], pinned)
     return [Fit(*fit) for fit in zip(sigmas.tolist(), tight.tolist(), fit_errors.tolist())]
 
 
-def fit_uniform(column: np.ndarray, boundary: PreliminaryBoundary, t_star: int) -> Fit:
-    """Least-squares rectangle half-width on ``[0, u_b]``.
+def fit_uniforms(fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, int]]) -> list[Fit]:
+    """Least-squares rectangle half-width of every ``(column, boundary, t_star)``
+    fit, each on ``[0, u_b]``, in one batched scan.
 
     The objective is piecewise constant in omega (it only changes when the
     rectangle grows past another snippet), so the exact argmin is found by
     scoring each integer distance breakpoint; ties resolve to the smallest
-    half-width. Returns ``Fit(omega, degenerate, error)``, the error evaluated
-    directly at omega (the running totals round differently). ``t_star`` must
-    lie inside the boundary.
-    """
-    if not boundary.b_start <= t_star <= boundary.b_end:
-        raise InvalidInputError(f"t_star={t_star} outside the boundary [{boundary.b_start}, {boundary.b_end}]")
-    upper = sigma_upper_bound(boundary, t_star)
-    segment, distances, height = _uniform_profile(column, boundary, t_star)
-    error = _uniform_error(segment, distances, height)
-    if upper <= 0.0:
-        return Fit(0.0, True, error(0.0))
+    half-width. Covering a snippet changes the squared error by
+    ``height**2 - 2*height*column[t]``. Each fit's increments, in order of
+    distance from ``t_star`` (the earlier snippet first on a tie), form one
+    row, padded to the longest row of its block, and ``np.cumsum`` along the
+    rows gives every fit's running totals at once: a row's cumsum runs in
+    order like a 1-D one, so the padding, after the row's own increments,
+    does not touch their totals. A row ``argmin`` keeps the first minimum,
+    and widths past a fit's own ``u_b`` repeat its width-0 total, so it never
+    picks them. The fits go in blocks of similar sizes (a stable sort by
+    segment size) of at most ``SCRATCH_ELEMENTS // 8`` padded snippets,
+    unless one segment is longer.
 
-    # Covering a snippet at distance d changes the squared error by
-    # height^2 - 2*height*column[t]; accumulate in order of distance, the
-    # earlier snippet first on a tie: t_star, then t_star - d and t_star + d
-    # while both sides last, then the rest of the longer side.
-    left, right = t_star - boundary.b_start, boundary.b_end - t_star
-    both, longest = min(left, right), max(left, right)
-    near = np.arange(1, both + 1)
-    far = np.arange(both + 1, longest + 1)
-    offsets = np.concatenate(([0], np.stack((-near, near), axis=1).ravel(), -far if left > right else far))
-    cumulative = np.cumsum(height * height - 2.0 * height * segment[left + offsets])
-    # the last snippet a rectangle of half-width d covers, for d = 0 .. upper
-    widths = np.arange(longest + 1)
-    omega = float(np.argmin(cumulative[widths + np.minimum(widths, both)]))
-    return Fit(omega, False, error(omega))
+    Returns one ``Fit(omega, degenerate, error)`` per fit, the error evaluated
+    directly at omega (the running totals round differently) by the same
+    size-grouped row reduction as ``gaussian_fit_errors``; a one-snippet
+    boundary sets the flag. Each ``t_star`` must lie inside its boundary.
+    """
+    for _, boundary, t_star in fits:
+        if not boundary.b_start <= t_star <= boundary.b_end:
+            raise InvalidInputError(f"t_star={t_star} outside the boundary [{boundary.b_start}, {boundary.b_end}]")
+    return _fit_uniforms(_Segments.of(fits))
+
+
+def _fit_uniforms(segments: _Segments) -> list[Fit]:
+    """``fit_uniforms`` of the fits whose segments ``segments`` holds, each peak inside its boundary."""
+    lefts, sizes, uppers = segments.lefts, segments.sizes, segments.uppers
+    both = np.minimum(lefts, sizes - 1 - lefts)
+    sides = np.where(lefts > both, -1, 1)  # the longer side, whose rest follows once both sides are covered
+    peaks = segments.starts + lefts  # where each t_star lies in ``segments.values``
+    squared, doubled = segments.heights * segments.heights, 2.0 * segments.heights
+    omegas = np.empty(sizes.size)
+    order = np.argsort(sizes, kind="stable")
+    first = 0
+    while first < order.size:
+        # fits up to the block budget of padded snippets, at least one fit
+        padded = np.arange(1, order.size - first + 1) * sizes[order[first:]]
+        block = order[first : first + max(1, int(np.searchsorted(padded, SCRATCH_ELEMENTS // 8, "right")))]
+        first += block.size
+        # the j-th snippet by distance lies at t_star + 0, -1, +1, ..., -both, +both, then on the
+        # longer side; the padding past a row's own snippets reads its t_star
+        j = np.arange(int(sizes[block[-1]]))
+        near = (j + 1) // 2 * np.where(j % 2, -1, 1)
+        block_both = both[block, None]
+        steps = np.where(j <= 2 * block_both, near, (j - block_both) * sides[block, None])
+        steps[j >= sizes[block, None]] = 0
+        increments = segments.values[peaks[block, None] + steps]
+        increments *= doubled[block, None]
+        np.subtract(squared[block, None], increments, out=increments)
+        totals = np.cumsum(increments, axis=1)
+        # the last snippet a rectangle of half-width d covers, for d = 0 .. u_b
+        widths = np.arange(int(uppers[block].max()) + 1)
+        last = widths + np.minimum(widths, block_both)
+        # a width past the fit's own u_b reads the total of width 0, which comes first, so argmin never picks it
+        last[widths > uppers[block, None]] = 0
+        omegas[block] = np.argmin(np.take_along_axis(totals, last, axis=1), axis=1)
+    errors = _profile_errors(segments, _rectangle_profile)(omegas, np.arange(sizes.size))
+    return [Fit(*fit) for fit in zip(omegas.tolist(), (uppers == 0).tolist(), errors.tolist())]
+
+
+def fit_uniform(column: np.ndarray, boundary: PreliminaryBoundary, t_star: int) -> Fit:
+    """Least-squares rectangle half-width on ``[0, u_b]``: ``fit_uniforms`` of one fit."""
+    return fit_uniforms([(column, boundary, t_star)])[0]
 
 
 def generate_pseudo_labels(
@@ -286,28 +379,34 @@ def generate_pseudo_labels(
     """One pseudo-label per annotated point, never dropping any.
 
     ``videos`` holds each video's ``(signal, points, background)``; ``signal``
-    is expected to be the smoothed, full-resolution probability signal. The
-    Gaussian fits of all points run in one ``fit_gaussians`` call. Each label's
-    half-extent is ``gamma1*sigma + gamma2*omega`` and its interval is rounded
-    then clipped to the video (optionally also to the preliminary boundary).
-    Labels come in the order of ``videos`` and their points.
+    is expected to be the smoothed, full-resolution probability signal. Each
+    video's preliminary boundaries come from one ``video_boundaries`` search;
+    the Gaussian fits of all points run in one lockstep search
+    (``fit_gaussians``) and their rectangle fits in one batched scan
+    (``fit_uniforms``), both over one concatenation of the points' segments.
+    Each label's half-extent is ``gamma1*sigma + gamma2*omega`` and its
+    interval is rounded then clipped to the video (optionally also to the
+    preliminary boundary). Labels come in the order of ``videos`` and their
+    points.
     """
-    peaks = []
+    peaks, fits = [], []
     for signal, points, background in videos:
         for point in points:
             if point.video_id != signal.video_id:
                 raise InvalidInputError(
                     f"annotation for video {point.video_id!r} applied to signal {signal.video_id!r}"
                 )
-            boundary = preliminary_boundaries(point, background, signal.length)
+        for point, boundary in zip(points, video_boundaries(points, background, signal.length)):
             column = signal.class_column(point.class_id)
             t_star, found = find_peak(column, boundary, point.t, config.delta)
-            uniform = fit_uniform(column, boundary, t_star)
-            peaks.append((point, signal.length, column, boundary, t_star, found, uniform))
-    gaussians = fit_gaussians([(column, boundary, t_star) for _, _, column, boundary, t_star, _, _ in peaks])
+            peaks.append((point, signal.length, boundary, t_star, found))
+            fits.append((column, boundary, t_star))
+    segments = _Segments.of(fits)
+    gaussians = _fit_gaussians(segments)
+    uniforms = _fit_uniforms(segments)
 
     labels = []
-    for (point, length, _, boundary, t_star, found, uniform), gaussian in zip(peaks, gaussians):
+    for (point, length, boundary, t_star, found), gaussian, uniform in zip(peaks, gaussians, uniforms):
         half_extent = config.gamma1 * gaussian.value + config.gamma2 * uniform.value
         start = int(round(t_star - half_extent))
         end = int(round(t_star + half_extent))

@@ -131,7 +131,9 @@ def oic_scores(columns: Sequence, column_ids, starts, ends, inflation: float) ->
         i = outside[0]
         raise InvalidInputError(f"segment [{starts[i]}, {ends[i]}] outside video of length {lengths[i]}")
     inner = ends - starts + 1
-    width = np.rint(inflation * inner).astype(np.int64)  # half to even, as round()
+    # half to even, as round(); a flank wider than the column is clipped to it below anyway,
+    # so the column length caps the width before it becomes an int
+    width = np.rint(np.minimum(inflation * inner, lengths)).astype(np.int64)
     left = np.minimum(width, starts)  # the flanks, clipped to the segment's column
     right = np.minimum(width, lengths - 1 - ends)
     # the columns one after another, and where each segment starts among them

@@ -137,12 +137,11 @@ def oic_direct(column: Sequence[float], start: int, end: int, inflation: float) 
     inner = [column[t] for t in range(start, end + 1)]
     width = int(round(inflation * (end - start + 1)))
     outer = []
-    for t in range(start - width, start):
-        if 0 <= t < len(column):
-            outer.append(column[t])
-    for t in range(end + 1, end + 1 + width):
-        if 0 <= t < len(column):
-            outer.append(column[t])
+    # the flanks' snippets inside the column; a width may exceed any column
+    for t in range(max(0, start - width), start):
+        outer.append(column[t])
+    for t in range(end + 1, min(len(column), end + 1 + width)):
+        outer.append(column[t])
     inner_mean = sum(inner) / len(inner)
     outer_mean = sum(outer) / len(outer) if outer else 0.0
     return inner_mean - outer_mean

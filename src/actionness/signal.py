@@ -99,13 +99,25 @@ def smooth_signal(signal: ProbabilitySignal, kernel_sigma: float) -> Probability
     """Convolve each class column with a normalized truncated Gaussian.
 
     Edges use reflection padding, so constant columns pass through unchanged.
-    The background column is not smoothed.
+    The background column is not smoothed. A one-snippet signal, whose every
+    Gaussian average is its own value, comes back unchanged. Otherwise a
+    ``kernel_sigma`` whose kernel radius ``4 * kernel_sigma + 0.5`` exceeds
+    the signal's length is rejected: such a kernel only averages reflections
+    of the video into itself.
     """
     if kernel_sigma <= 0:
         raise InvalidInputError(f"kernel_sigma must be > 0, got {kernel_sigma}")
+    out = signal.values.copy()
+    if signal.length == 1:
+        return ProbabilitySignal(signal.video_id, signal.level, out)
+    # compared as floats: the kernel of a larger sigma would not fit in memory, or its radius in an int
+    if 4.0 * kernel_sigma + 0.5 > signal.length:
+        raise InvalidInputError(
+            f"smoothing sigma {kernel_sigma} is too wide for video {signal.video_id!r} at level {signal.level}: "
+            f"its kernel radius 4 * sigma + 0.5 exceeds the level's {signal.length} snippets"
+        )
     kernel = _smoothing_kernel(kernel_sigma)
     radius = kernel.size // 2
-    out = signal.values.copy()
     if radius > 0:
         padded = np.pad(signal.values[:, :-1], ((radius, radius), (0, 0)), mode="reflect")
         for c in range(signal.num_classes):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import adm, losses
-from .adm import PreliminaryBoundary, fit_gaussians, fit_uniform
+from .adm import PreliminaryBoundary, fit_gaussians, fit_uniforms
 from .decoder import Proposal, nms
 from .errors import InvalidInputError
 from .evaluation import GroundTruthInstance, average_precision
@@ -151,7 +151,8 @@ def run_gradient_suite(instances: int = 100, seed: int = 20240) -> dict:
 # --- fitting suite -----------------------------------------------------------
 
 def run_fitting_suite(samples: int = 1000, grid_checks: int = 25, seed: int = 7341) -> dict:
-    """Recovery of constructed profiles plus dense-grid agreement on noisy ones, each set's Gaussians in one batch."""
+    """Recovery of constructed profiles plus dense-grid agreement on noisy ones, each set's
+    Gaussians in one batch and its rectangles in another."""
     _require_counts("fitting", seed, samples=samples, grid_checks=grid_checks)
     rng = np.random.default_rng(seed)
     length = 512
@@ -175,15 +176,17 @@ def run_fitting_suite(samples: int = 1000, grid_checks: int = 25, seed: int = 73
         "pass": bool(worst_sigma_rel <= 0.02),
     }
 
-    worst_omega_abs = 0.0
+    half_widths, rectangles = [], []
     for _ in range(samples):
         half_width = int(rng.integers(1, 31))
         t_star = int(rng.integers(150, 363))
         boundary = PreliminaryBoundary(int(rng.integers(0, 40)), int(rng.integers(472, length)))
         height = float(rng.uniform(0.5, 1.0))
-        column = np.where(np.abs(positions - t_star) <= half_width, height, 0.0)
-        omega = fit_uniform(column, boundary, t_star).value
-        worst_omega_abs = max(worst_omega_abs, abs(omega - half_width))
+        half_widths.append(half_width)
+        rectangles.append((np.where(np.abs(positions - t_star) <= half_width, height, 0.0), boundary, t_star))
+    worst_omega_abs = 0.0
+    for half_width, fit in zip(half_widths, fit_uniforms(rectangles)):
+        worst_omega_abs = max(worst_omega_abs, abs(fit.value - half_width))
     uniform_check = {
         "name": "uniform_recovery",
         "max_abs_err": worst_omega_abs,
@@ -200,7 +203,7 @@ def run_fitting_suite(samples: int = 1000, grid_checks: int = 25, seed: int = 73
         noisy.append((np.clip(clean + rng.normal(0.0, 0.05, length), 0.0, 1.0), boundary, t_star))
     sigma_grid_ok = 0
     omega_grid_ok = 0
-    for (column, boundary, t_star), gaussian in zip(noisy, fit_gaussians(noisy)):
+    for (column, boundary, t_star), gaussian, uniform in zip(noisy, fit_gaussians(noisy), fit_uniforms(noisy)):
         upper = adm.sigma_upper_bound(boundary, t_star)
         sigma = gaussian.value
         sigma_grid = np.linspace(adm.SIGMA_LOWER_BOUND, upper, FITTING_GRID_POINTS)
@@ -211,7 +214,7 @@ def run_fitting_suite(samples: int = 1000, grid_checks: int = 25, seed: int = 73
         if fitted <= best + 1e-9 * (1.0 + best) or abs(sigma - float(sigma_grid[sigma_values.argmin()])) <= 1e-5 + step:
             sigma_grid_ok += 1
 
-        omega = fit_uniform(column, boundary, t_star).value
+        omega = uniform.value
         omega_grid = np.linspace(0.0, upper, FITTING_GRID_POINTS)
         omega_values = uniform_objective_grid(column, boundary, t_star, omega_grid)
         fitted = float(uniform_objective_grid(column, boundary, t_star, [omega])[0])

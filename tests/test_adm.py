@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -14,11 +15,13 @@ from actionness.adm import (
     find_peak,
     fit_gaussians,
     fit_uniform,
+    fit_uniforms,
     gaussian_fit_errors,
     generate_pseudo_labels,
     label_videos,
     preliminary_boundaries,
-    uniform_fit_error,
+    uniform_fit_errors,
+    video_boundaries,
 )
 from actionness.errors import InvalidInputError
 from actionness.oracles import gaussian_objective_grid, nearest_background_scan, uniform_objective_grid
@@ -46,6 +49,11 @@ def gaussian_column(length, t_star, sigma, height=0.9):
 def gaussian_error_at(column, boundary, t_star, sigma):
     """One fit's squared error at ``sigma``, read from a one-fit ``gaussian_fit_errors`` objective."""
     return gaussian_fit_errors([(column, boundary, t_star)])(np.array([sigma]), np.zeros(1, dtype=np.int64))[0]
+
+
+def uniform_error_at(column, boundary, t_star, omega):
+    """One fit's squared error at ``omega``, read from a one-fit ``uniform_fit_errors`` objective."""
+    return uniform_fit_errors([(column, boundary, t_star)])(np.array([omega]), np.zeros(1, dtype=np.int64))[0]
 
 
 class TestPreliminaryBoundaries:
@@ -78,6 +86,41 @@ class TestPreliminaryBoundaries:
     def test_point_outside_length_rejected(self):
         with pytest.raises(InvalidInputError):
             preliminary_boundaries(PointAnnotation("v0", 50, 1), background(), 50)
+
+
+def boundaries_by_masks(t, indices, length):
+    """The nearest background snippets on each side of ``t`` by boolean masks: the reference for ``video_boundaries``."""
+    before = indices[indices <= t]
+    after = indices[indices >= t]
+    return (int(before[-1]) if before.size else 0, int(after[0]) if after.size else length - 1)
+
+
+@st.composite
+def video_point_cases(draw):
+    """One video's background snippets, sometimes none, and points, often at a video end or on a background snippet."""
+    length = draw(st.integers(1, 120))
+    indices = np.flatnonzero(draw(hnp.arrays(np.bool_, length))) if draw(st.booleans()) else np.zeros(0, np.int64)
+    ts = st.integers(0, length - 1) | st.sampled_from([0, length - 1])
+    if indices.size:
+        ts = ts | st.sampled_from(indices.tolist())
+    return [PointAnnotation("v0", t, 1) for t in draw(st.lists(ts, max_size=30))], indices, length
+
+
+@settings(max_examples=300, deadline=None)
+@given(video_point_cases())
+@example(([PointAnnotation("v0", t, 1) for t in (0, 5, 9)], np.zeros(0, np.int64), 10))  # no background
+@example(([PointAnnotation("v0", t, 1) for t in (0, 4, 9, 4)], np.array([0, 4, 9]), 10))  # each point on background
+def test_video_boundaries_equal_the_mask_formula(case):
+    points, indices, length = case
+    boundaries = video_boundaries(points, BackgroundPoints(indices), length)
+    assert [(b.b_start, b.b_end) for b in boundaries] == [boundaries_by_masks(p.t, indices, length) for p in points]
+    assert [preliminary_boundaries(point, BackgroundPoints(indices), length) for point in points] == boundaries
+
+
+def test_video_boundaries_name_the_first_point_outside_the_video():
+    points = [PointAnnotation("v0", t, 1) for t in (3, 50, 70)]
+    with pytest.raises(InvalidInputError, match=re.escape("annotation t=50 outside [0, 50)")):
+        video_boundaries(points, background(10), 50)
 
 
 class TestFindPeak:
@@ -219,7 +262,7 @@ def test_fit_uniform_matches_grid_oracle(case):
     grid = uniform_objective_grid(column, boundary, t_star, np.arange(upper + 1))
     fitted = uniform_objective_grid(column, boundary, t_star, [omega])[0]
     assert fitted <= grid.min() + 1e-9 * (1.0 + grid.min())
-    assert error == uniform_fit_error(column, boundary, t_star)(omega)
+    assert error == uniform_error_at(column, boundary, t_star, omega)
     assert error == pytest.approx(fitted, rel=1e-12, abs=1e-12)
 
 
@@ -271,6 +314,85 @@ def uniform_reference_cases(draw):
 def test_fit_uniform_equals_the_sorting_reference(case):
     column, boundary, t_star = case
     assert tuple(fit_uniform(column, boundary, t_star)) == fit_uniform_by_sorting(column, boundary, t_star)
+
+
+@st.composite
+def uniform_fit_batches(draw):
+    """1-40 rectangle fits on columns of 1-7, 8-128 or over 128 snippets, with the peak at either
+    boundary end, in the middle or anywhere (so either side may be longer, or neither),
+    one-snippet boundaries, and values often from a few levels or of one decimal, so that
+    running totals tie or round apart when summed in another order."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fits = []
+    for _ in range(draw(st.integers(1, 40))):
+        length = draw(st.integers(1, 7) | st.integers(8, 128) | st.integers(129, 300))
+        column = rng.uniform(0.0, 1.0, length)
+        values = draw(st.sampled_from(["uniform", "levels", "one decimal"]))
+        if values == "levels":
+            column = rng.choice([0.0, 0.25, 0.5, 1.0], length)
+        elif values == "one decimal":
+            column = column.round(1)
+        b_start = draw(st.integers(0, length - 1))
+        b_end = draw(st.just(b_start) | st.integers(b_start, length - 1))
+        t_star = draw(st.sampled_from([b_start, b_end, (b_start + b_end) // 2]) | st.integers(b_start, b_end))
+        fits.append((column, PreliminaryBoundary(b_start, b_end), t_star))
+    return fits
+
+
+@settings(max_examples=150, deadline=None)
+@given(uniform_fit_batches(), st.sampled_from([adm.SCRATCH_ELEMENTS, 1, 200, 2000]))
+# each fit's half-width changes if the snippet right of t_star is covered before the one left of it
+@example([(np.array([0.1, 0.4, 0.6, 0.7, 0.3, 0.3]), PreliminaryBoundary(0, 5), 3)], adm.SCRATCH_ELEMENTS)
+@example([(np.array([0.8, 0.7, 0.9, 0.7, 0.1]), PreliminaryBoundary(0, 4), 2)], 1)
+def test_batched_uniform_fits_equal_the_sorting_reference(fits, budget):
+    # the small budgets make blocks of one fit or a few
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(adm, "SCRATCH_ELEMENTS", budget)
+        batch = fit_uniforms(fits)
+    assert [tuple(fit) for fit in batch] == [fit_uniform_by_sorting(*fit) for fit in fits]
+
+
+def test_batched_uniform_fits_name_the_first_peak_outside_its_boundary():
+    fits = [(np.zeros(50), PreliminaryBoundary(5, 20), t_star) for t_star in (7, 21, 4)]
+    with pytest.raises(InvalidInputError, match=re.escape("t_star=21 outside the boundary [5, 20]")):
+        fit_uniforms(fits)
+
+
+def gaussian_errors_lane_by_lane(fits, sigmas, lanes):
+    """Each lane's squares from its own fit, summed by one ``np.add.reduce``: the reference for the size-grouped sums."""
+    values = []
+    for sigma, lane in zip(sigmas.tolist(), lanes.tolist()):
+        column, boundary, t_star = fits[lane]
+        segment = column[boundary.b_start : boundary.b_end + 1]
+        offsets = np.arange(boundary.b_start, boundary.b_end + 1, dtype=np.float64) - t_star
+        values.append(np.add.reduce((column[t_star] * np.exp(-0.5 * (offsets / sigma) ** 2) - segment) ** 2))
+    return np.array(values)
+
+
+@st.composite
+def gaussian_lane_batches(draw):
+    """Fits whose segments are 1-7, 8-128 or over 128 snippets long (numpy's summation regimes),
+    several often of one size, and lanes that visit them shuffled and repeated, each at its own sigma."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    fits = []
+    for _ in range(draw(st.integers(1, 12))):
+        size = draw(st.integers(1, 7) | st.integers(8, 128) | st.integers(129, 600) | st.sampled_from([3, 8, 129]))
+        pad = int(rng.integers(0, 10))
+        column = rng.uniform(0.0, 1.0, size + 2 * pad)
+        fits.append((column, PreliminaryBoundary(pad, pad + size - 1), int(rng.integers(pad, pad + size))))
+    lanes = np.array(draw(st.lists(st.integers(0, len(fits) - 1), min_size=1, max_size=40)))
+    return fits, rng.uniform(SIGMA_LOWER_BOUND, 300.0, lanes.size), lanes
+
+
+@settings(max_examples=150, deadline=None)
+@given(gaussian_lane_batches(), st.sampled_from([adm.SCRATCH_ELEMENTS, 1, 300]))
+def test_size_grouped_gaussian_errors_equal_lane_by_lane_sums(batch, budget):
+    # the small budgets cut runs of one size across blocks
+    fits, sigmas, lanes = batch
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(adm, "SCRATCH_ELEMENTS", budget)
+        values = gaussian_fit_errors(fits)(sigmas, lanes)
+    assert values.tobytes() == gaussian_errors_lane_by_lane(fits, sigmas, lanes).tobytes()
 
 
 @st.composite
@@ -409,6 +531,18 @@ def test_batched_fit_scratch_is_bounded_by_the_budget():
     assert traced_peak(lambda: fit_gaussians(fits)) <= 2 * 8 * snippets + 8 * BUDGET_BYTES
 
 
+def test_batched_uniform_fit_scratch_is_bounded_by_the_budget():
+    # the same ~280k snippets: beyond the one concatenation of their segments, each block of
+    # the scan and of the error evaluation holds a few arrays of SCRATCH_ELEMENTS // 8 elements
+    rng = np.random.default_rng(23)
+    fits = []
+    for _ in range(600):
+        boundary = PreliminaryBoundary(int(rng.integers(0, 40)), int(rng.integers(472, 512)))
+        fits.append((rng.uniform(0.0, 1.0, 512), boundary, int(rng.integers(200, 313))))
+    snippets = sum(boundary.b_end - boundary.b_start + 1 for _, boundary, _ in fits)
+    assert traced_peak(lambda: fit_uniforms(fits)) <= 8 * snippets + 2 * BUDGET_BYTES
+
+
 def build_signal(columns, video_id="v0"):
     columns = np.asarray(columns, dtype=np.float64)
     bg = 1.0 - columns.max(axis=1, keepdims=True)
@@ -476,6 +610,11 @@ class TestGeneratePseudoLabels:
         assert half.sigma == pytest.approx(full.sigma, abs=1e-4)
         assert half.omega == full.omega
 
+    def test_video_mismatch_names_both_videos(self):
+        points = [PointAnnotation("v0", 10, 1), PointAnnotation("other", 10, 1)]
+        with pytest.raises(InvalidInputError, match="annotation for video 'other' applied to signal 'v0'"):
+            generate_pseudo_labels([(self.signal, points, self.background)], ADMConfig())
+
     def test_video_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             generate_pseudo_labels(
@@ -527,7 +666,7 @@ class TestLabelVideos:
                 boundary = preliminary_boundaries(point, background, fitted.length)
                 column = fitted.class_column(label.class_id)
                 gaussian = gaussian_error_at(column, boundary, label.t_star, label.sigma)
-                uniform = uniform_fit_error(column, boundary, label.t_star)(label.omega)
+                uniform = uniform_error_at(column, boundary, label.t_star, label.omega)
                 expected.append((label, (gaussian, uniform)))
         assert labels == [label for label, _ in expected]
         assert [(label.gaussian_error, label.uniform_error) for label in labels] == [

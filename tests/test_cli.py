@@ -943,6 +943,20 @@ def test_non_finite_config_values_fail_cleanly(runner, tmp_path, command, flag, 
     assert not (tmp_path / "out.json").exists() and not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["1e9", "1e308"])
+def test_smoothing_wider_than_the_video_fails_cleanly(runner, tmp_path, value):
+    # a kernel of 2 * int(4 * 1e9 + 0.5) + 1 taps would not fit in memory, and 4 * 1e308 is inf
+    result = runner.invoke(main, _command_args(tmp_path, "adm") + ["--smoothing-sigma", value])
+    fails_cleanly(result, "is too wide for video 'v0' at level 1")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_oic_inflation_past_int64_decodes(runner, tmp_path):
+    result = invoke(runner, _command_args(tmp_path, "decode") + ["--oic-inflation", "1e300"])
+    assert result.exit_code == 0, result.output
+    assert load_proposals(tmp_path / "out.json")
+
+
 @pytest.mark.parametrize(
     "args, fragment",
     [

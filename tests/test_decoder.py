@@ -103,6 +103,24 @@ class TestOicScore:
         with pytest.raises(InvalidInputError):
             oic_score(np.zeros(5), (3, 7), 0.25)
 
+    @pytest.mark.parametrize("inflation", [1e17, 1e300])
+    def test_flanks_wider_than_int64_equal_the_direct_oracle(self, inflation):
+        # inflation * length passes int64's range, where a width would wrap to a negative number
+        rng = np.random.default_rng(43)
+        columns = [rng.uniform(0, 1, length) for length in (1, 60, 400)]
+        column_ids, starts, ends = [], [], []
+        for column_id, column in enumerate(columns):
+            for _ in range(20):
+                start = int(rng.integers(0, column.size))
+                column_ids.append(column_id)
+                starts.append(start)
+                ends.append(int(rng.integers(start, column.size)))
+        scores = oic_scores(columns, column_ids, starts, ends, inflation).tolist()
+        segments = list(zip(column_ids, starts, ends))
+        assert scores == [scalar_oic(columns[c], a, b, inflation) for c, a, b in segments]
+        expected = [oic_direct(columns[c].tolist(), a, b, inflation) for c, a, b in segments]
+        assert scores == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
 
 @st.composite
 def oic_cases(draw):

@@ -12,7 +12,7 @@ import actionness
 EXPORTS = {
     "adm": [
         "ADMConfig", "PreliminaryBoundary", "PseudoLabel", "find_peak", "fit_gaussians", "fit_uniform",
-        "generate_pseudo_labels", "label_videos", "preliminary_boundaries",
+        "fit_uniforms", "generate_pseudo_labels", "label_videos", "preliminary_boundaries", "video_boundaries",
     ],
     "decoder": [
         "DecoderConfig", "Proposal", "decode", "decode_videos", "nms", "oic_score", "oic_scores", "select_classes",

@@ -117,6 +117,24 @@ class TestSmoothSignal:
         with pytest.raises(InvalidInputError):
             smooth_signal(make_signal([[0.5, 0.5]]), 0.0)
 
+    @pytest.mark.parametrize("sigma", [2.4, 1e9, 1e308])
+    def test_rejects_a_kernel_wider_than_the_signal(self, sigma):
+        # 4 * sigma + 0.5 > 10 snippets; at 1e308 it is inf, and the kernel would not fit in memory at 1e9
+        with pytest.raises(InvalidInputError, match="too wide for video 'v0' at level 1"):
+            smooth_signal(make_signal(np.full((10, 2), 0.5)), sigma)
+
+    def test_widest_kernel_that_fits(self):
+        # radius 4 * 2.375 + 0.5 = 10 snippets, reflected past both ends
+        rng = np.random.default_rng(6)
+        column = rng.uniform(0, 1, 10)
+        out = smooth_signal(make_signal(np.column_stack([column, np.zeros(10)])), 2.375)
+        assert np.allclose(out.values[:, 0], smooth_column_direct(column, 2.375), atol=1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.05, 2.0, 1e308])
+    def test_one_snippet_signal_comes_back_unchanged(self, sigma):
+        values = np.array([[0.7, 0.1, 0.3]])
+        assert np.array_equal(smooth_signal(make_signal(values), sigma).values, values)
+
 
 class TestUpsampleSignal:
     def test_identity_when_lengths_match(self):
