@@ -174,8 +174,8 @@ class _Segments(NamedTuple):
 
     @property
     def uppers(self) -> np.ndarray:
-        """Each fit's largest distance from the peak to either boundary end."""
-        return np.maximum(self.lefts, self.sizes - 1 - self.lefts)
+        """Each fit's ``u_b``, as ``sigma_upper_bound`` states it."""
+        return _upper_bounds(self.lefts, self.sizes - 1)
 
 
 def _gaussian_profile(x: np.ndarray, sigmas: np.ndarray, heights: np.ndarray) -> np.ndarray:
@@ -266,9 +266,15 @@ def uniform_fit_errors(fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, int
     return _profile_errors(_Segments.of(fits), _rectangle_profile)
 
 
+def _upper_bounds(lefts, durations):
+    """``max(t_star - b_start, b_end - t_star)`` of fits with ``lefts = t_star - b_start``
+    and ``durations = b_end - b_start``, elementwise."""
+    return np.maximum(lefts, durations - lefts)
+
+
 def sigma_upper_bound(boundary: PreliminaryBoundary, t_star: int) -> float:
     """Largest distance from the peak to either boundary end."""
-    return float(max(t_star - boundary.b_start, boundary.b_end - t_star))
+    return float(_upper_bounds(t_star - boundary.b_start, boundary.duration))
 
 
 def fit_gaussians(fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, int]]) -> list[Fit]:
@@ -340,11 +346,15 @@ def _fit_uniforms(segments: _Segments) -> list[Fit]:
     squared, doubled = segments.heights * segments.heights, 2.0 * segments.heights
     omegas = np.empty(sizes.size)
     order = np.argsort(sizes, kind="stable")
+    ordered = sizes[order].tolist()
     first = 0
     while first < order.size:
-        # fits up to the block budget of padded snippets, at least one fit
-        padded = np.arange(1, order.size - first + 1) * sizes[order[first:]]
-        block = order[first : first + max(1, int(np.searchsorted(padded, SCRATCH_ELEMENTS // 8, "right")))]
+        # fits up to the block budget of padded snippets, at least one fit: k fits from ``first`` pad
+        # to k * ordered[first + k - 1] snippets, which grows with k
+        fitting = bisect.bisect_right(
+            range(1, order.size - first + 1), SCRATCH_ELEMENTS // 8, key=lambda k: k * ordered[first + k - 1]
+        )
+        block = order[first : first + max(1, fitting)]
         first += block.size
         # the j-th snippet by distance lies at t_star + 0, -1, +1, ..., -both, +both, then on the
         # longer side; the padding past a row's own snippets reads its t_star

@@ -87,6 +87,11 @@ def fuse_probabilities(raw: ProbabilitySignal) -> ProbabilitySignal:
     return ProbabilitySignal(raw.video_id, raw.level, fused)
 
 
+# the most taps a smoothing kernel may have: 2**24 float64s are 128 MiB, and each class column's
+# reflection padding is as long again
+MAX_KERNEL_TAPS = 1 << 24
+
+
 def _smoothing_kernel(sigma: float) -> np.ndarray:
     # Truncate at +-4 sigma; a sub-snippet sigma degenerates to the identity.
     radius = int(4.0 * sigma + 0.5)
@@ -99,25 +104,21 @@ def smooth_signal(signal: ProbabilitySignal, kernel_sigma: float) -> Probability
     """Convolve each class column with a normalized truncated Gaussian.
 
     Edges use reflection padding, so constant columns pass through unchanged.
-    The background column is not smoothed. A one-snippet signal, whose every
-    Gaussian average is its own value, comes back unchanged. Otherwise a
-    ``kernel_sigma`` whose kernel radius ``4 * kernel_sigma + 0.5`` exceeds
-    the signal's length is rejected: such a kernel only averages reflections
-    of the video into itself.
+    The background column is not smoothed. A ``kernel_sigma`` whose kernel,
+    of ``2 * int(4 * kernel_sigma + 0.5) + 1`` taps, would have more than
+    ``MAX_KERNEL_TAPS`` is rejected, before anything is allocated.
     """
     if kernel_sigma <= 0:
         raise InvalidInputError(f"kernel_sigma must be > 0, got {kernel_sigma}")
-    out = signal.values.copy()
-    if signal.length == 1:
-        return ProbabilitySignal(signal.video_id, signal.level, out)
-    # compared as floats: the kernel of a larger sigma would not fit in memory, or its radius in an int
-    if 4.0 * kernel_sigma + 0.5 > signal.length:
+    # 2 * radius + 1 taps exceed the budget once the radius reaches (MAX_KERNEL_TAPS + 1) // 2, an int,
+    # which int(4 * sigma + 0.5) reaches exactly when the float does; compared as floats, as inf has no int
+    if 4.0 * kernel_sigma + 0.5 >= (MAX_KERNEL_TAPS + 1) // 2:
         raise InvalidInputError(
-            f"smoothing sigma {kernel_sigma} is too wide for video {signal.video_id!r} at level {signal.level}: "
-            f"its kernel radius 4 * sigma + 0.5 exceeds the level's {signal.length} snippets"
+            f"kernel_sigma {kernel_sigma} is too wide: its kernel would have more than {MAX_KERNEL_TAPS} taps"
         )
     kernel = _smoothing_kernel(kernel_sigma)
     radius = kernel.size // 2
+    out = signal.values.copy()
     if radius > 0:
         padded = np.pad(signal.values[:, :-1], ((radius, radius), (0, 0)), mode="reflect")
         for c in range(signal.num_classes):

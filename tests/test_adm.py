@@ -88,13 +88,6 @@ class TestPreliminaryBoundaries:
             preliminary_boundaries(PointAnnotation("v0", 50, 1), background(), 50)
 
 
-def boundaries_by_masks(t, indices, length):
-    """The nearest background snippets on each side of ``t`` by boolean masks: the reference for ``video_boundaries``."""
-    before = indices[indices <= t]
-    after = indices[indices >= t]
-    return (int(before[-1]) if before.size else 0, int(after[0]) if after.size else length - 1)
-
-
 @st.composite
 def video_point_cases(draw):
     """One video's background snippets, sometimes none, and points, often at a video end or on a background snippet."""
@@ -110,10 +103,11 @@ def video_point_cases(draw):
 @given(video_point_cases())
 @example(([PointAnnotation("v0", t, 1) for t in (0, 5, 9)], np.zeros(0, np.int64), 10))  # no background
 @example(([PointAnnotation("v0", t, 1) for t in (0, 4, 9, 4)], np.array([0, 4, 9]), 10))  # each point on background
-def test_video_boundaries_equal_the_mask_formula(case):
+def test_video_boundaries_equal_the_linear_scan(case):
     points, indices, length = case
     boundaries = video_boundaries(points, BackgroundPoints(indices), length)
-    assert [(b.b_start, b.b_end) for b in boundaries] == [boundaries_by_masks(p.t, indices, length) for p in points]
+    scans = [nearest_background_scan(p.t, indices.tolist(), length) for p in points]
+    assert [(b.b_start, b.b_end) for b in boundaries] == scans
     assert [preliminary_boundaries(point, BackgroundPoints(indices), length) for point in points] == boundaries
 
 
@@ -539,6 +533,14 @@ def test_batched_uniform_fit_scratch_is_bounded_by_the_budget():
     for _ in range(600):
         boundary = PreliminaryBoundary(int(rng.integers(0, 40)), int(rng.integers(472, 512)))
         fits.append((rng.uniform(0.0, 1.0, 512), boundary, int(rng.integers(200, 313))))
+    snippets = sum(boundary.b_end - boundary.b_start + 1 for _, boundary, _ in fits)
+    assert traced_peak(lambda: fit_uniforms(fits)) <= 8 * snippets + 2 * BUDGET_BYTES
+
+
+def test_batched_uniform_fit_blocks_pad_to_their_longest_fit():
+    # 3- and 500-snippet segments: a block that reaches the long ones pads every fit in it to 500 snippets
+    column = np.random.default_rng(24).uniform(0.0, 1.0, 512)
+    fits = [(column, PreliminaryBoundary(10, 12 + 497 * (i % 2)), 11) for i in range(600)]
     snippets = sum(boundary.b_end - boundary.b_start + 1 for _, boundary, _ in fits)
     assert traced_peak(lambda: fit_uniforms(fits)) <= 8 * snippets + 2 * BUDGET_BYTES
 

@@ -944,11 +944,22 @@ def test_non_finite_config_values_fail_cleanly(runner, tmp_path, command, flag, 
 
 
 @pytest.mark.parametrize("value", ["1e9", "1e308"])
-def test_smoothing_wider_than_the_video_fails_cleanly(runner, tmp_path, value):
+def test_smoothing_past_the_tap_budget_fails_cleanly(runner, tmp_path, value):
     # a kernel of 2 * int(4 * 1e9 + 0.5) + 1 taps would not fit in memory, and 4 * 1e308 is inf
     result = runner.invoke(main, _command_args(tmp_path, "adm") + ["--smoothing-sigma", value])
-    fails_cleanly(result, "is too wide for video 'v0' at level 1")
+    fails_cleanly(result, f"kernel_sigma {float(value)} is too wide")
     assert not (tmp_path / "out.json").exists()
+
+
+def test_shortest_synth_video_labels_at_default_smoothing(runner, tmp_path):
+    # 8 snippets, fewer than the default kernel's radius of 8 plus one: the reflections repeat
+    # the later --length, --instances and --durations win
+    assert invoke(runner, synth_args(tmp_path / "data", videos=2, extra=("--length", "8", "--instances", "1", "1", "--durations", "3", "4"))).exit_code == 0
+    data = tmp_path / "data"
+    result = invoke(runner, ["adm", "--signals", str(data / "signals"), "--annotations", str(data / "annotations.json"),
+                             "--out", str(tmp_path / "labels.json")])
+    assert result.exit_code == 0, result.output
+    assert load_pseudo_labels(tmp_path / "labels.json")
 
 
 def test_oic_inflation_past_int64_decodes(runner, tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import actionness.signal as signal_module
 from actionness.errors import InvalidInputError
 from actionness.oracles import interpolate_column_direct, smooth_column_direct
 from actionness.signal import (
@@ -117,23 +118,31 @@ class TestSmoothSignal:
         with pytest.raises(InvalidInputError):
             smooth_signal(make_signal([[0.5, 0.5]]), 0.0)
 
-    @pytest.mark.parametrize("sigma", [2.4, 1e9, 1e308])
-    def test_rejects_a_kernel_wider_than_the_signal(self, sigma):
-        # 4 * sigma + 0.5 > 10 snippets; at 1e308 it is inf, and the kernel would not fit in memory at 1e9
-        with pytest.raises(InvalidInputError, match="too wide for video 'v0' at level 1"):
+    @pytest.mark.parametrize("sigma", [1e9, 1e308])
+    def test_rejects_a_kernel_past_the_tap_budget(self, sigma):
+        # 2 * int(4 * 1e9 + 0.5) + 1 taps would take 60 GiB, and 4 * 1e308 is inf
+        with pytest.raises(InvalidInputError, match="is too wide: its kernel would have more than 16777216 taps"):
             smooth_signal(make_signal(np.full((10, 2), 0.5)), sigma)
 
-    def test_widest_kernel_that_fits(self):
-        # radius 4 * 2.375 + 0.5 = 10 snippets, reflected past both ends
-        rng = np.random.default_rng(6)
-        column = rng.uniform(0, 1, 10)
-        out = smooth_signal(make_signal(np.column_stack([column, np.zeros(10)])), 2.375)
-        assert np.allclose(out.values[:, 0], smooth_column_direct(column, 2.375), atol=1e-12)
+    def test_tap_budget_is_exact(self, monkeypatch):
+        monkeypatch.setattr(signal_module, "MAX_KERNEL_TAPS", 33)
+        column = np.random.default_rng(6).uniform(0, 1, 10)
+        sig = make_signal(np.column_stack([column, np.zeros(10)]))
+        # 4 * 4.1 + 0.5 = 16.9: a radius of 16, 33 taps, reflected past both ends more than once
+        assert np.allclose(smooth_signal(sig, 4.1).values[:, 0], smooth_column_direct(column, 4.1), atol=1e-12)
+        with pytest.raises(InvalidInputError, match="more than 33 taps"):
+            smooth_signal(sig, 4.125)  # 4 * 4.125 + 0.5 = 17: 35 taps
 
-    @pytest.mark.parametrize("sigma", [0.05, 2.0, 1e308])
-    def test_one_snippet_signal_comes_back_unchanged(self, sigma):
+    @pytest.mark.parametrize("length, sigma", [(10, 2.375), (8, 2.0), (2, 2.0)])
+    def test_kernel_wider_than_the_signal_reflects(self, length, sigma):
+        rng = np.random.default_rng(7)
+        column = rng.uniform(0, 1, length)
+        out = smooth_signal(make_signal(np.column_stack([column, np.zeros(length)])), sigma)
+        assert np.allclose(out.values[:, 0], smooth_column_direct(column, sigma), atol=1e-12)
+
+    def test_one_snippet_signal_smooths_to_its_value(self):
         values = np.array([[0.7, 0.1, 0.3]])
-        assert np.array_equal(smooth_signal(make_signal(values), sigma).values, values)
+        assert np.allclose(smooth_signal(make_signal(values), 2.0).values, values, atol=1e-15)
 
 
 class TestUpsampleSignal:
