@@ -19,22 +19,17 @@ _EXPORTS = {
         "PreliminaryBoundary",
         "find_peak",
         "fit_gaussians",
-        "fit_uniform",
         "fit_uniforms",
         "generate_pseudo_labels",
         "label_videos",
-        "preliminary_boundaries",
         "video_boundaries",
     ),
     "decoder": (
         "DecoderConfig",
-        "decode",
         "decode_videos",
         "nms",
-        "oic_score",
         "oic_scores",
         "select_classes",
-        "threshold_merge",
         "threshold_runs",
     ),
     "errors": ("InvalidInputError", "NumericError", "PackingError"),

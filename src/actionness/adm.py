@@ -125,13 +125,6 @@ def video_boundaries(
     return [PreliminaryBoundary(*bounds) for bounds in zip(b_starts.tolist(), b_ends.tolist())]
 
 
-def preliminary_boundaries(
-    point: PointAnnotation, background: BackgroundPoints, length: int
-) -> PreliminaryBoundary:
-    """Nearest background snippets on both sides of the annotated point: ``video_boundaries`` of one point."""
-    return video_boundaries([point], background, length)[0]
-
-
 def find_peak(
     column: np.ndarray, boundary: PreliminaryBoundary, t: int, delta: float
 ) -> tuple[int, bool]:
@@ -161,9 +154,16 @@ class _Segments(NamedTuple):
 
     @classmethod
     def of(cls, fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, int]]) -> "_Segments":
+        """The segments of ``(column, boundary, t_star)`` fits, each with ``b_start <= t_star <= b_end < len(column)``."""
         segments, heights, lefts = [], [], []
         for column, boundary, t_star in fits:
             column = np.asarray(column, dtype=np.float64)
+            if not boundary.b_start <= t_star <= boundary.b_end:
+                raise InvalidInputError(f"t_star={t_star} outside the boundary [{boundary.b_start}, {boundary.b_end}]")
+            if boundary.b_end >= column.size:
+                raise InvalidInputError(
+                    f"boundary [{boundary.b_start}, {boundary.b_end}] past the end of a {column.size}-snippet column"
+                )
             segments.append(column[boundary.b_start : boundary.b_end + 1])
             heights.append(column[t_star])
             lefts.append(t_star - boundary.b_start)
@@ -329,11 +329,8 @@ def fit_uniforms(fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, int]]) ->
     Returns one ``Fit(omega, degenerate, error)`` per fit, the error evaluated
     directly at omega (the running totals round differently) by the same
     size-grouped row reduction as ``gaussian_fit_errors``; a one-snippet
-    boundary sets the flag. Each ``t_star`` must lie inside its boundary.
+    boundary sets the flag.
     """
-    for _, boundary, t_star in fits:
-        if not boundary.b_start <= t_star <= boundary.b_end:
-            raise InvalidInputError(f"t_star={t_star} outside the boundary [{boundary.b_start}, {boundary.b_end}]")
     return _fit_uniforms(_Segments.of(fits))
 
 
@@ -375,11 +372,6 @@ def _fit_uniforms(segments: _Segments) -> list[Fit]:
         omegas[block] = np.argmin(np.take_along_axis(totals, last, axis=1), axis=1)
     errors = _profile_errors(segments, _rectangle_profile)(omegas, np.arange(sizes.size))
     return [Fit(*fit) for fit in zip(omegas.tolist(), (uppers == 0).tolist(), errors.tolist())]
-
-
-def fit_uniform(column: np.ndarray, boundary: PreliminaryBoundary, t_star: int) -> Fit:
-    """Least-squares rectangle half-width on ``[0, u_b]``: ``fit_uniforms`` of one fit."""
-    return fit_uniforms([(column, boundary, t_star)])[0]
 
 
 def generate_pseudo_labels(

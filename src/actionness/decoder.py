@@ -76,12 +76,6 @@ def threshold_runs(column, thresholds) -> tuple[np.ndarray, np.ndarray]:
     return changes[0::2], changes[1::2] - 1
 
 
-def threshold_merge(column, threshold: float) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive snippets strictly above the threshold: ``threshold_runs`` of one threshold."""
-    starts, ends = threshold_runs(column, [threshold])
-    return list(zip(starts.tolist(), ends.tolist()))
-
-
 def _grouped_sums(buffer: np.ndarray, lows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """``np.add.reduce(buffer[low : low + size])`` for every ``(low, size)``, bit for bit.
 
@@ -120,7 +114,7 @@ def oic_scores(columns: Sequence, column_ids, starts, ends, inflation: float) ->
     column_ids = np.asarray(column_ids, dtype=np.int64)
     starts = np.asarray(starts, dtype=np.int64)
     ends = np.asarray(ends, dtype=np.int64)
-    if inflation <= 0:
+    if not inflation > 0:  # NaN fails this too
         raise InvalidInputError(f"inflation must be > 0, got {inflation}")
     if np.any((column_ids < 0) | (column_ids >= len(columns))):
         raise InvalidInputError(f"column ids must lie in [0, {len(columns)}), got {column_ids.min()}..{column_ids.max()}")
@@ -148,12 +142,6 @@ def oic_scores(columns: Sequence, column_ids, starts, ends, inflation: float) ->
     return inner_sums / inner - outer_means
 
 
-def oic_score(column, segment: tuple[int, int], inflation: float) -> float:
-    """Outer-inner contrast of one segment: ``oic_scores`` of one column and one segment."""
-    start, end = segment
-    return float(oic_scores([column], [0], [start], [end], inflation)[0])
-
-
 def nms(proposals: Sequence[Proposal], tiou_threshold: float) -> list[Proposal]:
     """Greedy same-class suppression by descending score, over the overlapping pairs only.
 
@@ -174,7 +162,7 @@ def nms(proposals: Sequence[Proposal], tiou_threshold: float) -> list[Proposal]:
     sorted order, so results and tie order equal the one-at-a-time greedy
     pass (``oracles.nms_direct``).
     """
-    if tiou_threshold < 0:
+    if not tiou_threshold >= 0:  # NaN fails this too
         raise InvalidInputError(f"tiou_threshold must be >= 0, got {tiou_threshold}")
     if not proposals:
         return []
@@ -227,13 +215,6 @@ def nms(proposals: Sequence[Proposal], tiou_threshold: float) -> list[Proposal]:
             if keep[source]:
                 keep[targets[low:high]] = False
     return [p for p, kept in zip(ordered, keep.tolist()) if kept]
-
-
-def decode(signals: Sequence[ProbabilitySignal], config: DecoderConfig) -> list[Proposal]:
-    """Decode one video's pyramid of fused signals, in any level order: ``decode_videos`` of that video."""
-    if not signals:
-        raise InvalidInputError("decode requires at least one signal")
-    return decode_videos({signals[0].video_id: signals}, config)
 
 
 def decode_videos(grouped_levels: Mapping[str, Sequence[ProbabilitySignal]], config: DecoderConfig) -> list[Proposal]:

@@ -28,7 +28,8 @@ def smooth_column_direct(column: Sequence[float], sigma: float) -> np.ndarray:
         for offset in range(-radius, radius + 1):
             k = t + offset
             while not 0 <= k < n:
-                k = -k if k < 0 else 2 * n - 2 - k
+                # one snippet reflects onto itself, as np.pad's "reflect" mode pads it
+                k = 0 if n == 1 else -k if k < 0 else 2 * n - 2 - k
             acc += column[k] * weights[offset + radius]
         out.append(acc / norm)
     return np.array(out)

@@ -5,13 +5,14 @@ lines; the whole module targets well under a minute.
 """
 
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from actionness.cli import main
-from actionness.decoder import DecoderConfig, Proposal, decode, nms
+from actionness.decoder import DecoderConfig, Proposal, decode_videos, nms
 from actionness.evaluation import GroundTruthInstance, average_precision, map_report, tiou
 from actionness.optim import minimize_lanes
 from actionness.oracles import average_precision_direct
@@ -205,19 +206,19 @@ def test_criterion_7_decoder_round_trip_and_nms_idempotence():
         seed=7,
     )
     decoder_config = DecoderConfig(top_k_fraction=1 / 16, class_score_threshold=0.3)
-    total_instances = 0
-    for index in range(40):
-        video = generate_video(config, np.random.default_rng([7, index]), f"v{index:03d}")
-        proposals = decode([video.signal], decoder_config)
-        assert len(proposals) == len(video.gt)
-        by_class = {}
-        for proposal in proposals:
-            by_class.setdefault(proposal.class_id, []).append(proposal)
-        for instance in video.gt:
-            candidates = by_class.get(instance.class_id, [])
-            best = max(tiou(p.interval, instance.interval) for p in candidates)
-            assert best >= 0.9
-        total_instances += len(video.gt)
+    videos = [generate_video(config, np.random.default_rng([7, index]), f"v{index:03d}") for index in range(40)]
+    proposals = decode_videos({video.signal.video_id: [video.signal] for video in videos}, decoder_config)
+    instances = [instance for video in videos for instance in video.gt]
+    # one proposal per instance, video by video
+    assert Counter(p.video_id for p in proposals) == Counter(g.video_id for g in instances)
+    by_class = {}
+    for proposal in proposals:
+        by_class.setdefault((proposal.video_id, proposal.class_id), []).append(proposal)
+    for instance in instances:
+        candidates = by_class.get((instance.video_id, instance.class_id), [])
+        best = max(tiou(p.interval, instance.interval) for p in candidates)
+        assert best >= 0.9
+    total_instances = len(instances)
 
     rng = np.random.default_rng(77)
     for _ in range(1000):

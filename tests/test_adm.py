@@ -14,12 +14,10 @@ from actionness.adm import (
     SIGMA_LOWER_BOUND,
     find_peak,
     fit_gaussians,
-    fit_uniform,
     fit_uniforms,
     gaussian_fit_errors,
     generate_pseudo_labels,
     label_videos,
-    preliminary_boundaries,
     uniform_fit_errors,
     video_boundaries,
 )
@@ -46,6 +44,16 @@ def gaussian_column(length, t_star, sigma, height=0.9):
     return height * np.exp(-0.5 * ((ts - t_star) / sigma) ** 2)
 
 
+def boundary_of(point, background, length):
+    """``video_boundaries`` of one point."""
+    return video_boundaries([point], background, length)[0]
+
+
+def uniform_fit(column, boundary, t_star):
+    """``fit_uniforms`` of one fit."""
+    return fit_uniforms([(column, boundary, t_star)])[0]
+
+
 def gaussian_error_at(column, boundary, t_star, sigma):
     """One fit's squared error at ``sigma``, read from a one-fit ``gaussian_fit_errors`` objective."""
     return gaussian_fit_errors([(column, boundary, t_star)])(np.array([sigma]), np.zeros(1, dtype=np.int64))[0]
@@ -59,15 +67,15 @@ def uniform_error_at(column, boundary, t_star, omega):
 class TestPreliminaryBoundaries:
     def test_nearest_on_both_sides(self):
         point = PointAnnotation("v0", 10, 1)
-        boundary = preliminary_boundaries(point, background(2, 20), 50)
+        boundary = boundary_of(point, background(2, 20), 50)
         assert (boundary.b_start, boundary.b_end) == (2, 20)
         assert boundary.duration == 18
 
     def test_missing_side_falls_back_to_edges(self):
         point = PointAnnotation("v0", 10, 1)
-        assert preliminary_boundaries(point, background(20), 50).b_start == 0
-        assert preliminary_boundaries(point, background(2), 50).b_end == 49
-        no_bg = preliminary_boundaries(point, background(), 50)
+        assert boundary_of(point, background(20), 50).b_start == 0
+        assert boundary_of(point, background(2), 50).b_end == 49
+        no_bg = boundary_of(point, background(), 50)
         assert (no_bg.b_start, no_bg.b_end) == (0, 49)
 
     def test_matches_linear_scan(self):
@@ -76,7 +84,7 @@ class TestPreliminaryBoundaries:
             length = 80
             indices = np.flatnonzero(rng.uniform(0, 1, length) < 0.2)
             t = int(rng.integers(0, length))
-            boundary = preliminary_boundaries(
+            boundary = boundary_of(
                 PointAnnotation("v0", t, 1), BackgroundPoints(indices), length
             )
             assert (boundary.b_start, boundary.b_end) == nearest_background_scan(
@@ -85,7 +93,7 @@ class TestPreliminaryBoundaries:
 
     def test_point_outside_length_rejected(self):
         with pytest.raises(InvalidInputError):
-            preliminary_boundaries(PointAnnotation("v0", 50, 1), background(), 50)
+            boundary_of(PointAnnotation("v0", 50, 1), background(), 50)
 
 
 @st.composite
@@ -108,7 +116,7 @@ def test_video_boundaries_equal_the_linear_scan(case):
     boundaries = video_boundaries(points, BackgroundPoints(indices), length)
     scans = [nearest_background_scan(p.t, indices.tolist(), length) for p in points]
     assert [(b.b_start, b.b_end) for b in boundaries] == scans
-    assert [preliminary_boundaries(point, BackgroundPoints(indices), length) for point in points] == boundaries
+    assert [boundary_of(point, BackgroundPoints(indices), length) for point in points] == boundaries
 
 
 def test_video_boundaries_name_the_first_point_outside_the_video():
@@ -198,20 +206,20 @@ class TestFitUniform:
     def test_recovers_rectangle_half_width(self):
         ts = np.arange(400)
         column = np.where(np.abs(ts - 200) <= 8, 0.9, 0.0)
-        omega, degenerate, _ = fit_uniform(column, PreliminaryBoundary(5, 395), 200)
+        omega, degenerate, _ = uniform_fit(column, PreliminaryBoundary(5, 395), 200)
         assert not degenerate
         assert abs(omega - 8) <= 1.0
 
     def test_single_spike_goes_to_zero(self):
         column = np.zeros(256)
         column[100] = 0.8
-        omega, _, _ = fit_uniform(column, PreliminaryBoundary(5, 250), 100)
+        omega, _, _ = uniform_fit(column, PreliminaryBoundary(5, 250), 100)
         assert omega == 0.0
 
     def test_gaussian_column_matches_grid(self):
         column = gaussian_column(300, 150, 12.0)
         boundary = PreliminaryBoundary(20, 280)
-        omega, _, _ = fit_uniform(column, boundary, 150)
+        omega, _, _ = uniform_fit(column, boundary, 150)
         upper = float(max(150 - boundary.b_start, boundary.b_end - 150))
         grid = np.linspace(1e-9, upper, 20001)
         fitted = uniform_objective_grid(column, boundary, 150, [omega])[0]
@@ -221,18 +229,18 @@ class TestFitUniform:
     def test_scale_invariance(self):
         column = gaussian_column(300, 150, 12.0)
         boundary = PreliminaryBoundary(20, 280)
-        omega_full, _, _ = fit_uniform(column, boundary, 150)
-        omega_scaled, _, _ = fit_uniform(0.3 * column, boundary, 150)
+        omega_full, _, _ = uniform_fit(column, boundary, 150)
+        omega_scaled, _, _ = uniform_fit(0.3 * column, boundary, 150)
         assert omega_scaled == omega_full
 
     def test_degenerate_boundary_flagged(self):
-        omega, degenerate, _ = fit_uniform(np.zeros(50), PreliminaryBoundary(10, 10), 10)
+        omega, degenerate, _ = uniform_fit(np.zeros(50), PreliminaryBoundary(10, 10), 10)
         assert degenerate and omega == 0.0
 
     @pytest.mark.parametrize("t_star", [4, 21])
     def test_peak_outside_the_boundary_is_rejected(self, t_star):
         with pytest.raises(InvalidInputError, match="outside the boundary"):
-            fit_uniform(np.zeros(50), PreliminaryBoundary(5, 20), t_star)
+            uniform_fit(np.zeros(50), PreliminaryBoundary(5, 20), t_star)
 
 
 @st.composite
@@ -248,7 +256,7 @@ def uniform_fit_cases(draw):
 @given(uniform_fit_cases())
 def test_fit_uniform_matches_grid_oracle(case):
     column, boundary, t_star = case
-    omega, degenerate, error = fit_uniform(column, boundary, t_star)
+    omega, degenerate, error = uniform_fit(column, boundary, t_star)
     upper = max(t_star - boundary.b_start, boundary.b_end - t_star)
     assert degenerate == (upper == 0)
     assert omega == int(omega) and 0 <= omega <= upper
@@ -261,9 +269,9 @@ def test_fit_uniform_matches_grid_oracle(case):
 
 
 def fit_uniform_by_sorting(column, boundary, t_star):
-    """``fit_uniform`` with a stable argsort of the distances, ``np.unique``
-    breakpoints and ``searchsorted`` covered counts: the reference for its
-    sort-free construction."""
+    """One rectangle fit with a stable argsort of the distances, ``np.unique``
+    breakpoints and ``searchsorted`` covered counts: the reference for the
+    sort-free scan of ``fit_uniforms``."""
     upper = float(max(t_star - boundary.b_start, boundary.b_end - t_star))
     column = np.asarray(column, dtype=np.float64)
     segment = column[boundary.b_start : boundary.b_end + 1]
@@ -307,7 +315,7 @@ def uniform_reference_cases(draw):
 @example((np.array([0.5, 0.5, 0.5, 0.5, 0.5]), PreliminaryBoundary(0, 4), 2))  # every distance tied on both sides
 def test_fit_uniform_equals_the_sorting_reference(case):
     column, boundary, t_star = case
-    assert tuple(fit_uniform(column, boundary, t_star)) == fit_uniform_by_sorting(column, boundary, t_star)
+    assert tuple(uniform_fit(column, boundary, t_star)) == fit_uniform_by_sorting(column, boundary, t_star)
 
 
 @st.composite
@@ -350,6 +358,23 @@ def test_batched_uniform_fits_name_the_first_peak_outside_its_boundary():
     fits = [(np.zeros(50), PreliminaryBoundary(5, 20), t_star) for t_star in (7, 21, 4)]
     with pytest.raises(InvalidInputError, match=re.escape("t_star=21 outside the boundary [5, 20]")):
         fit_uniforms(fits)
+
+
+@pytest.mark.parametrize("fit", [fit_gaussians, fit_uniforms])
+@pytest.mark.parametrize(
+    "b_end, t_star, message",
+    [
+        (8, 1, "t_star=1 outside the boundary [2, 8]"),
+        (8, 9, "t_star=9 outside the boundary [2, 8]"),
+        (8, -1, "t_star=-1 outside the boundary [2, 8]"),
+        (10, 5, "boundary [2, 10] past the end of a 10-snippet column"),
+    ],
+    ids=["before-the-boundary", "after-the-boundary", "negative", "boundary-past-the-column"],
+)
+def test_fits_reject_a_peak_outside_its_boundary_or_a_boundary_past_its_column(fit, b_end, t_star, message):
+    # a negative t_star would read the column from its end, a boundary past it would fit a truncated segment
+    with pytest.raises(InvalidInputError, match=re.escape(message)):
+        fit([(np.zeros(10), PreliminaryBoundary(2, b_end), t_star)])
 
 
 def gaussian_errors_lane_by_lane(fits, sigmas, lanes):
@@ -665,7 +690,7 @@ class TestLabelVideos:
                 fitted = upsample_signal(fitted, finest.length)
             for label in generate_pseudo_labels([(fitted, video_points, background)], config):
                 point = PointAnnotation(label.video_id, label.t, label.class_id)
-                boundary = preliminary_boundaries(point, background, fitted.length)
+                boundary = boundary_of(point, background, fitted.length)
                 column = fitted.class_column(label.class_id)
                 gaussian = gaussian_error_at(column, boundary, label.t_star, label.sigma)
                 uniform = uniform_error_at(column, boundary, label.t_star, label.omega)
@@ -718,7 +743,7 @@ def test_fitted_parameters_stay_inside_bounds():
         t_star = int(rng.integers(b_start, b_end + 1))
         upper = max(t_star - b_start, b_end - t_star)
         sigma, _, _ = fit_gaussians([(column, boundary, t_star)])[0]
-        omega, _, _ = fit_uniform(column, boundary, t_star)
+        omega, _, _ = uniform_fit(column, boundary, t_star)
         assert SIGMA_LOWER_BOUND <= sigma <= upper or upper < SIGMA_LOWER_BOUND
         assert 0.0 <= omega <= upper
 

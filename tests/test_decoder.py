@@ -7,13 +7,10 @@ from actionness import decoder
 from actionness.decoder import (
     DecoderConfig,
     Proposal,
-    decode,
     decode_videos,
     nms,
-    oic_score,
     oic_scores,
     select_classes,
-    threshold_merge,
     threshold_runs,
 )
 from actionness.errors import InvalidInputError
@@ -28,6 +25,21 @@ def make_signal(columns, video_id="v0", level=1):
     columns = np.asarray(columns, dtype=np.float64)
     bg = 1.0 - columns.max(axis=1, keepdims=True)
     return ProbabilitySignal(video_id, level, np.hstack([columns, bg]))
+
+
+def runs_above(column, threshold):
+    """``threshold_runs`` of one threshold, as ``(start, end)`` pairs."""
+    return list(zip(*(bounds.tolist() for bounds in threshold_runs(column, [threshold]))))
+
+
+def oic_of(column, segment, inflation):
+    """``oic_scores`` of one column and one segment."""
+    return float(oic_scores([column], [0], [segment[0]], [segment[1]], inflation)[0])
+
+
+def decode_pyramid(levels, config):
+    """``decode_videos`` of one video's levels."""
+    return decode_videos({levels[0].video_id: levels}, config)
 
 
 def scalar_runs(column, threshold):
@@ -65,28 +77,28 @@ class TestSelectClasses:
 
 class TestThresholdMerge:
     def test_single_run(self):
-        assert threshold_merge([0.1, 0.6, 0.7, 0.2], 0.5) == [(1, 2)]
+        assert runs_above([0.1, 0.6, 0.7, 0.2], 0.5) == [(1, 2)]
 
     def test_all_below(self):
-        assert threshold_merge([0.1, 0.2], 0.5) == []
+        assert runs_above([0.1, 0.2], 0.5) == []
 
     def test_all_above(self):
-        assert threshold_merge([0.6, 0.7, 0.8], 0.5) == [(0, 2)]
+        assert runs_above([0.6, 0.7, 0.8], 0.5) == [(0, 2)]
 
     def test_multiple_runs(self):
         column = [0.9, 0.1, 0.8, 0.8, 0.0, 0.7]
-        assert threshold_merge(column, 0.5) == [(0, 0), (2, 3), (5, 5)]
+        assert runs_above(column, 0.5) == [(0, 0), (2, 3), (5, 5)]
 
 
 class TestOicScore:
     def test_definition(self):
         column = np.concatenate([np.full(4, 0.2), np.full(8, 0.8), np.full(4, 0.2)])
-        score = oic_score(column, (4, 11), 0.5)
+        score = oic_of(column, (4, 11), 0.5)
         assert score == pytest.approx(0.8 - 0.2)
 
     def test_whole_video_segment(self):
         column = np.full(10, 0.7)
-        assert oic_score(column, (0, 9), 0.25) == pytest.approx(0.7)
+        assert oic_of(column, (0, 9), 0.25) == pytest.approx(0.7)
 
     def test_matches_direct_oracle(self):
         rng = np.random.default_rng(41)
@@ -95,13 +107,13 @@ class TestOicScore:
             start = int(rng.integers(0, 50))
             end = start + int(rng.integers(0, 10))
             inflation = float(rng.uniform(0.1, 1.0))
-            assert oic_score(column, (start, end), inflation) == pytest.approx(
+            assert oic_of(column, (start, end), inflation) == pytest.approx(
                 oic_direct(column.tolist(), start, end, inflation)
             )
 
     def test_invalid_segment_rejected(self):
         with pytest.raises(InvalidInputError):
-            oic_score(np.zeros(5), (3, 7), 0.25)
+            oic_of(np.zeros(5), (3, 7), 0.25)
 
     @pytest.mark.parametrize("inflation", [1e17, 1e300])
     def test_flanks_wider_than_int64_equal_the_direct_oracle(self, inflation):
@@ -137,7 +149,7 @@ def oic_cases(draw):
 @given(case=oic_cases())
 def test_oic_score_bit_equal_to_mean_and_sum_property(case):
     column, (start, end), inflation = case
-    assert oic_score(column, (start, end), inflation) == scalar_oic(column, start, end, inflation)
+    assert oic_of(column, (start, end), inflation) == scalar_oic(column, start, end, inflation)
 
 
 @st.composite
@@ -200,8 +212,9 @@ def test_oic_scores_reject_segments_outside_their_column_and_unknown_columns():
     columns = [np.zeros(5), np.zeros(9)]
     with pytest.raises(InvalidInputError, match=r"segment \[3, 7\] outside video of length 5"):
         oic_scores(columns, [1, 0], [3, 3], [7, 7], 0.25)
-    with pytest.raises(InvalidInputError, match="inflation"):
-        oic_scores(columns, [0], [0], [1], 0.0)
+    for inflation in (0.0, float("nan")):
+        with pytest.raises(InvalidInputError, match="inflation"):
+            oic_scores(columns, [0], [0], [1], inflation)
     for column_id in (-1, 2):
         with pytest.raises(InvalidInputError, match="column ids"):
             oic_scores(columns, [column_id], [0], [1], 0.25)
@@ -355,8 +368,9 @@ def test_nms_expands_nested_pairs_in_several_chunks():
 
 
 def test_nms_rejects_a_negative_threshold():
-    with pytest.raises(InvalidInputError, match="tiou_threshold"):
-        nms([Proposal("v0", 0, 1, 1, 0.5)], -0.1)
+    for threshold in (-0.1, float("nan")):
+        with pytest.raises(InvalidInputError, match="tiou_threshold"):
+            nms([Proposal("v0", 0, 1, 1, 0.5)], threshold)
 
 
 def pool_with_repeats(levels, config):
@@ -393,14 +407,14 @@ class TestDecode:
 
     def test_single_rectangle_single_survivor(self):
         signal = self.plateau_signal([(50, 110, 1, 0.85)])
-        proposals = decode([signal], self.config())
+        proposals = decode_pyramid([signal], self.config())
         assert len(proposals) == 1
         assert proposals[0].class_id == 1
         assert tiou(proposals[0].interval, (50, 110)) >= 0.9
 
     def test_two_rectangles_two_survivors(self):
         signal = self.plateau_signal([(30, 70, 1, 0.85), (150, 210, 2, 0.9)])
-        proposals = decode([signal], self.config())
+        proposals = decode_pyramid([signal], self.config())
         assert len(proposals) == 2
         by_class = {p.class_id: p for p in proposals}
         assert tiou(by_class[1].interval, (30, 70)) >= 0.9
@@ -410,7 +424,7 @@ class TestDecode:
         rng = np.random.default_rng(45)
         columns = rng.uniform(0, 1, (64, 2))
         signal = make_signal(columns)
-        for proposal in decode([signal], DecoderConfig()):
+        for proposal in decode_pyramid([signal], DecoderConfig()):
             assert 0 <= proposal.start <= proposal.end <= 63
             assert np.isfinite(proposal.score)
 
@@ -419,7 +433,7 @@ class TestDecode:
         coarse_columns = np.full((64, 1), 0.05)
         coarse_columns[20:40, 0] = 0.8
         coarse = make_signal(coarse_columns, level=2)
-        proposals = decode([fine, coarse], self.config())
+        proposals = decode_pyramid([fine, coarse], self.config())
         assert proposals, "expected at least one proposal"
         best = max(proposals, key=lambda p: p.score)
         assert tiou(best.interval, (40, 79)) >= 0.9
@@ -432,7 +446,7 @@ class TestDecode:
         decoder_config = self.config()
         pool = pool_with_repeats(levels, decoder_config)
         assert len({(p.start, p.end, p.class_id) for p in pool}) < len(pool), "no repeated segment to reuse"
-        assert decode(levels, decoder_config) == nms_direct(pool, decoder_config.nms_tiou)
+        assert decode_pyramid(levels, decoder_config) == nms_direct(pool, decoder_config.nms_tiou)
 
     @pytest.mark.parametrize(
         "fine_length, coarse_length, run, expected",
@@ -444,7 +458,7 @@ class TestDecode:
         coarse_columns = np.full((coarse_length, 1), 0.05)
         coarse_columns[run[0] : run[1] + 1, 0] = 0.8
         coarse = make_signal(coarse_columns, level=2)
-        assert [p.interval for p in decode([fine, coarse], self.config())] == [expected]
+        assert [p.interval for p in decode_pyramid([fine, coarse], self.config())] == [expected]
 
     @pytest.mark.parametrize(
         "lengths, run, expected",
@@ -461,17 +475,17 @@ class TestDecode:
         coarsest = levels[-1].values.copy()
         coarsest[run[0] : run[1] + 1, 0] = 0.8
         levels[-1] = ProbabilitySignal("v0", len(lengths), coarsest)
-        assert [p.interval for p in decode(levels, self.config())] == [expected]
+        assert [p.interval for p in decode_pyramid(levels, self.config())] == [expected]
 
     def test_levels_in_any_order(self):
         video = generate_video(SyntheticConfig(length=256, num_classes=2), np.random.default_rng(4), "v0")
         values = video.signal.values
         levels = [video.signal, ProbabilitySignal("v0", 2, 0.5 * (values[0::2] + values[1::2]))]
-        assert decode(levels[::-1], self.config()) == decode(levels, self.config())
+        assert decode_pyramid(levels[::-1], self.config()) == decode_pyramid(levels, self.config())
 
     def test_requires_signals(self):
-        with pytest.raises(InvalidInputError):
-            decode([], DecoderConfig())
+        with pytest.raises(InvalidInputError, match="at least one signal"):
+            decode_videos({"v0": []}, DecoderConfig())
 
 
 @settings(max_examples=60, deadline=None)
@@ -501,12 +515,12 @@ def test_coarse_runs_cover_the_snippets_pooled_into_them(steps, ceil_pooled, len
     pools = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(decoder, "nms", lambda pool, threshold: pools.append(pool) or pool)
-        decode(levels, config)
+        decode_pyramid(levels, config)
     expected = [
         (pooled[start][0], pooled[end][-1])
         for signal, pooled in zip(levels, groups)
         for threshold in config.thresholds
-        for start, end in threshold_merge(signal.class_column(1), threshold)
+        for start, end in runs_above(signal.class_column(1), threshold)
     ]
     # each distinct segment enters the pool once, where it is first found
     assert [p.interval for p in pools[0]] == list(dict.fromkeys(expected))
@@ -539,7 +553,7 @@ def test_decode_equals_the_oracle_over_the_pool_with_repeats_property(
     config = DecoderConfig(
         thresholds=thresholds, oic_inflation=inflation, nms_tiou=nms_tiou, class_score_threshold=class_score_threshold
     )
-    assert decode(levels, config) == nms_direct(pool_with_repeats(levels, config), nms_tiou)
+    assert decode_pyramid(levels, config) == nms_direct(pool_with_repeats(levels, config), nms_tiou)
 
 
 class TestDecoderConfig:

@@ -470,7 +470,7 @@ def test_reports_equal_the_numpy_reference_past_128_hits(seed):
 def test_threshold_decoding_overproduces_versus_adm():
     # Raw threshold decoding yields many proposals per instance, while the
     # distribution-fitting path emits exactly one per annotation.
-    from actionness.decoder import DecoderConfig, decode
+    from actionness.decoder import DecoderConfig, decode_videos
     from actionness.synth import SyntheticConfig, generate_video
 
     config = SyntheticConfig(
@@ -483,11 +483,7 @@ def test_threshold_decoding_overproduces_versus_adm():
         seed=3,
     )
     decoder_config = DecoderConfig(top_k_fraction=1 / 16, class_score_threshold=0.3)
-    n_proposals = 0
-    n_instances = 0
-    for index in range(15):
-        video = generate_video(config, np.random.default_rng([3, index]), f"v{index}")
-        n_proposals += len(decode([video.signal], decoder_config))
-        n_instances += len(video.gt)
-    alpha = n_proposals / n_instances
+    videos = [generate_video(config, np.random.default_rng([3, index]), f"v{index}") for index in range(15)]
+    proposals = decode_videos({video.signal.video_id: [video.signal] for video in videos}, decoder_config)
+    alpha = len(proposals) / sum(len(video.gt) for video in videos)
     assert alpha > 3.0  # directional: far more proposals than instances

@@ -11,12 +11,11 @@ import actionness
 # every name the package exports, by the module that defines it
 EXPORTS = {
     "adm": [
-        "ADMConfig", "PreliminaryBoundary", "PseudoLabel", "find_peak", "fit_gaussians", "fit_uniform",
-        "fit_uniforms", "generate_pseudo_labels", "label_videos", "preliminary_boundaries", "video_boundaries",
+        "ADMConfig", "PreliminaryBoundary", "PseudoLabel", "find_peak", "fit_gaussians", "fit_uniforms",
+        "generate_pseudo_labels", "label_videos", "video_boundaries",
     ],
     "decoder": [
-        "DecoderConfig", "Proposal", "decode", "decode_videos", "nms", "oic_score", "oic_scores", "select_classes",
-        "threshold_merge", "threshold_runs",
+        "DecoderConfig", "Proposal", "decode_videos", "nms", "oic_scores", "select_classes", "threshold_runs",
     ],
     "errors": ["InvalidInputError", "NumericError", "PackingError"],
     "evaluation": [

@@ -133,7 +133,7 @@ class TestSmoothSignal:
         with pytest.raises(InvalidInputError, match="more than 33 taps"):
             smooth_signal(sig, 4.125)  # 4 * 4.125 + 0.5 = 17: 35 taps
 
-    @pytest.mark.parametrize("length, sigma", [(10, 2.375), (8, 2.0), (2, 2.0)])
+    @pytest.mark.parametrize("length, sigma", [(10, 2.375), (8, 2.0), (2, 2.0), (1, 2.0)])
     def test_kernel_wider_than_the_signal_reflects(self, length, sigma):
         rng = np.random.default_rng(7)
         column = rng.uniform(0, 1, length)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from actionness import synth
-from actionness.decoder import threshold_merge
+from actionness.decoder import threshold_runs
 from actionness.errors import InvalidInputError, PackingError
 from actionness.evaluation import GroundTruthInstance
 from actionness.synth import (
@@ -76,8 +76,8 @@ class TestGenerateVideo:
             video = generate_video(config, np.random.default_rng(seed), "v0")
             segments = []
             for class_id in range(1, config.num_classes + 1):
-                for start, end in threshold_merge(video.signal.class_column(class_id), 0.5):
-                    segments.append((start, end, class_id))
+                starts, ends = threshold_runs(video.signal.class_column(class_id), [0.5])
+                segments += [(start, end, class_id) for start, end in zip(starts.tolist(), ends.tolist())]
             expected = sorted((g.start, g.end, g.class_id) for g in video.gt)
             assert sorted(segments) == expected
 
