@@ -62,8 +62,8 @@ _EXPORTS = {
         "fuse_probabilities",
         "pyramid_scales",
         "select_background_points",
-        "smooth_signal",
-        "upsample_signal",
+        "smooth_column",
+        "upsample_column",
     ),
     "synth": ("SyntheticConfig", "SyntheticVideo", "generate_dataset", "generate_video", "sample_point"),
     "verify": ("run_suite",),

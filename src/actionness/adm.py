@@ -26,13 +26,13 @@ from .signal import (
     augment_points,
     pyramid_scales,
     select_background_points,
-    smooth_signal,
-    upsample_signal,
+    smooth_column,
+    upsample_column,
 )
 
 SIGMA_LOWER_BOUND = 1e-6
 # most float64 elements (512 KiB) the temporaries of one block of fit work hold: the live arrays of a
-# block of ``_profile_errors`` or ``fit_uniforms``, and the scratch array of ``oracles._profile_errors``
+# block of ``_profile_errors`` or ``fit_uniforms``
 SCRATCH_ELEMENTS = 1 << 16
 
 
@@ -375,13 +375,14 @@ def _fit_uniforms(segments: _Segments) -> list[Fit]:
 
 
 def generate_pseudo_labels(
-    videos: Sequence[tuple[ProbabilitySignal, Sequence[PointAnnotation], BackgroundPoints]],
+    videos: Sequence[tuple[str, Mapping[int, np.ndarray], Sequence[PointAnnotation], BackgroundPoints]],
     config: ADMConfig,
 ) -> list[PseudoLabel]:
     """One pseudo-label per annotated point, never dropping any.
 
-    ``videos`` holds each video's ``(signal, points, background)``; ``signal``
-    is expected to be the smoothed, full-resolution probability signal. Each
+    ``videos`` holds each video's ``(video_id, columns, points, background)``;
+    ``columns`` maps each class its points name to the one-length column the fits
+    read (``label_videos`` passes the coarsest level's, smoothed and upsampled). Each
     video's preliminary boundaries come from one ``video_boundaries`` search;
     the Gaussian fits of all points run in one lockstep search
     (``fit_gaussians``) and their rectangle fits in one batched scan
@@ -392,16 +393,21 @@ def generate_pseudo_labels(
     points.
     """
     peaks, fits = [], []
-    for signal, points, background in videos:
+    for video_id, columns, points, background in videos:
         for point in points:
-            if point.video_id != signal.video_id:
+            if point.video_id != video_id:
+                raise InvalidInputError(f"annotation for video {point.video_id!r} applied to signal {video_id!r}")
+            if point.class_id not in columns:
                 raise InvalidInputError(
-                    f"annotation for video {point.video_id!r} applied to signal {signal.video_id!r}"
+                    f"video {video_id!r} has no column for the class {point.class_id} of t={point.t}"
                 )
-        for point, boundary in zip(points, video_boundaries(points, background, signal.length)):
-            column = signal.class_column(point.class_id)
+        length, *others = sorted({len(column) for column in columns.values()}) or [0]
+        if others:
+            raise InvalidInputError(f"video {video_id!r}: its class columns differ in length, {[length, *others]}")
+        for point, boundary in zip(points, video_boundaries(points, background, length)):
+            column = columns[point.class_id]
             t_star, found = find_peak(column, boundary, point.t, config.delta)
-            peaks.append((point, signal.length, boundary, t_star, found))
+            peaks.append((point, length, boundary, t_star, found))
             fits.append((column, boundary, t_star))
     segments = _Segments.of(fits)
     gaussians = _fit_gaussians(segments)
@@ -446,9 +452,9 @@ def label_videos(
     ``grouped_levels`` maps each video id to its pyramid levels, in any order,
     each annotated video's checked by ``pyramid_scales``. Background points
     come from level 1 once every point is widened by ``config.r_a``; the fits
-    run on the coarsest level, smoothed and then upsampled to the level-1
-    length, all videos' in one ``generate_pseudo_labels`` call. Each label
-    carries its two fit errors.
+    run on the coarsest level's columns of the points' classes, smoothed and then
+    upsampled to the level-1 length, all videos' in one ``generate_pseudo_labels``
+    call. Each label carries its two fit errors.
     """
     by_video: dict[str, list[PointAnnotation]] = {}
     for point in points:
@@ -465,8 +471,12 @@ def label_videos(
         video_points = by_video[video_id]
         intervals = augment_points(video_points, config.r_a, finest.length)
         background = select_background_points(finest, intervals, config.background_threshold)
-        smoothed = smooth_signal(coarsest, config.smoothing_sigma)
-        if smoothed.length < finest.length:
-            smoothed = upsample_signal(smoothed, finest.length)
-        videos.append((smoothed, video_points, background))
+        # only the classes the video's points name, in the order the points first name them
+        columns = {
+            class_id: upsample_column(
+                smooth_column(coarsest.class_column(class_id), config.smoothing_sigma), finest.length
+            )
+            for class_id in dict.fromkeys(point.class_id for point in video_points)
+        }
+        videos.append((video_id, columns, video_points, background))
     return generate_pseudo_labels(videos, config)

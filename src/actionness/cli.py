@@ -61,6 +61,8 @@ def _parse_thresholds(text: str) -> list[float]:
         raise InvalidInputError(f"bad threshold range {text!r}")
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0:
         raise InvalidInputError(f"threshold range needs finite bounds and a step > 0, got {text!r}")
+    if stop < start:
+        raise InvalidInputError(f"threshold range {text!r} runs backwards: its stop is below its start")
     # count before building: a tiny step would otherwise allocate without bound. The
     # floor keeps the last threshold at or below stop; the tolerance keeps stop itself
     # when the step divides the span but the division rounds just below a whole number.

@@ -218,7 +218,7 @@ def nms(proposals: Sequence[Proposal], tiou_threshold: float) -> list[Proposal]:
 
 
 def decode_videos(grouped_levels: Mapping[str, Sequence[ProbabilitySignal]], config: DecoderConfig) -> list[Proposal]:
-    """Decode each video's pyramid of fused signals, levels in any order, into scored
+    """Decode each video's pyramid levels, as given and in any order, into scored
     proposals, video after video in sorted video id order.
 
     For every selected class of a video, ``threshold_runs`` finds each level's

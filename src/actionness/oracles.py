@@ -12,8 +12,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .adm import SCRATCH_ELEMENTS
 from .evaluation import tiou
+
+SCRATCH_ELEMENTS = 1 << 16  # adm's fit budget, restated so that the reference imports none of what it checks
 
 
 def smooth_column_direct(column: Sequence[float], sigma: float) -> np.ndarray:
@@ -40,7 +41,7 @@ def interpolate_column_direct(column: Sequence[float], target_length: int) -> np
     n = len(column)
     out = []
     for i in range(target_length):
-        position = i * (n - 1) / (target_length - 1)
+        position = i * (n - 1) / max(target_length - 1, 1)  # one position is the first snippet
         low = int(math.floor(position))
         high = min(low + 1, n - 1)
         fraction = position - low

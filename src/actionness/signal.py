@@ -92,21 +92,13 @@ def fuse_probabilities(raw: ProbabilitySignal) -> ProbabilitySignal:
 MAX_KERNEL_TAPS = 1 << 24
 
 
-def _smoothing_kernel(sigma: float) -> np.ndarray:
-    # Truncate at +-4 sigma; a sub-snippet sigma degenerates to the identity.
-    radius = int(4.0 * sigma + 0.5)
-    offsets = np.arange(-radius, radius + 1, dtype=np.float64)
-    kernel = np.exp(-0.5 * (offsets / sigma) ** 2)
-    return kernel / kernel.sum()
-
-
-def smooth_signal(signal: ProbabilitySignal, kernel_sigma: float) -> ProbabilitySignal:
-    """Convolve each class column with a normalized truncated Gaussian.
+def smooth_column(column: np.ndarray, kernel_sigma: float) -> np.ndarray:
+    """Convolve one class column with a normalized truncated Gaussian, clipped to [0, 1].
 
     Edges use reflection padding, so constant columns pass through unchanged.
-    The background column is not smoothed. A ``kernel_sigma`` whose kernel,
-    of ``2 * int(4 * kernel_sigma + 0.5) + 1`` taps, would have more than
-    ``MAX_KERNEL_TAPS`` is rejected, before anything is allocated.
+    A ``kernel_sigma`` whose kernel, of ``2 * int(4 * kernel_sigma + 0.5) + 1``
+    taps, would have more than ``MAX_KERNEL_TAPS`` is rejected, before
+    anything is allocated.
     """
     if kernel_sigma <= 0:
         raise InvalidInputError(f"kernel_sigma must be > 0, got {kernel_sigma}")
@@ -116,33 +108,25 @@ def smooth_signal(signal: ProbabilitySignal, kernel_sigma: float) -> Probability
         raise InvalidInputError(
             f"kernel_sigma {kernel_sigma} is too wide: its kernel would have more than {MAX_KERNEL_TAPS} taps"
         )
-    kernel = _smoothing_kernel(kernel_sigma)
-    radius = kernel.size // 2
-    out = signal.values.copy()
-    if radius > 0:
-        padded = np.pad(signal.values[:, :-1], ((radius, radius), (0, 0)), mode="reflect")
-        for c in range(signal.num_classes):
-            out[:, c] = np.convolve(padded[:, c], kernel, mode="valid")
-        np.clip(out, 0.0, 1.0, out=out)
-    return ProbabilitySignal(signal.video_id, signal.level, out)
+    # truncated at +-4 sigma; a sub-snippet sigma gives the one-tap kernel [1.0], which returns the column
+    radius = int(4.0 * kernel_sigma + 0.5)
+    kernel = np.exp(-0.5 * (np.arange(-radius, radius + 1, dtype=np.float64) / kernel_sigma) ** 2)
+    padded = np.pad(column, radius, mode="reflect")
+    return np.clip(np.convolve(padded, kernel / kernel.sum(), mode="valid"), 0.0, 1.0)
 
 
-def upsample_signal(signal: ProbabilitySignal, target_length: int) -> ProbabilitySignal:
-    """Linearly interpolate every column onto ``target_length`` uniform positions."""
-    if signal.length < 2:
-        raise InvalidInputError("upsampling requires at least two snippets")
-    if target_length < signal.length:
-        raise InvalidInputError(
-            f"target_length {target_length} smaller than signal length {signal.length}"
-        )
-    if target_length == signal.length:
-        return ProbabilitySignal(signal.video_id, signal.level, signal.values.copy())
-    src = np.arange(signal.length, dtype=np.float64)
-    dst = np.linspace(0.0, signal.length - 1.0, target_length)
-    out = np.empty((target_length, signal.values.shape[1]))
-    for col in range(signal.values.shape[1]):
-        out[:, col] = np.interp(dst, src, signal.values[:, col])
-    return ProbabilitySignal(signal.video_id, signal.level, out)
+def upsample_column(column: np.ndarray, target_length: int) -> np.ndarray:
+    """Linearly interpolate ``column`` onto ``target_length`` uniform positions spanning it.
+
+    A one-snippet column becomes a constant column, and a column already
+    ``target_length`` long is returned as it is.
+    """
+    length = len(column)
+    if target_length < length:
+        raise InvalidInputError(f"target_length {target_length} smaller than column length {length}")
+    if target_length == length:
+        return column
+    return np.interp(np.linspace(0.0, length - 1.0, target_length), np.arange(length, dtype=np.float64), column)
 
 
 def pyramid_scales(levels: Sequence[ProbabilitySignal]) -> list[int]:

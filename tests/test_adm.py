@@ -29,8 +29,8 @@ from actionness.signal import (
     ProbabilitySignal,
     augment_points,
     select_background_points,
-    smooth_signal,
-    upsample_signal,
+    smooth_column,
+    upsample_column,
 )
 from actionness.synth import SyntheticConfig, generate_dataset
 
@@ -576,6 +576,12 @@ def build_signal(columns, video_id="v0"):
     return ProbabilitySignal(video_id, 1, np.hstack([columns, bg]))
 
 
+def video(signal, points, background):
+    """``generate_pseudo_labels``' entry for ``points`` on ``signal``, every class column given as it is."""
+    columns = {class_id: signal.class_column(class_id) for class_id in range(1, signal.num_classes + 1)}
+    return signal.video_id, columns, points, background
+
+
 class TestGeneratePseudoLabels:
     def setup_method(self):
         length = 300
@@ -586,22 +592,22 @@ class TestGeneratePseudoLabels:
 
     def test_one_label_per_point(self):
         points = [PointAnnotation("v0", t, 1) for t in (100, 148, 200)]
-        labels = generate_pseudo_labels([(self.signal, points, self.background)], ADMConfig())
+        labels = generate_pseudo_labels([video(self.signal, points, self.background)], ADMConfig())
         assert len(labels) == len(points)
 
     def test_gamma_edge_cases(self):
         only_sigma = generate_pseudo_labels(
-            [(self.signal, self.points, self.background)], ADMConfig(gamma1=1.0, gamma2=0.0)
+            [video(self.signal, self.points, self.background)], ADMConfig(gamma1=1.0, gamma2=0.0)
         )[0]
         assert only_sigma.delta == pytest.approx(only_sigma.sigma)
         only_omega = generate_pseudo_labels(
-            [(self.signal, self.points, self.background)], ADMConfig(gamma1=0.0, gamma2=1.0)
+            [video(self.signal, self.points, self.background)], ADMConfig(gamma1=0.0, gamma2=1.0)
         )[0]
         assert only_omega.delta == pytest.approx(only_omega.omega)
 
     def test_delta_is_exact_combination(self):
         config = ADMConfig(gamma1=0.7, gamma2=0.3)
-        label = generate_pseudo_labels([(self.signal, self.points, self.background)], config)[0]
+        label = generate_pseudo_labels([video(self.signal, self.points, self.background)], config)[0]
         assert label.delta == pytest.approx(0.7 * label.sigma + 0.3 * label.omega)
 
     def test_interval_contains_peak_and_stays_in_video(self):
@@ -617,14 +623,14 @@ class TestGeneratePseudoLabels:
             signal = build_signal(column[:, None])
             t = int(rng.integers(10, 190))
             labels = generate_pseudo_labels(
-                [(signal, [PointAnnotation("v0", t, 1)], background())], ADMConfig()
+                [video(signal, [PointAnnotation("v0", t, 1)], background())], ADMConfig()
             )
             label = labels[0]
             assert 0 <= label.start <= label.t_star <= label.end <= length - 1
 
     def test_degenerate_boundary_produces_flagged_point_label(self):
         labels = generate_pseudo_labels(
-            [(self.signal, [PointAnnotation("v0", 60, 1)], background(60))], ADMConfig()
+            [video(self.signal, [PointAnnotation("v0", 60, 1)], background(60))], ADMConfig()
         )
         label = labels[0]
         assert label.degenerate
@@ -632,21 +638,32 @@ class TestGeneratePseudoLabels:
 
     def test_scaling_column_preserves_fits(self):
         scaled = build_signal(0.5 * self.signal.values[:, :1])
-        full = generate_pseudo_labels([(self.signal, self.points, self.background)], ADMConfig())[0]
-        half = generate_pseudo_labels([(scaled, self.points, self.background)], ADMConfig())[0]
+        full = generate_pseudo_labels([video(self.signal, self.points, self.background)], ADMConfig())[0]
+        half = generate_pseudo_labels([video(scaled, self.points, self.background)], ADMConfig())[0]
         assert half.sigma == pytest.approx(full.sigma, abs=1e-4)
         assert half.omega == full.omega
 
     def test_video_mismatch_names_both_videos(self):
         points = [PointAnnotation("v0", 10, 1), PointAnnotation("other", 10, 1)]
         with pytest.raises(InvalidInputError, match="annotation for video 'other' applied to signal 'v0'"):
-            generate_pseudo_labels([(self.signal, points, self.background)], ADMConfig())
+            generate_pseudo_labels([video(self.signal, points, self.background)], ADMConfig())
 
     def test_video_mismatch_rejected(self):
         with pytest.raises(InvalidInputError):
             generate_pseudo_labels(
-                [(self.signal, [PointAnnotation("other", 10, 1)], self.background)], ADMConfig()
+                [video(self.signal, [PointAnnotation("other", 10, 1)], self.background)], ADMConfig()
             )
+
+    def test_a_class_without_a_column_is_named(self):
+        points = [PointAnnotation("v0", 148, 1), PointAnnotation("v0", 150, 2)]
+        columns = {1: self.signal.class_column(1)}
+        with pytest.raises(InvalidInputError, match="video 'v0' has no column for the class 2 of t=150"):
+            generate_pseudo_labels([("v0", columns, points, self.background)], ADMConfig())
+
+    def test_columns_of_one_video_share_a_length(self):
+        column = self.signal.class_column(1)
+        with pytest.raises(InvalidInputError, match=r"video 'v0': its class columns differ in length, \[299, 300\]"):
+            generate_pseudo_labels([("v0", {1: column, 2: column[:-1]}, self.points, self.background)], ADMConfig())
 
 
 def synth_dataset(videos=6, seed=11):
@@ -685,13 +702,15 @@ class TestLabelVideos:
             video_points = [p for p in points if p.video_id == video_id]
             intervals = augment_points(video_points, 2, finest.length)
             background = select_background_points(finest, intervals, config.background_threshold)
-            fitted = smooth_signal(coarsest, config.smoothing_sigma)
-            if fitted.length < finest.length:
-                fitted = upsample_signal(fitted, finest.length)
-            for label in generate_pseudo_labels([(fitted, video_points, background)], config):
+            columns = {
+                class_id: upsample_column(smooth_column(coarsest.class_column(class_id), config.smoothing_sigma),
+                                          finest.length)
+                for class_id in {p.class_id for p in video_points}
+            }
+            for label in generate_pseudo_labels([(video_id, columns, video_points, background)], config):
                 point = PointAnnotation(label.video_id, label.t, label.class_id)
-                boundary = boundary_of(point, background, fitted.length)
-                column = fitted.class_column(label.class_id)
+                boundary = boundary_of(point, background, finest.length)
+                column = columns[label.class_id]
                 gaussian = gaussian_error_at(column, boundary, label.t_star, label.sigma)
                 uniform = uniform_error_at(column, boundary, label.t_star, label.omega)
                 expected.append((label, (gaussian, uniform)))
@@ -699,6 +718,30 @@ class TestLabelVideos:
         assert [(label.gaussian_error, label.uniform_error) for label in labels] == [
             errors for _, errors in expected
         ]
+
+    def test_smooths_and_upsamples_one_column_per_annotated_class(self, monkeypatch):
+        grouped, points = synth_dataset()
+        smoothed, upsampled = [], []
+
+        def smooth(column, sigma):
+            smoothed.append(column.__array_interface__["data"][0])  # where the column starts in memory
+            return smooth_column(column, sigma)
+
+        def upsample(column, length):
+            upsampled.append(length)
+            return upsample_column(column, length)
+
+        monkeypatch.setattr(adm, "smooth_column", smooth)
+        monkeypatch.setattr(adm, "upsample_column", upsample)
+        label_videos(grouped, points, ADMConfig())
+        annotated = {(point.video_id, point.class_id) for point in points}
+        assert len(annotated) < sum(levels[-1].num_classes for levels in grouped.values())
+        # each annotated class's column of the coarsest level, once, and no other column
+        assert sorted(smoothed) == sorted(
+            grouped[video_id][-1].class_column(class_id).__array_interface__["data"][0]
+            for video_id, class_id in annotated
+        )
+        assert sorted(upsampled) == sorted(grouped[video_id][0].length for video_id, _ in annotated)
 
     def test_levels_in_any_order(self):
         grouped, points = synth_dataset()
@@ -754,9 +797,9 @@ def test_clip_to_boundary_option():
     signal = build_signal(column[:, None])
     points = [PointAnnotation("v0", 150, 1)]
     bg = background(130, 170)
-    free = generate_pseudo_labels([(signal, points, bg)], ADMConfig(gamma1=2.0, gamma2=2.0))[0]
+    free = generate_pseudo_labels([video(signal, points, bg)], ADMConfig(gamma1=2.0, gamma2=2.0))[0]
     clipped = generate_pseudo_labels(
-        [(signal, points, bg)], ADMConfig(gamma1=2.0, gamma2=2.0, clip_to_boundary=True)
+        [video(signal, points, bg)], ADMConfig(gamma1=2.0, gamma2=2.0, clip_to_boundary=True)
     )[0]
     assert free.start < 130 or free.end > 170  # wide gammas overshoot the boundary
     assert 130 <= clipped.start <= clipped.end <= 170

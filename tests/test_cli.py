@@ -962,6 +962,42 @@ def test_shortest_synth_video_labels_at_default_smoothing(runner, tmp_path):
     assert load_pseudo_labels(tmp_path / "labels.json")
 
 
+def test_adm_labels_a_pyramid_whose_coarsest_level_has_one_snippet(runner, tmp_path):
+    # levels of 8, 4, 2 and 1 snippets, each mean-pooling pairs of the one below: the fits read each
+    # annotated class's one coarsest value, upsampled to a constant column of 8
+    data, pyramid = tmp_path / "data", tmp_path / "pyramid"
+    extra = ("--length", "8", "--classes", "2", "--instances", "1", "1", "--durations", "3", "4")
+    assert invoke(runner, synth_args(data, videos=2, seed="1", extra=extra)).exit_code == 0
+    pyramid.mkdir()
+    grouped = {}
+    for signal in load_signals(data / "signals"):
+        levels = [signal]
+        while levels[-1].length > 1:
+            values = levels[-1].values
+            levels.append(ProbabilitySignal(signal.video_id, len(levels) + 1, 0.5 * (values[0::2] + values[1::2])))
+        save_signals(pyramid / f"{signal.video_id}.json", levels)
+        grouped[signal.video_id] = levels
+    assert [signal.length for signal in levels] == [8, 4, 2, 1]
+    annotations = load_annotations(data / "annotations.json")
+    save_pseudo_labels(tmp_path / "expected.json", label_videos(grouped, annotations, ADMConfig()))
+    out = tmp_path / "labels.json"
+    result = invoke(runner, ["adm", "--signals", str(pyramid), "--annotations", str(data / "annotations.json"),
+                             "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    assert out.read_bytes() == (tmp_path / "expected.json").read_bytes()
+    assert len(load_pseudo_labels(out)) == len(annotations)
+    result = invoke(runner, ["decode", "--signals", str(pyramid), "--out", str(tmp_path / "proposals.json")])
+    assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("command, thresholds", [("eval", "0.7:0.1"), ("decode", "0.9:0.1"), ("eval", "0.5:0.2:0.1")])
+def test_reversed_threshold_range_is_named(runner, tmp_path, command, thresholds):
+    args = _library_args(runner, tmp_path, command)
+    result = runner.invoke(main, [*args, "--thresholds", thresholds])
+    fails_cleanly(result, f"threshold range {thresholds!r} runs backwards: its stop is below its start")
+    assert not (tmp_path / "eval.json").exists() and not (tmp_path / "proposals.json").exists()
+
+
 def test_oic_inflation_past_int64_decodes(runner, tmp_path):
     result = invoke(runner, _command_args(tmp_path, "decode") + ["--oic-inflation", "1e300"])
     assert result.exit_code == 0, result.output
@@ -1094,6 +1130,14 @@ def test_commands_that_score_nothing_leave_evaluation_unimported(runner, tmp_pat
 def test_decode_leaves_adm_and_optim_unimported(runner, tmp_path):
     loaded = _loaded_modules(_library_args(runner, tmp_path, "decode"))
     assert "actionness.decoder" in loaded and not loaded & {"actionness.adm", "actionness.optim"}
+
+
+def test_oracles_leave_adm_and_optim_unimported():
+    # the reference implementations share no code with the fits they check
+    script = "import sys, actionness.oracles; print(' '.join(sys.modules))"
+    child = subprocess.run([sys.executable, "-c", script], env=_child_env(), capture_output=True, text=True, check=True)
+    loaded = set(child.stdout.split())
+    assert "actionness.oracles" in loaded and not loaded & {"actionness.adm", "actionness.optim"}
 
 
 @pytest.mark.parametrize("command", sorted(main.commands))

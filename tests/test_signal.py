@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import actionness.signal as signal_module
 from actionness.errors import InvalidInputError
@@ -12,8 +15,8 @@ from actionness.signal import (
     fuse_probabilities,
     pyramid_scales,
     select_background_points,
-    smooth_signal,
-    upsample_signal,
+    smooth_column,
+    upsample_column,
 )
 from actionness.synth import SyntheticConfig, generate_video
 
@@ -75,102 +78,126 @@ class TestFuseProbabilities:
 
 class TestSmoothSignal:
     def test_constant_column_unchanged(self):
-        sig = make_signal(np.column_stack([np.full(50, 0.4), np.full(50, 0.2)]))
-        out = smooth_signal(sig, 2.0)
-        assert np.allclose(out.values[:, 0], 0.4)
+        out = smooth_column(np.full(50, 0.4), 2.0)
+        assert np.allclose(out, 0.4)
 
     def test_impulse_matches_direct_convolution(self):
         rng = np.random.default_rng(1)
         for sigma in (0.8, 1.5, 3.0):
             column = np.zeros(64)
             column[rng.integers(0, 64)] = 1.0
-            sig = make_signal(np.column_stack([column, 1.0 - column]))
-            out = smooth_signal(sig, sigma)
-            assert np.allclose(out.values[:, 0], smooth_column_direct(column, sigma), atol=1e-12)
+            out = smooth_column(column, sigma)
+            assert np.allclose(out, smooth_column_direct(column, sigma), atol=1e-12)
 
     def test_random_matches_direct_convolution(self):
         rng = np.random.default_rng(2)
         column = rng.uniform(0, 1, 40)
-        sig = make_signal(np.column_stack([column, np.zeros(40)]))
-        out = smooth_signal(sig, 2.5)
-        assert np.allclose(out.values[:, 0], smooth_column_direct(column, 2.5), atol=1e-12)
+        out = smooth_column(column, 2.5)
+        assert np.allclose(out, smooth_column_direct(column, 2.5), atol=1e-12)
 
     def test_tiny_sigma_is_identity(self):
         rng = np.random.default_rng(3)
         column = rng.uniform(0, 1, 30)
-        sig = make_signal(np.column_stack([column, np.zeros(30)]))
-        out = smooth_signal(sig, 0.05)
-        assert np.allclose(out.values[:, 0], column, atol=1e-9)
+        out = smooth_column(column, 0.05)
+        assert np.allclose(out, column, atol=1e-9)
 
     def test_stays_in_unit_interval(self):
         rng = np.random.default_rng(4)
-        column = rng.uniform(0, 1, 100)
-        out = smooth_signal(make_signal(np.column_stack([column, np.zeros(100)])), 4.0)
-        assert out.values.min() >= 0.0 and out.values.max() <= 1.0
+        out = smooth_column(rng.uniform(0, 1, 100), 4.0)
+        assert out.min() >= 0.0 and out.max() <= 1.0
+        # a column of ones sums to 1.0000000000000002 at this sigma before the clip
+        assert smooth_column(np.ones(40), 1.0).max() == 1.0
 
     def test_background_column_untouched(self):
+        # smoothing a class column of a signal writes into no column of it, the background's included
         rng = np.random.default_rng(5)
         values = rng.uniform(0, 1, (30, 3))
-        out = smooth_signal(make_signal(values), 2.0)
-        assert np.array_equal(out.values[:, -1], values[:, -1])
+        sig = make_signal(values.copy())
+        smooth_column(sig.class_column(1), 2.0)
+        assert np.array_equal(sig.values, values)
 
     def test_rejects_nonpositive_sigma(self):
         with pytest.raises(InvalidInputError):
-            smooth_signal(make_signal([[0.5, 0.5]]), 0.0)
+            smooth_column(np.array([0.5]), 0.0)
 
     @pytest.mark.parametrize("sigma", [1e9, 1e308])
     def test_rejects_a_kernel_past_the_tap_budget(self, sigma):
         # 2 * int(4 * 1e9 + 0.5) + 1 taps would take 60 GiB, and 4 * 1e308 is inf
         with pytest.raises(InvalidInputError, match="is too wide: its kernel would have more than 16777216 taps"):
-            smooth_signal(make_signal(np.full((10, 2), 0.5)), sigma)
+            smooth_column(np.full(10, 0.5), sigma)
 
     def test_tap_budget_is_exact(self, monkeypatch):
         monkeypatch.setattr(signal_module, "MAX_KERNEL_TAPS", 33)
         column = np.random.default_rng(6).uniform(0, 1, 10)
-        sig = make_signal(np.column_stack([column, np.zeros(10)]))
         # 4 * 4.1 + 0.5 = 16.9: a radius of 16, 33 taps, reflected past both ends more than once
-        assert np.allclose(smooth_signal(sig, 4.1).values[:, 0], smooth_column_direct(column, 4.1), atol=1e-12)
+        assert np.allclose(smooth_column(column, 4.1), smooth_column_direct(column, 4.1), atol=1e-12)
         with pytest.raises(InvalidInputError, match="more than 33 taps"):
-            smooth_signal(sig, 4.125)  # 4 * 4.125 + 0.5 = 17: 35 taps
+            smooth_column(column, 4.125)  # 4 * 4.125 + 0.5 = 17: 35 taps
 
     @pytest.mark.parametrize("length, sigma", [(10, 2.375), (8, 2.0), (2, 2.0), (1, 2.0)])
     def test_kernel_wider_than_the_signal_reflects(self, length, sigma):
         rng = np.random.default_rng(7)
         column = rng.uniform(0, 1, length)
-        out = smooth_signal(make_signal(np.column_stack([column, np.zeros(length)])), sigma)
-        assert np.allclose(out.values[:, 0], smooth_column_direct(column, sigma), atol=1e-12)
+        assert np.allclose(smooth_column(column, sigma), smooth_column_direct(column, sigma), atol=1e-12)
 
     def test_one_snippet_signal_smooths_to_its_value(self):
-        values = np.array([[0.7, 0.1, 0.3]])
-        assert np.allclose(smooth_signal(make_signal(values), 2.0).values, values, atol=1e-15)
+        assert np.allclose(smooth_column(np.array([0.7]), 2.0), [0.7], atol=1e-15)
 
 
 class TestUpsampleSignal:
     def test_identity_when_lengths_match(self):
-        rng = np.random.default_rng(6)
-        sig = make_signal(rng.uniform(0, 1, (10, 3)))
-        assert np.array_equal(upsample_signal(sig, 10).values, sig.values)
+        column = np.random.default_rng(6).uniform(0, 1, 10)
+        assert upsample_column(column, 10) is column
+        # interpolating at the column's own positions would give its values too
+        assert np.array_equal(np.interp(np.linspace(0.0, 9.0, 10), np.arange(10.0), column), column)
 
     def test_linear_midpoint(self):
-        sig = make_signal([[0.0, 1.0], [1.0, 0.0]])
-        out = upsample_signal(sig, 3)
-        assert np.allclose(out.values[:, 0], [0.0, 0.5, 1.0])
+        assert np.allclose(upsample_column(np.array([0.0, 1.0]), 3), [0.0, 0.5, 1.0])
 
     def test_matches_direct_interpolation(self):
         rng = np.random.default_rng(7)
         column = rng.uniform(0, 1, 17)
-        sig = make_signal(np.column_stack([column, np.zeros(17)]))
-        out = upsample_signal(sig, 50)
-        assert np.allclose(out.values[:, 0], interpolate_column_direct(column, 50), atol=1e-12)
-        assert out.values[0, 0] == column[0]
-        assert out.values[-1, 0] == column[-1]
-        assert out.values[:, 0].min() >= column.min() - 1e-15
-        assert out.values[:, 0].max() <= column.max() + 1e-15
+        out = upsample_column(column, 50)
+        assert np.allclose(out, interpolate_column_direct(column, 50), atol=1e-12)
+        assert out[0] == column[0]
+        assert out[-1] == column[-1]
+        assert out.min() >= column.min() - 1e-15
+        assert out.max() <= column.max() + 1e-15
 
     def test_rejects_downsampling(self):
-        sig = make_signal([[0.0, 1.0], [1.0, 0.0], [0.5, 0.5]])
-        with pytest.raises(InvalidInputError):
-            upsample_signal(sig, 2)
+        with pytest.raises(InvalidInputError, match="target_length 2 smaller than column length 3"):
+            upsample_column(np.array([0.0, 1.0, 0.5]), 2)
+
+    @pytest.mark.parametrize("target_length", [1, 2, 7])
+    def test_one_snippet_upsamples_to_a_constant_column(self, target_length):
+        out = upsample_column(np.array([0.3]), target_length)
+        assert np.array_equal(out, np.full(target_length, 0.3))
+        assert np.array_equal(interpolate_column_direct([0.3], target_length), out)
+
+
+@st.composite
+def columns_and_sigmas(draw):
+    """A column of 1-40 snippets and a kernel sigma whose radius may pass the column's length."""
+    length = draw(st.integers(1, 40))
+    column = draw(hnp.arrays(np.float64, length, elements=st.floats(0.0, 1.0)))
+    return column, draw(st.floats(0.05, 15.0))
+
+
+@given(columns_and_sigmas())
+@example((np.array([0.2, 0.9, 0.4]), 10.0))  # a radius of 40 on 3 snippets
+def test_smooth_column_equals_the_direct_oracle_property(case):
+    column, sigma = case
+    assert np.allclose(smooth_column(column, sigma), smooth_column_direct(column, sigma), atol=1e-12)
+
+
+@given(columns_and_sigmas().map(lambda case: case[0]), st.integers(0, 100))
+@example(np.array([0.6]), 0)  # one snippet onto itself
+@example(np.array([0.1, 0.8, 0.3]), 0)  # a target equal to the length
+def test_upsample_column_equals_the_direct_oracle_property(column, extra):
+    target_length = column.size + extra
+    out = upsample_column(column, target_length)
+    assert out.shape == (target_length,)
+    assert np.allclose(out, interpolate_column_direct(column, target_length), atol=1e-12)
 
 
 def pyramid(*lengths, first_level=1):
