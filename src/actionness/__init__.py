@@ -60,10 +60,10 @@ _EXPORTS = {
         "ProbabilitySignal",
         "augment_points",
         "fuse_probabilities",
-        "pyramid_scales",
         "select_background_points",
         "smooth_column",
         "upsample_column",
+        "video_pyramids",
     ),
     "synth": ("SyntheticConfig", "SyntheticVideo", "generate_dataset", "generate_video", "sample_point"),
     "verify": ("run_suite",),

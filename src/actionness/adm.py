@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,10 +24,10 @@ from .signal import (
     BackgroundPoints,
     ProbabilitySignal,
     augment_points,
-    pyramid_scales,
     select_background_points,
     smooth_column,
     upsample_column,
+    video_pyramids,
 )
 
 SIGMA_LOWER_BOUND = 1e-6
@@ -443,30 +443,31 @@ def generate_pseudo_labels(
 
 
 def label_videos(
-    grouped_levels: Mapping[str, Sequence[ProbabilitySignal]],
+    signals: Iterable[ProbabilitySignal],
     points: Sequence[PointAnnotation],
     config: ADMConfig,
 ) -> list[PseudoLabel]:
     """Fit one pseudo-label per annotated point, video by video in sorted id order.
 
-    ``grouped_levels`` maps each video id to its pyramid levels, in any order,
-    each annotated video's checked by ``pyramid_scales``. Background points
-    come from level 1 once every point is widened by ``config.r_a``; the fits
-    run on the coarsest level's columns of the points' classes, smoothed and then
-    upsampled to the level-1 length, all videos' in one ``generate_pseudo_labels``
-    call. Each label carries its two fit errors.
+    ``signals`` holds every video's pyramid levels, in any order, as
+    ``storage.load_signals`` returns them; ``video_pyramids`` reads and checks
+    every video's pyramid, annotated or not. Background points come from level
+    1 once every point is widened by ``config.r_a``; the fits run on the
+    coarsest level's columns of the points' classes, smoothed and then
+    upsampled to the level-1 length, all videos' in one
+    ``generate_pseudo_labels`` call. Each label carries its two fit errors.
     """
+    pyramids = video_pyramids(signals)
     by_video: dict[str, list[PointAnnotation]] = {}
     for point in points:
         by_video.setdefault(point.video_id, []).append(point)
-    missing = sorted(set(by_video) - set(grouped_levels))
+    missing = sorted(set(by_video) - set(pyramids))
     if missing:
         raise InvalidInputError(f"annotations reference videos without signals: {missing}")
 
     videos = []
     for video_id in sorted(by_video):
-        levels = sorted(grouped_levels[video_id], key=lambda s: s.level)
-        pyramid_scales(levels)
+        levels = pyramids[video_id].levels
         finest, coarsest = levels[0], levels[-1]
         video_points = by_video[video_id]
         intervals = augment_points(video_points, config.r_a, finest.length)

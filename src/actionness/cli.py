@@ -72,15 +72,13 @@ def _parse_thresholds(text: str) -> list[float]:
     return [round(start + i * step, 10) for i in range(count)]
 
 
-def _load_videos(signals_path: Path, fuse: bool) -> dict[str, list[ProbabilitySignal]]:
-    """Each video's levels, finest first; with ``fuse`` every level is fused class-agnostically."""
+def _load_signals(signals_path: Path, fuse: bool) -> list[ProbabilitySignal]:
+    """Every signal under ``signals_path``; with ``fuse`` each is fused class-agnostically."""
     from .signal import fuse_probabilities
-    from .storage import group_signals_by_video, load_signals
+    from .storage import load_signals
 
-    grouped = group_signals_by_video(load_signals(signals_path))
-    if fuse:
-        grouped = {video_id: [fuse_probabilities(s) for s in levels] for video_id, levels in grouped.items()}
-    return grouped
+    signals = load_signals(signals_path)
+    return [fuse_probabilities(s) for s in signals] if fuse else signals
 
 
 class _Main(click.Group):
@@ -215,9 +213,9 @@ def adm(signals_path, annotations_path, out_path, delta, gamma1, gamma2, smoothi
         clip_to_boundary=clip_to_boundary,
         r_a=r_a,
     )
-    grouped = _load_videos(signals_path, fuse)
+    signals = _load_signals(signals_path, fuse)
     points = load_annotations(annotations_path)
-    labels = label_videos(grouped, points, config)
+    labels = label_videos(signals, points, config)
     save_pseudo_labels(out_path, labels)
 
     if points:
@@ -252,7 +250,7 @@ def decode_cmd(signals_path, out_path, thresholds, oic_inflation, nms_tiou, clas
         class_score_threshold=class_threshold,
         top_k_fraction=top_k_fraction,
     )
-    proposals = decode_videos(_load_videos(signals_path, fuse), config)
+    proposals = decode_videos(_load_signals(signals_path, fuse), config)
     save_proposals(out_path, proposals)
     log.info("decoded %d proposals", len(proposals))
 

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -12,7 +11,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import InvalidInputError, require_finite
 from .losses import video_level_scores
 from .records import Proposal
-from .signal import ProbabilitySignal, pyramid_scales
+from .signal import ProbabilitySignal, Pyramid, video_pyramids
 
 DEFAULT_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 NMS_PAIR_CHUNK = 1 << 16  # most candidate pairs one NMS step expands at once
@@ -217,20 +216,18 @@ def nms(proposals: Sequence[Proposal], tiou_threshold: float) -> list[Proposal]:
     return [p for p, kept in zip(ordered, keep.tolist()) if kept]
 
 
-def decode_videos(grouped_levels: Mapping[str, Sequence[ProbabilitySignal]], config: DecoderConfig) -> list[Proposal]:
-    """Decode each video's pyramid levels, as given and in any order, into scored
-    proposals, video after video in sorted video id order.
+def decode_videos(signals: Iterable[ProbabilitySignal], config: DecoderConfig) -> list[Proposal]:
+    """Decode every video's pyramid levels, given in any order as ``storage.load_signals``
+    returns them, into scored proposals, video after video in sorted video id order.
 
-    For every selected class of a video, ``threshold_runs`` finds each level's
-    runs above every threshold at once. Runs map onto the level-1 snippets
-    pooled into them (a run ``[a, b]`` at the ratio ``s`` that
-    ``pyramid_scales`` reads from the lengths covers
-    ``[a*s, min((b+1)*s, E) - 1]``, where ``E``, the level-1 snippets the level
-    covers, is the least ``n*s`` over it and the levels below it, ``n`` each
-    one's length). Then ``oic_scores`` scores every segment of every video by
-    outer-inner contrast on its level-1 column, in one pass, and each video's
-    pool is reduced with the module's ``nms``, whose work follows the pool's
-    overlapping same-class pairs.
+    ``video_pyramids`` reads and checks each video's pyramid. For every
+    selected class of a video, ``threshold_runs`` finds each level's runs
+    above every threshold at once. Runs map onto the level-1 snippets pooled
+    into them: a run ``[a, b]`` of a level of ratio ``s`` and extent ``E``
+    covers ``[a*s, min((b+1)*s, E) - 1]``. Then ``oic_scores`` scores every
+    segment of every video by outer-inner contrast on its level-1 column, in
+    one pass, and each video's pool is reduced with the module's ``nms``,
+    whose work follows the pool's overlapping same-class pairs.
 
     Each distinct segment of a class is scored and enters the pool once, in
     the order it is first found, level by level from the finest and
@@ -241,7 +238,7 @@ def decode_videos(grouped_levels: Mapping[str, Sequence[ProbabilitySignal]], con
     suppressed the twin otherwise: the survivors and their order are those of
     the pool with its repeats.
     """
-    videos = [_distinct_segments(grouped_levels[video_id], config) for video_id in sorted(grouped_levels)]
+    videos = [(video_id, _distinct_segments(pyramid, config)) for video_id, pyramid in video_pyramids(signals).items()]
     classes = [segments for _, per_class in videos for segments in per_class]
     if not classes:
         return []
@@ -263,33 +260,24 @@ def decode_videos(grouped_levels: Mapping[str, Sequence[ProbabilitySignal]], con
     return proposals
 
 
-def _distinct_segments(signals: Sequence[ProbabilitySignal], config: DecoderConfig):
-    """One video's id and, for each class it selects, ``(class id, level-1 column, starts, ends)``
+def _distinct_segments(pyramid: Pyramid, config: DecoderConfig):
+    """For each class one video's pyramid selects, ``(class id, level-1 column, starts, ends)``
     of the class's distinct level-1 segments, in the order they are first found."""
-    if not signals:
-        raise InvalidInputError("decode requires at least one signal")
-    video_id = signals[0].video_id
-    if any(s.video_id != video_id for s in signals):
-        raise InvalidInputError("all signals must belong to the same video")
-    signals = sorted(signals, key=lambda s: s.level)
-    scales = pyramid_scales(signals)
-    # the level-1 snippets each level covers: level 1's, less any that a
-    # floor-pooled level at or below it dropped from the end
-    extents = list(itertools.accumulate((sig.length * scale for sig, scale in zip(signals, scales)), min))
+    finest = pyramid.levels[0]
     per_level = []
-    for sig in signals:
+    for sig in pyramid.levels:
         k = max(1, min(sig.length, int(round(config.top_k_fraction * sig.length))))
         per_level.append(video_level_scores(sig, k))
     per_class = []
     for class_id in select_classes(np.mean(per_level, axis=0), config.class_score_threshold):
         starts, ends = [], []
-        for sig, scale, extent in zip(signals, scales, extents):
+        for sig, scale, extent in zip(pyramid.levels, pyramid.scales, pyramid.extents):
             run_starts, run_ends = threshold_runs(sig.class_column(class_id), config.thresholds)
             # coarse snippet j pools level-1 snippets j*scale .. (j+1)*scale - 1
             starts.append(run_starts * scale)
             ends.append(np.minimum((run_ends + 1) * scale, extent) - 1)
         starts, ends = np.concatenate(starts), np.concatenate(ends)
         # the same segment recurs across thresholds and levels: keep it where it is first found
-        first = np.sort(np.unique(starts * signals[0].length + ends, return_index=True)[1])
-        per_class.append((class_id, signals[0].class_column(class_id), starts[first], ends[first]))
-    return video_id, per_class
+        first = np.sort(np.unique(starts * finest.length + ends, return_index=True)[1])
+        per_class.append((class_id, finest.class_column(class_id), starts[first], ends[first]))
+    return per_class

@@ -3,14 +3,16 @@
 A probability signal is a (T, C+1) grid of per-snippet probabilities at one
 pyramid level: C class columns followed by one background column. Class ids
 are 1-based throughout, so class ``c`` lives in column ``c - 1``.
-``pyramid_scales`` reads each coarser level's ratio to level 1 from the lengths,
-as the product of integer pooling steps from level to level.
+``video_pyramids`` groups the levels of each video into one checked pyramid and
+reads each coarser level's ratio to level 1 from the lengths, as the product of
+integer pooling steps from level to level.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -129,29 +131,54 @@ def upsample_column(column: np.ndarray, target_length: int) -> np.ndarray:
     return np.interp(np.linspace(0.0, length - 1.0, target_length), np.arange(length, dtype=np.float64), column)
 
 
-def pyramid_scales(levels: Sequence[ProbabilitySignal]) -> list[int]:
-    """Each level's snippet ratio to level 1, read from one video's level lengths.
+class Pyramid(NamedTuple):
+    """One video's levels, finest first from level 1, with each level's snippet ratio
+    to level 1 and the level-1 snippets it covers."""
 
-    ``levels`` is the video's pyramid, finest first, starting at level 1. Each
-    level pools the level below it, of ``m`` snippets, by an integer step
-    ``r >= 2`` into ``m // r`` or ``ceil(m / r)`` snippets, so its ratio to
-    level 1 is the product of the steps up to it. Where more than one step fits
-    a length, which takes a level shorter than twice its step (4 snippets pool
-    into 2 by 2 or by 3), the smallest is read, so a pyramid that halves is
-    always read exactly. Anything else raises ``InvalidInputError`` naming
-    the video.
+    levels: list[ProbabilitySignal]
+    scales: list[int]
+    extents: list[int]
+
+
+def video_pyramids(signals: Iterable[ProbabilitySignal]) -> dict[str, Pyramid]:
+    """Each video's pyramid, read from its levels given in any order, videos in sorted id order.
+
+    Every level must hold the classes of level 1, and level 1 is required, as
+    annotations, ground truth and proposals index its snippets. Each level
+    pools the level below it, of ``m`` snippets, by an integer step ``r >= 2``
+    into ``m // r`` or ``ceil(m / r)`` snippets, so its ratio to level 1 is the
+    product of the steps up to it. Where more than one step fits a length,
+    which takes a level shorter than twice its step (4 snippets pool into 2 by
+    2 or by 3), the smallest is read, so a pyramid that halves is always read
+    exactly. A level's extent, the level-1 snippets it covers, is the least
+    ``n * s`` over it and the levels below it, ``n`` each one's length and
+    ``s`` its ratio. A level given twice, or any other break of these rules,
+    raises ``InvalidInputError`` naming the video.
     """
-    video_id = levels[0].video_id
+    grouped: dict[str, list[ProbabilitySignal]] = {}
+    for signal in sorted(signals, key=lambda s: (s.video_id, s.level)):
+        grouped.setdefault(signal.video_id, []).append(signal)
+    return {video_id: _pyramid(video_id, levels) for video_id, levels in grouped.items()}
+
+
+def _pyramid(video_id: str, levels: list[ProbabilitySignal]) -> Pyramid:
+    """One video's checked pyramid, from its levels finest first."""
     numbers = [signal.level for signal in levels]
-    if 1 not in numbers:
+    for lower, upper in zip(numbers, numbers[1:]):
+        if lower == upper:
+            raise InvalidInputError(f"video {video_id!r} has level {lower} more than once")
+    if numbers[0] != 1:
         raise InvalidInputError(
             f"video {video_id!r} has no level 1 (its levels are {numbers}); "
             "annotations, ground truth and proposals index level-1 snippets"
         )
-    if numbers != sorted(set(numbers)):
-        raise InvalidInputError(f"video {video_id!r}: levels {numbers} must be given finest first, each once")
     scales = [1]
     for below, signal in zip(levels, levels[1:]):
+        if signal.num_classes != levels[0].num_classes:
+            raise InvalidInputError(
+                f"video {video_id!r}: level {signal.level} holds {signal.num_classes} classes where level 1 "
+                f"holds {levels[0].num_classes}; every level must hold the same classes"
+            )
         # the smallest step that pools ``below`` into at most ``signal.length`` snippets
         step = max(2, below.length // (signal.length + 1) + 1)
         if signal.length > -(-below.length // step):
@@ -160,7 +187,9 @@ def pyramid_scales(levels: Sequence[ProbabilitySignal]) -> list[int]:
                 f"integer step of 2 or more pools level {below.level}'s {below.length} snippets into"
             )
         scales.append(scales[-1] * step)
-    return scales
+    # level 1's snippets, less any that a floor-pooled level at or below it dropped from the end
+    extents = list(itertools.accumulate((signal.length * scale for signal, scale in zip(levels, scales)), min))
+    return Pyramid(levels, scales, extents)
 
 
 def augment_points(

@@ -25,7 +25,7 @@ import zipfile
 from contextlib import contextmanager
 from operator import getitem
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import InvalidInputError
 from .records import GroundTruthInstance, PointAnnotation, Proposal, PseudoLabel
@@ -240,7 +240,6 @@ def _load_npz(path: Path) -> list[ProbabilitySignal]:
         raise InvalidInputError(f"video_id in {path} must be a 0-d string array")
     if not levels:
         raise InvalidInputError(f"signal archive {path} has no {_LEVEL_PREFIX}<k> member")
-    levels.sort(key=lambda item: item[0])
     for level, values in levels:
         if values.dtype.kind not in "iuf":
             raise InvalidInputError(f"level {level} in {path} holds {values.dtype} values, not numbers")
@@ -270,21 +269,6 @@ def load_signals(path: Path | str) -> list[ProbabilitySignal]:
     # no key of a signal record and no JSON number holds an r or an f; true and false do
     check_booleans = "r" in text or "f" in text
     return [signal_from_dict(record, check_booleans) for record in records]
-
-
-def group_signals_by_video(
-    signals: Iterable[ProbabilitySignal],
-) -> dict[str, list[ProbabilitySignal]]:
-    """Each video's levels, finest first; a level given twice raises InvalidInputError."""
-    grouped: dict[str, list[ProbabilitySignal]] = {}
-    for signal in signals:
-        grouped.setdefault(signal.video_id, []).append(signal)
-    for video_id, levels in grouped.items():
-        levels.sort(key=lambda s: s.level)
-        for lower, upper in zip(levels, levels[1:]):
-            if lower.level == upper.level:
-                raise InvalidInputError(f"video {video_id!r} has level {lower.level} more than once")
-    return grouped
 
 
 # --- records: annotations, ground truth, pseudo-labels, proposals ----------

@@ -207,7 +207,7 @@ def test_criterion_7_decoder_round_trip_and_nms_idempotence():
     )
     decoder_config = DecoderConfig(top_k_fraction=1 / 16, class_score_threshold=0.3)
     videos = [generate_video(config, np.random.default_rng([7, index]), f"v{index:03d}") for index in range(40)]
-    proposals = decode_videos({video.signal.video_id: [video.signal] for video in videos}, decoder_config)
+    proposals = decode_videos([video.signal for video in videos], decoder_config)
     instances = [instance for video in videos for instance in video.gt]
     # one proposal per instance, video by video
     assert Counter(p.video_id for p in proposals) == Counter(g.video_id for g in instances)

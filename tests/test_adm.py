@@ -685,11 +685,16 @@ def synth_dataset(videos=6, seed=11):
     return grouped, points
 
 
+def flat(grouped):
+    """Every video's levels in one list, as ``storage.load_signals`` returns them."""
+    return [signal for levels in grouped.values() for signal in levels]
+
+
 class TestLabelVideos:
     def test_fit_errors_equal_the_fit_objectives(self):
         grouped, points = synth_dataset()
         config = ADMConfig()
-        labels = label_videos(grouped, points, config)
+        labels = label_videos(flat(grouped), points, config)
         assert len(labels) == len(points)
         tiny = [label for label in labels if label.video_id == "tiny"]
         assert len(tiny) == 1 and tiny[0].degenerate and tiny[0].sigma == SIGMA_LOWER_BOUND
@@ -733,7 +738,7 @@ class TestLabelVideos:
 
         monkeypatch.setattr(adm, "smooth_column", smooth)
         monkeypatch.setattr(adm, "upsample_column", upsample)
-        label_videos(grouped, points, ADMConfig())
+        label_videos(flat(grouped), points, ADMConfig())
         annotated = {(point.video_id, point.class_id) for point in points}
         assert len(annotated) < sum(levels[-1].num_classes for levels in grouped.values())
         # each annotated class's column of the coarsest level, once, and no other column
@@ -745,19 +750,24 @@ class TestLabelVideos:
 
     def test_levels_in_any_order(self):
         grouped, points = synth_dataset()
-        reordered = {video_id: levels[::-1] for video_id, levels in grouped.items()}
-        assert label_videos(reordered, points, ADMConfig()) == label_videos(grouped, points, ADMConfig())
+        signals = flat(grouped)
+        expected = label_videos(signals, points, ADMConfig())
+        # reversed; every video's coarser levels before any level 1; shuffled, levels and videos interleaved
+        orders = [signals[::-1], sorted(signals, key=lambda s: -s.level)]
+        orders += [[signals[i] for i in np.random.default_rng(seed).permutation(len(signals))] for seed in range(3)]
+        for reordered in orders:
+            assert label_videos(reordered, points, ADMConfig()) == expected
 
     @pytest.mark.parametrize("levels", [(2,), (2, 3)])
     def test_finest_level_must_be_one(self, levels):
         values = np.full((8, 2), 0.5)
-        grouped = {"v0": [ProbabilitySignal("v0", level, values) for level in levels]}
+        signals = [ProbabilitySignal("v0", level, values) for level in levels]
         with pytest.raises(InvalidInputError, match="'v0' has no level 1"):
-            label_videos(grouped, [PointAnnotation("v0", 3, 1)], ADMConfig())
+            label_videos(signals, [PointAnnotation("v0", 3, 1)], ADMConfig())
 
     def test_video_without_signals_named(self):
         with pytest.raises(InvalidInputError, match="ghost"):
-            label_videos({}, [PointAnnotation("ghost", 3, 1)], ADMConfig())
+            label_videos([], [PointAnnotation("ghost", 3, 1)], ADMConfig())
 
 
 class TestADMConfig:

@@ -20,7 +20,6 @@ from actionness.decoder import DecoderConfig, Proposal, decode_videos
 from actionness.errors import InvalidInputError, PackingError
 from actionness.signal import PointAnnotation, ProbabilitySignal, fuse_probabilities
 from actionness.storage import (
-    group_signals_by_video,
     load_annotations,
     load_ground_truth,
     load_json,
@@ -591,31 +590,37 @@ def fails_cleanly(result, fragment):
     assert isinstance(result.exception, SystemExit)  # not a traceback
 
 
-def small_signal(video_id="v0", level=1, length=8):
-    values = np.full((length, 3), 0.1)
+def small_signal(video_id="v0", level=1, length=8, classes=2):
+    values = np.full((length, classes + 1), 0.1)
     values[2:5, 0] = 0.9
     return ProbabilitySignal(video_id, level, values)
 
 
+# malformed pyramids of one video, each as {level: (length, classes)}, with a fragment of the error it ends in
+_MALFORMED_PYRAMIDS = {
+    "longer-level": ({1: (64, 2), 2: (128, 2)}, "level 2 has 128 snippets"),
+    "length-off-ratio": ({1: (64, 2), 2: (40, 2)}, "level 2 has 40 snippets"),
+    "no-level-1": ({2: (32, 2), 3: (16, 2)}, "has no level 1"),
+    "class-counts-differ": ({1: (16, 2), 2: (8, 3)}, "level 2 holds 3 classes where level 1 holds 2"),
+}
+
+
 class TestInconsistentPyramid:
-    @pytest.mark.parametrize(
-        "command, lengths, fragment",
-        [
-            ("adm", {1: 64, 2: 128}, "level 2 has 128 snippets"),
-            ("adm", {1: 64, 2: 40}, "level 2 has 40 snippets"),
-            ("decode", {1: 64, 2: 128}, "level 2 has 128 snippets"),
-            ("decode", {1: 64, 2: 40}, "level 2 has 40 snippets"),
-            ("decode", {2: 32, 3: 16}, "has no level 1"),
-        ],
-        ids=["adm-longer-level", "adm-length-off-ratio", "decode-longer-level", "decode-length-off-ratio",
-             "decode-no-level-1"],
-    )
-    def test_rejected(self, runner, tmp_path, command, lengths, fragment):
-        save_signals(tmp_path / "v0.json", [small_signal(level=level, length=length) for level, length in lengths.items()])
+    @pytest.mark.parametrize("case", _MALFORMED_PYRAMIDS)
+    @pytest.mark.parametrize("command", ["adm", "adm-unannotated", "decode"])
+    def test_rejected(self, runner, tmp_path, command, case):
+        levels, fragment = _MALFORMED_PYRAMIDS[case]
+        sigdir = tmp_path / "signals"
+        sigdir.mkdir()
+        # a well-formed video a0 comes first; v0 holds the malformed pyramid
+        save_signals(sigdir / "a0.json", [small_signal("a0")])
+        save_signals(sigdir / "v0.json", [small_signal(level=level, length=length, classes=classes)
+                                          for level, (length, classes) in levels.items()])
         out_file = tmp_path / "out.json"
-        args = [command, "--signals", str(tmp_path / "v0.json"), "--out", str(out_file)]
-        if command == "adm":
-            save_annotations(tmp_path / "ann.json", [PointAnnotation("v0", 3, 1)])
+        args = [command.split("-")[0], "--signals", str(sigdir), "--out", str(out_file)]
+        if command != "decode":
+            annotated = "a0" if command == "adm-unannotated" else "v0"
+            save_annotations(tmp_path / "ann.json", [PointAnnotation(annotated, 3, 1)])
             args += ["--annotations", str(tmp_path / "ann.json")]
         result = runner.invoke(main, args)
         fails_cleanly(result, fragment)
@@ -969,17 +974,17 @@ def test_adm_labels_a_pyramid_whose_coarsest_level_has_one_snippet(runner, tmp_p
     extra = ("--length", "8", "--classes", "2", "--instances", "1", "1", "--durations", "3", "4")
     assert invoke(runner, synth_args(data, videos=2, seed="1", extra=extra)).exit_code == 0
     pyramid.mkdir()
-    grouped = {}
+    signals = []
     for signal in load_signals(data / "signals"):
         levels = [signal]
         while levels[-1].length > 1:
             values = levels[-1].values
             levels.append(ProbabilitySignal(signal.video_id, len(levels) + 1, 0.5 * (values[0::2] + values[1::2])))
         save_signals(pyramid / f"{signal.video_id}.json", levels)
-        grouped[signal.video_id] = levels
+        signals += levels
     assert [signal.length for signal in levels] == [8, 4, 2, 1]
     annotations = load_annotations(data / "annotations.json")
-    save_pseudo_labels(tmp_path / "expected.json", label_videos(grouped, annotations, ADMConfig()))
+    save_pseudo_labels(tmp_path / "expected.json", label_videos(signals, annotations, ADMConfig()))
     out = tmp_path / "labels.json"
     result = invoke(runner, ["adm", "--signals", str(pyramid), "--annotations", str(data / "annotations.json"),
                              "--out", str(out)])
@@ -1198,8 +1203,7 @@ def test_fused_adm_and_decode_equal_the_library_on_fused_levels(runner, tmp_path
     data = tmp_path / "data"
     assert invoke(runner, synth_args(data, videos=3, noise="0.05")).exit_code == 0
     signals = data / "signals"
-    fused = {video_id: [fuse_probabilities(s) for s in levels]
-             for video_id, levels in group_signals_by_video(load_signals(signals)).items()}
+    fused = [fuse_probabilities(s) for s in load_signals(signals)]
     adm_config = ADMConfig(clip_to_boundary=True)
     save_pseudo_labels(tmp_path / "expected_labels.json",
                        label_videos(fused, load_annotations(data / "annotations.json"), adm_config))

@@ -17,7 +17,7 @@ from actionness.errors import InvalidInputError
 from actionness.evaluation import tiou
 from actionness.losses import video_level_scores
 from actionness.oracles import nms_direct, oic_direct
-from actionness.signal import ProbabilitySignal, pyramid_scales
+from actionness.signal import ProbabilitySignal, video_pyramids
 from actionness.synth import SyntheticConfig, generate_video
 
 
@@ -35,11 +35,6 @@ def runs_above(column, threshold):
 def oic_of(column, segment, inflation):
     """``oic_scores`` of one column and one segment."""
     return float(oic_scores([column], [0], [segment[0]], [segment[1]], inflation)[0])
-
-
-def decode_pyramid(levels, config):
-    """``decode_videos`` of one video's levels."""
-    return decode_videos({levels[0].video_id: levels}, config)
 
 
 def scalar_runs(column, threshold):
@@ -376,7 +371,8 @@ def test_nms_rejects_a_negative_threshold():
 def pool_with_repeats(levels, config):
     """Every (class, level, threshold) run of a pyramid, finest level first, found and scored
     one by one with the scalar helpers: repeats included."""
-    scales = pyramid_scales(levels)
+    (pyramid,) = video_pyramids(levels).values()
+    scales = pyramid.scales
     video_scores = np.mean(
         [video_level_scores(sig, max(1, min(sig.length, round(config.top_k_fraction * sig.length)))) for sig in levels],
         axis=0,
@@ -407,14 +403,14 @@ class TestDecode:
 
     def test_single_rectangle_single_survivor(self):
         signal = self.plateau_signal([(50, 110, 1, 0.85)])
-        proposals = decode_pyramid([signal], self.config())
+        proposals = decode_videos([signal], self.config())
         assert len(proposals) == 1
         assert proposals[0].class_id == 1
         assert tiou(proposals[0].interval, (50, 110)) >= 0.9
 
     def test_two_rectangles_two_survivors(self):
         signal = self.plateau_signal([(30, 70, 1, 0.85), (150, 210, 2, 0.9)])
-        proposals = decode_pyramid([signal], self.config())
+        proposals = decode_videos([signal], self.config())
         assert len(proposals) == 2
         by_class = {p.class_id: p for p in proposals}
         assert tiou(by_class[1].interval, (30, 70)) >= 0.9
@@ -424,7 +420,7 @@ class TestDecode:
         rng = np.random.default_rng(45)
         columns = rng.uniform(0, 1, (64, 2))
         signal = make_signal(columns)
-        for proposal in decode_pyramid([signal], DecoderConfig()):
+        for proposal in decode_videos([signal], DecoderConfig()):
             assert 0 <= proposal.start <= proposal.end <= 63
             assert np.isfinite(proposal.score)
 
@@ -433,7 +429,7 @@ class TestDecode:
         coarse_columns = np.full((64, 1), 0.05)
         coarse_columns[20:40, 0] = 0.8
         coarse = make_signal(coarse_columns, level=2)
-        proposals = decode_pyramid([fine, coarse], self.config())
+        proposals = decode_videos([fine, coarse], self.config())
         assert proposals, "expected at least one proposal"
         best = max(proposals, key=lambda p: p.score)
         assert tiou(best.interval, (40, 79)) >= 0.9
@@ -446,7 +442,7 @@ class TestDecode:
         decoder_config = self.config()
         pool = pool_with_repeats(levels, decoder_config)
         assert len({(p.start, p.end, p.class_id) for p in pool}) < len(pool), "no repeated segment to reuse"
-        assert decode_pyramid(levels, decoder_config) == nms_direct(pool, decoder_config.nms_tiou)
+        assert decode_videos(levels, decoder_config) == nms_direct(pool, decoder_config.nms_tiou)
 
     @pytest.mark.parametrize(
         "fine_length, coarse_length, run, expected",
@@ -458,7 +454,7 @@ class TestDecode:
         coarse_columns = np.full((coarse_length, 1), 0.05)
         coarse_columns[run[0] : run[1] + 1, 0] = 0.8
         coarse = make_signal(coarse_columns, level=2)
-        assert [p.interval for p in decode_pyramid([fine, coarse], self.config())] == [expected]
+        assert [p.interval for p in decode_videos([fine, coarse], self.config())] == [expected]
 
     @pytest.mark.parametrize(
         "lengths, run, expected",
@@ -475,17 +471,22 @@ class TestDecode:
         coarsest = levels[-1].values.copy()
         coarsest[run[0] : run[1] + 1, 0] = 0.8
         levels[-1] = ProbabilitySignal("v0", len(lengths), coarsest)
-        assert [p.interval for p in decode_pyramid(levels, self.config())] == [expected]
+        assert [p.interval for p in decode_videos(levels, self.config())] == [expected]
 
     def test_levels_in_any_order(self):
         video = generate_video(SyntheticConfig(length=256, num_classes=2), np.random.default_rng(4), "v0")
         values = video.signal.values
         levels = [video.signal, ProbabilitySignal("v0", 2, 0.5 * (values[0::2] + values[1::2]))]
-        assert decode_pyramid(levels[::-1], self.config()) == decode_pyramid(levels, self.config())
-
-    def test_requires_signals(self):
-        with pytest.raises(InvalidInputError, match="at least one signal"):
-            decode_videos({"v0": []}, DecoderConfig())
+        assert decode_videos(levels[::-1], self.config()) == decode_videos(levels, self.config())
+        # several videos: levels and videos interleaved, in any order
+        rng = np.random.default_rng(5)
+        signals = [signal for video_id in ("b", "a", "c") for signal in quarter_step_pyramid(video_id, 64, 2, [True, False], rng)]
+        expected = decode_videos(signals, self.config())
+        assert {p.video_id for p in expected} == {"a", "b", "c"}
+        orders = [signals[::-1], sorted(signals, key=lambda s: -s.level)]
+        orders += [[signals[i] for i in np.random.default_rng(seed).permutation(len(signals))] for seed in range(3)]
+        for reordered in orders:
+            assert decode_videos(reordered, self.config()) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -509,13 +510,16 @@ def test_coarse_runs_cover_the_snippets_pooled_into_them(steps, ceil_pooled, len
         pooled = [sum(below[j * step : (j + 1) * step], []) for j in range(count)]
         levels.append(ProbabilitySignal("v0", level, np.array([fine[snippets].mean(axis=0) for snippets in pooled])))
         groups.append(pooled)
-    assert pyramid_scales(levels) == list(np.cumprod([1, *steps]))
+    (pyramid,) = video_pyramids(levels).values()
+    assert pyramid.scales == list(np.cumprod([1, *steps]))
+    # each level covers the level-1 snippets up to the last one pooled into its last snippet
+    assert pyramid.extents == [pooled[-1][-1] + 1 for pooled in groups]
 
     config = DecoderConfig()
     pools = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(decoder, "nms", lambda pool, threshold: pools.append(pool) or pool)
-        decode_pyramid(levels, config)
+        decode_videos(levels, config)
     expected = [
         (pooled[start][0], pooled[end][-1])
         for signal, pooled in zip(levels, groups)
@@ -553,7 +557,7 @@ def test_decode_equals_the_oracle_over_the_pool_with_repeats_property(
     config = DecoderConfig(
         thresholds=thresholds, oic_inflation=inflation, nms_tiou=nms_tiou, class_score_threshold=class_score_threshold
     )
-    assert decode_pyramid(levels, config) == nms_direct(pool_with_repeats(levels, config), nms_tiou)
+    assert decode_videos(levels, config) == nms_direct(pool_with_repeats(levels, config), nms_tiou)
 
 
 class TestDecoderConfig:
@@ -594,17 +598,16 @@ def test_decode_videos_equals_the_oracle_video_by_video_property(
 ):
     # every video is scored in one pass, so a flank or a run that crossed into the next video's column would show
     rng = np.random.default_rng(seed)
-    grouped = {
-        f"v{index}": quarter_step_pyramid(f"v{index}", length, classes, ceil_pooled, rng)
-        for index, length in enumerate(lengths)
-    }
+    pyramids = [
+        quarter_step_pyramid(f"v{index}", length, classes, ceil_pooled, rng) for index, length in enumerate(lengths)
+    ]
     config = DecoderConfig(oic_inflation=inflation, class_score_threshold=class_score_threshold)
     expected = [
         proposal
-        for video_id in sorted(grouped)
-        for proposal in nms_direct(pool_with_repeats(grouped[video_id], config), config.nms_tiou)
+        for levels in sorted(pyramids, key=lambda levels: levels[0].video_id)
+        for proposal in nms_direct(pool_with_repeats(levels, config), config.nms_tiou)
     ]
-    assert decode_videos(grouped, config) == expected
+    assert decode_videos([signal for levels in pyramids for signal in levels], config) == expected
 
 
 def test_decode_videos_hands_each_video_pool_to_the_module_nms(monkeypatch):
@@ -617,22 +620,12 @@ def test_decode_videos_hands_each_video_pool_to_the_module_nms(monkeypatch):
 
     monkeypatch.setattr(decoder, "nms", recording_nms)
     rng = np.random.default_rng(48)
-    grouped = {video_id: quarter_step_pyramid(video_id, 64, 2, [True], rng) for video_id in ("b", "a", "c")}
+    signals = [signal for video_id in ("b", "a", "c") for signal in quarter_step_pyramid(video_id, 64, 2, [True], rng)]
     config = DecoderConfig()
-    proposals = decode_videos(grouped, config)
+    proposals = decode_videos(signals, config)
     assert [kwargs for _, kwargs in calls] == [{}, {}, {}]
     assert [threshold for (_, threshold), _ in calls] == [config.nms_tiou] * 3
     pools = [pool for (pool, _), _ in calls]
     assert [{p.video_id for p in pool} for pool in pools] == [{"a"}, {"b"}, {"c"}]
     assert all(type(p) is Proposal for pool in pools for p in pool)
     assert proposals == [p for pool in pools for p in nms(pool, config.nms_tiou)]
-
-
-def test_decode_videos_rejects_an_empty_or_mixed_video():
-    signal = make_signal(np.full((8, 1), 0.8))
-    with pytest.raises(InvalidInputError, match="at least one signal"):
-        decode_videos({"v0": [signal], "v1": []}, DecoderConfig())
-    other = make_signal(np.full((4, 1), 0.8), video_id="v1", level=2)
-    with pytest.raises(InvalidInputError, match="same video"):
-        decode_videos({"v0": [signal, other]}, DecoderConfig())
-

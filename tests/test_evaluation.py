@@ -484,6 +484,6 @@ def test_threshold_decoding_overproduces_versus_adm():
     )
     decoder_config = DecoderConfig(top_k_fraction=1 / 16, class_score_threshold=0.3)
     videos = [generate_video(config, np.random.default_rng([3, index]), f"v{index}") for index in range(15)]
-    proposals = decode_videos({video.signal.video_id: [video.signal] for video in videos}, decoder_config)
+    proposals = decode_videos([video.signal for video in videos], decoder_config)
     alpha = len(proposals) / sum(len(video.gt) for video in videos)
     assert alpha > 3.0  # directional: far more proposals than instances

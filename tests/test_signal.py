@@ -13,10 +13,10 @@ from actionness.signal import (
     ProbabilitySignal,
     augment_points,
     fuse_probabilities,
-    pyramid_scales,
     select_background_points,
     smooth_column,
     upsample_column,
+    video_pyramids,
 )
 from actionness.synth import SyntheticConfig, generate_video
 
@@ -204,6 +204,12 @@ def pyramid(*lengths, first_level=1):
     return [make_signal(np.full((length, 2), 0.5), level=level) for level, length in enumerate(lengths, first_level)]
 
 
+def scales_of(levels):
+    """``video_pyramids`` of one video's levels: their ratios to level 1."""
+    (read,) = video_pyramids(levels).values()
+    return read.scales
+
+
 class TestPyramidScales:
     @pytest.mark.parametrize(
         "lengths, scales",
@@ -220,7 +226,7 @@ class TestPyramidScales:
         ],
     )
     def test_ratios_read_from_lengths(self, lengths, scales):
-        assert pyramid_scales(pyramid(*lengths)) == scales
+        assert scales_of(pyramid(*lengths)) == scales
 
     @pytest.mark.parametrize(
         "lengths, first_level",
@@ -229,13 +235,37 @@ class TestPyramidScales:
     )
     def test_inconsistent_pyramid_names_the_video(self, lengths, first_level):
         with pytest.raises(InvalidInputError, match="video 'v0'"):
-            pyramid_scales(pyramid(*lengths, first_level=first_level))
+            video_pyramids(pyramid(*lengths, first_level=first_level))
 
-    @pytest.mark.parametrize("numbers", [(2, 1), (1, 1)], ids=["coarsest-first", "level-repeated"])
+    @pytest.mark.parametrize("numbers", [(1, 1)], ids=["level-repeated"])
     def test_levels_out_of_order_name_the_video(self, numbers):
         levels = [make_signal(np.full((8 // number, 2), 0.5), level=number) for number in numbers]
-        with pytest.raises(InvalidInputError, match="video 'v0': levels .* must be given finest first, each once"):
-            pyramid_scales(levels)
+        with pytest.raises(InvalidInputError, match="video 'v0' has level 1 more than once"):
+            video_pyramids(levels)
+
+    def test_levels_with_different_class_counts_name_the_video(self):
+        levels = [make_signal(np.full((16, 3), 0.5)), make_signal(np.full((8, 4), 0.5), level=2)]
+        with pytest.raises(InvalidInputError, match="video 'v0': level 2 holds 3 classes where level 1 holds 2"):
+            video_pyramids(levels)
+
+    def test_groups_and_orders_interleaved_levels(self):
+        signals = [
+            make_signal(np.full((length, 2), 0.5), video_id=video_id, level=level)
+            for video_id, level, length in [("b", 3, 16), ("a", 2, 32), ("b", 1, 64), ("a", 1, 64), ("b", 2, 32)]
+        ]
+        pyramids = video_pyramids(signals)
+        assert list(pyramids) == ["a", "b"]
+        assert [[s.level for s in levels] for levels, _, _ in pyramids.values()] == [[1, 2], [1, 2, 3]]
+        assert pyramids["b"].scales == [1, 2, 4]
+
+    @pytest.mark.parametrize(
+        "lengths, extents",
+        [((64, 32, 16), [64, 64, 64]), ((111, 55, 27, 13), [111, 110, 108, 104]), ((97, 49, 25, 13), [97, 97, 97, 97]),
+         ((65, 32, 10), [65, 64, 60])],
+    )
+    def test_extents_are_the_level_1_snippets_each_level_covers(self, lengths, extents):
+        (read,) = video_pyramids(pyramid(*lengths)).values()
+        assert read.extents == extents
 
 
 class TestAugmentPoints:
