@@ -2,14 +2,17 @@
 
 Each loss returns a :class:`LossValue` carrying the scalar loss and the
 gradient with respect to the differentiated input, shaped like that input so
-finite-difference checks can perturb entries directly. Probabilities are
-clamped away from 0 and 1 before any logarithm.
+finite-difference checks can perturb entries directly. The value is computed
+at once; the gradient on the first read of ``gradient``, from arrays the loss
+made itself, so that perturbing the inputs in place afterwards cannot change
+it. Probabilities are clamped away from 0 and 1 before any logarithm.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Sequence
+from functools import cached_property
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -20,13 +23,24 @@ PROB_EPS = 1e-7
 FOCAL_GAMMA = 2.0
 
 
-@dataclass
 class LossValue:
-    """A scalar loss plus the gradient w.r.t. the differentiated input."""
+    """A scalar loss plus the gradient w.r.t. the differentiated input.
 
-    value: float
-    gradient: Any
-    degenerate: bool = False
+    ``build_gradient`` makes the gradient on the first read of ``gradient``,
+    which keeps it; a caller that reads only ``value``, as a finite-difference
+    probe does, never pays for it.
+    """
+
+    def __init__(self, value: float, build_gradient: Callable[[], Any], degenerate: bool = False):
+        self.value = value
+        self.degenerate = degenerate
+        self._build_gradient = build_gradient
+
+    @cached_property
+    def gradient(self) -> Any:
+        gradient = self._build_gradient()
+        del self._build_gradient  # frees the arrays the builder holds
+        return gradient
 
 
 def _clamp(p: np.ndarray) -> np.ndarray:
@@ -55,7 +69,7 @@ def mil_loss(scores, video_label) -> LossValue:
     over classes. Gradient has the same shape as ``scores``.
     """
     scores = np.atleast_2d(np.asarray(scores, dtype=np.float64))
-    y = np.asarray(video_label, dtype=np.float64)
+    y = np.array(video_label, dtype=np.float64)  # a copy: the gradient reads it later
     if y.ndim != 1 or scores.shape[1] != y.shape[0]:
         raise InvalidInputError(
             f"label shape {y.shape} incompatible with scores shape {scores.shape}"
@@ -63,8 +77,7 @@ def mil_loss(scores, video_label) -> LossValue:
     levels = scores.shape[0]
     p = _clamp(scores)
     value = -float((y * np.log(p) + (1.0 - y) * np.log1p(-p)).sum()) / levels
-    gradient = -(y / p - (1.0 - y) / (1.0 - p)) / levels
-    return LossValue(value, gradient)
+    return LossValue(value, lambda: -(y / p - (1.0 - y) / (1.0 - p)) / levels)
 
 
 def _float_power(values: np.ndarray, exponent: float) -> np.ndarray:
@@ -79,6 +92,10 @@ def _float_power(values: np.ndarray, exponent: float) -> np.ndarray:
 def _sequential_sum(terms: np.ndarray) -> float:
     """Sum of ``terms`` added one by one, left to right, as a loop would."""
     return float(np.cumsum(terms)[-1]) if terms.size else 0.0
+
+
+def _zeros(shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    return [np.zeros(shape) for shape in shapes]
 
 
 def _gather(arrays: list[np.ndarray], snippets: list[np.ndarray]) -> np.ndarray:
@@ -113,10 +130,10 @@ def action_focal_loss(signals, supervised, gamma: float, n_positive: int) -> Los
         raise InvalidInputError("one supervised set required per level")
     if n_positive < 1:
         raise InvalidInputError(f"n_positive must be >= 1, got {n_positive}")
-    gradients = [np.zeros_like(a) for a in arrays]
+    shapes = [a.shape for a in arrays]
     pairs = [pair for level_pairs in supervised for pair in level_pairs]
     if not pairs:
-        return LossValue(0.0, gradients, degenerate=True)
+        return LossValue(0.0, lambda: _zeros(shapes), degenerate=True)
     snippets = [np.array([t for t, _ in level_pairs], dtype=np.int64) for level_pairs in supervised]
     p = _clamp(_gather(arrays, snippets)[:, :-1])
     y = np.array([y for _, y in pairs], dtype=np.float64)
@@ -124,10 +141,15 @@ def action_focal_loss(signals, supervised, gamma: float, n_positive: int) -> Los
     log_p, log_q = np.log(p), np.log1p(-p)
     p_gamma, q_gamma = p**gamma, q**gamma
     rows = (y * log_p * q_gamma + (1.0 - y) * log_q * p_gamma).sum(axis=1)
-    d_pos = y * (q_gamma / p - gamma * q ** (gamma - 1.0) * log_p)
-    d_neg = (1.0 - y) * (gamma * p ** (gamma - 1.0) * log_q - p_gamma / q)
-    _scatter(gradients, snippets, -(d_pos + d_neg) / n_positive, columns=slice(None, -1))
-    return LossValue(-_sequential_sum(rows) / n_positive, gradients)
+
+    def gradient():
+        d_pos = y * (q_gamma / p - gamma * q ** (gamma - 1.0) * log_p)
+        d_neg = (1.0 - y) * (gamma * p ** (gamma - 1.0) * log_q - p_gamma / q)
+        gradients = _zeros(shapes)
+        _scatter(gradients, snippets, -(d_pos + d_neg) / n_positive, columns=slice(None, -1))
+        return gradients
+
+    return LossValue(-_sequential_sum(rows) / n_positive, gradient)
 
 
 def background_loss(signals, background_points, gamma: float, m_bg: int) -> LossValue:
@@ -143,10 +165,11 @@ def background_loss(signals, background_points, gamma: float, m_bg: int) -> Loss
         raise InvalidInputError("one background set required per level")
     if m_bg < 0:
         raise InvalidInputError(f"m_bg must be >= 0, got {m_bg}")
-    gradients = [np.zeros_like(a) for a in arrays]
+    shapes = [a.shape for a in arrays]
     if m_bg == 0:
-        return LossValue(0.0, gradients, degenerate=True)
-    snippets = [np.asarray(points, dtype=np.int64).reshape(-1) for points in background_points]
+        return LossValue(0.0, lambda: _zeros(shapes), degenerate=True)
+    # copies: the gradient reads the snippets later
+    snippets = [np.array(points, dtype=np.int64).reshape(-1) for points in background_points]
     values = _gather(arrays, snippets)
     p, p_bg = _clamp(values[:, :-1]), _clamp(values[:, -1])
     log_q, log_bg = np.log1p(-p), np.log(p_bg)
@@ -154,10 +177,15 @@ def background_loss(signals, background_points, gamma: float, m_bg: int) -> Loss
     q_bg = 1.0 - p_bg
     q_bg_gamma = _float_power(q_bg, gamma)
     terms = np.column_stack([(p_gamma * log_q).sum(axis=1), q_bg_gamma * log_bg]).ravel()
-    d_class = gamma * p ** (gamma - 1.0) * log_q - p_gamma / (1.0 - p)
-    d_bg = q_bg_gamma / p_bg - gamma * _float_power(q_bg, gamma - 1.0) * log_bg
-    _scatter(gradients, snippets, np.column_stack([-d_class / m_bg, -d_bg / m_bg]))
-    return LossValue(-_sequential_sum(terms) / m_bg, gradients)
+
+    def gradient():
+        d_class = gamma * p ** (gamma - 1.0) * log_q - p_gamma / (1.0 - p)
+        d_bg = q_bg_gamma / p_bg - gamma * _float_power(q_bg, gamma - 1.0) * log_bg
+        gradients = _zeros(shapes)
+        _scatter(gradients, snippets, np.column_stack([-d_class / m_bg, -d_bg / m_bg]))
+        return gradients
+
+    return LossValue(-_sequential_sum(terms) / m_bg, gradient)
 
 
 def gaussian_kernel(t_i: int, sigma_tilde: float, length: int) -> np.ndarray:
@@ -214,20 +242,28 @@ class GaussianKernelSet:
 def gaussian_alignment_loss(signal, kernels: GaussianKernelSet) -> LossValue:
     """MSE between class probability curves and their mixed Gaussian kernels."""
     values = _signal_values(signal)
-    gradient = np.zeros_like(values)
     if kernels.length != values.shape[0]:
         raise InvalidInputError(
             f"kernel length {kernels.length} != signal length {values.shape[0]}"
         )
+    shape = values.shape
     classes = kernels.classes
     if not classes:
-        return LossValue(0.0, gradient, degenerate=True)
+        return LossValue(0.0, lambda: np.zeros(shape), degenerate=True)
     norm = values.shape[0] * len(classes)
     total = 0.0
+    residuals = []
     for class_id in classes:
         residual = kernels.kernels[class_id] - values[:, class_id - 1]
         total += float((residual**2).sum())
-        gradient[:, class_id - 1] = -2.0 * residual / norm
+        residuals.append(residual)
+
+    def gradient():
+        gradient = np.zeros(shape)
+        for class_id, residual in zip(classes, residuals):
+            gradient[:, class_id - 1] = -2.0 * residual / norm
+        return gradient
+
     return LossValue(total / norm, gradient)
 
 
@@ -244,4 +280,4 @@ def sigma_loss(pseudo_sigmas, predicted_sigmas) -> LossValue:
         )
     diff = predicted - pseudo
     n = pseudo.size
-    return LossValue(float((diff**2).sum()) / n, 2.0 * diff / n)
+    return LossValue(float((diff**2).sum()) / n, lambda: 2.0 * diff / n)

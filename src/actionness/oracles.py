@@ -2,7 +2,9 @@
 
 Everything here favours obviousness over speed: explicit loops, full sorts,
 and direct transcriptions of definitions. The verification suites and the
-test suite compare the production code against these.
+test suite compare the production code against these. The two that score
+intervals import ``evaluation.tiou`` when they run, so that loading this module
+loads no module of the library.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-
-from .evaluation import tiou
 
 SCRATCH_ELEMENTS = 1 << 16  # adm's fit budget, restated so that the reference imports none of what it checks
 
@@ -151,6 +151,8 @@ def oic_direct(column: Sequence[float], start: int, end: int, inflation: float) 
 
 def nms_direct(proposals, tiou_threshold: float):
     """Greedy NMS by repeated argmax over the remaining pool."""
+    from .evaluation import tiou
+
     remaining = sorted(
         proposals, key=lambda p: (-p.score, p.start, p.end, p.class_id)
     )
@@ -170,6 +172,8 @@ def nms_direct(proposals, tiou_threshold: float):
 def average_precision_direct(proposals, gt, tiou_threshold: float) -> float:
     """Definition-first AP: explicit matching, then rectangles under the
     precision envelope, recomputing the envelope from scratch at every step."""
+    from .evaluation import tiou
+
     ordered = sorted(proposals, key=lambda p: (-p.score, p.video_id, p.start, p.end))
     remaining = [(g.video_id, g.start, g.end) for g in gt]
     hits = []

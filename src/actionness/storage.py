@@ -255,11 +255,15 @@ def save_signals(path: Path | str, signals: Sequence[ProbabilitySignal]) -> None
 
 
 def load_signals(path: Path | str) -> list[ProbabilitySignal]:
-    """Load signals from one ``.npz``/JSON file, or every such file of a directory in sorted order."""
+    """Load signals from one ``.npz``/JSON file, or every such file of a directory in sorted order;
+    a directory without one is malformed input, not a dataset of no videos."""
     path = Path(path)
     if path.is_dir():
+        files = sorted([*path.glob("*.json"), *path.glob("*.npz")])
+        if not files:
+            raise InvalidInputError(f"{path}: the directory holds no .json or .npz signal file")
         signals: list[ProbabilitySignal] = []
-        for file in sorted([*path.glob("*.json"), *path.glob("*.npz")]):
+        for file in files:
             signals.extend(load_signals(file))
         return signals
     if path.suffix == ".npz":

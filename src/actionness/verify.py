@@ -4,26 +4,15 @@ Each suite returns a JSON-ready report ``{"suite", "checks": [...], "pass"}``
 with one entry per property. The CLI ``verify`` subcommand runs them through
 ``run_suite``. The fitting and oracle suites draw their cases first and run
 each set of searches as one batch, whose lanes equal searches of their own.
+Each suite imports the modules it checks when it runs, so that a process that
+runs one suite loads only that suite's modules.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import adm, losses
-from .adm import PreliminaryBoundary, fit_gaussians, fit_uniforms
-from .decoder import Proposal, nms
 from .errors import InvalidInputError
-from .evaluation import GroundTruthInstance, average_precision
-from .optim import minimize_lanes
-from .oracles import (
-    average_precision_direct,
-    finite_difference_gradient,
-    gaussian_objective_grid,
-    max_relative_error,
-    nms_direct,
-    uniform_objective_grid,
-)
 
 GRADIENT_TOLERANCE = 1e-4
 FD_STEP = 1e-5
@@ -50,6 +39,8 @@ def _worst_gradient_error(loss, arrays) -> float:
     returns a ``LossValue`` whose gradient is one array per entry of
     ``arrays``, or a single array when ``arrays`` holds one.
     """
+    from .oracles import finite_difference_gradient, max_relative_error
+
     gradient = loss().gradient
     analytic = gradient if isinstance(gradient, list) else [gradient]
     worst = 0.0
@@ -70,6 +61,8 @@ def _level_arrays(rng):
 
 
 def _mil_case(rng):
+    from . import losses
+
     levels = int(rng.integers(1, 5))
     classes = int(rng.integers(1, 9))
     scores = rng.uniform(0.05, 0.95, (levels, classes))
@@ -78,6 +71,8 @@ def _mil_case(rng):
 
 
 def _focal_case(rng):
+    from . import losses
+
     arrays, classes = _level_arrays(rng)
     supervised = []
     total = 0
@@ -95,6 +90,8 @@ def _focal_case(rng):
 
 
 def _background_case(rng):
+    from . import losses
+
     arrays, _ = _level_arrays(rng)
     points = []
     total = 0
@@ -109,6 +106,8 @@ def _background_case(rng):
 
 
 def _alignment_case(rng):
+    from . import losses
+
     length = int(rng.integers(12, 25))
     classes = int(rng.integers(2, 5))
     values = rng.uniform(0.05, 0.95, (length, classes + 1))
@@ -122,6 +121,8 @@ def _alignment_case(rng):
 
 
 def _sigma_case(rng):
+    from . import losses
+
     count = int(rng.integers(1, 9))
     pseudo = rng.uniform(0.0, 10.0, count)
     predicted = rng.uniform(0.0, 10.0, count)
@@ -154,6 +155,9 @@ def run_fitting_suite(samples: int = 1000, grid_checks: int = 25, seed: int = 73
     """Recovery of constructed profiles plus dense-grid agreement on noisy ones, each set's
     Gaussians in one batch and its rectangles in another."""
     _require_counts("fitting", seed, samples=samples, grid_checks=grid_checks)
+    from .adm import SIGMA_LOWER_BOUND, PreliminaryBoundary, fit_gaussians, fit_uniforms, sigma_upper_bound
+    from .oracles import gaussian_objective_grid, uniform_objective_grid
+
     rng = np.random.default_rng(seed)
     length = 512
     positions = np.arange(length, dtype=np.float64)
@@ -204,13 +208,13 @@ def run_fitting_suite(samples: int = 1000, grid_checks: int = 25, seed: int = 73
     sigma_grid_ok = 0
     omega_grid_ok = 0
     for (column, boundary, t_star), gaussian, uniform in zip(noisy, fit_gaussians(noisy), fit_uniforms(noisy)):
-        upper = adm.sigma_upper_bound(boundary, t_star)
+        upper = sigma_upper_bound(boundary, t_star)
         sigma = gaussian.value
-        sigma_grid = np.linspace(adm.SIGMA_LOWER_BOUND, upper, FITTING_GRID_POINTS)
+        sigma_grid = np.linspace(SIGMA_LOWER_BOUND, upper, FITTING_GRID_POINTS)
         sigma_values = gaussian_objective_grid(column, boundary, t_star, sigma_grid)
         best = float(sigma_values.min())
         fitted = float(gaussian_objective_grid(column, boundary, t_star, [sigma])[0])
-        step = (upper - adm.SIGMA_LOWER_BOUND) / (FITTING_GRID_POINTS - 1)
+        step = (upper - SIGMA_LOWER_BOUND) / (FITTING_GRID_POINTS - 1)
         if fitted <= best + 1e-9 * (1.0 + best) or abs(sigma - float(sigma_grid[sigma_values.argmin()])) <= 1e-5 + step:
             sigma_grid_ok += 1
 
@@ -255,6 +259,8 @@ def _random_unimodal(rng):
 
 
 def _random_proposals(rng, max_count, classes, horizon=100):
+    from .records import Proposal
+
     proposals = []
     for _ in range(int(rng.integers(0, max_count + 1))):
         start = int(rng.integers(0, horizon - 1))
@@ -287,6 +293,11 @@ def run_oracle_suite(
         nms_cases=nms_cases,
         idempotence_cases=idempotence_cases,
     )
+    from .decoder import nms
+    from .evaluation import GroundTruthInstance, average_precision
+    from .optim import minimize_lanes
+    from .oracles import average_precision_direct, nms_direct
+
     rng = np.random.default_rng(seed)
 
     x_tolerance = 1e-5

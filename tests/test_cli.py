@@ -170,6 +170,19 @@ class TestAdmCommand:
         assert result.exit_code == 0
         assert load_json(out_file) == []
 
+    def test_empty_annotations_on_an_empty_signal_dir_fail(self, runner, tmp_path):
+        empty = tmp_path / "signals"
+        empty.mkdir()
+        annotations = tmp_path / "annotations.json"
+        annotations.write_text("[]")
+        out_file = tmp_path / "labels.json"
+        result = invoke(
+            runner,
+            ["adm", "--signals", str(empty), "--annotations", str(annotations), "--out", str(out_file)],
+        )
+        fails_cleanly(result, f"error: {empty}: the directory holds no .json or .npz signal file")
+        assert not out_file.exists()
+
     def test_malformed_json_fails(self, runner, tmp_path):
         data = self.make_dataset(runner, tmp_path)
         bad = tmp_path / "bad.json"
@@ -278,13 +291,14 @@ class TestDecodeCommand:
         gt = load_ground_truth(data / "gt.json")
         assert len(proposals) == len(gt)
 
-    def test_empty_signal_dir_gives_empty_proposals(self, runner, tmp_path):
+    def test_empty_signal_dir_fails(self, runner, tmp_path):
+        # a mistyped or unfilled directory is not a dataset without proposals
         empty = tmp_path / "signals"
         empty.mkdir()
         out_file = tmp_path / "proposals.json"
         result = invoke(runner, ["decode", "--signals", str(empty), "--out", str(out_file)])
-        assert result.exit_code == 0
-        assert load_json(out_file) == []
+        fails_cleanly(result, f"error: {empty}: the directory holds no .json or .npz signal file")
+        assert not out_file.exists()
 
     def test_bad_flag_is_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["decode", "--signals", "x", "--out", "y", "--bogus"])
@@ -301,9 +315,8 @@ class TestDecodeCommand:
 
     def test_threshold_range_stops_at_stop(self, runner, tmp_path):
         # 0.1:0.9:0.5 is 0.1 and 0.6; a rounded count would add 1.1, which decode rejects
-        empty = tmp_path / "signals"
-        empty.mkdir()
-        result = invoke(runner, ["decode", "--signals", str(empty), "--out", str(tmp_path / "p.json"),
+        save_signals(tmp_path / "v0.json", [small_signal()])
+        result = invoke(runner, ["decode", "--signals", str(tmp_path / "v0.json"), "--out", str(tmp_path / "p.json"),
                                  "--thresholds", "0.1:0.9:0.5"])
         assert result.exit_code == 0, result.output
 
@@ -840,6 +853,7 @@ PINNED_VERIFY_DIGESTS = {
     ("gradients", 5): "eff8835d360a97bf66db2f42e8937047086824914d6a7e454611b6a3b06c704f",
     ("oracles", 5): "51771c0bba0bd86a8f5d599c93f74ae2115d1cfa5c2dab52f7d926d5e12a3ea6",
     ("fitting", 80): "42511533ed3066c1c1ad2181ea5f42b636a9ef703cc7513c3be35706b52f6263",
+    ("gradients", 80): "2e0c79cc24c1f6c8e95ffd77231fafd81114a0dfd58e1e9803f43c6184b92017",
     ("oracles", 80): "626f77f83c9e9f38c7652362c272b869010022aeccc7e680e844bc1c3a77e748",
 }
 
@@ -1135,6 +1149,22 @@ def test_commands_that_score_nothing_leave_evaluation_unimported(runner, tmp_pat
 def test_decode_leaves_adm_and_optim_unimported(runner, tmp_path):
     loaded = _loaded_modules(_library_args(runner, tmp_path, "decode"))
     assert "actionness.decoder" in loaded and not loaded & {"actionness.adm", "actionness.optim"}
+
+
+# per verify suite: modules it must load, and modules it must leave unimported
+_VERIFY_MODULES = {
+    "gradients": ({"losses", "oracles"}, {"adm", "optim", "decoder", "evaluation"}),
+    "fitting": ({"adm", "optim", "oracles"}, {"decoder", "losses", "evaluation"}),
+    "oracles": ({"decoder", "evaluation", "optim", "oracles"}, {"adm"}),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_VERIFY_MODULES))
+def test_each_verify_suite_loads_only_the_modules_it_checks(tmp_path, suite):
+    loaded = _loaded_modules(["verify", suite, "--samples", "2", "--out", str(tmp_path / "report.json")])
+    needed, unneeded = _VERIFY_MODULES[suite]
+    assert {f"actionness.{name}" for name in needed} <= loaded
+    assert not loaded & {f"actionness.{name}" for name in unneeded}
 
 
 def test_oracles_leave_adm_and_optim_unimported():

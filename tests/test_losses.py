@@ -1,7 +1,10 @@
+import copy
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from actionness.errors import InvalidInputError
 from actionness.losses import (
@@ -18,6 +21,7 @@ from actionness.losses import (
 )
 from actionness.oracles import finite_difference_gradient, max_relative_error, top_k_mean_direct
 from actionness.signal import ProbabilitySignal
+from actionness.verify import run_gradient_suite
 
 
 class TestVideoLevelScores:
@@ -314,3 +318,62 @@ def test_levels_with_different_column_counts_rejected():
         action_focal_loss(arrays, [[(0, [1.0, 0.0])], [(1, [1.0, 0.0, 0.0])]], FOCAL_GAMMA, 2)
     with pytest.raises(InvalidInputError, match="same number of columns"):
         background_loss(arrays, [[0], [1]], FOCAL_GAMMA, 2)
+
+
+def _lazy_gradient_case(name, rng):
+    """``(loss, inputs)``: one call ``loss(*inputs)`` of the loss ``name`` on random inputs,
+    every numeric input an array of its own, integer snippets included."""
+    arrays = [rng.uniform(0.05, 0.95, (8, 4)) for _ in range(2)]
+    if name == "mil":
+        return mil_loss, (rng.uniform(0.05, 0.95, (3, 4)), rng.integers(0, 2, 4).astype(float))
+    if name == "action_focal":
+        supervised = [[(int(rng.integers(0, 8)), rng.integers(0, 2, 3).astype(float)) for _ in range(2)] for _ in arrays]
+        return action_focal_loss, (arrays, supervised, FOCAL_GAMMA, 4)
+    if name == "background":
+        points = [rng.choice(8, size=2, replace=False) for _ in arrays]
+        return background_loss, (arrays, points, FOCAL_GAMMA, 4)
+    if name == "gaussian_alignment":
+        kernels = GaussianKernelSet.from_instances([(2, 1.5, 1), (5, 2.0, 3)], 8)
+        return gaussian_alignment_loss, (arrays[0], kernels)
+    assert name == "sigma"
+    return sigma_loss, (rng.uniform(0.0, 10.0, 5), rng.uniform(0.0, 10.0, 5))
+
+
+def _arrays_in(value) -> list[np.ndarray]:
+    """Every array in ``value``, however deep in lists, tuples and kernel sets."""
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, GaussianKernelSet):
+        return list(value.kernels.values())
+    if isinstance(value, (list, tuple)):
+        return [array for item in value for array in _arrays_in(item)]
+    return []
+
+
+def _bits(gradient) -> list[tuple]:
+    return [(array.shape, array.tobytes()) for array in (gradient if isinstance(gradient, list) else [gradient])]
+
+
+@pytest.mark.parametrize("name", ["mil", "action_focal", "background", "gaussian_alignment", "sigma"])
+def test_gradient_read_after_the_inputs_change_is_the_gradient_of_the_call(name):
+    # the gradient is built on its first read, and finite differences perturb
+    # the inputs in place between the call and that read
+    rng = np.random.default_rng(39)
+    for _ in range(20):
+        loss, inputs = _lazy_gradient_case(name, rng)
+        expected = loss(*copy.deepcopy(inputs)).gradient
+        result = loss(*inputs)
+        for array in _arrays_in(inputs):
+            if array.dtype.kind == "f":
+                array *= 0.5
+            else:
+                array[...] = 0
+        gradient = result.gradient
+        assert _bits(gradient) == _bits(expected)
+        assert result.gradient is gradient
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0))
+def test_gradient_suite_passes_at_any_seed(seed):
+    assert run_gradient_suite(instances=2, seed=seed)["pass"]

@@ -1,5 +1,6 @@
 import gc
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -54,6 +55,12 @@ def test_signal_directory_loading(tmp_path):
     (tmp_path / "notes.txt").write_text("not a signal")
     loaded = load_signals(tmp_path)
     assert [s.video_id for s in loaded] == ["a", "b", "c"]  # sorted by filename, both formats
+
+
+def test_signal_directory_without_signal_files_rejected(tmp_path):
+    (tmp_path / "notes.txt").write_text("not a signal")
+    with pytest.raises(InvalidInputError, match=re.escape(f"{tmp_path}: the directory holds no .json or .npz")):
+        load_signals(tmp_path)
 
 
 # No trailing NUL: numpy's fixed-width strings drop it, so .npz refuses such ids (tested below).
