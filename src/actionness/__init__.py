@@ -20,7 +20,6 @@ _EXPORTS = {
         "find_peak",
         "fit_gaussians",
         "fit_uniforms",
-        "generate_pseudo_labels",
         "label_videos",
         "video_boundaries",
     ),

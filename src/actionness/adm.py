@@ -13,11 +13,11 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidInputError, require_finite
+from .errors import InvalidInputError, NumericError, require_finite
 from .optim import minimize_lanes
 from .records import PointAnnotation, PseudoLabel
 from .signal import (
@@ -98,10 +98,9 @@ class ADMConfig:
 
 
 class Fit(NamedTuple):
-    """A fitted half-extent, whether the boundary was too tight to search, and its squared error."""
+    """A fitted half-extent and its squared error."""
 
     value: float
-    degenerate: bool
     error: float
 
 
@@ -125,22 +124,20 @@ def video_boundaries(
     return [PreliminaryBoundary(*bounds) for bounds in zip(b_starts.tolist(), b_ends.tolist())]
 
 
-def find_peak(
-    column: np.ndarray, boundary: PreliminaryBoundary, t: int, delta: float
-) -> tuple[int, bool]:
-    """Argmax of the class column inside the boundary and the delta-window.
+def find_peak(column: np.ndarray, boundary: PreliminaryBoundary, t: int, delta: float) -> int:
+    """Argmax of the class column inside the boundary and the delta-window around ``t``.
 
-    Returns ``(t_star, found)``. Ties resolve to the smallest index; an empty
-    search window falls back to the annotated point itself with found=False.
+    ``t`` must lie inside the boundary, as every point does in its
+    ``video_boundaries`` boundary, so the window holds ``t`` itself and is
+    never empty. Ties resolve to the smallest index.
     """
+    if not boundary.b_start <= t <= boundary.b_end:
+        raise InvalidInputError(f"t={t} outside the boundary [{boundary.b_start}, {boundary.b_end}]")
     column = np.asarray(column, dtype=np.float64)
     radius = delta * boundary.duration
     lo = max(boundary.b_start, math.ceil(t - radius))
     hi = min(boundary.b_end, math.floor(t + radius))
-    if lo > hi:
-        return t, False
-    window = column[lo : hi + 1]
-    return lo + int(np.argmax(window)), True
+    return lo + int(np.argmax(column[lo : hi + 1]))
 
 
 class _Segments(NamedTuple):
@@ -281,10 +278,10 @@ def fit_gaussians(fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, int]]) -
     """Least-squares Gaussian std of every ``(column, boundary, t_star)`` fit,
     each on ``[SIGMA_LOWER_BOUND, u_b]``, in one lockstep ``minimize_lanes`` search.
 
-    Returns one ``Fit(sigma, degenerate, error)`` per fit, the error being the
-    minimizer's objective value at sigma; a boundary too tight to search pins
-    sigma to the lower bound and sets the flag. Each fit equals a search of its
-    objective alone.
+    Returns one ``Fit(sigma, error)`` per fit, the error being the minimizer's
+    objective value at sigma; a one-snippet boundary, too tight to search,
+    pins sigma to the lower bound. Each fit equals a search of its objective
+    alone.
     """
     return _fit_gaussians(_Segments.of(fits))
 
@@ -293,6 +290,7 @@ def _fit_gaussians(segments: _Segments) -> list[Fit]:
     """``fit_gaussians`` of the fits whose segments ``segments`` holds."""
     errors = _profile_errors(segments, _gaussian_profile)
     uppers = segments.uppers.astype(np.float64)
+    # a one-snippet boundary's u_b is 0, and minimize_lanes needs lo < hi: its sigma is pinned
     tight = uppers <= SIGMA_LOWER_BOUND
     searched = np.flatnonzero(~tight)
     result = minimize_lanes(
@@ -304,7 +302,7 @@ def _fit_gaussians(segments: _Segments) -> list[Fit]:
     sigmas[searched], fit_errors[searched] = result.x, result.f
     pinned = np.flatnonzero(tight)
     fit_errors[pinned] = errors(sigmas[pinned], pinned)
-    return [Fit(*fit) for fit in zip(sigmas.tolist(), tight.tolist(), fit_errors.tolist())]
+    return [Fit(*fit) for fit in zip(sigmas.tolist(), fit_errors.tolist())]
 
 
 def fit_uniforms(fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, int]]) -> list[Fit]:
@@ -326,10 +324,9 @@ def fit_uniforms(fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, int]]) ->
     segment size) of at most ``SCRATCH_ELEMENTS // 8`` padded snippets,
     unless one segment is longer.
 
-    Returns one ``Fit(omega, degenerate, error)`` per fit, the error evaluated
-    directly at omega (the running totals round differently) by the same
-    size-grouped row reduction as ``gaussian_fit_errors``; a one-snippet
-    boundary sets the flag.
+    Returns one ``Fit(omega, error)`` per fit, the error evaluated directly at
+    omega (the running totals round differently) by the same size-grouped row
+    reduction as ``gaussian_fit_errors``.
     """
     return _fit_uniforms(_Segments.of(fits))
 
@@ -371,51 +368,72 @@ def _fit_uniforms(segments: _Segments) -> list[Fit]:
         last[widths > uppers[block, None]] = 0
         omegas[block] = np.argmin(np.take_along_axis(totals, last, axis=1), axis=1)
     errors = _profile_errors(segments, _rectangle_profile)(omegas, np.arange(sizes.size))
-    return [Fit(*fit) for fit in zip(omegas.tolist(), (uppers == 0).tolist(), errors.tolist())]
+    return [Fit(*fit) for fit in zip(omegas.tolist(), errors.tolist())]
 
 
-def generate_pseudo_labels(
-    videos: Sequence[tuple[str, Mapping[int, np.ndarray], Sequence[PointAnnotation], BackgroundPoints]],
+def label_videos(
+    signals: Iterable[ProbabilitySignal],
+    points: Sequence[PointAnnotation],
     config: ADMConfig,
 ) -> list[PseudoLabel]:
-    """One pseudo-label per annotated point, never dropping any.
+    """Fit one pseudo-label per annotated point, never dropping any, video by
+    video in sorted id order and in each video in the order of its points.
 
-    ``videos`` holds each video's ``(video_id, columns, points, background)``;
-    ``columns`` maps each class its points name to the one-length column the fits
-    read (``label_videos`` passes the coarsest level's, smoothed and upsampled). Each
-    video's preliminary boundaries come from one ``video_boundaries`` search;
-    the Gaussian fits of all points run in one lockstep search
-    (``fit_gaussians``) and their rectangle fits in one batched scan
-    (``fit_uniforms``), both over one concatenation of the points' segments.
-    Each label's half-extent is ``gamma1*sigma + gamma2*omega`` and its
-    interval is rounded then clipped to the video (optionally also to the
-    preliminary boundary). Labels come in the order of ``videos`` and their
-    points.
+    ``signals`` holds every video's pyramid levels, in any order, as
+    ``storage.load_signals`` returns them; ``video_pyramids`` reads and checks
+    every video's pyramid, annotated or not. Background points come from level
+    1 once every point is widened by ``config.r_a``, and each video's
+    preliminary boundaries from one ``video_boundaries`` search. The fits run
+    on the coarsest level's columns of the points' classes, smoothed and then
+    upsampled to the level-1 length: the Gaussian fits of all points in one
+    lockstep search (``fit_gaussians``) and their rectangle fits in one
+    batched scan (``fit_uniforms``), both over one concatenation of the
+    points' segments. Each label's half-extent is
+    ``gamma1*sigma + gamma2*omega``, a non-finite one raising ``NumericError``,
+    and its interval is rounded then clipped to the video (optionally also to
+    the preliminary boundary). A label is degenerate when its boundary is one
+    snippet, which only a one-snippet level 1 gives, as a point's own snippet
+    is never background. Each label carries its two fit errors.
     """
+    pyramids = video_pyramids(signals)
+    by_video: dict[str, list[PointAnnotation]] = {}
+    for point in points:
+        by_video.setdefault(point.video_id, []).append(point)
+    missing = sorted(set(by_video) - set(pyramids))
+    if missing:
+        raise InvalidInputError(f"annotations reference videos without signals: {missing}")
+
     peaks, fits = [], []
-    for video_id, columns, points, background in videos:
-        for point in points:
-            if point.video_id != video_id:
-                raise InvalidInputError(f"annotation for video {point.video_id!r} applied to signal {video_id!r}")
-            if point.class_id not in columns:
-                raise InvalidInputError(
-                    f"video {video_id!r} has no column for the class {point.class_id} of t={point.t}"
-                )
-        length, *others = sorted({len(column) for column in columns.values()}) or [0]
-        if others:
-            raise InvalidInputError(f"video {video_id!r}: its class columns differ in length, {[length, *others]}")
-        for point, boundary in zip(points, video_boundaries(points, background, length)):
+    for video_id in sorted(by_video):
+        levels = pyramids[video_id].levels
+        finest, coarsest = levels[0], levels[-1]
+        video_points = by_video[video_id]
+        intervals = augment_points(video_points, config.r_a, finest.length)
+        background = select_background_points(finest, intervals, config.background_threshold)
+        # only the classes the video's points name, in the order the points first name them
+        columns = {
+            class_id: upsample_column(
+                smooth_column(coarsest.class_column(class_id), config.smoothing_sigma), finest.length
+            )
+            for class_id in dict.fromkeys(point.class_id for point in video_points)
+        }
+        for point, boundary in zip(video_points, video_boundaries(video_points, background, finest.length)):
             column = columns[point.class_id]
-            t_star, found = find_peak(column, boundary, point.t, config.delta)
-            peaks.append((point, length, boundary, t_star, found))
+            t_star = find_peak(column, boundary, point.t, config.delta)
+            peaks.append((point, finest.length, boundary, t_star))
             fits.append((column, boundary, t_star))
     segments = _Segments.of(fits)
     gaussians = _fit_gaussians(segments)
     uniforms = _fit_uniforms(segments)
 
     labels = []
-    for (point, length, boundary, t_star, found), gaussian, uniform in zip(peaks, gaussians, uniforms):
+    for (point, length, boundary, t_star), gaussian, uniform in zip(peaks, gaussians, uniforms):
         half_extent = config.gamma1 * gaussian.value + config.gamma2 * uniform.value
+        if not math.isfinite(half_extent):
+            raise NumericError(
+                f"video {point.video_id!r}, t={point.t}: the half-extent gamma1*sigma + gamma2*omega "
+                f"overflows to {half_extent} (sigma={gaussian.value}, omega={uniform.value})"
+            )
         start = int(round(t_star - half_extent))
         end = int(round(t_star + half_extent))
         if config.clip_to_boundary:
@@ -434,50 +452,9 @@ def generate_pseudo_labels(
                 start=start,
                 end=end,
                 class_id=point.class_id,
-                degenerate=gaussian.degenerate or uniform.degenerate or not found,
+                degenerate=boundary.duration == 0,
                 gaussian_error=gaussian.error,
                 uniform_error=uniform.error,
             )
         )
     return labels
-
-
-def label_videos(
-    signals: Iterable[ProbabilitySignal],
-    points: Sequence[PointAnnotation],
-    config: ADMConfig,
-) -> list[PseudoLabel]:
-    """Fit one pseudo-label per annotated point, video by video in sorted id order.
-
-    ``signals`` holds every video's pyramid levels, in any order, as
-    ``storage.load_signals`` returns them; ``video_pyramids`` reads and checks
-    every video's pyramid, annotated or not. Background points come from level
-    1 once every point is widened by ``config.r_a``; the fits run on the
-    coarsest level's columns of the points' classes, smoothed and then
-    upsampled to the level-1 length, all videos' in one
-    ``generate_pseudo_labels`` call. Each label carries its two fit errors.
-    """
-    pyramids = video_pyramids(signals)
-    by_video: dict[str, list[PointAnnotation]] = {}
-    for point in points:
-        by_video.setdefault(point.video_id, []).append(point)
-    missing = sorted(set(by_video) - set(pyramids))
-    if missing:
-        raise InvalidInputError(f"annotations reference videos without signals: {missing}")
-
-    videos = []
-    for video_id in sorted(by_video):
-        levels = pyramids[video_id].levels
-        finest, coarsest = levels[0], levels[-1]
-        video_points = by_video[video_id]
-        intervals = augment_points(video_points, config.r_a, finest.length)
-        background = select_background_points(finest, intervals, config.background_threshold)
-        # only the classes the video's points name, in the order the points first name them
-        columns = {
-            class_id: upsample_column(
-                smooth_column(coarsest.class_column(class_id), config.smoothing_sigma), finest.length
-            )
-            for class_id in dict.fromkeys(point.class_id for point in video_points)
-        }
-        videos.append((video_id, columns, video_points, background))
-    return generate_pseudo_labels(videos, config)

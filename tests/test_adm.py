@@ -16,13 +16,13 @@ from actionness.adm import (
     fit_gaussians,
     fit_uniforms,
     gaussian_fit_errors,
-    generate_pseudo_labels,
     label_videos,
     uniform_fit_errors,
     video_boundaries,
 )
 from actionness.errors import InvalidInputError
 from actionness.oracles import gaussian_objective_grid, nearest_background_scan, uniform_objective_grid
+from actionness.records import PseudoLabel
 from actionness.signal import (
     BackgroundPoints,
     PointAnnotation,
@@ -129,8 +129,7 @@ class TestFindPeak:
     def test_unimodal_bump(self):
         column = gaussian_column(100, 40, 5.0)
         boundary = PreliminaryBoundary(10, 90)
-        t_star, found = find_peak(column, boundary, 35, 0.5)
-        assert found and t_star == 40
+        assert find_peak(column, boundary, 35, 0.5) == 40
 
     def test_window_constrains_argmax(self):
         rng = np.random.default_rng(22)
@@ -139,41 +138,37 @@ class TestFindPeak:
             boundary = PreliminaryBoundary(5, 115)
             t = int(rng.integers(20, 100))
             delta = float(rng.uniform(0.05, 0.4))
-            t_star, found = find_peak(column, boundary, t, delta)
+            t_star = find_peak(column, boundary, t, delta)
             radius = delta * boundary.duration
             lo = max(boundary.b_start, int(np.ceil(t - radius)))
             hi = min(boundary.b_end, int(np.floor(t + radius)))
             window = list(range(lo, hi + 1))
             expected = min(window, key=lambda i: (-column[i], i))
-            assert found and t_star == expected
+            assert t_star == expected
 
     def test_flat_column_ties_to_left_end(self):
         column = np.full(50, 0.5)
         boundary = PreliminaryBoundary(10, 40)
-        t_star, found = find_peak(column, boundary, 25, 0.25)
-        assert found
-        assert t_star == max(10, int(np.ceil(25 - 0.25 * 30)))
+        assert find_peak(column, boundary, 25, 0.25) == max(10, int(np.ceil(25 - 0.25 * 30)))
 
-    def test_empty_window_falls_back(self):
-        column = np.zeros(50)
-        boundary = PreliminaryBoundary(30, 40)  # does not contain t
-        t_star, found = find_peak(column, boundary, 5, 0.1)
-        assert not found and t_star == 5
+    @pytest.mark.parametrize("t", [5, 29, 41])
+    def test_point_outside_the_boundary_is_rejected(self, t):
+        # the delta-window holds t only when the boundary does
+        with pytest.raises(InvalidInputError, match=re.escape(f"t={t} outside the boundary [30, 40]")):
+            find_peak(np.zeros(50), PreliminaryBoundary(30, 40), t, 0.1)
 
 
 class TestFitGaussian:
     def test_recovers_constructed_sigma(self):
         for sigma_true in (5.0, 12.5, 24.0):
             column = gaussian_column(512, 250, sigma_true)
-            sigma, degenerate, _ = fit_gaussians([(column, PreliminaryBoundary(10, 500), 250)])[0]
-            assert not degenerate
+            sigma, _ = fit_gaussians([(column, PreliminaryBoundary(10, 500), 250)])[0]
             assert abs(sigma - sigma_true) / sigma_true < 0.01
 
     def test_single_spike_driven_to_lower_bound(self):
         column = np.zeros(256)
         column[100] = 0.8
-        sigma, degenerate, _ = fit_gaussians([(column, PreliminaryBoundary(5, 250), 100)])[0]
-        assert not degenerate
+        sigma, _ = fit_gaussians([(column, PreliminaryBoundary(5, 250), 100)])[0]
         assert sigma == SIGMA_LOWER_BOUND
 
     def test_plateau_matches_grid_argmin(self):
@@ -181,24 +176,24 @@ class TestFitGaussian:
         column[40:161] = 0.85
         boundary = PreliminaryBoundary(10, 190)
         t_star = 100
-        sigma, _, _ = fit_gaussians([(column, boundary, t_star)])[0]
+        sigma, _ = fit_gaussians([(column, boundary, t_star)])[0]
         upper = float(max(t_star - boundary.b_start, boundary.b_end - t_star))
         grid = np.linspace(SIGMA_LOWER_BOUND, upper, 20001)
         reference = grid[np.argmin(gaussian_objective_grid(column, boundary, t_star, grid))]
         step = upper / 20000
         assert abs(sigma - reference) <= 1e-5 + step
 
-    def test_degenerate_boundary_flagged(self):
+    def test_one_snippet_boundary_pins_the_lower_bound(self):
         column = np.zeros(50)
-        sigma, degenerate, _ = fit_gaussians([(column, PreliminaryBoundary(10, 10), 10)])[0]
-        assert degenerate and sigma == SIGMA_LOWER_BOUND
+        sigma, _ = fit_gaussians([(column, PreliminaryBoundary(10, 10), 10)])[0]
+        assert sigma == SIGMA_LOWER_BOUND
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(23)
         column = np.clip(gaussian_column(300, 150, 18.0) + rng.normal(0, 0.03, 300), 0, 1)
         boundary = PreliminaryBoundary(20, 280)
-        sigma_full, _, _ = fit_gaussians([(column, boundary, 150)])[0]
-        sigma_scaled, _, _ = fit_gaussians([(0.5 * column, boundary, 150)])[0]
+        sigma_full, _ = fit_gaussians([(column, boundary, 150)])[0]
+        sigma_scaled, _ = fit_gaussians([(0.5 * column, boundary, 150)])[0]
         assert sigma_scaled == pytest.approx(sigma_full, abs=1e-4)
 
 
@@ -206,20 +201,19 @@ class TestFitUniform:
     def test_recovers_rectangle_half_width(self):
         ts = np.arange(400)
         column = np.where(np.abs(ts - 200) <= 8, 0.9, 0.0)
-        omega, degenerate, _ = uniform_fit(column, PreliminaryBoundary(5, 395), 200)
-        assert not degenerate
+        omega, _ = uniform_fit(column, PreliminaryBoundary(5, 395), 200)
         assert abs(omega - 8) <= 1.0
 
     def test_single_spike_goes_to_zero(self):
         column = np.zeros(256)
         column[100] = 0.8
-        omega, _, _ = uniform_fit(column, PreliminaryBoundary(5, 250), 100)
+        omega, _ = uniform_fit(column, PreliminaryBoundary(5, 250), 100)
         assert omega == 0.0
 
     def test_gaussian_column_matches_grid(self):
         column = gaussian_column(300, 150, 12.0)
         boundary = PreliminaryBoundary(20, 280)
-        omega, _, _ = uniform_fit(column, boundary, 150)
+        omega, _ = uniform_fit(column, boundary, 150)
         upper = float(max(150 - boundary.b_start, boundary.b_end - 150))
         grid = np.linspace(1e-9, upper, 20001)
         fitted = uniform_objective_grid(column, boundary, 150, [omega])[0]
@@ -229,13 +223,13 @@ class TestFitUniform:
     def test_scale_invariance(self):
         column = gaussian_column(300, 150, 12.0)
         boundary = PreliminaryBoundary(20, 280)
-        omega_full, _, _ = uniform_fit(column, boundary, 150)
-        omega_scaled, _, _ = uniform_fit(0.3 * column, boundary, 150)
+        omega_full, _ = uniform_fit(column, boundary, 150)
+        omega_scaled, _ = uniform_fit(0.3 * column, boundary, 150)
         assert omega_scaled == omega_full
 
-    def test_degenerate_boundary_flagged(self):
-        omega, degenerate, _ = uniform_fit(np.zeros(50), PreliminaryBoundary(10, 10), 10)
-        assert degenerate and omega == 0.0
+    def test_one_snippet_boundary_gives_zero_width(self):
+        omega, _ = uniform_fit(np.zeros(50), PreliminaryBoundary(10, 10), 10)
+        assert omega == 0.0
 
     @pytest.mark.parametrize("t_star", [4, 21])
     def test_peak_outside_the_boundary_is_rejected(self, t_star):
@@ -256,9 +250,8 @@ def uniform_fit_cases(draw):
 @given(uniform_fit_cases())
 def test_fit_uniform_matches_grid_oracle(case):
     column, boundary, t_star = case
-    omega, degenerate, error = uniform_fit(column, boundary, t_star)
+    omega, error = uniform_fit(column, boundary, t_star)
     upper = max(t_star - boundary.b_start, boundary.b_end - t_star)
-    assert degenerate == (upper == 0)
     assert omega == int(omega) and 0 <= omega <= upper
     # the objective only changes at integer half-widths, so an integer grid holds its minimum
     grid = uniform_objective_grid(column, boundary, t_star, np.arange(upper + 1))
@@ -282,7 +275,7 @@ def fit_uniform_by_sorting(column, boundary, t_star):
         return float(np.sum((np.where(distances <= omega, height, 0.0) - segment) ** 2))
 
     if upper <= 0.0:
-        return 0.0, True, error(0.0)
+        return 0.0, error(0.0)
     order = np.argsort(distances, kind="stable")
     sorted_distances = distances[order]
     gains = height * height - 2.0 * height * segment[order]
@@ -291,7 +284,7 @@ def fit_uniform_by_sorting(column, boundary, t_star):
     last_covered = np.searchsorted(sorted_distances, breakpoints, side="right") - 1
     totals = cumulative[last_covered]
     omega = min(float(breakpoints[int(np.argmin(totals))]), upper)
-    return omega, False, error(omega)
+    return omega, error(omega)
 
 
 @st.composite
@@ -434,7 +427,7 @@ def test_batched_gaussian_fits_equal_one_label_fits(fits):
     batch = fit_gaussians(fits)
     assert batch == [fit_gaussians([fit])[0] for fit in fits]
     for (column, boundary, t_star), fit in zip(fits, batch):
-        assert fit.degenerate == (boundary.b_start == boundary.b_end)
+        assert boundary.b_start < boundary.b_end or fit.value == SIGMA_LOWER_BOUND
         assert fit.error == gaussian_error_at(column, boundary, t_star, fit.value)
 
 
@@ -570,45 +563,46 @@ def test_batched_uniform_fit_blocks_pad_to_their_longest_fit():
     assert traced_peak(lambda: fit_uniforms(fits)) <= 8 * snippets + 2 * BUDGET_BYTES
 
 
-def build_signal(columns, video_id="v0"):
-    columns = np.asarray(columns, dtype=np.float64)
-    bg = 1.0 - columns.max(axis=1, keepdims=True)
-    return ProbabilitySignal(video_id, 1, np.hstack([columns, bg]))
+def one_level_signal(column, background_at=()):
+    """Video v0's level 1: one class column, and a background column of 1 at ``background_at`` and 0 elsewhere."""
+    values = np.zeros((len(column), 2))
+    values[:, 0] = column
+    values[list(background_at), 1] = 1.0
+    return ProbabilitySignal("v0", 1, values)
 
 
-def video(signal, points, background):
-    """``generate_pseudo_labels``' entry for ``points`` on ``signal``, every class column given as it is."""
-    columns = {class_id: signal.class_column(class_id) for class_id in range(1, signal.num_classes + 1)}
-    return signal.video_id, columns, points, background
+def sharp(**fields):
+    """``ADMConfig`` with a smoothing kernel of one tap, so the fits read the class column unchanged."""
+    return ADMConfig(smoothing_sigma=0.1, **fields)
 
 
-class TestGeneratePseudoLabels:
+class TestLabelAssembly:
     def setup_method(self):
-        length = 300
-        column = gaussian_column(length, 150, 10.0, height=0.9)
-        self.signal = build_signal(column[:, None])
+        self.column = gaussian_column(300, 150, 10.0, height=0.9)
+        self.signal = one_level_signal(self.column, (60, 240))
         self.points = [PointAnnotation("v0", 148, 1)]
-        self.background = background(60, 240)
 
     def test_one_label_per_point(self):
         points = [PointAnnotation("v0", t, 1) for t in (100, 148, 200)]
-        labels = generate_pseudo_labels([video(self.signal, points, self.background)], ADMConfig())
+        labels = label_videos([self.signal], points, sharp())
         assert len(labels) == len(points)
 
     def test_gamma_edge_cases(self):
-        only_sigma = generate_pseudo_labels(
-            [video(self.signal, self.points, self.background)], ADMConfig(gamma1=1.0, gamma2=0.0)
-        )[0]
+        only_sigma = label_videos([self.signal], self.points, sharp(gamma1=1.0, gamma2=0.0))[0]
         assert only_sigma.delta == pytest.approx(only_sigma.sigma)
-        only_omega = generate_pseudo_labels(
-            [video(self.signal, self.points, self.background)], ADMConfig(gamma1=0.0, gamma2=1.0)
-        )[0]
+        only_omega = label_videos([self.signal], self.points, sharp(gamma1=0.0, gamma2=1.0))[0]
         assert only_omega.delta == pytest.approx(only_omega.omega)
 
     def test_delta_is_exact_combination(self):
-        config = ADMConfig(gamma1=0.7, gamma2=0.3)
-        label = generate_pseudo_labels([video(self.signal, self.points, self.background)], config)[0]
+        label = label_videos([self.signal], self.points, sharp(gamma1=0.7, gamma2=0.3))[0]
         assert label.delta == pytest.approx(0.7 * label.sigma + 0.3 * label.omega)
+
+    def test_fits_read_the_column_within_the_background_points(self):
+        label = label_videos([self.signal], self.points, sharp())[0]
+        boundary = PreliminaryBoundary(60, 240)
+        assert label.t_star == 150
+        assert (label.sigma, label.gaussian_error) == fit_gaussians([(self.column, boundary, 150)])[0]
+        assert (label.omega, label.uniform_error) == uniform_fit(self.column, boundary, 150)
 
     def test_interval_contains_peak_and_stays_in_video(self):
         rng = np.random.default_rng(24)
@@ -620,50 +614,16 @@ class TestGeneratePseudoLabels:
                 0,
                 1,
             )
-            signal = build_signal(column[:, None])
             t = int(rng.integers(10, 190))
-            labels = generate_pseudo_labels(
-                [video(signal, [PointAnnotation("v0", t, 1)], background())], ADMConfig()
-            )
-            label = labels[0]
+            label = label_videos([one_level_signal(column)], [PointAnnotation("v0", t, 1)], sharp())[0]
             assert 0 <= label.start <= label.t_star <= label.end <= length - 1
 
-    def test_degenerate_boundary_produces_flagged_point_label(self):
-        labels = generate_pseudo_labels(
-            [video(self.signal, [PointAnnotation("v0", 60, 1)], background(60))], ADMConfig()
-        )
-        label = labels[0]
-        assert label.degenerate
-        assert label.start <= label.t_star <= label.end
-
     def test_scaling_column_preserves_fits(self):
-        scaled = build_signal(0.5 * self.signal.values[:, :1])
-        full = generate_pseudo_labels([video(self.signal, self.points, self.background)], ADMConfig())[0]
-        half = generate_pseudo_labels([video(scaled, self.points, self.background)], ADMConfig())[0]
+        scaled = one_level_signal(0.5 * self.column, (60, 240))
+        full = label_videos([self.signal], self.points, sharp())[0]
+        half = label_videos([scaled], self.points, sharp())[0]
         assert half.sigma == pytest.approx(full.sigma, abs=1e-4)
         assert half.omega == full.omega
-
-    def test_video_mismatch_names_both_videos(self):
-        points = [PointAnnotation("v0", 10, 1), PointAnnotation("other", 10, 1)]
-        with pytest.raises(InvalidInputError, match="annotation for video 'other' applied to signal 'v0'"):
-            generate_pseudo_labels([video(self.signal, points, self.background)], ADMConfig())
-
-    def test_video_mismatch_rejected(self):
-        with pytest.raises(InvalidInputError):
-            generate_pseudo_labels(
-                [video(self.signal, [PointAnnotation("other", 10, 1)], self.background)], ADMConfig()
-            )
-
-    def test_a_class_without_a_column_is_named(self):
-        points = [PointAnnotation("v0", 148, 1), PointAnnotation("v0", 150, 2)]
-        columns = {1: self.signal.class_column(1)}
-        with pytest.raises(InvalidInputError, match="video 'v0' has no column for the class 2 of t=150"):
-            generate_pseudo_labels([("v0", columns, points, self.background)], ADMConfig())
-
-    def test_columns_of_one_video_share_a_length(self):
-        column = self.signal.class_column(1)
-        with pytest.raises(InvalidInputError, match=r"video 'v0': its class columns differ in length, \[299, 300\]"):
-            generate_pseudo_labels([("v0", {1: column, 2: column[:-1]}, self.points, self.background)], ADMConfig())
 
 
 def synth_dataset(videos=6, seed=11):
@@ -699,25 +659,30 @@ class TestLabelVideos:
         tiny = [label for label in labels if label.video_id == "tiny"]
         assert len(tiny) == 1 and tiny[0].degenerate and tiny[0].sigma == SIGMA_LOWER_BOUND
 
-        # the pipeline spelled out: it gives the same labels, and the fit objectives at
-        # each label's sigma and omega give exactly its fit errors
+        # the pipeline spelled out one point at a time: it gives the same labels, and the fit
+        # objectives at each label's sigma and omega give exactly its fit errors
         expected = []
         for video_id in sorted(grouped):
             finest, coarsest = grouped[video_id][0], grouped[video_id][-1]
             video_points = [p for p in points if p.video_id == video_id]
             intervals = augment_points(video_points, 2, finest.length)
             background = select_background_points(finest, intervals, config.background_threshold)
-            columns = {
-                class_id: upsample_column(smooth_column(coarsest.class_column(class_id), config.smoothing_sigma),
-                                          finest.length)
-                for class_id in {p.class_id for p in video_points}
-            }
-            for label in generate_pseudo_labels([(video_id, columns, video_points, background)], config):
-                point = PointAnnotation(label.video_id, label.t, label.class_id)
+            for point in video_points:
+                smoothed = smooth_column(coarsest.class_column(point.class_id), config.smoothing_sigma)
+                column = upsample_column(smoothed, finest.length)
                 boundary = boundary_of(point, background, finest.length)
-                column = columns[label.class_id]
-                gaussian = gaussian_error_at(column, boundary, label.t_star, label.sigma)
-                uniform = uniform_error_at(column, boundary, label.t_star, label.omega)
+                t_star = find_peak(column, boundary, point.t, config.delta)
+                sigma, gaussian = fit_gaussians([(column, boundary, t_star)])[0]
+                omega, uniform = uniform_fit(column, boundary, t_star)
+                assert gaussian == gaussian_error_at(column, boundary, t_star, sigma)
+                assert uniform == uniform_error_at(column, boundary, t_star, omega)
+                half_extent = config.gamma1 * sigma + config.gamma2 * omega
+                start = min(max(round(t_star - half_extent), 0), finest.length - 1)
+                end = min(max(round(t_star + half_extent), 0), finest.length - 1)
+                label = PseudoLabel(
+                    video_id, point.t, t_star, sigma, omega, half_extent, start, end, point.class_id,
+                    boundary.b_start == boundary.b_end,
+                )
                 expected.append((label, (gaussian, uniform)))
         assert labels == [label for label, _ in expected]
         assert [(label.gaussian_error, label.uniform_error) for label in labels] == [
@@ -770,6 +735,45 @@ class TestLabelVideos:
             label_videos([], [PointAnnotation("ghost", 3, 1)], ADMConfig())
 
 
+@st.composite
+def small_datasets(draw):
+    """1-3 videos of 1-40 level-1 snippets and 1-3 classes, some with a level 2 pooled by 2, each with
+    1-5 points; probabilities often 0 or 1, so that background points crowd the points or are absent."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    signals, points = [], []
+    for index in range(draw(st.integers(1, 3))):
+        video_id = f"v{index}"
+        length = draw(st.integers(1, 3) | st.integers(4, 40))
+        classes = draw(st.integers(1, 3))
+        values = rng.uniform(0.0, 1.0, (length, classes + 1))
+        if draw(st.booleans()):
+            values = values.round()
+        signals.append(ProbabilitySignal(video_id, 1, values))
+        if draw(st.booleans()):
+            signals.append(ProbabilitySignal(video_id, 2, rng.uniform(0.0, 1.0, (-(-length // 2), classes + 1))))
+        for _ in range(draw(st.integers(1, 5))):
+            points.append(PointAnnotation(video_id, draw(st.integers(0, length - 1)), draw(st.integers(1, classes))))
+    return signals, points
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    small_datasets(),
+    st.integers(0, 3),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(0.0, 0.5, exclude_min=True),
+)
+def test_every_point_lies_in_its_boundary_which_is_one_snippet_only_in_a_one_snippet_video(
+    dataset, r_a, threshold, delta
+):
+    # a point outside its boundary would make find_peak raise: its own snippet is never background
+    signals, points = dataset
+    labels = label_videos(signals, points, ADMConfig(delta=delta, background_threshold=threshold, r_a=r_a))
+    lengths = {signal.video_id: signal.length for signal in signals if signal.level == 1}
+    assert len(labels) == len(points)
+    assert [label.degenerate for label in labels] == [lengths[label.video_id] == 1 for label in labels]
+
+
 class TestADMConfig:
     def test_rejects_bad_delta(self):
         with pytest.raises(InvalidInputError):
@@ -795,21 +799,16 @@ def test_fitted_parameters_stay_inside_bounds():
         boundary = PreliminaryBoundary(b_start, b_end)
         t_star = int(rng.integers(b_start, b_end + 1))
         upper = max(t_star - b_start, b_end - t_star)
-        sigma, _, _ = fit_gaussians([(column, boundary, t_star)])[0]
-        omega, _, _ = uniform_fit(column, boundary, t_star)
+        sigma, _ = fit_gaussians([(column, boundary, t_star)])[0]
+        omega, _ = uniform_fit(column, boundary, t_star)
         assert SIGMA_LOWER_BOUND <= sigma <= upper or upper < SIGMA_LOWER_BOUND
         assert 0.0 <= omega <= upper
 
 
 def test_clip_to_boundary_option():
-    length = 300
-    column = gaussian_column(length, 150, 40.0, height=0.9)
-    signal = build_signal(column[:, None])
+    signal = one_level_signal(gaussian_column(300, 150, 40.0, height=0.9), (130, 170))
     points = [PointAnnotation("v0", 150, 1)]
-    bg = background(130, 170)
-    free = generate_pseudo_labels([video(signal, points, bg)], ADMConfig(gamma1=2.0, gamma2=2.0))[0]
-    clipped = generate_pseudo_labels(
-        [video(signal, points, bg)], ADMConfig(gamma1=2.0, gamma2=2.0, clip_to_boundary=True)
-    )[0]
+    free = label_videos([signal], points, sharp(gamma1=2.0, gamma2=2.0))[0]
+    clipped = label_videos([signal], points, sharp(gamma1=2.0, gamma2=2.0, clip_to_boundary=True))[0]
     assert free.start < 130 or free.end > 170  # wide gammas overshoot the boundary
     assert 130 <= clipped.start <= clipped.end <= 170

@@ -970,6 +970,45 @@ def test_smoothing_past_the_tap_budget_fails_cleanly(runner, tmp_path, value):
     assert not (tmp_path / "out.json").exists()
 
 
+def _flat_adm_args(tmp_path):
+    """``adm`` on one 64-snippet video whose class 1 is 0.9 throughout, with no background point: both
+    fits of the point at 30 reach its u_b of 33 snippets."""
+    values = np.zeros((64, 3))
+    values[:, 0] = 0.9
+    save_signals(tmp_path / "v0.npz", [ProbabilitySignal("v0", 1, values)])
+    save_annotations(tmp_path / "ann.json", [PointAnnotation("v0", 30, 1)])
+    return ["adm", "--signals", str(tmp_path / "v0.npz"), "--annotations", str(tmp_path / "ann.json"),
+            "--out", str(tmp_path / "out.json")]
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [("--gamma1", "1e307"), ("--gamma1", "1e307", "--clip-to-boundary"), ("--gamma1", "1e308", "--gamma2", "1e308")],
+    ids=["gamma1", "gamma1-clipped", "both-gammas"],
+)
+def test_a_half_extent_that_overflows_fails_cleanly(runner, tmp_path, extra):
+    # finite gammas that pass ADMConfig, whose product with a 33-snippet fit is inf
+    result = runner.invoke(main, _flat_adm_args(tmp_path) + list(extra))
+    fails_cleanly(result, "video 'v0', t=30: the half-extent gamma1*sigma + gamma2*omega overflows to inf")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_a_huge_finite_half_extent_clips_to_the_video(runner, tmp_path):
+    result = invoke(runner, _flat_adm_args(tmp_path) + ["--gamma1", "1e300"])
+    assert result.exit_code == 0, result.output
+    [label] = load_pseudo_labels(tmp_path / "out.json")
+    assert label.delta > 1e301 and (label.start, label.end) == (0, 63)
+
+
+def test_adm_names_an_annotated_class_the_signal_lacks(runner, tmp_path):
+    args = _command_args(tmp_path, "adm")
+    save_annotations(tmp_path / "ann.json", [PointAnnotation("v0", 3, 1), PointAnnotation("v0", 9, 3)])
+    result = runner.invoke(main, args)
+    assert result.output == "error: class_id 3 outside [1, 2] for video 'v0'\n"
+    fails_cleanly(result, "class_id 3 outside [1, 2] for video 'v0'")
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_shortest_synth_video_labels_at_default_smoothing(runner, tmp_path):
     # 8 snippets, fewer than the default kernel's radius of 8 plus one: the reflections repeat
     # the later --length, --instances and --durations win

@@ -12,7 +12,7 @@ import actionness
 EXPORTS = {
     "adm": [
         "ADMConfig", "PreliminaryBoundary", "PseudoLabel", "find_peak", "fit_gaussians", "fit_uniforms",
-        "generate_pseudo_labels", "label_videos", "video_boundaries",
+        "label_videos", "video_boundaries",
     ],
     "decoder": [
         "DecoderConfig", "Proposal", "decode_videos", "nms", "oic_scores", "select_classes", "threshold_runs",
