@@ -69,7 +69,7 @@ _EXPORTS = {
 }
 # each exported name -> the module that defines it
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
-_MODULES = frozenset(_EXPORTS) | {"cli", "oracles", "storage"}  # every module of the package
+_MODULES = frozenset(_EXPORTS) | {"cli", "files", "oracles", "storage"}  # every module of the package
 
 __all__ = sorted(_MODULE_OF)
 

@@ -128,11 +128,14 @@ def find_peak(column: np.ndarray, boundary: PreliminaryBoundary, t: int, delta: 
     """Argmax of the class column inside the boundary and the delta-window around ``t``.
 
     ``t`` must lie inside the boundary, as every point does in its
-    ``video_boundaries`` boundary, so the window holds ``t`` itself and is
-    never empty. Ties resolve to the smallest index.
+    ``video_boundaries`` boundary, and ``delta`` in ``(0, 0.5]``, as
+    ``ADMConfig`` holds it, so the window holds ``t`` itself and is never
+    empty. Ties resolve to the smallest index.
     """
     if not boundary.b_start <= t <= boundary.b_end:
         raise InvalidInputError(f"t={t} outside the boundary [{boundary.b_start}, {boundary.b_end}]")
+    if not 0.0 < delta <= 0.5:
+        raise InvalidInputError(f"delta must be in (0, 0.5], got {delta}")
     column = np.asarray(column, dtype=np.float64)
     radius = delta * boundary.duration
     lo = max(boundary.b_start, math.ceil(t - radius))

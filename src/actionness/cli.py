@@ -289,7 +289,7 @@ def eval_cmd(input_path, gt_path, thresholds, out_json, out_csv):
 @click.option("--seed", default=None, type=int)
 def verify_cmd(suite, out_path, samples, seed):
     """Run a verification suite; exit 0 only if every check passes."""
-    from .storage import write_json_atomic
+    from .files import write_json_atomic
     from .verify import run_suite
 
     started = time.perf_counter()

@@ -6,7 +6,8 @@ interchange format). Everything else is JSON, plus a CSV eval report;
 annotations, ground truth, pseudo-labels and proposals share one record codec
 driven by the ``_LAYOUTS`` table. All writers serialize deterministically
 (sorted keys, fixed layout, fixed archive timestamps) and replace the target
-file atomically, so identical inputs yield byte-identical outputs. Every
+file atomically through ``files``, so identical inputs yield byte-identical
+outputs. Every
 loader turns malformed input into ``InvalidInputError``. JSON files are read
 as UTF-8 whatever the locale. numpy, and the ``signal`` module that holds
 ``ProbabilitySignal``, load only when a signal codec runs (``signal_from_dict``,
@@ -19,15 +20,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
-import tempfile
 import zipfile
-from contextlib import contextmanager
 from operator import getitem
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import InvalidInputError
+from .files import _atomic_file, write_json_atomic
 from .records import GroundTruthInstance, PointAnnotation, Proposal, PseudoLabel
 
 if TYPE_CHECKING:
@@ -36,45 +35,6 @@ if TYPE_CHECKING:
 
 # Errors that wrong-typed or wrong-shaped input raises while records are built.
 _MALFORMED = (TypeError, ValueError, OverflowError)
-
-
-def _umask() -> int:
-    # reading the umask means setting it; it is put back at once
-    mask = os.umask(0o077)
-    os.umask(mask)
-    return mask
-
-
-@contextmanager
-def _atomic_file(path: Path | str):
-    """Yield a binary handle on a temp file that replaces ``path`` once the block succeeds.
-
-    ``mkstemp`` creates the file as 0600; it gets the mode a plain ``open``
-    would give it, ``0o666`` less the umask, before it moves into place.
-    """
-    path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            yield handle
-        os.chmod(tmp_name, 0o666 & ~_umask())
-        os.replace(tmp_name, path)
-    except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
-        raise
-
-
-def write_json_atomic(path: Path | str, payload) -> None:
-    """Serialize deterministically, then move the finished file into place.
-
-    No ``indent``, so the C encoder runs; keys are sorted and the file ends
-    in a newline.
-    """
-    text = json.dumps(payload, sort_keys=True)
-    with _atomic_file(path) as handle:
-        handle.write(text.encode())
-        handle.write(b"\n")
 
 
 def load_json(path: Path | str, *, keep_text: bool = False):

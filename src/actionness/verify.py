@@ -4,11 +4,15 @@ Each suite returns a JSON-ready report ``{"suite", "checks": [...], "pass"}``
 with one entry per property. The CLI ``verify`` subcommand runs them through
 ``run_suite``. The fitting and oracle suites draw their cases first and run
 each set of searches as one batch, whose lanes equal searches of their own.
-Each suite imports the modules it checks when it runs, so that a process that
-runs one suite loads only that suite's modules.
+Each suite imports the modules it checks when it runs, and draws its cases
+from the standard library's ``random.Random``, so that a process that runs one
+suite loads only that suite's modules, and no ``numpy.random``.
 """
 
 from __future__ import annotations
+
+import math
+import random
 
 import numpy as np
 
@@ -21,12 +25,17 @@ ORACLE_GRID_POINTS = 100000  # x values scanned per minimizer oracle case
 
 
 def _require_counts(suite: str, seed: int, **counts: int) -> None:
-    """Reject a negative seed, which numpy cannot seed from, and counts below 1."""
+    """Reject counts below 1 and a negative seed, which ``random.Random`` would draw as its absolute value."""
     if seed < 0:
         raise InvalidInputError(f"{suite} suite: seed must be >= 0, got {seed}")
     for name, count in counts.items():
         if count < 1:
             raise InvalidInputError(f"{suite} suite: {name} must be >= 1, got {count}")
+
+
+def _uniforms(rng: random.Random, lo: float, hi: float, *shape: int) -> np.ndarray:
+    """An array of ``shape`` holding independent uniform draws from ``[lo, hi]``."""
+    return np.array([rng.uniform(lo, hi) for _ in range(math.prod(shape))]).reshape(shape)
 
 
 # --- gradient suite ---------------------------------------------------------
@@ -52,21 +61,19 @@ def _worst_gradient_error(loss, arrays) -> float:
 
 def _level_arrays(rng):
     """One to two random signal arrays of 6-12 snippets, sharing one to three classes."""
-    levels = int(rng.integers(1, 3))
-    classes = int(rng.integers(1, 4))
-    arrays = [
-        rng.uniform(0.05, 0.95, (int(rng.integers(6, 13)), classes + 1)) for _ in range(levels)
-    ]
+    levels = rng.randrange(1, 3)
+    classes = rng.randrange(1, 4)
+    arrays = [_uniforms(rng, 0.05, 0.95, rng.randrange(6, 13), classes + 1) for _ in range(levels)]
     return arrays, classes
 
 
 def _mil_case(rng):
     from . import losses
 
-    levels = int(rng.integers(1, 5))
-    classes = int(rng.integers(1, 9))
-    scores = rng.uniform(0.05, 0.95, (levels, classes))
-    label = rng.integers(0, 2, classes).astype(np.float64)
+    levels = rng.randrange(1, 5)
+    classes = rng.randrange(1, 9)
+    scores = _uniforms(rng, 0.05, 0.95, levels, classes)
+    label = np.array([float(rng.randrange(2)) for _ in range(classes)])
     return _worst_gradient_error(lambda: losses.mil_loss(scores, label), [scores])
 
 
@@ -78,10 +85,10 @@ def _focal_case(rng):
     total = 0
     for array in arrays:
         pairs = []
-        for _ in range(int(rng.integers(1, 4))):
+        for _ in range(rng.randrange(1, 4)):
             label = np.zeros(classes)
-            label[int(rng.integers(0, classes))] = 1.0
-            pairs.append((int(rng.integers(0, array.shape[0])), label))
+            label[rng.randrange(classes)] = 1.0
+            pairs.append((rng.randrange(array.shape[0]), label))
             total += 1
         supervised.append(pairs)
     return _worst_gradient_error(
@@ -96,8 +103,8 @@ def _background_case(rng):
     points = []
     total = 0
     for array in arrays:
-        count = int(rng.integers(1, 4))
-        chosen = sorted(rng.choice(array.shape[0], size=count, replace=False).tolist())
+        count = rng.randrange(1, 4)
+        chosen = sorted(rng.sample(range(array.shape[0]), count))
         points.append(chosen)
         total += count
     return _worst_gradient_error(
@@ -108,14 +115,12 @@ def _background_case(rng):
 def _alignment_case(rng):
     from . import losses
 
-    length = int(rng.integers(12, 25))
-    classes = int(rng.integers(2, 5))
-    values = rng.uniform(0.05, 0.95, (length, classes + 1))
+    length = rng.randrange(12, 25)
+    classes = rng.randrange(2, 5)
+    values = _uniforms(rng, 0.05, 0.95, length, classes + 1)
     instances = []
-    for _ in range(int(rng.integers(1, 4))):
-        instances.append(
-            (int(rng.integers(0, length)), float(rng.uniform(1.0, 5.0)), int(rng.integers(1, classes + 1)))
-        )
+    for _ in range(rng.randrange(1, 4)):
+        instances.append((rng.randrange(length), rng.uniform(1.0, 5.0), rng.randrange(1, classes + 1)))
     kernels = losses.GaussianKernelSet.from_instances(instances, length)
     return _worst_gradient_error(lambda: losses.gaussian_alignment_loss(values, kernels), [values])
 
@@ -123,9 +128,9 @@ def _alignment_case(rng):
 def _sigma_case(rng):
     from . import losses
 
-    count = int(rng.integers(1, 9))
-    pseudo = rng.uniform(0.0, 10.0, count)
-    predicted = rng.uniform(0.0, 10.0, count)
+    count = rng.randrange(1, 9)
+    pseudo = _uniforms(rng, 0.0, 10.0, count)
+    predicted = _uniforms(rng, 0.0, 10.0, count)
     return _worst_gradient_error(lambda: losses.sigma_loss(pseudo, predicted), [predicted])
 
 
@@ -141,7 +146,7 @@ def run_gradient_suite(instances: int = 100, seed: int = 20240) -> dict:
     )
     checks = []
     for index, (name, case) in enumerate(cases):
-        rng = np.random.default_rng([seed, index])
+        rng = random.Random(seed * len(cases) + index)
         worst = 0.0
         for _ in range(instances):
             worst = max(worst, case(rng))
@@ -158,16 +163,16 @@ def run_fitting_suite(samples: int = 1000, grid_checks: int = 25, seed: int = 73
     from .adm import SIGMA_LOWER_BOUND, PreliminaryBoundary, fit_gaussians, fit_uniforms, sigma_upper_bound
     from .oracles import gaussian_objective_grid, uniform_objective_grid
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     length = 512
     positions = np.arange(length, dtype=np.float64)
 
     sigmas_true, fits = [], []
     for _ in range(samples):
-        sigma_true = float(rng.uniform(3.0, 40.0))
-        t_star = int(rng.integers(200, 313))
-        boundary = PreliminaryBoundary(int(rng.integers(0, 40)), int(rng.integers(472, length)))
-        height = float(rng.uniform(0.5, 1.0))
+        sigma_true = rng.uniform(3.0, 40.0)
+        t_star = rng.randrange(200, 313)
+        boundary = PreliminaryBoundary(rng.randrange(40), rng.randrange(472, length))
+        height = rng.uniform(0.5, 1.0)
         column = height * np.exp(-0.5 * ((positions - t_star) / sigma_true) ** 2)
         sigmas_true.append(sigma_true)
         fits.append((column, boundary, t_star))
@@ -182,10 +187,10 @@ def run_fitting_suite(samples: int = 1000, grid_checks: int = 25, seed: int = 73
 
     half_widths, rectangles = [], []
     for _ in range(samples):
-        half_width = int(rng.integers(1, 31))
-        t_star = int(rng.integers(150, 363))
-        boundary = PreliminaryBoundary(int(rng.integers(0, 40)), int(rng.integers(472, length)))
-        height = float(rng.uniform(0.5, 1.0))
+        half_width = rng.randrange(1, 31)
+        t_star = rng.randrange(150, 363)
+        boundary = PreliminaryBoundary(rng.randrange(40), rng.randrange(472, length))
+        height = rng.uniform(0.5, 1.0)
         half_widths.append(half_width)
         rectangles.append((np.where(np.abs(positions - t_star) <= half_width, height, 0.0), boundary, t_star))
     worst_omega_abs = 0.0
@@ -199,12 +204,13 @@ def run_fitting_suite(samples: int = 1000, grid_checks: int = 25, seed: int = 73
 
     noisy = []
     for _ in range(grid_checks):
-        sigma_true = float(rng.uniform(5.0, 30.0))
-        t_star = int(rng.integers(200, 313))
-        boundary = PreliminaryBoundary(int(rng.integers(20, 60)), int(rng.integers(452, 492)))
-        height = float(rng.uniform(0.6, 0.95))
+        sigma_true = rng.uniform(5.0, 30.0)
+        t_star = rng.randrange(200, 313)
+        boundary = PreliminaryBoundary(rng.randrange(20, 60), rng.randrange(452, 492))
+        height = rng.uniform(0.6, 0.95)
         clean = height * np.exp(-0.5 * ((positions - t_star) / sigma_true) ** 2)
-        noisy.append((np.clip(clean + rng.normal(0.0, 0.05, length), 0.0, 1.0), boundary, t_star))
+        noise = np.array([rng.gauss(0.0, 0.05) for _ in range(length)])
+        noisy.append((np.clip(clean + noise, 0.0, 1.0), boundary, t_star))
     sigma_grid_ok = 0
     omega_grid_ok = 0
     for (column, boundary, t_star), gaussian, uniform in zip(noisy, fit_gaussians(noisy), fit_uniforms(noisy)):
@@ -241,20 +247,20 @@ def run_fitting_suite(samples: int = 1000, grid_checks: int = 25, seed: int = 73
 
 def _random_unimodal(rng):
     """A random objective of one of four unimodal kinds, its interval ``lo, hi`` and its minimizer."""
-    lo = float(rng.uniform(-10.0, 0.0))
-    hi = lo + float(rng.uniform(1.0, 20.0))
-    minimum = float(rng.uniform(lo, hi))
-    scale = float(rng.uniform(0.1, 5.0))
-    offset = float(rng.uniform(-1.0, 1.0))
-    kind = int(rng.integers(0, 4))
+    lo = rng.uniform(-10.0, 0.0)
+    hi = lo + rng.uniform(1.0, 20.0)
+    minimum = rng.uniform(lo, hi)
+    scale = rng.uniform(0.1, 5.0)
+    offset = rng.uniform(-1.0, 1.0)
+    kind = rng.randrange(4)
     if kind == 0:
         return lambda x: scale * (x - minimum) ** 2 + offset, lo, hi, minimum
     if kind == 1:
         return lambda x: scale * np.abs(x - minimum) + offset, lo, hi, minimum
     if kind == 2:
-        width = float(rng.uniform(0.5, 3.0))
+        width = rng.uniform(0.5, 3.0)
         return lambda x: -scale * np.exp(-0.5 * ((x - minimum) / width) ** 2) + offset, lo, hi, minimum
-    slope = float(rng.uniform(0.1, 2.0))
+    slope = rng.uniform(0.1, 2.0)
     return lambda x: scale * (x - minimum) ** 2 + slope * np.abs(x - minimum) + offset, lo, hi, minimum
 
 
@@ -262,16 +268,16 @@ def _random_proposals(rng, max_count, classes, horizon=100):
     from .records import Proposal
 
     proposals = []
-    for _ in range(int(rng.integers(0, max_count + 1))):
-        start = int(rng.integers(0, horizon - 1))
-        end = start + int(rng.integers(0, 20))
+    for _ in range(rng.randrange(max_count + 1)):
+        start = rng.randrange(horizon - 1)
+        end = start + rng.randrange(20)
         proposals.append(
             Proposal(
-                f"video-{int(rng.integers(0, 2)):02d}",
+                f"video-{rng.randrange(2):02d}",
                 start,
                 min(end, horizon - 1),
-                int(rng.integers(1, classes + 1)),
-                float(np.round(rng.uniform(0.0, 1.0), 6)),
+                rng.randrange(1, classes + 1),
+                round(rng.uniform(0.0, 1.0), 6),
             )
         )
     return proposals
@@ -298,7 +304,7 @@ def run_oracle_suite(
     from .optim import minimize_lanes
     from .oracles import average_precision_direct, nms_direct
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
 
     x_tolerance = 1e-5
     objectives, lows, highs, _ = zip(*(_random_unimodal(rng) for _ in range(optimizer_cases)))
@@ -326,15 +332,11 @@ def run_oracle_suite(
     worst_ap_gap = 0.0
     for _ in range(ap_cases):
         gt = []
-        for _ in range(int(rng.integers(1, 6))):
-            start = int(rng.integers(0, 80))
-            gt.append(
-                GroundTruthInstance(
-                    f"video-{int(rng.integers(0, 2)):02d}", start, start + int(rng.integers(0, 20)), 1
-                )
-            )
-        proposals = [p for p in _random_proposals(rng, 10, 1)]
-        threshold = float(rng.choice([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7]))
+        for _ in range(rng.randrange(1, 6)):
+            start = rng.randrange(80)
+            gt.append(GroundTruthInstance(f"video-{rng.randrange(2):02d}", start, start + rng.randrange(20), 1))
+        proposals = _random_proposals(rng, 10, 1)
+        threshold = rng.choice([0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7])
         fast = average_precision(proposals, gt, threshold)
         direct = average_precision_direct(proposals, gt, threshold)
         gap = abs(fast - direct)
@@ -352,7 +354,7 @@ def run_oracle_suite(
     nms_ok = 0
     for _ in range(nms_cases):
         proposals = _random_proposals(rng, 50, 3)
-        threshold = float(rng.uniform(0.2, 0.7))
+        threshold = rng.uniform(0.2, 0.7)
         if nms(proposals, threshold) == nms_direct(proposals, threshold):
             nms_ok += 1
     nms_check = {
@@ -365,7 +367,7 @@ def run_oracle_suite(
     idempotent_ok = 0
     for _ in range(idempotence_cases):
         proposals = _random_proposals(rng, 30, 3)
-        threshold = float(rng.uniform(0.2, 0.7))
+        threshold = rng.uniform(0.2, 0.7)
         survivors = nms(proposals, threshold)
         if nms(survivors, threshold) == survivors:
             idempotent_ok += 1

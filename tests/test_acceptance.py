@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; the whole module targets well under a minute.
 """
 
+import random
 import time
 from collections import Counter
 
@@ -140,7 +141,7 @@ def test_criterion_4_gradient_suite():
 
 
 def test_criterion_5_optimizer_versus_dense_grid():
-    rng = np.random.default_rng(5150)
+    rng = random.Random(5150)
     grid_points = 100000
     objectives, lows, highs, _ = zip(*(_random_unimodal(rng) for _ in range(100)))
     result = minimize_lanes(

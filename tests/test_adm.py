@@ -33,6 +33,7 @@ from actionness.signal import (
     upsample_column,
 )
 from actionness.synth import SyntheticConfig, generate_dataset
+from actionness.verify import run_fitting_suite
 
 
 def background(*indices):
@@ -156,6 +157,12 @@ class TestFindPeak:
         # the delta-window holds t only when the boundary does
         with pytest.raises(InvalidInputError, match=re.escape(f"t={t} outside the boundary [30, 40]")):
             find_peak(np.zeros(50), PreliminaryBoundary(30, 40), t, 0.1)
+
+    @pytest.mark.parametrize("delta", [-0.05, 0.0, 0.6, float("nan")])
+    def test_delta_outside_the_config_range_is_rejected(self, delta):
+        # a negative delta left an empty window, a NaN one no window bounds; ADMConfig takes (0, 0.5]
+        with pytest.raises(InvalidInputError, match=re.escape(f"delta must be in (0, 0.5], got {delta}")):
+            find_peak(np.zeros(10), PreliminaryBoundary(0, 9), 4, delta)
 
 
 class TestFitGaussian:
@@ -429,6 +436,12 @@ def test_batched_gaussian_fits_equal_one_label_fits(fits):
     for (column, boundary, t_star), fit in zip(fits, batch):
         assert boundary.b_start < boundary.b_end or fit.value == SIGMA_LOWER_BOUND
         assert fit.error == gaussian_error_at(column, boundary, t_star, fit.value)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=0))
+def test_fitting_suite_passes_at_any_seed(seed):
+    assert run_fitting_suite(samples=3, grid_checks=1, seed=seed)["pass"]
 
 
 def test_gaussian_objective_chunks_lose_no_snippet(monkeypatch):

@@ -13,7 +13,7 @@ import pytest
 from click.testing import CliRunner
 
 import actionness
-from actionness import storage, synth
+from actionness import files, storage, synth
 from actionness.adm import ADMConfig, PseudoLabel, label_videos
 from actionness.cli import main
 from actionness.decoder import DecoderConfig, Proposal, decode_videos
@@ -848,12 +848,14 @@ def test_pipeline_outputs_byte_pinned(runner, tmp_path):
 # SHA-256 of the ``--out`` report of each ``verify`` suite, keyed by suite and
 # ``--samples``. At 5 samples a suite's search batch holds one lane; at 80 the
 # fitting suite's grid check fits 2 columns and the oracle suite runs 8 minimizer lanes.
+# The suites draw their cases from ``random.Random``; the oracle reports hold
+# only counts and an AP gap of 0, so their digests match those of numpy's draws.
 PINNED_VERIFY_DIGESTS = {
-    ("fitting", 5): "bef37705176d36691343fc5e30afde988bf5b0d6a7b34fae44132fe6e72b0158",
-    ("gradients", 5): "eff8835d360a97bf66db2f42e8937047086824914d6a7e454611b6a3b06c704f",
+    ("fitting", 5): "5a85ee97395a3a2e2806d21527831e4b165e7cf7466dc63bcf2d8a0b308810c6",
+    ("gradients", 5): "5514148e0ab2558142870eed48f63bd03f869aa396ecddf585bcf62a6f34ccbb",
     ("oracles", 5): "51771c0bba0bd86a8f5d599c93f74ae2115d1cfa5c2dab52f7d926d5e12a3ea6",
-    ("fitting", 80): "42511533ed3066c1c1ad2181ea5f42b636a9ef703cc7513c3be35706b52f6263",
-    ("gradients", 80): "2e0c79cc24c1f6c8e95ffd77231fafd81114a0dfd58e1e9803f43c6184b92017",
+    ("fitting", 80): "4a2dff85bcad7ad3d4f08d1f2251103637677eb90a58824d747b3fc29de0c5cd",
+    ("gradients", 80): "c24c64bf342e648c2e4af1c787872c3ecb31c4a5d79e0f857ea5595a2d392aab",
     ("oracles", 80): "626f77f83c9e9f38c7652362c272b869010022aeccc7e680e844bc1c3a77e748",
 }
 
@@ -1192,9 +1194,9 @@ def test_decode_leaves_adm_and_optim_unimported(runner, tmp_path):
 
 # per verify suite: modules it must load, and modules it must leave unimported
 _VERIFY_MODULES = {
-    "gradients": ({"losses", "oracles"}, {"adm", "optim", "decoder", "evaluation"}),
-    "fitting": ({"adm", "optim", "oracles"}, {"decoder", "losses", "evaluation"}),
-    "oracles": ({"decoder", "evaluation", "optim", "oracles"}, {"adm"}),
+    "gradients": ({"files", "losses", "oracles"}, {"adm", "optim", "decoder", "evaluation", "storage"}),
+    "fitting": ({"adm", "files", "optim", "oracles"}, {"decoder", "losses", "evaluation", "storage"}),
+    "oracles": ({"decoder", "evaluation", "files", "optim", "oracles"}, {"adm", "storage"}),
 }
 
 
@@ -1204,6 +1206,16 @@ def test_each_verify_suite_loads_only_the_modules_it_checks(tmp_path, suite):
     needed, unneeded = _VERIFY_MODULES[suite]
     assert {f"actionness.{name}" for name in needed} <= loaded
     assert not loaded & {f"actionness.{name}" for name in unneeded}
+
+
+@pytest.mark.parametrize("command", ["synth", "adm", "decode", "eval", *(f"verify-{suite}" for suite in sorted(_VERIFY_MODULES))])
+def test_only_synth_loads_numpy_random(runner, tmp_path, command):
+    # synth draws its data from numpy's generator; the verify suites draw their cases from random.Random
+    if command.startswith("verify-"):
+        args = ["verify", command.removeprefix("verify-"), "--samples", "2", "--out", str(tmp_path / "report.json")]
+    else:
+        args = _library_args(runner, tmp_path, command)
+    assert ("numpy.random" in _loaded_modules(args)) == (command == "synth")
 
 
 def test_oracles_leave_adm_and_optim_unimported():
@@ -1224,7 +1236,8 @@ def test_failures_end_in_an_error_line_and_restore_the_collector(runner, tmp_pat
         collects.append(gc.isenabled())
         raise InvalidInputError(f"cannot write {Path(path).name}")
 
-    monkeypatch.setattr(storage, "write_json_atomic", failing_write)
+    # verify writes its report through files, every other command through storage
+    monkeypatch.setattr(files if command == "verify" else storage, "write_json_atomic", failing_write)
     result = runner.invoke(main, args)
     assert gc.isenabled() is collector
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
