@@ -1,8 +1,8 @@
 """Command-line front end: synthesize data, fit pseudo-labels, decode, evaluate, verify.
 
 All commands are deterministic given identical inputs and seeds. Data goes to
-files or stdout; diagnostics go to stderr. Set ``ADM_LOG_LEVEL`` to control
-log verbosity. Each command imports the library modules it runs in its own
+files or stdout; diagnostics go to stderr. ``ADM_LOG_LEVEL=INFO`` (or ``DEBUG``),
+read at each command, adds ``INFO actionness: …`` lines there. Each command imports the library modules it runs in its own
 body, so ``--help`` and every command start without the modules of the others.
 ``main`` runs every command with the cyclic garbage collector disabled, and
 turns each library failure into ``error: <message>`` on stderr and exit 1.
@@ -12,19 +12,14 @@ from __future__ import annotations
 
 import atexit
 import gc
-import json
-import logging
 import math
 import os
-import sys
 import time
 from pathlib import Path
 
 import click
 
 from .errors import InvalidInputError, NumericError, PackingError
-
-log = logging.getLogger("actionness")
 
 # The interpreter's final collections would walk every object that numpy, click
 # and the library made, to free memory the ending process returns anyway; a heap
@@ -36,6 +31,12 @@ _MAX_THRESHOLDS = 1000
 _RANGE_TOLERANCE = 1e-9  # in steps
 # the names of verify.SUITES, kept here so that --help need not import the suites
 _VERIFY_SUITES = ("fitting", "gradients", "oracles")
+
+
+def _info(message: str) -> None:
+    """Write ``INFO actionness: <message>`` to stderr if ``ADM_LOG_LEVEL`` is INFO or DEBUG now."""
+    if os.environ.get("ADM_LOG_LEVEL", "").upper() in ("INFO", "DEBUG"):
+        click.echo(f"INFO actionness: {message}", err=True)
 
 
 def _parse_thresholds(text: str) -> list[float]:
@@ -91,12 +92,6 @@ class _Main(click.Group):
 @click.group(cls=_Main)
 def main():
     """Actionness-distribution toolkit for point-supervised localization."""
-    level = os.environ.get("ADM_LOG_LEVEL", "WARNING").upper()
-    logging.basicConfig(
-        level=level if level in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL") else "WARNING",
-        stream=sys.stderr,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
 
 
 @main.command()
@@ -169,7 +164,7 @@ def synth(out_dir, videos, length, num_classes, instances, durations, shape_weig
         for path in written:
             path.unlink(missing_ok=True)
         raise
-    log.info("wrote %d videos to %s", videos, out_dir)
+    _info(f"wrote {videos} videos to {out_dir}")
 
 
 @main.command()
@@ -235,7 +230,7 @@ def decode_cmd(signals_path, out_path, thresholds, oic_inflation, nms_tiou, clas
     )
     proposals = decode_videos(load_signals(signals_path), config)
     save_proposals(out_path, proposals)
-    log.info("decoded %d proposals", len(proposals))
+    _info(f"decoded {len(proposals)} proposals")
 
 
 @main.command(name="eval")
@@ -272,6 +267,8 @@ def eval_cmd(input_path, gt_path, thresholds, out_json, out_csv):
 @click.option("--seed", default=None, type=int)
 def verify_cmd(suite, out_path, samples, seed):
     """Run a verification suite; exit 0 only if every check passes."""
+    import json
+
     from .files import write_json_atomic
     from .verify import run_suite
 

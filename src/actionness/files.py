@@ -10,35 +10,26 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from contextlib import contextmanager
 from pathlib import Path
-
-
-def _umask() -> int:
-    # reading the umask means setting it; it is put back at once
-    mask = os.umask(0o077)
-    os.umask(mask)
-    return mask
 
 
 @contextmanager
 def _atomic_file(path: Path | str):
     """Yield a binary handle on a temp file that replaces ``path`` once the block succeeds.
 
-    ``mkstemp`` creates the file as 0600; it gets the mode a plain ``open``
-    would give it, ``0o666`` less the umask, before it moves into place.
+    The temp file is hidden, randomly named and created as ``open`` would
+    create it, so it gets ``0o666`` less the umask.
     """
     path = Path(path)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             yield handle
-        os.chmod(tmp_name, 0o666 & ~_umask())
-        os.replace(tmp_name, path)
+        os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp_name):
-            os.unlink(tmp_name)
+        tmp.unlink(missing_ok=True)
         raise
 
 

@@ -1177,10 +1177,17 @@ def test_fitting_leaves_numpy_ma_unimported(runner, tmp_path, command):
 
 def test_help_loads_neither_numpy_nor_the_library():
     loaded = _loaded_modules(["--help"])
-    assert "click" in loaded and "numpy" not in loaded
+    assert "click" in loaded and not loaded & {"numpy", "json"}
     assert {name for name in loaded if name.startswith("actionness")} <= {
         "actionness", "actionness.cli", "actionness.errors"
     }
+
+
+@pytest.mark.parametrize("command", ["--help", *sorted(main.commands)])
+def test_no_command_loads_logging(runner, tmp_path, command):
+    # INFO lines go through click; no command configures the process's loggers
+    args = ["--help"] if command == "--help" else _library_args(runner, tmp_path, command)
+    assert "logging" not in _loaded_modules(args)
 
 
 @pytest.mark.parametrize("command", ["adm", "decode", "eval"])
@@ -1290,6 +1297,43 @@ def test_collector_is_paused_while_json_is_built_and_parsed(runner, tmp_path, mo
         assert gc.isenabled()
     # decode parses its signals and writes proposals; eval parses the GT and the proposals and writes a report
     assert states == {"loads": [False, False, False], "dumps": [False, False]}
+
+
+def _decode_args(tmp_path) -> list[str]:
+    """Arguments of one ``decode`` of a one-video signal file written under ``tmp_path``."""
+    save_signals(tmp_path / "v0.json", [small_signal()])
+    return ["decode", "--signals", str(tmp_path / "v0.json"), "--out", str(tmp_path / "p.json")]
+
+
+def test_log_level_is_read_by_each_command(runner, tmp_path, monkeypatch):
+    # one process runs every command, as the tests and an in-process benchmark do:
+    # an earlier command's level must not decide a later one's INFO line
+    args = _decode_args(tmp_path)
+    written = []
+    for level in ("WARNING", "INFO", "DEBUG"):
+        monkeypatch.setenv("ADM_LOG_LEVEL", level)
+        written.append(invoke(runner, args).stderr)
+    line = f"INFO actionness: decoded {len(load_proposals(tmp_path / 'p.json'))} proposals\n"
+    assert written == ["", line, line]
+
+
+@pytest.mark.parametrize("command", ["synth", "decode"])
+def test_info_lines_of_a_child_command(tmp_path, command):
+    # the bytes the standard logging format gave: "<level> <logger name>: <message>"
+    runs = {}
+    for level in ("INFO", None):
+        env = {key: value for key, value in _child_env().items() if key != "ADM_LOG_LEVEL"}
+        if level is not None:
+            env["ADM_LOG_LEVEL"] = level.lower()
+        args = synth_args(tmp_path / f"synth-{level}", videos=2) if command == "synth" else _decode_args(tmp_path)
+        child = subprocess.run([sys.executable, "-m", "actionness.cli", *args], env=env, capture_output=True)
+        assert child.returncode == 0, child.stderr
+        runs[level] = child.stderr
+    if command == "synth":
+        line = f"INFO actionness: wrote 2 videos to {tmp_path / 'synth-INFO'}\n"
+    else:
+        line = f"INFO actionness: decoded {len(load_proposals(tmp_path / 'p.json'))} proposals\n"
+    assert runs == {"INFO": line.encode(), None: b""}
 
 
 def _eval_args(runner, tmp_path, records) -> list[str]:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from actionness import files
 from actionness.adm import PseudoLabel
 from actionness.decoder import Proposal
 from actionness.errors import InvalidInputError
@@ -469,3 +470,16 @@ def test_writes_are_atomic_no_temp_left(tmp_path):
     save_annotations(path, [PointAnnotation("v0", 1, 1)])
     save_signals(tmp_path / "v0.npz", [ProbabilitySignal("v0", 1, np.zeros((2, 2)))])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "v0.npz"]
+
+
+def test_failed_write_keeps_the_old_target_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_bytes(b"old\n")
+    with pytest.raises(RuntimeError, match="mid-write"):
+        with files._atomic_file(path) as handle:
+            handle.write(b"new")
+            temps = [p.name for p in tmp_path.iterdir() if p != path]
+            assert len(temps) == 1 and re.fullmatch(r"\.out\.json\.[0-9a-f]{16}\.tmp", temps[0])
+            raise RuntimeError("mid-write")
+    assert path.read_bytes() == b"old\n"
+    assert list(tmp_path.iterdir()) == [path]
