@@ -2,7 +2,8 @@
 
 A writer fills a temp file next to its target and moves it into place once
 the content is complete, so a reader sees the old file or the new one, never
-a part. ``storage`` writes every file through here; the ``verify`` command
+a part. A target that is not a regular file is written in place instead.
+``storage`` writes every file through here; the ``verify`` command
 writes its report through ``write_json_atomic`` without loading ``storage``.
 """
 
@@ -19,9 +20,18 @@ def _atomic_file(path: Path | str):
     """Yield a binary handle on a temp file that replaces ``path`` once the block succeeds.
 
     The temp file is hidden, randomly named and created as ``open`` would
-    create it, so it gets ``0o666`` less the umask.
+    create it, so it gets ``0o666`` less the umask. A symlinked ``path`` has
+    its link's target replaced. An existing ``path`` that is not a regular
+    file, such as a device or a FIFO, is written straight through, and a
+    directory fails to open.
     """
     path = Path(path)
+    if path.is_symlink():
+        path = Path(os.path.realpath(path))
+    if path.exists() and not path.is_file():
+        with open(path, "wb") as handle:
+            yield handle
+        return
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:

@@ -1336,6 +1336,47 @@ def test_info_lines_of_a_child_command(tmp_path, command):
     assert runs == {"INFO": line.encode(), None: b""}
 
 
+def test_symlinked_output_keeps_its_link(runner, tmp_path):
+    args = _decode_args(tmp_path)
+    assert invoke(runner, args).exit_code == 0
+    expected = (tmp_path / "p.json").read_bytes()
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_bytes(b"old\n")
+    link.symlink_to(target)
+    assert invoke(runner, [*args[:-1], str(link)]).exit_code == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == expected
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["link.json", "p.json", "target.json", "v0.json"]
+
+
+def test_fifo_output_stays_a_fifo_and_its_reader_gets_the_bytes(runner, tmp_path):
+    args = _decode_args(tmp_path)
+    assert invoke(runner, args).exit_code == 0
+    expected = (tmp_path / "p.json").read_bytes()
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    # the read end opens first, without waiting for a writer, so neither end blocks;
+    # the bytes fit in the pipe's buffer
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        assert invoke(runner, [*args[:-1], str(fifo)]).exit_code == 0
+        received = os.read(reader, len(expected) + 1)
+    finally:
+        os.close(reader)
+    assert received == expected
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out.fifo", "p.json", "v0.json"]
+
+
+def test_directory_output_ends_in_an_error_line(runner, tmp_path):
+    args = _decode_args(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    fails_cleanly(runner.invoke(main, [*args[:-1], str(out)]), "Is a directory")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["out", "v0.json"]
+    assert list(out.iterdir()) == []
+
+
 def _eval_args(runner, tmp_path, records) -> list[str]:
     """Arguments of one ``eval`` of the labels or the proposals of a small synthetic dataset."""
     args = _library_args(runner, tmp_path, "eval")
