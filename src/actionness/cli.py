@@ -1,9 +1,10 @@
 """Command-line front end: synthesize data, fit pseudo-labels, decode, evaluate, verify.
 
 All commands are deterministic given identical inputs and seeds. Data goes to
-files or stdout; diagnostics go to stderr. ``ADM_LOG_LEVEL=INFO`` (or ``DEBUG``),
-read at each command, adds ``INFO actionness: …`` lines there. Each command imports the library modules it runs in its own
-body, so ``--help`` and every command start without the modules of the others.
+files or stdout; diagnostics go to stderr. ``ADM_LOG_LEVEL=INFO`` (or
+``DEBUG``), read at each command, adds ``INFO actionness: …`` lines there.
+Each command imports the library modules it runs in its own body, so
+``--help`` and every command start without the modules of the others.
 ``main`` runs every command with the cyclic garbage collector disabled, and
 turns each library failure into ``error: <message>`` on stderr and exit 1.
 """
