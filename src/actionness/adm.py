@@ -10,13 +10,13 @@ dataset, from each video's pyramid levels to its labels.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import signal
 from .errors import InvalidInputError, NumericError, require_finite
 from .optim import minimize_lanes
 from .records import PointAnnotation, PseudoLabel
@@ -31,9 +31,6 @@ from .signal import (
 )
 
 SIGMA_LOWER_BOUND = 1e-6
-# most float64 elements (512 KiB) the temporaries of one block of fit work hold: the live arrays of a
-# block of ``_profile_errors`` or ``fit_uniforms``
-SCRATCH_ELEMENTS = 1 << 16
 
 
 @dataclass
@@ -195,47 +192,34 @@ def _profile_errors(segments: _Segments, profile):
     """``errors(params, lanes)[k]``: the squared error of fit ``lanes[k]``'s
     ``profile`` at ``params[k]``, summed over its segment.
 
-    The lanes go in order of segment size (a stable sort), so lanes of one
-    size lie side by side. The elementwise model runs over one block of whole
-    lanes at a time, of at most ``SCRATCH_ELEMENTS // 8`` snippets unless a
-    single segment is longer; a block holds at most six arrays of its length
-    at once. Each run of equal sizes in a block is one ``(k, n)`` view of the
-    block's squares, summed by one row reduction, which rounds as
-    ``np.add.reduce`` of each row alone does, so neither the order nor the
-    block size changes a value.
+    The lanes go in ``signal.size_blocks`` of ``signal.SCRATCH_ELEMENTS // 8``
+    padded snippets, so lanes of one size lie side by side, and the
+    elementwise model runs over one block at a time, which holds at most six
+    arrays of its snippets at once. Each run of equal sizes in a block is one
+    ``(k, n)`` view of the block's squares, summed by one row reduction, which
+    rounds as ``np.add.reduce`` of each row alone does, so neither the order
+    nor the block size changes a value.
     """
 
     def errors(params: np.ndarray, lanes: np.ndarray) -> np.ndarray:
-        order = np.argsort(segments.sizes[lanes], kind="stable")
-        lanes, params = lanes[order], params[order]
-        lengths = segments.sizes[lanes]
-        ends = np.cumsum(lengths)
-        # each lane's t_star among the sorted lanes' snippets, and the shift from there to ``segments``
-        centres = ends - lengths + segments.lefts[lanes]
-        shifts = segments.starts[lanes] - (ends - lengths)
-        bounds = [0, *ends.tolist()]  # lane i's snippets are bounds[i] .. bounds[i + 1] - 1
-        runs = np.flatnonzero(np.diff(lengths, prepend=0)).tolist()  # lanes that start a run of one size
         sums = np.empty(lanes.size)
-        first = 0
-        while first < lanes.size:
-            # whole lanes up to the block budget, at least one lane
-            last = max(first + 1, bisect.bisect_right(bounds, bounds[first] + SCRATCH_ELEMENTS // 8) - 1)
-            block = slice(first, last)
-            counts = lengths[block]
-            index = np.arange(bounds[first], bounds[last]) + np.repeat(shifts[block], counts)
-            x = np.arange(bounds[first], bounds[last], dtype=np.float64)
-            x -= np.repeat(centres[block], counts)  # each snippet's offset from its t_star, exact below 2**53
-            x = profile(x, np.repeat(params[block], counts), np.repeat(segments.heights[lanes[block]], counts))
+        for block in signal.size_blocks(segments.sizes[lanes], signal.SCRATCH_ELEMENTS // 8):
+            block_lanes = lanes[block]
+            lengths = segments.sizes[block_lanes]
+            ends = np.cumsum(lengths)
+            starts = ends - lengths  # where each lane's snippets start in the block
+            index = np.arange(ends[-1]) + np.repeat(segments.starts[block_lanes] - starts, lengths)
+            x = np.arange(ends[-1], dtype=np.float64)
+            # each snippet's offset from its t_star, exact below 2**53
+            x -= np.repeat(starts + segments.lefts[block_lanes], lengths)
+            x = profile(x, np.repeat(params[block], lengths), np.repeat(segments.heights[block_lanes], lengths))
             x -= segments.values[index]
             np.square(x, out=x)
-            cuts = [first, *runs[bisect.bisect_right(runs, first) : bisect.bisect_left(runs, last)], last]
-            for low, high in zip(cuts, cuts[1:]):
-                rows = x[bounds[low] - bounds[first] : bounds[high] - bounds[first]].reshape(high - low, -1)
-                np.add.reduce(rows, axis=1, out=sums[low:high])
-            first = last
-        values = np.empty(lanes.size)
-        values[order] = sums
-        return values
+            firsts = np.flatnonzero(np.diff(lengths, prepend=0)).tolist()  # each run of one size starts at one
+            for low, high in zip(firsts, [*firsts[1:], block.size]):
+                rows = x[starts[low] : ends[high - 1]].reshape(high - low, -1)
+                sums[block[low:high]] = np.add.reduce(rows, axis=1)
+        return sums
 
     return errors
 
@@ -321,9 +305,8 @@ def fit_uniforms(fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, int]]) ->
     order like a 1-D one, so the padding, after the row's own increments,
     does not touch their totals. A row ``argmin`` keeps the first minimum,
     and widths past a fit's own ``u_b`` repeat its width-0 total, so it never
-    picks them. The fits go in blocks of similar sizes (a stable sort by
-    segment size) of at most ``SCRATCH_ELEMENTS // 8`` padded snippets,
-    unless one segment is longer.
+    picks them. The fits go in ``signal.size_blocks`` of
+    ``signal.SCRATCH_ELEMENTS // 8`` padded snippets.
 
     Returns one ``Fit(omega, error)`` per fit, the error evaluated directly at
     omega (the running totals round differently) by the same size-grouped row
@@ -340,17 +323,7 @@ def _fit_uniforms(segments: _Segments) -> list[Fit]:
     peaks = segments.starts + lefts  # where each t_star lies in ``segments.values``
     squared, doubled = segments.heights * segments.heights, 2.0 * segments.heights
     omegas = np.empty(sizes.size)
-    order = np.argsort(sizes, kind="stable")
-    ordered = sizes[order].tolist()
-    first = 0
-    while first < order.size:
-        # fits up to the block budget of padded snippets, at least one fit: k fits from ``first`` pad
-        # to k * ordered[first + k - 1] snippets, which grows with k
-        fitting = bisect.bisect_right(
-            range(1, order.size - first + 1), SCRATCH_ELEMENTS // 8, key=lambda k: k * ordered[first + k - 1]
-        )
-        block = order[first : first + max(1, fitting)]
-        first += block.size
+    for block in signal.size_blocks(sizes, signal.SCRATCH_ELEMENTS // 8):
         # the j-th snippet by distance lies at t_star + 0, -1, +1, ..., -both, +both, then on the
         # longer side; the padding past a row's own snippets reads its t_star
         j = np.arange(int(sizes[block[-1]]))

@@ -6,16 +6,14 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
+from . import signal
 from .errors import InvalidInputError, require_finite
 from .losses import video_level_scores
 from .records import Proposal
 from .signal import ProbabilitySignal, Pyramid, video_pyramids
 
 DEFAULT_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
-NMS_PAIR_CHUNK = 1 << 16  # most candidate pairs one NMS step expands at once
-OIC_GATHER_BUDGET = 1 << 16  # most snippets one grouped OIC sum gathers at once
 
 
 @dataclass
@@ -75,29 +73,6 @@ def threshold_runs(column, thresholds) -> tuple[np.ndarray, np.ndarray]:
     return changes[0::2], changes[1::2] - 1
 
 
-def _grouped_sums(buffer: np.ndarray, lows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """``np.add.reduce(buffer[low : low + size])`` for every ``(low, size)``, bit for bit.
-
-    Slices of one size are gathered as rows of a strided view of ``buffer``, at
-    most ``OIC_GATHER_BUDGET`` elements at a time, and summed by one row
-    reduction, which rounds as the 1-D reduction of each row does. Prefix sums
-    and ``np.add.reduceat`` round differently.
-    """
-    sums = np.zeros(lows.size)
-    order = np.argsort(sizes)
-    sizes = sizes[order]
-    # each size's slices form one run of ``order``; empty slices sum to 0 and form none
-    firsts = np.flatnonzero(sizes != np.concatenate(([0], sizes[:-1])))
-    bounds = [*firsts.tolist(), sizes.size]
-    for size, first, last in zip(sizes[firsts].tolist(), bounds, bounds[1:]):
-        rows = sliding_window_view(buffer, size)
-        step = max(1, OIC_GATHER_BUDGET // size)
-        for low in range(first, last, step):
-            block = order[low : min(low + step, last)]
-            sums[block] = np.add.reduce(rows[lows[block]], axis=1)
-    return sums
-
-
 def oic_scores(columns: Sequence, column_ids, starts, ends, inflation: float) -> np.ndarray:
     """Outer-inner contrast of many segments: segment ``i`` is ``[starts[i], ends[i]]`` of ``columns[column_ids[i]]``.
 
@@ -106,9 +81,8 @@ def oic_scores(columns: Sequence, column_ids, starts, ends, inflation: float) ->
     clipped to the segment's own column, so the outer region is empty only
     when the segment spans its whole column, and then contributes 0. The columns
     are copied into one buffer, and the inner, left and right sums of every
-    segment are summed together, grouped by slice size (``_grouped_sums``), so
-    each score equals ``inner.mean() - (left.sum() + right.sum()) / outer_size``
-    bit for bit.
+    segment are taken together by ``signal.slice_sums``, so each score equals
+    ``inner.mean() - (left.sum() + right.sum()) / outer_size`` bit for bit.
     """
     columns = [np.asarray(column, dtype=np.float64) for column in columns]
     column_ids = np.asarray(column_ids, dtype=np.int64)
@@ -134,7 +108,7 @@ def oic_scores(columns: Sequence, column_ids, starts, ends, inflation: float) ->
     # the columns one after another, and where each segment starts among them
     buffer = np.concatenate([np.zeros(0), *columns])
     starts = starts + (np.cumsum(column_lengths) - column_lengths)[column_ids]
-    sums = _grouped_sums(
+    sums = signal.slice_sums(
         buffer, np.concatenate([starts, starts - left, starts + inner]), np.concatenate([inner, left, right])
     )
     inner_sums, left_sums, right_sums = np.split(sums, 3)
@@ -152,16 +126,16 @@ def nms(proposals: Sequence[Proposal], tiou_threshold: float) -> list[Proposal]:
     that order. Only same-class proposals that share a snippet can have a
     tIoU above a threshold >= 0: each class's members are ordered by start,
     and ``searchsorted`` on each member's end finds the later-starting
-    members that start at or before it. Those pairs, expanded at most
-    ``NMS_PAIR_CHUNK`` at a time, get their tIoU from the same integer
-    counts and float division as ``evaluation.tiou``, and each pair above
-    the threshold becomes an edge from its lower to its higher rank. Then
-    the greedy pass: a source that no edge reaches is kept, so its targets
-    go at once, and the remaining sources are visited by rank, each
-    suppressing its targets if it is still kept. The work follows the
-    overlapping pairs, not the squared pool size. Survivors come back in the
-    sorted order, so results and tie order equal the one-at-a-time greedy
-    pass (``oracles.nms_direct``).
+    members that start at or before it. Those pairs, expanded member by
+    member in ``signal.size_blocks`` of ``signal.SCRATCH_ELEMENTS`` pairs, get
+    their tIoU from the same integer counts and float division as
+    ``evaluation.tiou``, and each pair above the threshold becomes an edge
+    from its lower to its higher rank. Then the greedy pass: a source that
+    no edge reaches is kept, so its targets go at once, and the remaining
+    sources are visited by rank, each suppressing its targets if it is still
+    kept. The work follows the overlapping pairs, not the squared pool size.
+    Survivors come back in the sorted order, so results and tie order equal
+    the one-at-a-time greedy pass (``oracles.nms_direct``).
     """
     if not tiou_threshold >= 0:  # NaN fails this too
         raise InvalidInputError(f"tiou_threshold must be >= 0, got {tiou_threshold}")
@@ -184,14 +158,14 @@ def nms(proposals: Sequence[Proposal], tiou_threshold: float) -> list[Proposal]:
     # member i overlaps members i + 1 .. last[i] - 1, which start at or before its end
     last = np.searchsorted((offsets + starts)[by_start], (offsets + ends)[by_start], side="right")
     counts = last - np.arange(1, len(ordered) + 1)
-    pair_ends = np.cumsum(counts)
-    pair_starts = pair_ends - counts
+    overlapping = np.flatnonzero(counts)
     sources, targets = [], []
-    for low in range(0, int(pair_ends[-1]), NMS_PAIR_CHUNK):
-        high = low + NMS_PAIR_CHUNK
-        in_chunk = np.maximum(np.minimum(pair_ends, high) - np.maximum(pair_starts, low), 0)
-        a = np.repeat(np.arange(len(ordered)), in_chunk)
-        b = a + 1 + np.arange(low, low + a.size) - pair_starts[a]
+    for block in signal.size_blocks(counts[overlapping], signal.SCRATCH_ELEMENTS):
+        members = overlapping[block]
+        member_counts = counts[members]
+        firsts = np.cumsum(member_counts) - member_counts  # where each member's pairs start in the block
+        a = np.repeat(members, member_counts)
+        b = np.arange(a.size) + np.repeat(members + 1 - firsts, member_counts)
         # b starts no earlier than a and no later than a's end, so they share a snippet
         inter = np.minimum(member_ends[a], member_ends[b]) - member_starts[b] + 1
         above = inter / (lengths[a] + lengths[b] - inter) > tiou_threshold

@@ -5,19 +5,29 @@ pyramid level: C class columns followed by one background column. Class ids
 are 1-based throughout, so class ``c`` lives in column ``c - 1``.
 ``video_pyramids`` groups the levels of each video into one checked pyramid and
 reads each coarser level's ratio to level 1 from the lengths, as the product of
-integer pooling steps from level to level.
+integer pooling steps from level to level. ``SCRATCH_ELEMENTS`` bounds the
+temporaries of every batched pass of ``adm`` and ``decoder``, and
+``size_blocks`` plans their blocks.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import InvalidInputError
 from .records import PointAnnotation
+
+
+# most float64 elements (512 KiB) one block of a batched pass holds: a block of NMS pairs or of gathered
+# OIC slices, or the live arrays of a block of ADM fit work, each of at most ``SCRATCH_ELEMENTS // 8``.
+# Every pass reads it when it is called.
+SCRATCH_ELEMENTS = 1 << 16
 
 
 @dataclass
@@ -105,6 +115,43 @@ def smooth_column(column: np.ndarray, kernel_sigma: float) -> np.ndarray:
     kernel = np.exp(-0.5 * (np.arange(-radius, radius + 1, dtype=np.float64) / kernel_sigma) ** 2)
     padded = np.pad(column, radius, mode="reflect")
     return np.clip(np.convolve(padded, kernel / kernel.sum(), mode="valid"), 0.0, 1.0)
+
+
+def size_blocks(sizes, budget: int) -> list[np.ndarray]:
+    """The positions of ``sizes`` in stable size order, cut into consecutive blocks
+    whose count times largest size is at most ``budget``; a block of one position may exceed it."""
+    order = np.argsort(sizes, kind="stable")
+    ordered = np.asarray(sizes)[order].tolist()
+    blocks, first = [], 0
+    while first < len(ordered):
+        # k positions from ``first`` pad to k * ordered[first + k - 1], which grows with k
+        count = bisect.bisect_right(
+            range(1, len(ordered) - first + 1), budget, key=lambda k: k * ordered[first + k - 1]
+        )
+        blocks.append(order[first : first + max(1, count)])
+        first += max(1, count)
+    return blocks
+
+
+def slice_sums(buffer: np.ndarray, lows: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(buffer[low : low + size])`` for every ``(low, size)``, bit for bit.
+
+    The slices go in ``size_blocks`` of ``SCRATCH_ELEMENTS``. Each run of one
+    size in a block is gathered as rows of a strided view of ``buffer`` and
+    summed by one row reduction, which rounds as the 1-D reduction of each row
+    does; prefix sums and ``np.add.reduceat`` round differently. An empty
+    slice sums to 0 and is never gathered.
+    """
+    sums = np.zeros(lows.size)
+    for block in size_blocks(sizes, SCRATCH_ELEMENTS):
+        block_sizes = sizes[block]
+        firsts = np.flatnonzero(np.diff(block_sizes, prepend=-1))  # each run of one size starts at one
+        bounds = [*firsts.tolist(), block.size]
+        for size, low, high in zip(block_sizes[firsts].tolist(), bounds, bounds[1:]):
+            if size:
+                run = block[low:high]
+                sums[run] = np.add.reduce(sliding_window_view(buffer, size)[lows[run]], axis=1)
+    return sums
 
 
 def upsample_column(column: np.ndarray, target_length: int) -> np.ndarray:

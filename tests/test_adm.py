@@ -3,11 +3,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from actionness import adm, oracles
+from actionness import adm, oracles, signal
 from actionness.adm import (
     ADMConfig,
     PreliminaryBoundary,
@@ -341,17 +341,26 @@ def uniform_fit_batches(draw):
     return fits
 
 
-@settings(max_examples=150, deadline=None)
-@given(uniform_fit_batches(), st.sampled_from([adm.SCRATCH_ELEMENTS, 1, 200, 2000]))
+def one_block_holds(sizes, budget):
+    """Whether ``signal.size_blocks`` must keep ``sizes`` in one block under ``budget``."""
+    return len(sizes) == 1 or len(sizes) * max(sizes) <= budget
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(uniform_fit_batches(), st.sampled_from([signal.SCRATCH_ELEMENTS, 1, 200, 2000]))
 # each fit's half-width changes if the snippet right of t_star is covered before the one left of it
-@example([(np.array([0.1, 0.4, 0.6, 0.7, 0.3, 0.3]), PreliminaryBoundary(0, 5), 3)], adm.SCRATCH_ELEMENTS)
+@example([(np.array([0.1, 0.4, 0.6, 0.7, 0.3, 0.3]), PreliminaryBoundary(0, 5), 3)], signal.SCRATCH_ELEMENTS)
 @example([(np.array([0.8, 0.7, 0.9, 0.7, 0.1]), PreliminaryBoundary(0, 4), 2)], 1)
-def test_batched_uniform_fits_equal_the_sorting_reference(fits, budget):
-    # the small budgets make blocks of one fit or a few
+def test_batched_uniform_fits_equal_the_sorting_reference(planned_blocks, fits, budget):
+    # the small budgets make blocks of one fit or a few; the scan and the error evaluation each plan all fits
+    planned_blocks.clear()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(adm, "SCRATCH_ELEMENTS", budget)
+        patch.setattr(signal, "SCRATCH_ELEMENTS", budget)
         batch = fit_uniforms(fits)
     assert [tuple(fit) for fit in batch] == [fit_uniform_by_sorting(*fit) for fit in fits]
+    sizes = [boundary.b_end - boundary.b_start + 1 for _, boundary, _ in fits]
+    several = not one_block_holds(sizes, budget // 8)
+    assert [(planned, count > 1) for planned, count in planned_blocks] == [(budget // 8, several)] * 2
 
 
 def test_batched_uniform_fits_name_the_first_peak_outside_its_boundary():
@@ -403,15 +412,20 @@ def gaussian_lane_batches(draw):
     return fits, rng.uniform(SIGMA_LOWER_BOUND, 300.0, lanes.size), lanes
 
 
-@settings(max_examples=150, deadline=None)
-@given(gaussian_lane_batches(), st.sampled_from([adm.SCRATCH_ELEMENTS, 1, 300]))
-def test_size_grouped_gaussian_errors_equal_lane_by_lane_sums(batch, budget):
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(gaussian_lane_batches(), st.sampled_from([signal.SCRATCH_ELEMENTS, 1, 300]))
+def test_size_grouped_gaussian_errors_equal_lane_by_lane_sums(planned_blocks, batch, budget):
     # the small budgets cut runs of one size across blocks
     fits, sigmas, lanes = batch
+    planned_blocks.clear()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(adm, "SCRATCH_ELEMENTS", budget)
+        patch.setattr(signal, "SCRATCH_ELEMENTS", budget)
         values = gaussian_fit_errors(fits)(sigmas, lanes)
     assert values.tobytes() == gaussian_errors_lane_by_lane(fits, sigmas, lanes).tobytes()
+    sizes = [fits[lane][1].b_end - fits[lane][1].b_start + 1 for lane in lanes.tolist()]
+    assert [(planned, count > 1) for planned, count in planned_blocks] == [
+        (budget // 8, not one_block_holds(sizes, budget // 8))
+    ]
 
 
 @st.composite
@@ -444,16 +458,19 @@ def test_fitting_suite_passes_at_any_seed(seed):
     assert run_fitting_suite(samples=3, grid_checks=1, seed=seed)["pass"]
 
 
-def test_gaussian_objective_chunks_lose_no_snippet(monkeypatch):
-    # chunks of 7 snippets split the batch mid-way and hold segments longer than a chunk alone
+def test_gaussian_objective_chunks_lose_no_snippet(monkeypatch, planned_blocks):
+    # a budget of 7 elements leaves blocks of 0 snippets: every block holds one fit, some longer than a block
     rng = np.random.default_rng(5)
     fits = []
     for length in (3, 12, 1, 40, 7, 25):
         column = rng.uniform(0.0, 1.0, length)
         fits.append((column, PreliminaryBoundary(0, length - 1), int(rng.integers(0, length))))
     whole = fit_gaussians(fits)
-    monkeypatch.setattr(adm, "SCRATCH_ELEMENTS", 7)
+    planned_blocks.clear()
+    monkeypatch.setattr(signal, "SCRATCH_ELEMENTS", 7)
     assert fit_gaussians(fits) == whole
+    assert {planned for planned, _ in planned_blocks} == {0}
+    assert max(count for _, count in planned_blocks) > 1
 
 
 def test_objective_grids_do_not_depend_on_the_budget(monkeypatch):
@@ -464,7 +481,7 @@ def test_objective_grids_do_not_depend_on_the_budget(monkeypatch):
     sigmas = np.linspace(SIGMA_LOWER_BOUND, 250.0, 1001)
     omegas = np.linspace(0.0, 250.0, 1001)
     grids = []
-    for budget in (1, 7, 451, adm.SCRATCH_ELEMENTS, 1001 * 451):
+    for budget in (1, 7, 451, oracles.SCRATCH_ELEMENTS, 1001 * 451):
         monkeypatch.setattr(oracles, "SCRATCH_ELEMENTS", budget)
         grids.append(
             (
@@ -503,7 +520,7 @@ def grid_cases():
         omegas[: count // 2] = np.floor(omegas[: count // 2])  # half on the integer breakpoints
         yield column, PreliminaryBoundary(start, end), int(rng.integers(start, end + 1)), omegas
     # a one-value grid, and a segment longer than the budget, one row per block
-    column = rng.uniform(0.0, 1.0, adm.SCRATCH_ELEMENTS + 901)
+    column = rng.uniform(0.0, 1.0, oracles.SCRATCH_ELEMENTS + 901)
     yield column, PreliminaryBoundary(0, column.size - 1), 40_000, np.array([30_000.0])
     yield column, PreliminaryBoundary(5, column.size - 3), 33_000, np.array([0.0, 2.5, 4096.0, 40_000.0])
 
@@ -533,7 +550,7 @@ def traced_peak(call) -> int:
         tracemalloc.stop()
 
 
-BUDGET_BYTES = 8 * adm.SCRATCH_ELEMENTS
+BUDGET_BYTES = 8 * signal.SCRATCH_ELEMENTS
 
 
 def test_objective_grid_scratch_is_bounded_by_the_budget():
@@ -541,7 +558,7 @@ def test_objective_grid_scratch_is_bounded_by_the_budget():
     column = rng.uniform(0.0, 1.0, 512)
     boundary = PreliminaryBoundary(30, 480)
     sigmas = np.linspace(SIGMA_LOWER_BOUND, 250.0, 10001)
-    assert traced_peak(lambda: gaussian_objective_grid(column, boundary, 250, sigmas)) <= 4 * BUDGET_BYTES
+    assert traced_peak(lambda: gaussian_objective_grid(column, boundary, 250, sigmas)) <= 4 * 8 * oracles.SCRATCH_ELEMENTS
 
 
 def test_batched_fit_scratch_is_bounded_by_the_budget():

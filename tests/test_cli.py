@@ -1418,7 +1418,7 @@ for args in (["-c", "import actionness.verify"], ["-m", "actionness.cli", *sys.a
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads ru_maxrss in KiB, as Linux reports it")
 def test_verify_fitting_peak_memory_stays_near_a_bare_start(tmp_path):
-    # the fitting suite's dense grids go in blocks of adm.SCRATCH_ELEMENTS float64
+    # the fitting suite's dense grids go in blocks of oracles.SCRATCH_ELEMENTS float64
     # elements, which keeps them to a few MiB whatever the grid and segment sizes
     launcher = subprocess.run(
         [sys.executable, "-c", _MAXRSS_LAUNCHER, "verify", "fitting", "--samples", "10",

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from actionness import decoder
+from actionness import decoder, signal
 from actionness.decoder import (
     DecoderConfig,
     Proposal,
@@ -207,7 +207,7 @@ def test_flank_widths_round_half_to_even(size, rounded):
 
 
 @pytest.mark.parametrize("budget", [1, 5, 64])
-def test_tiny_gather_budgets_split_each_size_into_several_blocks(monkeypatch, budget):
+def test_tiny_gather_budgets_split_each_size_into_several_blocks(monkeypatch, planned_blocks, budget):
     rng = np.random.default_rng(47)
     columns = [rng.uniform(0, 1, (length, 2))[:, 0] for length in (300, 77, 512)]
     segments = []
@@ -217,8 +217,10 @@ def test_tiny_gather_budgets_split_each_size_into_several_blocks(monkeypatch, bu
     column_ids, starts, ends = zip(*segments)
     expected = [scalar_oic(columns[c], start, end, 0.5) for c, start, end in segments]
     assert 3 * 30 > budget  # each size's 90 inner slices take more than one block
-    monkeypatch.setattr(decoder, "OIC_GATHER_BUDGET", budget)
+    monkeypatch.setattr(signal, "SCRATCH_ELEMENTS", budget)
     assert oic_scores(columns, column_ids, starts, ends, 0.5).tolist() == expected
+    (planned, count), = planned_blocks
+    assert planned == budget and count > 4
 
 
 def test_oic_scores_reject_segments_outside_their_column_and_unknown_columns():
@@ -283,12 +285,15 @@ class TestNms:
             assert nms(proposals, threshold) == nms_direct(proposals, threshold)
 
     @pytest.mark.parametrize("chunk", [1, 7, 64])
-    def test_chunk_boundaries_lose_no_pair(self, monkeypatch, chunk):
-        monkeypatch.setattr(decoder, "NMS_PAIR_CHUNK", chunk)
+    def test_chunk_boundaries_lose_no_pair(self, monkeypatch, planned_blocks, chunk):
+        monkeypatch.setattr(signal, "SCRATCH_ELEMENTS", chunk)
         rng = np.random.default_rng(46)
         for _ in range(20):
             proposals = self.random_proposals(rng, 60)
             assert nms(proposals, 0.3) == nms_direct(proposals, 0.3)
+        # one plan per call, each cutting its pairs into several blocks
+        assert len(planned_blocks) == 20
+        assert all(planned == chunk and count > 1 for planned, count in planned_blocks)
 
     def test_idempotent(self):
         rng = np.random.default_rng(43)
@@ -371,13 +376,15 @@ def test_nms_equals_direct_oracle_on_overlapping_pools_property(pool, threshold)
     assert nms(pool, threshold) == nms_direct(pool, threshold)
 
 
-def test_nms_expands_nested_pairs_in_several_chunks():
+def test_nms_expands_nested_pairs_in_several_chunks(planned_blocks):
     rng = np.random.default_rng(45)
     count = 600
     # every interval contains every shorter one, so every pair of them is a candidate
     pool = [Proposal("v0", count - r, count + r, 1, float(rng.uniform())) for r in range(count)]
-    assert count * (count - 1) // 2 > 2 * decoder.NMS_PAIR_CHUNK
+    assert count * (count - 1) // 2 > 2 * signal.SCRATCH_ELEMENTS
     assert nms(pool, 0.45) == nms_direct(pool, 0.45)
+    (planned, blocks), = planned_blocks
+    assert planned == signal.SCRATCH_ELEMENTS and blocks > 2
 
 
 def test_nms_rejects_a_negative_threshold():
