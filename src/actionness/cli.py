@@ -27,7 +27,7 @@ from .errors import InvalidInputError, NumericError, PackingError
 # frozen at exit is skipped. ``main`` enables the collector again as a command ends.
 atexit.register(gc.freeze)
 
-_FAILURES = (InvalidInputError, NumericError, PackingError, OSError)
+_FAILURES = (InvalidInputError, NumericError, PackingError, OSError, MemoryError)
 _MAX_THRESHOLDS = 1000
 _RANGE_TOLERANCE = 1e-9  # in steps
 # the names of verify.SUITES, kept here so that --help need not import the suites
@@ -83,7 +83,7 @@ class _Main(click.Group):
         except BrokenPipeError:
             raise  # stdout's reader has gone: click's main ends the process quietly
         except _FAILURES as exc:
-            click.echo(f"error: {exc}", err=True)
+            click.echo(f"error: {str(exc) or type(exc).__name__}", err=True)
             raise SystemExit(1) from None
         finally:
             if enabled:

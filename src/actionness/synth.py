@@ -24,6 +24,8 @@ SHAPE_NAMES = ("plateau", "gaussian", "plateau_with_gaussian_shoulders")
 PEAK_RANGE = (0.7, 0.95)
 MIN_GAP = 3  # background snippets kept between neighbouring instances
 _PLACEMENT_ATTEMPTS_PER_INSTANCE = 200
+# numpy draws below an int64 high end and counts an array's bytes in an intp, no wider than int64
+_NUMPY_MAX = int(np.iinfo(np.intp).max)
 
 
 def _default_shape_mix() -> dict[str, float]:
@@ -46,9 +48,15 @@ class SyntheticConfig:
             raise InvalidInputError(f"length must be >= 8, got {self.length}")
         if self.num_classes < 1:
             raise InvalidInputError(f"num_classes must be >= 1, got {self.num_classes}")
+        if 8 * self.length * (self.num_classes + 1) > _NUMPY_MAX:
+            raise InvalidInputError(
+                f"a signal of {self.length} snippets and {self.num_classes} classes is too large for numpy to hold"
+            )
         lo, hi = self.instances_per_video
         if not 1 <= lo <= hi:
             raise InvalidInputError(f"bad instances_per_video range ({lo}, {hi})")
+        if hi >= _NUMPY_MAX:
+            raise InvalidInputError(f"instances_per_video must stay below {_NUMPY_MAX}, got ({lo}, {hi})")
         d_lo, d_hi = self.duration_range
         if not 3 <= d_lo <= d_hi:
             raise InvalidInputError(f"durations must be >= 3 snippets, got ({d_lo}, {d_hi})")

@@ -123,6 +123,32 @@ class TestSynthCommand:
         assert made == ["video-0000", "video-0001", "video-0002"]
         assert read_tree(out) == {}
 
+    @pytest.mark.parametrize(
+        "flags, fragment",
+        [
+            (["--length", str(10**20)], "too large for numpy to hold"),
+            (["--classes", str(10**20)], "too large for numpy to hold"),
+            (["--instances", "1", str(10**20)], "instances_per_video must stay below"),
+        ],
+        ids=["length", "classes", "instances"],
+    )
+    def test_sizes_numpy_cannot_hold_end_in_an_error_line(self, runner, tmp_path, flags, fragment):
+        # each fails before numpy draws or allocates anything
+        result = runner.invoke(main, ["synth", "--out", str(tmp_path / "data"), *flags])
+        fails_cleanly(result, fragment)
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("error", [MemoryError("Unable to allocate 4.26 PiB for an array"), MemoryError()])
+    def test_running_out_of_memory_ends_in_an_error_line(self, runner, tmp_path, monkeypatch, error):
+        # a size that passes every check can still outgrow memory; no test asks numpy for such an array
+        def generate_video(*args):
+            raise error
+
+        monkeypatch.setattr(synth, "generate_video", generate_video)
+        result = runner.invoke(main, synth_args(tmp_path / "data"))
+        fails_cleanly(result, str(error) or "MemoryError")
+        assert "Traceback" not in result.output
+
 
 class TestAdmCommand:
     def make_dataset(self, runner, tmp_path, **kwargs):

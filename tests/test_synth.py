@@ -93,6 +93,19 @@ class TestGenerateVideo:
         with pytest.raises(PackingError):
             generate_video(config, np.random.default_rng(0), "v0")
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (dict(length=10**20), "a signal of 100000000000000000000 snippets and 4 classes is too large"),
+            (dict(num_classes=10**20), "a signal of 256 snippets and 100000000000000000000 classes is too large"),
+            (dict(instances_per_video=(1, 10**20)), "instances_per_video must stay below"),
+        ],
+        ids=["length", "classes", "instances"],
+    )
+    def test_sizes_numpy_cannot_hold_rejected(self, overrides, message):
+        with pytest.raises(InvalidInputError, match=message):
+            make_config(**overrides)
+
     def test_config_validation(self):
         with pytest.raises(InvalidInputError):
             make_config(duration_range=(2, 10))
