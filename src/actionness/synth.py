@@ -93,6 +93,8 @@ def _place_instances(config: SyntheticConfig, rng: np.random.Generator, count: i
     placed: list[tuple[int, int]] = []
     attempts = 0
     budget = _PLACEMENT_ATTEMPTS_PER_INSTANCE * count
+    if count * d_lo + (count - 1) * MIN_GAP > config.length:
+        budget = 0  # the shortest instances and gaps alone overrun the video: fail before any draw
     while len(placed) < count:
         attempts += 1
         if attempts > budget:

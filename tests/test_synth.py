@@ -1,4 +1,5 @@
 import dataclasses
+import time
 
 import numpy as np
 import pytest
@@ -92,6 +93,19 @@ class TestGenerateVideo:
         config = make_config(length=64, duration_range=(30, 40), instances_per_video=(5, 5))
         with pytest.raises(PackingError):
             generate_video(config, np.random.default_rng(0), "v0")
+
+    def test_a_packing_that_cannot_fit_fails_at_once(self):
+        # 100000 instances of 3 snippets and their gaps need 599997 snippets; the search would
+        # spend 200 attempts per instance, each scanning every placed instance
+        config = make_config(length=4096, duration_range=(3, 3), instances_per_video=(100000, 100000))
+        start = time.perf_counter()
+        with pytest.raises(PackingError, match="could not place 100000 instances of 3-3 snippets"):
+            generate_video(config, np.random.default_rng(0), "v0")
+        assert time.perf_counter() - start < 1.0
+        # an instance as long as the video fits exactly
+        video = generate_video(make_config(length=64, duration_range=(64, 64), instances_per_video=(1, 1)),
+                               np.random.default_rng(0), "v0")
+        assert [(gt.start, gt.end) for gt in video.gt] == [(0, 63)]
 
     @pytest.mark.parametrize(
         "overrides, message",
