@@ -100,9 +100,10 @@ def oic_scores(columns: Sequence, column_ids, starts, ends, inflation: float) ->
         raise InvalidInputError(f"segment [{starts[i]}, {ends[i]}] outside video of length {lengths[i]}")
     inner = ends - starts + 1
     # half to even, as round(); a flank wider than the column is clipped to it below anyway,
-    # so the column length caps the width before it becomes an int. At least one snippet,
-    # so a short run is contrasted with its neighbours rather than scored by its inner mean
-    width = np.maximum(1, np.rint(np.minimum(inflation * inner, lengths)).astype(np.int64))
+    # so the column length caps the width before it becomes an int, and caps the inflation
+    # first, which keeps the product finite. At least one snippet, so a short run is
+    # contrasted with its neighbours rather than scored by its inner mean
+    width = np.maximum(1, np.rint(np.minimum(np.minimum(inflation, lengths) * inner, lengths)).astype(np.int64))
     left = np.minimum(width, starts)  # the flanks, clipped to the segment's column
     right = np.minimum(width, lengths - 1 - ends)
     # the columns one after another, and where each segment starts among them

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -221,6 +223,16 @@ def test_tiny_gather_budgets_split_each_size_into_several_blocks(monkeypatch, pl
     assert oic_scores(columns, column_ids, starts, ends, 0.5).tolist() == expected
     (planned, count), = planned_blocks
     assert planned == budget and count > 4
+
+
+def test_a_huge_inflation_scores_as_the_column_length_without_a_warning():
+    # every flank is capped at its column's length, so an inflation past it changes nothing
+    column = np.random.default_rng(49).uniform(0, 1, 50)
+    starts, ends = [0, 3, 10, 20, 49], [49, 5, 30, 49, 49]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = oic_scores([column], [0] * 5, starts, ends, 1e308)
+    assert huge.tobytes() == oic_scores([column], [0] * 5, starts, ends, 50.0).tobytes()
 
 
 def test_oic_scores_reject_segments_outside_their_column_and_unknown_columns():
