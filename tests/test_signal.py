@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -13,6 +13,8 @@ from actionness.signal import (
     ProbabilitySignal,
     augment_points,
     select_background_points,
+    size_blocks,
+    slice_sums,
     smooth_column,
     upsample_column,
     video_pyramids,
@@ -182,6 +184,49 @@ def scales_of(levels):
     """``video_pyramids`` of one video's levels: their ratios to level 1."""
     (read,) = video_pyramids(levels).values()
     return read.scales
+
+
+@st.composite
+def slice_batches(draw):
+    """A buffer and slices of it of 0, 1-7, 8-128 and over 128 snippets (numpy's summation regimes),
+    some overlapping, some repeated, some ending at the buffer's end."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    buffer = rng.uniform(-1.0, 1.0, draw(st.integers(0, 600)))
+    lows, sizes = [], []
+    for _ in range(draw(st.integers(0, 40))):
+        size = min(buffer.size, draw(st.just(0) | st.integers(1, 7) | st.integers(8, 128) | st.integers(129, 600)))
+        low = draw(st.integers(0, buffer.size - size) | st.just(buffer.size - size))
+        repeats = draw(st.integers(1, 3))
+        lows += [low] * repeats
+        sizes += [size] * repeats
+    return buffer, np.array(lows, dtype=np.int64), np.array(sizes, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(slice_batches(), st.sampled_from([1, 7, signal_module.SCRATCH_ELEMENTS]))
+def test_slice_sums_equal_one_reduction_per_slice_property(batch, budget):
+    buffer, lows, sizes = batch
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(signal_module, "SCRATCH_ELEMENTS", budget)
+        sums = slice_sums(buffer, lows, sizes)
+    expected = [np.add.reduce(buffer[low : low + size]) for low, size in zip(lows.tolist(), sizes.tolist())]
+    assert sums.tobytes() == np.array(expected, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 3) | st.integers(0, 300), max_size=60),
+    st.sampled_from([0, 1, 7, 64, 300, 2000]) | st.integers(0, 5000),
+)
+def test_size_blocks_cut_the_stable_size_order_into_full_blocks_property(sizes, budget):
+    blocks = [block.tolist() for block in size_blocks(np.array(sizes, dtype=np.int64), budget)]
+    # every position once, in stable size order
+    assert [i for block in blocks for i in block] == sorted(range(len(sizes)), key=sizes.__getitem__)
+    padded = [len(block) * max(sizes[i] for i in block) for block in blocks]
+    assert all(len(block) == 1 or size <= budget for block, size in zip(blocks, padded))
+    # a block ends where the next position would overrun the budget
+    for block, after in zip(blocks, blocks[1:]):
+        assert (len(block) + 1) * sizes[after[0]] > budget
 
 
 class TestPyramidScales:
