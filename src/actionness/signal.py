@@ -125,11 +125,11 @@ def size_blocks(sizes, budget: int) -> list[np.ndarray]:
     blocks, first = [], 0
     while first < len(ordered):
         # k positions from ``first`` pad to k * ordered[first + k - 1], which grows with k
-        count = bisect.bisect_right(
+        count = max(1, bisect.bisect_right(
             range(1, len(ordered) - first + 1), budget, key=lambda k: k * ordered[first + k - 1]
-        )
-        blocks.append(order[first : first + max(1, count)])
-        first += max(1, count)
+        ))
+        blocks.append(order[first : first + count])
+        first += count
     return blocks
 
 
