@@ -14,7 +14,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-SCRATCH_ELEMENTS = 1 << 16  # adm's fit budget, restated so that the reference imports none of what it checks
+# signal.SCRATCH_ELEMENTS, the fits' budget, restated: the reference imports none of what it checks,
+# and ``verify gradients``, which loads this module, must not load ``signal``
+SCRATCH_ELEMENTS = 1 << 16
 
 
 def smooth_column_direct(column: Sequence[float], sigma: float) -> np.ndarray:
