@@ -30,6 +30,7 @@ _EXPORTS = {
         "oic_scores",
         "select_classes",
         "threshold_runs",
+        "video_level_scores",
     ),
     "errors": ("InvalidInputError", "NumericError", "PackingError"),
     "evaluation": (
@@ -50,7 +51,6 @@ _EXPORTS = {
         "mil_loss",
         "mix_kernels",
         "sigma_loss",
-        "video_level_scores",
     ),
     "optim": ("LaneResults", "minimize_lanes"),
     "records": ("GroundTruthInstance", "PointAnnotation", "Proposal", "PseudoLabel"),

@@ -224,30 +224,6 @@ def _profile_errors(segments: _Segments, profile):
     return errors
 
 
-def gaussian_fit_errors(fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, int]]):
-    """Squared-error objectives in sigma of a peak-height-matched Gaussian for
-    many ``(column, boundary, t_star)`` fits, evaluated together:
-    ``errors(sigmas, lanes)[k]`` is fit ``lanes[k]``'s error at ``sigmas[k]``.
-
-    The scale factor that matches the Gaussian's peak to the signal value at
-    ``t_star`` cancels the usual 1/(sigma*sqrt(2*pi)) normalization, leaving a
-    bump of height ``column[t_star]`` over the boundary's segment.
-
-    Every fit's segment is held in one concatenated array. An evaluation
-    orders its lanes by segment size, builds the squares block by block and
-    sums each run of equal sizes by one row reduction (``_profile_errors``),
-    so its temporaries do not grow with the number or length of the fits, and
-    each fit's error equals ``np.sum`` over that fit alone, bit for bit.
-    """
-    return _profile_errors(_Segments.of(fits), _gaussian_profile)
-
-
-def uniform_fit_errors(fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, int]]):
-    """Sum-of-squared-errors objectives in omega of a peak-height-matched centred
-    rectangle, for many fits evaluated together as in ``gaussian_fit_errors``."""
-    return _profile_errors(_Segments.of(fits), _rectangle_profile)
-
-
 def _upper_bounds(lefts, durations):
     """``max(t_star - b_start, b_end - t_star)`` of fits with ``lefts = t_star - b_start``
     and ``durations = b_end - b_start``, elementwise."""
@@ -260,19 +236,23 @@ def sigma_upper_bound(boundary: PreliminaryBoundary, t_star: int) -> float:
 
 
 def fit_gaussians(fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, int]]) -> list[Fit]:
-    """Least-squares Gaussian std of every ``(column, boundary, t_star)`` fit,
-    each on ``[SIGMA_LOWER_BOUND, u_b]``, in one lockstep ``minimize_lanes`` search.
+    """Least-squares std of a peak-height-matched Gaussian for every
+    ``(column, boundary, t_star)`` fit, each on ``[SIGMA_LOWER_BOUND, u_b]``,
+    in one lockstep ``minimize_lanes`` search.
+
+    The scale factor that matches the Gaussian's peak to ``column[t_star]``
+    cancels the usual 1/(sigma*sqrt(2*pi)) normalization, leaving a bump of
+    that height over the boundary's segment. ``_profile_errors`` evaluates
+    the squared errors of every lane still searching at once, so its
+    temporaries do not grow with the number or length of the fits, and each
+    fit's error equals ``np.sum`` over that fit alone, bit for bit.
 
     Returns one ``Fit(sigma, error)`` per fit, the error being the minimizer's
     objective value at sigma; a one-snippet boundary, too tight to search,
     pins sigma to the lower bound. Each fit equals a search of its objective
     alone.
     """
-    return _fit_gaussians(_Segments.of(fits))
-
-
-def _fit_gaussians(segments: _Segments) -> list[Fit]:
-    """``fit_gaussians`` of the fits whose segments ``segments`` holds."""
+    segments = _Segments.of(fits)
     errors = _profile_errors(segments, _gaussian_profile)
     uppers = segments.uppers.astype(np.float64)
     # a one-snippet boundary's u_b is 0, and minimize_lanes needs lo < hi: its sigma is pinned
@@ -309,14 +289,10 @@ def fit_uniforms(fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, int]]) ->
     ``signal.SCRATCH_ELEMENTS // 8`` padded snippets.
 
     Returns one ``Fit(omega, error)`` per fit, the error evaluated directly at
-    omega (the running totals round differently) by the same size-grouped row
-    reduction as ``gaussian_fit_errors``.
+    omega (the running totals round differently) by ``_profile_errors``, as
+    ``fit_gaussians`` evaluates its objective.
     """
-    return _fit_uniforms(_Segments.of(fits))
-
-
-def _fit_uniforms(segments: _Segments) -> list[Fit]:
-    """``fit_uniforms`` of the fits whose segments ``segments`` holds, each peak inside its boundary."""
+    segments = _Segments.of(fits)
     lefts, sizes, uppers = segments.lefts, segments.sizes, segments.uppers
     both = np.minimum(lefts, sizes - 1 - lefts)
     sides = np.where(lefts > both, -1, 1)  # the longer side, whose rest follows once both sides are covered
@@ -361,7 +337,7 @@ def label_videos(
     on the coarsest level's columns of the points' classes, smoothed and then
     upsampled to the level-1 length: the Gaussian fits of all points in one
     lockstep search (``fit_gaussians``) and their rectangle fits in one
-    batched scan (``fit_uniforms``), both over one concatenation of the
+    batched scan (``fit_uniforms``), each over one concatenation of the
     points' segments. Each label's half-extent is
     ``gamma1*sigma + gamma2*omega``, a non-finite one raising ``NumericError``,
     and its interval is rounded then clipped to the video. A label is
@@ -396,9 +372,8 @@ def label_videos(
             t_star = find_peak(column, boundary, point.t, config.delta)
             peaks.append((point, finest.length, boundary, t_star))
             fits.append((column, boundary, t_star))
-    segments = _Segments.of(fits)
-    gaussians = _fit_gaussians(segments)
-    uniforms = _fit_uniforms(segments)
+    gaussians = fit_gaussians(fits)
+    uniforms = fit_uniforms(fits)
 
     labels = []
     for (point, length, boundary, t_star), gaussian, uniform in zip(peaks, gaussians, uniforms):

@@ -12,6 +12,7 @@ turns each library failure into ``error: <message>`` on stderr and exit 1.
 from __future__ import annotations
 
 import atexit
+import contextlib
 import gc
 import math
 import os
@@ -124,12 +125,14 @@ def synth(out_dir, videos, length, num_classes, instances, durations, shape_weig
     """Write a synthetic dataset: signals/<video_id>.npz, gt.json, annotations.json, manifest.json.
 
     Refuses an ``--out`` whose signals directory already holds signal files, and
-    removes the signal files it wrote when it fails part-way.
+    removes the signal files it wrote, and ``--out`` and ``signals/`` where it
+    made them, when it fails part-way.
     """
     from .storage import save_annotations, save_ground_truth, save_signals, write_json_atomic
     from .synth import SyntheticConfig, generate_dataset
 
     written: list[Path] = []
+    made: list[Path] = []
     try:
         config = SyntheticConfig(
             length=length,
@@ -151,6 +154,7 @@ def synth(out_dir, videos, length, num_classes, instances, durations, shape_weig
         stale = sorted(signals_dir.glob("*.npz")) + sorted(signals_dir.glob("*.json"))
         if stale:
             raise InvalidInputError(f"{signals_dir} already holds signal files such as {stale[0].name}; use an empty --out")
+        made = [directory for directory in (out_dir, signals_dir) if not directory.is_dir()]
         signals_dir.mkdir(parents=True, exist_ok=True)
         ground_truth, annotations = [], []
         for video, points in dataset:
@@ -164,6 +168,9 @@ def synth(out_dir, videos, length, num_classes, instances, durations, shape_weig
     except _FAILURES:
         for path in written:
             path.unlink(missing_ok=True)
+        for directory in reversed(made):
+            with contextlib.suppress(OSError):  # one that holds other files by now stays
+                directory.rmdir()
         raise
     _info(f"wrote {videos} videos to {out_dir}")
 

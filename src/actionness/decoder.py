@@ -9,7 +9,6 @@ import numpy as np
 
 from . import signal
 from .errors import InvalidInputError, require_finite
-from .losses import video_level_scores
 from .records import Proposal
 from .signal import ProbabilitySignal, Pyramid, video_pyramids
 
@@ -40,6 +39,15 @@ class DecoderConfig:
             raise InvalidInputError(f"nms_tiou must be in (0, 1), got {self.nms_tiou}")
         if not 0.0 < self.top_k_fraction <= 1.0:
             raise InvalidInputError(f"top_k_fraction must be in (0, 1], got {self.top_k_fraction}")
+
+
+def video_level_scores(sig: ProbabilitySignal, k: int) -> np.ndarray:
+    """Mean of the k largest per-class probabilities (top-k pooling)."""
+    if not 1 <= k <= sig.length:
+        raise InvalidInputError(f"k must be in [1, {sig.length}], got {k}")
+    classes = sig.values[:, :-1]
+    top = np.partition(classes, sig.length - k, axis=0)[sig.length - k :, :]
+    return top.mean(axis=0)
 
 
 def select_classes(video_scores, threshold: float) -> list[int]:

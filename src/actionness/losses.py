@@ -12,14 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from .errors import InvalidInputError
-
-if TYPE_CHECKING:
-    from .signal import ProbabilitySignal
 
 PROB_EPS = 1e-7
 FOCAL_GAMMA = 2.0
@@ -53,15 +50,6 @@ def _signal_values(signal) -> np.ndarray:
     """A ``ProbabilitySignal``'s values, read by duck typing so that importing
     ``losses`` loads no ``signal``, or an array-like as float64."""
     return np.asarray(getattr(signal, "values", signal), dtype=np.float64)
-
-
-def video_level_scores(signal: ProbabilitySignal, k: int) -> np.ndarray:
-    """Mean of the k largest per-class probabilities (top-k pooling)."""
-    if not 1 <= k <= signal.length:
-        raise InvalidInputError(f"k must be in [1, {signal.length}], got {k}")
-    classes = signal.values[:, :-1]
-    top = np.partition(classes, signal.length - k, axis=0)[signal.length - k :, :]
-    return top.mean(axis=0)
 
 
 def mil_loss(scores, video_label) -> LossValue:

@@ -25,8 +25,8 @@ from .errors import InvalidInputError, NumericError
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
 _SQRT_EPS = math.sqrt(2.220446049250313e-16)
 
-DEFAULT_X_TOLERANCE = 1e-5
-DEFAULT_MAX_ITERATIONS = 500
+X_TOLERANCE = 1e-5  # a unimodal lane's x lies this close to its minimizer
+MAX_ITERATIONS = 500  # search rounds per lane before it stops unconverged
 FLAT_SCAN_STEPS = 64  # steps of the interval scan made when every probe of a lane tied
 
 
@@ -35,8 +35,8 @@ class LaneResults:
     """Each lane's result of a ``minimize_lanes`` run, one array entry per lane.
 
     ``x`` is the minimizer and ``f`` its value; ``iterations`` counts the
-    search rounds, and ``converged`` is False where the iteration budget ran
-    out before the bracket collapsed.
+    search rounds, and ``converged`` is False where ``MAX_ITERATIONS`` rounds
+    ran out before the bracket collapsed.
     """
 
     x: np.ndarray
@@ -49,14 +49,12 @@ def minimize_lanes(
     objective: Callable[[np.ndarray, np.ndarray], np.ndarray],
     lo: np.ndarray,
     hi: np.ndarray,
-    x_tolerance: float = DEFAULT_X_TOLERANCE,
-    max_iterations: int = DEFAULT_MAX_ITERATIONS,
 ) -> LaneResults:
     """Minimize one scalar function per lane, lane ``i`` on ``[lo[i], hi[i]]``.
 
     ``objective(points, lanes)`` returns the value of lane ``lanes[k]``'s
     function at ``points[k]`` for every ``k``. For a unimodal function a
-    lane's ``x`` lies within ``x_tolerance`` of its minimizer. Each lane's
+    lane's ``x`` lies within ``X_TOLERANCE`` of its minimizer. Each lane's
     result equals a one-lane run of its function alone, bit for bit, and uses
     as many evaluations. Raises ``InvalidInputError`` naming the first lane
     whose bounds are not finite with ``lo < hi``, and ``NumericError`` if any
@@ -66,10 +64,6 @@ def minimize_lanes(
     hi = np.asarray(hi, dtype=np.float64)
     if lo.ndim != 1 or lo.shape != hi.shape:
         raise InvalidInputError(f"lo and hi must be equal-length 1-D, got {lo.shape} and {hi.shape}")
-    if x_tolerance <= 0:
-        raise InvalidInputError(f"x_tolerance must be > 0, got {x_tolerance}")
-    if max_iterations < 1:
-        raise InvalidInputError(f"max_iterations must be >= 1, got {max_iterations}")
     invalid = ~(np.isfinite(lo) & np.isfinite(hi) & (lo < hi))
     if invalid.any():
         lane = int(np.argmax(invalid))
@@ -88,7 +82,7 @@ def minimize_lanes(
         return values
 
     lanes = np.arange(lo.size)
-    x, fx, iterations, converged, flat = _brent(evaluate, lanes, lo, hi, x_tolerance, max_iterations)
+    x, fx, iterations, converged, flat = _brent(evaluate, lanes, lo, hi)
     if flat.any():
         # Every probe tied, so the search may have stepped over a dip narrower
         # than its steps (a bump whose tails are flat to the last bit). Scan
@@ -108,9 +102,7 @@ def minimize_lanes(
             grid_x, grid_f = grid[rows, lowest], scan[rows, lowest]
             sub_lo = grid[rows, np.maximum(lowest - 1, 0)]
             sub_hi = grid[rows, np.minimum(lowest + 1, FLAT_SCAN_STEPS)]
-            x2, f2, iterations2, converged2, _ = _brent(
-                evaluate, tied, sub_lo, sub_hi, x_tolerance, max_iterations
-            )
+            x2, f2, iterations2, converged2, _ = _brent(evaluate, tied, sub_lo, sub_hi)
             keep_grid = f2 > grid_f
             x[tied] = np.where(keep_grid, grid_x, x2)
             fx[tied] = np.where(keep_grid, grid_f, f2)
@@ -128,8 +120,8 @@ def minimize_lanes(
     return LaneResults(np.minimum(np.maximum(x, lo), hi), fx, iterations, converged)
 
 
-def _brent(evaluate, lanes, lo, hi, x_tolerance, max_iterations):
-    """Brent's search of every lane up to convergence or ``max_iterations``.
+def _brent(evaluate, lanes, lo, hi):
+    """Brent's search of every lane up to convergence or ``MAX_ITERATIONS`` rounds.
 
     Returns each lane's best point and value, its iteration count, whether
     its bracket collapsed, and whether all its probes tied. Lanes leave the
@@ -138,7 +130,7 @@ def _brent(evaluate, lanes, lo, hi, x_tolerance, max_iterations):
     """
     count = lo.size
     best_x, best_f = np.empty(count), np.empty(count)
-    iterations = np.full(count, max_iterations, dtype=np.int64)
+    iterations = np.full(count, MAX_ITERATIONS, dtype=np.int64)
     converged = np.zeros(count, dtype=bool)
     if count == 0:
         return best_x, best_f, iterations, converged, converged.copy()
@@ -152,9 +144,9 @@ def _brent(evaluate, lanes, lo, hi, x_tolerance, max_iterations):
     w, v, fw, fv = x, x, fx, fx
     d = e = np.zeros(count)  # last and second-to-last step sizes
 
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, MAX_ITERATIONS + 1):
         mid = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * np.abs(x) + x_tolerance / 3.0
+        tol1 = _SQRT_EPS * np.abs(x) + X_TOLERANCE / 3.0
         tol2 = 2.0 * tol1
         done = np.abs(x - mid) <= tol2 - 0.5 * (b - a)
         if done.any():

@@ -15,6 +15,14 @@ from dataclasses import dataclass, field
 from .errors import InvalidInputError
 
 
+def _check_interval(kind: str, start: int, end: int, class_id: int) -> None:
+    """Reject an interval outside ``0 <= start <= end`` and a class id below 1, as the file formats do."""
+    if start < 0 or start > end:
+        raise InvalidInputError(f"{kind} must satisfy 0 <= start <= end, got [{start}, {end}]")
+    if class_id < 1:
+        raise InvalidInputError(f"{kind} class_id must be >= 1, got {class_id}")
+
+
 @dataclass(frozen=True)
 class PointAnnotation:
     """One annotated snippet (level-1 resolution) with its 1-based class id."""
@@ -40,10 +48,7 @@ class GroundTruthInstance:
     class_id: int
 
     def __post_init__(self):
-        if self.start > self.end:
-            raise InvalidInputError(
-                f"instance must satisfy start <= end, got [{self.start}, {self.end}]"
-            )
+        _check_interval("instance", self.start, self.end, self.class_id)
 
     @property
     def interval(self) -> tuple[int, int]:
@@ -72,6 +77,9 @@ class PseudoLabel:
     gaussian_error: float = field(default=math.nan, compare=False, repr=False)
     uniform_error: float = field(default=math.nan, compare=False, repr=False)
 
+    def __post_init__(self):
+        _check_interval("pseudo-label", self.start, self.end, self.class_id)
+
 
 @dataclass
 class Proposal:
@@ -84,10 +92,7 @@ class Proposal:
     score: float
 
     def __post_init__(self):
-        if self.start < 0 or self.start > self.end:
-            raise InvalidInputError(
-                f"proposal must satisfy 0 <= start <= end, got [{self.start}, {self.end}]"
-            )
+        _check_interval("proposal", self.start, self.end, self.class_id)
         if not math.isfinite(self.score):
             raise InvalidInputError(f"proposal score must be finite, got {self.score}")
 

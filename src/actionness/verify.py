@@ -161,6 +161,7 @@ def run_fitting_suite(samples: int = 1000, grid_checks: int = 25, seed: int = 73
     Gaussians in one batch and its rectangles in another."""
     _require_counts("fitting", seed, samples=samples, grid_checks=grid_checks)
     from .adm import SIGMA_LOWER_BOUND, PreliminaryBoundary, fit_gaussians, fit_uniforms, sigma_upper_bound
+    from .optim import X_TOLERANCE
     from .oracles import gaussian_objective_grid, uniform_objective_grid
 
     rng = random.Random(seed)
@@ -221,7 +222,7 @@ def run_fitting_suite(samples: int = 1000, grid_checks: int = 25, seed: int = 73
         best = float(sigma_values.min())
         fitted = float(gaussian_objective_grid(column, boundary, t_star, [sigma])[0])
         step = (upper - SIGMA_LOWER_BOUND) / (FITTING_GRID_POINTS - 1)
-        if fitted <= best + 1e-9 * (1.0 + best) or abs(sigma - float(sigma_grid[sigma_values.argmin()])) <= 1e-5 + step:
+        if fitted <= best + 1e-9 * (1.0 + best) or abs(sigma - float(sigma_grid[sigma_values.argmin()])) <= X_TOLERANCE + step:
             sigma_grid_ok += 1
 
         omega = uniform.value
@@ -301,25 +302,23 @@ def run_oracle_suite(
     )
     from .decoder import nms
     from .evaluation import GroundTruthInstance, average_precision
-    from .optim import minimize_lanes
+    from .optim import X_TOLERANCE, minimize_lanes
     from .oracles import average_precision_direct, nms_direct
 
     rng = random.Random(seed)
 
-    x_tolerance = 1e-5
     objectives, lows, highs, _ = zip(*(_random_unimodal(rng) for _ in range(optimizer_cases)))
     result = minimize_lanes(
         lambda points, lanes: np.array([float(objectives[lane](point)) for point, lane in zip(points.tolist(), lanes)]),
         np.array(lows),
         np.array(highs),
-        x_tolerance=x_tolerance,
     )
     optimizer_ok = 0
     for objective, lo, hi, x in zip(objectives, lows, highs, result.x.tolist()):
         xs = np.linspace(lo, hi, ORACLE_GRID_POINTS)
         reference = float(xs[int(np.argmin(objective(xs)))])
         step = (hi - lo) / (ORACLE_GRID_POINTS - 1)
-        if abs(x - reference) <= x_tolerance + step:
+        if abs(x - reference) <= X_TOLERANCE + step:
             optimizer_ok += 1
     optimizer_check = {
         "name": "bounded_minimizer_vs_grid",

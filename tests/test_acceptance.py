@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from actionness.cli import main
 from actionness.decoder import DecoderConfig, Proposal, decode_videos, nms
 from actionness.evaluation import GroundTruthInstance, average_precision, map_report, tiou
-from actionness.optim import minimize_lanes
+from actionness.optim import X_TOLERANCE, minimize_lanes
 from actionness.oracles import average_precision_direct
 from actionness.storage import load_annotations, load_ground_truth, load_proposals, load_pseudo_labels
 from actionness.synth import SyntheticConfig, generate_video
@@ -151,14 +151,13 @@ def test_criterion_5_optimizer_versus_dense_grid():
         lambda points, lanes: np.array([float(objectives[lane](point)) for point, lane in zip(points.tolist(), lanes)]),
         np.array(lows),
         np.array(highs),
-        x_tolerance=1e-5,
     )
     for objective, lo, hi, x in zip(objectives, lows, highs, result.x):
         xs = np.linspace(lo, hi, grid_points)
         reference = float(xs[int(np.argmin(objective(xs)))])
         step = (hi - lo) / (grid_points - 1)
-        assert abs(x - reference) <= 1e-5 + step
-    report(5, "100 random unimodal objectives, one lockstep batch, within x_tolerance + grid step of 1e5-point scan")
+        assert abs(x - reference) <= X_TOLERANCE + step
+    report(5, "100 random unimodal objectives, one lockstep batch, within X_TOLERANCE + grid step of 1e5-point scan")
 
 
 def test_criterion_6_average_precision_oracle():

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from actionness import adm, oracles, signal
+from actionness import adm, optim, oracles, signal
 from actionness.adm import (
     ADMConfig,
     PreliminaryBoundary,
@@ -15,9 +15,7 @@ from actionness.adm import (
     find_peak,
     fit_gaussians,
     fit_uniforms,
-    gaussian_fit_errors,
     label_videos,
-    uniform_fit_errors,
     video_boundaries,
 )
 from actionness.errors import InvalidInputError
@@ -56,13 +54,15 @@ def uniform_fit(column, boundary, t_star):
 
 
 def gaussian_error_at(column, boundary, t_star, sigma):
-    """One fit's squared error at ``sigma``, read from a one-fit ``gaussian_fit_errors`` objective."""
-    return gaussian_fit_errors([(column, boundary, t_star)])(np.array([sigma]), np.zeros(1, dtype=np.int64))[0]
+    """One fit's squared error at ``sigma``, read from the objective ``fit_gaussians`` minimizes."""
+    errors = adm._profile_errors(adm._Segments.of([(column, boundary, t_star)]), adm._gaussian_profile)
+    return errors(np.array([sigma]), np.zeros(1, dtype=np.int64))[0]
 
 
 def uniform_error_at(column, boundary, t_star, omega):
-    """One fit's squared error at ``omega``, read from a one-fit ``uniform_fit_errors`` objective."""
-    return uniform_fit_errors([(column, boundary, t_star)])(np.array([omega]), np.zeros(1, dtype=np.int64))[0]
+    """One fit's squared error at ``omega``, read from the objective ``fit_uniforms`` minimizes."""
+    errors = adm._profile_errors(adm._Segments.of([(column, boundary, t_star)]), adm._rectangle_profile)
+    return errors(np.array([omega]), np.zeros(1, dtype=np.int64))[0]
 
 
 class TestPreliminaryBoundaries:
@@ -188,7 +188,7 @@ class TestFitGaussian:
         grid = np.linspace(SIGMA_LOWER_BOUND, upper, 20001)
         reference = grid[np.argmin(gaussian_objective_grid(column, boundary, t_star, grid))]
         step = upper / 20000
-        assert abs(sigma - reference) <= 1e-5 + step
+        assert abs(sigma - reference) <= optim.X_TOLERANCE + step
 
     def test_one_snippet_boundary_pins_the_lower_bound(self):
         column = np.zeros(50)
@@ -420,7 +420,7 @@ def test_size_grouped_gaussian_errors_equal_lane_by_lane_sums(planned_blocks, ba
     planned_blocks.clear()
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(signal, "SCRATCH_ELEMENTS", budget)
-        values = gaussian_fit_errors(fits)(sigmas, lanes)
+        values = adm._profile_errors(adm._Segments.of(fits), adm._gaussian_profile)(sigmas, lanes)
     assert values.tobytes() == gaussian_errors_lane_by_lane(fits, sigmas, lanes).tobytes()
     sizes = [fits[lane][1].b_end - fits[lane][1].b_start + 1 for lane in lanes.tolist()]
     assert [(planned, count > 1) for planned, count in planned_blocks] == [

@@ -149,6 +149,19 @@ class TestSynthCommand:
         fails_cleanly(result, str(error) or "MemoryError")
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("existing", [False, True], ids=["fresh-out", "existing-empty-out"])
+    def test_a_failed_synth_removes_the_directories_it_made(self, runner, tmp_path, monkeypatch, existing):
+        def generate_video(*args):
+            raise MemoryError("Unable to allocate 4.26 PiB for an array")
+
+        monkeypatch.setattr(synth, "generate_video", generate_video)
+        out = tmp_path / "data"
+        if existing:
+            out.mkdir()
+        fails_cleanly(runner.invoke(main, synth_args(out)), "Unable to allocate")
+        assert out.is_dir() == existing
+        assert not (out / "signals").exists()
+
 
 class TestAdmCommand:
     def make_dataset(self, runner, tmp_path, **kwargs):
@@ -808,9 +821,18 @@ class TestMalformedInput:
              "score must be finite"),
             (_GT, [{"video_id": "v0", "labels": [{**_LABEL, "sigma": "x"}]}], "malformed pseudo-label record"),
             (_GT, {"video_id": "v0"}, "must hold a JSON array"),
+            # the file formats number classes from 1 and hold intervals with 0 <= start <= end
+            ([{**_GT[0], "start": -4, "end": 9}], [], "instance must satisfy 0 <= start <= end, got [-4, 9]"),
+            ([{**_GT[0], "class_id": 0}], [], "instance class_id must be >= 1, got 0"),
+            (_GT, [{"video_id": "v0", "proposals": [{"start": 1, "end": 3, "class_id": -2, "score": 0.5}]}],
+             "proposal class_id must be >= 1, got -2"),
+            (_GT, [{"video_id": "v0", "labels": [{**_LABEL, "start": 7, "end": 3}]}],
+             "pseudo-label must satisfy 0 <= start <= end, got [7, 3]"),
+            (_GT, [{"video_id": "v0", "labels": [{**_LABEL, "class_id": 0}]}], "pseudo-label class_id must be >= 1, got 0"),
         ],
         ids=["gt-start-not-int", "proposals-not-a-list", "score-not-a-number", "score-string", "score-nan",
-             "score-inf", "label-sigma-not-a-number", "input-not-an-array"],
+             "score-inf", "label-sigma-not-a-number", "input-not-an-array", "gt-start-negative", "gt-class-0",
+             "proposal-class-negative", "label-start-after-end", "label-class-0"],
     )
     def test_bad_eval_input(self, runner, tmp_path, gt, predictions, fragment):
         gt_path, predictions_path = tmp_path / "gt.json", tmp_path / "predictions.json"
@@ -1220,7 +1242,7 @@ def test_no_command_loads_logging(runner, tmp_path, command):
 def test_pipeline_commands_leave_verify_oracles_and_synth_unimported(runner, tmp_path, command):
     loaded = _loaded_modules(_library_args(runner, tmp_path, command))
     assert "actionness.storage" in loaded
-    assert not loaded & {"actionness.verify", "actionness.oracles", "actionness.synth"}
+    assert not loaded & {"actionness.verify", "actionness.oracles", "actionness.synth", "actionness.losses"}
 
 
 @pytest.mark.parametrize("command", ["adm", "decode", "synth"])
@@ -1240,7 +1262,7 @@ _VERIFY_MODULES = {
         {"files", "losses", "oracles"}, {"adm", "optim", "decoder", "evaluation", "records", "signal", "storage"}
     ),
     "fitting": ({"adm", "files", "optim", "oracles"}, {"decoder", "losses", "evaluation", "storage"}),
-    "oracles": ({"decoder", "evaluation", "files", "optim", "oracles"}, {"adm", "storage"}),
+    "oracles": ({"decoder", "evaluation", "files", "optim", "oracles"}, {"adm", "losses", "storage"}),
 }
 
 
@@ -1303,7 +1325,7 @@ def test_closed_stdout_ends_quietly():
 
 def test_collector_is_paused_while_json_is_built_and_parsed(runner, tmp_path, monkeypatch):
     save_signals(tmp_path / "v0.json", [small_signal(length=32)])
-    (tmp_path / "gt.json").write_text(json.dumps([{"video_id": "v0", "start": 2, "end": 4, "class_id": 0}]))
+    (tmp_path / "gt.json").write_text(json.dumps([{"video_id": "v0", "start": 2, "end": 4, "class_id": 1}]))
     states: dict[str, list[bool]] = {}
 
     def recording(name, func):

@@ -14,11 +14,11 @@ from actionness.decoder import (
     oic_scores,
     select_classes,
     threshold_runs,
+    video_level_scores,
 )
 from actionness.errors import InvalidInputError
 from actionness.evaluation import tiou
-from actionness.losses import video_level_scores
-from actionness.oracles import nms_direct, oic_direct
+from actionness.oracles import nms_direct, oic_direct, top_k_mean_direct
 from actionness.signal import ProbabilitySignal, video_pyramids
 from actionness.synth import SyntheticConfig, generate_video
 
@@ -59,6 +59,33 @@ def scalar_oic(column, start, end, inflation):
     right = column[end + 1 : min(column.size, end + 1 + width)]
     outer_size = left.size + right.size
     return float(inner.mean() - ((left.sum() + right.sum()) / outer_size if outer_size else 0.0))
+
+
+class TestVideoLevelScores:
+    def make_signal(self, columns):
+        columns = np.asarray(columns, dtype=np.float64)
+        bg = np.zeros((columns.shape[0], 1))
+        return ProbabilitySignal("v0", 1, np.hstack([columns, bg]))
+
+    def test_k_one_is_max(self):
+        sig = self.make_signal([[0.1], [0.9], [0.4]])
+        assert video_level_scores(sig, 1)[0] == pytest.approx(0.9)
+
+    def test_k_length_is_mean(self):
+        sig = self.make_signal([[0.1], [0.9], [0.5]])
+        assert video_level_scores(sig, 3)[0] == pytest.approx(0.5)
+
+    def test_matches_sort_oracle(self):
+        rng = np.random.default_rng(31)
+        column = rng.uniform(0, 1, 40)
+        sig = self.make_signal(column[:, None])
+        for k in (1, 5, 17, 40):
+            assert video_level_scores(sig, k)[0] == pytest.approx(top_k_mean_direct(column, k))
+
+    def test_k_beyond_length_rejected(self):
+        sig = self.make_signal([[0.5], [0.5]])
+        with pytest.raises(InvalidInputError):
+            video_level_scores(sig, 3)
 
 
 class TestSelectClasses:

@@ -18,38 +18,10 @@ from actionness.losses import (
     mil_loss,
     mix_kernels,
     sigma_loss,
-    video_level_scores,
 )
-from actionness.oracles import finite_difference_gradient, max_relative_error, top_k_mean_direct
+from actionness.oracles import finite_difference_gradient, max_relative_error
 from actionness.signal import ProbabilitySignal
 from actionness.verify import run_gradient_suite
-
-
-class TestVideoLevelScores:
-    def make_signal(self, columns):
-        columns = np.asarray(columns, dtype=np.float64)
-        bg = np.zeros((columns.shape[0], 1))
-        return ProbabilitySignal("v0", 1, np.hstack([columns, bg]))
-
-    def test_k_one_is_max(self):
-        sig = self.make_signal([[0.1], [0.9], [0.4]])
-        assert video_level_scores(sig, 1)[0] == pytest.approx(0.9)
-
-    def test_k_length_is_mean(self):
-        sig = self.make_signal([[0.1], [0.9], [0.5]])
-        assert video_level_scores(sig, 3)[0] == pytest.approx(0.5)
-
-    def test_matches_sort_oracle(self):
-        rng = np.random.default_rng(31)
-        column = rng.uniform(0, 1, 40)
-        sig = self.make_signal(column[:, None])
-        for k in (1, 5, 17, 40):
-            assert video_level_scores(sig, k)[0] == pytest.approx(top_k_mean_direct(column, k))
-
-    def test_k_beyond_length_rejected(self):
-        sig = self.make_signal([[0.5], [0.5]])
-        with pytest.raises(InvalidInputError):
-            video_level_scores(sig, 3)
 
 
 class TestMilLoss:

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from actionness import optim
 from actionness.errors import InvalidInputError, NumericError
-from actionness.optim import DEFAULT_MAX_ITERATIONS, minimize_lanes
+from actionness.optim import MAX_ITERATIONS, X_TOLERANCE, minimize_lanes
 from actionness.verify import ORACLE_GRID_POINTS, _random_unimodal, run_oracle_suite
 
 
@@ -17,21 +18,21 @@ def _lane_objective(objectives):
     )
 
 
-def _one_lane(objective, lo, hi, **options):
+def _one_lane(objective, lo, hi):
     """``(x, f, iterations, converged)`` of a one-lane ``minimize_lanes`` run of ``objective`` on ``[lo, hi]``."""
-    result = minimize_lanes(_lane_objective([objective]), np.array([lo]), np.array([hi]), **options)
+    result = minimize_lanes(_lane_objective([objective]), np.array([lo]), np.array([hi]))
     return result.x[0], result.f[0], result.iterations[0], result.converged[0]
 
 
 def test_quadratic_minimum():
-    x, _, _, converged = _one_lane(lambda x: (x - 2.0) ** 2, 0.0, 5.0, x_tolerance=1e-5)
-    assert abs(x - 2.0) <= 1e-5
+    x, _, _, converged = _one_lane(lambda x: (x - 2.0) ** 2, 0.0, 5.0)
+    assert abs(x - 2.0) <= X_TOLERANCE
     assert converged
 
 
 def test_nonsmooth_absolute_value():
     x, _, _, _ = _one_lane(lambda x: abs(x - 1.0), 0.0, 3.0)
-    assert abs(x - 1.0) <= 1e-5
+    assert abs(x - 1.0) <= X_TOLERANCE
 
 
 def test_random_cubics_match_dense_grid():
@@ -48,11 +49,11 @@ def test_random_cubics_match_dense_grid():
 
         lo = local_max + 0.05 * (local_min - local_max)
         hi = local_min + rng.uniform(0.5, 3.0)
-        x, _, _, _ = _one_lane(objective, lo, hi, x_tolerance=1e-5)
+        x, _, _, _ = _one_lane(objective, lo, hi)
         xs = np.linspace(lo, hi, 100000)
         reference = xs[int(np.argmin(objective(xs)))]
         step = (hi - lo) / (100000 - 1)
-        assert abs(x - reference) <= 1e-5 + step
+        assert abs(x - reference) <= X_TOLERANCE + step
 
 
 def test_deterministic_bit_for_bit():
@@ -83,8 +84,9 @@ def test_monotone_decreasing_returns_upper_bound():
     assert x == 5.0
 
 
-def test_iteration_budget_respected():
-    _, _, iterations, converged = _one_lane(lambda x: (x - 2.0) ** 2, 0.0, 5.0, max_iterations=3)
+def test_iteration_budget_respected(monkeypatch):
+    monkeypatch.setattr(optim, "MAX_ITERATIONS", 3)
+    _, _, iterations, converged = _one_lane(lambda x: (x - 2.0) ** 2, 0.0, 5.0)
     assert iterations <= 3
     assert not converged
 
@@ -101,11 +103,6 @@ def test_invalid_bounds_rejected():
         _one_lane(lambda x: x, float("inf"), 3.0)
 
 
-def test_invalid_tolerance_rejected():
-    with pytest.raises(InvalidInputError):
-        _one_lane(lambda x: x * x, 0.0, 1.0, x_tolerance=0.0)
-
-
 def _narrow_bump(center, width, lo, hi):
     """A dip whose tails are flat to the last bit over most of ``[lo, hi]``."""
     return lambda x: 0.25 - np.exp(-0.5 * ((x - center) / width) ** 2), lo, hi, center
@@ -116,7 +113,7 @@ def test_flat_tailed_bump_near_the_lower_bound_is_found():
     # lower bound touches the bump; before the flat-tail scan it returned 0.0.
     objective, lo, hi, center = _narrow_bump(0.4, 0.1, 0.0, 20.0)
     x, _, _, converged = _one_lane(objective, lo, hi)
-    assert abs(x - center) <= 1e-5
+    assert abs(x - center) <= X_TOLERANCE
     assert converged
 
 
@@ -132,11 +129,11 @@ def test_oracle_seed_101_minimizer_case():
     def objective(x):
         return -scale * np.exp(-0.5 * ((x - minimum) / width) ** 2) + offset
 
-    x, _, _, _ = _one_lane(objective, lo, hi, x_tolerance=1e-5)
+    x, _, _, _ = _one_lane(objective, lo, hi)
     xs = np.linspace(lo, hi, ORACLE_GRID_POINTS)
     reference = float(xs[int(np.argmin(objective(xs)))])
     step = (hi - lo) / (ORACLE_GRID_POINTS - 1)
-    assert abs(x - reference) <= 1e-5 + step
+    assert abs(x - reference) <= X_TOLERANCE + step
     suite = run_oracle_suite(optimizer_cases=100, ap_cases=1, nms_cases=1, idempotence_cases=1, seed=101)
     assert suite["checks"][0] == {"name": "bounded_minimizer_vs_grid", "ok": 100, "total": 100, "pass": True}
 
@@ -151,9 +148,9 @@ def test_oracle_minimizer_cases_of_seeds_1_to_300_all_pass():
         rng = random.Random(seed)
         objectives, lo, hi, minimizers = zip(*(_random_unimodal(rng) for _ in range(100)))
         lo, hi = np.array(lo), np.array(hi)
-        result = minimize_lanes(_lane_objective(objectives), lo, hi, x_tolerance=1e-5)
+        result = minimize_lanes(_lane_objective(objectives), lo, hi)
         step = (hi - lo) / (ORACLE_GRID_POINTS - 1)
-        missed = np.flatnonzero(np.abs(result.x - np.array(minimizers)) > 1e-5 + step)
+        missed = np.flatnonzero(np.abs(result.x - np.array(minimizers)) > X_TOLERANCE + step)
         failures.extend((seed, int(case)) for case in missed)
     assert failures == []
 
@@ -182,21 +179,22 @@ def mixed_lanes(draw):
             hi = lo + draw(st.floats(5.0, 30.0))
             center = draw(st.floats(lo, hi))
             lanes.append(_narrow_bump(center, draw(st.floats(0.05, 0.5)), lo, hi))
-    return lanes, draw(st.sampled_from([3, 8, 15, 25, DEFAULT_MAX_ITERATIONS]))
+    return lanes, draw(st.sampled_from([3, 8, 15, 25, MAX_ITERATIONS]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(mixed_lanes())
 def test_each_lane_equals_its_one_lane_run(case):
-    lanes, max_iterations = case
+    lanes, budget = case
     objectives, lo, hi, _ = zip(*lanes)
-    batch = minimize_lanes(_lane_objective(objectives), np.array(lo), np.array(hi), max_iterations=max_iterations)
-    for lane, (objective, lane_lo, lane_hi, _) in enumerate(lanes):
-        alone = _one_lane(objective, lane_lo, lane_hi, max_iterations=max_iterations)
-        assert (batch.x[lane], batch.f[lane], batch.iterations[lane], batch.converged[lane]) == alone
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(optim, "MAX_ITERATIONS", budget)
+        batch = minimize_lanes(_lane_objective(objectives), np.array(lo), np.array(hi))
+        alone = [_one_lane(objective, lane_lo, lane_hi) for objective, lane_lo, lane_hi, _ in lanes]
+    assert alone == list(zip(batch.x, batch.f, batch.iterations, batch.converged))
 
 
-def test_mixed_batch_holds_lanes_finishing_in_different_rounds():
+def test_mixed_batch_holds_lanes_finishing_in_different_rounds(monkeypatch):
     # Lanes converge in different rounds, two exhaust the budget, and one is a
     # flat-tailed bump that takes the scan; each equals its one-lane run.
     lanes = [
@@ -207,12 +205,13 @@ def test_mixed_batch_holds_lanes_finishing_in_different_rounds():
         _narrow_bump(13.3, 0.08, -2.0, 25.0),
     ]
     objectives, lo, hi, _ = zip(*lanes)
-    for max_iterations in (12, DEFAULT_MAX_ITERATIONS):
-        batch = minimize_lanes(_lane_objective(objectives), np.array(lo), np.array(hi), max_iterations=max_iterations)
-        alone = [_one_lane(objective, a, b, max_iterations=max_iterations) for objective, a, b, _ in lanes]
+    for budget in (12, MAX_ITERATIONS):
+        monkeypatch.setattr(optim, "MAX_ITERATIONS", budget)
+        batch = minimize_lanes(_lane_objective(objectives), np.array(lo), np.array(hi))
+        alone = [_one_lane(objective, a, b) for objective, a, b, _ in lanes]
         assert alone == list(zip(batch.x, batch.f, batch.iterations, batch.converged))
         assert len(set(batch.iterations.tolist())) >= 3
-        assert batch.converged.all() == (max_iterations == DEFAULT_MAX_ITERATIONS)
+        assert batch.converged.all() == (budget == MAX_ITERATIONS)
 
 
 def test_lanes_validate_their_bounds():

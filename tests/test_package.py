@@ -16,6 +16,7 @@ EXPORTS = {
     ],
     "decoder": [
         "DecoderConfig", "Proposal", "decode_videos", "nms", "oic_scores", "select_classes", "threshold_runs",
+        "video_level_scores",
     ],
     "errors": ["InvalidInputError", "NumericError", "PackingError"],
     "evaluation": [
@@ -24,7 +25,7 @@ EXPORTS = {
     ],
     "losses": [
         "GaussianKernelSet", "LossValue", "action_focal_loss", "background_loss", "gaussian_alignment_loss",
-        "gaussian_kernel", "mil_loss", "mix_kernels", "sigma_loss", "video_level_scores",
+        "gaussian_kernel", "mil_loss", "mix_kernels", "sigma_loss",
     ],
     "optim": ["LaneResults", "minimize_lanes"],
     "signal": [

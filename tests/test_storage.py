@@ -395,10 +395,10 @@ def spans(draw):
 
 annotations = st.builds(PointAnnotation, ids, indices, class_ids)
 instances = spans().flatmap(lambda span: st.builds(GroundTruthInstance, ids, st.just(span[0]), st.just(span[1]), class_ids))
-pseudo_labels = st.builds(
-    PseudoLabel, ids, indices, indices, finite, finite, finite, indices, indices, class_ids, st.booleans(),
-    gaussian_error=finite, uniform_error=finite,
-)
+pseudo_labels = spans().flatmap(lambda span: st.builds(
+    PseudoLabel, ids, indices, indices, finite, finite, finite, st.just(span[0]), st.just(span[1]), class_ids,
+    st.booleans(), gaussian_error=finite, uniform_error=finite,
+))
 proposals = spans().flatmap(lambda span: st.builds(Proposal, ids, st.just(span[0]), st.just(span[1]), class_ids, finite))
 CODECS = {
     "annotations": (save_annotations, load_annotations, annotations, False),
