@@ -179,27 +179,15 @@ def synth(out_dir, videos, length, num_classes, instances, durations, shape_weig
 @click.option("--signals", "signals_path", type=click.Path(path_type=Path), required=True)
 @click.option("--annotations", "annotations_path", type=click.Path(path_type=Path), required=True)
 @click.option("--out", "out_path", type=click.Path(path_type=Path), required=True)
-@click.option("--delta", default=0.25, show_default=True)
-@click.option("--gamma1", default=0.5, show_default=True)
-@click.option("--gamma2", default=0.5, show_default=True)
-@click.option("--smoothing-sigma", default=2.0, show_default=True)
 @click.option("--background-threshold", default=0.5, show_default=True)
-@click.option("--r-a", default=2, show_default=True, help="Annotation augmentation radius.")
-def adm(signals_path, annotations_path, out_path, delta, gamma1, gamma2, smoothing_sigma, background_threshold, r_a):
+def adm(signals_path, annotations_path, out_path, background_threshold):
     """Fit one pseudo-label per annotated point and report fit quality."""
     import numpy as np
 
     from .adm import ADMConfig, label_videos
     from .storage import load_annotations, load_signals, save_pseudo_labels
 
-    config = ADMConfig(
-        delta=delta,
-        gamma1=gamma1,
-        gamma2=gamma2,
-        smoothing_sigma=smoothing_sigma,
-        background_threshold=background_threshold,
-        r_a=r_a,
-    )
+    config = ADMConfig(background_threshold=background_threshold)
     signals = load_signals(signals_path)
     points = load_annotations(annotations_path)
     labels = label_videos(signals, points, config)
@@ -219,23 +207,14 @@ def adm(signals_path, annotations_path, out_path, delta, gamma1, gamma2, smoothi
 @main.command(name="decode")
 @click.option("--signals", "signals_path", type=click.Path(path_type=Path), required=True)
 @click.option("--out", "out_path", type=click.Path(path_type=Path), required=True)
-@click.option("--thresholds", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9", show_default=True)
-@click.option("--oic-inflation", default=0.25, show_default=True)
-@click.option("--nms-tiou", default=0.45, show_default=True)
 @click.option("--class-threshold", default=0.5, show_default=True)
 @click.option("--top-k-fraction", default=0.125, show_default=True)
-def decode_cmd(signals_path, out_path, thresholds, oic_inflation, nms_tiou, class_threshold, top_k_fraction):
+def decode_cmd(signals_path, out_path, class_threshold, top_k_fraction):
     """Decode probability signals into scored, NMS-filtered proposals."""
     from .decoder import DecoderConfig, decode_videos
     from .storage import load_signals, save_proposals
 
-    config = DecoderConfig(
-        thresholds=tuple(_parse_thresholds(thresholds)),
-        oic_inflation=oic_inflation,
-        nms_tiou=nms_tiou,
-        class_score_threshold=class_threshold,
-        top_k_fraction=top_k_fraction,
-    )
+    config = DecoderConfig(class_score_threshold=class_threshold, top_k_fraction=top_k_fraction)
     proposals = decode_videos(load_signals(signals_path), config)
     save_proposals(out_path, proposals)
     _info(f"decoded {len(proposals)} proposals")

@@ -12,31 +12,22 @@ from .errors import InvalidInputError, require_finite
 from .records import Proposal
 from .signal import ProbabilitySignal, Pyramid, video_pyramids
 
-DEFAULT_THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+# Fixed hyperparameters, read when ``decode_videos`` runs: the thresholds whose runs
+# become segments, strictly ascending in (0, 1); the OIC flank width as a fraction
+# of a segment's length; and the tIoU above which NMS suppresses a proposal.
+THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
+OIC_INFLATION = 0.25
+NMS_TIOU = 0.45
 
 
 @dataclass
 class DecoderConfig:
-    thresholds: tuple[float, ...] = DEFAULT_THRESHOLDS
-    oic_inflation: float = 0.25
-    nms_tiou: float = 0.45
     class_score_threshold: float = 0.5
     top_k_fraction: float = 0.125
 
     def __post_init__(self):
-        self.thresholds = tuple(float(t) for t in self.thresholds)
-        if not self.thresholds:
-            raise InvalidInputError("thresholds must be nonempty")
-        if any(not 0.0 < t < 1.0 for t in self.thresholds):
-            raise InvalidInputError(f"thresholds must lie in (0, 1), got {self.thresholds}")
-        if any(b <= a for a, b in zip(self.thresholds, self.thresholds[1:])):
-            raise InvalidInputError("thresholds must be strictly ascending")
-        # the range checks reject NaN and inf in the other fields
-        require_finite(oic_inflation=self.oic_inflation, class_score_threshold=self.class_score_threshold)
-        if self.oic_inflation <= 0:
-            raise InvalidInputError(f"oic_inflation must be > 0, got {self.oic_inflation}")
-        if not 0.0 < self.nms_tiou < 1.0:
-            raise InvalidInputError(f"nms_tiou must be in (0, 1), got {self.nms_tiou}")
+        # the range check rejects NaN and inf in top_k_fraction
+        require_finite(class_score_threshold=self.class_score_threshold)
         if not 0.0 < self.top_k_fraction <= 1.0:
             raise InvalidInputError(f"top_k_fraction must be in (0, 1], got {self.top_k_fraction}")
 
@@ -207,18 +198,19 @@ def decode_videos(signals: Iterable[ProbabilitySignal], config: DecoderConfig) -
 
     ``video_pyramids`` reads and checks each video's pyramid. For every
     selected class of a video, ``threshold_runs`` finds each level's runs
-    above every threshold at once. Runs map onto the level-1 snippets pooled
-    into them: a run ``[a, b]`` of a level of ratio ``s`` and extent ``E``
-    covers ``[a*s, min((b+1)*s, E) - 1]``. Then ``oic_scores`` scores every
-    segment of every video by outer-inner contrast on its level-1 column, in
-    one pass, and each video's pool is reduced with the module's ``nms``,
-    whose work follows the pool's overlapping same-class pairs.
+    above every one of ``THRESHOLDS`` at once. Runs map onto the level-1
+    snippets pooled into them: a run ``[a, b]`` of a level of ratio ``s`` and
+    extent ``E`` covers ``[a*s, min((b+1)*s, E) - 1]``. Then ``oic_scores``
+    scores every segment of every video by outer-inner contrast on its
+    level-1 column at ``OIC_INFLATION``, in one pass, and each video's pool
+    is reduced with the module's ``nms`` at ``NMS_TIOU``, whose work follows
+    the pool's overlapping same-class pairs.
 
     Each distinct segment of a class is scored and enters the pool once, in
     the order it is first found, level by level from the finest and
     threshold by threshold. A repeat would carry the same interval, class and
     score as its twin, and the stable sort would rank it right after the twin.
-    Their tIoU of 1 is above any ``nms_tiou`` the config allows, so the repeat
+    Their tIoU of 1 is above ``NMS_TIOU``, which is below 1, so the repeat
     would be suppressed by the twin if the twin were kept, and by what
     suppressed the twin otherwise: the survivors and their order are those of
     the pool with its repeats.
@@ -229,7 +221,7 @@ def decode_videos(signals: Iterable[ProbabilitySignal], config: DecoderConfig) -
         return []
     _, columns, starts, ends = zip(*classes)
     column_ids = np.repeat(np.arange(len(columns)), [segments.size for segments in starts])
-    scores = oic_scores(columns, column_ids, np.concatenate(starts), np.concatenate(ends), config.oic_inflation)
+    scores = oic_scores(columns, column_ids, np.concatenate(starts), np.concatenate(ends), OIC_INFLATION)
     proposals: list[Proposal] = []
     low = 0
     for video_id, per_class in videos:
@@ -241,7 +233,7 @@ def decode_videos(signals: Iterable[ProbabilitySignal], config: DecoderConfig) -
                 for start, end, score in zip(class_starts.tolist(), class_ends.tolist(), scores[low:high].tolist())
             ]
             low = high
-        proposals.extend(nms(pool, config.nms_tiou))
+        proposals.extend(nms(pool, NMS_TIOU))
     return proposals
 
 
@@ -257,7 +249,7 @@ def _distinct_segments(pyramid: Pyramid, config: DecoderConfig):
     for class_id in select_classes(np.mean(per_level, axis=0), config.class_score_threshold):
         starts, ends = [], []
         for sig, scale, extent in zip(pyramid.levels, pyramid.scales, pyramid.extents):
-            run_starts, run_ends = threshold_runs(sig.class_column(class_id), config.thresholds)
+            run_starts, run_ends = threshold_runs(sig.class_column(class_id), THRESHOLDS)
             # coarse snippet j pools level-1 snippets j*scale .. (j+1)*scale - 1
             starts.append(run_starts * scale)
             ends.append(np.minimum((run_ends + 1) * scale, extent) - 1)

@@ -216,7 +216,8 @@ def save_signals(path: Path | str, signals: Sequence[ProbabilitySignal]) -> None
 
 def load_signals(path: Path | str) -> list[ProbabilitySignal]:
     """Load signals from one ``.npz``/JSON file, or every such file of a directory in sorted order;
-    a directory without one is malformed input, not a dataset of no videos."""
+    a directory without one is malformed input, not a dataset of no videos, and so is an entry
+    named as a signal file that is not a file, such as a subdirectory ``old.json/``."""
     path = Path(path)
     if path.is_dir():
         files = sorted([*path.glob("*.json"), *path.glob("*.npz")])
@@ -224,6 +225,8 @@ def load_signals(path: Path | str) -> list[ProbabilitySignal]:
             raise InvalidInputError(f"{path}: the directory holds no .json or .npz signal file")
         signals: list[ProbabilitySignal] = []
         for file in files:
+            if not file.is_file():
+                raise InvalidInputError(f"{file}: a signals directory holds one signal file per video, and this is not a file")
             signals.extend(load_signals(file))
         return signals
     if path.suffix == ".npz":

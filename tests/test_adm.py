@@ -160,7 +160,7 @@ class TestFindPeak:
 
     @pytest.mark.parametrize("delta", [-0.05, 0.0, 0.6, float("nan")])
     def test_delta_outside_the_config_range_is_rejected(self, delta):
-        # a negative delta left an empty window, a NaN one no window bounds; ADMConfig takes (0, 0.5]
+        # a negative delta left an empty window, a NaN one no window bounds; PEAK_WINDOW lies in (0, 0.5]
         with pytest.raises(InvalidInputError, match=re.escape(f"delta must be in (0, 0.5], got {delta}")):
             find_peak(np.zeros(10), PreliminaryBoundary(0, 9), 4, delta)
 
@@ -601,11 +601,18 @@ def one_level_signal(column, background_at=()):
     return ProbabilitySignal("v0", 1, values)
 
 
-def sharp(**fields):
-    """``ADMConfig`` with a smoothing kernel of one tap, so the fits read the class column unchanged."""
-    return ADMConfig(smoothing_sigma=0.1, **fields)
+@pytest.fixture
+def sharp(monkeypatch):
+    """A smoothing kernel of one tap, so the fits read the class column unchanged."""
+    monkeypatch.setattr(adm, "SMOOTHING_SIGMA", 0.1)
 
 
+def weigh(patch, gaussian_weight, uniform_weight):
+    patch.setattr(adm, "GAUSSIAN_WEIGHT", gaussian_weight)
+    patch.setattr(adm, "UNIFORM_WEIGHT", uniform_weight)
+
+
+@pytest.mark.usefixtures("sharp")
 class TestLabelAssembly:
     def setup_method(self):
         self.column = gaussian_column(300, 150, 10.0, height=0.9)
@@ -614,21 +621,24 @@ class TestLabelAssembly:
 
     def test_one_label_per_point(self):
         points = [PointAnnotation("v0", t, 1) for t in (100, 148, 200)]
-        labels = label_videos([self.signal], points, sharp())
+        labels = label_videos([self.signal], points, ADMConfig())
         assert len(labels) == len(points)
 
-    def test_gamma_edge_cases(self):
-        only_sigma = label_videos([self.signal], self.points, sharp(gamma1=1.0, gamma2=0.0))[0]
+    def test_gamma_edge_cases(self, monkeypatch):
+        weigh(monkeypatch, 1.0, 0.0)
+        only_sigma = label_videos([self.signal], self.points, ADMConfig())[0]
         assert only_sigma.delta == pytest.approx(only_sigma.sigma)
-        only_omega = label_videos([self.signal], self.points, sharp(gamma1=0.0, gamma2=1.0))[0]
+        weigh(monkeypatch, 0.0, 1.0)
+        only_omega = label_videos([self.signal], self.points, ADMConfig())[0]
         assert only_omega.delta == pytest.approx(only_omega.omega)
 
-    def test_delta_is_exact_combination(self):
-        label = label_videos([self.signal], self.points, sharp(gamma1=0.7, gamma2=0.3))[0]
+    def test_delta_is_exact_combination(self, monkeypatch):
+        weigh(monkeypatch, 0.7, 0.3)
+        label = label_videos([self.signal], self.points, ADMConfig())[0]
         assert label.delta == pytest.approx(0.7 * label.sigma + 0.3 * label.omega)
 
     def test_fits_read_the_column_within_the_background_points(self):
-        label = label_videos([self.signal], self.points, sharp())[0]
+        label = label_videos([self.signal], self.points, ADMConfig())[0]
         boundary = PreliminaryBoundary(60, 240)
         assert label.t_star == 150
         assert (label.sigma, label.gaussian_error) == fit_gaussians([(self.column, boundary, 150)])[0]
@@ -645,13 +655,13 @@ class TestLabelAssembly:
                 1,
             )
             t = int(rng.integers(10, 190))
-            label = label_videos([one_level_signal(column)], [PointAnnotation("v0", t, 1)], sharp())[0]
+            label = label_videos([one_level_signal(column)], [PointAnnotation("v0", t, 1)], ADMConfig())[0]
             assert 0 <= label.start <= label.t_star <= label.end <= length - 1
 
     def test_scaling_column_preserves_fits(self):
         scaled = one_level_signal(0.5 * self.column, (60, 240))
-        full = label_videos([self.signal], self.points, sharp())[0]
-        half = label_videos([scaled], self.points, sharp())[0]
+        full = label_videos([self.signal], self.points, ADMConfig())[0]
+        half = label_videos([scaled], self.points, ADMConfig())[0]
         assert half.sigma == pytest.approx(full.sigma, abs=1e-4)
         assert half.omega == full.omega
 
@@ -695,18 +705,18 @@ class TestLabelVideos:
         for video_id in sorted(grouped):
             finest, coarsest = grouped[video_id][0], grouped[video_id][-1]
             video_points = [p for p in points if p.video_id == video_id]
-            intervals = augment_points(video_points, 2, finest.length)
+            intervals = augment_points(video_points, adm.AUGMENT_RADIUS, finest.length)
             background = select_background_points(finest, intervals, config.background_threshold)
             for point in video_points:
-                smoothed = smooth_column(coarsest.class_column(point.class_id), config.smoothing_sigma)
+                smoothed = smooth_column(coarsest.class_column(point.class_id), adm.SMOOTHING_SIGMA)
                 column = upsample_column(smoothed, finest.length)
                 boundary = boundary_of(point, background, finest.length)
-                t_star = find_peak(column, boundary, point.t, config.delta)
+                t_star = find_peak(column, boundary, point.t, adm.PEAK_WINDOW)
                 sigma, gaussian = fit_gaussians([(column, boundary, t_star)])[0]
                 omega, uniform = uniform_fit(column, boundary, t_star)
                 assert gaussian == gaussian_error_at(column, boundary, t_star, sigma)
                 assert uniform == uniform_error_at(column, boundary, t_star, omega)
-                half_extent = config.gamma1 * sigma + config.gamma2 * omega
+                half_extent = adm.GAUSSIAN_WEIGHT * sigma + adm.UNIFORM_WEIGHT * omega
                 start = min(max(round(t_star - half_extent), 0), finest.length - 1)
                 end = min(max(round(t_star + half_extent), 0), finest.length - 1)
                 label = PseudoLabel(
@@ -798,25 +808,20 @@ def test_every_point_lies_in_its_boundary_which_is_one_snippet_only_in_a_one_sni
 ):
     # a point outside its boundary would make find_peak raise: its own snippet is never background
     signals, points = dataset
-    labels = label_videos(signals, points, ADMConfig(delta=delta, background_threshold=threshold, r_a=r_a))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(adm, "PEAK_WINDOW", delta)
+        patch.setattr(adm, "AUGMENT_RADIUS", r_a)
+        labels = label_videos(signals, points, ADMConfig(background_threshold=threshold))
     lengths = {signal.video_id: signal.length for signal in signals if signal.level == 1}
     assert len(labels) == len(points)
     assert [label.degenerate for label in labels] == [lengths[label.video_id] == 1 for label in labels]
 
 
 class TestADMConfig:
-    def test_rejects_bad_delta(self):
-        with pytest.raises(InvalidInputError):
-            ADMConfig(delta=0.6)
-
-    def test_rejects_zero_gammas(self):
-        with pytest.raises(InvalidInputError):
-            ADMConfig(gamma1=0.0, gamma2=0.0)
-
-    def test_rejects_negative_r_a(self):
-        with pytest.raises(InvalidInputError, match="r_a must be >= 0"):
-            ADMConfig(r_a=-1)
-        assert ADMConfig(r_a=0).r_a == 0
+    @pytest.mark.parametrize("threshold", [0.0, 1.0, float("nan"), float("inf")])
+    def test_rejects_a_background_threshold_outside_the_open_unit_interval(self, threshold):
+        with pytest.raises(InvalidInputError, match=re.escape(f"background_threshold must be in (0, 1), got {threshold}")):
+            ADMConfig(background_threshold=threshold)
 
 
 def test_fitted_parameters_stay_inside_bounds():

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -434,7 +435,7 @@ def test_nms_rejects_a_negative_threshold():
 
 def pool_with_repeats(levels, config):
     """Every (class, level, threshold) run of a pyramid, finest level first, found and scored
-    one by one with the scalar helpers: repeats included."""
+    one by one with the scalar helpers at the module's thresholds and inflation: repeats included."""
     (pyramid,) = video_pyramids(levels).values()
     scales = pyramid.scales
     video_scores = np.mean(
@@ -446,11 +447,11 @@ def pool_with_repeats(levels, config):
         for index, (sig, scale) in enumerate(zip(levels, scales)):
             # the level-1 snippets this level and every finer one cover
             extent = min(below.length * below_scale for below, below_scale in zip(levels[: index + 1], scales))
-            for threshold in config.thresholds:
+            for threshold in decoder.THRESHOLDS:
                 for seg_start, seg_end in scalar_runs(sig.class_column(class_id), threshold):
                     start = seg_start * scale
                     end = min((seg_end + 1) * scale, extent) - 1
-                    score = scalar_oic(levels[0].class_column(class_id), start, end, config.oic_inflation)
+                    score = scalar_oic(levels[0].class_column(class_id), start, end, decoder.OIC_INFLATION)
                     pool.append(Proposal(sig.video_id, start, end, class_id, score))
     return pool
 
@@ -506,7 +507,7 @@ class TestDecode:
         decoder_config = self.config()
         pool = pool_with_repeats(levels, decoder_config)
         assert len({(p.start, p.end, p.class_id) for p in pool}) < len(pool), "no repeated segment to reuse"
-        assert decode_videos(levels, decoder_config) == nms_direct(pool, decoder_config.nms_tiou)
+        assert decode_videos(levels, decoder_config) == nms_direct(pool, decoder.NMS_TIOU)
 
     @pytest.mark.parametrize(
         "fine_length, coarse_length, run, expected",
@@ -587,7 +588,7 @@ def test_coarse_runs_cover_the_snippets_pooled_into_them(steps, ceil_pooled, len
     expected = [
         (pooled[start][0], pooled[end][-1])
         for signal, pooled in zip(levels, groups)
-        for threshold in config.thresholds
+        for threshold in decoder.THRESHOLDS
         for start, end in runs_above(signal.class_column(1), threshold)
     ]
     # each distinct segment enters the pool once, where it is first found
@@ -618,20 +619,19 @@ def test_decode_equals_the_oracle_over_the_pool_with_repeats_property(
         assume(count >= 1)
         pooled = [below[2 * j : 2 * j + 2].mean(axis=0) for j in range(count)]
         levels.append(ProbabilitySignal("v0", level, np.array(pooled)))
-    config = DecoderConfig(
-        thresholds=thresholds, oic_inflation=inflation, nms_tiou=nms_tiou, class_score_threshold=class_score_threshold
-    )
-    assert decode_videos(levels, config) == nms_direct(pool_with_repeats(levels, config), nms_tiou)
+    config = DecoderConfig(class_score_threshold=class_score_threshold)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decoder, "THRESHOLDS", tuple(thresholds))
+        patch.setattr(decoder, "OIC_INFLATION", inflation)
+        patch.setattr(decoder, "NMS_TIOU", nms_tiou)
+        assert decode_videos(levels, config) == nms_direct(pool_with_repeats(levels, config), nms_tiou)
 
 
 class TestDecoderConfig:
-    def test_threshold_validation(self):
-        with pytest.raises(InvalidInputError):
-            DecoderConfig(thresholds=())
-        with pytest.raises(InvalidInputError):
-            DecoderConfig(thresholds=(0.5, 0.4))
-        with pytest.raises(InvalidInputError):
-            DecoderConfig(thresholds=(0.0, 0.5))
+    @pytest.mark.parametrize("fraction", [0.0, 1.5, float("nan")])
+    def test_rejects_a_top_k_fraction_outside_zero_to_one(self, fraction):
+        with pytest.raises(InvalidInputError, match=re.escape(f"top_k_fraction must be in (0, 1], got {fraction}")):
+            DecoderConfig(top_k_fraction=fraction)
 
 
 def quarter_step_pyramid(video_id, length, classes, ceil_pooled, rng):
@@ -665,13 +665,15 @@ def test_decode_videos_equals_the_oracle_video_by_video_property(
     pyramids = [
         quarter_step_pyramid(f"v{index}", length, classes, ceil_pooled, rng) for index, length in enumerate(lengths)
     ]
-    config = DecoderConfig(oic_inflation=inflation, class_score_threshold=class_score_threshold)
-    expected = [
-        proposal
-        for levels in sorted(pyramids, key=lambda levels: levels[0].video_id)
-        for proposal in nms_direct(pool_with_repeats(levels, config), config.nms_tiou)
-    ]
-    assert decode_videos([signal for levels in pyramids for signal in levels], config) == expected
+    config = DecoderConfig(class_score_threshold=class_score_threshold)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decoder, "OIC_INFLATION", inflation)
+        expected = [
+            proposal
+            for levels in sorted(pyramids, key=lambda levels: levels[0].video_id)
+            for proposal in nms_direct(pool_with_repeats(levels, config), decoder.NMS_TIOU)
+        ]
+        assert decode_videos([signal for levels in pyramids for signal in levels], config) == expected
 
 
 def test_decode_videos_hands_each_video_pool_to_the_module_nms(monkeypatch):
@@ -688,8 +690,8 @@ def test_decode_videos_hands_each_video_pool_to_the_module_nms(monkeypatch):
     config = DecoderConfig()
     proposals = decode_videos(signals, config)
     assert [kwargs for _, kwargs in calls] == [{}, {}, {}]
-    assert [threshold for (_, threshold), _ in calls] == [config.nms_tiou] * 3
+    assert [threshold for (_, threshold), _ in calls] == [decoder.NMS_TIOU] * 3
     pools = [pool for (pool, _), _ in calls]
     assert [{p.video_id for p in pool} for pool in pools] == [{"a"}, {"b"}, {"c"}]
     assert all(type(p) is Proposal for pool in pools for p in pool)
-    assert proposals == [p for pool in pools for p in nms(pool, config.nms_tiou)]
+    assert proposals == [p for pool in pools for p in nms(pool, decoder.NMS_TIOU)]
