@@ -15,7 +15,6 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "adm": (
-        "ADMConfig",
         "PreliminaryBoundary",
         "find_peak",
         "fit_gaussians",
@@ -24,7 +23,6 @@ _EXPORTS = {
         "video_boundaries",
     ),
     "decoder": (
-        "DecoderConfig",
         "decode_videos",
         "nms",
         "oic_scores",

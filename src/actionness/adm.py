@@ -63,21 +63,6 @@ class PreliminaryBoundary:
         return self.b_end - self.b_start
 
 
-@dataclass
-class ADMConfig:
-    """``background_threshold`` is the background probability a snippet must
-    exceed to count as background."""
-
-    background_threshold: float = 0.5
-
-    def __post_init__(self):
-        # the range check rejects NaN and inf
-        if not 0.0 < self.background_threshold < 1.0:
-            raise InvalidInputError(
-                f"background_threshold must be in (0, 1), got {self.background_threshold}"
-            )
-
-
 class Fit(NamedTuple):
     """A fitted half-extent and its squared error."""
 
@@ -310,7 +295,7 @@ def fit_uniforms(fits: Sequence[tuple[np.ndarray, PreliminaryBoundary, int]]) ->
 def label_videos(
     signals: Iterable[ProbabilitySignal],
     points: Sequence[PointAnnotation],
-    config: ADMConfig,
+    background_threshold: float = 0.5,
 ) -> list[PseudoLabel]:
     """Fit one pseudo-label per annotated point, never dropping any, video by
     video in sorted id order and in each video in the order of its points.
@@ -318,14 +303,15 @@ def label_videos(
     ``signals`` holds every video's pyramid levels, in any order, as
     ``storage.load_signals`` returns them; ``video_pyramids`` reads and checks
     every video's pyramid, annotated or not. Background points come from level
-    1 once every point is widened by ``AUGMENT_RADIUS``, above
-    ``config.background_threshold``, and each video's preliminary boundaries
-    from one ``video_boundaries`` search. The fits run on the coarsest level's
-    columns of the points' classes, smoothed at ``SMOOTHING_SIGMA`` and then
-    upsampled to the level-1 length: the Gaussian fits of all points in one
-    lockstep search (``fit_gaussians``) and their rectangle fits in one
-    batched scan (``fit_uniforms``), each over one concatenation of the
-    points' segments. Each label's half-extent is
+    1 once every point is widened by ``AUGMENT_RADIUS``: the snippets whose
+    background probability exceeds ``background_threshold``, which must lie
+    in ``(0, 1)`` and is checked before any other work. Each video's
+    preliminary boundaries come from one ``video_boundaries`` search. The
+    fits run on the coarsest level's columns of the points' classes, smoothed
+    at ``SMOOTHING_SIGMA`` and then upsampled to the level-1 length: the
+    Gaussian fits of all points in one lockstep search (``fit_gaussians``)
+    and their rectangle fits in one batched scan (``fit_uniforms``), each
+    over one concatenation of the points' segments. Each label's half-extent is
     ``GAUSSIAN_WEIGHT * sigma + UNIFORM_WEIGHT * omega``, finite as sigma and
     omega are each at most the boundary's ``u_b``, and its interval is rounded
     then clipped to the video. A label is degenerate when its boundary is one
@@ -340,6 +326,8 @@ def label_videos(
     measured to lower label mAP by 0.06 points at 2 levels and 0.23 points at
     3 levels on the baseline synth data, and left proposals unchanged.
     """
+    if not 0.0 < background_threshold < 1.0:  # NaN and inf fail this too
+        raise InvalidInputError(f"background_threshold must be in (0, 1), got {background_threshold}")
     pyramids = video_pyramids(signals)
     by_video: dict[str, list[PointAnnotation]] = {}
     for point in points:
@@ -354,7 +342,7 @@ def label_videos(
         finest, coarsest = levels[0], levels[-1]
         video_points = by_video[video_id]
         intervals = augment_points(video_points, AUGMENT_RADIUS, finest.length)
-        background = select_background_points(finest, intervals, config.background_threshold)
+        background = select_background_points(finest, intervals, background_threshold)
         # only the classes the video's points name, in the order the points first name them
         columns = {
             class_id: upsample_column(

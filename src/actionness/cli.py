@@ -128,7 +128,8 @@ def synth(out_dir, videos, length, num_classes, instances, durations, shape_weig
     removes the signal files it wrote, and ``--out`` and ``signals/`` where it
     made them, when it fails part-way.
     """
-    from .storage import save_annotations, save_ground_truth, save_signals, write_json_atomic
+    from .records import GroundTruthInstance, PointAnnotation
+    from .storage import save_records, save_signals, write_json_atomic
     from .synth import SyntheticConfig, generate_dataset
 
     written: list[Path] = []
@@ -162,8 +163,8 @@ def synth(out_dir, videos, length, num_classes, instances, durations, shape_weig
             save_signals(written[-1], [video.signal])
             ground_truth.extend(video.gt)
             annotations.extend(points)
-        save_ground_truth(out_dir / "gt.json", ground_truth)
-        save_annotations(out_dir / "annotations.json", annotations)
+        save_records(out_dir / "gt.json", GroundTruthInstance, ground_truth)
+        save_records(out_dir / "annotations.json", PointAnnotation, annotations)
         write_json_atomic(out_dir / "manifest.json", manifest)
     except _FAILURES:
         for path in written:
@@ -184,14 +185,14 @@ def adm(signals_path, annotations_path, out_path, background_threshold):
     """Fit one pseudo-label per annotated point and report fit quality."""
     import numpy as np
 
-    from .adm import ADMConfig, label_videos
-    from .storage import load_annotations, load_signals, save_pseudo_labels
+    from .adm import label_videos
+    from .records import PointAnnotation, PseudoLabel
+    from .storage import load_records, load_signals, save_records
 
-    config = ADMConfig(background_threshold=background_threshold)
     signals = load_signals(signals_path)
-    points = load_annotations(annotations_path)
-    labels = label_videos(signals, points, config)
-    save_pseudo_labels(out_path, labels)
+    points = load_records(annotations_path, PointAnnotation)
+    labels = label_videos(signals, points, background_threshold)
+    save_records(out_path, PseudoLabel, labels)
 
     if points:
         alpha = len(labels) / len(points)
@@ -211,12 +212,12 @@ def adm(signals_path, annotations_path, out_path, background_threshold):
 @click.option("--top-k-fraction", default=0.125, show_default=True)
 def decode_cmd(signals_path, out_path, class_threshold, top_k_fraction):
     """Decode probability signals into scored, NMS-filtered proposals."""
-    from .decoder import DecoderConfig, decode_videos
-    from .storage import load_signals, save_proposals
+    from .decoder import decode_videos
+    from .records import Proposal
+    from .storage import load_signals, save_records
 
-    config = DecoderConfig(class_score_threshold=class_threshold, top_k_fraction=top_k_fraction)
-    proposals = decode_videos(load_signals(signals_path), config)
-    save_proposals(out_path, proposals)
+    proposals = decode_videos(load_signals(signals_path), class_threshold, top_k_fraction)
+    save_records(out_path, Proposal, proposals)
     _info(f"decoded {len(proposals)} proposals")
 
 
@@ -229,12 +230,13 @@ def decode_cmd(signals_path, out_path, class_threshold, top_k_fraction):
 def eval_cmd(input_path, gt_path, thresholds, out_json, out_csv):
     """Evaluate proposals or pseudo-labels (auto-detected) against ground truth."""
     from .evaluation import evaluate
-    from .storage import load_eval_input, load_ground_truth, save_report_csv, save_report_json
+    from .records import GroundTruthInstance
+    from .storage import load_eval_input, load_records, save_report_csv, save_report_json
 
     threshold_list = _parse_thresholds(thresholds)
-    gt = load_ground_truth(gt_path)
-    kind, records = load_eval_input(input_path)
-    report = evaluate(kind, records, gt, threshold_list)
+    gt = load_records(gt_path, GroundTruthInstance)
+    record_type, records = load_eval_input(input_path)
+    report = evaluate(record_type, records, gt, threshold_list)
     save_report_json(out_json, report)
     save_report_csv(out_csv, report)
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -18,18 +17,6 @@ from .signal import ProbabilitySignal, Pyramid, video_pyramids
 THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 OIC_INFLATION = 0.25
 NMS_TIOU = 0.45
-
-
-@dataclass
-class DecoderConfig:
-    class_score_threshold: float = 0.5
-    top_k_fraction: float = 0.125
-
-    def __post_init__(self):
-        # the range check rejects NaN and inf in top_k_fraction
-        require_finite(class_score_threshold=self.class_score_threshold)
-        if not 0.0 < self.top_k_fraction <= 1.0:
-            raise InvalidInputError(f"top_k_fraction must be in (0, 1], got {self.top_k_fraction}")
 
 
 def video_level_scores(sig: ProbabilitySignal, k: int) -> np.ndarray:
@@ -192,19 +179,25 @@ def nms(proposals: Sequence[Proposal], tiou_threshold: float) -> list[Proposal]:
     return [p for p, kept in zip(ordered, keep.tolist()) if kept]
 
 
-def decode_videos(signals: Iterable[ProbabilitySignal], config: DecoderConfig) -> list[Proposal]:
+def decode_videos(
+    signals: Iterable[ProbabilitySignal], class_score_threshold: float = 0.5, top_k_fraction: float = 0.125
+) -> list[Proposal]:
     """Decode every video's pyramid levels, given in any order as ``storage.load_signals``
     returns them, into scored proposals, video after video in sorted video id order.
 
-    ``video_pyramids`` reads and checks each video's pyramid. For every
-    selected class of a video, ``threshold_runs`` finds each level's runs
-    above every one of ``THRESHOLDS`` at once. Runs map onto the level-1
-    snippets pooled into them: a run ``[a, b]`` of a level of ratio ``s`` and
-    extent ``E`` covers ``[a*s, min((b+1)*s, E) - 1]``. Then ``oic_scores``
-    scores every segment of every video by outer-inner contrast on its
-    level-1 column at ``OIC_INFLATION``, in one pass, and each video's pool
-    is reduced with the module's ``nms`` at ``NMS_TIOU``, whose work follows
-    the pool's overlapping same-class pairs.
+    ``class_score_threshold`` must be finite and ``top_k_fraction`` in
+    ``(0, 1]``; both are checked before any other work. ``select_classes``
+    keeps the classes whose video score, each level's mean of its top
+    ``top_k_fraction`` of snippets averaged over the levels, exceeds
+    ``class_score_threshold``. ``video_pyramids`` reads and checks each
+    video's pyramid. For every selected class of a video, ``threshold_runs``
+    finds each level's runs above every one of ``THRESHOLDS`` at once. Runs
+    map onto the level-1 snippets pooled into them: a run ``[a, b]`` of a
+    level of ratio ``s`` and extent ``E`` covers ``[a*s, min((b+1)*s, E) - 1]``.
+    Then ``oic_scores`` scores every segment of every video by outer-inner
+    contrast on its level-1 column at ``OIC_INFLATION``, in one pass, and each
+    video's pool is reduced with the module's ``nms`` at ``NMS_TIOU``, whose
+    work follows the pool's overlapping same-class pairs.
 
     Each distinct segment of a class is scored and enters the pool once, in
     the order it is first found, level by level from the finest and
@@ -215,7 +208,13 @@ def decode_videos(signals: Iterable[ProbabilitySignal], config: DecoderConfig) -
     suppressed the twin otherwise: the survivors and their order are those of
     the pool with its repeats.
     """
-    videos = [(video_id, _distinct_segments(pyramid, config)) for video_id, pyramid in video_pyramids(signals).items()]
+    require_finite(class_score_threshold=class_score_threshold)
+    if not 0.0 < top_k_fraction <= 1.0:  # NaN and inf fail this too
+        raise InvalidInputError(f"top_k_fraction must be in (0, 1], got {top_k_fraction}")
+    videos = [
+        (video_id, _distinct_segments(pyramid, class_score_threshold, top_k_fraction))
+        for video_id, pyramid in video_pyramids(signals).items()
+    ]
     classes = [segments for _, per_class in videos for segments in per_class]
     if not classes:
         return []
@@ -237,16 +236,16 @@ def decode_videos(signals: Iterable[ProbabilitySignal], config: DecoderConfig) -
     return proposals
 
 
-def _distinct_segments(pyramid: Pyramid, config: DecoderConfig):
+def _distinct_segments(pyramid: Pyramid, class_score_threshold: float, top_k_fraction: float):
     """For each class one video's pyramid selects, ``(class id, level-1 column, starts, ends)``
     of the class's distinct level-1 segments, in the order they are first found."""
     finest = pyramid.levels[0]
     per_level = []
     for sig in pyramid.levels:
-        k = max(1, min(sig.length, int(round(config.top_k_fraction * sig.length))))
+        k = max(1, min(sig.length, int(round(top_k_fraction * sig.length))))
         per_level.append(video_level_scores(sig, k))
     per_class = []
-    for class_id in select_classes(np.mean(per_level, axis=0), config.class_score_threshold):
+    for class_id in select_classes(np.mean(per_level, axis=0), class_score_threshold):
         starts, ends = [], []
         for sig, scale, extent in zip(pyramid.levels, pyramid.scales, pyramid.extents):
             run_starts, run_ends = threshold_runs(sig.class_column(class_id), THRESHOLDS)

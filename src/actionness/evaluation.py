@@ -270,14 +270,14 @@ def pseudo_label_quality(
 
 
 def evaluate(
-    kind: str,
+    record_type: type,
     records: Sequence[PseudoLabel] | Sequence[Proposal],
     gt: Sequence[GroundTruthInstance],
     thresholds: Sequence[float],
 ) -> EvalReport:
-    """Score what ``storage.load_eval_input`` returns: pseudo-labels with
-    ``pseudo_label_quality``, proposals with ``map_report``."""
-    if kind not in ("pseudo-label", "proposal"):
-        raise InvalidInputError(f"unknown eval input kind {kind!r}")
-    score = pseudo_label_quality if kind == "pseudo-label" else map_report
+    """Score what ``storage.load_eval_input`` returns: ``PseudoLabel`` records with
+    ``pseudo_label_quality``, ``Proposal`` records with ``map_report``."""
+    score = {PseudoLabel: pseudo_label_quality, Proposal: map_report}.get(record_type)
+    if score is None:
+        raise InvalidInputError(f"unknown eval input type {record_type!r}")
     return score(records, gt, thresholds)

@@ -2,14 +2,15 @@
 
 Probability signals are stored per video, in one of two formats picked by the
 file suffix: ``.npz`` (binary, what ``synth`` writes) or ``.json`` (the
-interchange format). Everything else is JSON, plus a CSV eval report;
-annotations, ground truth, pseudo-labels and proposals share one record codec
-driven by the ``_LAYOUTS`` table. All writers serialize deterministically
-(sorted keys, fixed layout, fixed archive timestamps) and replace the target
-file atomically through ``files``, so identical inputs yield byte-identical
-outputs. Every
-loader turns malformed input into ``InvalidInputError``. JSON files are read
-as UTF-8 whatever the locale. numpy, and the ``signal`` module that holds
+interchange format). Everything else is JSON, plus a CSV eval report.
+Annotations, ground truth, pseudo-labels and proposals share one record codec,
+``save_records(path, record_type, records)`` and ``load_records(path,
+record_type)``, driven by the ``_LAYOUTS`` table, which is keyed by record
+class. All writers serialize deterministically (sorted keys, fixed layout,
+fixed archive timestamps) and replace the target file atomically through
+``files``, so identical inputs yield byte-identical outputs. Every loader
+turns malformed input into ``InvalidInputError``. JSON files are read as UTF-8
+whatever the locale. numpy, and the ``signal`` module that holds
 ``ProbabilitySignal``, load only when a signal codec runs (``signal_from_dict``,
 ``_save_npz``, ``_load_npz``), so reading records and reports needs neither;
 ``evaluation`` is imported for type annotations only.
@@ -240,40 +241,48 @@ def load_signals(path: Path | str) -> list[ProbabilitySignal]:
 
 # --- records: annotations, ground truth, pseudo-labels, proposals ----------
 
-# kind -> (record type, per-video list key, {stored field: reader of its JSON value}).
-# Every field is named as the record's attribute and ``video_id`` is implied. A
-# kind without a list key is a flat array; the others list each video's records,
-# videos in sorted id order.
-_LAYOUTS: dict[str, tuple[Callable, str | None, dict[str, Callable]]] = {
-    "annotation": (PointAnnotation, None, {"t": _integer, "class_id": _integer}),
-    "ground-truth": (GroundTruthInstance, None, {"start": _integer, "end": _integer, "class_id": _integer}),
-    "pseudo-label": (PseudoLabel, "labels", {
+# record type -> (name in messages, per-video list key, {stored field: reader of its
+# JSON value}). Every field is named as the record's attribute and ``video_id`` is
+# implied. A layout without a list key is a flat array; the others list each
+# video's records, videos in sorted id order.
+_LAYOUTS: dict[type, tuple[str, str | None, dict[str, Callable]]] = {
+    PointAnnotation: ("annotation", None, {"t": _integer, "class_id": _integer}),
+    GroundTruthInstance: ("ground-truth", None, {"start": _integer, "end": _integer, "class_id": _integer}),
+    PseudoLabel: ("pseudo-label", "labels", {
         "t": _integer, "t_star": _integer, "sigma": _number, "omega": _number, "delta": _number,
         "start": _integer, "end": _integer, "class_id": _integer, "degenerate": _boolean,
     }),
-    "proposal": (Proposal, "proposals", {"start": _integer, "end": _integer, "class_id": _integer, "score": _number}),
+    Proposal: ("proposal", "proposals", {"start": _integer, "end": _integer, "class_id": _integer, "score": _number}),
 }
 
 
-def _to_payload(kind: str, records: Sequence) -> list[dict]:
-    _, group, fields = _LAYOUTS[kind]
+def save_records(path: Path | str, record_type: type, records: Sequence) -> None:
+    """Write records of one ``_LAYOUTS`` type; a pseudo-label's fit errors are not stored."""
+    _, group, fields = _LAYOUTS[record_type]
     rows = [(r.video_id, {name: getattr(r, name) for name in fields}) for r in records]
     if group is None:
-        return [{"video_id": video_id, **row} for video_id, row in rows]
-    by_video: dict[str, list[dict]] = {}
-    for video_id, row in rows:
-        by_video.setdefault(video_id, []).append(row)
-    return [{"video_id": video_id, group: by_video[video_id]} for video_id in sorted(by_video)]
+        payload = [{"video_id": video_id, **row} for video_id, row in rows]
+    else:
+        by_video: dict[str, list[dict]] = {}
+        for video_id, row in rows:
+            by_video.setdefault(video_id, []).append(row)
+        payload = [{"video_id": video_id, group: by_video[video_id]} for video_id in sorted(by_video)]
+    write_json_atomic(path, payload)
 
 
-def _build_records(payload, path: Path | str, kind: str) -> list:
+def load_records(path: Path | str, record_type: type) -> list:
+    """Read records of one ``_LAYOUTS`` type; malformed records raise InvalidInputError."""
+    return _build_records(load_json(path), path, record_type)
+
+
+def _build_records(payload, path: Path | str, record_type: type) -> list:
     """Build records from a parsed JSON array; malformed records raise InvalidInputError."""
+    name, group, fields = _LAYOUTS[record_type]
     if not isinstance(payload, list):
-        raise InvalidInputError(f"{kind} file {path} must hold a JSON array")
-    make, group, fields = _LAYOUTS[kind]
+        raise InvalidInputError(f"{name} file {path} must hold a JSON array")
 
     def build(video_id, item):
-        return make(video_id=video_id, **{name: read(name, item[name]) for name, read in fields.items()})
+        return record_type(video_id=video_id, **{field: read(field, item[field]) for field, read in fields.items()})
 
     try:
         if group is None:
@@ -284,67 +293,26 @@ def _build_records(payload, path: Path | str, kind: str) -> list:
             records.extend(build(video_id, item) for item in entry[group])
         return records
     except KeyError as exc:
-        raise InvalidInputError(f"{kind} record missing field {exc}") from exc
+        raise InvalidInputError(f"{name} record missing field {exc}") from exc
     except InvalidInputError:
         raise
     except _MALFORMED as exc:
-        raise InvalidInputError(f"malformed {kind} record in {path}: {exc}") from exc
+        raise InvalidInputError(f"malformed {name} record in {path}: {exc}") from exc
 
 
-def _save_records(path: Path | str, kind: str, records: Sequence) -> None:
-    write_json_atomic(path, _to_payload(kind, records))
+def load_eval_input(path: Path | str) -> tuple[type, list[PseudoLabel] | list[Proposal]]:
+    """``(PseudoLabel, labels)`` if the first record holds ``labels``, else ``(Proposal, proposals)``.
 
-
-def _load_records(path: Path | str, kind: str) -> list:
-    return _build_records(load_json(path), path, kind)
-
-
-def save_annotations(path: Path | str, points: Sequence[PointAnnotation]) -> None:
-    _save_records(path, "annotation", points)
-
-
-def load_annotations(path: Path | str) -> list[PointAnnotation]:
-    return _load_records(path, "annotation")
-
-
-def save_ground_truth(path: Path | str, instances: Sequence[GroundTruthInstance]) -> None:
-    _save_records(path, "ground-truth", instances)
-
-
-def load_ground_truth(path: Path | str) -> list[GroundTruthInstance]:
-    return _load_records(path, "ground-truth")
-
-
-def save_pseudo_labels(path: Path | str, labels: Sequence[PseudoLabel]) -> None:
-    """Labels grouped per video; the fit errors are not stored."""
-    _save_records(path, "pseudo-label", labels)
-
-
-def load_pseudo_labels(path: Path | str) -> list[PseudoLabel]:
-    return _load_records(path, "pseudo-label")
-
-
-def save_proposals(path: Path | str, proposals: Sequence[Proposal]) -> None:
-    _save_records(path, "proposal", proposals)
-
-
-def load_proposals(path: Path | str) -> list[Proposal]:
-    return _load_records(path, "proposal")
-
-
-def load_eval_input(path: Path | str) -> tuple[str, list[PseudoLabel] | list[Proposal]]:
-    """``("pseudo-label", labels)`` if the first record holds ``labels``, else ``("proposal", proposals)``.
-
-    The file is parsed once. The kind comes from the file, not from the
+    The file is parsed once. The type comes from the file, not from the
     records, so a labels file with no labels still reads as pseudo-labels;
     an empty array reads as no proposals.
     """
     payload = load_json(path)
     if payload and isinstance(payload, list) and isinstance(payload[0], dict) and "labels" in payload[0]:
-        kind = "pseudo-label"
+        record_type = PseudoLabel
     else:
-        kind = "proposal"
-    return kind, _build_records(payload, path, kind)
+        record_type = Proposal
+    return record_type, _build_records(payload, path, record_type)
 
 
 # --- evaluation reports ----------------------------------------------------

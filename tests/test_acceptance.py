@@ -13,11 +13,12 @@ import pytest
 from click.testing import CliRunner
 
 from actionness.cli import main
-from actionness.decoder import DecoderConfig, Proposal, decode_videos, nms
+from actionness.decoder import Proposal, decode_videos, nms
 from actionness.evaluation import GroundTruthInstance, average_precision, map_report, tiou
 from actionness.optim import X_TOLERANCE, minimize_lanes
 from actionness.oracles import average_precision_direct
-from actionness.storage import load_annotations, load_ground_truth, load_proposals, load_pseudo_labels
+from actionness.records import PointAnnotation, PseudoLabel
+from actionness.storage import load_records
 from actionness.synth import SyntheticConfig, generate_video
 from actionness.verify import _random_unimodal, run_fitting_suite, run_gradient_suite
 
@@ -83,8 +84,8 @@ def adm_run(runner, noisy_dataset, tmp_path_factory):
 
 def test_criterion_1_alpha_ratio_and_runtime(noisy_dataset, adm_run):
     out_file, elapsed, output = adm_run
-    labels = load_pseudo_labels(out_file)
-    annotations = load_annotations(noisy_dataset / "annotations.json")
+    labels = load_records(out_file, PseudoLabel)
+    annotations = load_records(noisy_dataset / "annotations.json", PointAnnotation)
     assert len(labels) == len(annotations)  # alpha == 1, exact
     assert "alpha: 1.000000" in output
     assert elapsed < 5.0, f"cmd_adm took {elapsed:.2f}s on 200 videos of T=512"
@@ -109,9 +110,9 @@ def test_criterion_2_fit_recovery():
 
 
 def test_criterion_3_pseudo_labels_beat_fixed_intervals(noisy_dataset, adm_run):
-    labels = load_pseudo_labels(adm_run[0])
-    gt = load_ground_truth(noisy_dataset / "gt.json")
-    annotations = load_annotations(noisy_dataset / "annotations.json")
+    labels = load_records(adm_run[0], PseudoLabel)
+    gt = load_records(noisy_dataset / "gt.json", GroundTruthInstance)
+    annotations = load_records(noisy_dataset / "annotations.json", PointAnnotation)
     length = 512
 
     by_key = {}
@@ -208,9 +209,8 @@ def test_criterion_7_decoder_round_trip_and_nms_idempotence():
         noise_std=0.0,
         seed=7,
     )
-    decoder_config = DecoderConfig(top_k_fraction=1 / 16, class_score_threshold=0.3)
     videos = [generate_video(config, np.random.default_rng([7, index]), f"v{index:03d}") for index in range(40)]
-    proposals = decode_videos([video.signal for video in videos], decoder_config)
+    proposals = decode_videos([video.signal for video in videos], class_score_threshold=0.3, top_k_fraction=1 / 16)
     instances = [instance for video in videos for instance in video.gt]
     # one proposal per instance, video by video
     assert Counter(p.video_id for p in proposals) == Counter(g.video_id for g in instances)
@@ -306,8 +306,8 @@ def test_criterion_9_proposal_quality_gate(runner, noisy_dataset, tmp_path):
         catch_exceptions=False,
     )
     assert result.exit_code == 0
-    proposals = load_proposals(out_file)
-    average = map_report(proposals, load_ground_truth(noisy_dataset / "gt.json"), THUMOS_RANGE).average_map
+    proposals = load_records(out_file, Proposal)
+    average = map_report(proposals, load_records(noisy_dataset / "gt.json", GroundTruthInstance), THUMOS_RANGE).average_map
     assert average >= PROPOSAL_MAP_FLOOR, f"default decode avg mAP {average:.4f} below {PROPOSAL_MAP_FLOOR}"
     report(9, f"default decode avg mAP@0.1:0.7 {average * 100:.2f}% >= {PROPOSAL_MAP_FLOOR * 100:.0f}% "
               f"with {len(proposals)} proposals")

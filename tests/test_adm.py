@@ -9,7 +9,6 @@ from hypothesis.extra import numpy as hnp
 
 from actionness import adm, optim, oracles, signal
 from actionness.adm import (
-    ADMConfig,
     PreliminaryBoundary,
     SIGMA_LOWER_BOUND,
     find_peak,
@@ -621,24 +620,24 @@ class TestLabelAssembly:
 
     def test_one_label_per_point(self):
         points = [PointAnnotation("v0", t, 1) for t in (100, 148, 200)]
-        labels = label_videos([self.signal], points, ADMConfig())
+        labels = label_videos([self.signal], points)
         assert len(labels) == len(points)
 
     def test_gamma_edge_cases(self, monkeypatch):
         weigh(monkeypatch, 1.0, 0.0)
-        only_sigma = label_videos([self.signal], self.points, ADMConfig())[0]
+        only_sigma = label_videos([self.signal], self.points)[0]
         assert only_sigma.delta == pytest.approx(only_sigma.sigma)
         weigh(monkeypatch, 0.0, 1.0)
-        only_omega = label_videos([self.signal], self.points, ADMConfig())[0]
+        only_omega = label_videos([self.signal], self.points)[0]
         assert only_omega.delta == pytest.approx(only_omega.omega)
 
     def test_delta_is_exact_combination(self, monkeypatch):
         weigh(monkeypatch, 0.7, 0.3)
-        label = label_videos([self.signal], self.points, ADMConfig())[0]
+        label = label_videos([self.signal], self.points)[0]
         assert label.delta == pytest.approx(0.7 * label.sigma + 0.3 * label.omega)
 
     def test_fits_read_the_column_within_the_background_points(self):
-        label = label_videos([self.signal], self.points, ADMConfig())[0]
+        label = label_videos([self.signal], self.points)[0]
         boundary = PreliminaryBoundary(60, 240)
         assert label.t_star == 150
         assert (label.sigma, label.gaussian_error) == fit_gaussians([(self.column, boundary, 150)])[0]
@@ -655,13 +654,13 @@ class TestLabelAssembly:
                 1,
             )
             t = int(rng.integers(10, 190))
-            label = label_videos([one_level_signal(column)], [PointAnnotation("v0", t, 1)], ADMConfig())[0]
+            label = label_videos([one_level_signal(column)], [PointAnnotation("v0", t, 1)])[0]
             assert 0 <= label.start <= label.t_star <= label.end <= length - 1
 
     def test_scaling_column_preserves_fits(self):
         scaled = one_level_signal(0.5 * self.column, (60, 240))
-        full = label_videos([self.signal], self.points, ADMConfig())[0]
-        half = label_videos([scaled], self.points, ADMConfig())[0]
+        full = label_videos([self.signal], self.points)[0]
+        half = label_videos([scaled], self.points)[0]
         assert half.sigma == pytest.approx(full.sigma, abs=1e-4)
         assert half.omega == full.omega
 
@@ -693,8 +692,7 @@ def flat(grouped):
 class TestLabelVideos:
     def test_fit_errors_equal_the_fit_objectives(self):
         grouped, points = synth_dataset()
-        config = ADMConfig()
-        labels = label_videos(flat(grouped), points, config)
+        labels = label_videos(flat(grouped), points)
         assert len(labels) == len(points)
         tiny = [label for label in labels if label.video_id == "tiny"]
         assert len(tiny) == 1 and tiny[0].degenerate and tiny[0].sigma == SIGMA_LOWER_BOUND
@@ -706,7 +704,7 @@ class TestLabelVideos:
             finest, coarsest = grouped[video_id][0], grouped[video_id][-1]
             video_points = [p for p in points if p.video_id == video_id]
             intervals = augment_points(video_points, adm.AUGMENT_RADIUS, finest.length)
-            background = select_background_points(finest, intervals, config.background_threshold)
+            background = select_background_points(finest, intervals, 0.5)
             for point in video_points:
                 smoothed = smooth_column(coarsest.class_column(point.class_id), adm.SMOOTHING_SIGMA)
                 column = upsample_column(smoothed, finest.length)
@@ -743,7 +741,7 @@ class TestLabelVideos:
 
         monkeypatch.setattr(adm, "smooth_column", smooth)
         monkeypatch.setattr(adm, "upsample_column", upsample)
-        label_videos(flat(grouped), points, ADMConfig())
+        label_videos(flat(grouped), points)
         annotated = {(point.video_id, point.class_id) for point in points}
         assert len(annotated) < sum(levels[-1].num_classes for levels in grouped.values())
         # each annotated class's column of the coarsest level, once, and no other column
@@ -756,23 +754,23 @@ class TestLabelVideos:
     def test_levels_in_any_order(self):
         grouped, points = synth_dataset()
         signals = flat(grouped)
-        expected = label_videos(signals, points, ADMConfig())
+        expected = label_videos(signals, points)
         # reversed; every video's coarser levels before any level 1; shuffled, levels and videos interleaved
         orders = [signals[::-1], sorted(signals, key=lambda s: -s.level)]
         orders += [[signals[i] for i in np.random.default_rng(seed).permutation(len(signals))] for seed in range(3)]
         for reordered in orders:
-            assert label_videos(reordered, points, ADMConfig()) == expected
+            assert label_videos(reordered, points) == expected
 
     @pytest.mark.parametrize("levels", [(2,), (2, 3)])
     def test_finest_level_must_be_one(self, levels):
         values = np.full((8, 2), 0.5)
         signals = [ProbabilitySignal("v0", level, values) for level in levels]
         with pytest.raises(InvalidInputError, match="'v0' has no level 1"):
-            label_videos(signals, [PointAnnotation("v0", 3, 1)], ADMConfig())
+            label_videos(signals, [PointAnnotation("v0", 3, 1)])
 
     def test_video_without_signals_named(self):
         with pytest.raises(InvalidInputError, match="ghost"):
-            label_videos([], [PointAnnotation("ghost", 3, 1)], ADMConfig())
+            label_videos([], [PointAnnotation("ghost", 3, 1)])
 
 
 @st.composite
@@ -811,17 +809,19 @@ def test_every_point_lies_in_its_boundary_which_is_one_snippet_only_in_a_one_sni
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(adm, "PEAK_WINDOW", delta)
         patch.setattr(adm, "AUGMENT_RADIUS", r_a)
-        labels = label_videos(signals, points, ADMConfig(background_threshold=threshold))
+        labels = label_videos(signals, points, threshold)
     lengths = {signal.video_id: signal.length for signal in signals if signal.level == 1}
     assert len(labels) == len(points)
     assert [label.degenerate for label in labels] == [lengths[label.video_id] == 1 for label in labels]
 
 
 class TestADMConfig:
+    """``label_videos`` checks its ``background_threshold`` before it reads any signal."""
+
     @pytest.mark.parametrize("threshold", [0.0, 1.0, float("nan"), float("inf")])
     def test_rejects_a_background_threshold_outside_the_open_unit_interval(self, threshold):
         with pytest.raises(InvalidInputError, match=re.escape(f"background_threshold must be in (0, 1), got {threshold}")):
-            ADMConfig(background_threshold=threshold)
+            label_videos([ProbabilitySignal("v0", 2, np.zeros((4, 2)))], [], threshold)
 
 
 def test_fitted_parameters_stay_inside_bounds():

@@ -16,23 +16,13 @@ from click.testing import CliRunner
 
 import actionness
 from actionness import adm, decoder, files, storage, synth
-from actionness.adm import ADMConfig, PseudoLabel, label_videos
+from actionness.adm import PseudoLabel, label_videos
 from actionness.cli import main
 from actionness.decoder import Proposal
 from actionness.errors import InvalidInputError, PackingError
 from actionness.signal import PointAnnotation, ProbabilitySignal
-from actionness.storage import (
-    load_annotations,
-    load_ground_truth,
-    load_json,
-    load_proposals,
-    load_pseudo_labels,
-    load_signals,
-    save_annotations,
-    save_proposals,
-    save_pseudo_labels,
-    save_signals,
-)
+from actionness.records import GroundTruthInstance
+from actionness.storage import load_json, load_records, load_signals, save_records, save_signals
 
 
 @pytest.fixture
@@ -188,7 +178,7 @@ class TestAdmCommand:
         )
         assert result.exit_code == 0
         assert "alpha: 1.000000" in result.output
-        labels = load_pseudo_labels(out_file)
+        labels = load_records(out_file, PseudoLabel)
         annotations = load_json(data / "annotations.json")
         assert len(labels) == len(annotations)
 
@@ -264,7 +254,7 @@ class TestAdmCommand:
     @pytest.mark.parametrize("levels", [(2,), (2, 3)], ids=["level-2-only", "levels-2-and-3"])
     def test_finest_level_other_than_one_rejected(self, runner, tmp_path, levels):
         save_signals(tmp_path / "v0.json", [small_signal(level=level) for level in levels])
-        save_annotations(tmp_path / "ann.json", [PointAnnotation("v0", 3, 1)])
+        save_records(tmp_path / "ann.json", PointAnnotation, [PointAnnotation("v0", 3, 1)])
         out_file = tmp_path / "labels.json"
         result = runner.invoke(
             main,
@@ -328,8 +318,8 @@ class TestDecodeCommand:
             ],
         )
         assert result.exit_code == 0
-        proposals = load_proposals(out_file)
-        gt = load_ground_truth(data / "gt.json")
+        proposals = load_records(out_file, Proposal)
+        gt = load_records(data / "gt.json", GroundTruthInstance)
         assert len(proposals) == len(gt)
 
     def test_empty_signal_dir_fails(self, runner, tmp_path):
@@ -380,7 +370,7 @@ class TestEvalCommand:
         )
         proposals = [Proposal("v0", 5, 20, 1, 0.9), Proposal("v0", 40, 70, 2, 0.8)]
         proposals_path = tmp_path / "proposals.json"
-        save_proposals(proposals_path, proposals)
+        save_records(proposals_path, Proposal, proposals)
         return gt_path, proposals_path
 
     def test_perfect_proposals_score_full(self, runner, tmp_path):
@@ -443,7 +433,7 @@ class TestEvalCommand:
         gt_path, _ = self.make_perfect(tmp_path)
         swapped = [Proposal("v0", 5, 20, 2, 0.9), Proposal("v0", 40, 70, 1, 0.8)]
         proposals_path = tmp_path / "swapped.json"
-        save_proposals(proposals_path, swapped)
+        save_records(proposals_path, Proposal, swapped)
         out_json = tmp_path / "report.json"
         result = invoke(
             runner,
@@ -496,8 +486,8 @@ class TestEvalCommand:
     @pytest.mark.parametrize("input_name", ["proposals.json", "labels.json"])
     def test_input_parsed_once(self, runner, tmp_path, monkeypatch, input_name):
         gt_path, _ = self.make_perfect(tmp_path)
-        save_proposals(tmp_path / "proposals.json", [Proposal("v0", 5, 20, 1, 0.9)])
-        save_pseudo_labels(tmp_path / "labels.json", [PseudoLabel("v0", 10, 10, 3.0, 5.0, 8.0, 5, 20, 1)])
+        save_records(tmp_path / "proposals.json", Proposal, [Proposal("v0", 5, 20, 1, 0.9)])
+        save_records(tmp_path / "labels.json", PseudoLabel, [PseudoLabel("v0", 10, 10, 3.0, 5.0, 8.0, 5, 20, 1)])
         names = {path.read_text(): path.name for path in tmp_path.glob("*.json")}
         parsed = []
         parse = json.loads
@@ -610,7 +600,7 @@ class TestAdmMultiLevel:
             sigdir / "v0.json",
             [ProbabilitySignal("v0", 1, fine), ProbabilitySignal("v0", 2, coarse)],
         )
-        save_annotations(tmp_path / "ann.json", [PointAnnotation("v0", 60, 1)])
+        save_records(tmp_path / "ann.json", PointAnnotation, [PointAnnotation("v0", 60, 1)])
 
         out_file = tmp_path / "labels.json"
         result = invoke(
@@ -626,7 +616,7 @@ class TestAdmMultiLevel:
             ],
         )
         assert result.exit_code == 0
-        labels = load_pseudo_labels(out_file)
+        labels = load_records(out_file, PseudoLabel)
         assert len(labels) == 1
         label = labels[0]
         # label lives on the level-1 grid and overlaps the true extent
@@ -670,7 +660,7 @@ class TestInconsistentPyramid:
         args = [command.split("-")[0], "--signals", str(sigdir), "--out", str(out_file)]
         if command != "decode":
             annotated = "a0" if command == "adm-unannotated" else "v0"
-            save_annotations(tmp_path / "ann.json", [PointAnnotation(annotated, 3, 1)])
+            save_records(tmp_path / "ann.json", PointAnnotation, [PointAnnotation(annotated, 3, 1)])
             args += ["--annotations", str(tmp_path / "ann.json")]
         result = runner.invoke(main, args)
         fails_cleanly(result, fragment)
@@ -692,7 +682,7 @@ class TestLevelGivenTwice:
         out_file = tmp_path / "out.json"
         args = [command, "--signals", str(sigdir), "--out", str(out_file)]
         if command == "adm":
-            save_annotations(tmp_path / "ann.json", [PointAnnotation("v0", 3, 1)])
+            save_records(tmp_path / "ann.json", PointAnnotation, [PointAnnotation("v0", 3, 1)])
             args += ["--annotations", str(tmp_path / "ann.json")]
         fails_cleanly(runner.invoke(main, args), "level 1 more than once")
         assert not out_file.exists()
@@ -775,7 +765,7 @@ class TestMalformedInput:
         nested = tmp_path / "nested.json"
         nested.write_bytes(b"[" * 200_000 + b"]" * 200_000)
         if command == "adm":
-            save_annotations(tmp_path / "ann.json", [PointAnnotation("v0", 3, 1)])
+            save_records(tmp_path / "ann.json", PointAnnotation, [PointAnnotation("v0", 3, 1)])
             args = ["adm", "--signals", str(nested), "--annotations", str(tmp_path / "ann.json"),
                     "--out", str(tmp_path / "labels.json")]
         else:
@@ -929,7 +919,7 @@ def test_pyramid_decode_byte_pinned(runner, tmp_path):
     out_file = tmp_path / "proposals.json"
     result = invoke(runner, ["decode", "--signals", str(pyramid), "--out", str(out_file), "--class-threshold", "0.1"])
     assert result.exit_code == 0, result.output
-    assert len({(p.video_id, p.class_id) for p in load_proposals(out_file)}) > 3
+    assert len({(p.video_id, p.class_id) for p in load_records(out_file, Proposal)}) > 3
     digests = {
         "proposals.json": hashlib.sha256(out_file.read_bytes()).hexdigest(),
         "stdout": hashlib.sha256(result.stdout.encode()).hexdigest(),
@@ -952,7 +942,7 @@ def test_pyramid_adm_byte_pinned(runner, tmp_path):
         runner, ["adm", "--signals", str(pyramid), "--annotations", str(data / "annotations.json"), "--out", str(out_file)]
     )
     assert result.exit_code == 0, result.output
-    assert len(load_pseudo_labels(out_file)) > 3
+    assert len(load_records(out_file, PseudoLabel)) > 3
     digests = {
         "labels.json": hashlib.sha256(out_file.read_bytes()).hexdigest(),
         "stdout": hashlib.sha256(result.stdout.encode()).hexdigest(),
@@ -963,7 +953,7 @@ def test_pyramid_adm_byte_pinned(runner, tmp_path):
 def _command_args(tmp_path, command):
     """Valid arguments for ``command`` on a one-video input, so only the flag under test is wrong."""
     save_signals(tmp_path / "v0.npz", [small_signal(length=32)])
-    save_annotations(tmp_path / "ann.json", [PointAnnotation("v0", 3, 1)])
+    save_records(tmp_path / "ann.json", PointAnnotation, [PointAnnotation("v0", 3, 1)])
     if command == "adm":
         return ["adm", "--signals", str(tmp_path / "v0.npz"), "--annotations", str(tmp_path / "ann.json"),
                 "--out", str(tmp_path / "out.json")]
@@ -985,6 +975,22 @@ def test_non_finite_config_values_fail_cleanly(runner, tmp_path, command, flag, 
     result = runner.invoke(main, _command_args(tmp_path, command) + extra)
     fails_cleanly(result, f"must be finite, got {value}")
     assert not (tmp_path / "out.json").exists() and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, message",
+    [
+        ("adm", "--background-threshold", "nan", "background_threshold must be in (0, 1), got nan"),
+        ("adm", "--background-threshold", "1.0", "background_threshold must be in (0, 1), got 1.0"),
+        ("decode", "--top-k-fraction", "0", "top_k_fraction must be in (0, 1], got 0.0"),
+        ("decode", "--top-k-fraction", "nan", "top_k_fraction must be in (0, 1], got nan"),
+    ],
+)
+def test_threshold_values_outside_their_range_fail_cleanly(runner, tmp_path, command, flag, value, message):
+    # label_videos and decode_videos check these, so the commands pass them on unchecked
+    result = runner.invoke(main, _command_args(tmp_path, command) + [flag, value])
+    fails_cleanly(result, message)
+    assert not (tmp_path / "out.json").exists()
 
 
 @pytest.mark.parametrize(
@@ -1048,7 +1054,7 @@ def _flat_adm_args(tmp_path):
     values = np.zeros((64, 3))
     values[:, 0] = 0.9
     save_signals(tmp_path / "v0.npz", [ProbabilitySignal("v0", 1, values)])
-    save_annotations(tmp_path / "ann.json", [PointAnnotation("v0", 30, 1)])
+    save_records(tmp_path / "ann.json", PointAnnotation, [PointAnnotation("v0", 30, 1)])
     return ["adm", "--signals", str(tmp_path / "v0.npz"), "--annotations", str(tmp_path / "ann.json"),
             "--out", str(tmp_path / "out.json")]
 
@@ -1057,14 +1063,14 @@ def test_a_huge_finite_half_extent_clips_to_the_video(runner, tmp_path):
     # t* - 48 lies before the first snippet, and t* + 48 is the last
     result = invoke(runner, _flat_adm_args(tmp_path))
     assert result.exit_code == 0, result.output
-    [label] = load_pseudo_labels(tmp_path / "out.json")
+    [label] = load_records(tmp_path / "out.json", PseudoLabel)
     assert (label.t_star, label.sigma, label.omega, label.delta) == (15, 48.0, 48.0, 48.0)
     assert (label.start, label.end) == (0, 63)
 
 
 def test_adm_names_an_annotated_class_the_signal_lacks(runner, tmp_path):
     args = _command_args(tmp_path, "adm")
-    save_annotations(tmp_path / "ann.json", [PointAnnotation("v0", 3, 1), PointAnnotation("v0", 9, 3)])
+    save_records(tmp_path / "ann.json", PointAnnotation, [PointAnnotation("v0", 3, 1), PointAnnotation("v0", 9, 3)])
     result = runner.invoke(main, args)
     assert result.output == "error: class_id 3 outside [1, 2] for video 'v0'\n"
     fails_cleanly(result, "class_id 3 outside [1, 2] for video 'v0'")
@@ -1079,7 +1085,7 @@ def test_shortest_synth_video_labels_at_default_smoothing(runner, tmp_path):
     result = invoke(runner, ["adm", "--signals", str(data / "signals"), "--annotations", str(data / "annotations.json"),
                              "--out", str(tmp_path / "labels.json")])
     assert result.exit_code == 0, result.output
-    assert load_pseudo_labels(tmp_path / "labels.json")
+    assert load_records(tmp_path / "labels.json", PseudoLabel)
 
 
 def test_adm_labels_a_pyramid_whose_coarsest_level_has_one_snippet(runner, tmp_path):
@@ -1098,14 +1104,14 @@ def test_adm_labels_a_pyramid_whose_coarsest_level_has_one_snippet(runner, tmp_p
         save_signals(pyramid / f"{signal.video_id}.json", levels)
         signals += levels
     assert [signal.length for signal in levels] == [8, 4, 2, 1]
-    annotations = load_annotations(data / "annotations.json")
-    save_pseudo_labels(tmp_path / "expected.json", label_videos(signals, annotations, ADMConfig()))
+    annotations = load_records(data / "annotations.json", PointAnnotation)
+    save_records(tmp_path / "expected.json", PseudoLabel, label_videos(signals, annotations))
     out = tmp_path / "labels.json"
     result = invoke(runner, ["adm", "--signals", str(pyramid), "--annotations", str(data / "annotations.json"),
                              "--out", str(out)])
     assert result.exit_code == 0, result.output
     assert out.read_bytes() == (tmp_path / "expected.json").read_bytes()
-    assert len(load_pseudo_labels(out)) == len(annotations)
+    assert len(load_records(out, PseudoLabel)) == len(annotations)
     result = invoke(runner, ["decode", "--signals", str(pyramid), "--out", str(tmp_path / "proposals.json")])
     assert result.exit_code == 0, result.output
 
@@ -1122,7 +1128,7 @@ def test_oic_inflation_past_int64_decodes(runner, tmp_path, monkeypatch):
     monkeypatch.setattr(decoder, "OIC_INFLATION", 1e300)
     result = invoke(runner, _command_args(tmp_path, "decode"))
     assert result.exit_code == 0, result.output
-    assert load_proposals(tmp_path / "out.json")
+    assert load_records(tmp_path / "out.json", Proposal)
 
 
 @pytest.mark.parametrize(
@@ -1365,7 +1371,7 @@ def test_log_level_is_read_by_each_command(runner, tmp_path, monkeypatch):
     for level in ("WARNING", "INFO", "DEBUG"):
         monkeypatch.setenv("ADM_LOG_LEVEL", level)
         written.append(invoke(runner, args).stderr)
-    line = f"INFO actionness: decoded {len(load_proposals(tmp_path / 'p.json'))} proposals\n"
+    line = f"INFO actionness: decoded {len(load_records(tmp_path / 'p.json', Proposal))} proposals\n"
     assert written == ["", line, line]
 
 
@@ -1384,7 +1390,7 @@ def test_info_lines_of_a_child_command(tmp_path, command):
     if command == "synth":
         line = f"INFO actionness: wrote 2 videos to {tmp_path / 'synth-INFO'}\n"
     else:
-        line = f"INFO actionness: decoded {len(load_proposals(tmp_path / 'p.json'))} proposals\n"
+        line = f"INFO actionness: decoded {len(load_records(tmp_path / 'p.json', Proposal))} proposals\n"
     assert runs == {"INFO": line.encode(), None: b""}
 
 

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from actionness import decoder, signal
 from actionness.decoder import (
-    DecoderConfig,
     Proposal,
     decode_videos,
     nms,
@@ -433,17 +432,17 @@ def test_nms_rejects_a_negative_threshold():
             nms([Proposal("v0", 0, 1, 1, 0.5)], threshold)
 
 
-def pool_with_repeats(levels, config):
+def pool_with_repeats(levels, class_score_threshold=0.5, top_k_fraction=0.125):
     """Every (class, level, threshold) run of a pyramid, finest level first, found and scored
     one by one with the scalar helpers at the module's thresholds and inflation: repeats included."""
     (pyramid,) = video_pyramids(levels).values()
     scales = pyramid.scales
     video_scores = np.mean(
-        [video_level_scores(sig, max(1, min(sig.length, round(config.top_k_fraction * sig.length)))) for sig in levels],
+        [video_level_scores(sig, max(1, min(sig.length, round(top_k_fraction * sig.length)))) for sig in levels],
         axis=0,
     )
     pool = []
-    for class_id in select_classes(video_scores, config.class_score_threshold):
+    for class_id in select_classes(video_scores, class_score_threshold):
         for index, (sig, scale) in enumerate(zip(levels, scales)):
             # the level-1 snippets this level and every finer one cover
             extent = min(below.length * below_scale for below, below_scale in zip(levels[: index + 1], scales))
@@ -464,18 +463,18 @@ class TestDecode:
         return make_signal(columns, video_id)
 
     def config(self):
-        return DecoderConfig(top_k_fraction=1 / 16, class_score_threshold=0.3)
+        return {"class_score_threshold": 0.3, "top_k_fraction": 1 / 16}
 
     def test_single_rectangle_single_survivor(self):
         signal = self.plateau_signal([(50, 110, 1, 0.85)])
-        proposals = decode_videos([signal], self.config())
+        proposals = decode_videos([signal], **self.config())
         assert len(proposals) == 1
         assert proposals[0].class_id == 1
         assert tiou(proposals[0].interval, (50, 110)) >= 0.9
 
     def test_two_rectangles_two_survivors(self):
         signal = self.plateau_signal([(30, 70, 1, 0.85), (150, 210, 2, 0.9)])
-        proposals = decode_videos([signal], self.config())
+        proposals = decode_videos([signal], **self.config())
         assert len(proposals) == 2
         by_class = {p.class_id: p for p in proposals}
         assert tiou(by_class[1].interval, (30, 70)) >= 0.9
@@ -485,7 +484,7 @@ class TestDecode:
         rng = np.random.default_rng(45)
         columns = rng.uniform(0, 1, (64, 2))
         signal = make_signal(columns)
-        for proposal in decode_videos([signal], DecoderConfig()):
+        for proposal in decode_videos([signal]):
             assert 0 <= proposal.start <= proposal.end <= 63
             assert np.isfinite(proposal.score)
 
@@ -494,7 +493,7 @@ class TestDecode:
         coarse_columns = np.full((64, 1), 0.05)
         coarse_columns[20:40, 0] = 0.8
         coarse = make_signal(coarse_columns, level=2)
-        proposals = decode_videos([fine, coarse], self.config())
+        proposals = decode_videos([fine, coarse], **self.config())
         assert proposals, "expected at least one proposal"
         best = max(proposals, key=lambda p: p.score)
         assert tiou(best.interval, (40, 79)) >= 0.9
@@ -505,9 +504,9 @@ class TestDecode:
         coarse = ProbabilitySignal("v0", 2, fine.values.reshape(-1, 2, fine.values.shape[1]).mean(axis=1))
         levels = [fine, coarse]
         decoder_config = self.config()
-        pool = pool_with_repeats(levels, decoder_config)
+        pool = pool_with_repeats(levels, **decoder_config)
         assert len({(p.start, p.end, p.class_id) for p in pool}) < len(pool), "no repeated segment to reuse"
-        assert decode_videos(levels, decoder_config) == nms_direct(pool, decoder.NMS_TIOU)
+        assert decode_videos(levels, **decoder_config) == nms_direct(pool, decoder.NMS_TIOU)
 
     @pytest.mark.parametrize(
         "fine_length, coarse_length, run, expected",
@@ -519,7 +518,7 @@ class TestDecode:
         coarse_columns = np.full((coarse_length, 1), 0.05)
         coarse_columns[run[0] : run[1] + 1, 0] = 0.8
         coarse = make_signal(coarse_columns, level=2)
-        assert [p.interval for p in decode_videos([fine, coarse], self.config())] == [expected]
+        assert [p.interval for p in decode_videos([fine, coarse], **self.config())] == [expected]
 
     @pytest.mark.parametrize(
         "lengths, run, expected",
@@ -536,22 +535,22 @@ class TestDecode:
         coarsest = levels[-1].values.copy()
         coarsest[run[0] : run[1] + 1, 0] = 0.8
         levels[-1] = ProbabilitySignal("v0", len(lengths), coarsest)
-        assert [p.interval for p in decode_videos(levels, self.config())] == [expected]
+        assert [p.interval for p in decode_videos(levels, **self.config())] == [expected]
 
     def test_levels_in_any_order(self):
         video = generate_video(SyntheticConfig(length=256, num_classes=2), np.random.default_rng(4), "v0")
         values = video.signal.values
         levels = [video.signal, ProbabilitySignal("v0", 2, 0.5 * (values[0::2] + values[1::2]))]
-        assert decode_videos(levels[::-1], self.config()) == decode_videos(levels, self.config())
+        assert decode_videos(levels[::-1], **self.config()) == decode_videos(levels, **self.config())
         # several videos: levels and videos interleaved, in any order
         rng = np.random.default_rng(5)
         signals = [signal for video_id in ("b", "a", "c") for signal in quarter_step_pyramid(video_id, 64, 2, [True, False], rng)]
-        expected = decode_videos(signals, self.config())
+        expected = decode_videos(signals, **self.config())
         assert {p.video_id for p in expected} == {"a", "b", "c"}
         orders = [signals[::-1], sorted(signals, key=lambda s: -s.level)]
         orders += [[signals[i] for i in np.random.default_rng(seed).permutation(len(signals))] for seed in range(3)]
         for reordered in orders:
-            assert decode_videos(reordered, self.config()) == expected
+            assert decode_videos(reordered, **self.config()) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -580,11 +579,10 @@ def test_coarse_runs_cover_the_snippets_pooled_into_them(steps, ceil_pooled, len
     # each level covers the level-1 snippets up to the last one pooled into its last snippet
     assert pyramid.extents == [pooled[-1][-1] + 1 for pooled in groups]
 
-    config = DecoderConfig()
     pools = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(decoder, "nms", lambda pool, threshold: pools.append(pool) or pool)
-        decode_videos(levels, config)
+        decode_videos(levels)
     expected = [
         (pooled[start][0], pooled[end][-1])
         for signal, pooled in zip(levels, groups)
@@ -619,19 +617,27 @@ def test_decode_equals_the_oracle_over_the_pool_with_repeats_property(
         assume(count >= 1)
         pooled = [below[2 * j : 2 * j + 2].mean(axis=0) for j in range(count)]
         levels.append(ProbabilitySignal("v0", level, np.array(pooled)))
-    config = DecoderConfig(class_score_threshold=class_score_threshold)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(decoder, "THRESHOLDS", tuple(thresholds))
         patch.setattr(decoder, "OIC_INFLATION", inflation)
         patch.setattr(decoder, "NMS_TIOU", nms_tiou)
-        assert decode_videos(levels, config) == nms_direct(pool_with_repeats(levels, config), nms_tiou)
+        assert decode_videos(levels, class_score_threshold) == nms_direct(
+            pool_with_repeats(levels, class_score_threshold), nms_tiou
+        )
 
 
 class TestDecoderConfig:
+    """``decode_videos`` checks its thresholds before it reads any signal."""
+
     @pytest.mark.parametrize("fraction", [0.0, 1.5, float("nan")])
     def test_rejects_a_top_k_fraction_outside_zero_to_one(self, fraction):
         with pytest.raises(InvalidInputError, match=re.escape(f"top_k_fraction must be in (0, 1], got {fraction}")):
-            DecoderConfig(top_k_fraction=fraction)
+            decode_videos([ProbabilitySignal("v0", 2, np.zeros((4, 2)))], top_k_fraction=fraction)
+
+    @pytest.mark.parametrize("threshold", [float("nan"), float("inf")])
+    def test_rejects_a_non_finite_class_score_threshold(self, threshold):
+        with pytest.raises(InvalidInputError, match=re.escape(f"class_score_threshold must be finite, got {threshold}")):
+            decode_videos([ProbabilitySignal("v0", 2, np.zeros((4, 2)))], class_score_threshold=threshold)
 
 
 def quarter_step_pyramid(video_id, length, classes, ceil_pooled, rng):
@@ -665,15 +671,14 @@ def test_decode_videos_equals_the_oracle_video_by_video_property(
     pyramids = [
         quarter_step_pyramid(f"v{index}", length, classes, ceil_pooled, rng) for index, length in enumerate(lengths)
     ]
-    config = DecoderConfig(class_score_threshold=class_score_threshold)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(decoder, "OIC_INFLATION", inflation)
         expected = [
             proposal
             for levels in sorted(pyramids, key=lambda levels: levels[0].video_id)
-            for proposal in nms_direct(pool_with_repeats(levels, config), decoder.NMS_TIOU)
+            for proposal in nms_direct(pool_with_repeats(levels, class_score_threshold), decoder.NMS_TIOU)
         ]
-        assert decode_videos([signal for levels in pyramids for signal in levels], config) == expected
+        assert decode_videos([signal for levels in pyramids for signal in levels], class_score_threshold) == expected
 
 
 def test_decode_videos_hands_each_video_pool_to_the_module_nms(monkeypatch):
@@ -687,8 +692,7 @@ def test_decode_videos_hands_each_video_pool_to_the_module_nms(monkeypatch):
     monkeypatch.setattr(decoder, "nms", recording_nms)
     rng = np.random.default_rng(48)
     signals = [signal for video_id in ("b", "a", "c") for signal in quarter_step_pyramid(video_id, 64, 2, [True], rng)]
-    config = DecoderConfig()
-    proposals = decode_videos(signals, config)
+    proposals = decode_videos(signals)
     assert [kwargs for _, kwargs in calls] == [{}, {}, {}]
     assert [threshold for (_, threshold), _ in calls] == [decoder.NMS_TIOU] * 3
     pools = [pool for (pool, _), _ in calls]

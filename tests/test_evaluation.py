@@ -189,25 +189,27 @@ class TestEvaluate:
     def test_labels_carry_their_quality(self):
         instances = [gt("v0", 5, 20, 1), gt("v1", 10, 40, 2)]
         labels = [label("v0", 5, 20, 1), label("v1", 12, 40, 2)]
-        report = evaluate("pseudo-label", labels, instances, THUMOS_RANGE)
+        report = evaluate(PseudoLabel, labels, instances, THUMOS_RANGE)
         assert report == pseudo_label_quality(labels, instances, THUMOS_RANGE)
         assert report.alpha == 1.0 and report.mean_tiou == pytest.approx((1.0 + 29 / 31) / 2)
 
     def test_proposals_carry_no_label_quality(self):
         instances = [gt("v0", 5, 20, 1)]
         proposals = [prop("v0", 5, 20, 0.9)]
-        report = evaluate("proposal", proposals, instances, THUMOS_RANGE)
+        report = evaluate(Proposal, proposals, instances, THUMOS_RANGE)
         assert report == map_report(proposals, instances, THUMOS_RANGE)
         assert report.alpha is None and report.mean_tiou is None
 
-    @pytest.mark.parametrize("kind", ["pseudo-label", "proposal"])
-    def test_empty_gt_rejected(self, kind):
+    @pytest.mark.parametrize("record_type", [PseudoLabel, Proposal], ids=["pseudo-label", "proposal"])
+    def test_empty_gt_rejected(self, record_type):
         with pytest.raises(InvalidInputError, match="requires ground truth"):
-            evaluate(kind, [], [], [0.5])
+            evaluate(record_type, [], [], [0.5])
 
     def test_unknown_kind_rejected(self):
-        with pytest.raises(InvalidInputError, match="unknown eval input kind"):
-            evaluate("annotation", [], [gt("v0", 5, 20)], [0.5])
+        # neither a record class nor a kind string names what evaluate scores
+        for record_type in (dict, "pseudo-label"):
+            with pytest.raises(InvalidInputError, match="unknown eval input type"):
+                evaluate(record_type, [], [gt("v0", 5, 20)], [0.5])
 
 
 # --- properties over random multi-video, multi-class pools -----------------
@@ -470,7 +472,7 @@ def test_reports_equal_the_numpy_reference_past_128_hits(seed):
 def test_threshold_decoding_overproduces_versus_adm():
     # Raw threshold decoding yields many proposals per instance, while the
     # distribution-fitting path emits exactly one per annotation.
-    from actionness.decoder import DecoderConfig, decode_videos
+    from actionness.decoder import decode_videos
     from actionness.synth import SyntheticConfig, generate_video
 
     config = SyntheticConfig(
@@ -482,8 +484,7 @@ def test_threshold_decoding_overproduces_versus_adm():
         noise_std=0.1,
         seed=3,
     )
-    decoder_config = DecoderConfig(top_k_fraction=1 / 16, class_score_threshold=0.3)
     videos = [generate_video(config, np.random.default_rng([3, index]), f"v{index}") for index in range(15)]
-    proposals = decode_videos([video.signal for video in videos], decoder_config)
+    proposals = decode_videos([video.signal for video in videos], class_score_threshold=0.3, top_k_fraction=1 / 16)
     alpha = len(proposals) / sum(len(video.gt) for video in videos)
     assert alpha > 3.0  # directional: far more proposals than instances

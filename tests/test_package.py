@@ -11,11 +11,11 @@ import actionness
 # every name the package exports, by the module that defines it
 EXPORTS = {
     "adm": [
-        "ADMConfig", "PreliminaryBoundary", "PseudoLabel", "find_peak", "fit_gaussians", "fit_uniforms",
+        "PreliminaryBoundary", "PseudoLabel", "find_peak", "fit_gaussians", "fit_uniforms",
         "label_videos", "video_boundaries",
     ],
     "decoder": [
-        "DecoderConfig", "Proposal", "decode_videos", "nms", "oic_scores", "select_classes", "threshold_runs",
+        "Proposal", "decode_videos", "nms", "oic_scores", "select_classes", "threshold_runs",
         "video_level_scores",
     ],
     "errors": ["InvalidInputError", "NumericError", "PackingError"],

@@ -17,17 +17,11 @@ from actionness.errors import InvalidInputError
 from actionness.evaluation import EvalReport, GroundTruthInstance
 from actionness.signal import PointAnnotation, ProbabilitySignal
 from actionness.storage import (
-    load_annotations,
     load_eval_input,
-    load_ground_truth,
     load_json,
-    load_proposals,
-    load_pseudo_labels,
+    load_records,
     load_signals,
-    save_annotations,
-    save_ground_truth,
-    save_proposals,
-    save_pseudo_labels,
+    save_records,
     save_report_csv,
     save_report_json,
     save_signals,
@@ -158,7 +152,7 @@ def test_json_reads_and_writes_leave_the_collector_as_found(tmp_path, collector)
     steps = [
         lambda: save_signals(tmp_path / "v0.json", [signal]),
         lambda: load_signals(tmp_path / "v0.json"),
-        lambda: save_proposals(tmp_path / "p.json", [Proposal("v0", 1, 2, 1, 0.5)]),
+        lambda: save_records(tmp_path / "p.json", Proposal, [Proposal("v0", 1, 2, 1, 0.5)]),
         lambda: load_eval_input(tmp_path / "p.json"),
         lambda: write_json_atomic(tmp_path / "r.json", {"a": [1]}),
         lambda: load_json(tmp_path / "r.json"),
@@ -216,10 +210,10 @@ def _grouped(group, record, field, value):
     return [{"video_id": "v0", group: [{**record, field: value}]}]
 
 
-def _rejects(load, path, payload, field, kind):
+def _rejects(record_type, path, payload, field, kind):
     path.write_text(json.dumps(payload))
     with pytest.raises(InvalidInputError, match=f"malformed {kind} record in .*: {field} must be a JSON"):
-        load(path)
+        load_records(path, record_type)
 
 
 @pytest.mark.parametrize(
@@ -228,7 +222,7 @@ def _rejects(load, path, payload, field, kind):
      ("video_id", 5), ("video_id", [1]), ("video_id", None)],
 )
 def test_annotation_fields_keep_their_json_types(tmp_path, field, value):
-    _rejects(load_annotations, tmp_path / "a.json", [{**_ANNOTATION, field: value}], field, "annotation")
+    _rejects(PointAnnotation, tmp_path / "a.json", [{**_ANNOTATION, field: value}], field, "annotation")
 
 
 @pytest.mark.parametrize(
@@ -237,7 +231,7 @@ def test_annotation_fields_keep_their_json_types(tmp_path, field, value):
      ("video_id", 5), ("video_id", [1]), ("video_id", None)],
 )
 def test_ground_truth_fields_keep_their_json_types(tmp_path, field, value):
-    _rejects(load_ground_truth, tmp_path / "gt.json", [{**_GROUND_TRUTH, field: value}], field, "ground-truth")
+    _rejects(GroundTruthInstance, tmp_path / "gt.json", [{**_GROUND_TRUTH, field: value}], field, "ground-truth")
 
 
 @pytest.mark.parametrize(
@@ -248,7 +242,7 @@ def test_ground_truth_fields_keep_their_json_types(tmp_path, field, value):
 )
 def test_pseudo_label_fields_keep_their_json_types(tmp_path, field, value):
     payload = _grouped("labels", _LABEL, field, value)
-    _rejects(load_pseudo_labels, tmp_path / "labels.json", payload, field, "pseudo-label")
+    _rejects(PseudoLabel, tmp_path / "labels.json", payload, field, "pseudo-label")
 
 
 @pytest.mark.parametrize(
@@ -258,7 +252,7 @@ def test_pseudo_label_fields_keep_their_json_types(tmp_path, field, value):
 )
 def test_proposal_fields_keep_their_json_types(tmp_path, field, value):
     payload = _grouped("proposals", _PROPOSAL, field, value)
-    _rejects(load_proposals, tmp_path / "p.json", payload, field, "proposal")
+    _rejects(Proposal, tmp_path / "p.json", payload, field, "proposal")
 
 
 @pytest.mark.parametrize(
@@ -330,28 +324,44 @@ def test_signal_files_with_r_or_f_but_no_boolean_load(tmp_path):
     assert signal.video_id == "frame-run" and signal.values.tolist() == [[1.0, 0.0], [0.0, 1.0]]
 
 
+@pytest.mark.parametrize(
+    "record_type, name",
+    [(PointAnnotation, "annotation"), (GroundTruthInstance, "ground-truth"), (PseudoLabel, "pseudo-label"),
+     (Proposal, "proposal")],
+    ids=["annotation", "ground-truth", "pseudo-label", "proposal"],
+)
+def test_each_record_type_names_its_layout_in_errors(tmp_path, record_type, name):
+    path = tmp_path / "records.json"
+    path.write_text("{}")
+    with pytest.raises(InvalidInputError, match=re.escape(f"{name} file {path} must hold a JSON array")):
+        load_records(path, record_type)
+    path.write_text('[{"video_id": "v0"}]')
+    with pytest.raises(InvalidInputError, match=f"{name} record missing field"):
+        load_records(path, record_type)
+
+
 def test_number_fields_read_json_integers_as_floats(tmp_path):
     path = tmp_path / "labels.json"
     path.write_text(json.dumps([{"video_id": "v0", "labels": [{**_LABEL, "sigma": 2, "omega": 3, "delta": 1}]}]))
-    (label,) = load_pseudo_labels(path)
+    (label,) = load_records(path, PseudoLabel)
     assert (label.sigma, label.omega, label.delta) == (2.0, 3.0, 1.0)
     assert all(type(value) is float for value in (label.sigma, label.omega, label.delta))
     path.write_text(json.dumps([{"video_id": "v0", "proposals": [{**_PROPOSAL, "score": 1}]}]))
-    assert type(load_proposals(path)[0].score) is float
+    assert type(load_records(path, Proposal)[0].score) is float
 
 
 def test_annotation_round_trip(tmp_path):
     points = [PointAnnotation("v0", 3, 1), PointAnnotation("v1", 7, 2)]
     path = tmp_path / "annotations.json"
-    save_annotations(path, points)
-    assert load_annotations(path) == points
+    save_records(path, PointAnnotation, points)
+    assert load_records(path, PointAnnotation) == points
 
 
 def test_ground_truth_round_trip(tmp_path):
     instances = [GroundTruthInstance("v0", 1, 9, 2)]
     path = tmp_path / "gt.json"
-    save_ground_truth(path, instances)
-    assert load_ground_truth(path) == instances
+    save_records(path, GroundTruthInstance, instances)
+    assert load_records(path, GroundTruthInstance) == instances
 
 
 def test_pseudo_label_round_trip_and_schema(tmp_path):
@@ -360,24 +370,24 @@ def test_pseudo_label_round_trip_and_schema(tmp_path):
         PseudoLabel("v0", 4, 4, 1e-6, 0.0, 5e-7, 4, 4, 1, True),
     ]
     path = tmp_path / "labels.json"
-    save_pseudo_labels(path, labels)
+    save_records(path, PseudoLabel, labels)
     payload = json.loads(path.read_text())
     assert [record["video_id"] for record in payload] == ["v0", "v1"]
     assert set(payload[0]["labels"][0]) == {
         "t", "t_star", "sigma", "omega", "delta", "start", "end", "class_id", "degenerate",
     }
-    reloaded = load_pseudo_labels(path)
+    reloaded = load_records(path, PseudoLabel)
     assert sorted(reloaded, key=lambda l: l.video_id) == sorted(labels, key=lambda l: l.video_id)
 
 
 def test_proposal_round_trip_and_schema(tmp_path):
     proposals = [Proposal("v0", 3, 9, 1, 0.75), Proposal("v0", 12, 20, 2, 0.5)]
     path = tmp_path / "proposals.json"
-    save_proposals(path, proposals)
+    save_records(path, Proposal, proposals)
     payload = json.loads(path.read_text())
     assert payload[0]["video_id"] == "v0"
     assert set(payload[0]["proposals"][0]) == {"start", "end", "class_id", "score"}
-    assert load_proposals(path) == proposals
+    assert load_records(path, Proposal) == proposals
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -401,10 +411,10 @@ pseudo_labels = spans().flatmap(lambda span: st.builds(
 ))
 proposals = spans().flatmap(lambda span: st.builds(Proposal, ids, st.just(span[0]), st.just(span[1]), class_ids, finite))
 CODECS = {
-    "annotations": (save_annotations, load_annotations, annotations, False),
-    "ground-truth": (save_ground_truth, load_ground_truth, instances, False),
-    "pseudo-labels": (save_pseudo_labels, load_pseudo_labels, pseudo_labels, True),
-    "proposals": (save_proposals, load_proposals, proposals, True),
+    "annotations": (PointAnnotation, annotations, False),
+    "ground-truth": (GroundTruthInstance, instances, False),
+    "pseudo-labels": (PseudoLabel, pseudo_labels, True),
+    "proposals": (Proposal, proposals, True),
 }
 
 
@@ -412,30 +422,30 @@ CODECS = {
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_records_round_trip_and_rewrite_to_identical_bytes(kind, data):
-    save, load, records, grouped = CODECS[kind]
+    record_type, records, grouped = CODECS[kind]
     items = data.draw(st.lists(records, max_size=8))
     # grouped layouts list videos in sorted id order, each video's records in their given order
     expected = sorted(items, key=lambda item: item.video_id) if grouped else items
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "first.json", Path(tmp) / "second.json"
-        save(first, items)
-        loaded = load(first)
+        save_records(first, record_type, items)
+        loaded = load_records(first, record_type)
         assert loaded == expected
-        save(second, loaded)
+        save_records(second, record_type, loaded)
         assert second.read_bytes() == first.read_bytes()
 
 
 def test_eval_input_kind_comes_from_the_file(tmp_path):
     label = PseudoLabel("v0", 10, 10, 3.0, 5.0, 8.0, 5, 20, 1)
     proposal = Proposal("v0", 5, 20, 1, 0.5)
-    save_pseudo_labels(tmp_path / "labels.json", [label])
-    save_proposals(tmp_path / "proposals.json", [proposal])
+    save_records(tmp_path / "labels.json", PseudoLabel, [label])
+    save_records(tmp_path / "proposals.json", Proposal, [proposal])
     write_json_atomic(tmp_path / "no_labels.json", [{"video_id": "v0", "labels": []}])
     write_json_atomic(tmp_path / "empty.json", [])
-    assert load_eval_input(tmp_path / "labels.json") == ("pseudo-label", [label])
-    assert load_eval_input(tmp_path / "proposals.json") == ("proposal", [proposal])
-    assert load_eval_input(tmp_path / "no_labels.json") == ("pseudo-label", [])
-    assert load_eval_input(tmp_path / "empty.json") == ("proposal", [])
+    assert load_eval_input(tmp_path / "labels.json") == (PseudoLabel, [label])
+    assert load_eval_input(tmp_path / "proposals.json") == (Proposal, [proposal])
+    assert load_eval_input(tmp_path / "no_labels.json") == (PseudoLabel, [])
+    assert load_eval_input(tmp_path / "empty.json") == (Proposal, [])
 
 
 def test_report_json_and_csv(tmp_path):
@@ -467,7 +477,7 @@ def test_report_json_of_labels_holds_their_quality(tmp_path):
 
 def test_writes_are_atomic_no_temp_left(tmp_path):
     path = tmp_path / "out.json"
-    save_annotations(path, [PointAnnotation("v0", 1, 1)])
+    save_records(path, PointAnnotation, [PointAnnotation("v0", 1, 1)])
     save_signals(tmp_path / "v0.npz", [ProbabilitySignal("v0", 1, np.zeros((2, 2)))])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "v0.npz"]
 
