@@ -96,7 +96,8 @@ def find_peak(column: np.ndarray, boundary: PreliminaryBoundary, t: int, delta: 
     ``t`` must lie inside the boundary, as every point does in its
     ``video_boundaries`` boundary, and ``delta`` in ``(0, 0.5]``, as
     ``PEAK_WINDOW`` is, so the window holds ``t`` itself and is never
-    empty. Ties resolve to the smallest index.
+    empty. Among equal maxima the one nearest ``t`` wins, and of two at the
+    same distance the left one, so a flat column keeps the peak at the point.
     """
     if not boundary.b_start <= t <= boundary.b_end:
         raise InvalidInputError(f"t={t} outside the boundary [{boundary.b_start}, {boundary.b_end}]")
@@ -106,7 +107,13 @@ def find_peak(column: np.ndarray, boundary: PreliminaryBoundary, t: int, delta: 
     radius = delta * boundary.duration
     lo = max(boundary.b_start, math.ceil(t - radius))
     hi = min(boundary.b_end, math.floor(t + radius))
-    return lo + int(np.argmax(column[lo : hi + 1]))
+    # the first maximum outward from t on each side, t itself on both
+    left = int(np.argmax(column[lo : t + 1][::-1]))
+    right = int(np.argmax(column[t : hi + 1]))
+    # the higher side wins; at equal height the nearer, and the left at equal distance
+    if (column[t - left], -left) >= (column[t + right], -right):
+        return t - left
+    return t + right
 
 
 class _Segments(NamedTuple):

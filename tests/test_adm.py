@@ -143,13 +143,30 @@ class TestFindPeak:
             lo = max(boundary.b_start, int(np.ceil(t - radius)))
             hi = min(boundary.b_end, int(np.floor(t + radius)))
             window = list(range(lo, hi + 1))
-            expected = min(window, key=lambda i: (-column[i], i))
+            expected = min(window, key=lambda i: (-column[i], abs(i - t), i))
             assert t_star == expected
 
-    def test_flat_column_ties_to_left_end(self):
-        column = np.full(50, 0.5)
-        boundary = PreliminaryBoundary(10, 40)
-        assert find_peak(column, boundary, 25, 0.25) == max(10, int(np.ceil(25 - 0.25 * 30)))
+    @settings(max_examples=300, deadline=None)
+    @given(
+        data=st.data(),
+        # three levels, so most windows hold tied maxima on both sides of the point
+        column=st.lists(st.sampled_from([0.25, 0.5, 0.75]), min_size=1, max_size=40),
+        delta=st.floats(0.01, 0.5),
+    )
+    @example(data=None, column=[0.5] * 40, delta=0.25)
+    def test_ties_resolve_to_the_maximum_nearest_the_point(self, data, column, delta):
+        if data is None:  # the flat column: the point keeps its own snippet
+            b_start, b_end, t = 5, 35, 20
+        else:
+            b_start = data.draw(st.integers(0, len(column) - 1))
+            b_end = data.draw(st.integers(b_start, len(column) - 1))
+            t = data.draw(st.integers(b_start, b_end))
+        boundary = PreliminaryBoundary(b_start, b_end)
+        radius = delta * boundary.duration
+        window = range(max(b_start, int(np.ceil(t - radius))), min(b_end, int(np.floor(t + radius))) + 1)
+        # a scan of the window: the largest value, then the nearest to t, then the leftmost
+        expected = min(window, key=lambda i: (-column[i], abs(i - t), i))
+        assert find_peak(np.array(column), boundary, t, delta) == expected
 
     @pytest.mark.parametrize("t", [5, 29, 41])
     def test_point_outside_the_boundary_is_rejected(self, t):

@@ -1050,7 +1050,8 @@ def test_smoothing_past_the_tap_budget_fails_cleanly(runner, tmp_path, monkeypat
 
 def _flat_adm_args(tmp_path):
     """``adm`` on one 64-snippet video whose class 1 is 0.9 throughout, with no background point: the
-    peak of the point at 30 ties to its window's left end, 15, and both fits reach its u_b of 48 snippets."""
+    peak of the point at 30 stays at 30, as every snippet of its window ties, and both fits reach its u_b
+    of 33 snippets."""
     values = np.zeros((64, 3))
     values[:, 0] = 0.9
     save_signals(tmp_path / "v0.npz", [ProbabilitySignal("v0", 1, values)])
@@ -1060,11 +1061,11 @@ def _flat_adm_args(tmp_path):
 
 
 def test_a_huge_finite_half_extent_clips_to_the_video(runner, tmp_path):
-    # t* - 48 lies before the first snippet, and t* + 48 is the last
+    # t* - 33 lies before the first snippet, and t* + 33 is the last
     result = invoke(runner, _flat_adm_args(tmp_path))
     assert result.exit_code == 0, result.output
     [label] = load_records(tmp_path / "out.json", PseudoLabel)
-    assert (label.t_star, label.sigma, label.omega, label.delta) == (15, 48.0, 48.0, 48.0)
+    assert (label.t_star, label.sigma, label.omega, label.delta) == (30, 33.0, 33.0, 33.0)
     assert (label.start, label.end) == (0, 63)
 
 
