@@ -55,7 +55,6 @@ _EXPORTS = {
     "signal": (
         "BackgroundPoints",
         "ProbabilitySignal",
-        "augment_points",
         "select_background_points",
         "smooth_column",
         "upsample_column",

@@ -23,7 +23,6 @@ from .records import PointAnnotation, PseudoLabel
 from .signal import (
     BackgroundPoints,
     ProbabilitySignal,
-    augment_points,
     select_background_points,
     smooth_column,
     upsample_column,
@@ -31,18 +30,15 @@ from .signal import (
 )
 
 SIGMA_LOWER_BOUND = 1e-6
-# Fixed hyperparameters, read when ``label_videos`` runs. ``PEAK_WINDOW`` bounds the
-# peak search around a point as a fraction of its boundary's duration. A label's
-# half-extent is ``GAUSSIAN_WEIGHT * sigma + UNIFORM_WEIGHT * omega``: an equal
-# blend, as summing the two (1.0/1.0) measurably over-extends intervals on
-# flat-profile actions. ``SMOOTHING_SIGMA`` is the std of the Gaussian smoothing
-# applied before the fits, and ``AUGMENT_RADIUS`` widens each annotated point
-# before background points are picked.
+# Fixed hyperparameters, read when the function that uses each runs. ``PEAK_WINDOW``
+# bounds ``find_peak``'s search around a point as a fraction of its boundary's
+# duration. A label's half-extent in ``label_videos`` is
+# ``GAUSSIAN_WEIGHT * sigma + UNIFORM_WEIGHT * omega``: an equal blend, as summing
+# the two (1.0/1.0) measurably over-extends intervals on flat-profile actions. The
+# smoothing std and the point radius live in ``signal``, whose functions read them.
 PEAK_WINDOW = 0.25
 GAUSSIAN_WEIGHT = 0.5
 UNIFORM_WEIGHT = 0.5
-SMOOTHING_SIGMA = 2.0
-AUGMENT_RADIUS = 2
 
 
 @dataclass
@@ -90,21 +86,19 @@ def video_boundaries(
     return [PreliminaryBoundary(*bounds) for bounds in zip(b_starts.tolist(), b_ends.tolist())]
 
 
-def find_peak(column: np.ndarray, boundary: PreliminaryBoundary, t: int, delta: float) -> int:
-    """Argmax of the class column inside the boundary and the delta-window around ``t``.
+def find_peak(column: np.ndarray, boundary: PreliminaryBoundary, t: int) -> int:
+    """Argmax of the class column inside the boundary and within ``PEAK_WINDOW``
+    of the boundary's duration around ``t``.
 
     ``t`` must lie inside the boundary, as every point does in its
-    ``video_boundaries`` boundary, and ``delta`` in ``(0, 0.5]``, as
-    ``PEAK_WINDOW`` is, so the window holds ``t`` itself and is never
-    empty. Among equal maxima the one nearest ``t`` wins, and of two at the
-    same distance the left one, so a flat column keeps the peak at the point.
+    ``video_boundaries`` boundary, so the window holds ``t`` itself and is
+    never empty. Among equal maxima the one nearest ``t`` wins, and of two at
+    the same distance the left one, so a flat column keeps the peak at the point.
     """
     if not boundary.b_start <= t <= boundary.b_end:
         raise InvalidInputError(f"t={t} outside the boundary [{boundary.b_start}, {boundary.b_end}]")
-    if not 0.0 < delta <= 0.5:
-        raise InvalidInputError(f"delta must be in (0, 0.5], got {delta}")
     column = np.asarray(column, dtype=np.float64)
-    radius = delta * boundary.duration
+    radius = PEAK_WINDOW * boundary.duration
     lo = max(boundary.b_start, math.ceil(t - radius))
     hi = min(boundary.b_end, math.floor(t + radius))
     # the first maximum outward from t on each side, t itself on both
@@ -310,12 +304,14 @@ def label_videos(
     ``signals`` holds every video's pyramid levels, in any order, as
     ``storage.load_signals`` returns them; ``video_pyramids`` reads and checks
     every video's pyramid, annotated or not. Background points come from level
-    1 once every point is widened by ``AUGMENT_RADIUS``: the snippets whose
-    background probability exceeds ``background_threshold``, which must lie
-    in ``(0, 1)`` and is checked before any other work. Each video's
-    preliminary boundaries come from one ``video_boundaries`` search. The
-    fits run on the coarsest level's columns of the points' classes, smoothed
-    at ``SMOOTHING_SIGMA`` and then upsampled to the level-1 length: the
+    1 by ``select_background_points``: the snippets whose background
+    probability exceeds ``background_threshold``, which must lie in ``(0, 1)``
+    and is checked before any other work, outside each point's window of
+    ``signal.AUGMENT_RADIUS``. Each video's preliminary boundaries come from
+    one ``video_boundaries`` search, and each point's peak from ``find_peak``
+    within ``PEAK_WINDOW``. The fits run on the coarsest level's columns of
+    the points' classes, each smoothed by ``smooth_column`` at
+    ``signal.SMOOTHING_SIGMA`` and then upsampled to the level-1 length: the
     Gaussian fits of all points in one lockstep search (``fit_gaussians``)
     and their rectangle fits in one batched scan (``fit_uniforms``), each
     over one concatenation of the points' segments. Each label's half-extent is
@@ -348,18 +344,15 @@ def label_videos(
         levels = pyramids[video_id].levels
         finest, coarsest = levels[0], levels[-1]
         video_points = by_video[video_id]
-        intervals = augment_points(video_points, AUGMENT_RADIUS, finest.length)
-        background = select_background_points(finest, intervals, background_threshold)
+        background = select_background_points(finest, video_points, background_threshold)
         # only the classes the video's points name, in the order the points first name them
         columns = {
-            class_id: upsample_column(
-                smooth_column(coarsest.class_column(class_id), SMOOTHING_SIGMA), finest.length
-            )
+            class_id: upsample_column(smooth_column(coarsest.class_column(class_id)), finest.length)
             for class_id in dict.fromkeys(point.class_id for point in video_points)
         }
         for point, boundary in zip(video_points, video_boundaries(video_points, background, finest.length)):
             column = columns[point.class_id]
-            t_star = find_peak(column, boundary, point.t, PEAK_WINDOW)
+            t_star = find_peak(column, boundary, point.t)
             peaks.append((point, finest.length, boundary, t_star))
             fits.append((column, boundary, t_star))
     gaussians = fit_gaussians(fits)

@@ -11,9 +11,10 @@ from .errors import InvalidInputError, require_finite
 from .records import Proposal
 from .signal import ProbabilitySignal, Pyramid, video_pyramids
 
-# Fixed hyperparameters, read when ``decode_videos`` runs: the thresholds whose runs
-# become segments, strictly ascending in (0, 1); the OIC flank width as a fraction
-# of a segment's length; and the tIoU above which NMS suppresses a proposal.
+# Fixed hyperparameters: the thresholds whose runs become segments, strictly ascending
+# in (0, 1); the OIC flank width as a fraction of a segment's length, which
+# ``oic_scores`` reads when it runs; and the tIoU above which NMS suppresses a
+# proposal. ``decode_videos`` reads the thresholds and the tIoU when it runs.
 THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 OIC_INFLATION = 0.25
 NMS_TIOU = 0.45
@@ -59,11 +60,11 @@ def threshold_runs(column, thresholds) -> tuple[np.ndarray, np.ndarray]:
     return changes[0::2], changes[1::2] - 1
 
 
-def oic_scores(columns: Sequence, column_ids, starts, ends, inflation: float) -> np.ndarray:
+def oic_scores(columns: Sequence, column_ids, starts, ends) -> np.ndarray:
     """Outer-inner contrast of many segments: segment ``i`` is ``[starts[i], ends[i]]`` of ``columns[column_ids[i]]``.
 
     A score is the inner mean minus the mean over the flanking windows. Each
-    flank is ``max(1, round(inflation * segment_length))`` snippets wide,
+    flank is ``max(1, round(OIC_INFLATION * segment_length))`` snippets wide,
     clipped to the segment's own column, so the outer region is empty only
     when the segment spans its whole column, and then contributes 0. The columns
     are copied into one buffer, and the inner, left and right sums of every
@@ -74,8 +75,6 @@ def oic_scores(columns: Sequence, column_ids, starts, ends, inflation: float) ->
     column_ids = np.asarray(column_ids, dtype=np.int64)
     starts = np.asarray(starts, dtype=np.int64)
     ends = np.asarray(ends, dtype=np.int64)
-    if not inflation > 0:  # NaN fails this too
-        raise InvalidInputError(f"inflation must be > 0, got {inflation}")
     if np.any((column_ids < 0) | (column_ids >= len(columns))):
         raise InvalidInputError(f"column ids must lie in [0, {len(columns)}), got {column_ids.min()}..{column_ids.max()}")
     column_lengths = np.array([column.size for column in columns], dtype=np.int64)
@@ -85,11 +84,9 @@ def oic_scores(columns: Sequence, column_ids, starts, ends, inflation: float) ->
         i = outside[0]
         raise InvalidInputError(f"segment [{starts[i]}, {ends[i]}] outside video of length {lengths[i]}")
     inner = ends - starts + 1
-    # half to even, as round(); a flank wider than the column is clipped to it below anyway,
-    # so the column length caps the width before it becomes an int, and caps the inflation
-    # first, which keeps the product finite. At least one snippet, so a short run is
-    # contrasted with its neighbours rather than scored by its inner mean
-    width = np.maximum(1, np.rint(np.minimum(np.minimum(inflation, lengths) * inner, lengths)).astype(np.int64))
+    # half to even, as round(); at least one snippet, so a short run is contrasted
+    # with its neighbours rather than scored by its inner mean
+    width = np.maximum(1, np.rint(OIC_INFLATION * inner).astype(np.int64))
     left = np.minimum(width, starts)  # the flanks, clipped to the segment's column
     right = np.minimum(width, lengths - 1 - ends)
     # the columns one after another, and where each segment starts among them
@@ -220,7 +217,7 @@ def decode_videos(
         return []
     _, columns, starts, ends = zip(*classes)
     column_ids = np.repeat(np.arange(len(columns)), [segments.size for segments in starts])
-    scores = oic_scores(columns, column_ids, np.concatenate(starts), np.concatenate(ends), OIC_INFLATION)
+    scores = oic_scores(columns, column_ids, np.concatenate(starts), np.concatenate(ends))
     proposals: list[Proposal] = []
     low = 0
     for video_id, per_class in videos:

@@ -28,6 +28,11 @@ from .records import PointAnnotation
 # OIC slices, or the live arrays of a block of ADM fit work, each of at most ``SCRATCH_ELEMENTS // 8``.
 # Every pass reads it when it is called.
 SCRATCH_ELEMENTS = 1 << 16
+# Fixed hyperparameters of ``adm``'s pseudo-labels, read when each function runs: the std,
+# in snippets, of the Gaussian ``smooth_column`` convolves with, and the snippets on each
+# side of an annotated point that ``select_background_points`` keeps out.
+SMOOTHING_SIGMA = 2.0
+AUGMENT_RADIUS = 2
 
 
 @dataclass
@@ -89,30 +94,14 @@ class BackgroundPoints:
                 raise InvalidInputError("background indices must be sorted and unique")
 
 
-# the most taps a smoothing kernel may have: 2**24 float64s are 128 MiB, and each class column's
-# reflection padding is as long again
-MAX_KERNEL_TAPS = 1 << 24
-
-
-def smooth_column(column: np.ndarray, kernel_sigma: float) -> np.ndarray:
-    """Convolve one class column with a normalized truncated Gaussian, clipped to [0, 1].
+def smooth_column(column: np.ndarray) -> np.ndarray:
+    """Convolve one class column with a normalized Gaussian of std ``SMOOTHING_SIGMA``,
+    truncated at 4 stds, clipped to [0, 1].
 
     Edges use reflection padding, so constant columns pass through unchanged.
-    A ``kernel_sigma`` whose kernel, of ``2 * int(4 * kernel_sigma + 0.5) + 1``
-    taps, would have more than ``MAX_KERNEL_TAPS`` is rejected, before
-    anything is allocated.
     """
-    if kernel_sigma <= 0:
-        raise InvalidInputError(f"kernel_sigma must be > 0, got {kernel_sigma}")
-    # 2 * radius + 1 taps exceed the budget once the radius reaches (MAX_KERNEL_TAPS + 1) // 2, an int,
-    # which int(4 * sigma + 0.5) reaches exactly when the float does; compared as floats, as inf has no int
-    if 4.0 * kernel_sigma + 0.5 >= (MAX_KERNEL_TAPS + 1) // 2:
-        raise InvalidInputError(
-            f"kernel_sigma {kernel_sigma} is too wide: its kernel would have more than {MAX_KERNEL_TAPS} taps"
-        )
-    # truncated at +-4 sigma; a sub-snippet sigma gives the one-tap kernel [1.0], which returns the column
-    radius = int(4.0 * kernel_sigma + 0.5)
-    kernel = np.exp(-0.5 * (np.arange(-radius, radius + 1, dtype=np.float64) / kernel_sigma) ** 2)
+    radius = int(4.0 * SMOOTHING_SIGMA + 0.5)
+    kernel = np.exp(-0.5 * (np.arange(-radius, radius + 1, dtype=np.float64) / SMOOTHING_SIGMA) ** 2)
     padded = np.pad(column, radius, mode="reflect")
     return np.clip(np.convolve(padded, kernel / kernel.sum(), mode="valid"), 0.0, 1.0)
 
@@ -229,33 +218,16 @@ def _pyramid(video_id: str, levels: list[ProbabilitySignal]) -> Pyramid:
     return Pyramid(levels, scales, extents)
 
 
-def augment_points(
-    points: Sequence[PointAnnotation],
-    r_a: int,
-    length: int,
-) -> list[tuple[int, int]]:
-    """Widen each annotated point into an inclusive ``(lo, hi)`` level-1 interval.
-
-    Each point is expanded by ``r_a`` on both sides, clipped to ``[0, length - 1]``.
-    """
-    if r_a < 0:
-        raise InvalidInputError(f"r_a must be >= 0, got {r_a}")
-    intervals = []
-    for point in points:
-        if point.t >= length:
-            raise InvalidInputError(f"annotation t={point.t} beyond level-1 length {length}")
-        intervals.append((max(0, point.t - r_a), min(length - 1, point.t + r_a)))
-    return intervals
-
-
 def select_background_points(
     signal: ProbabilitySignal,
-    intervals: Sequence[tuple[int, int]],
+    points: Sequence[PointAnnotation],
     threshold: float,
 ) -> BackgroundPoints:
-    """Snippets whose background probability clears ``threshold``, excluding
-    every inclusive ``(lo, hi)`` interval."""
+    """Snippets whose background probability clears ``threshold``, keeping out
+    each level-1 point's window of ``AUGMENT_RADIUS`` snippets on both sides."""
     mask = signal.background > threshold
-    for lo, hi in intervals:
-        mask[lo : hi + 1] = False
+    for point in points:
+        if point.t >= signal.length:
+            raise InvalidInputError(f"annotation t={point.t} beyond level-1 length {signal.length}")
+        mask[max(0, point.t - AUGMENT_RADIUS) : point.t + AUGMENT_RADIUS + 1] = False
     return BackgroundPoints(np.flatnonzero(mask))

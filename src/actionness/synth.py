@@ -8,6 +8,7 @@ numpy Generator so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Iterator
 
@@ -26,6 +27,8 @@ MIN_GAP = 3  # background snippets kept between neighbouring instances
 _PLACEMENT_ATTEMPTS_PER_INSTANCE = 200
 # numpy draws below an int64 high end and counts an array's bytes in an intp, no wider than int64
 _NUMPY_MAX = int(np.iinfo(np.intp).max)
+# the most items a CPython list holds: one pointer each, their bytes counted in a Py_ssize_t
+_LIST_MAX = sys.maxsize // 8
 
 
 def _default_shape_mix() -> dict[str, float]:
@@ -182,10 +185,13 @@ def generate_dataset(
     """The dataset's manifest, and a stream of its videos, each with one sampled point per instance.
 
     Video ``index`` is ``video-<index:04d>``; ``default_rng([config.seed, index])``
-    draws it, then its points.
+    draws it, then its points. A count whose manifest lists no CPython list
+    can hold is refused before anything is built.
     """
     if videos < 1:
         raise InvalidInputError(f"videos must be >= 1, got {videos}")
+    if videos > _LIST_MAX:
+        raise InvalidInputError(f"videos must be at most {_LIST_MAX}, got {videos}")
     if config.seed < 0:
         raise InvalidInputError(f"seed must be >= 0, got {config.seed}")
     manifest = {

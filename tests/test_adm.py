@@ -24,7 +24,6 @@ from actionness.signal import (
     BackgroundPoints,
     PointAnnotation,
     ProbabilitySignal,
-    augment_points,
     select_background_points,
     smooth_column,
     upsample_column,
@@ -125,11 +124,18 @@ def test_video_boundaries_name_the_first_point_outside_the_video():
         video_boundaries(points, background(10), 50)
 
 
+def peak_at(window, column, boundary, t):
+    """``find_peak`` with ``PEAK_WINDOW`` patched to ``window``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(adm, "PEAK_WINDOW", window)
+        return find_peak(column, boundary, t)
+
+
 class TestFindPeak:
     def test_unimodal_bump(self):
         column = gaussian_column(100, 40, 5.0)
         boundary = PreliminaryBoundary(10, 90)
-        assert find_peak(column, boundary, 35, 0.5) == 40
+        assert peak_at(0.5, column, boundary, 35) == 40
 
     def test_window_constrains_argmax(self):
         rng = np.random.default_rng(22)
@@ -138,7 +144,7 @@ class TestFindPeak:
             boundary = PreliminaryBoundary(5, 115)
             t = int(rng.integers(20, 100))
             delta = float(rng.uniform(0.05, 0.4))
-            t_star = find_peak(column, boundary, t, delta)
+            t_star = peak_at(delta, column, boundary, t)
             radius = delta * boundary.duration
             lo = max(boundary.b_start, int(np.ceil(t - radius)))
             hi = min(boundary.b_end, int(np.floor(t + radius)))
@@ -166,19 +172,13 @@ class TestFindPeak:
         window = range(max(b_start, int(np.ceil(t - radius))), min(b_end, int(np.floor(t + radius))) + 1)
         # a scan of the window: the largest value, then the nearest to t, then the leftmost
         expected = min(window, key=lambda i: (-column[i], abs(i - t), i))
-        assert find_peak(np.array(column), boundary, t, delta) == expected
+        assert peak_at(delta, np.array(column), boundary, t) == expected
 
     @pytest.mark.parametrize("t", [5, 29, 41])
     def test_point_outside_the_boundary_is_rejected(self, t):
-        # the delta-window holds t only when the boundary does
+        # the peak window holds t only when the boundary does
         with pytest.raises(InvalidInputError, match=re.escape(f"t={t} outside the boundary [30, 40]")):
-            find_peak(np.zeros(50), PreliminaryBoundary(30, 40), t, 0.1)
-
-    @pytest.mark.parametrize("delta", [-0.05, 0.0, 0.6, float("nan")])
-    def test_delta_outside_the_config_range_is_rejected(self, delta):
-        # a negative delta left an empty window, a NaN one no window bounds; PEAK_WINDOW lies in (0, 0.5]
-        with pytest.raises(InvalidInputError, match=re.escape(f"delta must be in (0, 0.5], got {delta}")):
-            find_peak(np.zeros(10), PreliminaryBoundary(0, 9), 4, delta)
+            find_peak(np.zeros(50), PreliminaryBoundary(30, 40), t)
 
 
 class TestFitGaussian:
@@ -620,7 +620,7 @@ def one_level_signal(column, background_at=()):
 @pytest.fixture
 def sharp(monkeypatch):
     """A smoothing kernel of one tap, so the fits read the class column unchanged."""
-    monkeypatch.setattr(adm, "SMOOTHING_SIGMA", 0.1)
+    monkeypatch.setattr(signal, "SMOOTHING_SIGMA", 0.1)
 
 
 def weigh(patch, gaussian_weight, uniform_weight):
@@ -720,13 +720,12 @@ class TestLabelVideos:
         for video_id in sorted(grouped):
             finest, coarsest = grouped[video_id][0], grouped[video_id][-1]
             video_points = [p for p in points if p.video_id == video_id]
-            intervals = augment_points(video_points, adm.AUGMENT_RADIUS, finest.length)
-            background = select_background_points(finest, intervals, 0.5)
+            background = select_background_points(finest, video_points, 0.5)
             for point in video_points:
-                smoothed = smooth_column(coarsest.class_column(point.class_id), adm.SMOOTHING_SIGMA)
+                smoothed = smooth_column(coarsest.class_column(point.class_id))
                 column = upsample_column(smoothed, finest.length)
                 boundary = boundary_of(point, background, finest.length)
-                t_star = find_peak(column, boundary, point.t, adm.PEAK_WINDOW)
+                t_star = find_peak(column, boundary, point.t)
                 sigma, gaussian = fit_gaussians([(column, boundary, t_star)])[0]
                 omega, uniform = uniform_fit(column, boundary, t_star)
                 assert gaussian == gaussian_error_at(column, boundary, t_star, sigma)
@@ -748,9 +747,9 @@ class TestLabelVideos:
         grouped, points = synth_dataset()
         smoothed, upsampled = [], []
 
-        def smooth(column, sigma):
+        def smooth(column):
             smoothed.append(column.__array_interface__["data"][0])  # where the column starts in memory
-            return smooth_column(column, sigma)
+            return smooth_column(column)
 
         def upsample(column, length):
             upsampled.append(length)
@@ -819,13 +818,13 @@ def small_datasets(draw):
     st.floats(0.0, 0.5, exclude_min=True),
 )
 def test_every_point_lies_in_its_boundary_which_is_one_snippet_only_in_a_one_snippet_video(
-    dataset, r_a, threshold, delta
+    dataset, radius, threshold, delta
 ):
     # a point outside its boundary would make find_peak raise: its own snippet is never background
     signals, points = dataset
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(adm, "PEAK_WINDOW", delta)
-        patch.setattr(adm, "AUGMENT_RADIUS", r_a)
+        patch.setattr(signal, "AUGMENT_RADIUS", radius)
         labels = label_videos(signals, points, threshold)
     lengths = {signal.video_id: signal.length for signal in signals if signal.level == 1}
     assert len(labels) == len(points)

@@ -1,5 +1,7 @@
+import ast
 import gc
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -15,7 +17,7 @@ import pytest
 from click.testing import CliRunner
 
 import actionness
-from actionness import adm, decoder, files, storage, synth
+from actionness import files, storage, synth
 from actionness.adm import PseudoLabel, label_videos
 from actionness.cli import main
 from actionness.decoder import Proposal
@@ -1039,13 +1041,33 @@ def test_readme_commands_use_only_real_flags():
         assert flags <= options, f"README runs {name} with {sorted(flags - options)}, which it does not take"
 
 
-@pytest.mark.parametrize("value", ["1e9", "1e308"])
-def test_smoothing_past_the_tap_budget_fails_cleanly(runner, tmp_path, monkeypatch, value):
-    # a kernel of 2 * int(4 * 1e9 + 0.5) + 1 taps would not fit in memory, and 4 * 1e308 is inf
-    monkeypatch.setattr(adm, "SMOOTHING_SIGMA", float(value))
-    result = runner.invoke(main, _command_args(tmp_path, "adm"))
-    fails_cleanly(result, f"kernel_sigma {float(value)} is too wide")
-    assert not (tmp_path / "out.json").exists()
+def test_readme_constants_are_defined_once_with_their_stated_values():
+    # "`NAME` = <number>", or a chain "`A` = `B` = <number>" that states it of both; value lists
+    # ("`THRESHOLDS` = 0.1, 0.2, …") and budgets written as powers ("= 2^16") are not read
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    number = r"-?\d+(?:\.\d+)?(?:[eE][+-]?\d+)?"
+    stated: dict[str, set[str]] = {}
+    for chain, value in re.findall(rf"((?:`[A-Z][A-Z0-9_]*` = )+)({number})(?![\d^]|\.\d|, ?\d)", text):
+        for name in re.findall(r"`(\w+)`", chain):
+            stated.setdefault(name, set()).add(value)
+    assert set(stated) >= {
+        "PEAK_WINDOW", "GAUSSIAN_WEIGHT", "UNIFORM_WEIGHT", "SMOOTHING_SIGMA", "AUGMENT_RADIUS", "OIC_INFLATION",
+        "NMS_TIOU", "X_TOLERANCE", "MAX_ITERATIONS",
+    }
+    # every name each library module assigns at its top level
+    owners: dict[str, list[str]] = {}
+    for path in sorted(Path(actionness.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+            for target in targets:
+                if isinstance(target, ast.Name):
+                    owners.setdefault(target.id, []).append(path.stem)
+    for name, values in sorted(stated.items()):
+        assert len(values) == 1, f"README states {name} as {sorted(values)}"
+        (value,) = values
+        assert len(owners.get(name, [])) == 1, f"README states {name}, which {owners.get(name, [])} define"
+        actual = getattr(importlib.import_module(f"actionness.{owners[name][0]}"), name)
+        assert actual == float(value), f"README states {name} = {value}, the library holds {actual}"
 
 
 def _flat_adm_args(tmp_path):
@@ -1125,13 +1147,6 @@ def test_reversed_threshold_range_is_named(runner, tmp_path, command, thresholds
     assert not (tmp_path / "eval.json").exists() and not (tmp_path / "proposals.json").exists()
 
 
-def test_oic_inflation_past_int64_decodes(runner, tmp_path, monkeypatch):
-    monkeypatch.setattr(decoder, "OIC_INFLATION", 1e300)
-    result = invoke(runner, _command_args(tmp_path, "decode"))
-    assert result.exit_code == 0, result.output
-    assert load_records(tmp_path / "out.json", Proposal)
-
-
 @pytest.mark.parametrize(
     "args, fragment",
     [
@@ -1150,6 +1165,23 @@ def test_negative_seeds_and_video_counts_fail_cleanly(runner, tmp_path, args, fr
     else:
         args = args + ["--samples", "2", "--out", str(out)]
     fails_cleanly(runner.invoke(main, args), fragment)
+    assert not out.exists()
+
+
+def test_a_video_count_no_list_can_hold_fails_at_once(tmp_path):
+    # the manifest lists every video, so such a count is refused before any list is built; the child
+    # runs with 2 GiB of address space and a time limit, so building the lists would fail this test
+    # rather than fill the machine's memory
+    out = tmp_path / "out"
+    videos = 10**20
+    limit = "import resource; resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+    child = subprocess.run(
+        [sys.executable, "-c", limit + "import runpy; runpy.run_module('actionness.cli', run_name='__main__')",
+         *synth_args(out, videos=videos)],
+        env={**_child_env(), "OPENBLAS_NUM_THREADS": "1"}, capture_output=True, text=True, timeout=60,
+    )
+    assert child.returncode == 1
+    assert child.stderr + child.stdout == f"error: videos must be at most {sys.maxsize // 8}, got {videos}\n"
     assert not out.exists()
 
 

@@ -29,7 +29,7 @@ EXPORTS = {
     ],
     "optim": ["LaneResults", "minimize_lanes"],
     "signal": [
-        "BackgroundPoints", "PointAnnotation", "ProbabilitySignal", "augment_points", "select_background_points",
+        "BackgroundPoints", "PointAnnotation", "ProbabilitySignal", "select_background_points",
         "smooth_column", "upsample_column", "video_pyramids",
     ],
     "synth": ["SyntheticConfig", "SyntheticVideo", "generate_dataset", "generate_video", "sample_point"],

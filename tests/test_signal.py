@@ -11,7 +11,6 @@ from actionness.signal import (
     BackgroundPoints,
     PointAnnotation,
     ProbabilitySignal,
-    augment_points,
     select_background_points,
     size_blocks,
     slice_sums,
@@ -24,6 +23,13 @@ from actionness.synth import SyntheticConfig, generate_video
 
 def make_signal(values, video_id="v0", level=1):
     return ProbabilitySignal(video_id, level, np.asarray(values, dtype=np.float64))
+
+
+def smooth_at(column, sigma):
+    """``smooth_column`` with ``SMOOTHING_SIGMA`` patched to ``sigma``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(signal_module, "SMOOTHING_SIGMA", sigma)
+        return smooth_column(column)
 
 
 class TestProbabilitySignal:
@@ -54,7 +60,7 @@ class TestProbabilitySignal:
 
 class TestSmoothSignal:
     def test_constant_column_unchanged(self):
-        out = smooth_column(np.full(50, 0.4), 2.0)
+        out = smooth_column(np.full(50, 0.4))
         assert np.allclose(out, 0.4)
 
     def test_impulse_matches_direct_convolution(self):
@@ -62,62 +68,44 @@ class TestSmoothSignal:
         for sigma in (0.8, 1.5, 3.0):
             column = np.zeros(64)
             column[rng.integers(0, 64)] = 1.0
-            out = smooth_column(column, sigma)
+            out = smooth_at(column, sigma)
             assert np.allclose(out, smooth_column_direct(column, sigma), atol=1e-12)
 
     def test_random_matches_direct_convolution(self):
         rng = np.random.default_rng(2)
         column = rng.uniform(0, 1, 40)
-        out = smooth_column(column, 2.5)
+        out = smooth_at(column, 2.5)
         assert np.allclose(out, smooth_column_direct(column, 2.5), atol=1e-12)
 
     def test_tiny_sigma_is_identity(self):
         rng = np.random.default_rng(3)
         column = rng.uniform(0, 1, 30)
-        out = smooth_column(column, 0.05)
+        out = smooth_at(column, 0.05)
         assert np.allclose(out, column, atol=1e-9)
 
     def test_stays_in_unit_interval(self):
         rng = np.random.default_rng(4)
-        out = smooth_column(rng.uniform(0, 1, 100), 4.0)
+        out = smooth_at(rng.uniform(0, 1, 100), 4.0)
         assert out.min() >= 0.0 and out.max() <= 1.0
         # a column of ones sums to 1.0000000000000002 at this sigma before the clip
-        assert smooth_column(np.ones(40), 1.0).max() == 1.0
+        assert smooth_at(np.ones(40), 1.0).max() == 1.0
 
     def test_background_column_untouched(self):
         # smoothing a class column of a signal writes into no column of it, the background's included
         rng = np.random.default_rng(5)
         values = rng.uniform(0, 1, (30, 3))
         sig = make_signal(values.copy())
-        smooth_column(sig.class_column(1), 2.0)
+        smooth_column(sig.class_column(1))
         assert np.array_equal(sig.values, values)
-
-    def test_rejects_nonpositive_sigma(self):
-        with pytest.raises(InvalidInputError):
-            smooth_column(np.array([0.5]), 0.0)
-
-    @pytest.mark.parametrize("sigma", [1e9, 1e308])
-    def test_rejects_a_kernel_past_the_tap_budget(self, sigma):
-        # 2 * int(4 * 1e9 + 0.5) + 1 taps would take 60 GiB, and 4 * 1e308 is inf
-        with pytest.raises(InvalidInputError, match="is too wide: its kernel would have more than 16777216 taps"):
-            smooth_column(np.full(10, 0.5), sigma)
-
-    def test_tap_budget_is_exact(self, monkeypatch):
-        monkeypatch.setattr(signal_module, "MAX_KERNEL_TAPS", 33)
-        column = np.random.default_rng(6).uniform(0, 1, 10)
-        # 4 * 4.1 + 0.5 = 16.9: a radius of 16, 33 taps, reflected past both ends more than once
-        assert np.allclose(smooth_column(column, 4.1), smooth_column_direct(column, 4.1), atol=1e-12)
-        with pytest.raises(InvalidInputError, match="more than 33 taps"):
-            smooth_column(column, 4.125)  # 4 * 4.125 + 0.5 = 17: 35 taps
 
     @pytest.mark.parametrize("length, sigma", [(10, 2.375), (8, 2.0), (2, 2.0), (1, 2.0)])
     def test_kernel_wider_than_the_signal_reflects(self, length, sigma):
         rng = np.random.default_rng(7)
         column = rng.uniform(0, 1, length)
-        assert np.allclose(smooth_column(column, sigma), smooth_column_direct(column, sigma), atol=1e-12)
+        assert np.allclose(smooth_at(column, sigma), smooth_column_direct(column, sigma), atol=1e-12)
 
     def test_one_snippet_signal_smooths_to_its_value(self):
-        assert np.allclose(smooth_column(np.array([0.7]), 2.0), [0.7], atol=1e-15)
+        assert np.allclose(smooth_column(np.array([0.7])), [0.7], atol=1e-15)
 
 
 class TestUpsampleSignal:
@@ -163,7 +151,14 @@ def columns_and_sigmas(draw):
 @example((np.array([0.2, 0.9, 0.4]), 10.0))  # a radius of 40 on 3 snippets
 def test_smooth_column_equals_the_direct_oracle_property(case):
     column, sigma = case
-    assert np.allclose(smooth_column(column, sigma), smooth_column_direct(column, sigma), atol=1e-12)
+    assert np.allclose(smooth_at(column, sigma), smooth_column_direct(column, sigma), atol=1e-12)
+
+
+@given(columns_and_sigmas().map(lambda case: case[0]))
+def test_smooth_column_at_the_fixed_sigma_equals_the_direct_oracle_property(column):
+    # the 17-tap kernel of sigma 2 is often wider than the column, so the reflections repeat
+    expected = smooth_column_direct(column, signal_module.SMOOTHING_SIGMA)
+    assert np.allclose(smooth_column(column), expected, atol=1e-12)
 
 
 @given(columns_and_sigmas().map(lambda case: case[0]), st.integers(0, 100))
@@ -287,23 +282,12 @@ class TestPyramidScales:
         assert read.extents == extents
 
 
-class TestAugmentPoints:
-    def test_zero_radius_degenerate_interval(self):
-        assert augment_points([PointAnnotation("v0", 5, 1)], 0, 100) == [(5, 5)]
-
-    def test_level_one_radius_two(self):
-        assert augment_points([PointAnnotation("v0", 10, 2)], 2, 100) == [(8, 12)]
-
-    def test_one_interval_per_point_with_clipping(self):
-        points = [PointAnnotation("v0", t, 1) for t in (0, 3, 99)]
-        out = augment_points(points, 4, 100)
-        assert len(out) == len(points)
-        assert out[0] == (0, 4)
-        assert out[2] == (95, 99)
-
-    def test_rejects_point_beyond_level(self):
-        with pytest.raises(InvalidInputError):
-            augment_points([PointAnnotation("v0", 120, 1)], 2, 100)
+def outside_every_window(signal, points, threshold, radius):
+    """The snippets above ``threshold`` farther than ``radius`` from every point, scanned one by one."""
+    return [
+        t for t in range(signal.length)
+        if signal.background[t] > threshold and all(abs(t - point.t) > radius for point in points)
+    ]
 
 
 class TestSelectBackgroundPoints:
@@ -313,26 +297,50 @@ class TestSelectBackgroundPoints:
         assert out.indices.tolist() == [0, 1, 2, 3, 4]
 
     def test_augmented_interval_excluded(self):
-        sig = make_signal(np.column_stack([np.zeros(6), np.full(6, 0.99)]))
-        out = select_background_points(sig, [(2, 3)], 0.5)
-        assert out.indices.tolist() == [0, 1, 4, 5]
+        sig = make_signal(np.column_stack([np.zeros(8), np.full(8, 0.99)]))
+        out = select_background_points(sig, [PointAnnotation("v0", 3, 1)], 0.5)
+        assert out.indices.tolist() == [0, 6, 7]
 
     def test_threshold_is_strict(self):
         sig = make_signal(np.array([[0.0, 0.6], [0.0, 0.8]]))
         out = select_background_points(sig, [], 0.7)
         assert out.indices.tolist() == [1]
 
-    def test_disjoint_from_every_interval(self):
+    def test_zero_radius_keeps_out_only_the_point(self, monkeypatch):
+        monkeypatch.setattr(signal_module, "AUGMENT_RADIUS", 0)
+        sig = make_signal(np.column_stack([np.zeros(10), np.ones(10)]))
+        out = select_background_points(sig, [PointAnnotation("v0", 5, 1)], 0.5)
+        assert out.indices.tolist() == [0, 1, 2, 3, 4, 6, 7, 8, 9]
+
+    def test_each_point_keeps_out_its_radius_window(self):
+        assert signal_module.AUGMENT_RADIUS == 2
+        sig = make_signal(np.column_stack([np.zeros(100), np.ones(100)]))
+        out = select_background_points(sig, [PointAnnotation("v0", 10, 2)], 0.5)
+        assert out.indices.tolist() == [*range(8), *range(13, 100)]
+
+    def test_windows_clip_to_the_video(self, monkeypatch):
+        monkeypatch.setattr(signal_module, "AUGMENT_RADIUS", 4)
+        sig = make_signal(np.column_stack([np.zeros(100), np.ones(100)]))
+        points = [PointAnnotation("v0", t, 1) for t in (0, 3, 99)]
+        out = select_background_points(sig, points, 0.5)
+        assert out.indices.tolist() == list(range(8, 95))
+
+    def test_rejects_point_beyond_level(self):
+        sig = make_signal(np.column_stack([np.zeros(100), np.ones(100)]))
+        with pytest.raises(InvalidInputError, match="annotation t=120 beyond level-1 length 100"):
+            select_background_points(sig, [PointAnnotation("v0", 120, 1)], 0.5)
+
+    def test_disjoint_from_every_interval(self, monkeypatch):
+        monkeypatch.setattr(signal_module, "AUGMENT_RADIUS", 3)
         rng = np.random.default_rng(8)
         for _ in range(25):
             values = np.column_stack([rng.uniform(0, 1, 60), rng.uniform(0, 1, 60)])
             sig = make_signal(values)
             points = [PointAnnotation("v0", int(t), 1) for t in rng.integers(0, 60, 4)]
-            intervals = augment_points(points, 3, 60)
             covered = set()
-            for lo, hi in intervals:
-                covered.update(range(lo, hi + 1))
-            selected = select_background_points(sig, intervals, 0.5)
+            for point in points:
+                covered.update(range(point.t - 3, point.t + 4))
+            selected = select_background_points(sig, points, 0.5)
             assert covered.isdisjoint(selected.indices.tolist())
 
     def test_matches_brute_force_scan(self):
@@ -340,12 +348,22 @@ class TestSelectBackgroundPoints:
                                  noise_std=0.1, seed=7)
         video = generate_video(config, np.random.default_rng(17), "v0")
         threshold = 0.6
-        inside = set()
-        for g in video.gt:
-            inside.update(range(g.start, g.end + 1))
-        expected = [t for t in range(config.length) if video.signal.values[t, -1] > threshold and t not in inside]
-        intervals = [(g.start, g.end) for g in video.gt]
-        assert select_background_points(video.signal, intervals, threshold).indices.tolist() == expected
+        points = [PointAnnotation("v0", (g.start + g.end) // 2, g.class_id) for g in video.gt]
+        expected = outside_every_window(video.signal, points, threshold, signal_module.AUGMENT_RADIUS)
+        assert select_background_points(video.signal, points, threshold).indices.tolist() == expected
+
+
+@given(
+    columns_and_sigmas().map(lambda case: case[0]),
+    st.lists(st.integers(0, 39), max_size=5),
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+@example(np.array([0.9, 0.9, 0.9, 0.9, 0.9, 0.9]), [0, 5], 0.5)  # windows clipped at both ends
+def test_select_background_points_equals_a_brute_force_scan_property(background, ts, threshold):
+    sig = make_signal(np.column_stack([np.zeros(background.size), background]))
+    points = [PointAnnotation("v0", t % background.size, 1) for t in ts]
+    expected = outside_every_window(sig, points, threshold, signal_module.AUGMENT_RADIUS)
+    assert select_background_points(sig, points, threshold).indices.tolist() == expected
 
 
 class TestBackgroundPoints:
