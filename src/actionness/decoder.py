@@ -12,9 +12,9 @@ from .records import Proposal
 from .signal import ProbabilitySignal, Pyramid, video_pyramids
 
 # Fixed hyperparameters: the thresholds whose runs become segments, strictly ascending
-# in (0, 1); the OIC flank width as a fraction of a segment's length, which
-# ``oic_scores`` reads when it runs; and the tIoU above which NMS suppresses a
-# proposal. ``decode_videos`` reads the thresholds and the tIoU when it runs.
+# in (0, 1), which ``threshold_runs`` reads when it runs; the OIC flank width as a
+# fraction of a segment's length, which ``oic_scores`` reads when it runs; and the
+# tIoU above which NMS suppresses a proposal, which ``decode_videos`` reads when it runs.
 THRESHOLDS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9)
 OIC_INFLATION = 0.25
 NMS_TIOU = 0.45
@@ -41,16 +41,16 @@ def select_classes(video_scores, threshold: float) -> list[int]:
     return [int(c) + 1 for c in selected]
 
 
-def threshold_runs(column, thresholds) -> tuple[np.ndarray, np.ndarray]:
+def threshold_runs(column) -> tuple[np.ndarray, np.ndarray]:
     """Starts and ends of the maximal runs of consecutive snippets strictly above
-    each threshold: threshold by threshold in the given order, each one's runs by start.
+    each of ``THRESHOLDS``: threshold by threshold in their order, each one's runs by start.
 
     One ``(thresholds, length + 2)`` mask holds every comparison, each row
     padded by a False at both ends, so no run joins the next row's and every
     run has one rise and one fall in the mask's flat ``diff``.
     """
     column = np.asarray(column, dtype=np.float64)
-    thresholds = np.asarray(thresholds, dtype=np.float64)
+    thresholds = np.asarray(THRESHOLDS, dtype=np.float64)
     width = column.size + 2
     mask = np.zeros((thresholds.size, width), dtype=bool)
     np.greater(column, thresholds[:, None], out=mask[:, 1:-1])
@@ -245,7 +245,7 @@ def _distinct_segments(pyramid: Pyramid, class_score_threshold: float, top_k_fra
     for class_id in select_classes(np.mean(per_level, axis=0), class_score_threshold):
         starts, ends = [], []
         for sig, scale, extent in zip(pyramid.levels, pyramid.scales, pyramid.extents):
-            run_starts, run_ends = threshold_runs(sig.class_column(class_id), THRESHOLDS)
+            run_starts, run_ends = threshold_runs(sig.class_column(class_id))
             # coarse snippet j pools level-1 snippets j*scale .. (j+1)*scale - 1
             starts.append(run_starts * scale)
             ends.append(np.minimum((run_ends + 1) * scale, extent) - 1)

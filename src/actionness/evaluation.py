@@ -1,16 +1,14 @@
 """Interval overlap, average precision, mAP reports, and pseudo-label quality.
 
-Pure Python, so ``actionness eval`` loads no numpy. Every sum adds its terms
-in the order ``np.add.reduce`` adds a float64 vector, so each score is the
-float that the array formulation of these metrics gives.
+Pure Python, so ``actionness eval`` loads no numpy. Every sum is the
+``math.fsum`` of its terms: exactly rounded, whatever their order.
 """
 
 from __future__ import annotations
 
 import bisect
-import functools
 import itertools
-import operator
+import math
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -40,51 +38,19 @@ def tiou(a: tuple[int, int], b: tuple[int, int]) -> float:
     return inter / union
 
 
-def _pairwise_sum(values: Sequence[float], start: int, count: int) -> float:
-    """numpy's pairwise sum of ``values[start:start + count]``: a plain loop below
-    8 terms, 8 interleaved accumulators up to 128, else the two halves split at a
-    multiple of 8."""
-    if count < 8:
-        total = 0.0
-        for i in range(start, start + count):
-            total += values[i]
-        return total
-    if count <= 128:
-        stop = start + count - count % 8
-        # accumulator j adds every 8th term from values[start + j], left to right
-        r = [functools.reduce(operator.add, values[j:stop:8]) for j in range(start, start + 8)]
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-        for i in range(stop, start + count):
-            total += values[i]
-        return total
-    half = count // 2
-    half -= half % 8
-    return _pairwise_sum(values, start, half) + _pairwise_sum(values, start + half, count - half)
-
-
-def _sum(values: Sequence[float]) -> float:
-    """The sum ``np.add.reduce`` gives a float64 vector of ``values``, bit for bit:
-    its identity 0.0 plus numpy's pairwise sum, so no float's rounding moves."""
-    return 0.0 + _pairwise_sum(values, 0, len(values))
-
-
 def _envelope_ap(hit_ranks: Sequence[int], total: int) -> float:
     """All-point AP of one ranking from its true positives' 0-based ranks, ascending.
 
     The precision envelope at a hit is the largest ``hits / rank`` (1-based) of
     that hit and every later hit; each hit adds its recall step times that
-    envelope, and a recall that ends below 1 adds a last step of precision 0.
-    These are the nonzero-width steps of the padded recall and envelope
-    arrays, in their order.
+    envelope. A recall that ends below 1 adds nothing more: its last step has
+    precision 0.
     """
     envelopes = [hits / (rank + 1) for hits, rank in enumerate(hit_ranks, 1)]
     best = 0.0
     for i in range(len(envelopes) - 1, -1, -1):
         best = envelopes[i] = max(best, envelopes[i])
-    terms = [(hits / total - (hits - 1) / total) * envelope for hits, envelope in enumerate(envelopes, 1)]
-    if len(hit_ranks) < total:
-        terms.append((1.0 - len(hit_ranks) / total) * 0.0)
-    return _sum(terms)
+    return math.fsum((hits / total - (hits - 1) / total) * envelope for hits, envelope in enumerate(envelopes, 1))
 
 
 def _by_start(intervals: Sequence[tuple[int, int]]) -> tuple[list[int], list[int], list[int]]:
@@ -118,7 +84,7 @@ def _class_average_precisions(
     matching walks the proposals in score order, and each takes the
     still-unmatched GT with the largest tIoU (> 0). It is a true positive when
     that tIoU reaches the threshold; it never falls back to the next-best GT.
-    The AP comes from the true positives' ranks alone, summed in numpy's order.
+    The AP comes from the true positives' ranks alone.
     """
     if not gt:
         raise InvalidInputError("average_precision requires at least one ground-truth instance")
@@ -196,7 +162,7 @@ def map_report(
     Proposals and GT are grouped by class in one pass, and each class's APs
     at every threshold come from one call that computes each proposal's tIoUs
     once; each AP equals ``average_precision`` on that class alone. Each mAP
-    is the mean that ``np.mean`` gives, summed in numpy's order.
+    is the exactly rounded sum of its APs over their count.
     A repeated threshold raises InvalidInputError: ``map_at`` keeps one entry
     per distinct threshold, so the report would disagree with itself.
     """
@@ -225,8 +191,8 @@ def map_report(
     for k, threshold in enumerate(thresholds):
         for class_id in classes:
             ap[(class_id, threshold)] = per_class[class_id][k]
-        map_at[threshold] = _sum([per_class[c][k] for c in classes]) / len(classes)
-    average_map = _sum(list(map_at.values())) / len(map_at)
+        map_at[threshold] = math.fsum(per_class[c][k] for c in classes) / len(classes)
+    average_map = math.fsum(map_at.values()) / len(map_at)
     return EvalReport(thresholds, ap, map_at, average_map)
 
 
@@ -266,7 +232,7 @@ def pseudo_label_quality(
         for label in pseudo_labels
     ]
     report = map_report(as_proposals, gt, thresholds)
-    return replace(report, alpha=alpha, mean_tiou=_sum(best_matches) / len(gt))
+    return replace(report, alpha=alpha, mean_tiou=math.fsum(best_matches) / len(gt))
 
 
 def evaluate(

@@ -173,7 +173,8 @@ def nms_direct(proposals, tiou_threshold: float):
 
 def average_precision_direct(proposals, gt, tiou_threshold: float) -> float:
     """Definition-first AP: explicit matching, then rectangles under the
-    precision envelope, recomputing the envelope from scratch at every step."""
+    precision envelope, recomputing the envelope from scratch at every step,
+    summed exactly."""
     from .evaluation import tiou
 
     ordered = sorted(proposals, key=lambda p: (-p.score, p.video_id, p.start, p.end))
@@ -193,7 +194,7 @@ def average_precision_direct(proposals, gt, tiou_threshold: float) -> float:
             hits.append(True)
         else:
             hits.append(False)
-    ap = 0.0
+    terms = []
     previous_recall = 0.0
     true_positives = 0
     for hit in hits:
@@ -208,9 +209,9 @@ def average_precision_direct(proposals, gt, tiou_threshold: float) -> float:
                 running += 1
             if running >= true_positives:
                 envelope = max(envelope, running / rank)
-        ap += (recall - previous_recall) * envelope
+        terms.append((recall - previous_recall) * envelope)
         previous_recall = recall
-    return ap
+    return math.fsum(terms)
 
 
 def finite_difference_gradient(

@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import reprlib
 import zipfile
 from operator import getitem
 from pathlib import Path
@@ -81,6 +82,12 @@ def _string(name: str, value) -> str:
     return value
 
 
+def _record(value) -> dict:
+    if type(value) is not dict:
+        raise TypeError(f"a record must be a JSON object, got {reprlib.repr(value)}")
+    return value
+
+
 # --- probability signals -------------------------------------------------
 
 _ZIP_DATE = (1980, 1, 1, 0, 0, 0)  # the earliest zip timestamp; fixed so writes are byte-identical
@@ -126,10 +133,13 @@ def signal_from_dict(payload: dict, check_booleans: bool = True) -> ProbabilityS
     from .signal import ProbabilitySignal
 
     try:
-        video_id = _string("video_id", payload["video_id"])
+        video_id = _string("video_id", _record(payload)["video_id"])
         level = _integer("level", payload["level"])
         # asked for floats, numpy would parse strings: it infers the type, and only integers and floats pass
-        values = np.asarray(payload["values"])
+        try:
+            values = np.asarray(payload["values"])
+        except ValueError:  # numpy's words for rows of unequal length
+            raise TypeError("values must be rows of JSON numbers, all of one length") from None
         if values.dtype.kind not in "if":
             raise TypeError(f"values must be JSON numbers, not {_NOT_NUMBERS.get(values.dtype.kind, values.dtype)}")
         values = values.astype(np.float64, copy=False)
@@ -208,17 +218,20 @@ def _load_npz(path: Path) -> list[ProbabilitySignal]:
 
 
 def save_signals(path: Path | str, signals: Sequence[ProbabilitySignal]) -> None:
-    """Write ``.npz`` when ``path`` ends in ``.npz`` (one video), JSON otherwise."""
+    """Write ``.npz`` when ``path`` ends in ``.npz`` (one video), JSON otherwise (at least one signal)."""
     if Path(path).suffix == ".npz":
         _save_npz(path, signals)
+    elif not signals:
+        raise InvalidInputError(f"{path}: a JSON signal file holds at least one signal record")
     else:
         write_json_atomic(path, [signal_to_dict(s) for s in signals])
 
 
 def load_signals(path: Path | str) -> list[ProbabilitySignal]:
     """Load signals from one ``.npz``/JSON file, or every such file of a directory in sorted order;
-    a directory without one is malformed input, not a dataset of no videos, and so is an entry
-    named as a signal file that is not a file, such as a subdirectory ``old.json/``."""
+    a directory without one is malformed input, not a dataset of no videos, and so are a JSON file
+    without a record and an entry named as a signal file that is not a file, such as a subdirectory
+    ``old.json/``."""
     path = Path(path)
     if path.is_dir():
         files = sorted([*path.glob("*.json"), *path.glob("*.npz")])
@@ -234,6 +247,8 @@ def load_signals(path: Path | str) -> list[ProbabilitySignal]:
         return _load_npz(path)
     payload, text = load_json(path, keep_text=True)
     records = payload if isinstance(payload, list) else [payload]
+    if not records:
+        raise InvalidInputError(f"{path}: a JSON signal file holds at least one signal record")
     # no key of a signal record and no JSON number holds an r or an f; true and false do
     check_booleans = "r" in text or "f" in text
     return [signal_from_dict(record, check_booleans) for record in records]
@@ -286,11 +301,14 @@ def _build_records(payload, path: Path | str, record_type: type) -> list:
 
     try:
         if group is None:
-            return [build(_string("video_id", item["video_id"]), item) for item in payload]
+            return [build(_string("video_id", item["video_id"]), item) for item in map(_record, payload)]
         records = []
-        for entry in payload:
+        for entry in map(_record, payload):
             video_id = _string("video_id", entry["video_id"])
-            records.extend(build(video_id, item) for item in entry[group])
+            items = entry[group]
+            if type(items) is not list:
+                raise TypeError(f"{group} of video {video_id!r} must be a JSON array, got {reprlib.repr(items)}")
+            records.extend(build(video_id, item) for item in map(_record, items))
         return records
     except KeyError as exc:
         raise InvalidInputError(f"{name} record missing field {exc}") from exc

@@ -713,10 +713,14 @@ class TestMalformedInput:
     @pytest.mark.parametrize(
         "name, content, fragment",
         [
-            ("v0.json", b"[3]", "malformed signal record"),
+            ("v0.json", b"[3]", "malformed signal record: a record must be a JSON object, got 3"),
+            ("v0.json", b"[[1, 2]]", "malformed signal record: a record must be a JSON object, got [1, 2]"),
+            ("v0.json", b"null", "malformed signal record: a record must be a JSON object, got None"),
             ("v0.json", json.dumps([{**_SIGNAL_RECORD, "level": "one"}]).encode(), "malformed signal record"),
             ("v0.json", json.dumps([{**_SIGNAL_RECORD, "values": [[0.5, 0.5], [0.5]]}]).encode(),
-             "malformed signal record"),
+             "malformed signal record: values must be rows of JSON numbers, all of one length"),
+            ("v0.json", json.dumps([{**_SIGNAL_RECORD, "values": [[0.5, [0.5]], [0.5, 0.5]]}]).encode(),
+             "malformed signal record: values must be rows of JSON numbers, all of one length"),
             ("v0.json", b"\x93NUMPY\xff binary", "malformed JSON"),
             ("v0.npz", b"", "malformed signal archive"),
             ("v0.npz", b"PK\x03\x04 truncated", "malformed signal archive"),
@@ -731,7 +735,8 @@ class TestMalformedInput:
             ("v0.npz", _npz_bytes(video_id=_VIDEO, level_1=_LEVEL.astype(object)), "malformed signal archive"),
         ],
         ids=[
-            "json-not-a-record", "json-level-not-int", "json-ragged-values", "json-binary",
+            "json-not-a-record", "json-array-record", "json-null", "json-level-not-int", "json-ragged-values",
+            "json-nested-value", "json-binary",
             "npz-empty", "npz-bad-zip", "npz-not-a-zip", "npz-bare-npy", "npz-no-video-id", "npz-no-level",
             "npz-video-id-not-0d", "npz-level-name-not-int", "npz-level-1d", "npz-level-strings",
             "npz-level-objects",
@@ -742,13 +747,37 @@ class TestMalformedInput:
         path.write_bytes(content)
         result = runner.invoke(main, ["decode", "--signals", str(path), "--out", str(tmp_path / "p.json")])
         fails_cleanly(result, fragment)
+        assert not (tmp_path / "p.json").exists()
+
+    @pytest.mark.parametrize("layout", ["file", "in-a-directory"])
+    @pytest.mark.parametrize("command", ["adm", "decode"])
+    def test_json_signal_file_without_a_record(self, runner, tmp_path, command, layout):
+        # not a dataset of no videos, nor a file to skip beside the others
+        signals = tmp_path / "signals"
+        signals.mkdir()
+        empty = signals / "e.json"
+        empty.write_text("[]")
+        if layout == "in-a-directory":
+            save_signals(signals / "v0.npz", [small_signal()])
+        out_file = tmp_path / "out.json"
+        args = [command, "--signals", str(empty if layout == "file" else signals), "--out", str(out_file)]
+        if command == "adm":
+            (tmp_path / "ann.json").write_text("[]")
+            args += ["--annotations", str(tmp_path / "ann.json")]
+        fails_cleanly(runner.invoke(main, args), f"error: {empty}: a JSON signal file holds at least one signal record")
+        assert not out_file.exists()
 
     @pytest.mark.parametrize(
-        "records",
-        [[{"video_id": "v0", "t": "x", "class_id": 1}], [{"video_id": "v0", "t": 1e999, "class_id": 1}], [3]],
-        ids=["t-not-a-number", "t-infinite", "record-not-an-object"],
+        "records, fragment",
+        [
+            ([{"video_id": "v0", "t": "x", "class_id": 1}], "t must be a JSON integer, got 'x'"),
+            ([{"video_id": "v0", "t": 1e999, "class_id": 1}], "t must be a JSON integer, got inf"),
+            ([3], "a record must be a JSON object, got 3"),
+            ([[1, 2]], "a record must be a JSON object, got [1, 2]"),
+        ],
+        ids=["t-not-a-number", "t-infinite", "record-not-an-object", "record-an-array"],
     )
-    def test_bad_annotations(self, runner, tmp_path, records):
+    def test_bad_annotations(self, runner, tmp_path, records, fragment):
         save_signals(tmp_path / "v0.npz", [small_signal()])
         annotations = tmp_path / "ann.json"
         annotations.write_text(json.dumps(records))
@@ -757,7 +786,7 @@ class TestMalformedInput:
             ["adm", "--signals", str(tmp_path / "v0.npz"), "--annotations", str(annotations),
              "--out", str(tmp_path / "labels.json")],
         )
-        fails_cleanly(result, "malformed annotation record")
+        fails_cleanly(result, f"malformed annotation record in {annotations}: {fragment}")
 
     _GT = [{"video_id": "v0", "start": 1, "end": 4, "class_id": 1}]
 
@@ -783,7 +812,15 @@ class TestMalformedInput:
         "gt, predictions, fragment",
         [
             ([{**_GT[0], "start": "a"}], [], "malformed ground-truth record"),
-            (_GT, [{"video_id": "v0", "proposals": 5}], "malformed proposal record"),
+            (_GT, [{"video_id": "v0", "proposals": 5}], "proposals of video 'v0' must be a JSON array, got 5"),
+            (_GT, [{"video_id": "v0", "proposals": "abc"}], "proposals of video 'v0' must be a JSON array, got 'abc'"),
+            (_GT, [{"video_id": "v0", "proposals": {"a": 1}}],
+             "proposals of video 'v0' must be a JSON array, got {'a': 1}"),
+            (_GT, [{"video_id": "v0", "proposals": [3]}], "a record must be a JSON object, got 3"),
+            (_GT, [{"video_id": "v0", "labels": [None]}], "a record must be a JSON object, got None"),
+            (_GT, [[1, 2]], "a record must be a JSON object, got [1, 2]"),
+            ([[1, 2]], [], "a record must be a JSON object, got [1, 2]"),
+            ([3], [], "a record must be a JSON object, got 3"),
             (_GT, [{"video_id": "v0", "proposals": [{"start": 1, "end": 3, "class_id": 1, "score": [1]}]}],
              "malformed proposal record"),
             (_GT, [{"video_id": "v0", "proposals": [{"start": 1, "end": 3, "class_id": 1, "score": "x"}]}],
@@ -803,7 +840,9 @@ class TestMalformedInput:
              "pseudo-label must satisfy 0 <= start <= end, got [7, 3]"),
             (_GT, [{"video_id": "v0", "labels": [{**_LABEL, "class_id": 0}]}], "pseudo-label class_id must be >= 1, got 0"),
         ],
-        ids=["gt-start-not-int", "proposals-not-a-list", "score-not-a-number", "score-string", "score-nan",
+        ids=["gt-start-not-int", "proposals-not-a-list", "proposals-a-string", "proposals-an-object",
+             "proposal-not-an-object", "label-not-an-object", "video-entry-an-array", "gt-record-an-array",
+             "gt-record-a-number", "score-not-a-number", "score-string", "score-nan",
              "score-inf", "label-sigma-not-a-number", "input-not-an-array", "gt-start-negative", "gt-class-0",
              "proposal-class-negative", "label-start-after-end", "label-class-0"],
     )
@@ -829,10 +868,10 @@ PINNED_DIGESTS = {
     "data/manifest.json": "88b7c58dfbdb4bc37952c52ef5c1f901fa160529fe818bb9c1924b38ebec53d1",
     "labels.json": "c14832f5a840f59f30417595c3bc3ef759571e391bfded6a25fb408f756afe20",
     "labels_eval.csv": "01c7bc2dce139fd00a9f2c4f2328d1860c18ec8c845502486cb01c139b025150",
-    "labels_eval.json": "906298b4fdbd1f05c276cfb64f13794ec233297b740f138b925dbccb4c887741",
+    "labels_eval.json": "71c36723edd5cde471622f627ecef65b5e2faaf3620db5edd967f24fbf5247ae",
     "proposals.json": "eb3291025839cc3380ddaa252e79952e73e50cc6ea186acab9fdc87f81fe1e66",
     "proposals_eval.csv": "40edbbb4b94c1ad6b9b6f6ad581ac61c68dd86222517a9dbf0c826ef0d289414",
-    "proposals_eval.json": "c376f99cd2c11970eb97c62c829a99bf4d56a062de3b99475eebb03388c20476",
+    "proposals_eval.json": "d6fb86057ae19de36f0a8f64f483a5cb70ecc88a26f80359786cdfac86607617",
     "stdout:adm": "3b4681d96c62a1904f3808c4fdeeeaacad3927472807056575b5f0b4c4214b6c",
     "stdout:decode": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "stdout:eval-labels": "8fbc90c7b980f0d2bd1dde928024587e85f4e8b65172bf94aad43adbdcb33059",

@@ -29,8 +29,10 @@ def make_signal(columns, video_id="v0", level=1):
 
 
 def runs_above(column, threshold):
-    """``threshold_runs`` of one threshold, as ``(start, end)`` pairs."""
-    return list(zip(*(bounds.tolist() for bounds in threshold_runs(column, [threshold]))))
+    """``threshold_runs`` with ``THRESHOLDS`` patched to the one ``threshold``, as ``(start, end)`` pairs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decoder, "THRESHOLDS", (threshold,))
+        return list(zip(*(bounds.tolist() for bounds in threshold_runs(column))))
 
 
 def oic_at(inflation, columns, column_ids, starts, ends):
@@ -256,7 +258,9 @@ def test_oic_scores_reject_segments_outside_their_column_and_unknown_columns():
     thresholds=st.lists(st.sampled_from([0.1, 0.25, 0.5, 0.6, 0.75, 0.9, 0.99]), max_size=5),
 )
 def test_threshold_runs_equal_the_runs_of_each_threshold_property(values, thresholds):
-    starts, ends = threshold_runs(values, thresholds)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(decoder, "THRESHOLDS", tuple(thresholds))
+        starts, ends = threshold_runs(values)
     assert list(zip(starts.tolist(), ends.tolist())) == [
         run for threshold in thresholds for run in scalar_runs(values, threshold)
     ]

@@ -116,6 +116,12 @@ def test_npz_holds_one_video_with_distinct_levels(tmp_path, signals):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_json_signal_file_holds_a_record(tmp_path):
+    with pytest.raises(InvalidInputError, match="a JSON signal file holds at least one signal record"):
+        save_signals(tmp_path / "v.json", [])
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("video_id", ["v\x00", "\x00", "v\x00\x00"])
 def test_npz_rejects_video_id_with_trailing_nul(tmp_path, video_id):
     signal = ProbabilitySignal(video_id, 1, np.zeros((2, 2)))

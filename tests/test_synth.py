@@ -4,7 +4,7 @@ import time
 import numpy as np
 import pytest
 
-from actionness import synth
+from actionness import decoder, synth
 from actionness.decoder import threshold_runs
 from actionness.errors import InvalidInputError, PackingError
 from actionness.evaluation import GroundTruthInstance
@@ -71,13 +71,14 @@ class TestGenerateVideo:
         assert np.all(column >= config.background_level - 1e-12)
         assert np.allclose(column, column[::-1])  # symmetric profile
 
-    def test_threshold_merge_recovers_plateau_gt(self):
+    def test_threshold_merge_recovers_plateau_gt(self, monkeypatch):
+        monkeypatch.setattr(decoder, "THRESHOLDS", (0.5,))
         config = make_config(shape_mix={"plateau": 1.0}, instances_per_video=(2, 3), length=512)
         for seed in range(5):
             video = generate_video(config, np.random.default_rng(seed), "v0")
             segments = []
             for class_id in range(1, config.num_classes + 1):
-                starts, ends = threshold_runs(video.signal.class_column(class_id), [0.5])
+                starts, ends = threshold_runs(video.signal.class_column(class_id))
                 segments += [(start, end, class_id) for start, end in zip(starts.tolist(), ends.tolist())]
             expected = sorted((g.start, g.end, g.class_id) for g in video.gt)
             assert sorted(segments) == expected
